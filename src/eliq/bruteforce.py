@@ -7,9 +7,11 @@ lower-bound family, and the query/ontology families used by the negative
 results (no finite frontier under unrestricted functionality, no learning
 under disjointness, no learning under unrestricted functionality).
 
-The frontier check enumerates candidate ELIQs through the shared interned
-subtree pool, so feasibility results are memoized per (subtree, model node)
-across all candidates of one instance.
+The frontier check draws its candidates from ``generalizations_upto``, which
+builds only the bounded-size ELIQs the query is contained in, bottom-up from
+the query's universal model, smallest first.  Candidates live in the shared
+interned subtree pool, so the coverage tests are memoized per (subtree,
+model node) across all candidates of one instance.
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ from itertools import combinations
 from .engine import context_for
 from .errors import EliqError
 from .frontier_base import Frontier
-from .model import _PrefixWindow, _tree_feasible, intern_cq, tree_ids_upto, tree_struct, tree_to_cq
-from .reasoner import query_satisfiable
-from .syntax import CQ, Ontology, Role, basic_name, combined_signature, make_cq
+from .model import (
+    anchored,
+    generalizations_upto,
+    intern_cq,
+    respects_functionality,
+    tree_to_cq,
+)
+from .syntax import CQ, Ontology, basic_name, combined_signature, make_cq
 
 
 @dataclass(frozen=True)
@@ -33,33 +40,18 @@ class FrontierCheck:
     reason: str = ""
 
 
-def _satisfiable_tree(o: Ontology, tid: int, eng, inc=None) -> bool:
-    """Cheap satisfiability filter for enumerated candidates: functionality
-    violations among a node's successors, where the edge back to the parent
-    counts too.  Candidates violating functionality are equivalent to their
-    folded versions, which are enumerated anyway."""
-    from .engine import rinv
-
-    labels, children = tree_struct(tid)
-    out_roles = [rk for rk, _ in children]
-    if inc is not None:
-        out_roles.append(rinv(inc))
-    for rk in set(out_roles):
-        if rk in eng.functional and out_roles.count(rk) > 1:
-            return False
-    return all(_satisfiable_tree(o, c, eng, rk) for rk, c in children)
-
-
 def bruteforce_frontier_check(
     o: Ontology, q: CQ, f: Frontier | list[CQ], bound: int
 ) -> FrontierCheck:
     """Exhaustively check the frontier conditions up to ``bound`` variables.
 
     First validates the two member conditions (each member strictly
-    generalizes ``q``); then enumerates every ELIQ q' over the combined
-    signature with at most ``bound`` variables that strictly generalizes
-    ``q`` (and is satisfiable w.r.t. ``o``) and reports the first one no
-    member is contained in.
+    generalizes ``q``).  Then it takes every ELIQ q' over the combined
+    signature with at most ``bound`` variables that ``q`` is contained in
+    (built directly from ``q``'s universal model, smallest first), keeps
+    those satisfiable w.r.t. ``o`` and not contained in ``q``, and reports
+    the first one no member is contained in; a counterexample is therefore
+    one of least size.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -71,17 +63,14 @@ def bruteforce_frontier_check(
     member_ctxs = [context_for(o, m.to_abox()) for m in members]
 
     for m, mc in zip(members, member_ctxs):
-        if not _anchored(q_ctx, intern_cq(m), q.answer_var, len(m.variables())):
+        if not anchored(q_ctx, intern_cq(m), q.answer_var, len(m.variables())):
             return FrontierCheck(False, m, 0, "member violates Condition 1")
-        if _anchored(mc, q_tid, m.answer_var, len(q.variables())):
+        if anchored(mc, q_tid, m.answer_var, len(q.variables())):
             return FrontierCheck(False, m, 0, "member violates Condition 2")
 
     checked = 0
-    for tid in tree_ids_upto(names, roles, bound):
-        if not _satisfiable_tree(o, tid, eng):
-            continue
-        # q contained in candidate: the candidate matches into q's model.
-        if not _anchored(q_ctx, tid, q.answer_var, bound):
+    for tid in generalizations_upto(q_ctx, q.answer_var, names, roles, bound):
+        if not respects_functionality(eng, tid):
             continue
         cand_cq = tree_to_cq(tid)
         cand_ctx = context_for(o, cand_cq.to_abox())
@@ -89,22 +78,16 @@ def bruteforce_frontier_check(
             continue
         checked += 1
         # strictness: the candidate must not be contained in q
-        if _anchored(cand_ctx, q_tid, cand_cq.answer_var, len(q.variables())):
+        if anchored(cand_ctx, q_tid, cand_cq.answer_var, len(q.variables())):
             continue
         # coverage: some member must be contained in the candidate, i.e. the
         # candidate matches into that member's model.
         covered = any(
-            _anchored(mc, tid, m.answer_var, bound) for m, mc in zip(members, member_ctxs)
+            anchored(mc, tid, m.answer_var, bound) for m, mc in zip(members, member_ctxs)
         )
         if not covered:
             return FrontierCheck(False, cand_cq, checked, "uncovered generalization")
     return FrontierCheck(True, None, checked)
-
-
-def _anchored(ctx, tid: int, anchor: str, cap: int) -> bool:
-    win = _PrefixWindow(ctx, cap)
-    memo = ctx.__dict__.setdefault("_hom_memos", {}).setdefault(cap, {})
-    return _tree_feasible(win, memo, tid, anchor)
 
 
 # ---------------------------------------------------------------------------

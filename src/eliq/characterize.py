@@ -7,18 +7,26 @@ examples is squeezed between the positives (it generalizes q) and the
 negatives (no frontier member may be contained in it), which by frontier
 completeness forces equivalence with q.
 
-``verify_unique`` double-checks this at desk scale by enumerating every
-candidate query up to a variable bound.
+``verify_unique`` double-checks this at desk scale by trying every query up
+to a variable bound that fits the positive examples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import context_for, engine_for
 from .errors import UnsatisfiableError
 from .frontier_base import reject_unsupported
 from .frontier_f import frontier_f
 from .frontier_r import frontier_r
+from .model import (
+    anchored,
+    generalizations_upto,
+    respects_functionality,
+    tree_ids_upto,
+    tree_to_cq,
+)
 from .reasoner import certain_answer, contained, enumerate_eliqs, query_satisfiable
 from .syntax import ABox, CQ, Dialect, Ontology, combined_signature, dialect_of
 
@@ -83,35 +91,37 @@ def verify_unique(o: Ontology, q: CQ, e: ExampleSet, bound: int) -> UniquenessVe
     """Search for a fitting query not equivalent to ``q``, up to ``bound``
     variables over the combined signature.
 
+    Candidates are the bounded-size ELIQs that answer the first positive
+    example, built directly from that example's universal model
+    (``generalizations_upto``) and then tested against any further positives;
+    with no positives every bounded-size ELIQ is a candidate.
+
     Candidates unsatisfiable w.r.t. ``o`` are skipped: a functionality
     violation folds to an enumerated equivalent, and a disjointness clash
     cannot fit the positive example of a satisfiable query anyway.
-
-    Works directly on the interned candidate pool so homomorphism results
-    are shared across candidates with common subtrees.
     """
-    from .engine import context_for
-    from .bruteforce import _anchored, _satisfiable_tree
-    from .model import tree_ids_upto, tree_size, tree_to_cq
-
     if bound < len(q.variables()):
         raise ValueError("bound must be at least the query's variable count")
     names, roles = combined_signature(o, q)
-    eng = context_for(o, q.to_abox()).engine
+    eng = engine_for(o)
     pos_ctxs = [(context_for(o, ex.abox), ex.individual) for ex in e.positives]
     neg_ctxs = [(context_for(o, ex.abox), ex.individual) for ex in e.negatives]
+    if pos_ctxs:
+        ctx, ind = pos_ctxs.pop(0)
+        pool = generalizations_upto(ctx, ind, names, roles, bound)
+    else:
+        pool = tree_ids_upto(names, roles, bound)
     has_disj = bool(o.concept_disjointness or o.role_disjointness)
     checked = 0
-    for tid in tree_ids_upto(names, roles, bound):
-        if not _satisfiable_tree(o, tid, eng):
+    for tid in pool:
+        if not respects_functionality(eng, tid):
             continue
-        cap = tree_size(tid)
-        if not all(_anchored(ctx, tid, ind, cap) for ctx, ind in pos_ctxs):
+        if not all(anchored(ctx, tid, ind, bound) for ctx, ind in pos_ctxs):
             continue
         if has_disj and not query_satisfiable(o, tree_to_cq(tid)):
             continue
         checked += 1
-        if any(_anchored(ctx, tid, ind, cap) for ctx, ind in neg_ctxs):
+        if any(anchored(ctx, tid, ind, bound) for ctx, ind in neg_ctxs):
             continue
         cand = tree_to_cq(tid)
         if not query_satisfiable(o, cand):

@@ -229,6 +229,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
+        if args.bound < 1:
+            raise EliqError(f"--bound must be at least 1, got {args.bound}")
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
         if args.verify_what == "frontier":

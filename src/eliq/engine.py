@@ -109,6 +109,9 @@ class Engine:
         self._fired_cache: dict = {}
         self._childfrom_cache: dict = {}
         self._supinv_cache: dict[RKey, tuple[frozenset, frozenset]] = {}
+        # (interned tree id, incoming role) -> the tree respects functionality;
+        # filled by model.respects_functionality.
+        self.functionality_memo: dict[tuple[int, RKey | None], bool] = {}
 
     # -- role hierarchy ----------------------------------------------------
 
@@ -363,6 +366,9 @@ class ABoxContext:
         self.facts: dict[str, frozenset] = {}
         self._run_fixpoint()
         self._sat: bool | None = None
+        # depth cap -> {(interned tree id, model node): homomorphism exists};
+        # filled by model.anchored.
+        self.hom_memos: dict[int, dict] = {}
 
     @staticmethod
     def _sup_and_inv(engine: Engine, k: RKey) -> tuple[frozenset, frozenset]:

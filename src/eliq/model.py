@@ -16,7 +16,10 @@ Two access paths are provided:
 Tree-shaped queries are interned into a global subtree pool and matched with
 a feasibility DP memoized per (subtree, model node); the pool is shared with
 the brute-force enumerators, so repeated checks of structurally overlapping
-queries against one ABox reuse each other's work.  Queries with cycles fall
+queries against one ABox reuse each other's work.  ``generalizations_upto``
+runs that feasibility test the other way round: it builds, smallest first,
+every bounded-size tree that maps into the model at an anchor, which is how
+the oracles obtain a query's generalizations.  Queries with cycles fall
 back to plain backtracking over the same lazy node space (cyclic queries can
 fold onto anonymous tree parts, so they are *not* restricted to ABox
 individuals).
@@ -28,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import ABoxContext, RKey, context_for, rinv, role_of
+from .engine import ABoxContext, Engine, RKey, context_for, rinv, role_of
 from .errors import NotAnEliqError
 from .syntax import ABox, CQ, Ontology, Role, tree_order
 
@@ -102,6 +105,40 @@ def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
 _ENUM_CACHE: dict[tuple, list[int]] = {}
 
 
+def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[RKey]]:
+    """Node labels (every subset of ``names``) and edge keys (both
+    directions of every role), each in enumeration order."""
+    sorted_names = sorted(names)
+    labels = []
+    for mask in range(1 << len(sorted_names)):
+        labels.append(frozenset(n for i, n in enumerate(sorted_names) if mask >> i & 1))
+    labels.sort(key=sorted)
+    edges: list[RKey] = sorted((r, inv) for r in sorted(roles) for inv in (False, True))
+    return labels, edges
+
+
+def _combos(attachments: list[tuple[int, RKey, int]], budget: int) -> list[tuple]:
+    """Every multiset of (subtree size, edge, tid) attachments whose sizes sum
+    to ``budget``, as a sorted child tuple.  ``attachments`` must be sorted;
+    the order of the result follows it."""
+    combos: list[tuple] = []
+
+    def rec(remaining: int, start: int, acc: list) -> None:
+        if remaining == 0:
+            combos.append(tuple(sorted(acc)))
+            return
+        for i in range(start, len(attachments)):
+            s, e, t = attachments[i]
+            if s > remaining:
+                break  # attachments sorted by size
+            acc.append((e, t))
+            rec(remaining - s, i, acc)
+            acc.pop()
+
+    rec(budget, 0, [])
+    return combos
+
+
 def tree_ids_upto(names: frozenset[str], roles: frozenset[str], max_vars: int) -> list[int]:
     """All rooted labeled trees with at most ``max_vars`` nodes, one id per
     isomorphism class, ordered by size."""
@@ -110,47 +147,99 @@ def tree_ids_upto(names: frozenset[str], roles: frozenset[str], max_vars: int) -
     if hit is not None:
         return hit
 
-    sorted_names = sorted(names)
-    labels = []
-    for mask in range(1 << len(sorted_names)):
-        labels.append(frozenset(n for i, n in enumerate(sorted_names) if mask >> i & 1))
-    labels.sort(key=sorted)
-    edges: list[RKey] = sorted((r, inv) for r in sorted(roles) for inv in (False, True))
-
+    labels, edges = _alphabet(names, roles)
     by_size: dict[int, list[int]] = {}
     attachments: list[tuple[int, RKey, int]] = []  # (subtree size, edge, tid)
     for size in range(1, max_vars + 1):
-        ids = []
         if size == 1:
             ids = [intern_tree(lab, ()) for lab in labels]
         else:
-            combos: list[tuple] = []
-
-            def rec(remaining: int, start: int, acc: list) -> None:
-                if remaining == 0:
-                    combos.append(tuple(acc))
-                    return
-                for i in range(start, len(attachments)):
-                    s, e, t = attachments[i]
-                    if s > remaining:
-                        break  # attachments sorted by size
-                    acc.append((e, t))
-                    rec(remaining - s, i, acc)
-                    acc.pop()
-
-            rec(size - 1, 0, [])
-            for lab in labels:
-                for kids in combos:
-                    ids.append(intern_tree(lab, tuple(sorted(kids))))
+            combos = _combos(attachments, size - 1)
+            ids = [intern_tree(lab, kids) for lab in labels for kids in combos]
         by_size[size] = ids
         for t in ids:
             for e in edges:
                 attachments.append((size, e, t))
-        attachments.sort(key=lambda a: (a[0], a[1], a[2]))
+        attachments.sort()
 
     out = [t for size in range(1, max_vars + 1) for t in by_size[size]]
     _ENUM_CACHE[key] = out
     return out
+
+
+def generalizations_upto(
+    ctx: ABoxContext, anchor: str, names: frozenset[str], roles: frozenset[str], bound: int
+) -> list[int]:
+    """The trees of ``tree_ids_upto(names, roles, bound)`` that map into the
+    universal model of ``ctx`` at ``anchor``, in the same order.
+
+    When ``ctx`` holds a query's ABox and ``anchor`` its answer variable,
+    these are the bounded-size ELIQs that the query is contained in.  They are
+    built bottom-up over the lazy prefix window instead of filtered: a tree
+    of ``size`` nodes fits at a model node when its label holds there and each
+    child subtree fits at some neighbour along its edge, so the trees fitting
+    at a node are formed from the smaller trees fitting at its neighbours.
+    """
+    labels, edges = _alphabet(names, roles)
+    win = _PrefixWindow(ctx, bound)
+    memo: dict[tuple, list[int]] = {}
+
+    def fitting(node, size: int) -> list[int]:
+        key = (node, size)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        present = win.names(node)
+        labs = [lab for lab in labels if lab <= present]
+        if size == 1:
+            out = [intern_tree(lab, ()) for lab in labs]
+        elif not labs:
+            out = []
+        else:
+            attachments: list[tuple[int, RKey, int]] = []
+            for e in edges:
+                # a fixed visiting order fixes the order new trees are interned in
+                targets = sorted(win.neighbors(node, e), key=_node_order)
+                for s in range(1, size):
+                    fit: set[int] = set()
+                    for m in targets:
+                        fit.update(fitting(m, s))
+                    attachments.extend((s, e, t) for t in fit)
+            attachments.sort()
+            combos = _combos(attachments, size - 1)
+            out = [intern_tree(lab, kids) for lab in labs for kids in combos]
+        memo[key] = out
+        return out
+
+    return [t for size in range(1, bound + 1) for t in fitting(anchor, size)]
+
+
+def _node_order(node) -> tuple:
+    if isinstance(node, str):
+        return (node, ())
+    _, base, path = node
+    return (base, tuple((rk, sorted(seed)) for rk, seed in path))
+
+
+def respects_functionality(eng: Engine, tid: int, inc: RKey | None = None) -> bool:
+    """No node of the tree has two successors along a functional role, where
+    the edge back to the parent (reached by ``inc``) counts too.  A tree
+    violating functionality is equivalent to a folded tree, which the
+    enumerations produce anyway.  Memoized on the engine."""
+    if not eng.functional:
+        return True
+    key = (tid, inc)
+    hit = eng.functionality_memo.get(key)
+    if hit is None:
+        _, children = tree_struct(tid)
+        out_roles = [rk for rk, _ in children]
+        if inc is not None:
+            out_roles.append(rinv(inc))
+        hit = all(out_roles.count(rk) < 2 for rk in eng.functional) and all(
+            respects_functionality(eng, c, rk) for rk, c in children
+        )
+        eng.functionality_memo[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +366,19 @@ def _bfs_order(q: CQ, first: str) -> list[str]:
     return seen
 
 
+def anchored(ctx: ABoxContext, tid: int, anchor: str, cap: int) -> bool:
+    """Anchored homomorphism test for an interned tree, over the model prefix
+    of depth ``cap``; memoized per (subtree, model node) on the context."""
+    win = _PrefixWindow(ctx, cap)
+    memo = ctx.hom_memos.setdefault(cap, {})
+    return _tree_feasible(win, memo, tid, anchor)
+
+
 def matches(ctx: ABoxContext, q: CQ, anchor: str) -> bool:
     """Anchored homomorphism test: q(answer) -> (universal model, anchor)."""
     cap = len(q.variables())
     if q.is_eliq():
-        win = _PrefixWindow(ctx, cap)
-        memo = ctx.__dict__.setdefault("_hom_memos", {}).setdefault(cap, {})
-        return _tree_feasible(win, memo, intern_cq(q), anchor)
+        return anchored(ctx, intern_cq(q), anchor, cap)
     win = _PrefixWindow(ctx, cap)
     order = _bfs_order(q, q.answer_var)
     needed = q.concepts_at(q.answer_var)

@@ -129,3 +129,14 @@ def test_verify_unique(files, capsys):
         ["verify", "unique", "-o", write("o.dlo", ""), "-q", write("q.cq", "q(x0) :- A(x0)\n"), "--bound", "2"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("what", ["frontier", "unique"])
+def test_verify_rejects_bound_below_one(files, capsys, what):
+    write, _ = files
+    code = main(
+        ["verify", what, "-o", write("o.dlo", EX1), "-q", write("q.cq", EX1_Q), "--bound", "0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--bound" in err

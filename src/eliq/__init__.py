@@ -18,9 +18,9 @@ from .errors import (
     UnsatisfiableError,
     UnsupportedDialectError,
 )
-from .frontier_base import Frontier, GenCandidate, minimal_core, prune_equivalents
-from .frontier_f import compensate_f, frontier_f, generalize_f
-from .frontier_r import compensate_r, frontier_r, generalize_r
+from .frontier_base import Frontier, GenCandidate, generalize, minimal_core, prune_equivalents
+from .frontier_f import frontier, frontier_f
+from .frontier_r import frontier_r
 from .learn import (
     LearnTrace,
     SimulatedOracle,

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .engine import context_for, engine_for
 from .errors import UnsatisfiableError
-from .frontier_base import reject_unsupported
-from .frontier_f import frontier_f
-from .frontier_r import frontier_r
+from .frontier_base import SUPPORTED_DIALECTS, reject_unsupported
+from .frontier_f import frontier
 from .model import (
     anchored,
     generalizations_upto,
@@ -27,8 +26,8 @@ from .model import (
     tree_ids_upto,
     tree_to_cq,
 )
-from .reasoner import certain_answer, contained, enumerate_eliqs, query_satisfiable
-from .syntax import ABox, CQ, Dialect, Ontology, combined_signature, dialect_of
+from .reasoner import certain_answer, contained, query_satisfiable
+from .syntax import ABox, CQ, Ontology, combined_signature
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,6 @@ class ExampleSet:
     negatives: tuple[DataExample, ...]
 
 
-_CHARACTERIZABLE = frozenset({Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED})
-
-
 def characterize(o: Ontology, q: CQ) -> ExampleSet:
     """An example set that uniquely characterizes ``q`` w.r.t. ``o``.
 
@@ -58,13 +54,12 @@ def characterize(o: Ontology, q: CQ) -> ExampleSet:
     Negative: one example per frontier member (its ABox, anchored at the
     member's answer variable; member variables double as individual names).
     """
-    reject_unsupported(o, _CHARACTERIZABLE, "characterize")
+    reject_unsupported(o, SUPPORTED_DIALECTS, "characterize")
     if not query_satisfiable(o, q):
         raise UnsatisfiableError("characterize requires a query satisfiable w.r.t. the ontology")
-    frontier = frontier_f(o, q) if dialect_of(o) is Dialect.F_RESTRICTED else frontier_r(o, q)
     positives = (DataExample(q.to_abox(), q.answer_var, True),)
     negatives = tuple(
-        DataExample(m.to_abox(), m.answer_var, False) for m in frontier.members
+        DataExample(m.to_abox(), m.answer_var, False) for m in frontier(o, q).members
     )
     return ExampleSet(positives, negatives)
 

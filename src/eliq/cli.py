@@ -18,7 +18,7 @@ from .bruteforce import bruteforce_frontier_check
 from .characterize import characterize, verify_unique
 from .errors import EliqError, ParseError, UnsupportedDialectError
 from .frontier_base import Frontier, prune_equivalents
-from .frontier_f import frontier_f
+from .frontier_f import frontier, frontier_f
 from .frontier_r import frontier_r
 from .learn import SimulatedOracle, default_budget, learn_with_normal_form, seed_query
 from .normalform import normalize
@@ -31,7 +31,7 @@ from .parser import (
     serialize_ontology,
 )
 from .reasoner import certain_answer, contained, universal_prefix
-from .syntax import Dialect, combined_signature, dialect_of
+from .syntax import combined_signature
 
 
 def _read(path: str, parser):
@@ -40,17 +40,6 @@ def _read(path: str, parser):
     except OSError as exc:
         raise EliqError(f"cannot read {path}: {exc}") from exc
     return parser(text)
-
-
-def _frontier_for(o, q, dialect: str) -> Frontier:
-    if dialect == "r":
-        return frontier_r(o, q)
-    if dialect == "f":
-        return frontier_f(o, q)
-    d = dialect_of(o)
-    if d in (Dialect.CORE, Dialect.R):
-        return frontier_r(o, q)
-    return frontier_f(o, q)
 
 
 def _frontier_json(frontier: Frontier) -> str:
@@ -185,12 +174,10 @@ def _dispatch(args) -> int:
     if args.command == "frontier":
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
-        frontier = _frontier_for(o, q, args.dialect)
+        result = {"auto": frontier, "r": frontier_r, "f": frontier_f}[args.dialect](o, q)
         if args.prune:
-            frontier = Frontier(
-                tuple(prune_equivalents(o, list(frontier.members))), q, o
-            )
-        print(_frontier_json(frontier))
+            result = Frontier(tuple(prune_equivalents(o, list(result.members))), q, o)
+        print(_frontier_json(result))
         return 0
 
     if args.command == "learn":
@@ -234,8 +221,8 @@ def _dispatch(args) -> int:
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
         if args.verify_what == "frontier":
-            frontier = _frontier_for(o, q, args.dialect)
-            result = bruteforce_frontier_check(o, q, frontier, args.bound)
+            found = {"auto": frontier, "r": frontier_r, "f": frontier_f}[args.dialect](o, q)
+            result = bruteforce_frontier_check(o, q, found, args.bound)
             if result.ok:
                 print(f"ok ({result.candidates_checked} generalizations covered)")
                 return 0

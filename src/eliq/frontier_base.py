@@ -1,22 +1,51 @@
-"""Shared machinery for the two frontier constructions.
+"""Everything the two frontier constructions share: Step 1 and the driver.
 
-Both constructions follow the same two-phase scheme: a *generalization*
-phase that produces, per variable, the least-general ways of weakening the
-subtree rooted there, and a *compensation* phase that re-attaches enough
-structure to keep every generalization least general.  Throughout, fresh
-variables remember which original query variable they descend from (the
-``down`` map); compensation is driven by that bookkeeping.
+A frontier construction runs in two steps.  Step 1 (*generalize*, ``_f0``
+here) computes, bottom-up per variable x, the set F0(x) of least-general ways
+to weaken the subtree at x: either drop a maximally-strong concept atom that
+is not already implied by an incident role atom, or pick a child edge, replace
+the child subtree by every member of the child's own F0 (reattached via the
+same role), and additionally reattach the unchanged child subtree along every
+strictly more general role.  At a functional child edge the child may keep
+only a single successor, so one candidate is emitted per choice of the
+child's generalization (and plain removal when the child has none).  Step 2
+(*compensate*) re-attaches enough structure to keep every root candidate
+least general; it is the only dialect-specific part and lives in
+``frontier_r`` (role inclusions) and ``frontier_f`` (restricted
+functionality).
+
+``build_frontier`` is the one driver: prepare, Step 1, Step 2, size ceiling,
+surrogate translation, the Condition 1-2 self-check, dedupe and sort.
+Throughout, fresh variables remember which original query variable they
+descend from (the ``down`` map); compensation is driven by that bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .engine import ABoxContext, RKey, context_for, engine_for, rinv, role_of
+from .engine import ABoxContext, RKey, context_for, role_of
 from .errors import UnsatisfiableError, UnsupportedDialectError
-from .normalform import expand_surrogates, normalize
+from .normalform import expand_surrogates, is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
-from .syntax import CQ, ELIConcept, Ontology, Role, concept_conjuncts, make_cq, tree_order
+from .syntax import (
+    CQ,
+    Dialect,
+    ELIConcept,
+    Ontology,
+    Role,
+    concept_conjuncts,
+    dialect_of,
+    make_cq,
+    restrict,
+    subquery_at,
+    subtree_vars,
+    tree_order,
+)
+
+# The dialects some frontier construction accepts.
+SUPPORTED_DIALECTS = frozenset({Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED})
 
 
 @dataclass
@@ -40,7 +69,7 @@ class Frontier:
     source_ontology: Ontology
 
 
-class _Namer:
+class Namer:
     """Deterministic fresh-variable source; names carry their origin as a hint."""
 
     def __init__(self, used=()):
@@ -66,11 +95,11 @@ class QB:
         self.down: dict[str, str | None] = {}
 
     @classmethod
-    def from_candidate(cls, cand: GenCandidate) -> "QB":
-        qb = cls(cand.query.answer_var)
-        qb.concepts = {(a, v) for a, v in cand.query.concept_atoms if a != "top"}
-        qb.roles = set(cand.query.role_atoms)
-        qb.down = dict(cand.down)
+    def of(cls, q: CQ, down: dict[str, str | None] | None = None) -> "QB":
+        qb = cls(q.answer_var)
+        qb.concepts = {(a, v) for a, v in q.concept_atoms if a != "top"}
+        qb.roles = set(q.role_atoms)
+        qb.down = dict(down or {})
         return qb
 
     def add_concept(self, name: str, v: str) -> None:
@@ -92,7 +121,7 @@ class QB:
             out.update((x, y))
         return out
 
-    def glue_query_copy(self, q: CQ, glue_from: str, glue_to: str, namer: _Namer) -> None:
+    def glue_query_copy(self, q: CQ, glue_from: str, glue_to: str, namer: Namer) -> None:
         """Attach a disjoint copy of ``q``, identifying ``glue_from``'s copy
         with the existing variable ``glue_to``.  Copied variables descend from
         their originals."""
@@ -107,7 +136,7 @@ class QB:
         for r, x, y in q.role_atoms:
             self.roles.add((r, rename[x], rename[y]))
 
-    def add_disjoint_copy(self, q: CQ, down_src: dict[str, str | None], namer: _Namer) -> str:
+    def add_disjoint_copy(self, q: CQ, down_src: dict[str, str | None], namer: Namer) -> str:
         """Add a fully disjoint copy of ``q``; returns the copy of its answer
         variable.  Copied variables descend from what their originals
         descended from."""
@@ -140,7 +169,6 @@ class Prepared:
         parent = tree_order(self.query)
         for v, (p, role) in parent.items():
             if p is not None:
-                assert role is not None
                 self.children.setdefault(p, []).append((role, v))
         for v in self.children:
             self.children[v].sort(key=lambda p: (str(p[0]), p[1]))
@@ -221,11 +249,73 @@ def drop_concept_candidates(prep: Prepared, x: str, subquery: CQ) -> list[GenCan
 
 
 # ---------------------------------------------------------------------------
+# Step 1: generalization
+# ---------------------------------------------------------------------------
+
+
+def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
+    """Step 1: the generalization set F0(x), memoized per variable in ``memo``."""
+    if x in memo:
+        return memo[x]
+    eng = prep.ctx.engine
+    q = prep.query
+    qx = subquery_at(q, x)
+    out = drop_concept_candidates(prep, x, qx)
+    for role, y in prep.children.get(x, []):
+        below = subtree_vars(q, y)
+        base = restrict(qx, qx.variables() - below)
+        base_down = {v: v for v in base.variables() | {x}}
+        rk = (role.name, role.inverted)
+        subs = _f0(prep, namer, memo, y)
+        tag = f"sub:{role}@{x}->{y}"
+        if rk in eng.functional:
+            # A functional edge keeps a single successor: one candidate per
+            # choice of the child's generalization, plain removal without one.
+            if not subs:
+                qb = QB.of(base, base_down)
+                out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:drop"))
+            for i, sub in enumerate(subs):
+                qb = QB.of(base, base_down)
+                root = qb.add_disjoint_copy(sub.query, sub.down, namer)
+                qb.add_edge(role, x, root)
+                out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:choice{i}"))
+            continue
+        qb = QB.of(base, base_down)
+        for sub in subs:
+            root = qb.add_disjoint_copy(sub.query, sub.down, namer)
+            qb.add_edge(role, x, root)
+        more_general = [s for s in sorted(eng.superroles(rk) - {rk}) if rk not in eng.superroles(s)]
+        if more_general:
+            qy = subquery_at(q, y)
+            for s in more_general:
+                root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
+                qb.add_edge(role_of(s), x, root)
+        out.append(GenCandidate(qb.freeze(), dict(qb.down), tag))
+    memo[x] = out
+    return out
+
+
+def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
+    """Step 1 alone: the generalization set F0(x) for a saturated, minimal
+    ELIQ ``q`` over a normal-form ontology."""
+    if not is_normal_form(o):
+        raise ValueError("generalize expects an ontology in normal form")
+    prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
+    return _f0(prep, Namer(q.variables()), {}, x)
+
+
+def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
+    """The role atoms of an ELIQ as (parent, role, child) triples, directed
+    away from the answer variable."""
+    return [(p, role, v) for v, (p, role) in sorted(tree_order(q).items()) if p is not None]
+
+
+# ---------------------------------------------------------------------------
 # Assembling and validating frontiers
 # ---------------------------------------------------------------------------
 
 
-def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: _Namer,
+def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
                         functional: frozenset[RKey] | None) -> None:
     """Glue the tree form of concept ``c`` at variable ``at``.
 
@@ -240,7 +330,8 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: _Namer,
         if part.kind == "name":
             qb.add_concept(part.name, at)  # type: ignore[arg-type]
             continue
-        assert part.kind == "exists" and part.role is not None
+        if part.kind != "exists" or part.role is None:
+            raise AssertionError(f"unexpected concept part {part}")
         rk = (part.role.name, part.role.inverted)
         target = None
         if functional is not None and rk in functional:
@@ -263,12 +354,10 @@ def translate_members(members: list[CQ], fresh_map, functional) -> list[CQ]:
     they stand for."""
     out = []
     for m in members:
-        namer = _Namer(m.variables())
+        namer = Namer(m.variables())
 
         def glue(q: CQ, v: str, c: ELIConcept, tag: str) -> CQ:
-            qb = QB(q.answer_var)
-            qb.concepts = {(a, w) for a, w in q.concept_atoms if a != "top"}
-            qb.roles = set(q.role_atoms)
+            qb = QB.of(q)
             attach_concept_tree(qb, v, c, namer, functional)
             return qb.freeze()
 
@@ -316,6 +405,41 @@ def ontology_size(o: Ontology) -> int:
     return total
 
 
+def build_frontier(
+    o: Ontology,
+    q: CQ,
+    op: str,
+    dialects: frozenset[Dialect],
+    compensate: Callable[[Prepared, Namer, GenCandidate], CQ],
+    tie_reverse: bool = False,
+) -> Frontier:
+    """The frontier driver shared by ``frontier_r`` and ``frontier_f``.
+
+    Rejects dialects outside ``dialects``, normalizes the ontology, saturates
+    and minimizes the query, runs Step 1 and the dialect's Step 2
+    (``compensate``) on every root candidate, translates surrogate names back,
+    and machine-checks Conditions 1 and 2 on every member before returning
+    them deduplicated and sorted.  ``tie_reverse`` compensates the root
+    candidates in reverse order (tests use it to vary tie-breaking).
+    """
+    reject_unsupported(o, dialects, op)
+    prep = prepare(o, q, op)
+    namer = Namer(prep.query.variables())
+    cands = _f0(prep, namer, {}, prep.query.answer_var)
+    if tie_reverse:
+        cands = list(reversed(cands))
+    raw_members = [compensate(prep, namer, c) for c in cands]
+    if not size_ceiling_ok(prep.query, prep.ontology, raw_members):
+        raise AssertionError("frontier size ceiling exceeded")
+    members = translate_members(raw_members, prep.fresh_map, prep.ctx.engine.functional)
+    check_conditions(o, q, members, op)
+    return Frontier(tuple(sorted(set(members), key=_member_key)), q, o)
+
+
+def _member_key(m: CQ):
+    return (len(m.variables()), sorted(m.concept_atoms), sorted(m.role_atoms))
+
+
 def prune_equivalents(o: Ontology, members: list[CQ]) -> list[CQ]:
     """Drop members equivalent (w.r.t. o) to an earlier member."""
     kept: list[CQ] = []
@@ -344,8 +468,6 @@ def minimal_core(o: Ontology, members: list[CQ]) -> list[CQ]:
 
 
 def reject_unsupported(o: Ontology, allowed, op: str) -> None:
-    from .syntax import Dialect, dialect_of
-
     d = dialect_of(o)
     if d in allowed:
         return
@@ -374,7 +496,8 @@ def reject_unsupported(o: Ontology, allowed, op: str) -> None:
 
 def _offending_exists(c: ELIConcept, o: Ontology):
     if c.kind == "exists":
-        assert c.role is not None
+        if c.role is None:
+            raise AssertionError(f"existential without a role: {c}")
         if c.role.inverse() in o.functional:
             return c.role
         return _offending_exists(c.filler, o)  # type: ignore[arg-type]

@@ -1,4 +1,5 @@
-"""Frontier construction for restricted functionality ontologies.
+"""Step 2 of the frontier construction for restricted functionality
+ontologies, and the dialect dispatch ``frontier``.
 
 Unrestricted functionality destroys finite frontiers (an inverse-functional
 role can force unboundedly long detours), so this construction only accepts
@@ -6,11 +7,10 @@ ontologies in which no concept-inclusion right-hand side uses ``some R . D``
 with ``func(R-)`` asserted; anything else is rejected with the reason code
 ``not_f_restricted``.
 
-Step 1 mirrors the role-inclusion construction except at a functional child
-edge: there the child may keep only a single successor, so instead of
-reattaching all of the child's generalizations at once, one candidate is
-emitted per choice of generalization (and plain removal when the child has
-none).
+Step 1 (generalize, with its one-candidate-per-choice rule at functional
+child edges) and the driver are shared with the role-inclusion construction
+and live in ``frontier_base``; this module holds only the compensation, and
+``frontier``, the dialect dispatch between the two constructions.
 
 Step 2's compensation cannot simply hang copies of the original query
 wherever it likes: a copy glued next to a functional edge would create a
@@ -29,26 +29,21 @@ query atoms, so the iteration terminates.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from .engine import RKey, rinv, role_of
 from .frontier_base import (
     Frontier,
     GenCandidate,
+    Namer,
     Prepared,
     QB,
-    _Namer,
-    check_conditions,
-    drop_concept_candidates,
+    away_atoms,
+    build_frontier,
     names_implied_by_exists,
-    prepare,
-    prune_equivalents,
-    reject_unsupported,
-    size_ceiling_ok,
-    translate_members,
 )
-from .frontier_base import ontology_size
-from .normalform import is_normal_form
-from .syntax import CQ, Dialect, Ontology, Role, restrict, subquery_at, subtree_vars, tree_order
+from .frontier_r import frontier_r
+from .syntax import CQ, Dialect, Ontology, Role, dialect_of
 
 _F_DIALECTS = frozenset({Dialect.CORE, Dialect.F_RESTRICTED})
 
@@ -72,62 +67,10 @@ def _f_nudges(prep: Prepared, v: str) -> list[tuple[RKey, frozenset[str]]]:
     return sorted(kept, key=lambda p: (p[0], sorted(p[1])))
 
 
-def _f0_f(prep: Prepared, namer: _Namer, memo: dict, x: str) -> list[GenCandidate]:
-    if x in memo:
-        return memo[x]
+def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate, lifo: bool = False) -> CQ:
     eng = prep.ctx.engine
     q = prep.query
-    qx = subquery_at(q, x)
-    out = drop_concept_candidates(prep, x, qx)
-    for role, y in prep.children.get(x, []):
-        below = subtree_vars(q, y)
-        base = restrict(qx, qx.variables() - below)
-        rk = (role.name, role.inverted)
-        subs = _f0_f(prep, namer, memo, y)
-
-        def removal_base() -> QB:
-            qb = QB(x)
-            qb.concepts = {(a, v) for a, v in base.concept_atoms if a != "top"}
-            qb.roles = set(base.role_atoms)
-            qb.down = {v: v for v in base.variables() | {x}}
-            return qb
-
-        if rk not in eng.functional:
-            qb = removal_base()
-            for sub in subs:
-                root = qb.add_disjoint_copy(sub.query, sub.down, namer)
-                qb.add_edge(role, x, root)
-            out.append(GenCandidate(qb.freeze(), dict(qb.down), f"sub:{role}@{x}->{y}"))
-        elif not subs:
-            qb = removal_base()
-            out.append(GenCandidate(qb.freeze(), dict(qb.down), f"sub:{role}@{x}->{y}:drop"))
-        else:
-            # A functional edge keeps a single successor: one candidate per
-            # choice of the child's generalization.
-            for i, sub in enumerate(subs):
-                qb = removal_base()
-                root = qb.add_disjoint_copy(sub.query, sub.down, namer)
-                qb.add_edge(role, x, root)
-                out.append(
-                    GenCandidate(qb.freeze(), dict(qb.down), f"sub:{role}@{x}->{y}:choice{i}")
-                )
-    memo[x] = out
-    return out
-
-
-def generalize_f(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
-    if not is_normal_form(o):
-        raise ValueError("generalize_f expects an ontology in normal form")
-    from .engine import context_for
-
-    prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
-    return _f0_f(prep, _Namer(q.variables()), {}, x)
-
-
-def _compensate_f(prep: Prepared, namer: _Namer, cand: GenCandidate, lifo: bool = False) -> CQ:
-    eng = prep.ctx.engine
-    q = prep.query
-    qb = QB.from_candidate(cand)
+    qb = QB.of(cand.query, cand.down)
 
     # Step 2A: add entailed witness successors (no query copies here; the
     # iterative step below takes care of compensation around them).
@@ -152,20 +95,21 @@ def _compensate_f(prep: Prepared, namer: _Namer, cand: GenCandidate, lifo: bool 
     def mark(src: str, dst: str, role: Role) -> None:
         # Marking proviso: the target descends from a query variable, and a
         # source with no origin must be safely gluable later.
-        assert qb.down.get(dst) is not None, "marked atom target must have an origin"
+        if qb.down.get(dst) is None:
+            raise AssertionError("marked atom target must have an origin")
         if qb.down.get(src) is None:
             tk = (role.name, role.inverted)
-            assert rinv(tk) not in eng.functional or not _q_has_edge(q, qb.down[dst], rinv(tk)), (
-                "marking proviso violated"
-            )
+            if rinv(tk) in eng.functional and _q_has_edge(q, qb.down[dst], rinv(tk)):
+                raise AssertionError("marking proviso violated")
         marked.append((src, dst, role))
 
     # Start: invert every edge whose inverse is not functional.
-    for u, role, w in _away_atoms_of(qb):
+    for u, role, w in away_atoms(qb.freeze()):
         tk = (role.name, role.inverted)
         if rinv(tk) in eng.functional:
             continue
-        assert qb.down.get(u) is not None, "away-directed sources have origins here"
+        if qb.down.get(u) is None:
+            raise AssertionError("away-directed sources have origins here")
         v = namer.fresh(u)
         qb.add_edge(role.inverse(), w, v)
         qb.down[v] = qb.down[u]
@@ -174,17 +118,20 @@ def _compensate_f(prep: Prepared, namer: _Namer, cand: GenCandidate, lifo: bool 
     while marked:
         src, dst, role = marked.pop() if lifo else marked.popleft()
         processed += 1
-        assert processed <= budget, "marking iteration exceeded its termination bound"
+        if processed > budget:
+            raise AssertionError("marking iteration exceeded its termination bound")
         tk = (role.name, role.inverted)
         back = rinv(tk)
         ydown = qb.down[dst]
-        assert ydown is not None
+        if ydown is None:
+            raise AssertionError("marked atom target must have an origin")
         if back not in eng.functional or not _q_has_edge(q, ydown, back):
             # A full copy of q cannot clash with functionality here.
             qb.glue_query_copy(q, ydown, dst, namer)
             continue
         xdown = qb.down[src]
-        assert xdown is not None, "non-glue step requires a source origin"
+        if xdown is None:
+            raise AssertionError("non-glue step requires a source origin")
         # (i) transfer concept names of the original variable
         for a in sorted(prep.ctx.names_at(ydown)):
             qb.add_concept(a, dst)
@@ -216,16 +163,6 @@ def _q_has_edge(q: CQ, v: str, rk: RKey) -> bool:
     return any((role.name, role.inverted) == rk for role, _ in q.neighbors(v))
 
 
-def _away_atoms_of(qb: QB) -> list[tuple[str, Role, str]]:
-    parent = tree_order(qb.freeze())
-    out = []
-    for v, (p, role) in sorted(parent.items()):
-        if p is not None:
-            assert role is not None
-            out.append((p, role, v))
-    return out
-
-
 def _iteration_budget(prep: Prepared, qb: QB) -> int:
     n_q = len(prep.query.variables())
     names, roles = prep.ontology.signature()
@@ -233,39 +170,18 @@ def _iteration_budget(prep: Prepared, qb: QB) -> int:
     return max(1, len(qb.roles)) * (1 + n_q + sig * sig) + 10
 
 
-def compensate_f(o: Ontology, q: CQ, cand: GenCandidate) -> CQ:
-    if cand.query.answer_var != q.answer_var:
-        raise ValueError("compensation applies to candidates at the answer variable")
-    from .engine import context_for
-
-    prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
-    used = set(q.variables()) | set(cand.query.variables())
-    return _compensate_f(prep, _Namer(used), cand)
-
-
-def frontier_f(
-    o: Ontology,
-    q: CQ,
-    prune: bool = False,
-    _tie_reverse: bool = False,
-) -> Frontier:
+def frontier_f(o: Ontology, q: CQ, _tie_reverse: bool = False) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or restricted functionality
     ontology; rejects unrestricted functionality with ``not_f_restricted``."""
-    reject_unsupported(o, _F_DIALECTS, "frontier_f")
-    prep = prepare(o, q, "frontier_f")
-    namer = _Namer(prep.query.variables())
-    cands = _f0_f(prep, namer, {}, prep.query.answer_var)
-    if _tie_reverse:
-        cands = list(reversed(cands))
-    raw_members = [_compensate_f(prep, namer, c, lifo=_tie_reverse) for c in cands]
-    assert size_ceiling_ok(prep.query, prep.ontology, raw_members), "frontier size ceiling exceeded"
-    members = translate_members(raw_members, prep.fresh_map, prep.ctx.engine.functional)
-    check_conditions(o, q, members, "frontier_f")
-    if prune:
-        members = prune_equivalents(o, members)
-    members = sorted(set(members), key=_member_key)
-    return Frontier(tuple(members), q, o)
+    compensate = partial(_compensate_f, lifo=_tie_reverse)
+    return build_frontier(o, q, "frontier_f", _F_DIALECTS, compensate, _tie_reverse)
 
 
-def _member_key(m: CQ):
-    return (len(m.variables()), sorted(m.concept_atoms), sorted(m.role_atoms))
+def frontier(o: Ontology, q: CQ) -> Frontier:
+    """The frontier of ``q`` w.r.t. ``o``: ``frontier_r`` for Core and
+    role-inclusion ontologies, ``frontier_f`` for every other dialect, which
+    rejects unrestricted functionality (``not_f_restricted``) and role
+    inclusions combined with functionality (``unsupported_dialect``)."""
+    if dialect_of(o) in (Dialect.CORE, Dialect.R):
+        return frontier_r(o, q)
+    return frontier_f(o, q)

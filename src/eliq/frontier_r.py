@@ -1,16 +1,11 @@
-"""Frontier construction for ontologies with role inclusions.
+"""Step 2 of the frontier construction for ontologies with role inclusions.
 
 Given a satisfiable ELIQ, the construction produces a finite set of least
 general generalizations (a *frontier*): every member strictly generalizes the
 query, and every ELIQ that strictly generalizes the query is entailed by some
-member.  The two phases:
-
-Step 1 (generalize) computes, bottom-up per variable x, the set F0(x) of ways
-to weaken the subtree at x: either drop a maximally-strong concept atom that
-is not already implied by an incident role atom, or pick a child edge, replace
-the child subtree by every member of the child's own F0 (reattached via the
-same role), and additionally reattach the unchanged child subtree along every
-strictly more general role.
+member.  Step 1 (generalize) and the driver are shared with the
+restricted-functionality construction and live in ``frontier_base``; this
+module holds only the compensation.
 
 Step 2 (compensate) makes each root candidate least general.  2A: wherever
 the original variable under a candidate variable x still entails an
@@ -26,25 +21,18 @@ variables they descend from; compensation is driven entirely by it.
 
 from __future__ import annotations
 
-from .engine import RKey, engine_for, rinv, role_of
-from .errors import UnsupportedDialectError
+from .engine import RKey, role_of
 from .frontier_base import (
     Frontier,
     GenCandidate,
+    Namer,
     Prepared,
     QB,
-    _Namer,
-    check_conditions,
-    drop_concept_candidates,
+    away_atoms,
+    build_frontier,
     names_implied_by_exists,
-    prepare,
-    prune_equivalents,
-    reject_unsupported,
-    size_ceiling_ok,
-    translate_members,
 )
-from .normalform import is_normal_form
-from .syntax import CQ, Dialect, Ontology, dialect_of, restrict, subquery_at, subtree_vars
+from .syntax import CQ, Dialect, Ontology
 
 _R_DIALECTS = frozenset({Dialect.CORE, Dialect.R})
 
@@ -71,51 +59,11 @@ def _r_nudges(prep: Prepared, v: str) -> list[tuple[RKey, str | None]]:
     return sorted(out, key=lambda p: (p[0], p[1] or ""))
 
 
-def _f0_r(prep: Prepared, namer: _Namer, memo: dict, x: str) -> list[GenCandidate]:
-    if x in memo:
-        return memo[x]
-    eng = prep.ctx.engine
-    q = prep.query
-    qx = subquery_at(q, x)
-    out = drop_concept_candidates(prep, x, qx)
-    for role, y in prep.children.get(x, []):
-        below = subtree_vars(q, y)
-        base = restrict(qx, qx.variables() - below)
-        qb = QB(x)
-        qb.concepts = {(a, v) for a, v in base.concept_atoms if a != "top"}
-        qb.roles = set(base.role_atoms)
-        qb.down = {v: v for v in base.variables() | {x}}
-        for sub in _f0_r(prep, namer, memo, y):
-            root = qb.add_disjoint_copy(sub.query, sub.down, namer)
-            qb.add_edge(role, x, root)
-        rk = (role.name, role.inverted)
-        qy = subquery_at(q, y)
-        for s in sorted(eng.superroles(rk) - {rk}):
-            if rk in eng.superroles(s):
-                continue  # only strictly more general roles
-            root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
-            qb.add_edge(role_of(s), x, root)
-        out.append(GenCandidate(qb.freeze(), dict(qb.down), f"sub:{role}@{x}->{y}"))
-    memo[x] = out
-    return out
-
-
-def generalize_r(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
-    """The generalization set F0(x) for a saturated, minimal ELIQ ``q`` over a
-    normal-form ontology with role inclusions."""
-    if not is_normal_form(o):
-        raise ValueError("generalize_r expects an ontology in normal form")
-    from .engine import context_for
-
-    prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
-    return _f0_r(prep, _Namer(q.variables()), {}, x)
-
-
-def _compensate_r(prep: Prepared, namer: _Namer, cand: GenCandidate) -> CQ:
+def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
     eng = prep.ctx.engine
     ctx = prep.ctx
     q = prep.query
-    qb = QB.from_candidate(cand)
+    qb = QB.of(cand.query, cand.down)
 
     # Step 2A: witness every still-entailed, unwitnessed successor.
     for x in sorted(cand.query.variables()):
@@ -138,9 +86,10 @@ def _compensate_r(prep: Prepared, namer: _Namer, cand: GenCandidate) -> CQ:
 
     # Step 2B: below every surviving edge, reattach the original query along
     # each role that the ontology entails between the original endpoints.
-    for u, role, w in _away_atoms(cand.query):
+    for u, _, w in away_atoms(cand.query):
         du, dw = cand.down[u], cand.down[w]
-        assert du is not None and dw is not None
+        if du is None or dw is None:
+            raise AssertionError("surviving candidate edges have origins")
         for r in sorted(ctx.edge_roles.get((du, dw), ())):
             z = namer.fresh(du)
             qb.add_edge(role_of(r), z, w)
@@ -149,55 +98,11 @@ def _compensate_r(prep: Prepared, namer: _Namer, cand: GenCandidate) -> CQ:
     return qb.freeze()
 
 
-def _away_atoms(q: CQ) -> list[tuple[str, "object", str]]:
-    from .syntax import tree_order
-
-    parent = tree_order(q)
-    out = []
-    for v, (p, role) in sorted(parent.items()):
-        if p is not None:
-            out.append((p, role, v))
-    return out
-
-
-def compensate_r(o: Ontology, q: CQ, cand: GenCandidate) -> CQ:
-    """Apply the compensation step to an answer-variable candidate."""
-    if cand.query.answer_var != q.answer_var:
-        raise ValueError("compensation applies to candidates at the answer variable")
-    from .engine import context_for
-
-    prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
-    used = set(q.variables()) | set(cand.query.variables())
-    return _compensate_r(prep, _Namer(used), cand)
-
-
-def frontier_r(
-    o: Ontology,
-    q: CQ,
-    prune: bool = False,
-    _tie_reverse: bool = False,
-) -> Frontier:
+def frontier_r(o: Ontology, q: CQ, _tie_reverse: bool = False) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or role-inclusion ontology.
 
     Normalizes the ontology, saturates and minimizes the query, runs the
     generalize/compensate construction, translates surrogate names back, and
     machine-checks Conditions 1 and 2 on every member before returning.
     """
-    reject_unsupported(o, _R_DIALECTS, "frontier_r")
-    prep = prepare(o, q, "frontier_r")
-    namer = _Namer(prep.query.variables())
-    cands = _f0_r(prep, namer, {}, prep.query.answer_var)
-    if _tie_reverse:
-        cands = list(reversed(cands))
-    raw_members = [_compensate_r(prep, namer, c) for c in cands]
-    assert size_ceiling_ok(prep.query, prep.ontology, raw_members), "frontier size ceiling exceeded"
-    members = translate_members(raw_members, prep.fresh_map, None)
-    check_conditions(o, q, members, "frontier_r")
-    if prune:
-        members = prune_equivalents(o, members)
-    members = sorted(set(members), key=_member_key)
-    return Frontier(tuple(members), q, o)
-
-
-def _member_key(m: CQ):
-    return (len(m.variables()), sorted(m.concept_atoms), sorted(m.role_atoms))
+    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _compensate_r, _tie_reverse)

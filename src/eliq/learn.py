@@ -21,29 +21,24 @@ is a reported outcome, not a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
-from .engine import context_for, engine_for, rkey
-from .errors import SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
-from .frontier_base import Frontier, QB, _Namer, attach_concept_tree, ontology_size
-from .frontier_f import frontier_f
-from .frontier_r import frontier_r
+from .engine import rkey
+from .errors import SeedRequiredError, UnsatisfiableError
+from .frontier_base import (
+    QB,
+    SUPPORTED_DIALECTS,
+    Namer,
+    attach_concept_tree,
+    ontology_size,
+    reject_unsupported,
+    translate_members,
+)
+from .frontier_f import frontier
 from .normalform import normalize
 from .parser import serialize_cq
 from .reasoner import certain_answer, query_satisfiable, saturate
-from .syntax import (
-    ABox,
-    CQ,
-    Dialect,
-    Ontology,
-    basic_exists,
-    Role,
-    dialect_of,
-    make_cq,
-    restrict,
-)
-
-LEARNABLE = frozenset({Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED})
+from .syntax import ABox, CQ, Ontology, make_cq
 
 
 class MembershipOracle(Protocol):
@@ -258,13 +253,6 @@ def treeify(o: Ontology, oracle: MembershipOracle, q: CQ, _budget: _Budget | Non
 # ---------------------------------------------------------------------------
 
 
-def _frontier_fn(o: Ontology) -> Callable[[Ontology, CQ], Frontier]:
-    d = dialect_of(o)
-    if d is Dialect.F_RESTRICTED:
-        return frontier_f
-    return frontier_r
-
-
 def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> LearnTrace:
     """Identify the oracle's target up to equivalence w.r.t. ``o``.
 
@@ -275,15 +263,11 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     first.  Returns the full hypothesis trace; ``budget_exceeded`` is an
     outcome, not an exception.
     """
-    if dialect_of(o) not in LEARNABLE:
-        from .frontier_base import reject_unsupported
-
-        reject_unsupported(o, LEARNABLE, "learn")
+    reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not query_satisfiable(o, seed):
         raise UnsatisfiableError("seed query is unsatisfiable w.r.t. the ontology")
-    frontier_of = _frontier_fn(o)
     guard = _Budget(oracle, budget)
     trace = LearnTrace()
     try:
@@ -291,7 +275,7 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
         trace.hypotheses.append(q_h)
         while True:
             members = sorted(
-                frontier_of(o, q_h).members,
+                frontier(o, q_h).members,
                 key=lambda m: (len(serialize_cq(m)), serialize_cq(m)),
             )
             trace.frontier_sizes.append(len(members))
@@ -344,7 +328,7 @@ def rewrite_abox(abox: ABox, fresh_map, functional) -> ABox:
     qb = QB("_")
     qb.concepts = {(a, v) for a, v in abox.concept_assertions if a != "top" and a not in fresh_map}
     qb.roles = set(abox.role_assertions)
-    namer = _Namer(abox.ind())
+    namer = Namer(abox.ind())
     for name, b in sorted(abox.concept_assertions):
         if name in fresh_map:
             attach_concept_tree(qb, b, fresh_map[name], namer, functional)
@@ -359,10 +343,7 @@ def learn_with_normal_form(
     working with ``o`` itself: every membership-query ABox is rewritten to
     eliminate surrogate names before being forwarded (one forwarded query per
     learner query), and the final hypotheses are translated back."""
-    if dialect_of(o) not in LEARNABLE:
-        from .frontier_base import reject_unsupported
-
-        reject_unsupported(o, LEARNABLE, "learn")
+    reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     on, fresh_map = normalize(o)
     functional = frozenset(rkey(r) for r in on.functional)
     wrapped = _RewritingOracle(oracle, fresh_map, functional)
@@ -372,6 +353,4 @@ def learn_with_normal_form(
 
 
 def _expand_query(q: CQ, fresh_map, functional) -> CQ:
-    from .frontier_base import translate_members
-
     return translate_members([q], fresh_map, functional if functional else None)[0]

@@ -31,9 +31,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import ABoxContext, Engine, RKey, context_for, rinv, role_of
-from .errors import NotAnEliqError
-from .syntax import ABox, CQ, Ontology, Role, tree_order
+from .engine import ABoxContext, Engine, RKey, rinv, role_of
+from .syntax import ABox, CQ, Role, tree_order
 
 # ---------------------------------------------------------------------------
 # Interned rooted trees

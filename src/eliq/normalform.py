@@ -22,7 +22,6 @@ from .syntax import (
     Ontology,
     atom,
     basic_name,
-    concept_to_basic,
     exists,
 )
 

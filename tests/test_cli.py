@@ -44,6 +44,30 @@ def test_frontier_rejection_exit_code(files, capsys):
     assert "not_f_restricted" in capsys.readouterr().err
 
 
+def test_frontier_dialect_r_rejects_functionality(files, capsys):
+    write, _ = files
+    code = main(
+        ["frontier", "-o", write("o.dlo", "func s\n"), "-q", write("q.cq", "q(x) :- s(x,y)\n"), "--dialect", "r"]
+    )
+    assert code == 2
+    assert "unsupported_dialect" in capsys.readouterr().err
+
+
+def test_frontier_prune_leaves_no_two_equivalent_members(files, capsys):
+    from eliq import equivalent, parse_cq, parse_ontology
+
+    write, _ = files
+    code = main(["frontier", "-o", write("o.dlo", EX1), "-q", write("q.cq", EX1_Q), "--prune"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    o = parse_ontology(EX1)
+    members = [parse_cq(m) for m in payload["members"]]
+    assert payload["member_count"] == len(members) >= 1
+    for i, m in enumerate(members):
+        for n in members[i + 1:]:
+            assert not equivalent(o, m, n)
+
+
 def test_check_contains(files, capsys):
     write, _ = files
     q = write("q.cq", EX1_Q)

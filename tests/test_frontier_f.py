@@ -1,14 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from eliq import (
+    Dialect,
     bruteforce_frontier_check,
     contained,
+    dialect_of,
     equivalent,
+    frontier,
     frontier_f,
     frontier_r,
-    generalize_f,
+    generalize,
     minimize_eliq,
     parse_cq,
     parse_ontology,
@@ -35,9 +42,9 @@ def test_unrestricted_functionality_rejected(thm4_ontology):
 
 def test_generalize_functional_edge_keeps_single_child(ex3_ontology, ex3_query):
     q = minimize_eliq(ex3_ontology, ex3_query)
-    f0_z = generalize_f(ex3_ontology, q, "z")
+    f0_z = generalize(ex3_ontology, q, "z")
     assert len(f0_z) == 1 and f0_z[0].query.concept_atoms == frozenset()
-    f0_root = generalize_f(ex3_ontology, q, "x0")
+    f0_root = generalize(ex3_ontology, q, "x0")
     by_prov = {c.provenance: c for c in f0_root}
     s_cands = [c for p, c in by_prov.items() if p.startswith("sub:s@")]
     assert len(s_cands) == 1
@@ -50,7 +57,7 @@ def test_generalize_functional_edge_keeps_single_child(ex3_ontology, ex3_query):
 def test_generalize_functional_edge_with_no_choices_removes_subtree():
     o = parse_ontology("func r\n")
     q = minimize_eliq(o, parse_cq("q(x0) :- A(x0), r(x0,y)"))
-    cands = generalize_f(o, q, "x0")
+    cands = generalize(o, q, "x0")
     sub = [c for c in cands if c.provenance.startswith("sub:r@")]
     assert len(sub) == 1
     assert sub[0].query.role_atoms == frozenset()
@@ -115,3 +122,53 @@ def test_tie_order_cores_match(ex3_ontology, ex3_query):
     assert len(core_a) == len(core_b)
     for m in core_a:
         assert any(equivalent(ex3_ontology, m, n) for n in core_b)
+
+
+def test_dispatch_picks_the_dialects_construction(ex1_ontology, ex1_query, ex3_ontology, ex3_query):
+    assert frontier(ex1_ontology, ex1_query) == frontier_r(ex1_ontology, ex1_query)
+    assert frontier(ex3_ontology, ex3_query) == frontier_f(ex3_ontology, ex3_query)
+    rng = random.Random(71)
+    for dialect in ("core", "r", "f"):
+        for _ in range(5):
+            o = random_ontology(rng, ["A", "B"], ["r", "s"], rng.randint(1, 3), dialect=dialect)
+            q = random_satisfiable_eliq(rng, o, ["A", "B"], ["r", "s"], 3)
+            expected = frontier_f(o, q) if dialect_of(o) is Dialect.F_RESTRICTED else frontier_r(o, q)
+            assert frontier(o, q) == expected
+
+
+def test_dispatch_rejections(thm4_ontology):
+    q = parse_cq("q(x) :- A(x)")
+    with pytest.raises(UnsupportedDialectError) as err:
+        frontier(thm4_ontology, q)
+    assert err.value.reason == "not_f_restricted"
+    rf = parse_ontology("func s\nr rsub s\n")
+    with pytest.raises(UnsupportedDialectError) as err:
+        frontier(rf, q)
+    assert err.value.reason == "unsupported_dialect"
+
+
+def test_generalize_requires_normal_form():
+    o = parse_ontology("A sub some r . (B & C)\n")
+    with pytest.raises(ValueError):
+        generalize(o, parse_cq("q(x0) :- A(x0)"), "x0")
+
+
+def test_size_ceiling_holds_under_optimization():
+    # The construction's invariants are explicit raises, not asserts, so
+    # they still fire when Python runs with -O.
+    script = """
+import eliq.frontier_base as fb
+from eliq import frontier_r, parse_cq, parse_ontology
+fb.size_ceiling_ok = lambda *args: False
+try:
+    frontier_r(parse_ontology("A sub some r\\nsome r sub A\\nr rsub s\\n"), parse_cq("q(x0) :- A(x0), B(x0)"))
+except AssertionError as exc:
+    print(f"AssertionError: {exc}")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "AssertionError: frontier size ceiling exceeded"

@@ -8,7 +8,7 @@ from eliq import (
     contained,
     equivalent,
     frontier_r,
-    generalize_r,
+    generalize,
     minimal_core,
     minimize_eliq,
     parse_cq,
@@ -42,7 +42,7 @@ def test_empty_ontology_atom_query():
 
 def test_generalize_drop_cases(ex1_ontology, ex1_query):
     q = minimize_eliq(ex1_ontology, ex1_query)
-    cands = generalize_r(ex1_ontology, q, "x0")
+    cands = generalize(ex1_ontology, q, "x0")
     assert sorted(c.provenance for c in cands) == ["drop:A@x0", "drop:B@x0"]
     dropped = {c.provenance: c.query.concepts_at("x0") for c in cands}
     assert dropped["drop:A@x0"] == {"B"}
@@ -53,14 +53,14 @@ def test_generalize_blocked_by_incident_role():
     # a leaf whose only atom is implied by the incoming role cannot drop it
     o = parse_ontology("some r- sub A\n")
     q = saturate(o, parse_cq("q(x0) :- r(x0,y), A(y)"))
-    assert generalize_r(o, q, "y") == []
+    assert generalize(o, q, "y") == []
 
 
 def test_generalize_subquery_case(ex2_ontology, ex2_query):
     q = minimize_eliq(ex2_ontology, ex2_query)
-    f0_y = generalize_r(ex2_ontology, q, "y")
+    f0_y = generalize(ex2_ontology, q, "y")
     assert len(f0_y) == 1 and f0_y[0].query.concept_atoms == frozenset()
-    f0_root = generalize_r(ex2_ontology, q, "x0")
+    f0_root = generalize(ex2_ontology, q, "x0")
     assert len(f0_root) == 1
     (cand,) = f0_root
     # a bare r-child (the generalized subquery) plus an s-copy keeping A
@@ -106,6 +106,11 @@ def test_minimal_core_unique_up_to_equivalence(ex1_ontology, ex1_query):
 
 
 def test_prune_drops_equivalent_members(ex1_ontology, ex1_query):
-    frontier = frontier_r(ex1_ontology, ex1_query, prune=True)
-    pruned = prune_equivalents(ex1_ontology, list(frontier.members))
-    assert len(pruned) == len(frontier.members)
+    members = list(frontier_r(ex1_ontology, ex1_query).members)
+    pruned = prune_equivalents(ex1_ontology, members)
+    assert prune_equivalents(ex1_ontology, pruned) == pruned
+    for i, m in enumerate(pruned):
+        for n in pruned[i + 1:]:
+            assert not equivalent(ex1_ontology, m, n)
+    for m in members:
+        assert any(equivalent(ex1_ontology, m, k) for k in pruned)

@@ -1,0 +1,71 @@
+"""Import hygiene of the package modules, checked with ``ast``.
+
+Every module-level imported name must be used in its module, and no module
+may import another module's private (``_``-prefixed) names.  The package
+``__init__`` is exempt: it re-exports names it never uses itself.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "eliq"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, imported name, line, relative?) of every top-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, alias.name, node.lineno, False
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, node.lineno, node.level > 0
+
+
+def _annotations(tree: ast.Module):
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = n.args.posonlyargs + n.args.args + n.args.kwonlyargs
+            args += [a for a in (n.args.vararg, n.args.kwarg) if a is not None]
+            yield from (a.annotation for a in args if a.annotation is not None)
+            if n.returns is not None:
+                yield n.returns
+        elif isinstance(n, ast.AnnAssign):
+            yield n.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # Names inside string annotations, e.g. ``-> "QB"``.
+    for ann in _annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used |= {m.id for m in ast.walk(ast.parse(n.value, mode="eval")) if isinstance(m, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {bound}" for bound, _, line, _ in _module_imports(tree) if bound not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_relative_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert not private, "private names imported across modules: " + ", ".join(private)

@@ -89,7 +89,8 @@ class Engine:
                     TOPK if rhs.kind == "top" else ("c", rhs.name)
                 )
             else:
-                assert rhs.kind == "exists"
+                if rhs.kind != "exists":
+                    raise AssertionError(f"normalize left a non-normal right-hand side: {rhs}")
                 filler = rhs.filler
                 fname = None if filler is None or filler.kind == "top" else filler.name
                 self.to_exists.setdefault(lk, []).append((rkey(rhs.role), fname))
@@ -461,22 +462,32 @@ class ABoxContext:
         return True
 
 
+# Engines, least recently used first.  Contexts are keyed by the engine
+# object itself: an evicted engine's ``id`` can be reused by a later one.
+# Nothing in either cache refers back to its owner, so an evicted engine and
+# its contexts are freed by reference counting alone, with no cycle for the
+# garbage collector to find.
 _ENGINES: dict[Ontology, Engine] = {}
-_CONTEXTS: dict[tuple[int, ABox], ABoxContext] = {}
+_ENGINE_CAP = 32
+_CONTEXTS: dict[tuple[Engine, ABox], ABoxContext] = {}
 _CONTEXT_CAP = 512
 
 
 def engine_for(o: Ontology) -> Engine:
-    eng = _ENGINES.get(o)
+    eng = _ENGINES.pop(o, None)
     if eng is None:
         eng = Engine(o)
-        _ENGINES[o] = eng
+        if len(_ENGINES) >= _ENGINE_CAP:
+            evicted = _ENGINES.pop(next(iter(_ENGINES)))
+            for key in [k for k in _CONTEXTS if k[0] is evicted]:
+                del _CONTEXTS[key]
+    _ENGINES[o] = eng
     return eng
 
 
 def context_for(o: Ontology, abox: ABox) -> ABoxContext:
     eng = engine_for(o)
-    key = (id(eng), abox)
+    key = (eng, abox)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         if len(_CONTEXTS) >= _CONTEXT_CAP:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import ABoxContext, Engine, RKey, rinv, role_of
-from .syntax import ABox, CQ, Role, tree_order
+from .syntax import ABox, CQ, Role, adjacency, concept_index, tree_order
 
 # ---------------------------------------------------------------------------
 # Interned rooted trees
@@ -63,24 +63,27 @@ def tree_size(tid: int) -> int:
 
 
 def intern_cq(q: CQ) -> int:
-    """Intern a tree-shaped query, rooted at its answer variable."""
+    """Intern a tree-shaped query, rooted at its answer variable.
+
+    Subtrees are interned in post-order, children in parent-map order, with
+    an explicit stack, so deep queries do not exhaust the call stack."""
     parent = tree_order(q)
-    children: dict[str, list[tuple[Role, str]]] = {}
+    labels = concept_index(q)
+    children: dict[str, list[tuple[RKey, str]]] = {}
     for v, (p, role) in parent.items():
         if p is not None:
-            assert role is not None
-            children.setdefault(p, []).append((role, v))
-
-    def build(v: str) -> int:
-        kids = tuple(
-            sorted(
-                ((role.name, role.inverted), build(w))
-                for role, w in children.get(v, ())
-            )
-        )
-        return intern_tree(q.concepts_at(v), kids)
-
-    return build(q.answer_var)
+            children.setdefault(p, []).append(((role.name, role.inverted), v))  # type: ignore[union-attr]
+    ids: dict[str, int] = {}
+    stack = [(q.answer_var, False)]
+    while stack:
+        v, expanded = stack.pop()
+        kids = children.get(v, ())
+        if not expanded:
+            stack.append((v, True))
+            stack.extend((w, False) for _, w in reversed(kids))
+            continue
+        ids[v] = intern_tree(labels.get(v, frozenset()), tuple(sorted((rk, ids[w]) for rk, w in kids)))
+    return ids[q.answer_var]
 
 
 def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
@@ -327,12 +330,15 @@ def _tree_feasible(win: _PrefixWindow, memo: dict, tid: int, node) -> bool:
     return ok
 
 
-def _backtrack(win: _PrefixWindow, q: CQ, assignment: dict, order: list[str]) -> bool:
-    if not order:
+def _backtrack(win: _PrefixWindow, adj: dict, labels: dict, assignment: dict,
+               order: list[str], i: int) -> bool:
+    """Extend ``assignment`` to ``order[i:]``; ``adj`` and ``labels`` index
+    the query (``adjacency``, ``concept_index``)."""
+    if i == len(order):
         return True
-    v = order[0]
+    v = order[i]
     candidates = None
-    for role, w in q.neighbors(v):
+    for role, w in adj.get(v, ()):
         if w in assignment:
             found = set()
             for m in win.neighbors(assignment[w], (role.name, not role.inverted)):
@@ -340,29 +346,33 @@ def _backtrack(win: _PrefixWindow, q: CQ, assignment: dict, order: list[str]) ->
                 found.add(m)
             candidates = found if candidates is None else candidates & found
     if candidates is None:
-        candidates = set(win.all_nodes_upto(len(q.variables())))
-    needed = q.concepts_at(v)
+        candidates = set(win.all_nodes_upto(len(order)))
+    needed = labels.get(v, frozenset())
     for m in candidates:
         if needed <= win.names(m):
             assignment[v] = m
-            if _backtrack(win, q, assignment, order[1:]):
+            if _backtrack(win, adj, labels, assignment, order, i + 1):
                 return True
             del assignment[v]
     return False
 
 
-def _bfs_order(q: CQ, first: str) -> list[str]:
-    seen = [first]
+def _bfs_order(q: CQ, adj: dict) -> list[str]:
+    """Every variable of ``q``: breadth first from the answer variable, then
+    the unreached ones sorted."""
+    order = [q.answer_var]
+    seen = {q.answer_var}
     i = 0
-    while i < len(seen):
-        for _, w in sorted(q.neighbors(seen[i]), key=lambda p: (str(p[0]), p[1])):
+    while i < len(order):
+        for _, w in sorted(adj.get(order[i], ()), key=lambda p: (str(p[0]), p[1])):
             if w not in seen:
-                seen.append(w)
+                seen.add(w)
+                order.append(w)
         i += 1
     for v in sorted(q.variables()):
         if v not in seen:
-            seen.append(v)  # disconnected parts, matched unanchored
-    return seen
+            order.append(v)  # disconnected parts, matched unanchored
+    return order
 
 
 def anchored(ctx: ABoxContext, tid: int, anchor: str, cap: int) -> bool:
@@ -379,11 +389,11 @@ def matches(ctx: ABoxContext, q: CQ, anchor: str) -> bool:
     if q.is_eliq():
         return anchored(ctx, intern_cq(q), anchor, cap)
     win = _PrefixWindow(ctx, cap)
-    order = _bfs_order(q, q.answer_var)
-    needed = q.concepts_at(q.answer_var)
-    if not needed <= win.names(anchor):
+    adj = adjacency(q)
+    labels = concept_index(q)
+    if not labels.get(q.answer_var, frozenset()) <= win.names(anchor):
         return False
-    return _backtrack(win, q, {q.answer_var: anchor}, order[1:])
+    return _backtrack(win, adj, labels, {q.answer_var: anchor}, _bfs_order(q, adj), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,24 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
     Returns the converted ontology together with the map from fresh surrogate
     names to the complex concepts they stand for (used by the learner to
     rewrite membership-query ABoxes back into the original vocabulary).
+
+    Surrogates are named ``_X<n>``, skipping the concept names of ``o``, so a
+    name of that form in ``o`` keeps its own meaning.  Queries and ABoxes are
+    not seen here: the prefix ``_X`` followed by digits is reserved in them,
+    and their parsers reject such concept names.
     """
     fresh: dict[ELIConcept, str] = {}
     fresh_map: dict[str, ELIConcept] = {}
     extra: list[tuple[BasicConcept, ELIConcept]] = []
+    taken = o.signature()[0]
     counter = [0]
+
+    def fresh_name() -> str:
+        while True:
+            counter[0] += 1
+            name = f"{FRESH_PREFIX}{counter[0]}"
+            if name not in taken:
+                return name
 
     def surrogate(c: ELIConcept) -> ELIConcept:
         """A name-or-top concept X_c with (recursively emitted) X_c sub c rules."""
@@ -69,15 +82,15 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
             return c
         if c in fresh:
             return atom(fresh[c])
-        counter[0] += 1
-        name = f"{FRESH_PREFIX}{counter[0]}"
+        name = fresh_name()
         fresh[c] = name
         fresh_map[name] = c
         if c.kind == "and":
             for part in c.parts:
                 extra.append((basic_name(name), surrogate(part)))
         else:  # exists
-            assert c.kind == "exists" and c.role is not None and c.filler is not None
+            if c.kind != "exists" or c.role is None or c.filler is None:
+                raise AssertionError(f"complex concept is neither a conjunction nor an existential: {c}")
             extra.append((basic_name(name), exists(c.role, surrogate(c.filler))))
         return atom(name)
 
@@ -88,8 +101,7 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
             continue
         if rhs.is_basic() or (rhs.kind == "exists" and _is_name_or_top(rhs.filler)):  # type: ignore[arg-type]
             # Only the left-hand side is offending; introduce one indirection.
-            counter[0] += 1
-            name = f"{FRESH_PREFIX}{counter[0]}"
+            name = fresh_name()
             fresh_map[name] = rhs
             cis.append((lhs, atom(name)))
             extra.append((basic_name(name), rhs))
@@ -103,7 +115,8 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
         o.role_disjointness,
         o.functional,
     )
-    assert is_normal_form(normalized)
+    if not is_normal_form(normalized):
+        raise AssertionError("normalize produced an ontology not in normal form")
     return normalized, fresh_map
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
+from .normalform import FRESH_PREFIX
 from .syntax import (
     ABox,
     BASIC_TOP,
@@ -36,6 +37,8 @@ from .syntax import (
     atom,
     basic_exists,
     basic_name,
+    concept_signature,
+    concept_to_eliq,
     conj,
     exists,
     make_cq,
@@ -44,6 +47,7 @@ from .syntax import (
 KEYWORDS = {"top", "some", "sub", "rsub", "disj", "rdisj", "func", "eliq"}
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.'~]*-?|[().,&:]|:-|\S)")
+_RESERVED = re.compile(re.escape(FRESH_PREFIX) + r"[0-9]+")
 
 
 class _Tokens:
@@ -95,6 +99,17 @@ class _Tokens:
 
 def _is_ident(tok: str) -> bool:
     return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.'~]*", tok)) and tok not in KEYWORDS
+
+
+def _concept_name(ts: _Tokens, name: str) -> str:
+    """``name`` as a concept name of a query or ABox.  Normal-form conversion
+    names its surrogates ``_X<digits>``; a query or ABox using such a name
+    would have it taken for a surrogate of the ontology, so it is rejected.
+    Ontologies may use such names: ``normalize`` picks surrogates around
+    them, and its own output must parse."""
+    if _RESERVED.fullmatch(name):
+        raise ts.error(f"concept name {name!r} is reserved for normal-form surrogates")
+    return name
 
 
 def _parse_role(ts: _Tokens) -> Role:
@@ -233,8 +248,6 @@ def _parse_term_ident(ts: _Tokens) -> str:
 
 
 def parse_cq(text: str) -> CQ:
-    from .syntax import concept_to_eliq
-
     lines = list(_lines(text))
     if not lines:
         raise ParseError("empty query document", 1, 1)
@@ -247,6 +260,8 @@ def parse_cq(text: str) -> CQ:
         ts.expect(":")
         c = _parse_eli(ts)
         ts.done()
+        for name in sorted(concept_signature(c)[0]):
+            _concept_name(ts, name)
         return concept_to_eliq(c)
     head = _parse_term_ident(ts)
     if not _is_ident(head):
@@ -279,7 +294,7 @@ def parse_cq(text: str) -> CQ:
             ts.expect(")")
             if inverted:
                 raise ts.error("concept atoms cannot be inverted")
-            concept_atoms.add((TOP if is_top else name, t1))
+            concept_atoms.add((TOP if is_top else _concept_name(ts, name), t1))
     q = make_cq(answer, concept_atoms, role_atoms)
     if answer not in q.variables():
         raise ParseError(f"answer variable {answer!r} does not occur in the query", lineno, 1)
@@ -323,7 +338,7 @@ def parse_abox(text: str) -> ABox:
             ts.expect(")")
             if inverted:
                 raise ts.error("concept assertions cannot be inverted")
-            concept_assertions.add((TOP if is_top else name, t1))
+            concept_assertions.add((TOP if is_top else _concept_name(ts, name), t1))
         ts.done()
     return ABox(frozenset(concept_assertions), frozenset(role_assertions))
 

@@ -195,6 +195,25 @@ class Ontology:
     role_disjointness: tuple[tuple[Role, Role], ...] = ()
     functional: frozenset[Role] = frozenset()
 
+    def __hash__(self) -> int:
+        # Computed once per object: ontologies key the engine cache, and
+        # hashing every statement again on each lookup was a measurable cost.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((
+                self.concept_inclusions,
+                self.role_inclusions,
+                self.concept_disjointness,
+                self.role_disjointness,
+                self.functional,
+            ))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes; a copy hashes afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def signature(self) -> tuple[frozenset[str], frozenset[str]]:
         """(concept names, role names) occurring in any statement."""
         names: set[str] = set()
@@ -304,11 +323,12 @@ class CQ:
         return out
 
     def is_connected(self) -> bool:
+        adj = adjacency(self)
         seen = {self.answer_var}
         frontier = [self.answer_var]
         while frontier:
             v = frontier.pop()
-            for _, w in self.neighbors(v):
+            for _, w in adj.get(v, ()):
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
@@ -324,7 +344,7 @@ class CQ:
             if key in pairs:
                 return False
             pairs.add(key)
-        return self.is_connected() and len(pairs) == len(self.variables()) - 1
+        return len(pairs) == len(self.variables()) - 1 and self.is_connected()
 
     def to_abox(self) -> "ABox":
         concepts = self.concept_atoms
@@ -385,6 +405,36 @@ def top_query(answer_var: str = "x0") -> CQ:
     return CQ(answer_var)
 
 
+# Whole-query walks index the atoms once per call through these two helpers
+# instead of calling ``neighbors``/``concepts_at`` per variable, which rescan
+# every atom.  The index is not kept on the CQ: caching it there costs memory
+# for every query alive, while a walk only needs it for its own duration.
+
+
+def adjacency(q: CQ) -> dict[str, list[tuple[Role, str]]]:
+    """``q.neighbors(v)`` of every variable with a role atom, in the same
+    order, from one pass over the role atoms."""
+    adj: dict[str, list[tuple[Role, str]]] = {}
+    roles: dict[str, tuple[Role, Role]] = {}  # Roles are immutable: build each once
+    for r, x, y in q.role_atoms:
+        pair = roles.get(r)
+        if pair is None:
+            pair = roles[r] = (Role(r), Role(r, True))
+        adj.setdefault(x, []).append((pair[0], y))
+        adj.setdefault(y, []).append((pair[1], x))
+    return adj
+
+
+def concept_index(q: CQ) -> dict[str, frozenset[str]]:
+    """``q.concepts_at(v)`` of every variable with a concept atom other than
+    top, from one pass over the concept atoms."""
+    names: dict[str, list[str]] = {}
+    for a, v in q.concept_atoms:
+        if a != TOP:
+            names.setdefault(v, []).append(a)
+    return {v: frozenset(ns) for v, ns in names.items()}
+
+
 # ---------------------------------------------------------------------------
 # ELIQ <-> ELI concept correspondence
 # ---------------------------------------------------------------------------
@@ -398,11 +448,12 @@ def tree_order(q: CQ) -> dict[str, tuple[Optional[str], Optional[Role]]]:
     """
     if not q.is_eliq():
         raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
+    adj = adjacency(q)
     parent: dict[str, tuple[Optional[str], Optional[Role]]] = {q.answer_var: (None, None)}
     frontier = [q.answer_var]
     while frontier:
         v = frontier.pop()
-        for role, w in sorted(q.neighbors(v), key=lambda p: (str(p[0]), p[1])):
+        for role, w in sorted(adj.get(v, ()), key=lambda p: (str(p[0]), p[1])):
             if w not in parent:
                 parent[w] = (v, role)
                 frontier.append(w)
@@ -445,6 +496,7 @@ def subquery_at(q: CQ, root: str) -> CQ:
 def eliq_to_concept(q: CQ) -> ELIConcept:
     """View a tree-shaped query as an ELI concept (inverse of concept_to_eliq)."""
     parent = tree_order(q)
+    labels = concept_index(q)
     children: dict[str, list[tuple[Role, str]]] = {}
     for v, (p, role) in parent.items():
         if p is not None:
@@ -452,7 +504,7 @@ def eliq_to_concept(q: CQ) -> ELIConcept:
             children.setdefault(p, []).append((role, v))
 
     def build(v: str) -> ELIConcept:
-        parts = [atom(a) for a in sorted(q.concepts_at(v))]
+        parts = [atom(a) for a in sorted(labels.get(v, ()))]
         for role, w in sorted(children.get(v, ()), key=lambda p: (str(p[0]), p[1])):
             parts.append(exists(role, build(w)))
         return conj(parts)

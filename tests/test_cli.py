@@ -164,3 +164,27 @@ def test_verify_rejects_bound_below_one(files, capsys, what):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--bound" in err
+
+
+def test_surrogate_names_exit_codes(files, capsys):
+    write, _ = files
+    o = write("o.dlo", "A sub some r . (B & C)\n_X1 sub D\n")
+    q1, q2 = write("q1.cq", "q(x0) :- A(x0)\n"), write("q2.cq", "q(x0) :- D(x0)\n")
+    assert main(["check", "-o", o, "--contains", q1, q2]) == 1  # _X1 is the user's own name
+    assert capsys.readouterr().out.strip() == "no"
+    q3 = write("q3.cq", "q(x0) :- _X1(x0)\n")
+    assert main(["check", "-o", o, "--contains", q1, q3]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1") and "reserved" in err
+
+
+def test_deep_query_exits_2_without_traceback(files, capsys):
+    # Some walks are still recursive; running out of stack must not read as "no".
+    write, _ = files
+    chain = ", ".join(f"r(x{i},x{i + 1})" for i in range(899))
+    q = write("chain.cq", f"q(x0) :- {chain}\n")
+    code = main(["check", "-o", write("empty.dlo", ""), "--contains", q, q])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

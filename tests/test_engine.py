@@ -1,0 +1,70 @@
+"""The engine cache: bounded, keyed by ontology equality, and freeing what it
+evicts by reference counting alone."""
+
+import gc
+import pickle
+import weakref
+
+import eliq.engine as engine
+from eliq import ABox, parse_ontology
+from eliq.engine import context_for, engine_for
+
+ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
+
+
+def distinct_ontologies(n: int, tag: str = "") -> list:
+    return [parse_ontology(f"A{i}{tag} sub some r . B\nr rsub s\n") for i in range(n)]
+
+
+def test_equal_ontologies_share_one_engine():
+    text = "A sub some r . (B & C)\nr rsub s\ndisj B D\n"
+    o1, o2 = parse_ontology(text), parse_ontology(text)
+    assert o1 is not o2 and o1 == o2 and hash(o1) == hash(o2)
+    assert engine_for(o1) is engine_for(o2)
+    # equality is unchanged: statements compare in order
+    assert parse_ontology("C sub D\nA sub B\n") != parse_ontology("A sub B\nC sub D\n")
+
+
+def test_cached_hash_is_not_carried_into_copies():
+    o = parse_ontology("A sub some r\n")
+    hash(o)
+    copy = pickle.loads(pickle.dumps(o))
+    assert "_hash" not in vars(copy)
+    assert copy == o and hash(copy) == hash(o)
+
+
+def test_engine_cache_is_bounded_and_serves_the_right_ontology():
+    onts = distinct_ontologies(100)
+    for o in onts:
+        ctx = context_for(o, ABOX)
+        assert ctx.engine.original == o
+        assert engine_for(o) is ctx.engine
+        assert len(engine._ENGINES) <= engine._ENGINE_CAP
+    live = set(map(id, engine._ENGINES.values()))
+    assert all(id(eng) in live for eng, _ in engine._CONTEXTS)
+    # After eviction every ontology still gets a context built for itself.
+    for o in onts:
+        assert context_for(o, ABOX).engine.original == o
+
+
+def test_recently_used_engines_stay_cached():
+    kept = parse_ontology("K sub some r\n")
+    eng = engine_for(kept)
+    for o in distinct_ontologies(3 * engine._ENGINE_CAP, "lru"):
+        engine_for(o)
+        assert engine_for(kept) is eng
+
+
+def test_evicted_engine_is_freed_without_the_collector():
+    gc.disable()
+    try:
+        o = parse_ontology("F sub some r . G\n")
+        ctx = context_for(o, ABOX)
+        eng_ref, ctx_ref = weakref.ref(ctx.engine), weakref.ref(ctx)
+        del ctx
+        for other in distinct_ontologies(engine._ENGINE_CAP, "evict"):
+            context_for(other, ABOX)
+        assert ctx_ref() is None
+        assert eng_ref() is None
+    finally:
+        gc.enable()

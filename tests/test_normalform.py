@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from eliq import Role, is_normal_form, normalize, parse_ontology, serialize_ontology
 from eliq.frontier_base import ontology_size
@@ -72,3 +76,24 @@ def test_linear_size():
         o = random_ontology(rng, ["A", "B", "C"], ["r", "s"], rng.randint(1, 8), dialect="r")
         on, _ = normalize(o)
         assert ontology_size(on) <= 3 * ontology_size(o) + 4
+
+
+def test_normal_form_invariant_holds_under_optimization():
+    # normalize checks its result with an explicit raise, not an assert, so
+    # the check still runs when Python runs with -O.
+    script = """
+import eliq.normalform as nf
+from eliq import parse_ontology
+nf.is_normal_form = lambda o: False
+try:
+    nf.normalize(parse_ontology("A sub some r . (B & C)\\n"))
+except AssertionError as exc:
+    print(f"AssertionError: {exc}")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "AssertionError: normalize produced an ontology not in normal form"

@@ -4,6 +4,9 @@ import pytest
 
 from eliq import (
     Role,
+    contained,
+    entails_basic,
+    normalize,
     parse_abox,
     parse_cq,
     parse_ontology,
@@ -88,3 +91,34 @@ def test_round_trip_fresh_variable_names():
     # compensation-produced variable names survive serialization
     q = parse_cq("q(x0) :- A(x0~3), r(x0,x0~3), s(y.c1.z,x0)")
     assert parse_cq(serialize_cq(q)) == q
+
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_cq, "q(x0) :- A(x0), _X1(x0)"),
+        (parse_cq, "eliq: A & some r . _X2"),
+        (parse_abox, "_X1(a)\n"),
+    ],
+)
+def test_surrogate_concept_names_are_reserved_in_queries_and_aboxes(parse, text):
+    # normalize names its surrogates _X<n>; a query or ABox name of that form
+    # would be taken for a surrogate of the ontology
+    with pytest.raises(ParseError, match="reserved"):
+        parse(text)
+
+
+def test_user_names_do_not_collide_with_surrogates():
+    # normalize names the surrogates of this ontology around _X1, so _X1
+    # keeps its own meaning and A sub D does not follow
+    o = parse_ontology("A sub some r . (B & C)\n_X1 sub D\n")
+    assert "_X1" not in normalize(o)[1]
+    assert not entails_basic(o, basic_name("A"), basic_name("D"))
+    assert not contained(o, parse_cq("q(x0) :- A(x0)"), parse_cq("q(x0) :- D(x0)"))
+    assert contained(o, parse_cq("q(x0) :- A(x0)"), parse_cq("q(x0) :- r(x0,y), B(y), C(y)"))
+    # normal-form output, surrogate names included, parses back
+    on = normalize(parse_ontology("A sub some r . (B & C)\n"))[0]
+    assert parse_ontology(serialize_ontology(on)) == on
+    # variables, individuals, roles and other spellings are not reserved
+    assert parse_cq("q(_X1) :- _X1(_X1,y), _X(y), _Xa(y), X1(y)").answer_var == "_X1"

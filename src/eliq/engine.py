@@ -66,7 +66,7 @@ class Engine:
     def __init__(self, o: Ontology):
         self.original = o
         self.dialect = dialect_of(o)
-        self.o, self.fresh_map = normalize(o)
+        self.o = normalize(o)[0]
         self.functional: frozenset[RKey] = frozenset(rkey(r) for r in self.o.functional)
 
         names, roles = self.o.signature()

@@ -16,6 +16,9 @@ functionality).
 
 ``build_frontier`` is the one driver: prepare, Step 1, Step 2, size ceiling,
 surrogate translation, the Condition 1-2 self-check, dedupe and sort.
+Surrogate translation is ``rewrite_abox``, the one expansion of the surrogate
+names ``normalize`` introduces; the learner rewrites its membership-query
+ABoxes with it too.
 Throughout, fresh variables remember which original query variable they
 descend from (the ``down`` map); compensation is driven by that bookkeeping.
 """
@@ -27,9 +30,10 @@ from typing import Callable
 
 from .engine import ABoxContext, RKey, context_for, role_of
 from .errors import UnsatisfiableError, UnsupportedDialectError
-from .normalform import expand_surrogates, is_normal_form, normalize
+from .normalform import is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
+    ABox,
     CQ,
     Dialect,
     ELIConcept,
@@ -316,13 +320,12 @@ def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
 
 
 def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
-                        functional: frozenset[RKey] | None) -> None:
+                        functional: frozenset[RKey]) -> None:
     """Glue the tree form of concept ``c`` at variable ``at``.
 
-    With ``functional`` given, existentials along a functional role reuse an
-    existing successor instead of creating a second one (which would make the
-    result unsatisfiable); the reattached subtree merges recursively, exactly
-    like the functionality-respecting ABox additions used by the learner.
+    Existentials along a role in ``functional`` reuse an existing successor
+    instead of creating a second one (which would make the result
+    unsatisfiable); the reattached subtree merges recursively.
     """
     for part in concept_conjuncts(c):
         if part.kind == "top":
@@ -334,7 +337,7 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
             raise AssertionError(f"unexpected concept part {part}")
         rk = (part.role.name, part.role.inverted)
         target = None
-        if functional is not None and rk in functional:
+        if rk in functional:
             for rname, s, t in sorted(qb.roles):
                 if not part.role.inverted and rname == part.role.name and s == at:
                     target = t
@@ -349,19 +352,31 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
         attach_concept_tree(qb, target, part.filler, namer, functional)  # type: ignore[arg-type]
 
 
-def translate_members(members: list[CQ], fresh_map, functional) -> list[CQ]:
+def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: frozenset[RKey]) -> ABox:
+    """Replace each assertion ``X_C(b)`` of a surrogate name by the tree form
+    of ``C`` glued at ``b``, reusing existing successors along functional
+    roles, in one pass over the assertions."""
+    if not fresh_map:
+        return abox
+    qb = QB("_")
+    qb.concepts = {(a, v) for a, v in abox.concept_assertions if a != "top" and a not in fresh_map}
+    qb.roles = set(abox.role_assertions)
+    namer = Namer(abox.ind())
+    for name, b in sorted(abox.concept_assertions):
+        if name in fresh_map:
+            attach_concept_tree(qb, b, fresh_map[name], namer, functional)
+    tops = frozenset(p for p in abox.concept_assertions if p[0] == "top")
+    return ABox(frozenset(qb.concepts) | tops, frozenset(qb.roles))
+
+
+def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
+                      functional: frozenset[RKey]) -> list[CQ]:
     """Replace surrogate atoms introduced by normalization with the concepts
     they stand for."""
     out = []
     for m in members:
-        namer = Namer(m.variables())
-
-        def glue(q: CQ, v: str, c: ELIConcept, tag: str) -> CQ:
-            qb = QB.of(q)
-            attach_concept_tree(qb, v, c, namer, functional)
-            return qb.freeze()
-
-        out.append(expand_surrogates(m, fresh_map, glue))
+        abox = rewrite_abox(m.to_abox(), fresh_map, functional)
+        out.append(make_cq(m.answer_var, abox.concept_assertions, abox.role_assertions))
     return out
 
 

@@ -26,12 +26,10 @@ from typing import Protocol
 from .engine import rkey
 from .errors import SeedRequiredError, UnsatisfiableError
 from .frontier_base import (
-    QB,
     SUPPORTED_DIALECTS,
-    Namer,
-    attach_concept_tree,
     ontology_size,
     reject_unsupported,
+    rewrite_abox,
     translate_members,
 )
 from .frontier_f import frontier
@@ -186,15 +184,16 @@ def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ, _budget: _Budget |
     accepts; the result is minimal, connected, and saturated."""
     ask = _budget.ask if _budget is not None else oracle.answer
     q = saturate(o, q)
-    changed = True
-    while changed:
-        changed = False
-        for atom in sorted(q.role_atoms):
-            candidate = _component_of(q, q.role_atoms - {atom}, q.answer_var)
-            if ask(candidate.to_abox(), q.answer_var):
-                q = candidate
-                changed = True
-                break
+    # One pass suffices: certain answers only shrink as atoms are removed, so
+    # an atom rejected for a larger query is rejected again after any later
+    # removal, and rescanning after each removal would only repeat those
+    # rejections.  Atoms cut off from the answer component are skipped.
+    for atom in sorted(q.role_atoms):
+        if atom not in q.role_atoms:
+            continue
+        candidate = _component_of(q, q.role_atoms - {atom}, q.answer_var)
+        if ask(candidate.to_abox(), q.answer_var):
+            q = candidate
     return q
 
 
@@ -308,32 +307,13 @@ class _RewritingOracle:
         self.inner = inner
         self.fresh_map = fresh_map
         self.functional = functional
-        self.forwarded: list[ABox] = []
 
     @property
     def query_count(self) -> int:
         return self.inner.query_count
 
     def answer(self, abox: ABox, ind: str) -> bool:
-        rewritten = rewrite_abox(abox, self.fresh_map, self.functional)
-        self.forwarded.append(rewritten)
-        return self.inner.answer(rewritten, ind)
-
-
-def rewrite_abox(abox: ABox, fresh_map, functional) -> ABox:
-    """Replace each assertion ``X_C(b)`` by the tree form of ``C`` glued at
-    ``b``, reusing existing successors along functional roles."""
-    if not fresh_map:
-        return abox
-    qb = QB("_")
-    qb.concepts = {(a, v) for a, v in abox.concept_assertions if a != "top" and a not in fresh_map}
-    qb.roles = set(abox.role_assertions)
-    namer = Namer(abox.ind())
-    for name, b in sorted(abox.concept_assertions):
-        if name in fresh_map:
-            attach_concept_tree(qb, b, fresh_map[name], namer, functional)
-    tops = frozenset(p for p in abox.concept_assertions if p[0] == "top")
-    return ABox(frozenset(qb.concepts) | tops, frozenset(qb.roles))
+        return self.inner.answer(rewrite_abox(abox, self.fresh_map, self.functional), ind)
 
 
 def learn_with_normal_form(
@@ -348,9 +328,6 @@ def learn_with_normal_form(
     functional = frozenset(rkey(r) for r in on.functional)
     wrapped = _RewritingOracle(oracle, fresh_map, functional)
     trace = learn(on, wrapped, seed, budget)
-    trace.hypotheses = [_expand_query(h, fresh_map, functional) for h in trace.hypotheses]
+    trace.hypotheses = translate_members(trace.hypotheses, fresh_map, functional)
     return trace
 
-
-def _expand_query(q: CQ, fresh_map, functional) -> CQ:
-    return translate_members([q], fresh_map, functional if functional else None)[0]

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import ABoxContext, Engine, RKey, rinv, role_of
+from .errors import NotAnEliqError
 from .syntax import ABox, CQ, Role, adjacency, concept_index, tree_order
 
 # ---------------------------------------------------------------------------
@@ -386,14 +387,16 @@ def anchored(ctx: ABoxContext, tid: int, anchor: str, cap: int) -> bool:
 def matches(ctx: ABoxContext, q: CQ, anchor: str) -> bool:
     """Anchored homomorphism test: q(answer) -> (universal model, anchor)."""
     cap = len(q.variables())
-    if q.is_eliq():
-        return anchored(ctx, intern_cq(q), anchor, cap)
-    win = _PrefixWindow(ctx, cap)
-    adj = adjacency(q)
-    labels = concept_index(q)
-    if not labels.get(q.answer_var, frozenset()) <= win.names(anchor):
-        return False
-    return _backtrack(win, adj, labels, {q.answer_var: anchor}, _bfs_order(q, adj), 1)
+    try:
+        tid = intern_cq(q)
+    except NotAnEliqError:  # not tree-shaped: backtracking search
+        win = _PrefixWindow(ctx, cap)
+        adj = adjacency(q)
+        labels = concept_index(q)
+        if not labels.get(q.answer_var, frozenset()) <= win.names(anchor):
+            return False
+        return _backtrack(win, adj, labels, {q.answer_var: anchor}, _bfs_order(q, adj), 1)
+    return anchored(ctx, tid, anchor, cap)
 
 
 # ---------------------------------------------------------------------------

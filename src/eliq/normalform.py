@@ -11,13 +11,14 @@ are not normal.  Conversion introduces one fresh surrogate name ``_X<n>`` per
 distinct complex right-hand-side subconcept and is a conservative extension:
 entailment between basic concepts over the original signature is unchanged.
 Already-normal inclusions are kept verbatim, so conversion is idempotent.
+Expanding surrogate names back into the concepts they stand for is
+``frontier_base.rewrite_abox``.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     BasicConcept,
-    CQ,
     ELIConcept,
     Ontology,
     atom,
@@ -55,8 +56,9 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
     """Convert ``o`` to normal form.
 
     Returns the converted ontology together with the map from fresh surrogate
-    names to the complex concepts they stand for (used by the learner to
-    rewrite membership-query ABoxes back into the original vocabulary).
+    names to the complex concepts they stand for (used to translate frontier
+    members, and the learner's membership-query ABoxes and hypotheses, back
+    into the original vocabulary).
 
     Surrogates are named ``_X<n>``, skipping the concept names of ``o``, so a
     name of that form in ``o`` keeps its own meaning.  Queries and ABoxes are
@@ -119,27 +121,3 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
         raise AssertionError("normalize produced an ontology not in normal form")
     return normalized, fresh_map
 
-
-def expand_surrogates(q: CQ, fresh_map: dict[str, ELIConcept], glue) -> CQ:
-    """Replace every surrogate atom ``X_C(v)`` in ``q`` by a copy of ``C``
-    viewed as a tree glued at ``v``.
-
-    ``glue(q, v, concept, tag)`` performs the attachment and returns the new
-    query; it is dialect-specific (plain for role-inclusion ontologies,
-    functionality-respecting otherwise).
-    """
-    if not fresh_map:
-        return q
-    work = q
-    k = 0
-    for name, v in sorted(q.concept_atoms):
-        if name in fresh_map:
-            work = CQ(
-                work.answer_var,
-                work.concept_atoms - {(name, v)},
-                work.role_atoms,
-                work.var_meta,
-            )
-            work = glue(work, v, fresh_map[name], f"x{k}")
-            k += 1
-    return work

@@ -58,8 +58,7 @@ def _canonical_abox(b: BasicConcept) -> tuple[ABox, str]:
     if b.kind == "name":
         return ABox(frozenset({(b.name, "_w0")})), "_w0"  # type: ignore[arg-type]
     if b.kind == "exists":
-        role = b.role
-        assert role is not None
+        role: Role = b.role  # type: ignore[assignment]
         atom = (role.name, "_w1", "_w0") if role.inverted else (role.name, "_w0", "_w1")
         return ABox(frozenset(), frozenset({atom})), "_w0"
     return ABox(frozenset({("top", "_w0")})), "_w0"
@@ -146,27 +145,26 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     """An equivalent, saturated, minimal ELIQ: no variable can be dropped
     while preserving equivalence w.r.t. ``o``.
 
-    Works by repeatedly dropping whole subtrees whose removal keeps the query
-    equivalent; a single-variable drop of an inner variable is equivalent to
-    dropping its subtree (the orphaned components can never contribute to an
-    anchored match), so subtree drops suffice for minimality.
+    Works by dropping whole subtrees, deepest first, whose removal keeps the
+    query equivalent; a single-variable drop of an inner variable is
+    equivalent to dropping its subtree (the orphaned components can never
+    contribute to an anchored match), so subtree drops suffice for
+    minimality.
     """
     q = saturate(o, q)
-    changed = True
-    while changed:
-        changed = False
-        parent = tree_order(q)
-        by_depth = sorted(
-            (v for v in q.variables() if v != q.answer_var),
-            key=lambda v: (-_depth(parent, v), v),
-        )
-        for v in by_depth:
-            keep = q.variables() - subtree_vars(q, v)
-            candidate = restrict(q, keep)
-            if certain_answer(o, candidate.to_abox(), q, q.answer_var):
-                q = candidate
-                changed = True
-                break
+    parent = tree_order(q)
+    by_depth = sorted(
+        (v for v in q.variables() if v != q.answer_var),
+        key=lambda v: (-_depth(parent, v), v),
+    )
+    # One pass suffices: certain answers only shrink as atoms are removed, so
+    # a subtree whose drop was rejected stays rejected after any later drop
+    # (the query stays equivalent).  Deepest first, no drop removes a
+    # variable still to come.
+    for v in by_depth:
+        candidate = restrict(q, q.variables() - subtree_vars(q, v))
+        if certain_answer(o, candidate.to_abox(), q, q.answer_var):
+            q = candidate
     return q
 
 

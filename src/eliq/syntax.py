@@ -97,8 +97,7 @@ class ELIConcept:
             return " & ".join(
                 f"({p})" if p.kind == "and" else str(p) for p in self.parts
             )
-        filler = self.filler
-        assert filler is not None
+        filler: ELIConcept = self.filler  # type: ignore[assignment]
         if filler.kind == "top":
             return f"some {self.role}"
         if filler.kind == "and":
@@ -335,16 +334,11 @@ class CQ:
         return seen == self.variables()
 
     def is_eliq(self) -> bool:
-        """True iff the Gaifman graph is a tree without self-loops/multi-edges."""
-        pairs = set()
-        for r, x, y in self.role_atoms:
-            if x == y:
-                return False
-            key = (x, y) if x <= y else (y, x)
-            if key in pairs:
-                return False
-            pairs.add(key)
-        return len(pairs) == len(self.variables()) - 1 and self.is_connected()
+        """True iff the Gaifman graph is a tree without self-loops/multi-edges.
+
+        With one atom fewer than variables, a self-loop or a multi-edge leaves
+        too few edges to connect them, so connectivity alone decides."""
+        return len(self.role_atoms) == len(self.variables()) - 1 and self.is_connected()
 
     def to_abox(self) -> "ABox":
         concepts = self.concept_atoms
@@ -446,18 +440,20 @@ def tree_order(q: CQ) -> dict[str, tuple[Optional[str], Optional[Role]]]:
     The answer variable maps to (None, None).  Raises NotAnEliqError if the
     query is not tree-shaped.
     """
-    if not q.is_eliq():
-        raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
-    adj = adjacency(q)
-    parent: dict[str, tuple[Optional[str], Optional[Role]]] = {q.answer_var: (None, None)}
-    frontier = [q.answer_var]
-    while frontier:
-        v = frontier.pop()
-        for role, w in sorted(adj.get(v, ()), key=lambda p: (str(p[0]), p[1])):
-            if w not in parent:
-                parent[w] = (v, role)
-                frontier.append(w)
-    return parent
+    n = len(q.variables())
+    if len(q.role_atoms) == n - 1:  # tree-shaped iff also connected (see is_eliq)
+        adj = adjacency(q)
+        parent: dict[str, tuple[Optional[str], Optional[Role]]] = {q.answer_var: (None, None)}
+        frontier = [q.answer_var]
+        while frontier:
+            v = frontier.pop()
+            for role, w in sorted(adj.get(v, ()), key=lambda p: (str(p[0]), p[1])):
+                if w not in parent:
+                    parent[w] = (v, role)
+                    frontier.append(w)
+        if len(parent) == n:
+            return parent
+    raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
 
 
 def subtree_vars(q: CQ, root: str) -> frozenset[str]:
@@ -500,8 +496,7 @@ def eliq_to_concept(q: CQ) -> ELIConcept:
     children: dict[str, list[tuple[Role, str]]] = {}
     for v, (p, role) in parent.items():
         if p is not None:
-            assert role is not None
-            children.setdefault(p, []).append((role, v))
+            children.setdefault(p, []).append((role, v))  # type: ignore[arg-type]
 
     def build(v: str) -> ELIConcept:
         parts = [atom(a) for a in sorted(labels.get(v, ()))]
@@ -533,8 +528,7 @@ def concept_to_eliq(c: ELIConcept, answer_var: str = "x0") -> CQ:
                 build(p, v)
             return
         w = fresh()
-        role = cur.role
-        assert role is not None
+        role: Role = cur.role  # type: ignore[assignment]
         if role.inverted:
             role_atoms.add((role.name, w, v))
         else:

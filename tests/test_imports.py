@@ -2,7 +2,8 @@
 
 Every module-level imported name must be used in its module, and no module
 may import another module's private (``_``-prefixed) names.  The package
-``__init__`` is exempt: it re-exports names it never uses itself.
+``__init__`` is exempt: it re-exports names it never uses itself.  No module
+uses an ``assert`` statement, which ``python -O`` strips.
 """
 
 import ast
@@ -69,3 +70,10 @@ def test_no_private_relative_imports(path):
         if alias.name.startswith("_") and alias.name != "__version__"
     ]
     assert not private, "private names imported across modules: " + ", ".join(private)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    asserts = [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not asserts, "assert statements vanish under python -O: " + ", ".join(asserts)

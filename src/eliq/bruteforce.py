@@ -9,9 +9,12 @@ under disjointness, no learning under unrestricted functionality).
 
 The frontier check draws its candidates from ``generalizations_upto``, which
 builds only the bounded-size ELIQs the query is contained in, bottom-up from
-the query's universal model, smallest first.  Candidates live in the shared
-interned subtree pool, so the coverage tests are memoized per (subtree,
-model node) across all candidates of one instance.
+the query's universal model, smallest first.  Coverage is tested first, and
+the same way: a member is contained in a candidate exactly when the
+candidate is one of the member's generalizations, which are built once from
+the member's cached context.  A candidate gets a query and a one-shot
+context of its own only when no member covers it, or when its
+satisfiability depends on more than its shape.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import context_for
+from .engine import ABoxContext, context_for
 from .errors import EliqError
 from .frontier_base import Frontier
 from .model import (
@@ -51,7 +54,8 @@ def bruteforce_frontier_check(
     (built directly from ``q``'s universal model, smallest first), keeps
     those satisfiable w.r.t. ``o`` and not contained in ``q``, and reports
     the first one no member is contained in; a counterexample is therefore
-    one of least size.
+    one of least size.  ``candidates_checked`` counts the satisfiable
+    candidates up to the verdict.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -68,25 +72,28 @@ def bruteforce_frontier_check(
         if anchored(mc, q_tid, m.answer_var, len(q.variables())):
             return FrontierCheck(False, m, 0, "member violates Condition 2")
 
+    # coverage: some member must be contained in the candidate, i.e. the
+    # candidate is one of that member's generalizations.
+    covering: set[int] = set()
+    for m, mc in zip(members, member_ctxs):
+        covering.update(generalizations_upto(mc, m.answer_var, names, roles, bound))
     checked = 0
     for tid in generalizations_upto(q_ctx, q.answer_var, names, roles, bound):
         if not respects_functionality(eng, tid):
             continue
+        covered = tid in covering
+        if covered and eng.trees_satisfiable:
+            checked += 1
+            continue
         cand_cq = tree_to_cq(tid)
-        cand_ctx = context_for(o, cand_cq.to_abox())
+        cand_ctx = ABoxContext(eng, cand_cq.to_abox())
         if not cand_ctx.satisfiable():
             continue
         checked += 1
         # strictness: the candidate must not be contained in q
-        if anchored(cand_ctx, q_tid, cand_cq.answer_var, len(q.variables())):
+        if covered or anchored(cand_ctx, q_tid, cand_cq.answer_var, len(q.variables())):
             continue
-        # coverage: some member must be contained in the candidate, i.e. the
-        # candidate matches into that member's model.
-        covered = any(
-            anchored(mc, tid, m.answer_var, bound) for m, mc in zip(members, member_ctxs)
-        )
-        if not covered:
-            return FrontierCheck(False, cand_cq, checked, "uncovered generalization")
+        return FrontierCheck(False, cand_cq, checked, "uncovered generalization")
     return FrontierCheck(True, None, checked)
 
 

@@ -22,7 +22,15 @@ Facts about a single element are represented as keys:
 
 ``ABoxContext`` applies the same closure to the individuals of an ABox,
 including propagation of existential fillers across asserted edges of
-functional roles, and decides satisfiability.
+functional roles, and decides satisfiability.  Without functional roles no
+filler travels and no witness feeds names back, so an individual's facts are
+the closure of its own seed; without disjointness only two successors along
+one functional role make an ABox unsatisfiable.
+
+``context_for`` caches contexts in a least-recently-used table of
+``_CONTEXT_CAP`` entries.  The oracles build their candidates' contexts
+directly, one-shot, so that candidates do not push the contexts of the query
+and of the frontier members out of the table.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .normalform import normalize
-from .syntax import ABox, BasicConcept, Dialect, Ontology, Role, dialect_of
+from .syntax import ABox, BasicConcept, Ontology, Role
 
 TOPK = ("top",)
 
@@ -65,7 +73,6 @@ TypeKey = tuple[frozenset, RKey]
 class Engine:
     def __init__(self, o: Ontology):
         self.original = o
-        self.dialect = dialect_of(o)
         self.o = normalize(o)[0]
         self.functional: frozenset[RKey] = frozenset(rkey(r) for r in self.o.functional)
 
@@ -99,6 +106,14 @@ class Engine:
             (basic_key(b1), basic_key(b2)) for b1, b2 in self.o.concept_disjointness
         ]
         self.rdisj_keys = [(rkey(r1), rkey(r2)) for r1, r2 in self.o.role_disjointness]
+        self.disjoint = bool(self.cdisj_keys or self.rdisj_keys)
+        # Without disjointness, a tree ABox is unsatisfiable only if a node has
+        # two successors along a functional role, which
+        # model.respects_functionality rules out; unless a functional role has
+        # a proper sub-role, whose edges count as its successors too.
+        self.trees_satisfiable = not self.disjoint and not any(
+            f in self.superroles(k) for f in self.functional for k in self.role_keys if k != f
+        )
 
         self._closure_cache: dict[frozenset, frozenset] = {}
         # Witness-type fixpoint state.
@@ -108,6 +123,7 @@ class Engine:
         self._tchildren: dict[TypeKey, list] = {}
         self._tunsat: dict[TypeKey, bool] = {}
         self._fired_cache: dict = {}
+        self._names_cache: dict[frozenset, frozenset[str]] = {}
         self._childfrom_cache: dict = {}
         self._supinv_cache: dict[RKey, tuple[frozenset, frozenset]] = {}
         # (interned tree id, incoming role) -> the tree respects functionality;
@@ -190,8 +206,12 @@ class Engine:
         self._fired_cache[facts] = result
         return result
 
-    def names_of(self, facts) -> frozenset[str]:
-        return frozenset(f[1] for f in facts if f[0] == "c")
+    def names_of(self, facts: frozenset) -> frozenset[str]:
+        hit = self._names_cache.get(facts)
+        if hit is None:
+            hit = frozenset(f[1] for f in facts if f[0] == "c")
+            self._names_cache[facts] = hit
+        return hit
 
     # -- witness types -----------------------------------------------------
 
@@ -364,12 +384,14 @@ class ABoxContext:
                         successors[(x, k)] = {y}
                     else:
                         succ.add(y)
-        self.facts: dict[str, frozenset] = {}
-        self._run_fixpoint()
+        self.facts = self._closed_facts()
+        self._fired: dict[str, list[_FiredChild]] = {}
         self._sat: bool | None = None
         # depth cap -> {(interned tree id, model node): homomorphism exists};
         # filled by model.anchored.
         self.hom_memos: dict[int, dict] = {}
+        # (anchor, names, roles, bound) -> model.generalizations_upto's result
+        self.generalizations: dict[tuple, list[int]] = {}
 
     @staticmethod
     def _sup_and_inv(engine: Engine, k: RKey) -> tuple[frozenset, frozenset]:
@@ -389,9 +411,11 @@ class ABoxContext:
             seeds[x].add(("e", k))
         return seeds
 
-    def _run_fixpoint(self) -> None:
+    def _closed_facts(self) -> dict[str, frozenset]:
         eng = self.engine
-        cur = {a: frozenset(eng.closure(seed)) for a, seed in self._seeds().items()}
+        cur = {a: eng.closure(seed) for a, seed in self._seeds().items()}
+        if not eng.functional:
+            return cur  # no witness feeds names back and no filler travels
         changed = True
         while changed:
             changed = False
@@ -417,9 +441,12 @@ class ABoxContext:
                             if ("c", fname) not in cur[b]:
                                 cur[b] = eng.closure(cur[b] | {("c", fname)})
                                 changed = True
-        self.facts = cur
+        return cur
 
     def fired_children(self, a: str) -> list[_FiredChild]:
+        hit = self._fired.get(a)
+        if hit is not None:
+            return hit
         eng = self.engine
         out = []
         for rk, w in eng._children_from(self.facts[a], None):
@@ -432,6 +459,7 @@ class ABoxContext:
                     for b in self.successors.get((a, rk), ())
                 )
             out.append(_FiredChild(rk, w, blocked))
+        self._fired[a] = out
         return out
 
     def names_at(self, a: str) -> frozenset[str]:
@@ -444,16 +472,18 @@ class ABoxContext:
 
     def _compute_sat(self) -> bool:
         eng = self.engine
+        functional = eng.functional
+        for (a, k), succ in self.successors.items():
+            if k in functional and len(succ) > 1:
+                return False
+        if not eng.disjoint:
+            return True  # no clash can arise, here or in any witness
         for a in self.individuals:
             if eng._facts_clash(self.facts[a]):
                 return False
-        for pair, roles in self.edge_roles.items():
+        for roles in self.edge_roles.values():
             for r1, r2 in eng.rdisj_keys:
                 if r1 in roles and r2 in roles:
-                    return False
-        for frole in eng.functional:
-            for (a, k), succ in self.successors.items():
-                if k == frole and len(succ) > 1:
                     return False
         for a in self.individuals:
             for child in self.fired_children(a):
@@ -462,15 +492,17 @@ class ABoxContext:
         return True
 
 
-# Engines, least recently used first.  Contexts are keyed by the engine
-# object itself: an evicted engine's ``id`` can be reused by a later one.
+# Engines and contexts, least recently used first.  Contexts are keyed by the
+# engine object itself: an evicted engine's ``id`` can be reused by a later one.
 # Nothing in either cache refers back to its owner, so an evicted engine and
 # its contexts are freed by reference counting alone, with no cycle for the
 # garbage collector to find.
 _ENGINES: dict[Ontology, Engine] = {}
 _ENGINE_CAP = 32
 _CONTEXTS: dict[tuple[Engine, ABox], ABoxContext] = {}
-_CONTEXT_CAP = 512
+# Enough for one instance's query, frontier members and examples; a larger
+# cache raised the learner's peak memory without making it faster.
+_CONTEXT_CAP = 16
 
 
 def engine_for(o: Ontology) -> Engine:
@@ -488,14 +520,10 @@ def engine_for(o: Ontology) -> Engine:
 def context_for(o: Ontology, abox: ABox) -> ABoxContext:
     eng = engine_for(o)
     key = (eng, abox)
-    ctx = _CONTEXTS.get(key)
+    ctx = _CONTEXTS.pop(key, None)
     if ctx is None:
-        if len(_CONTEXTS) >= _CONTEXT_CAP:
-            _CONTEXTS.clear()
         ctx = ABoxContext(eng, abox)
-        _CONTEXTS[key] = ctx
+        if len(_CONTEXTS) >= _CONTEXT_CAP:
+            del _CONTEXTS[next(iter(_CONTEXTS))]
+    _CONTEXTS[key] = ctx
     return ctx
-
-
-def requires_chase_dialect(eng: Engine) -> bool:
-    return eng.dialect is not Dialect.RF

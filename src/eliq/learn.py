@@ -164,14 +164,19 @@ def _hamilton_cycle(n_verts: int, k: int) -> list[tuple[int, int]]:
 
 
 def _component_of(q: CQ, atoms: frozenset, anchor: str) -> CQ:
+    """``q`` cut down to ``atoms`` and to the component of ``anchor`` that
+    they connect."""
+    adj: dict[str, list[str]] = {}
+    for _, x, y in atoms:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
     reached = {anchor}
-    changed = True
-    while changed:
-        changed = False
-        for r, x, y in atoms:
-            if (x in reached) != (y in reached):
-                reached.update((x, y))
-                changed = True
+    todo = [anchor]
+    while todo:
+        for w in adj.get(todo.pop(), ()):
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
     return CQ(
         q.answer_var,
         frozenset(p for p in q.concept_atoms if p[1] in reached),

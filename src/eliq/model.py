@@ -160,6 +160,8 @@ def tree_ids_upto(names: frozenset[str], roles: frozenset[str], max_vars: int) -
             combos = _combos(attachments, size - 1)
             ids = [intern_tree(lab, kids) for lab in labels for kids in combos]
         by_size[size] = ids
+        if size == max_vars:
+            break  # no larger tree takes these as children
         for t in ids:
             for e in edges:
                 attachments.append((size, e, t))
@@ -182,7 +184,11 @@ def generalizations_upto(
     of ``size`` nodes fits at a model node when its label holds there and each
     child subtree fits at some neighbour along its edge, so the trees fitting
     at a node are formed from the smaller trees fitting at its neighbours.
+    The result is memoized on ``ctx``; callers must not change it.
     """
+    done = ctx.generalizations.get((anchor, names, roles, bound))
+    if done is not None:
+        return done
     labels, edges = _alphabet(names, roles)
     win = _PrefixWindow(ctx, bound)
     memo: dict[tuple, list[int]] = {}
@@ -214,7 +220,9 @@ def generalizations_upto(
         memo[key] = out
         return out
 
-    return [t for size in range(1, bound + 1) for t in fitting(anchor, size)]
+    out = [t for size in range(1, bound + 1) for t in fitting(anchor, size)]
+    ctx.generalizations[(anchor, names, roles, bound)] = out
+    return out
 
 
 def _node_order(node) -> tuple:

@@ -36,7 +36,8 @@ from .syntax import (
 )
 
 
-def _require_chaseable(o: Ontology, op: str) -> None:
+def require_chaseable(o: Ontology, op: str) -> None:
+    """Reject the combined dialect, where universal models are unsound."""
     if dialect_of(o) is Dialect.RF:
         raise UnsupportedDialectError(
             "unsupported_dialect",
@@ -103,7 +104,7 @@ def universal_prefix(o: Ontology, a: ABox, depth: int) -> UniversalModelPrefix:
     """Materialize the traces of length <= depth of the universal model."""
     if not is_normal_form(o):
         raise ValueError("universal_prefix requires an ontology in normal form")
-    _require_chaseable(o, "universal_prefix")
+    require_chaseable(o, "universal_prefix")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     ctx = context_for(o, a)
@@ -120,10 +121,10 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
     trace depth ``|var(q)|`` (sufficient: the image of a connected unary query
     stays within that distance of the anchor, and trace regions are trees).
     """
-    _require_chaseable(o, "certain_answer")
-    if ind not in a.ind():
-        raise ValueError(f"{ind!r} is not an individual of the ABox")
+    require_chaseable(o, "certain_answer")
     ctx = context_for(o, a)
+    if ind not in ctx.facts:
+        raise ValueError(f"{ind!r} is not an individual of the ABox")
     if not ctx.satisfiable():
         return True
     return matches(ctx, q, ind)

@@ -144,17 +144,6 @@ def basic_to_concept(b: BasicConcept) -> ELIConcept:
     return exists(b.role)  # type: ignore[arg-type]
 
 
-def concept_to_basic(c: ELIConcept) -> Optional[BasicConcept]:
-    """The basic concept equal to ``c``, or None if ``c`` is not basic."""
-    if c.kind == "top":
-        return BASIC_TOP
-    if c.kind == "name":
-        return basic_name(c.name)  # type: ignore[arg-type]
-    if c.kind == "exists" and c.filler is not None and c.filler.kind == "top":
-        return basic_exists(c.role)  # type: ignore[arg-type]
-    return None
-
-
 def concept_signature(c: ELIConcept) -> tuple[set[str], set[str]]:
     names: set[str] = set()
     roles: set[str] = set()

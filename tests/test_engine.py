@@ -68,3 +68,37 @@ def test_evicted_engine_is_freed_without_the_collector():
         assert eng_ref() is None
     finally:
         gc.enable()
+
+
+def distinct_aboxes(n: int) -> list:
+    return [ABox(frozenset({("A0", f"c{i}")}), frozenset({("r", f"c{i}", "d")})) for i in range(n)]
+
+
+def test_context_cache_stays_within_its_cap():
+    o = parse_ontology("A0 sub some r . B\n")
+    for abox in distinct_aboxes(3 * engine._CONTEXT_CAP):
+        context_for(o, abox)
+        assert len(engine._CONTEXTS) <= engine._CONTEXT_CAP
+
+
+def test_recently_used_context_survives():
+    o = parse_ontology("A0 sub some s . B\n")
+    kept = context_for(o, ABOX)
+    for abox in distinct_aboxes(3 * engine._CONTEXT_CAP):
+        context_for(o, abox)
+        assert context_for(o, ABOX) is kept
+    # a context not used since is evicted, one at a time
+    first = distinct_aboxes(1)[0]
+    assert (engine_for(o), first) not in engine._CONTEXTS
+    assert len(engine._CONTEXTS) == engine._CONTEXT_CAP
+
+
+def test_evicted_engine_takes_its_contexts_along():
+    o = parse_ontology("H sub some r . G\n")
+    eng = engine_for(o)
+    for abox in distinct_aboxes(4):
+        context_for(o, abox)
+    for other in distinct_ontologies(engine._ENGINE_CAP, "drop"):
+        engine_for(other)
+    assert o not in engine._ENGINES
+    assert not any(key[0] is eng for key in engine._CONTEXTS)

@@ -7,14 +7,20 @@ lower-bound family, and the query/ontology families used by the negative
 results (no finite frontier under unrestricted functionality, no learning
 under disjointness, no learning under unrestricted functionality).
 
-The frontier check draws its candidates from ``generalizations_upto``, which
-builds only the bounded-size ELIQs the query is contained in, bottom-up from
-the query's universal model, smallest first.  Coverage is tested first, and
-the same way: a member is contained in a candidate exactly when the
-candidate is one of the member's generalizations, which are built once from
-the member's cached context.  A candidate gets a query and a one-shot
-context of its own only when no member covers it, or when its
-satisfiability depends on more than its shape.
+Both oracles are one search, ``first_misfit``: the smallest bounded-size
+query that fits a set of labeled examples but is not equivalent to ``q``.
+``verify_unique`` runs it on the examples it is given.  A frontier of ``q``
+is complete exactly when no such query exists for ``q``'s ABox as the one
+positive example and the members' ABoxes as negatives, so
+``bruteforce_frontier_check`` runs it on those.
+
+Candidates are drawn from ``generalizations_upto``, which builds only the
+bounded-size ELIQs the first positive example answers, bottom-up from its
+universal model, smallest first.  A negative example answers a candidate
+exactly when the candidate is one of the example's generalizations, built
+the same way, so the negatives are tested by set membership.  A candidate
+gets a query and a one-shot context of its own only when it fits every
+example, or, under disjointness, to test its satisfiability.
 """
 
 from __future__ import annotations
@@ -22,17 +28,101 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import ABoxContext, context_for
-from .errors import EliqError
+from .engine import ABoxContext, Engine, context_for
+from .errors import EliqError, NotAnEliqError, UnsatisfiableError
 from .frontier_base import Frontier
 from .model import (
     anchored,
     generalizations_upto,
     intern_cq,
+    matches,
     respects_functionality,
+    tree_ids_upto,
     tree_to_cq,
 )
+from .reasoner import require_chaseable
 from .syntax import CQ, Ontology, basic_name, combined_signature, make_cq
+
+# An example: a context and the individual it is labeled at.
+Example = tuple[ABoxContext, str]
+
+
+def query_context(o: Ontology, q: CQ, op: str) -> ABoxContext:
+    """``q``'s context, for a search that decides containment both ways in
+    universal models.  Rejects the combined dialect, where those are
+    unsound, and an unsatisfiable ``q``, which every query contains."""
+    require_chaseable(o, op)
+    q_ctx = context_for(o, q.to_abox())
+    if not q_ctx.satisfiable():
+        raise UnsatisfiableError("containment requires queries satisfiable w.r.t. the ontology")
+    return q_ctx
+
+
+def first_misfit(
+    o: Ontology,
+    q: CQ,
+    q_ctx: ABoxContext,
+    positives: list[Example],
+    negatives: list[Example],
+    bound: int,
+) -> tuple[CQ | None, int]:
+    """The first ELIQ, smallest first, with at most ``bound`` variables over
+    the combined signature, that answers every positive example and no
+    negative one but is not equivalent to ``q``; and the number of
+    satisfiable candidates that fit the positives, up to the verdict.
+
+    ``q_ctx`` is ``query_context(o, q, ...)``.  Candidates are the
+    generalizations of the first positive example, tested against any
+    further positives; with no positives every bounded-size ELIQ is a
+    candidate.  A candidate violating functionality folds to an enumerated
+    equivalent, and outside the combined dialect every other candidate is
+    satisfiable unless there is disjointness.  ``q ⊑ cand`` is an anchored
+    test into ``q_ctx``; a cyclic ``q`` is matched by backtracking.
+    """
+    names, roles = combined_signature(o, q)
+    eng = q_ctx.engine
+    try:
+        q_tid = intern_cq(q)
+    except NotAnEliqError:
+        q_tid = None
+    answered_by_negative: set[int] = set()
+    for ctx, ind in negatives:
+        answered_by_negative.update(generalizations_upto(ctx, ind, names, roles, bound))
+    positives = list(positives)
+    if positives:
+        ctx, ind = positives.pop(0)
+        pool = generalizations_upto(ctx, ind, names, roles, bound)
+    else:
+        pool = tree_ids_upto(names, roles, bound)
+    checked = 0
+    for tid in pool:
+        if not respects_functionality(eng, tid):
+            continue
+        if not all(anchored(ctx, tid, ind, bound) for ctx, ind in positives):
+            continue
+        cand_ctx = None
+        if eng.disjoint:
+            cand, cand_ctx = _candidate(eng, tid)
+            if not cand_ctx.satisfiable():
+                continue
+        checked += 1
+        if tid in answered_by_negative:
+            continue
+        if cand_ctx is None:
+            cand, cand_ctx = _candidate(eng, tid)
+        if q_tid is None:
+            in_q = matches(cand_ctx, q, cand.answer_var)
+        else:
+            in_q = anchored(cand_ctx, q_tid, cand.answer_var, len(q.variables()))
+        if not (in_q and anchored(q_ctx, tid, q.answer_var, bound)):
+            return cand, checked
+    return None, checked
+
+
+def _candidate(eng: Engine, tid: int) -> tuple[CQ, ABoxContext]:
+    """A candidate's query and its one-shot context, kept out of the cache."""
+    cand = tree_to_cq(tid)
+    return cand, ABoxContext(eng, cand.to_abox())
 
 
 @dataclass(frozen=True)
@@ -49,21 +139,19 @@ def bruteforce_frontier_check(
     """Exhaustively check the frontier conditions up to ``bound`` variables.
 
     First validates the two member conditions (each member strictly
-    generalizes ``q``).  Then it takes every ELIQ q' over the combined
-    signature with at most ``bound`` variables that ``q`` is contained in
-    (built directly from ``q``'s universal model, smallest first), keeps
-    those satisfiable w.r.t. ``o`` and not contained in ``q``, and reports
-    the first one no member is contained in; a counterexample is therefore
-    one of least size.  ``candidates_checked`` counts the satisfiable
-    candidates up to the verdict.
+    generalizes ``q``).  Then it searches, with ``first_misfit``, the ELIQs
+    over the combined signature with at most ``bound`` variables that ``q``
+    is contained in, for the first, smallest one that is satisfiable w.r.t.
+    ``o``, not contained in ``q`` and contains no member; a counterexample is
+    therefore one of least size.  ``candidates_checked`` counts the
+    satisfiable candidates up to the verdict.  The combined dialect and an
+    unsatisfiable ``q`` are rejected before anything is checked.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     members = list(f.members) if isinstance(f, Frontier) else list(f)
-    names, roles = combined_signature(o, q)
-    q_ctx = context_for(o, q.to_abox())
-    eng = q_ctx.engine
     q_tid = intern_cq(q)
+    q_ctx = query_context(o, q, "bruteforce_frontier_check")
     member_ctxs = [context_for(o, m.to_abox()) for m in members]
 
     for m, mc in zip(members, member_ctxs):
@@ -72,29 +160,12 @@ def bruteforce_frontier_check(
         if anchored(mc, q_tid, m.answer_var, len(q.variables())):
             return FrontierCheck(False, m, 0, "member violates Condition 2")
 
-    # coverage: some member must be contained in the candidate, i.e. the
-    # candidate is one of that member's generalizations.
-    covering: set[int] = set()
-    for m, mc in zip(members, member_ctxs):
-        covering.update(generalizations_upto(mc, m.answer_var, names, roles, bound))
-    checked = 0
-    for tid in generalizations_upto(q_ctx, q.answer_var, names, roles, bound):
-        if not respects_functionality(eng, tid):
-            continue
-        covered = tid in covering
-        if covered and eng.trees_satisfiable:
-            checked += 1
-            continue
-        cand_cq = tree_to_cq(tid)
-        cand_ctx = ABoxContext(eng, cand_cq.to_abox())
-        if not cand_ctx.satisfiable():
-            continue
-        checked += 1
-        # strictness: the candidate must not be contained in q
-        if covered or anchored(cand_ctx, q_tid, cand_cq.answer_var, len(q.variables())):
-            continue
-        return FrontierCheck(False, cand_cq, checked, "uncovered generalization")
-    return FrontierCheck(True, None, checked)
+    # every candidate generalizes q, so "not equivalent" is "not contained in q"
+    negatives = [(mc, m.answer_var) for m, mc in zip(members, member_ctxs)]
+    cand, checked = first_misfit(o, q, q_ctx, [(q_ctx, q.answer_var)], negatives, bound)
+    if cand is None:
+        return FrontierCheck(True, None, checked)
+    return FrontierCheck(False, cand, checked, "uncovered generalization")
 
 
 # ---------------------------------------------------------------------------

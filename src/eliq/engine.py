@@ -107,13 +107,6 @@ class Engine:
         ]
         self.rdisj_keys = [(rkey(r1), rkey(r2)) for r1, r2 in self.o.role_disjointness]
         self.disjoint = bool(self.cdisj_keys or self.rdisj_keys)
-        # Without disjointness, a tree ABox is unsatisfiable only if a node has
-        # two successors along a functional role, which
-        # model.respects_functionality rules out; unless a functional role has
-        # a proper sub-role, whose edges count as its successors too.
-        self.trees_satisfiable = not self.disjoint and not any(
-            f in self.superroles(k) for f in self.functional for k in self.role_keys if k != f
-        )
 
         self._closure_cache: dict[frozenset, frozenset] = {}
         # Witness-type fixpoint state.

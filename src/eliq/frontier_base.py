@@ -155,8 +155,7 @@ class QB:
         return rename[q.answer_var]
 
     def freeze(self) -> CQ:
-        q = make_cq(self.answer, self.concepts, self.roles, var_meta=dict(self.down))
-        return q
+        return make_cq(self.answer, self.concepts, self.roles)
 
 
 @dataclass
@@ -179,12 +178,7 @@ class Prepared:
 
 
 def strip_top(q: CQ) -> CQ:
-    return CQ(
-        q.answer_var,
-        frozenset(p for p in q.concept_atoms if p[0] != "top"),
-        q.role_atoms,
-        q.var_meta,
-    )
+    return CQ(q.answer_var, frozenset(p for p in q.concept_atoms if p[0] != "top"), q.role_atoms)
 
 
 def prepare(o: Ontology, q: CQ, op: str) -> Prepared:

@@ -14,26 +14,29 @@ Two access paths are provided:
   that deep prefixes are never built unless a match actually explores them.
 
 Tree-shaped queries are interned into a global subtree pool and matched with
-a feasibility DP memoized per (subtree, model node); the pool is shared with
-the brute-force enumerators, so repeated checks of structurally overlapping
-queries against one ABox reuse each other's work.  ``generalizations_upto``
-runs that feasibility test the other way round: it builds, smallest first,
-every bounded-size tree that maps into the model at an anchor, which is how
-the oracles obtain a query's generalizations.  Queries with cycles fall
-back to plain backtracking over the same lazy node space (cyclic queries can
-fold onto anonymous tree parts, so they are *not* restricted to ABox
-individuals).
+a feasibility DP memoized per (subtree, model node), so repeated checks of
+structurally overlapping queries against one ABox reuse each other's work.
+``generalizations_upto`` runs that feasibility test the other way round: it
+builds, smallest first, every bounded-size tree that maps into the model at
+an anchor, which is how the oracles obtain a query's generalizations, and
+``tree_ids_upto`` obtains every bounded-size tree the same way, from a model
+that every tree maps to.  Queries with cycles fall back to plain
+backtracking over the same lazy node space with no depth cap (cyclic
+queries can fold onto anonymous tree parts, so they are *not* restricted to
+ABox individuals, and parts the answer variable does not reach can match at
+any depth).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import ABoxContext, Engine, RKey, rinv, role_of
 from .errors import NotAnEliqError
-from .syntax import ABox, CQ, Role, adjacency, concept_index, tree_order
+from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_order
 
 # ---------------------------------------------------------------------------
 # Interned rooted trees
@@ -105,9 +108,6 @@ def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
     return CQ(answer_var, frozenset(concept_atoms), frozenset(role_atoms))
 
 
-_ENUM_CACHE: dict[tuple, list[int]] = {}
-
-
 def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[RKey]]:
     """Node labels (every subset of ``names``) and edge keys (both
     directions of every role), each in enumeration order."""
@@ -142,41 +142,12 @@ def _combos(attachments: list[tuple[int, RKey, int]], budget: int) -> list[tuple
     return combos
 
 
-def tree_ids_upto(names: frozenset[str], roles: frozenset[str], max_vars: int) -> list[int]:
-    """All rooted labeled trees with at most ``max_vars`` nodes, one id per
-    isomorphism class, ordered by size."""
-    key = (tuple(sorted(names)), tuple(sorted(roles)), max_vars)
-    hit = _ENUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    labels, edges = _alphabet(names, roles)
-    by_size: dict[int, list[int]] = {}
-    attachments: list[tuple[int, RKey, int]] = []  # (subtree size, edge, tid)
-    for size in range(1, max_vars + 1):
-        if size == 1:
-            ids = [intern_tree(lab, ()) for lab in labels]
-        else:
-            combos = _combos(attachments, size - 1)
-            ids = [intern_tree(lab, kids) for lab in labels for kids in combos]
-        by_size[size] = ids
-        if size == max_vars:
-            break  # no larger tree takes these as children
-        for t in ids:
-            for e in edges:
-                attachments.append((size, e, t))
-        attachments.sort()
-
-    out = [t for size in range(1, max_vars + 1) for t in by_size[size]]
-    _ENUM_CACHE[key] = out
-    return out
-
-
 def generalizations_upto(
     ctx: ABoxContext, anchor: str, names: frozenset[str], roles: frozenset[str], bound: int
 ) -> list[int]:
-    """The trees of ``tree_ids_upto(names, roles, bound)`` that map into the
-    universal model of ``ctx`` at ``anchor``, in the same order.
+    """Every tree with at most ``bound`` nodes over ``names`` and ``roles``
+    that maps into the universal model of ``ctx`` at ``anchor``, one id per
+    isomorphism class, smallest first.
 
     When ``ctx`` holds a query's ABox and ``anchor`` its answer variable,
     these are the bounded-size ELIQs that the query is contained in.  They are
@@ -225,6 +196,21 @@ def generalizations_upto(
     return out
 
 
+def tree_ids_upto(names: frozenset[str], roles: frozenset[str], max_vars: int) -> list[int]:
+    """All rooted labeled trees with at most ``max_vars`` nodes, one id per
+    isomorphism class, ordered by size: the generalizations of one
+    individual that carries every name and a loop along every role, to
+    which every tree maps.  The context is one-shot, under the empty
+    ontology, and stays out of the caches."""
+    a = "_a"
+    abox = ABox(
+        frozenset({("top", a)} | {(n, a) for n in names}),
+        frozenset((r, a, a) for r in roles),
+    )
+    ctx = ABoxContext(Engine(Ontology()), abox)
+    return generalizations_upto(ctx, a, frozenset(names), frozenset(roles), max_vars)
+
+
 def _node_order(node) -> tuple:
     if isinstance(node, str):
         return (node, ())
@@ -262,11 +248,12 @@ def respects_functionality(eng: Engine, tid: int, inc: RKey | None = None) -> bo
 
 
 class _PrefixWindow:
-    def __init__(self, ctx: ABoxContext, depth_cap: int):
+    def __init__(self, ctx: ABoxContext, depth_cap: float):
         self.ctx = ctx
         self.eng = ctx.engine
         self.cap = depth_cap
         self._children: dict = {}
+        self._starts: dict[int, list] = {}
 
     def names(self, node) -> frozenset[str]:
         if isinstance(node, str):
@@ -305,19 +292,29 @@ class _PrefixWindow:
             if want in self.eng.superroles(crk):
                 yield child
 
-    def all_nodes_upto(self, depth: int) -> list:
-        out: list = []
-        frontier: list = list(self.ctx.individuals)
-        out.extend(frontier)
-        for _ in range(depth):
-            nxt = []
-            for n in frontier:
+    def start_nodes(self, depth: int) -> list:
+        """Where a connected query part of at most ``depth`` variables that
+        no assigned variable reaches can be matched from: the nodes within
+        ``depth`` levels below an individual or below the first node found
+        of each witness type.  The part's image either reaches an individual
+        and stays within that many levels of it, or has a topmost trace
+        node, and the subtree below a trace node depends only on its
+        witness type.  Memoized on the window."""
+        hit = self._starts.get(depth)
+        if hit is None:
+            roots = list(self.ctx.individuals)
+            types: set = set()
+            for n in roots:  # appended to while iterated: breadth first
                 for _, child in self.children(n):
-                    if not isinstance(child, str):
-                        nxt.append(child)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+                    if child[2][-1] not in types:
+                        types.add(child[2][-1])
+                        roots.append(child)
+            level, nodes = roots, dict.fromkeys(roots)
+            for _ in range(depth):
+                level = [child for n in level for _, child in self.children(n)]
+                nodes.update(dict.fromkeys(level))
+            hit = self._starts[depth] = list(nodes)
+        return hit
 
 
 def _tree_feasible(win: _PrefixWindow, memo: dict, tid: int, node) -> bool:
@@ -339,6 +336,13 @@ def _tree_feasible(win: _PrefixWindow, memo: dict, tid: int, node) -> bool:
     return ok
 
 
+def _fits(win: _PrefixWindow, adj: dict, labels: dict, v: str, m) -> bool:
+    """``v``'s concept atoms and self-loops hold at model node ``m``."""
+    return labels.get(v, frozenset()) <= win.names(m) and all(
+        m in win.neighbors(m, (role.name, role.inverted)) for role, w in adj.get(v, ()) if w == v
+    )
+
+
 def _backtrack(win: _PrefixWindow, adj: dict, labels: dict, assignment: dict,
                order: list[str], i: int) -> bool:
     """Extend ``assignment`` to ``order[i:]``; ``adj`` and ``labels`` index
@@ -355,10 +359,9 @@ def _backtrack(win: _PrefixWindow, adj: dict, labels: dict, assignment: dict,
                 found.add(m)
             candidates = found if candidates is None else candidates & found
     if candidates is None:
-        candidates = set(win.all_nodes_upto(len(order)))
-    needed = labels.get(v, frozenset())
+        candidates = win.start_nodes(len(order))
     for m in candidates:
-        if needed <= win.names(m):
+        if _fits(win, adj, labels, v, m):
             assignment[v] = m
             if _backtrack(win, adj, labels, assignment, order, i + 1):
                 return True
@@ -394,17 +397,18 @@ def anchored(ctx: ABoxContext, tid: int, anchor: str, cap: int) -> bool:
 
 def matches(ctx: ABoxContext, q: CQ, anchor: str) -> bool:
     """Anchored homomorphism test: q(answer) -> (universal model, anchor)."""
-    cap = len(q.variables())
     try:
         tid = intern_cq(q)
-    except NotAnEliqError:  # not tree-shaped: backtracking search
-        win = _PrefixWindow(ctx, cap)
+    except NotAnEliqError:
+        # Backtracking, in a window with no depth cap: a part of q that the
+        # answer variable does not reach can match at any depth.
+        win = _PrefixWindow(ctx, math.inf)
         adj = adjacency(q)
         labels = concept_index(q)
-        if not labels.get(q.answer_var, frozenset()) <= win.names(anchor):
+        if not _fits(win, adj, labels, q.answer_var, anchor):
             return False
         return _backtrack(win, adj, labels, {q.answer_var: anchor}, _bfs_order(q, adj), 1)
-    return anchored(ctx, tid, anchor, cap)
+    return anchored(ctx, tid, anchor, len(q.variables()))
 
 
 # ---------------------------------------------------------------------------

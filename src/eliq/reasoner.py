@@ -97,7 +97,7 @@ def saturate(o: Ontology, q: CQ) -> CQ:
     visible = ctx.engine.original_names  # internal surrogate names never leak
     for v in q.variables():
         atoms.update((n, v) for n in ctx.names_at(v) if n in visible)
-    return CQ(q.answer_var, frozenset(atoms), q.role_atoms, q.var_meta)
+    return CQ(q.answer_var, frozenset(atoms), q.role_atoms)
 
 
 def universal_prefix(o: Ontology, a: ABox, depth: int) -> UniversalModelPrefix:
@@ -117,9 +117,11 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
     """Is ``ind`` a certain answer to ``q`` on ``a`` w.r.t. ``o``?
 
     Vacuously true when the ABox is unsatisfiable.  Otherwise decided by an
-    anchored homomorphism search into the universal model, expanded lazily to
-    trace depth ``|var(q)|`` (sufficient: the image of a connected unary query
-    stays within that distance of the anchor, and trace regions are trees).
+    anchored homomorphism search into the universal model, expanded lazily.
+    An ELIQ is matched to trace depth ``|var(q)|`` (sufficient: its image
+    stays within that distance of the anchor, and trace regions are trees);
+    a query with cycles or disconnected parts is backtracked with no depth
+    cap.
     """
     require_chaseable(o, "certain_answer")
     ctx = context_for(o, a)

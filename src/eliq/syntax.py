@@ -18,8 +18,8 @@ shared freely and used as cache keys.  Conventions used throughout:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .errors import NotAnEliqError
 
@@ -277,17 +277,12 @@ class CQ:
     """A unary conjunctive query, viewed as a set of atoms.
 
     ``concept_atoms`` holds pairs ``(concept name or "top", variable)`` and
-    ``role_atoms`` triples ``(role name, subject, object)``.  ``var_meta`` is
-    an optional per-variable annotation map (the frontier constructions stash
-    their variable-origin bookkeeping there); it is ignored by equality.
+    ``role_atoms`` triples ``(role name, subject, object)``.
     """
 
     answer_var: str
     concept_atoms: frozenset[tuple[str, str]] = frozenset()
     role_atoms: frozenset[tuple[str, str, str]] = frozenset()
-    var_meta: Optional[Mapping[str, Optional[str]]] = field(
-        default=None, compare=False, hash=False
-    )
 
     def variables(self) -> frozenset[str]:
         out = {self.answer_var}
@@ -366,7 +361,6 @@ def make_cq(
     answer_var: str,
     concept_atoms: Iterable[tuple[str, str]] = (),
     role_atoms: Iterable[tuple[Role | str, str, str]] = (),
-    var_meta: Optional[Mapping[str, Optional[str]]] = None,
 ) -> CQ:
     """Canonicalizing CQ constructor: inverse role atoms are stored forward,
     and redundant ``top`` atoms are dropped (every variable satisfies top;
@@ -381,7 +375,7 @@ def make_cq(
         else:
             ratoms.add((r, x, y))
     catoms = frozenset(p for p in concept_atoms if p[0] != TOP)
-    return CQ(answer_var, catoms, frozenset(ratoms), var_meta)
+    return CQ(answer_var, catoms, frozenset(ratoms))
 
 
 def top_query(answer_var: str = "x0") -> CQ:

@@ -1,9 +1,9 @@
 import dataclasses
-import importlib
 import random
 
 import pytest
 
+import eliq.bruteforce as bruteforce_mod  # both oracles run its search
 from eliq import (
     ABox,
     DataExample,
@@ -23,6 +23,7 @@ from eliq import (
     verify_unique,
 )
 from eliq.bruteforce import ConjunctiveOntology, fixture, thm10_qstar
+from eliq.characterize import UniquenessVerdict
 from eliq.errors import EliqError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.engine import context_for, engine_for, rinv
@@ -34,10 +35,7 @@ from eliq.model import (
     tree_struct,
 )
 from eliq.syntax import basic_exists, basic_name
-
-# the package re-exports the function ``characterize`` under the module's name
-bruteforce_mod = importlib.import_module("eliq.bruteforce")
-characterize_mod = importlib.import_module("eliq.characterize")
+from reference_trees import reference_tree_ids
 
 NAMES, ROLES = ["A", "B"], ["r", "s"]
 
@@ -82,7 +80,7 @@ def test_query_itself_is_not_a_frontier():
 def _enumerate_and_filter(ctx, anchor, names, roles, bound):
     """Reference for ``generalizations_upto``: every bounded-size tree, kept
     when it maps into the model at ``anchor``."""
-    return [t for t in tree_ids_upto(names, roles, bound) if anchored(ctx, t, anchor, bound)]
+    return [t for t in reference_tree_ids(names, roles, bound) if anchored(ctx, t, anchor, bound)]
 
 
 def _random_instances(seed, dialect, n):
@@ -174,7 +172,6 @@ def test_oracles_agree_with_enumerate_and_filter(dialect, monkeypatch):
     instances = _random_instances(7101 if dialect == "r" else 7102, dialect, 8)
     got = _oracle_runs(instances, dialect)
     monkeypatch.setattr(bruteforce_mod, "generalizations_upto", _enumerate_and_filter)
-    monkeypatch.setattr(characterize_mod, "generalizations_upto", _enumerate_and_filter)
     want = _oracle_runs(instances, dialect)
     assert got == want
     # the runs include failing checks, whose counts stop at the counterexample
@@ -214,6 +211,9 @@ def test_verify_unique_without_positives_tries_every_tree():
     verdict = verify_unique(o, q, ExampleSet((), (top_a, b_b)), 1)
     assert verdict.ok
     assert verdict.candidates_checked == len(tree_ids_upto(names, roles, 1)) == 4
+    # under disjointness the unsatisfiable A & B is skipped and not counted
+    disjoint = verify_unique(parse_ontology("disj A B\n"), q, ExampleSet((), (b_b,)), 1)
+    assert disjoint == UniquenessVerdict(True, None, 3)
 
 
 def test_verify_unique_filters_by_every_positive(ex1_ontology, ex1_query, monkeypatch):
@@ -224,7 +224,7 @@ def test_verify_unique_filters_by_every_positive(ex1_ontology, ex1_query, monkey
     two = ExampleSet(examples.positives + (second,), examples.negatives)
     one = verify_unique(ex1_ontology, ex1_query, examples, 3)
     got = verify_unique(ex1_ontology, ex1_query, two, 3)
-    monkeypatch.setattr(characterize_mod, "generalizations_upto", _enumerate_and_filter)
+    monkeypatch.setattr(bruteforce_mod, "generalizations_upto", _enumerate_and_filter)
     assert got == verify_unique(ex1_ontology, ex1_query, two, 3)
     assert got.candidates_checked < one.candidates_checked
 

@@ -4,7 +4,9 @@ import random
 from eliq import Ontology, normalize, parse_abox, parse_ontology, universal_prefix
 from eliq.engine import context_for, rkey
 from eliq.gen import random_abox, random_ontology
+from eliq.model import tree_ids_upto
 from eliq.reasoner import abox_satisfiable
+from reference_trees import reference_tree_ids
 
 import pytest
 
@@ -133,3 +135,17 @@ def _basic_holds_in(abox, b):
     if role.inverted:
         return {y for _, x, y in abox.role_assertions if _ == role.name}
     return {x for r, x, y in abox.role_assertions if r == role.name}
+
+
+def test_tree_ids_upto_equals_the_direct_enumerator():
+    # One shared pool; each side goes first on every other signature, so
+    # both list the same ids whichever interned a tree first.
+    sides = [tree_ids_upto, reference_tree_ids]
+    for n_names in range(4):
+        for n_roles in range(3):
+            names = frozenset(["A", "B", "C"][:n_names])
+            roles = frozenset(["r", "s"][:n_roles])
+            for bound in range(1, 4 if n_names == 3 else 5):
+                sides.reverse()
+                first, second = (side(names, roles, bound) for side in sides)
+                assert first == second, (sorted(names), sorted(roles), bound)

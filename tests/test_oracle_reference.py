@@ -280,22 +280,24 @@ def test_oracles_match_the_reference_loops(seed):
     assert all(seen.values()), seen
 
 
-def test_oracles_match_the_reference_under_a_functional_super_role():
-    # An r-child and an s-child are two s-successors here, which the tree
-    # functionality filter does not count; only the context sees the clash.
+def test_oracles_reject_the_combined_dialect():
+    # An r-child and an s-child are two s-successors here, and universal
+    # models are unsound: both oracles refuse before searching.
     o = parse_ontology("r rsub s\nfunc s\nA sub some r\n")
-    assert not engine_for(o).trees_satisfiable
-    members = ([], [parse_cq("q(x0) :- B(x0)")], [parse_cq("q(x0) :- s(x0,y)")])
     for text in ("q(x0) :- A(x0)", "q(x0) :- r(x0,y), A(y)", "q(x0) :- s(x0,y), B(y), A(x0)"):
         q = parse_cq(text)
-        for mem in members:
-            for bound in (2, 3):
-                got = bruteforce_frontier_check(o, q, mem, bound)
-                assert got == reference_frontier_check(o, q, mem, bound), (text, mem, bound)
-        e = ExampleSet((), ())
-        got = _outcome(verify_unique, o, q, e, 2)
-        assert got == _outcome(reference_verify_unique, o, q, e, 2)
-        assert got[0] is UnsupportedDialectError
+        for mem in ([], [parse_cq("q(x0) :- B(x0)")], [parse_cq("q(x0) :- s(x0,y)")]):
+            with pytest.raises(UnsupportedDialectError) as err:
+                bruteforce_frontier_check(o, q, mem, 3)
+            assert err.value.reason == "unsupported_dialect"
+        for e in (ExampleSet((), ()), ExampleSet((_own_abox(q),), ())):
+            with pytest.raises(UnsupportedDialectError) as err:
+                verify_unique(o, q, e, 3)
+            assert err.value.reason == "unsupported_dialect"
+
+
+def _own_abox(q) -> DataExample:
+    return DataExample(q.to_abox(), q.answer_var, True)
 
 
 def test_unsatisfiable_query_raises_where_the_reference_does():
@@ -305,6 +307,11 @@ def test_unsatisfiable_query_raises_where_the_reference_does():
         got = _outcome(verify_unique, o, q, e, 2)
         assert got == _outcome(reference_verify_unique, o, q, e, 2)
         assert got[0] is UnsatisfiableError
+        # before searching: also when the negatives answer every candidate
+        pos = _own_abox(q)
+        none_fit = ExampleSet((pos,), (dataclasses.replace(pos, positive=False),))
+        assert _outcome(verify_unique, o, q, none_fit, 3) == got
+        assert _outcome(bruteforce_frontier_check, o, q, [], 2) == got
 
 
 def test_cyclic_query_matches_the_reference():

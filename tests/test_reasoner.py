@@ -297,6 +297,30 @@ def test_cyclic_query_can_fold_into_anonymous_part():
     assert certain_answer(o, a, q, "a")
 
 
+def test_self_loops_map_only_to_loops():
+    o = parse_ontology("A sub B\nA sub some r\n")
+    loop, away = parse_cq("q(x) :- r(x,x)"), parse_cq("q(x) :- A(x), r(y,y)")
+    plain, looped = parse_abox("A(x)\n"), parse_abox("A(x)\nr(x,x)\n")
+    # the anonymous r-successor of x is no loop
+    assert certain_answer(o, plain, loop, "x") is False
+    assert certain_answer(o, plain, away, "x") is False
+    assert contained(o, parse_cq("q(x) :- A(x)"), loop) is False
+    assert certain_answer(o, looped, loop, "x") is True
+    assert certain_answer(o, looped, away, "x") is True
+
+
+def test_disconnected_parts_match_at_any_depth():
+    # C holds only four r-steps below a, deeper than the query has variables
+    o = parse_ontology(
+        "A sub some r . B1\nB1 sub some r . B2\nB2 sub some r . B3\nB3 sub some r . C\n"
+    )
+    a = parse_abox("A(a)\n")
+    assert certain_answer(o, a, parse_cq("q(x) :- A(x), C(y)"), "a") is True
+    assert certain_answer(o, a, parse_cq("q(x) :- A(x), r(y,z), B3(y), C(z)"), "a") is True
+    assert certain_answer(o, a, parse_cq("q(x) :- A(x), r(y,z), C(y)"), "a") is False
+    assert certain_answer(o, a, parse_cq("q(x) :- A(x), D(y)"), "a") is False
+
+
 def test_containment_examples(ex2_ontology, ex2_query, ex2_golden_member):
     assert contained(ex2_ontology, ex2_query, ex2_golden_member)
     assert not contained(ex2_ontology, ex2_golden_member, ex2_query)

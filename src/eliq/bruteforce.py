@@ -18,9 +18,15 @@ Candidates are drawn from ``generalizations_upto``, which builds only the
 bounded-size ELIQs the first positive example answers, bottom-up from its
 universal model, smallest first.  A negative example answers a candidate
 exactly when the candidate is one of the example's generalizations, built
-the same way, so the negatives are tested by set membership.  A candidate
-gets a query and a one-shot context of its own only when it fits every
-example, or, under disjointness, to test its satisfiability.
+the same way, so the negatives are tested by set membership, and so is
+``q ⊑ cand``, against ``q``'s own generalizations.  A candidate gets a
+one-shot context of its own only when it fits every example, to decide
+``cand ⊑ q``, or, under disjointness, to test its satisfiability; both
+verdicts are memoized on ``q``'s context, per answer variable and tree id,
+and are dropped with that context when the context cache evicts it.  So
+``verify_unique`` on ``characterize``'s examples after
+``bruteforce_frontier_check`` of the same query builds no candidate context.
+A candidate becomes a query only when it is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from itertools import combinations
 
 from .engine import ABoxContext, Engine, context_for
 from .errors import EliqError, NotAnEliqError, UnsatisfiableError
-from .frontier_base import Frontier
+from .frontier_base import Frontier, member_fault
 from .model import (
     anchored,
     generalizations_upto,
@@ -38,6 +44,7 @@ from .model import (
     matches,
     respects_functionality,
     tree_ids_upto,
+    tree_to_abox,
     tree_to_cq,
 )
 from .reasoner import require_chaseable
@@ -45,6 +52,9 @@ from .syntax import CQ, Ontology, basic_name, combined_signature, make_cq
 
 # An example: a context and the individual it is labeled at.
 Example = tuple[ABoxContext, str]
+
+# The individual a candidate's one-shot context is rooted at.
+_ROOT = "x0"
 
 
 def query_context(o: Ontology, q: CQ, op: str) -> ABoxContext:
@@ -76,8 +86,15 @@ def first_misfit(
     further positives; with no positives every bounded-size ELIQ is a
     candidate.  A candidate violating functionality folds to an enumerated
     equivalent, and outside the combined dialect every other candidate is
-    satisfiable unless there is disjointness.  ``q ⊑ cand`` is an anchored
-    test into ``q_ctx``; a cyclic ``q`` is matched by backtracking.
+    satisfiable unless there is disjointness.  ``q ⊑ cand`` holds exactly
+    when the candidate is one of ``q``'s generalizations, a set-membership
+    test (that list is the pool itself when the first positive is ``q``'s
+    own ABox).  ``cand ⊑ q``, and under disjointness the candidate's
+    satisfiability, are decided in a one-shot context of the candidate's
+    ABox and memoized on ``q_ctx`` (``trees_contained``,
+    ``trees_satisfiable``) for as long as ``q_ctx`` stays in the context
+    cache, so a second search over ``q`` builds no candidate context.  A
+    cyclic ``q`` is matched by backtracking.
     """
     names, roles = combined_signature(o, q)
     eng = q_ctx.engine
@@ -94,6 +111,9 @@ def first_misfit(
         pool = generalizations_upto(ctx, ind, names, roles, bound)
     else:
         pool = tree_ids_upto(names, roles, bound)
+    q_generalizations = set(generalizations_upto(q_ctx, q.answer_var, names, roles, bound))
+    satisfiable = q_ctx.trees_satisfiable
+    in_q = q_ctx.trees_contained  # (answer variable, tid) -> cand ⊑ q
     checked = 0
     for tid in pool:
         if not respects_functionality(eng, tid):
@@ -102,27 +122,32 @@ def first_misfit(
             continue
         cand_ctx = None
         if eng.disjoint:
-            cand, cand_ctx = _candidate(eng, tid)
-            if not cand_ctx.satisfiable():
+            if tid not in satisfiable:
+                cand_ctx = _candidate_context(eng, tid)
+                satisfiable[tid] = cand_ctx.satisfiable()
+            if not satisfiable[tid]:
                 continue
         checked += 1
         if tid in answered_by_negative:
             continue
-        if cand_ctx is None:
-            cand, cand_ctx = _candidate(eng, tid)
-        if q_tid is None:
-            in_q = matches(cand_ctx, q, cand.answer_var)
-        else:
-            in_q = anchored(cand_ctx, q_tid, cand.answer_var, len(q.variables()))
-        if not (in_q and anchored(q_ctx, tid, q.answer_var, bound)):
-            return cand, checked
+        if tid not in q_generalizations:
+            return tree_to_cq(tid), checked
+        key = (q.answer_var, tid)
+        if key not in in_q:
+            if cand_ctx is None:
+                cand_ctx = _candidate_context(eng, tid)
+            if q_tid is None:
+                in_q[key] = matches(cand_ctx, q, _ROOT)
+            else:
+                in_q[key] = anchored(cand_ctx, q_tid, _ROOT, len(q.variables()))
+        if not in_q[key]:
+            return tree_to_cq(tid), checked
     return None, checked
 
 
-def _candidate(eng: Engine, tid: int) -> tuple[CQ, ABoxContext]:
-    """A candidate's query and its one-shot context, kept out of the cache."""
-    cand = tree_to_cq(tid)
-    return cand, ABoxContext(eng, cand.to_abox())
+def _candidate_context(eng: Engine, tid: int) -> ABoxContext:
+    """A candidate's one-shot context, rooted at ``_ROOT``, kept out of the cache."""
+    return ABoxContext(eng, tree_to_abox(tid, _ROOT))
 
 
 @dataclass(frozen=True)
@@ -138,8 +163,9 @@ def bruteforce_frontier_check(
 ) -> FrontierCheck:
     """Exhaustively check the frontier conditions up to ``bound`` variables.
 
-    First validates the two member conditions (each member strictly
-    generalizes ``q``).  Then it searches, with ``first_misfit``, the ELIQs
+    First validates each member with ``member_fault``: it is satisfiable and
+    strictly generalizes ``q``, and the reason of the first fault found
+    names it.  Then it searches, with ``first_misfit``, the ELIQs
     over the combined signature with at most ``bound`` variables that ``q``
     is contained in, for the first, smallest one that is satisfiable w.r.t.
     ``o``, not contained in ``q`` and contains no member; a counterexample is
@@ -150,15 +176,13 @@ def bruteforce_frontier_check(
     if bound < 1:
         raise ValueError("bound must be at least 1")
     members = list(f.members) if isinstance(f, Frontier) else list(f)
-    q_tid = intern_cq(q)
     q_ctx = query_context(o, q, "bruteforce_frontier_check")
     member_ctxs = [context_for(o, m.to_abox()) for m in members]
 
     for m, mc in zip(members, member_ctxs):
-        if not anchored(q_ctx, intern_cq(m), q.answer_var, len(m.variables())):
-            return FrontierCheck(False, m, 0, "member violates Condition 1")
-        if anchored(mc, q_tid, m.answer_var, len(q.variables())):
-            return FrontierCheck(False, m, 0, "member violates Condition 2")
+        fault = member_fault(q, q_ctx, m, mc)
+        if fault is not None:
+            return FrontierCheck(False, m, 0, fault)
 
     # every candidate generalizes q, so "not equivalent" is "not contained in q"
     negatives = [(mc, m.answer_var) for m, mc in zip(members, member_ctxs)]

@@ -30,7 +30,11 @@ one functional role make an ABox unsatisfiable.
 ``context_for`` caches contexts in a least-recently-used table of
 ``_CONTEXT_CAP`` entries.  The oracles build their candidates' contexts
 directly, one-shot, so that candidates do not push the contexts of the query
-and of the frontier members out of the table.
+and of the frontier members out of the table.  What a candidate's context
+decides is kept instead on the context of the query's ABox, as ints and
+bools (``trees_contained``, ``trees_satisfiable``), so a second search over
+one query builds no candidate context, and the verdicts leave the table with
+that context.
 """
 
 from __future__ import annotations
@@ -385,6 +389,11 @@ class ABoxContext:
         self.hom_memos: dict[int, dict] = {}
         # (anchor, names, roles, bound) -> model.generalizations_upto's result
         self.generalizations: dict[tuple, list[int]] = {}
+        # Verdicts of bruteforce.first_misfit on the query whose ABox this is:
+        # (answer variable, interned tree id) -> the tree is contained in the
+        # query answering there, and tree id -> the tree is satisfiable.
+        self.trees_contained: dict[tuple[str, int], bool] = {}
+        self.trees_satisfiable: dict[int, bool] = {}
 
     @staticmethod
     def _sup_and_inv(engine: Engine, k: RKey) -> tuple[frozenset, frozenset]:

@@ -30,6 +30,7 @@ from typing import Callable
 
 from .engine import ABoxContext, RKey, context_for, role_of
 from .errors import UnsatisfiableError, UnsupportedDialectError
+from .model import matches
 from .normalform import is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
@@ -374,15 +375,38 @@ def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
     return out
 
 
+def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ, m_ctx: ABoxContext) -> str | None:
+    """Why ``m`` is no frontier member of ``q``: it is unsatisfiable, ``q`` is
+    not contained in it (Condition 1), or it is contained in ``q`` (Condition
+    2, which an unsatisfiable member violates too); None if it is a member.
+
+    ``q_ctx`` and ``m_ctx`` are the contexts of the two queries' ABoxes, and
+    ``q`` must be satisfiable.  Decided with one homomorphism test each way."""
+    if not m_ctx.satisfiable():
+        return "member is unsatisfiable"
+    if not matches(q_ctx, m, q.answer_var):
+        return "member violates Condition 1"
+    if matches(m_ctx, q, m.answer_var):
+        return "member violates Condition 2"
+    return None
+
+
+# How the constructions' self-check words each fault of ``member_fault``.
+_SELF_CHECK = {
+    "member is unsatisfiable": "construction produced an unsatisfiable member",
+    "member violates Condition 1": "member violates Condition 1 (q not contained)",
+    "member violates Condition 2": "member violates Condition 2 (member refines q)",
+}
+
+
 def check_conditions(o: Ontology, q: CQ, members: list[CQ], op: str) -> None:
-    """Machine-check Conditions 1 and 2 of the frontier definition."""
+    """Machine-check Conditions 1 and 2 of the frontier definition, and that
+    every member is satisfiable."""
+    q_ctx = context_for(o, q.to_abox())
     for m in members:
-        if not query_satisfiable(o, m):
-            raise AssertionError(f"{op}: construction produced an unsatisfiable member: {m}")
-        if not contained(o, q, m):
-            raise AssertionError(f"{op}: member violates Condition 1 (q not contained): {m}")
-        if contained(o, m, q):
-            raise AssertionError(f"{op}: member violates Condition 2 (member refines q): {m}")
+        fault = member_fault(q, q_ctx, m, context_for(o, m.to_abox()))
+        if fault is not None:
+            raise AssertionError(f"{op}: {_SELF_CHECK[fault]}: {m}")
 
 
 def size_ceiling_ok(q: CQ, o: Ontology, members: list[CQ]) -> bool:

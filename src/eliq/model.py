@@ -90,7 +90,7 @@ def intern_cq(q: CQ) -> int:
     return ids[q.answer_var]
 
 
-def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
+def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[str, str, str]]]:
     concept_atoms: set[tuple[str, str]] = set()
     role_atoms: set[tuple[str, str, str]] = set()
     counter = [0]
@@ -104,8 +104,21 @@ def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
             role_atoms.add((rname, w, v) if inv else (rname, v, w))
             build(child, w)
 
-    build(tid, answer_var)
+    build(tid, root)
+    return concept_atoms, role_atoms
+
+
+def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
+    concept_atoms, role_atoms = _tree_atoms(tid, answer_var)
     return CQ(answer_var, frozenset(concept_atoms), frozenset(role_atoms))
+
+
+def tree_to_abox(tid: int, root: str = "x0") -> ABox:
+    """``tree_to_cq(tid, root).to_abox()``, without building the query."""
+    concept_atoms, role_atoms = _tree_atoms(tid, root)
+    if not concept_atoms and not role_atoms:
+        concept_atoms.add(("top", root))
+    return ABox(frozenset(concept_atoms), frozenset(role_atoms))
 
 
 def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[RKey]]:

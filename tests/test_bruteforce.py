@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from eliq import (
 from eliq.bruteforce import ConjunctiveOntology, fixture, thm10_qstar
 from eliq.characterize import UniquenessVerdict
 from eliq.errors import EliqError
+from eliq.frontier_base import check_conditions
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.engine import context_for, engine_for, rinv
 from eliq.model import (
@@ -70,6 +72,30 @@ def test_query_itself_is_not_a_frontier():
     assert not result.ok
     assert result.counterexample == q
     assert "Condition 2" in result.reason
+
+
+def test_unsatisfiable_member_is_rejected():
+    # Two r-successors under func r: every query contains this member, so it
+    # violates Condition 2, and no later search may accept it.
+    o = parse_ontology("func r\n")
+    q = parse_cq("q(x) :- r(x,y), A(y)")
+    bad = parse_cq("q(x) :- r(x,y1), r(x,y2)")
+    result = bruteforce_frontier_check(o, q, list(frontier_f(o, q).members) + [bad], 4)
+    assert result == bruteforce_mod.FrontierCheck(False, bad, 0, "member is unsatisfiable")
+
+
+def test_construction_self_check_names_each_fault():
+    o = parse_ontology("func r\n")
+    q = parse_cq("q(x) :- r(x,y), A(y)")
+    for member, message in (
+        ("q(x) :- r(x,y1), r(x,y2)", "construction produced an unsatisfiable member"),
+        ("q(x) :- B(x)", "member violates Condition 1 (q not contained)"),
+        ("q(x) :- r(x,y), A(y)", "member violates Condition 2 (member refines q)"),
+    ):
+        m = parse_cq(member)
+        with pytest.raises(AssertionError, match=rf"^op: {re.escape(message)}: "):
+            check_conditions(o, q, [m], "op")
+    check_conditions(o, q, list(frontier_f(o, q).members), "op")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from eliq import cli, parse_cq
 from eliq.cli import main
+from eliq.frontier_base import Frontier
 
 EX1 = "A sub some r\nsome r sub A\nr rsub s\n"
 EX1_Q = "q(x0) :- A(x0), B(x0)\n"
@@ -153,6 +155,24 @@ def test_verify_unique(files, capsys):
         ["verify", "unique", "-o", write("o.dlo", ""), "-q", write("q.cq", "q(x0) :- A(x0)\n"), "--bound", "2"]
     )
     assert code == 0
+
+
+def test_verify_frontier_rejects_an_unsatisfiable_member(files, capsys, monkeypatch):
+    write, _ = files
+    build = cli.frontier_f
+
+    def with_unsatisfiable_member(o, q):
+        found = build(o, q)
+        bad = parse_cq("q(x) :- r(x,y1), r(x,y2)")
+        return Frontier(found.members + (bad,), found.source_query, found.source_ontology)
+
+    monkeypatch.setattr(cli, "frontier_f", with_unsatisfiable_member)
+    code = main(
+        ["verify", "frontier", "-o", write("o.dlo", "func r\n"), "-q", write("q.cq", "q(x) :- r(x,y), A(y)\n"),
+         "--dialect", "f"]
+    )
+    assert code == 1
+    assert capsys.readouterr().out == "counterexample: q(x) :- r(x,y1), r(x,y2)\n"
 
 
 @pytest.mark.parametrize("what", ["frontier", "unique"])

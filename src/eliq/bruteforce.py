@@ -25,7 +25,8 @@ one-shot context of its own only when it fits every example, to decide
 verdicts are memoized on ``q``'s context, per answer variable and tree id,
 and are dropped with that context when the context cache evicts it.  So
 ``verify_unique`` on ``characterize``'s examples after
-``bruteforce_frontier_check`` of the same query builds no candidate context.
+``bruteforce_frontier_check`` of the same query, in one process, builds no
+candidate context; a single search gains only from the membership tests.
 A candidate becomes a query only when it is returned.
 """
 

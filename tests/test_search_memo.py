@@ -44,13 +44,13 @@ def _cold(fn, *args) -> tuple:
 def candidate_contexts(monkeypatch):
     """Counts the one-shot candidate contexts the search builds."""
     built = []
-    real = bruteforce_mod.tree_to_abox
+    real = bruteforce_mod._candidate_context
 
-    def counting(tid, root):
+    def counting(eng, tid):
         built.append(tid)
-        return real(tid, root)
+        return real(eng, tid)
 
-    monkeypatch.setattr(bruteforce_mod, "tree_to_abox", counting)
+    monkeypatch.setattr(bruteforce_mod, "_candidate_context", counting)
     return built
 
 

@@ -119,7 +119,7 @@ def first_misfit(
     for tid in pool:
         if not respects_functionality(eng, tid):
             continue
-        if not all(anchored(ctx, tid, ind, bound) for ctx, ind in positives):
+        if not all(anchored(ctx, tid, ind) for ctx, ind in positives):
             continue
         cand_ctx = None
         if eng.disjoint:
@@ -140,7 +140,7 @@ def first_misfit(
             if q_tid is None:
                 in_q[key] = matches(cand_ctx, q, _ROOT)
             else:
-                in_q[key] = anchored(cand_ctx, q_tid, _ROOT, len(q.variables()))
+                in_q[key] = anchored(cand_ctx, q_tid, _ROOT)
         if not in_q[key]:
             return tree_to_cq(tid), checked
     return None, checked

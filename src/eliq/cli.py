@@ -231,6 +231,7 @@ def _dispatch(args) -> int:
                 print(f"ok ({result.candidates_checked} generalizations covered)")
                 return 0
             print(f"counterexample: {serialize_cq(result.counterexample)}")
+            print(f"reason: {result.reason}")
             return 1
         examples = characterize(o, q)
         verdict = verify_unique(o, q, examples, max(args.bound, len(q.variables())))

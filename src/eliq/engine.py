@@ -39,8 +39,6 @@ that context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .normalform import normalize
 from .syntax import ABox, BasicConcept, Ontology, Role
 
@@ -80,8 +78,7 @@ class Engine:
         self.o = normalize(o)[0]
         self.functional: frozenset[RKey] = frozenset(rkey(r) for r in self.o.functional)
 
-        names, roles = self.o.signature()
-        self.names = frozenset(names)
+        roles = self.o.signature()[1]
         self.original_names = frozenset(o.signature()[0])
         self.role_keys: frozenset[RKey] = frozenset(
             (r, inv) for r in roles for inv in (False, True)
@@ -261,6 +258,13 @@ class Engine:
         self._childfrom_cache[(facts, inc)] = out
         return out
 
+    def maximal_witnesses(self, pairs: list[tuple[RKey, frozenset]]) -> list[tuple[RKey, frozenset]]:
+        """The (role, seed) witnesses among ``pairs`` whose maximal
+        concept-name set is not strictly contained in that of another
+        witness along the same role, in their given order."""
+        named = [(rk, w, self.names_of(self.type_facts((w, rk)))) for rk, w in pairs]
+        return [(rk, w) for rk, w, m in named if not any(rk2 == rk and m < m2 for rk2, _, m2 in named)]
+
     def _stabilize(self, key: TypeKey) -> None:
         pending = [key]
         while pending:
@@ -348,13 +352,6 @@ class Engine:
         return any(k1 in facts and k2 in facts for k1, k2 in self.cdisj_keys)
 
 
-@dataclass
-class _FiredChild:
-    role: RKey
-    seed: frozenset  # seed concept names of the witness
-    blocked: bool
-
-
 class ABoxContext:
     """Closure of an ABox under an Engine's ontology."""
 
@@ -382,11 +379,11 @@ class ABoxContext:
                     else:
                         succ.add(y)
         self.facts = self._closed_facts()
-        self._fired: dict[str, list[_FiredChild]] = {}
+        self._fired: dict[str, list[tuple[RKey, frozenset]]] = {}
         self._sat: bool | None = None
-        # depth cap -> {(interned tree id, model node): homomorphism exists};
-        # filled by model.anchored.
-        self.hom_memos: dict[int, dict] = {}
+        # (interned tree id, model node) -> homomorphism exists; filled by
+        # model.anchored.
+        self.hom_memo: dict[tuple, bool] = {}
         # (anchor, names, roles, bound) -> model.generalizations_upto's result
         self.generalizations: dict[tuple, list[int]] = {}
         # Verdicts of bruteforce.first_misfit on the query whose ABox this is:
@@ -445,22 +442,25 @@ class ABoxContext:
                                 changed = True
         return cur
 
-    def fired_children(self, a: str) -> list[_FiredChild]:
+    def fired_children(self, a: str) -> list[tuple[RKey, frozenset]]:
+        """The anonymous witnesses below individual ``a``: (role, seed names)
+        pairs, as ``Engine.type_children`` gives them below a witness.  A
+        witness is left out when an asserted successor already serves as it:
+        any successor along a functional role, which the single witness
+        merges into, or one carrying the witness's seed names."""
         hit = self._fired.get(a)
         if hit is not None:
             return hit
         eng = self.engine
         out = []
         for rk, w in eng._children_from(self.facts[a], None):
+            succ = self.successors.get((a, rk), ())
             if rk in eng.functional:
-                # The (single) witness merges into any asserted successor.
-                blocked = bool(self.successors.get((a, rk)))
+                blocked = bool(succ)
             else:
-                blocked = any(
-                    w <= eng.names_of(self.facts[b])
-                    for b in self.successors.get((a, rk), ())
-                )
-            out.append(_FiredChild(rk, w, blocked))
+                blocked = any(w <= eng.names_of(self.facts[b]) for b in succ)
+            if not blocked:
+                out.append((rk, w))
         self._fired[a] = out
         return out
 
@@ -488,8 +488,8 @@ class ABoxContext:
                 if r1 in roles and r2 in roles:
                     return False
         for a in self.individuals:
-            for child in self.fired_children(a):
-                if not child.blocked and eng.type_unsat((child.seed, child.role)):
+            for rk, w in self.fired_children(a):
+                if eng.type_unsat((w, rk)):
                     return False
         return True
 

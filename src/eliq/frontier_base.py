@@ -42,6 +42,7 @@ from .syntax import (
     Role,
     concept_conjuncts,
     dialect_of,
+    exists_roles,
     make_cq,
     restrict,
     subquery_at,
@@ -508,7 +509,7 @@ def reject_unsupported(o: Ontology, allowed, op: str) -> None:
         # Name every offending inclusion / functionality pair for diagnostics.
         offending = []
         for lhs, rhs in o.concept_inclusions:
-            bad = _offending_exists(rhs, o)
+            bad = next((r for r in exists_roles(rhs) if r.inverse() in o.functional), None)
             if bad is not None:
                 offending.append(
                     {"concept_inclusion": f"{lhs} sub {rhs}", "functional": f"func {bad.inverse()}"}
@@ -525,18 +526,3 @@ def reject_unsupported(o: Ontology, allowed, op: str) -> None:
     raise UnsupportedDialectError(
         "unsupported_dialect", f"{op}: unsupported ontology dialect {d.value}"
     )
-
-
-def _offending_exists(c: ELIConcept, o: Ontology):
-    if c.kind == "exists":
-        if c.role is None:
-            raise AssertionError(f"existential without a role: {c}")
-        if c.role.inverse() in o.functional:
-            return c.role
-        return _offending_exists(c.filler, o)  # type: ignore[arg-type]
-    if c.kind == "and":
-        for p in c.parts:
-            bad = _offending_exists(p, o)
-            if bad is not None:
-                return bad
-    return None

@@ -50,20 +50,13 @@ _F_DIALECTS = frozenset({Dialect.CORE, Dialect.F_RESTRICTED})
 
 def _f_nudges(prep: Prepared, v: str) -> list[tuple[RKey, frozenset[str]]]:
     """Unwitnessed entailed successors of original variable v, as pairs
-    (role, maximal concept-name set of the witness)."""
+    (role, maximal concept-name set of the witness), keeping only the
+    maximal sets per role."""
     eng = prep.ctx.engine
-    out = []
-    for child in prep.ctx.fired_children(v):
-        if child.blocked:
-            continue
-        m = eng.names_of(eng.type_facts((child.seed, child.role)))
-        out.append((child.role, m))
-    # Keep only maximal label sets per role.
-    kept = []
-    for rk, m in out:
-        if not any(rk2 == rk and m < m2 for rk2, m2 in out):
-            if (rk, m) not in kept:
-                kept.append((rk, m))
+    kept = {
+        (rk, eng.names_of(eng.type_facts((w, rk))))
+        for rk, w in eng.maximal_witnesses(prep.ctx.fired_children(v))
+    }
     return sorted(kept, key=lambda p: (p[0], sorted(p[1])))
 
 

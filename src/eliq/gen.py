@@ -21,6 +21,7 @@ from .syntax import (
     basic_name,
     conj,
     exists,
+    exists_roles,
     make_cq,
 )
 
@@ -102,18 +103,7 @@ def random_ontology(
 
 def _restrict_functional(o: Ontology) -> Ontology:
     """Drop functionality assertions that would break the F-restriction."""
-
-    def offenders(c: ELIConcept, acc: set[Role]) -> None:
-        if c.kind == "exists":
-            acc.add(c.role.inverse())  # type: ignore[union-attr]
-            offenders(c.filler, acc)  # type: ignore[arg-type]
-        elif c.kind == "and":
-            for p in c.parts:
-                offenders(p, acc)
-
-    banned: set[Role] = set()
-    for _, rhs in o.concept_inclusions:
-        offenders(rhs, banned)
+    banned = {r.inverse() for _, rhs in o.concept_inclusions for r in exists_roles(rhs)}
     return Ontology(
         o.concept_inclusions,
         o.role_inclusions,

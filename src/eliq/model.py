@@ -5,32 +5,30 @@ the closed ABox plus trees of anonymous *trace* nodes hanging below
 individuals.  Certain answers coincide with homomorphic matches into this
 model, so all containment checks reduce to anchored homomorphism tests.
 
-Two access paths are provided:
-
-* ``universal_prefix`` materializes every trace of length up to a requested
-  depth into an inspectable ``UniversalModelPrefix`` (also serializable to
-  JSON for diagnostics);
-* ``_PrefixWindow`` expands trace nodes lazily during homomorphism search so
-  that deep prefixes are never built unless a match actually explores them.
+``_PrefixWindow`` is the one expansion of that model: it expands trace nodes
+lazily, with no depth bound, so that deep traces are never built unless a
+search explores them.  A tree-shaped query of n variables anchored at an
+individual never reaches trace depth n, so its search stays finite.
+``universal_prefix`` walks the same window breadth first to materialize the
+traces up to a requested depth into an inspectable ``UniversalModelPrefix``
+(also serializable to JSON for diagnostics).
 
 Tree-shaped queries are interned into a global subtree pool and matched with
-a feasibility DP memoized per (subtree, model node), so repeated checks of
-structurally overlapping queries against one ABox reuse each other's work.
-``generalizations_upto`` runs that feasibility test the other way round: it
-builds, smallest first, every bounded-size tree that maps into the model at
-an anchor, which is how the oracles obtain a query's generalizations, and
-``tree_ids_upto`` obtains every bounded-size tree the same way, from a model
-that every tree maps to.  Queries with cycles fall back to plain
-backtracking over the same lazy node space with no depth cap (cyclic
-queries can fold onto anonymous tree parts, so they are *not* restricted to
-ABox individuals, and parts the answer variable does not reach can match at
-any depth).
+a feasibility DP memoized per (subtree, model node) on the context, so
+repeated checks of structurally overlapping queries against one ABox reuse
+each other's work.  ``generalizations_upto`` runs that feasibility test the
+other way round: it builds, smallest first, every bounded-size tree that maps
+into the model at an anchor, which is how the oracles obtain a query's
+generalizations, and ``tree_ids_upto`` obtains every bounded-size tree the
+same way, from a model that every tree maps to.  Queries with cycles fall
+back to plain backtracking over the same window (cyclic queries can fold
+onto anonymous tree parts, so they are *not* restricted to ABox individuals,
+and parts the answer variable does not reach can match at any depth).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -174,7 +172,7 @@ def generalizations_upto(
     if done is not None:
         return done
     labels, edges = _alphabet(names, roles)
-    win = _PrefixWindow(ctx, bound)
+    win = _PrefixWindow(ctx)
     memo: dict[tuple, list[int]] = {}
 
     def fitting(node, size: int) -> list[int]:
@@ -261,10 +259,9 @@ def respects_functionality(eng: Engine, tid: int, inc: RKey | None = None) -> bo
 
 
 class _PrefixWindow:
-    def __init__(self, ctx: ABoxContext, depth_cap: float):
+    def __init__(self, ctx: ABoxContext):
         self.ctx = ctx
         self.eng = ctx.engine
-        self.cap = depth_cap
         self._children: dict = {}
         self._starts: dict[int, list] = {}
 
@@ -279,17 +276,13 @@ class _PrefixWindow:
         hit = self._children.get(node)
         if hit is not None:
             return hit
-        out: list[tuple[RKey, tuple]] = []
         if isinstance(node, str):
-            for child in self.ctx.fired_children(node):
-                if not child.blocked:
-                    out.append((child.role, ("t", node, ((child.role, child.seed),))))
+            base, path, pairs = node, (), self.ctx.fired_children(node)
         else:
             _, base, path = node
-            if len(path) < self.cap:
-                rk, seed = path[-1]
-                for crk, cw in self.eng.type_children((seed, rk)):
-                    out.append((crk, ("t", base, path + ((crk, cw),))))
+            rk, seed = path[-1]
+            pairs = self.eng.type_children((seed, rk))
+        out = [(crk, ("t", base, path + ((crk, cw),))) for crk, cw in pairs]
         self._children[node] = out
         return out
 
@@ -338,7 +331,6 @@ def _tree_feasible(win: _PrefixWindow, memo: dict, tid: int, node) -> bool:
     labels, children = tree_struct(tid)
     ok = labels <= win.names(node)
     if ok:
-        memo[key] = False  # cycle guard; trees cannot recurse, but be safe
         for rk, child_tid in children:
             if not any(
                 _tree_feasible(win, memo, child_tid, m) for m in win.neighbors(node, rk)
@@ -400,12 +392,10 @@ def _bfs_order(q: CQ, adj: dict) -> list[str]:
     return order
 
 
-def anchored(ctx: ABoxContext, tid: int, anchor: str, cap: int) -> bool:
-    """Anchored homomorphism test for an interned tree, over the model prefix
-    of depth ``cap``; memoized per (subtree, model node) on the context."""
-    win = _PrefixWindow(ctx, cap)
-    memo = ctx.hom_memos.setdefault(cap, {})
-    return _tree_feasible(win, memo, tid, anchor)
+def anchored(ctx: ABoxContext, tid: int, anchor: str) -> bool:
+    """Anchored homomorphism test for an interned tree; memoized per
+    (subtree, model node) on the context."""
+    return _tree_feasible(_PrefixWindow(ctx), ctx.hom_memo, tid, anchor)
 
 
 def matches(ctx: ABoxContext, q: CQ, anchor: str) -> bool:
@@ -413,15 +403,13 @@ def matches(ctx: ABoxContext, q: CQ, anchor: str) -> bool:
     try:
         tid = intern_cq(q)
     except NotAnEliqError:
-        # Backtracking, in a window with no depth cap: a part of q that the
-        # answer variable does not reach can match at any depth.
-        win = _PrefixWindow(ctx, math.inf)
+        win = _PrefixWindow(ctx)
         adj = adjacency(q)
         labels = concept_index(q)
         if not _fits(win, adj, labels, q.answer_var, anchor):
             return False
         return _backtrack(win, adj, labels, {q.answer_var: anchor}, _bfs_order(q, adj), 1)
-    return anchored(ctx, tid, anchor, len(q.variables()))
+    return anchored(ctx, tid, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +460,10 @@ class UniversalModelPrefix:
 
 
 def build_prefix(ctx: ABoxContext, depth: int) -> UniversalModelPrefix:
+    """The traces of length at most ``depth``, walked breadth first over the
+    prefix window.  With functional roles, traces are labelled with their
+    maximal concept-name sets instead of their seeds, and a witness is left
+    out when a sibling along the same role has a strictly larger set."""
     eng = ctx.engine
     closed_concepts = set()
     for a in ctx.individuals:
@@ -487,60 +479,28 @@ def build_prefix(ctx: ABoxContext, depth: int) -> UniversalModelPrefix:
     labels: dict[str, frozenset[str]] = {a: ctx.names_at(a) for a in ctx.individuals}
     edges: set[tuple[str, str, str]] = set(closed_roles)
     traces: list[Trace] = []
-
-    def trace_label(rk: RKey, seed: frozenset) -> frozenset[str]:
-        if eng.functional:
-            # DL-Lite_F labels are the maximal concept-name sets.
-            return eng.names_of(eng.type_facts((seed, rk)))
-        return seed
-
-    def node_id(origin: str, path) -> str:
-        return str(Trace(origin, tuple(path)))
-
-    frontier: list[tuple[str, tuple, RKey, frozenset]] = []
-
-    def push(origin, path, parent_id, rk, seed):
-        label = trace_label(rk, seed)
-        new_path = path + ((role_of(rk), label),)
-        t = Trace(origin, new_path)
-        traces.append(t)
-        tid = str(t)
-        labels[tid] = eng.names_of(eng.type_facts((seed, rk)))
-        for s in eng.superroles(rk):
-            rname, inv = s
-            edges.add((rname, tid, parent_id) if inv else (rname, parent_id, tid))
-        frontier.append((origin, new_path, rk, seed))
-
-    def dedup_maximal(children):
-        if not eng.functional:
-            return children
-        out = []
-        for rk, seed in children:
-            m = eng.names_of(eng.type_facts((seed, rk)))
-            dominated = False
-            for rk2, seed2 in children:
-                if rk2 == rk and seed2 != seed:
-                    m2 = eng.names_of(eng.type_facts((seed2, rk2)))
-                    if m < m2:
-                        dominated = True
-                        break
-            if not dominated and (rk, seed) not in [(r, s) for r, s in out]:
-                out.append((rk, seed))
-        return out
-
-    if depth >= 1:
-        for a in ctx.individuals:
-            kids = [
-                (c.role, c.seed) for c in ctx.fired_children(a) if not c.blocked
-            ]
-            for rk, seed in dedup_maximal(kids):
-                push(a, (), a, rk, seed)
-    for _ in range(depth - 1):
-        prev, frontier = frontier, []
-        for origin, path, rk, seed in prev:
-            parent_id = node_id(origin, path)
-            for crk, cw in dedup_maximal(eng.type_children((seed, rk))):
-                push(origin, path, parent_id, crk, cw)
+    win = _PrefixWindow(ctx)
+    trace_of = {a: Trace(a, ()) for a in ctx.individuals}  # window node -> its trace
+    level = list(ctx.individuals)
+    for _ in range(depth):
+        prev, level = level, []
+        for node in prev:
+            kids = win.children(node)
+            if eng.functional:
+                keep = eng.maximal_witnesses([child[2][-1] for _, child in kids])
+                kids = [(rk, child) for rk, child in kids if child[2][-1] in keep]
+            parent = trace_of[node]
+            parent_id = str(parent)
+            for rk, child in kids:
+                names = win.names(child)
+                label = names if eng.functional else child[2][-1][1]
+                t = trace_of[child] = Trace(parent.origin, parent.steps + ((role_of(rk), label),))
+                traces.append(t)
+                node_id = str(t)
+                labels[node_id] = names
+                for rname, inv in eng.superroles(rk):
+                    edges.add((rname, node_id, parent_id) if inv else (rname, parent_id, node_id))
+                level.append(child)
 
     return UniversalModelPrefix(
         base,

@@ -118,10 +118,9 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
 
     Vacuously true when the ABox is unsatisfiable.  Otherwise decided by an
     anchored homomorphism search into the universal model, expanded lazily.
-    An ELIQ is matched to trace depth ``|var(q)|`` (sufficient: its image
-    stays within that distance of the anchor, and trace regions are trees);
-    a query with cycles or disconnected parts is backtracked with no depth
-    cap.
+    An ELIQ's image stays within ``|var(q)| - 1`` trace levels of the anchor,
+    so its search is finite; a query with cycles or disconnected parts is
+    backtracked.
     """
     require_chaseable(o, "certain_answer")
     ctx = context_for(o, a)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import NotAnEliqError
 
@@ -252,19 +252,21 @@ def dialect_of(o: Ontology) -> Dialect:
         return Dialect.R
     if not has_func:
         return Dialect.CORE
+    if any(r.inverse() in o.functional for _, rhs in o.concept_inclusions for r in exists_roles(rhs)):
+        return Dialect.F
+    return Dialect.F_RESTRICTED
 
-    def restricted(c: ELIConcept) -> bool:
+
+def exists_roles(c: ELIConcept) -> Iterator[Role]:
+    """The role of every existential in ``c``, in pre-order."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
         if c.kind == "exists":
-            if c.role.inverse() in o.functional:  # type: ignore[union-attr]
-                return False
-            return restricted(c.filler)  # type: ignore[arg-type]
-        if c.kind == "and":
-            return all(restricted(p) for p in c.parts)
-        return True
-
-    if all(restricted(rhs) for _, rhs in o.concept_inclusions):
-        return Dialect.F_RESTRICTED
-    return Dialect.F
+            yield c.role  # type: ignore[misc]
+            stack.append(c.filler)  # type: ignore[arg-type]
+        elif c.kind == "and":
+            stack.extend(reversed(c.parts))
 
 
 # ---------------------------------------------------------------------------

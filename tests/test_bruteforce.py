@@ -106,7 +106,7 @@ def test_construction_self_check_names_each_fault():
 def _enumerate_and_filter(ctx, anchor, names, roles, bound):
     """Reference for ``generalizations_upto``: every bounded-size tree, kept
     when it maps into the model at ``anchor``."""
-    return [t for t in reference_tree_ids(names, roles, bound) if anchored(ctx, t, anchor, bound)]
+    return [t for t in reference_tree_ids(names, roles, bound) if anchored(ctx, t, anchor)]
 
 
 def _random_instances(seed, dialect, n):

@@ -172,7 +172,9 @@ def test_verify_frontier_rejects_an_unsatisfiable_member(files, capsys, monkeypa
          "--dialect", "f"]
     )
     assert code == 1
-    assert capsys.readouterr().out == "counterexample: q(x) :- r(x,y1), r(x,y2)\n"
+    assert capsys.readouterr().out == (
+        "counterexample: q(x) :- r(x,y1), r(x,y2)\nreason: member is unsatisfiable\n"
+    )
 
 
 @pytest.mark.parametrize("what", ["frontier", "unique"])

@@ -40,6 +40,21 @@ def test_unrestricted_functionality_rejected(thm4_ontology):
     assert {"concept_inclusion": "some r- sub some r", "functional": "func r-"} in offending
 
 
+def test_rejection_names_the_first_offender_of_each_inclusion():
+    # the first existential in pre-order whose inverse is functional
+    o = parse_ontology("A sub some r . (some s- . B & some t . C)\nB sub some t . some s- . A\nfunc s\nfunc t-\n")
+    with pytest.raises(UnsupportedDialectError) as err:
+        frontier_f(o, parse_cq("q(x) :- A(x)"))
+    assert str(err.value) == (
+        "frontier_f: functionality ontology is not restricted; no finite frontier is guaranteed "
+        "(A sub some r . (some s- . B & some t . C) with func s; B sub some t . some s- . A with func t-)"
+    )
+    assert err.value.details == {"offending": [
+        {"concept_inclusion": "A sub some r . (some s- . B & some t . C)", "functional": "func s"},
+        {"concept_inclusion": "B sub some t . some s- . A", "functional": "func t-"},
+    ]}
+
+
 def test_generalize_functional_edge_keeps_single_child(ex3_ontology, ex3_query):
     q = minimize_eliq(ex3_ontology, ex3_query)
     f0_z = generalize(ex3_ontology, q, "z")

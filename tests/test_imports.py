@@ -1,9 +1,10 @@
 """Import hygiene of the package modules, checked with ``ast``.
 
 Every module-level imported name must be used in its module, and no module
-may import another module's private (``_``-prefixed) names.  The package
-``__init__`` is exempt: it re-exports names it never uses itself.  No module
-uses an ``assert`` statement, which ``python -O`` strips.
+may import another module's private (``_``-prefixed) names or read a private
+attribute that it does not define itself.  The package ``__init__`` is
+exempt: it re-exports names it never uses itself.  No module uses an
+``assert`` statement, which ``python -O`` strips.
 """
 
 import ast
@@ -70,6 +71,33 @@ def test_no_private_relative_imports(path):
         if alias.name.startswith("_") and alias.name != "__version__"
     ]
     assert not private, "private names imported across modules: " + ", ".join(private)
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every name the module defines: its functions, classes and methods,
+    the names it assigns and the attributes it assigns."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            out.add(n.attr)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_attributes(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = _defined_names(tree)
+    foreign = [
+        f"{path.name}:{n.lineno} .{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and n.attr.startswith("_") and not n.attr.startswith("__") and n.attr not in defined
+    ]
+    assert not foreign, "private attributes defined in another module: " + ", ".join(foreign)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -407,7 +407,7 @@ def test_minimal_injective_hom_property(ex1_ontology):
         on, _ = normalize(o)
         q = minimize_eliq(on, random_satisfiable_eliq(rng, on, ["A", "B"], ["r"], 3))
         ctx = context_for(on, q.to_abox())
-        win = _PrefixWindow(ctx, len(q.variables()))
+        win = _PrefixWindow(ctx)
         for h in _all_homs(win, q, q.answer_var):
             assert set(q.variables()) <= set(h.values())
             checked += 1
@@ -430,7 +430,7 @@ def _all_homs(win, q, anchor):
                 found = set(win.neighbors(assignment[w], (role.name, not role.inverted)))
                 candidates = found if candidates is None else candidates & found
         if candidates is None:
-            candidates = {anchor} if v == q.answer_var else set(win.all_nodes_upto(len(order)))
+            candidates = {anchor} if v == q.answer_var else set(win.start_nodes(len(order)))
         if v == q.answer_var:
             candidates &= {anchor}
         for m in candidates:
@@ -519,23 +519,81 @@ def test_enumeration_unique_and_tree_shaped():
 
 
 def test_depth_sufficiency():
+    # An ELIQ of n variables maps into the universal model at an individual
+    # exactly when it maps into the materialized prefix of depth n.
     rng = random.Random(71)
+    from eliq import universal_prefix
     from eliq.engine import context_for
-    from eliq.model import _PrefixWindow, _tree_feasible, intern_cq
+    from eliq.model import anchored, intern_cq
+    from eliq.normalform import normalize
 
-    for _ in range(60):
-        o = random_ontology(rng, ["A", "B"], ["r", "s"], rng.randint(1, 4), dialect=rng.choice(["r", "f"]))
-        from eliq.normalform import normalize
-
+    seen = {"yes": 0, "no": 0, "anonymous": 0}
+    for _ in range(200):
+        o = random_ontology(rng, ["A", "B"], ["r", "s"], rng.randint(2, 6), dialect=rng.choice(["r", "f"]))
         on, _ = normalize(o)
         a = random_abox(rng, ["A", "B"], ["r", "s"], 2, rng.randint(1, 4))
         if not abox_satisfiable(on, a):
             continue
-        q = random_eliq(rng, ["A", "B"], ["r", "s"], 3)
-        ind = sorted(a.ind())[0]
-        ctx = context_for(on, a)
-        base = _tree_feasible(_PrefixWindow(ctx, len(q.variables())), {}, intern_cq(q), ind)
-        deeper = _tree_feasible(
-            _PrefixWindow(ctx, len(q.variables()) + 2), {}, intern_cq(q), ind
+        q = random_eliq(rng, ["A", "B"], ["r", "s"], 4)
+        p = universal_prefix(on, a, len(q.variables()))
+        prefix = ABox(
+            frozenset((n, v) for v, names in p.node_labels for n in names | {"top"}),
+            frozenset(p.edges),
         )
-        assert base == deeper
+        ctx = context_for(on, a)
+        for ind in sorted(a.ind()):
+            lazy = anchored(ctx, intern_cq(q), ind)
+            assert lazy == certain_answer(Ontology(), prefix, q, ind)
+            seen["yes" if lazy else "no"] += 1
+            seen["anonymous"] += lazy and not certain_answer(Ontology(), p.base, q, ind)
+    assert all(seen.values()), seen
+
+
+def _random_chain(rng, length):
+    from eliq.model import intern_tree
+
+    tid = intern_tree(frozenset(rng.sample("AB", rng.randint(0, 1))), ())
+    for _ in range(length):
+        edge = (rng.choice("rs"), rng.random() < 0.5)
+        tid = intern_tree(frozenset(rng.sample("AB", rng.randint(0, 1))), ((edge, tid),))
+    return tid
+
+
+def test_one_hom_memo_serves_trees_of_every_size():
+    # Verdicts memoized for one tree are reused by every later tree sharing
+    # a subtree at the same model node; they must agree with a fresh,
+    # uncached context.  Each tree comes with a larger one holding the same
+    # subtrees at the same places, and chains reach deep into the model.
+    rng = random.Random(73)
+    from eliq.engine import ABoxContext, engine_for
+    from eliq.model import anchored, intern_cq, intern_tree, tree_struct
+    from eliq.normalform import normalize
+
+    checked = 0
+    for _ in range(40):
+        o = random_ontology(rng, ["A", "B"], ["r", "s"], rng.randint(2, 6), dialect=rng.choice(["r", "f"]))
+        on, _ = normalize(o)
+        a = random_abox(rng, ["A", "B"], ["r", "s"], 2, rng.randint(1, 4))
+        if not abox_satisfiable(on, a):
+            continue
+        tids = []
+        for _ in range(6):
+            if rng.random() < 0.5:
+                tid = _random_chain(rng, rng.randint(1, 5))
+            else:
+                tid = intern_cq(random_eliq(rng, ["A", "B"], ["r", "s"], 5))
+            labels, children = tree_struct(tid)
+            extra = ((rng.choice("rs"), rng.random() < 0.5), intern_cq(random_eliq(rng, ["A", "B"], ["r", "s"], 3)))
+            stack = [tid, intern_tree(labels, tuple(sorted(children + (extra,))))]
+            while stack:  # both trees and all their subtrees
+                tid = stack.pop()
+                tids.append(tid)
+                stack.extend(c for _, c in tree_struct(tid)[1])
+        rng.shuffle(tids)
+        eng = engine_for(on)
+        shared = ABoxContext(eng, a)
+        for tid in tids:
+            for ind in sorted(a.ind()):
+                assert anchored(shared, tid, ind) == anchored(ABoxContext(eng, a), tid, ind)
+                checked += 1
+    assert checked > 0

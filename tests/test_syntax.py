@@ -15,7 +15,7 @@ from eliq import (
     parse_ontology,
 )
 from eliq.errors import NotAnEliqError
-from eliq.syntax import atom, conj, exists
+from eliq.syntax import atom, conj, exists, exists_roles
 
 
 def test_role_double_inversion():
@@ -113,6 +113,11 @@ class TestDialect:
     def test_both_kinds_is_rf(self):
         o = parse_ontology("r rsub s\nfunc r\n")
         assert dialect_of(o) is Dialect.RF
+
+    def test_exists_roles_in_pre_order(self):
+        o = parse_ontology("A sub some r . (some s- . some t . B & some t- . C)\n")
+        rhs = o.concept_inclusions[0][1]
+        assert list(exists_roles(rhs)) == [Role("r"), Role("s", True), Role("t"), Role("t", True)]
 
     def test_core_and_r(self, ex1_ontology):
         assert dialect_of(Ontology()) is Dialect.CORE

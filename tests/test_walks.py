@@ -8,7 +8,6 @@ quadratic in query size); the walks must agree with them exactly, parent-map
 order and interned tree ids included.
 """
 
-import math
 import random
 
 import pytest
@@ -125,10 +124,9 @@ def ref_backtrack(win, q: CQ, assignment: dict, order: list) -> bool:
 
 
 def ref_matches(ctx, q: CQ, anchor: str) -> bool:
-    cap = len(q.variables())
     if ref_is_eliq(q):
-        return anchored(ctx, ref_intern_cq(q), anchor, cap)
-    win = model._PrefixWindow(ctx, math.inf)
+        return anchored(ctx, ref_intern_cq(q), anchor)
+    win = model._PrefixWindow(ctx)
     order = ref_bfs_order(q, q.answer_var)
     if not ref_fits(win, q, q.answer_var, anchor):
         return False

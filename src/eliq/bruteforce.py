@@ -27,7 +27,9 @@ and are dropped with that context when the context cache evicts it.  So
 ``verify_unique`` on ``characterize``'s examples after
 ``bruteforce_frontier_check`` of the same query, in one process, builds no
 candidate context; a single search gains only from the membership tests.
-A candidate becomes a query only when it is returned.
+A candidate becomes a query only when it is returned.  Like every kernel
+computation, both oracles refuse the combined dialect (role inclusions with
+functionality) when they build ``q``'s context, before searching.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .engine import ABoxContext, Engine, context_for
-from .errors import EliqError, NotAnEliqError, UnsatisfiableError
+from .errors import EliqError, InvalidArgumentError, NotAnEliqError, UnsatisfiableError
 from .frontier_base import Frontier, member_fault
 from .model import (
     anchored,
@@ -48,7 +50,6 @@ from .model import (
     tree_to_abox,
     tree_to_cq,
 )
-from .reasoner import require_chaseable
 from .syntax import CQ, Ontology, basic_name, combined_signature, make_cq
 
 # An example: a context and the individual it is labeled at.
@@ -58,11 +59,10 @@ Example = tuple[ABoxContext, str]
 _ROOT = "x0"
 
 
-def query_context(o: Ontology, q: CQ, op: str) -> ABoxContext:
+def query_context(o: Ontology, q: CQ) -> ABoxContext:
     """``q``'s context, for a search that decides containment both ways in
-    universal models.  Rejects the combined dialect, where those are
-    unsound, and an unsatisfiable ``q``, which every query contains."""
-    require_chaseable(o, op)
+    universal models.  Rejects the combined dialect, as every context does,
+    and an unsatisfiable ``q``, which every query contains."""
     q_ctx = context_for(o, q.to_abox())
     if not q_ctx.satisfiable():
         raise UnsatisfiableError("containment requires queries satisfiable w.r.t. the ontology")
@@ -82,7 +82,7 @@ def first_misfit(
     negative one but is not equivalent to ``q``; and the number of
     satisfiable candidates that fit the positives, up to the verdict.
 
-    ``q_ctx`` is ``query_context(o, q, ...)``.  Candidates are the
+    ``q_ctx`` is ``query_context(o, q)``.  Candidates are the
     generalizations of the first positive example, tested against any
     further positives; with no positives every bounded-size ELIQ is a
     candidate.  A candidate violating functionality folds to an enumerated
@@ -175,9 +175,9 @@ def bruteforce_frontier_check(
     unsatisfiable ``q`` are rejected before anything is checked.
     """
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise InvalidArgumentError("bound must be at least 1")
     members = list(f.members) if isinstance(f, Frontier) else list(f)
-    q_ctx = query_context(o, q, "bruteforce_frontier_check")
+    q_ctx = query_context(o, q)
     member_ctxs = [context_for(o, m.to_abox()) for m in members]
 
     for m, mc in zip(members, member_ctxs):
@@ -279,7 +279,7 @@ def fixture(name: str, n: int):
     (Ontology, CQ).
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidArgumentError("n must be at least 1")
     if name == "thm3_conjunctive":
         names = [f"A{i}" for i in range(1, n + 1)] + [f"A{i}p" for i in range(1, n + 1)]
         all_atoms = frozenset(names)
@@ -300,7 +300,7 @@ def fixture(name: str, n: int):
         return o, q
     if name == "thm10_hypotheses":
         if not _is_prime(n):
-            raise ValueError("thm10_hypotheses expects a prime index")
+            raise InvalidArgumentError("thm10_hypotheses expects a prime index")
         return _thm4_ontology(), _zigzag(n, with_prefix=True)
     raise EliqError(f"unknown fixture {name!r}; expected one of {FIXTURES}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .bruteforce import first_misfit, query_context
 from .engine import context_for
-from .errors import UnsatisfiableError
+from .errors import InvalidArgumentError, UnsatisfiableError
 from .frontier_base import SUPPORTED_DIALECTS, reject_unsupported
 from .frontier_f import frontier
 from .reasoner import certain_answer, query_satisfiable
@@ -33,7 +33,7 @@ class DataExample:
 
     def __post_init__(self):
         if self.individual not in self.abox.ind():
-            raise ValueError("example individual must occur in its ABox")
+            raise InvalidArgumentError("example individual must occur in its ABox")
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def verify_unique(o: Ontology, q: CQ, e: ExampleSet, bound: int) -> UniquenessVe
     ``UnsatisfiableError``.
     """
     if bound < len(q.variables()):
-        raise ValueError("bound must be at least the query's variable count")
-    q_ctx = query_context(o, q, "verify_unique")
+        raise InvalidArgumentError("bound must be at least the query's variable count")
+    q_ctx = query_context(o, q)
     positives = [(context_for(o, ex.abox), ex.individual) for ex in e.positives]
     negatives = [(context_for(o, ex.abox), ex.individual) for ex in e.negatives]
     cand, checked = first_misfit(o, q, q_ctx, positives, negatives, bound)

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .bruteforce import bruteforce_frontier_check
 from .characterize import characterize, verify_unique
-from .errors import EliqError, ParseError, UnsupportedDialectError
+from .errors import EliqError, UnsupportedDialectError
 from .frontier_base import Frontier, prune_equivalents
 from .frontier_f import frontier, frontier_f
 from .frontier_r import frontier_r
@@ -40,6 +40,20 @@ def _read(path: str, parser):
     except OSError as exc:
         raise EliqError(f"cannot read {path}: {exc}") from exc
     return parser(text)
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory; a failure is an ``EliqError``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise EliqError(f"cannot write {path}: {exc}") from exc
+
+
+def _frontier(dialect: str, o, q) -> Frontier:
+    """The frontier construction ``--dialect`` selects, applied to ``o`` and ``q``."""
+    return {"auto": frontier, "r": frontier_r, "f": frontier_f}[dialect](o, q)
 
 
 def _frontier_json(frontier: Frontier) -> str:
@@ -115,9 +129,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UnsupportedDialectError as exc:
         print(f"error: {exc.reason}: {exc}", file=sys.stderr)
         return 2
@@ -170,7 +181,7 @@ def _dispatch(args) -> int:
         if args.dump_model:
             on, _ = normalize(o)
             depth = args.depth if args.depth is not None else len(q.variables())
-            Path(args.dump_model).write_text(universal_prefix(on, a, depth).to_json() + "\n")
+            _write(Path(args.dump_model), universal_prefix(on, a, depth).to_json() + "\n")
         verdict = certain_answer(o, a, q, args.ind)
         print("yes" if verdict else "no")
         return 0 if verdict else 1
@@ -178,7 +189,7 @@ def _dispatch(args) -> int:
     if args.command == "frontier":
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
-        result = {"auto": frontier, "r": frontier_r, "f": frontier_f}[args.dialect](o, q)
+        result = _frontier(args.dialect, o, q)
         if args.prune:
             result = Frontier(tuple(prune_equivalents(o, list(result.members))), q, o)
         print(_frontier_json(result))
@@ -192,11 +203,11 @@ def _dispatch(args) -> int:
             seed = _read(args.seed, parse_cq)
         else:
             seed = seed_query(o, combined_signature(o, target))
-        budget = args.budget or default_budget(len(target.variables()), o)
+        budget = args.budget if args.budget is not None else default_budget(len(target.variables()), o)
         trace = learn_with_normal_form(o, oracle, seed, budget)
         payload = json.dumps(trace.to_dict(), indent=2, sort_keys=True)
         if args.trace:
-            Path(args.trace).write_text(payload + "\n")
+            _write(Path(args.trace), payload + "\n")
         print(payload)
         return 0 if trace.outcome == "success" else 1
 
@@ -204,18 +215,17 @@ def _dispatch(args) -> int:
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
         examples = characterize(o, q)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         manifest = []
+        out = Path(args.out_dir)
         for i, ex in enumerate(examples.positives):
             name = f"positive_{i}.abox"
-            (out / name).write_text(serialize_abox(ex.abox))
+            _write(out / name, serialize_abox(ex.abox))
             manifest.append({"file": name, "individual": ex.individual, "polarity": "positive"})
         for i, ex in enumerate(examples.negatives):
             name = f"negative_{i}.abox"
-            (out / name).write_text(serialize_abox(ex.abox))
+            _write(out / name, serialize_abox(ex.abox))
             manifest.append({"file": name, "individual": ex.individual, "polarity": "negative"})
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(manifest)} examples to {out}")
         return 0
 
@@ -225,7 +235,7 @@ def _dispatch(args) -> int:
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
         if args.verify_what == "frontier":
-            found = {"auto": frontier, "r": frontier_r, "f": frontier_f}[args.dialect](o, q)
+            found = _frontier(args.dialect, o, q)
             result = bruteforce_frontier_check(o, q, found, args.bound)
             if result.ok:
                 print(f"ok ({result.candidates_checked} generalizations covered)")

@@ -16,9 +16,7 @@ Facts about a single element are represented as keys:
   its filler names back to the parent.  Both effects are stabilized by a
   dependency-tracked fixpoint, so entailment is sound and complete for
   DL-Lite with role inclusions and for DL-Lite with functionality
-  (including the unrestricted dialect); for the combined dialect the
-  fixpoint is a best-effort approximation and the universal-model
-  machinery refuses to run.
+  (including the unrestricted dialect).
 
 ``ABoxContext`` applies the same closure to the individuals of an ABox,
 including propagation of existential fillers across asserted edges of
@@ -26,6 +24,11 @@ functional roles, and decides satisfiability.  Without functional roles no
 filler travels and no witness feeds names back, so an individual's facts are
 the closure of its own seed; without disjointness only two successors along
 one functional role make an ABox unsatisfiable.
+
+Every universal-model computation starts from an ``ABoxContext``, so it is
+the one place that refuses the combined dialect (role inclusions with
+functionality), where that model is unsound: building a context over such an
+engine raises ``UnsupportedDialectError``.  Role entailment needs no context.
 
 ``context_for`` caches contexts in a least-recently-used table of
 ``_CONTEXT_CAP`` entries.  The oracles build their candidates' contexts
@@ -39,8 +42,9 @@ that context.
 
 from __future__ import annotations
 
+from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, BasicConcept, Ontology, Role
+from .syntax import ABox, BasicConcept, Dialect, Ontology, Role, dialect_of
 
 TOPK = ("top",)
 
@@ -75,6 +79,7 @@ TypeKey = tuple[frozenset, RKey]
 class Engine:
     def __init__(self, o: Ontology):
         self.original = o
+        self.combined = dialect_of(o) is Dialect.RF
         self.o = normalize(o)[0]
         self.functional: frozenset[RKey] = frozenset(rkey(r) for r in self.o.functional)
 
@@ -114,7 +119,6 @@ class Engine:
         self._tfacts: dict[TypeKey, frozenset] = {}
         self._tfeedback: dict[TypeKey, frozenset] = {}
         self._tdeps: dict[TypeKey, set[TypeKey]] = {}
-        self._tchildren: dict[TypeKey, list] = {}
         self._tunsat: dict[TypeKey, bool] = {}
         self._fired_cache: dict = {}
         self._names_cache: dict[frozenset, frozenset[str]] = {}
@@ -145,9 +149,6 @@ class Engine:
 
     def superroles(self, k: RKey) -> frozenset:
         return self._superroles.get(k, frozenset({k}))
-
-    def subsumes_role(self, sub: RKey, sup_: RKey) -> bool:
-        return sup_ in self.superroles(sub)
 
     # -- basic closure -----------------------------------------------------
 
@@ -226,11 +227,7 @@ class Engine:
         back along ``inc-`` when ``inc-`` is functional (the parent itself
         serves as that successor).
         """
-        hit = self._tchildren.get(key)
-        if hit is None:
-            hit = self._children_from(self.type_facts(key), key[1])
-            self._tchildren[key] = hit
-        return hit
+        return self._children_from(self.type_facts(key), key[1])
 
     def _children_from(self, facts, inc: RKey | None) -> list[tuple[RKey, frozenset]]:
         if not isinstance(facts, frozenset):
@@ -259,11 +256,13 @@ class Engine:
         return out
 
     def maximal_witnesses(self, pairs: list[tuple[RKey, frozenset]]) -> list[tuple[RKey, frozenset]]:
-        """The (role, seed) witnesses among ``pairs`` whose maximal
-        concept-name set is not strictly contained in that of another
-        witness along the same role, in their given order."""
-        named = [(rk, w, self.names_of(self.type_facts((w, rk)))) for rk, w in pairs]
-        return [(rk, w) for rk, w, m in named if not any(rk2 == rk and m < m2 for rk2, _, m2 in named)]
+        """The first (role, seed) witness among ``pairs`` of each role and
+        maximal concept-name set, unless that set is strictly contained in
+        another along the same role; in their given order."""
+        first: dict = {}
+        for rk, w in pairs:
+            first.setdefault((rk, self.names_of(self.type_facts((w, rk)))), (rk, w))
+        return [pair for (rk, m), pair in first.items() if not any(rk2 == rk and m < m2 for rk2, m2 in first)]
 
     def _stabilize(self, key: TypeKey) -> None:
         pending = [key]
@@ -291,7 +290,6 @@ class Engine:
             if ffacts != old_facts or feedback != self._tfeedback.get(k):
                 self._tfacts[k] = ffacts
                 self._tfeedback[k] = feedback
-                self._tchildren.pop(k, None)
                 self._tunsat.clear()
                 pending.extend(self._tdeps.get(k, ()))
 
@@ -356,6 +354,9 @@ class ABoxContext:
     """Closure of an ABox under an Engine's ontology."""
 
     def __init__(self, engine: Engine, abox: ABox):
+        if engine.combined:
+            raise UnsupportedDialectError(
+                "unsupported_dialect", "universal models are unsound for role inclusions with functionality")
         self.engine = engine
         self.abox = abox
         self.individuals = sorted(abox.ind())
@@ -428,18 +429,16 @@ class ABoxContext:
                 if extra - cur[a]:
                     cur[a] = eng.closure(cur[a] | extra)
                     changed = True
-            # Fillers travel along asserted edges of functional roles.
+            # Fillers travel along asserted edges of functional roles, which
+            # have no superroles: with functionality there are no inclusions.
             for a in self.individuals:
                 for rk, fname in eng.fired(cur[a]):
-                    if fname is None:
+                    if fname is None or rk not in eng.functional:
                         continue
-                    for frole in eng.superroles(rk):
-                        if frole not in eng.functional:
-                            continue
-                        for b in self.successors.get((a, frole), ()):
-                            if ("c", fname) not in cur[b]:
-                                cur[b] = eng.closure(cur[b] | {("c", fname)})
-                                changed = True
+                    for b in self.successors.get((a, rk), ()):
+                        if ("c", fname) not in cur[b]:
+                            cur[b] = eng.closure(cur[b] | {("c", fname)})
+                            changed = True
         return cur
 
     def fired_children(self, a: str) -> list[tuple[RKey, frozenset]]:

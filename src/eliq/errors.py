@@ -14,6 +14,10 @@ class ParseError(EliqError):
         self.column = column
 
 
+class InvalidArgumentError(EliqError, ValueError):
+    """An argument is out of range, such as a negative depth or budget."""
+
+
 class NotAnEliqError(EliqError):
     """A CQ was required to be tree-shaped (loop-free, multi-edge-free) but is not."""
 

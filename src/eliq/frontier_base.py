@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .engine import ABoxContext, RKey, context_for, role_of
-from .errors import UnsatisfiableError, UnsupportedDialectError
+from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
 from .model import matches
 from .normalform import is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
@@ -299,7 +299,7 @@ def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
     """Step 1 alone: the generalization set F0(x) for a saturated, minimal
     ELIQ ``q`` over a normal-form ontology."""
     if not is_normal_form(o):
-        raise ValueError("generalize expects an ontology in normal form")
+        raise InvalidArgumentError("generalize expects an ontology in normal form")
     prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
     return _f0(prep, Namer(q.variables()), {}, x)
 

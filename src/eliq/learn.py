@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .engine import rkey
-from .errors import SeedRequiredError, UnsatisfiableError
+from .errors import InvalidArgumentError, SeedRequiredError, UnsatisfiableError
 from .frontier_base import (
     SUPPORTED_DIALECTS,
     ontology_size,
@@ -83,11 +83,17 @@ class BudgetExceeded(Exception):
 
 
 class _Budget:
+    """``oracle``, until it has answered ``limit`` queries; then ``BudgetExceeded``."""
+
     def __init__(self, oracle: MembershipOracle, limit: int):
         self.oracle = oracle
         self.limit = limit
 
-    def ask(self, abox: ABox, ind: str) -> bool:
+    @property
+    def query_count(self) -> int:
+        return self.oracle.query_count
+
+    def answer(self, abox: ABox, ind: str) -> bool:
         if self.oracle.query_count >= self.limit:
             raise BudgetExceeded
         return self.oracle.answer(abox, ind)
@@ -184,10 +190,9 @@ def _component_of(q: CQ, atoms: frozenset, anchor: str) -> CQ:
     )
 
 
-def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ, _budget: _Budget | None = None) -> CQ:
+def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
     """Remove role atoms (keeping the answer component) while the oracle
     accepts; the result is minimal, connected, and saturated."""
-    ask = _budget.ask if _budget is not None else oracle.answer
     q = saturate(o, q)
     # One pass suffices: certain answers only shrink as atoms are removed, so
     # an atom rejected for a larger query is rejected again after any later
@@ -197,7 +202,7 @@ def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ, _budget: _Budget |
         if atom not in q.role_atoms:
             continue
         candidate = _component_of(q, q.role_atoms - {atom}, q.answer_var)
-        if ask(candidate.to_abox(), q.answer_var):
+        if oracle.answer(candidate.to_abox(), q.answer_var):
             q = candidate
     return q
 
@@ -225,11 +230,11 @@ def _find_cycle_atom(q: CQ) -> tuple[str, str, str] | None:
     return None
 
 
-def treeify(o: Ontology, oracle: MembershipOracle, q: CQ, _budget: _Budget | None = None) -> CQ:
+def treeify(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
     """Turn a hypothesis into an equivalent-or-more-general tree by doubling
     cycles and re-minimizing until no cycle remains."""
     q = saturate(o, q)
-    p = minimize_cq(o, oracle, q, _budget)
+    p = minimize_cq(o, oracle, q)
     while True:
         atom = _find_cycle_atom(p)
         if atom is None:
@@ -246,7 +251,7 @@ def treeify(o: Ontology, oracle: MembershipOracle, q: CQ, _budget: _Budget | Non
         doubled_roles.update((rn, rename[u], rename[v]) for rn, u, v in base_atoms)
         doubled_roles.add((r, x, rename[y]))
         doubled_roles.add((r, rename[x], y))
-        p = minimize_cq(o, oracle, CQ(p.answer_var, frozenset(doubled_concepts), frozenset(doubled_roles)), _budget)
+        p = minimize_cq(o, oracle, CQ(p.answer_var, frozenset(doubled_concepts), frozenset(doubled_roles)))
     if not p.is_eliq():
         raise AssertionError("treeify failed to produce a tree-shaped query")
     return p
@@ -269,13 +274,13 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     """
     reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InvalidArgumentError("budget must be positive")
     if not query_satisfiable(o, seed):
         raise UnsatisfiableError("seed query is unsatisfiable w.r.t. the ontology")
-    guard = _Budget(oracle, budget)
+    oracle = _Budget(oracle, budget)
     trace = LearnTrace()
     try:
-        q_h = treeify(o, oracle, seed, guard)
+        q_h = treeify(o, oracle, seed)
         trace.hypotheses.append(q_h)
         while True:
             members = sorted(
@@ -285,12 +290,12 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
             trace.frontier_sizes.append(len(members))
             accepted = None
             for member in members:
-                if guard.ask(member.to_abox(), member.answer_var):
+                if oracle.answer(member.to_abox(), member.answer_var):
                     accepted = member
                     break
             if accepted is None:
                 break
-            q_h = minimize_cq(o, oracle, accepted, guard)
+            q_h = minimize_cq(o, oracle, accepted)
             trace.hypotheses.append(q_h)
     except BudgetExceeded:
         trace.outcome = "budget_exceeded"

@@ -42,7 +42,6 @@ from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_ord
 
 _POOL: dict[tuple, int] = {}
 _STRUCT: list[tuple] = []
-_SIZE: list[int] = []
 
 
 def intern_tree(labels: frozenset, children: tuple) -> int:
@@ -52,16 +51,11 @@ def intern_tree(labels: frozenset, children: tuple) -> int:
         tid = len(_STRUCT)
         _POOL[key] = tid
         _STRUCT.append(key)
-        _SIZE.append(1 + sum(_SIZE[c] for _, c in children))
     return tid
 
 
 def tree_struct(tid: int) -> tuple:
     return _STRUCT[tid]
-
-
-def tree_size(tid: int) -> int:
-    return _SIZE[tid]
 
 
 def intern_cq(q: CQ) -> int:
@@ -89,20 +83,23 @@ def intern_cq(q: CQ) -> int:
 
 
 def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[str, str, str]]]:
+    """A tree's atoms, its nodes named ``root``, ``x1``, ``x2``, ... in pre-order,
+    with an explicit stack, so deep trees do not exhaust the call stack."""
     concept_atoms: set[tuple[str, str]] = set()
     role_atoms: set[tuple[str, str, str]] = set()
-    counter = [0]
-
-    def build(t: int, v: str) -> None:
+    counter = 0
+    # (parent's name, edge from it, subtree); the root comes with its own name and no edge
+    stack: list[tuple[str, RKey | None, int]] = [(root, None, tid)]
+    while stack:
+        v, edge, t = stack.pop()
+        if edge is not None:
+            counter += 1
+            parent, v = v, f"x{counter}"
+            rname, inv = edge
+            role_atoms.add((rname, v, parent) if inv else (rname, parent, v))
         labels, children = tree_struct(t)
         concept_atoms.update((a, v) for a in labels)
-        for (rname, inv), child in children:
-            counter[0] += 1
-            w = f"x{counter[0]}"
-            role_atoms.add((rname, w, v) if inv else (rname, v, w))
-            build(child, w)
-
-    build(tid, root)
+        stack.extend((v, rk, child) for rk, child in reversed(children))
     return concept_atoms, role_atoms
 
 

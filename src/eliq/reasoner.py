@@ -3,9 +3,10 @@ answers, containment, and minimization.
 
 Everything here is a pure function of immutable inputs.  Ontologies are
 normalized internally (conservatively, so consequences over the original
-signature are unchanged); the combined dialect with both role inclusions and
-functionality is rejected wherever universal models are involved, since they
-are unsound there.
+signature are unchanged).  Every function but ``entails_role`` and
+``enumerate_eliqs`` decides through an ``ABoxContext`` and so raises
+``UnsupportedDialectError`` on the combined dialect with both role
+inclusions and functionality, where universal models are unsound.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .engine import basic_key, context_for, engine_for, rkey
-from .errors import UnsatisfiableError, UnsupportedDialectError
+from .errors import InvalidArgumentError, UnsatisfiableError
 from .model import (
     UniversalModelPrefix,
     build_prefix,
@@ -26,24 +27,12 @@ from .syntax import (
     ABox,
     BasicConcept,
     CQ,
-    Dialect,
     Ontology,
     Role,
-    dialect_of,
     restrict,
     subtree_vars,
     tree_order,
 )
-
-
-def require_chaseable(o: Ontology, op: str) -> None:
-    """Reject the combined dialect, where universal models are unsound."""
-    if dialect_of(o) is Dialect.RF:
-        raise UnsupportedDialectError(
-            "unsupported_dialect",
-            f"{op} is unsupported for ontologies combining role inclusions "
-            "and functionality (universal models are unsound there)",
-        )
 
 
 def entails_basic(o: Ontology, b1: BasicConcept, b2: BasicConcept) -> bool:
@@ -68,8 +57,7 @@ def _canonical_abox(b: BasicConcept) -> tuple[ABox, str]:
 def entails_role(o: Ontology, r1: Role, r2: Role) -> bool:
     """Reflexive-transitive closure of the role inclusions, closed under
     inversion."""
-    eng = engine_for(o)
-    return eng.subsumes_role(rkey(r1), rkey(r2))
+    return rkey(r2) in engine_for(o).superroles(rkey(r1))
 
 
 def abox_satisfiable(o: Ontology, a: ABox) -> bool:
@@ -103,10 +91,9 @@ def saturate(o: Ontology, q: CQ) -> CQ:
 def universal_prefix(o: Ontology, a: ABox, depth: int) -> UniversalModelPrefix:
     """Materialize the traces of length <= depth of the universal model."""
     if not is_normal_form(o):
-        raise ValueError("universal_prefix requires an ontology in normal form")
-    require_chaseable(o, "universal_prefix")
+        raise InvalidArgumentError("universal_prefix requires an ontology in normal form")
     if depth < 0:
-        raise ValueError("depth must be non-negative")
+        raise InvalidArgumentError("depth must be non-negative")
     ctx = context_for(o, a)
     if not ctx.satisfiable():
         raise UnsatisfiableError("ABox is unsatisfiable w.r.t. the ontology")
@@ -122,10 +109,9 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
     so its search is finite; a query with cycles or disconnected parts is
     backtracked.
     """
-    require_chaseable(o, "certain_answer")
     ctx = context_for(o, a)
     if ind not in ctx.facts:
-        raise ValueError(f"{ind!r} is not an individual of the ABox")
+        raise InvalidArgumentError(f"{ind!r} is not an individual of the ABox")
     if not ctx.satisfiable():
         return True
     return matches(ctx, q, ind)
@@ -198,6 +184,6 @@ def enumerate_eliqs(
     """Every ELIQ over the signature with at most ``max_vars`` variables, one
     representative per isomorphism class, smallest first."""
     if max_vars < 1:
-        raise ValueError("max_vars must be at least 1")
+        raise InvalidArgumentError("max_vars must be at least 1")
     for tid in tree_ids_upto(frozenset(names), frozenset(roles), max_vars):
         yield tree_to_cq(tid)

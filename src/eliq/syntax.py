@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import NotAnEliqError
+from .errors import InvalidArgumentError, NotAnEliqError
 
 TOP = "top"
 
@@ -227,14 +227,6 @@ class Ontology:
             roles.add(r.name)
         return frozenset(names), frozenset(roles)
 
-    @property
-    def concept_names(self) -> frozenset[str]:
-        return self.signature()[0]
-
-    @property
-    def role_names(self) -> frozenset[str]:
-        return self.signature()[1]
-
 
 def dialect_of(o: Ontology) -> Dialect:
     """Most specific dialect of ``o``.
@@ -355,7 +347,7 @@ class ABox:
 
     def to_cq(self, answer_var: str) -> CQ:
         if answer_var not in self.ind() and (self.concept_assertions or self.role_assertions):
-            raise ValueError(f"answer variable {answer_var!r} does not occur in the ABox")
+            raise InvalidArgumentError(f"answer variable {answer_var!r} does not occur in the ABox")
         return CQ(answer_var, self.concept_assertions, self.role_assertions)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,67 @@ def test_deep_query_exits_2_without_traceback(files, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_check_refuses_the_combined_dialect_first(files, capsys):
+    # Role inclusions with functionality: refused before the query's
+    # satisfiability is tested, so the reason is the dialect.
+    write, _ = files
+    o = write("o.dlo", "r rsub s\nfunc s\ndisj A B\n")
+    q1, q2 = write("q1.cq", "q(x) :- A(x), B(x)\n"), write("q2.cq", "q(x) :- A(x)\n")
+    assert main(["check", "-o", o, "--contains", q1, q2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unsupported_dialect:")
+
+
+# {file} is a regular file, so nothing can be written below it, even by root.
+REFUSALS = {
+    "negative_depth": "answer -o {o} -a {a} -q {q} --ind a --dump-model {tmp}/m.json --depth -1",
+    "negative_budget": "learn --ontology {o} --target {q} --budget -5",
+    "zero_budget": "learn --ontology {o} --target {q} --budget 0",
+    "unwritable_dump_model": "answer -o {o} -a {a} -q {q} --ind a --dump-model {file}/m.json",
+    "unwritable_trace": "learn --ontology {o} --target {q} --trace {file}/t.json",
+    "unwritable_out_dir": "characterize -o {o} -q {q} --out-dir {file}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_exit_2_with_one_error_line(files, capsys, case):
+    write, tmp_path = files
+    paths = dict(o=write("o.dlo", EX1), a=write("a.abox", "A(a)\n"), q=write("q.cq", EX1_Q),
+                 file=write("file.txt", ""), tmp=tmp_path)
+    assert main(REFUSALS[case].format(**paths).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+EXAMPLES = {
+    "ex1": (EX1, EX1_Q),
+    "ex2": ("r rsub s\n", "q(x0) :- r(x0,y), A(y)\n"),
+    "ex3": ("func s\n", "q(x0) :- r(x0,y), s(x0,z), A(z)\n"),
+}
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_output_does_not_depend_on_the_hash_seed(files, example):
+    # String hashing is randomized per process; set and dict orders that
+    # leak into the output would show up as a difference between seeds.
+    write, _ = files
+    o, q = write("o.dlo", EXAMPLES[example][0]), write("q.cq", EXAMPLES[example][1])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    commands = [
+        ["frontier", "-o", o, "-q", q],
+        ["learn", "--ontology", o, "--target", q],
+        ["verify", "frontier", "-o", o, "-q", q],
+    ]
+    for argv in commands:
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "eliq.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1], argv

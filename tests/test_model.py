@@ -82,6 +82,14 @@ def _edges_of(prefix):
     return out
 
 
+def test_prefix_lists_each_trace_once():
+    # Two r-witnesses with equal maximal name sets fold into one node; with a
+    # functional role present, traces are named by those sets.
+    o = parse_ontology("C sub some r . A\nC sub some r . B\nA sub B\nB sub A\nfunc s\n")
+    p = universal_prefix(normalize(o)[0], parse_abox("C(a)\n"), 2)
+    assert [str(t) for t in p.trace_nodes] == ["a/r[A,B]"]
+
+
 def test_prefix_soundness_invariant():
     """Inner prefix nodes satisfy every concept inclusion, and functional
     roles are partial functions on the whole prefix."""

@@ -340,6 +340,40 @@ def test_rf_dialect_rejected():
         contained(o, parse_cq("q(x) :- r(x,y)"), parse_cq("q(x) :- s(x,y)"))
 
 
+# Role inclusions with functionality, where the universal model is unsound.
+# In RF_CLASH the r-witness of A is its single s-successor, so it is both B
+# and C: A(a) is unsatisfiable.  In RF_FEEDBACK x is the only s- successor of
+# its r-witness, so it gets D: A is subsumed by D.
+RF_CLASH = "A sub some r . B\nA sub some s . C\nr rsub s\nfunc s\ndisj B C\n"
+RF_FEEDBACK = "A sub some r . B\nr rsub s\nfunc s-\nB sub some s- . D\n"
+RF_CALLS = {
+    "abox_satisfiable": lambda: abox_satisfiable(parse_ontology(RF_CLASH), parse_abox("A(a)\n")),
+    "entails_basic": lambda: entails_basic(parse_ontology(RF_FEEDBACK), basic_name("A"), basic_name("D")),
+    "query_satisfiable": lambda: query_satisfiable(parse_ontology(RF_CLASH), parse_cq("q(x) :- A(x)")),
+    "saturate": lambda: saturate(parse_ontology(RF_FEEDBACK), parse_cq("q(x) :- A(x)")),
+    "minimize_eliq": lambda: minimize_eliq(parse_ontology(RF_FEEDBACK), parse_cq("q(x) :- A(x)")),
+    # the kernel alone calls B & C unsatisfiable; the dialect is refused first
+    "contained": lambda: contained(
+        parse_ontology(RF_CLASH), parse_cq("q(x) :- B(x), C(x)"), parse_cq("q(x) :- A(x)")
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RF_CALLS))
+def test_combined_dialect_refused_wherever_a_universal_model_is_built(call):
+    with pytest.raises(UnsupportedDialectError) as err:
+        RF_CALLS[call]()
+    assert err.value.reason == "unsupported_dialect"
+
+
+def test_role_entailment_still_answers_on_the_combined_dialect():
+    # No universal model is involved: the role hierarchy alone decides.
+    o = parse_ontology(RF_FEEDBACK)
+    assert entails_role(o, Role("r"), Role("s"))
+    assert entails_role(o, Role("r", True), Role("s", True))
+    assert not entails_role(o, Role("s"), Role("r"))
+
+
 def test_containment_is_a_preorder():
     rng = random.Random(19)
     for _ in range(40):

@@ -66,15 +66,14 @@ def ref_component_of(q: CQ, atoms: frozenset, anchor: str) -> CQ:
     )
 
 
-def ref_minimize_cq(o, oracle, q, _budget=None):
-    ask = _budget.ask if _budget is not None else oracle.answer
+def ref_minimize_cq(o, oracle, q):
     q = saturate(o, q)
     changed = True
     while changed:
         changed = False
         for atom in sorted(q.role_atoms):
             candidate = ref_component_of(q, q.role_atoms - {atom}, q.answer_var)
-            if ask(candidate.to_abox(), q.answer_var):
+            if oracle.answer(candidate.to_abox(), q.answer_var):
                 q = candidate
                 changed = True
                 break

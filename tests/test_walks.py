@@ -17,7 +17,7 @@ from eliq import CQ, Ontology, eliq_to_concept, make_cq, parse_abox
 from eliq.engine import context_for
 from eliq.errors import NotAnEliqError
 from eliq.gen import random_abox, random_eliq, random_ontology
-from eliq.model import anchored, intern_cq, intern_tree, matches, tree_size
+from eliq.model import anchored, intern_cq, intern_tree, matches, tree_to_cq
 from eliq.syntax import adjacency, concept_index, tree_order
 
 NAMES = ["A", "B", "C"]
@@ -245,9 +245,8 @@ def test_interning_order_matches_reference(seed, monkeypatch):
     for intern in (intern_cq, ref_intern_cq):
         monkeypatch.setattr(model, "_POOL", {})
         monkeypatch.setattr(model, "_STRUCT", [])
-        monkeypatch.setattr(model, "_SIZE", [])
         ids = [intern(q) for q in queries]
-        pools.append((ids, list(model._STRUCT), list(model._SIZE)))
+        pools.append((ids, list(model._STRUCT)))
     assert pools[0] == pools[1]
 
 
@@ -285,4 +284,4 @@ def test_walks_do_not_rescan_per_variable(monkeypatch):
 def test_intern_cq_handles_deep_chains():
     n = 5000
     chain = make_cq("x0", [("A", f"x{n - 1}")], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
-    assert tree_size(intern_cq(chain)) == n
+    assert len(tree_to_cq(intern_cq(chain)).variables()) == n

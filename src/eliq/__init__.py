@@ -67,7 +67,6 @@ from .syntax import (
     dialect_of,
     eliq_to_concept,
     make_cq,
-    top_query,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,8 +7,9 @@ possible target, it alternates three ingredients:
 
 * ``treeify`` turns a (possibly cyclic) hypothesis into a tree by repeatedly
   doubling a cycle and re-minimizing;
-* ``minimize_cq`` greedily removes role atoms (keeping the answer-variable
-  component) as long as the oracle still accepts;
+* ``minimize_cq`` greedily removes role atoms in one pass, shallowest first,
+  each with the part it alone connects to the answer variable, as long as
+  the oracle still accepts (the routine ``minimize_eliq`` uses too);
 * the frontier of the current hypothesis supplies the candidate
   generalization steps: any member the oracle accepts becomes the next
   hypothesis.
@@ -36,7 +37,7 @@ from .frontier_f import frontier
 from .normalform import normalize
 from .parser import serialize_cq
 from .reasoner import certain_answer, query_satisfiable, saturate
-from .syntax import ABox, CQ, Ontology, make_cq
+from .syntax import ABox, CQ, Ontology, distances, make_cq, prune_role_atoms
 
 
 class MembershipOracle(Protocol):
@@ -169,63 +170,22 @@ def _hamilton_cycle(n_verts: int, k: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _component_of(q: CQ, atoms: frozenset, anchor: str) -> CQ:
-    """``q`` cut down to ``atoms`` and to the component of ``anchor`` that
-    they connect."""
-    adj: dict[str, list[str]] = {}
-    for _, x, y in atoms:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    reached = {anchor}
-    todo = [anchor]
-    while todo:
-        for w in adj.get(todo.pop(), ()):
-            if w not in reached:
-                reached.add(w)
-                todo.append(w)
-    return CQ(
-        q.answer_var,
-        frozenset(p for p in q.concept_atoms if p[1] in reached),
-        frozenset(t for t in atoms if t[1] in reached and t[2] in reached),
-    )
-
-
 def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
-    """Remove role atoms (keeping the answer component) while the oracle
-    accepts; the result is minimal, connected, and saturated."""
-    q = saturate(o, q)
-    # One pass suffices: certain answers only shrink as atoms are removed, so
-    # an atom rejected for a larger query is rejected again after any later
-    # removal, and rescanning after each removal would only repeat those
-    # rejections.  Atoms cut off from the answer component are skipped.
-    for atom in sorted(q.role_atoms):
-        if atom not in q.role_atoms:
-            continue
-        candidate = _component_of(q, q.role_atoms - {atom}, q.answer_var)
-        if oracle.answer(candidate.to_abox(), q.answer_var):
-            q = candidate
-    return q
+    """Saturate ``q``, then remove role atoms, shallowest first, each with
+    the part it alone connects to the answer variable, while the oracle
+    accepts (``prune_role_atoms``); the result is minimal and saturated."""
+    return prune_role_atoms(
+        saturate(o, q), lambda smaller, _: oracle.answer(smaller.to_abox(), smaller.answer_var)
+    )
 
 
 def _find_cycle_atom(q: CQ) -> tuple[str, str, str] | None:
     """A role atom lying on a cycle (self-loops and multi-edges included),
     deterministically the smallest such atom."""
-    atoms = sorted(q.role_atoms)
-    for atom in atoms:
-        r, x, y = atom
-        if x == y:
-            return atom
-        rest = [t for t in atoms if t != atom]
-        # on a cycle iff x and y stay connected without the atom
-        reached = {x}
-        changed = True
-        while changed:
-            changed = False
-            for _, u, v in rest:
-                if (u in reached) != (v in reached):
-                    reached.update((u, v))
-                    changed = True
-        if y in reached:
+    for atom in sorted(q.role_atoms):
+        _, x, y = atom
+        # on a cycle iff x and y stay connected without the atom (x == y too)
+        if y in distances(q.role_atoms - {atom}, x):
             return atom
     return None
 
@@ -233,7 +193,6 @@ def _find_cycle_atom(q: CQ) -> tuple[str, str, str] | None:
 def treeify(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
     """Turn a hypothesis into an equivalent-or-more-general tree by doubling
     cycles and re-minimizing until no cycle remains."""
-    q = saturate(o, q)
     p = minimize_cq(o, oracle, q)
     while True:
         atom = _find_cycle_atom(p)

@@ -199,7 +199,12 @@ def generalizations_upto(
         memo[key] = out
         return out
 
-    out = [t for size in range(1, bound + 1) for t in fitting(anchor, size)]
+    out: list[int] = []
+    for size in range(1, bound + 1):
+        trees = fitting(anchor, size)
+        if not trees:
+            break  # a fitting tree minus a leaf fits, so no larger tree fits
+        out.extend(trees)
     ctx.generalizations[(anchor, names, roles, bound)] = out
     return out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .engine import basic_key, context_for, engine_for, rkey
-from .errors import InvalidArgumentError, UnsatisfiableError
+from .errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError
 from .model import (
     UniversalModelPrefix,
     build_prefix,
@@ -29,9 +29,8 @@ from .syntax import (
     CQ,
     Ontology,
     Role,
+    prune_role_atoms,
     restrict,
-    subtree_vars,
-    tree_order,
 )
 
 
@@ -133,35 +132,20 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     """An equivalent, saturated, minimal ELIQ: no variable can be dropped
     while preserving equivalence w.r.t. ``o``.
 
-    Works by dropping whole subtrees, deepest first, whose removal keeps the
-    query equivalent; a single-variable drop of an inner variable is
-    equivalent to dropping its subtree (the orphaned components can never
-    contribute to an anchored match), so subtree drops suffice for
-    minimality.
+    Saturates, then drops whole subtrees, shallowest first, whose removal
+    keeps the query equivalent (``prune_role_atoms``).  A single-variable
+    drop of an inner variable is equivalent to dropping its subtree (the
+    orphaned components can never contribute to an anchored match), so
+    subtree drops suffice for minimality.
     """
     q = saturate(o, q)
-    parent = tree_order(q)
-    by_depth = sorted(
-        (v for v in q.variables() if v != q.answer_var),
-        key=lambda v: (-_depth(parent, v), v),
+    if not q.is_eliq():
+        raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
+    # Dropping atoms only generalizes: the smaller query stays equivalent iff
+    # the current one still holds on its ABox.
+    return prune_role_atoms(
+        q, lambda smaller, current: certain_answer(o, smaller.to_abox(), current, current.answer_var)
     )
-    # One pass suffices: certain answers only shrink as atoms are removed, so
-    # a subtree whose drop was rejected stays rejected after any later drop
-    # (the query stays equivalent).  Deepest first, no drop removes a
-    # variable still to come.
-    for v in by_depth:
-        candidate = restrict(q, q.variables() - subtree_vars(q, v))
-        if certain_answer(o, candidate.to_abox(), q, q.answer_var):
-            q = candidate
-    return q
-
-
-def _depth(parent, v: str) -> int:
-    d = 0
-    while parent[v][0] is not None:
-        v = parent[v][0]  # type: ignore[assignment]
-        d += 1
-    return d
 
 
 def is_minimal(o: Ontology, q: CQ) -> bool:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .errors import InvalidArgumentError, NotAnEliqError
+from .errors import NotAnEliqError
 
 TOP = "top"
 
@@ -300,16 +300,7 @@ class CQ:
         return out
 
     def is_connected(self) -> bool:
-        adj = adjacency(self)
-        seen = {self.answer_var}
-        frontier = [self.answer_var]
-        while frontier:
-            v = frontier.pop()
-            for _, w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen == self.variables()
+        return distances(self.role_atoms, self.answer_var).keys() == self.variables()
 
     def is_eliq(self) -> bool:
         """True iff the Gaifman graph is a tree without self-loops/multi-edges.
@@ -345,11 +336,6 @@ class ABox:
             out.add(b)
         return frozenset(out)
 
-    def to_cq(self, answer_var: str) -> CQ:
-        if answer_var not in self.ind() and (self.concept_assertions or self.role_assertions):
-            raise InvalidArgumentError(f"answer variable {answer_var!r} does not occur in the ABox")
-        return CQ(answer_var, self.concept_assertions, self.role_assertions)
-
 
 def make_cq(
     answer_var: str,
@@ -370,10 +356,6 @@ def make_cq(
             ratoms.add((r, x, y))
     catoms = frozenset(p for p in concept_atoms if p[0] != TOP)
     return CQ(answer_var, catoms, frozenset(ratoms))
-
-
-def top_query(answer_var: str = "x0") -> CQ:
-    return CQ(answer_var)
 
 
 # Whole-query walks index the atoms once per call through these two helpers
@@ -404,6 +386,27 @@ def concept_index(q: CQ) -> dict[str, frozenset[str]]:
         if a != TOP:
             names.setdefault(v, []).append(a)
     return {v: frozenset(ns) for v, ns in names.items()}
+
+
+def distances(atoms: Iterable[tuple[str, str, str]], start: str) -> dict[str, int]:
+    """Breadth-first distance from ``start`` of every variable that
+    ``atoms`` connect to it, role directions ignored."""
+    adj: dict[str, list[str]] = {}
+    for _, x, y in atoms:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    dist = {start: 0}
+    level = [start]
+    while level:
+        d = dist[level[0]] + 1
+        nxt = []
+        for v in level:
+            for w in adj.get(v, ()):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        level = nxt
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +452,38 @@ def subtree_vars(q: CQ, root: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def restrict(q: CQ, keep: frozenset[str] | set[str]) -> CQ:
+def restrict(q: CQ, keep: Collection[str]) -> CQ:
     """Restriction of ``q`` to atoms mentioning only variables in ``keep``."""
     return CQ(
         q.answer_var,
         frozenset((a, v) for a, v in q.concept_atoms if v in keep),
         frozenset(t for t in q.role_atoms if t[1] in keep and t[2] in keep),
     )
+
+
+def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
+    """Greedily drop role atoms of ``q``, each together with the part of the
+    query it alone connects to the answer variable, whenever
+    ``keeps(smaller, current)`` accepts the smaller query.
+
+    Atoms are visited once, shallowest first: by the breadth-first distance
+    of their nearer endpoint from the answer variable, ties in ``sorted``
+    order.  One pass suffices when ``keeps`` is monotone (a query it rejects
+    stays rejected after any further removal), as certain answers are, so
+    the result has no droppable atom left; shallow atoms first lets one
+    drop cut off a whole branch before its atoms are asked about.
+    """
+    dist = distances(q.role_atoms, q.answer_var)
+    far = len(dist)  # atoms the answer variable does not reach come last
+    order = sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t))
+    for atom in order:
+        if atom not in q.role_atoms:
+            continue  # cut off by an earlier drop
+        rest = q.role_atoms - {atom}
+        smaller = restrict(CQ(q.answer_var, q.concept_atoms, rest), distances(rest, q.answer_var).keys())
+        if keeps(smaller, q):
+            q = smaller
+    return q
 
 
 def subquery_at(q: CQ, root: str) -> CQ:

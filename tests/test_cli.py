@@ -161,6 +161,19 @@ def test_verify_unique(files, capsys):
     assert code == 0
 
 
+def test_verify_unique_at_a_huge_bound_stops_at_the_first_empty_size(files):
+    # Under the empty ontology no tree of two nodes fits q, so the
+    # enumeration stops there instead of walking every size up to the bound.
+    write, _ = files
+    argv = ["verify", "unique", "-o", write("o.dlo", ""), "-q", write("q.cq", "q(x) :- A(x)\n"),
+            "--bound", "100000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "eliq.cli", *argv], env=env, capture_output=True, text=True,
+                         timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("ok")
+
+
 def test_verify_frontier_rejects_an_unsatisfiable_member(files, capsys, monkeypatch):
     write, _ = files
     build = cli.frontier_f

@@ -4,7 +4,9 @@ Every module-level imported name must be used in its module, and no module
 may import another module's private (``_``-prefixed) names or read a private
 attribute that it does not define itself.  The package ``__init__`` is
 exempt: it re-exports names it never uses itself.  No module uses an
-``assert`` statement, which ``python -O`` strips.
+``assert`` statement, which ``python -O`` strips.  Every module-level
+function and class is named somewhere in the repository's code besides its
+own definition and that re-export.
 """
 
 import ast
@@ -105,3 +107,49 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     asserts = [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not asserts, "assert statements vanish under python -O: " + ", ".join(asserts)
+
+
+ROOT = SRC.parent.parent
+USER_DIRS = ("src", "tests", "demos", "perfbench", "scripts")
+
+
+def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name ``tree`` reads, imports or reads as an attribute, outside
+    the subtree ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    """A function or class that nothing names but its own definition and the
+    package's re-export is dead code."""
+    trees = {
+        p: ast.parse(p.read_text(), filename=str(p))
+        for d in USER_DIRS
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p != SRC / "__init__.py"
+    }
+    named = {p: _named(t) for p, t in trees.items()}
+    unnamed = []
+    for path in MODULES:
+        elsewhere = set().union(*(names for p, names in named.items() if p != path))
+        for node in trees[path].body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name not in elsewhere
+                and node.name not in _named(trees[path], skip=node)
+            ):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unnamed, "named nowhere but in their definition: " + ", ".join(unnamed)

@@ -86,6 +86,15 @@ def test_minimize_removes_redundant_edge():
     assert oracle.query_count == 1
 
 
+def test_minimize_cuts_a_branch_off_at_its_shallowest_atom():
+    oracle = SimulatedOracle(Ontology(), parse_cq("q(x) :- r(x,y)"))
+    q = minimize_cq(Ontology(), oracle, parse_cq("q(x) :- r(x,c), r(c,b), r(b,a)"))
+    assert q == parse_cq("q(x) :- r(x,c)")
+    # r(x,c) is kept, and dropping r(c,b) drops r(b,a) with it; in sorted
+    # order r(b,a) would be asked about first, for 3 queries
+    assert oracle.query_count == 2
+
+
 def test_minimize_keeps_needed_loop():
     target = parse_cq("q(x0) :- r(x0,y), A(y)")
     oracle = SimulatedOracle(Ontology(), target)

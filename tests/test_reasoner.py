@@ -14,6 +14,7 @@ from eliq import (
     entails_role,
     enumerate_eliqs,
     equivalent,
+    frontier,
     make_cq,
     minimize_eliq,
     parse_abox,
@@ -22,8 +23,9 @@ from eliq import (
     query_satisfiable,
     saturate,
 )
-from eliq.errors import UnsatisfiableError, UnsupportedDialectError
+from eliq.errors import NotAnEliqError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_abox, random_eliq, random_ontology, random_satisfiable_eliq
+import eliq.reasoner as reasoner
 from eliq.reasoner import is_minimal
 from eliq.syntax import BASIC_TOP, basic_exists, basic_name, eliq_to_concept
 
@@ -414,6 +416,30 @@ def test_minimize_drops_entailed_child(ex1_ontology):
 def test_minimize_keeps_core_under_empty_ontology():
     q = parse_cq("q(x0) :- A(x0), r(x0,y), B(y)")
     assert minimize_eliq(Ontology(), q).role_atoms == q.role_atoms
+
+
+def test_minimize_shrinks_the_chain_member_shallowest_first(monkeypatch):
+    # The single frontier member of the n = 4 chain query.  Shallowest first,
+    # one drop cuts off a whole redundant branch; deepest first, every
+    # variable of it was asked about one by one (244 checks).
+    o = parse_ontology("A sub some r\nr rsub s\n")
+    (member,) = frontier(o, parse_cq("q(x0) :- A(x4), r(x0,x1), r(x1,x2), r(x2,x3), r(x3,x4)")).members
+    calls = []
+    inner = reasoner.certain_answer
+    monkeypatch.setattr(reasoner, "certain_answer", lambda *args: calls.append(args) or inner(*args))
+    m = minimize_eliq(o, member)
+    monkeypatch.undo()
+    assert (len(member.variables()), len(m.variables())) == (245, 51)
+    assert len(calls) <= 100
+    assert equivalent(o, m, member)
+    assert is_minimal(o, m)
+
+
+def test_minimize_refuses_cyclic_and_unsatisfiable_input():
+    with pytest.raises(NotAnEliqError):
+        minimize_eliq(Ontology(), parse_cq("q(x) :- r(x,y), r(y,x)"))
+    with pytest.raises(UnsatisfiableError):
+        minimize_eliq(parse_ontology("disj A B\n"), parse_cq("q(x) :- A(x), B(x)"))
 
 
 def test_minimize_output_is_minimal():

@@ -98,11 +98,6 @@ def test_concept_round_trip_random():
             assert equivalent(Ontology(), q, back)
 
 
-def test_to_abox_round_trip(ex1_query):
-    a = ex1_query.to_abox()
-    assert a.to_cq("x0") == ex1_query
-
-
 class TestDialect:
     def test_thm4_is_unrestricted_f(self, thm4_ontology):
         assert dialect_of(thm4_ontology) is Dialect.F

@@ -23,7 +23,17 @@ including propagation of existential fillers across asserted edges of
 functional roles, and decides satisfiability.  Without functional roles no
 filler travels and no witness feeds names back, so an individual's facts are
 the closure of its own seed; without disjointness only two successors along
-one functional role make an ABox unsatisfiable.
+one functional role make an ABox unsatisfiable, and with neither nothing does.
+
+A context therefore closes individuals on demand.  Building one only indexes
+the ABox.  The first read of an individual closes it from its own seed,
+filling its facts, successors and edge roles, so a homomorphism search pays
+only for the individuals it reaches.  With a functional role the first read
+closes every individual the same way and then runs the fixpoint.  The
+whole-ABox views close everything on first use.  The lazy state is plain
+data on the context and never refers back to it: a context in a reference
+cycle would outlive its eviction until the collector ran, and not at all
+after ``gc.freeze``.
 
 Every universal-model computation starts from an ``ABoxContext``, so it is
 the one place that refuses the combined dialect (role inclusions with
@@ -123,7 +133,7 @@ class Engine:
         self._fired_cache: dict = {}
         self._names_cache: dict[frozenset, frozenset[str]] = {}
         self._childfrom_cache: dict = {}
-        self._supinv_cache: dict[RKey, tuple[frozenset, frozenset]] = {}
+        self._edge_keys: dict[str, tuple[frozenset, frozenset]] = {}
         # (interned tree id, incoming role) -> the tree respects functionality;
         # filled by model.respects_functionality.
         self.functionality_memo: dict[tuple[int, RKey | None], bool] = {}
@@ -149,6 +159,15 @@ class Engine:
 
     def superroles(self, k: RKey) -> frozenset:
         return self._superroles.get(k, frozenset({k}))
+
+    def edge_keys(self, r: str) -> tuple[frozenset, frozenset]:
+        """The role keys an assertion ``r(a, b)`` realizes from ``a`` to
+        ``b`` and from ``b`` to ``a``; memoized per role name."""
+        hit = self._edge_keys.get(r)
+        if hit is None:
+            fwd = self.superroles((r, False))
+            hit = self._edge_keys[r] = (fwd, frozenset(rinv(s) for s in fwd))
+        return hit
 
     # -- basic closure -----------------------------------------------------
 
@@ -351,7 +370,13 @@ class Engine:
 
 
 class ABoxContext:
-    """Closure of an ABox under an Engine's ontology."""
+    """Closure of an ABox under an Engine's ontology, computed on demand.
+
+    The constructor only indexes the ABox.  The per-individual reads
+    (``facts_at``, ``names_at``, ``successors_at``, ``edge_roles_at``,
+    ``fired_children``) close the individuals they touch; the whole-ABox
+    views (``individuals``, ``facts``, ``successors``, ``edge_roles``) close
+    every individual on first use."""
 
     def __init__(self, engine: Engine, abox: ABox):
         if engine.combined:
@@ -359,27 +384,36 @@ class ABoxContext:
                 "unsupported_dialect", "universal models are unsound for role inclusions with functionality")
         self.engine = engine
         self.abox = abox
-        self.individuals = sorted(abox.ind())
-        # Realized edges: RI-closure of asserted role assertions.
-        self.edge_roles: dict[tuple[str, str], set[RKey]] = {}
-        self.successors: dict[tuple[str, RKey], set[str]] = {}
-        edge_roles = self.edge_roles
-        successors = self.successors
+        # Individuals not closed yet -> their asserted concept names (str)
+        # and incident role assertions, as (realized role keys, other end).
+        # Closing an individual pops its entry, so the index is empty, and
+        # takes no memory, once every individual is closed.
+        self._index: dict[str, list] = {}
+        index = self._index
+        for c, i in abox.concept_assertions:
+            entry = index.get(i)
+            if entry is None:
+                index[i] = [c]
+            else:
+                entry.append(c)
+        edge_keys = engine._edge_keys
         for r, a, b in abox.role_assertions:
-            fwd, bwd = self._sup_and_inv(engine, (r, False))
-            for x, y, ks in ((a, b, fwd), (b, a, bwd)):
-                cur = edge_roles.get((x, y))
-                if cur is None:
-                    edge_roles[(x, y)] = set(ks)
-                else:
-                    cur |= ks
-                for k in ks:
-                    succ = successors.get((x, k))
-                    if succ is None:
-                        successors[(x, k)] = {y}
-                    else:
-                        succ.add(y)
-        self.facts = self._closed_facts()
+            keys = edge_keys.get(r) or engine.edge_keys(r)
+            entry = index.get(a)
+            if entry is None:
+                index[a] = [(keys[0], b)]
+            else:
+                entry.append((keys[0], b))
+            entry = index.get(b)
+            if entry is None:
+                index[b] = [(keys[1], a)]
+            else:
+                entry.append((keys[1], a))
+        # What closing fills: each closed individual's facts, and its
+        # realized edges (the RI-closure of the asserted role assertions).
+        self._facts: dict[str, frozenset] = {}
+        self._edge_roles: dict[tuple[str, str], set[RKey]] = {}
+        self._successors: dict[tuple[str, RKey], set[str]] = {}
         self._fired: dict[str, list[tuple[RKey, frozenset]]] = {}
         self._sat: bool | None = None
         # (interned tree id, model node) -> homomorphism exists; filled by
@@ -393,33 +427,49 @@ class ABoxContext:
         self.trees_contained: dict[tuple[str, int], bool] = {}
         self.trees_satisfiable: dict[int, bool] = {}
 
-    @staticmethod
-    def _sup_and_inv(engine: Engine, k: RKey) -> tuple[frozenset, frozenset]:
-        hit = engine._supinv_cache.get(k)
-        if hit is None:
-            fwd = engine.superroles(k)
-            hit = (fwd, frozenset(rinv(s) for s in fwd))
-            engine._supinv_cache[k] = hit
-        return hit
+    def _close(self, a: str) -> None:
+        """Close ``a`` from its own seed: its concept names and one
+        existential per realized role of an incident edge."""
+        seed = {TOPK}
+        edge_roles = self._edge_roles
+        successors = self._successors
+        for item in self._index.pop(a):
+            if isinstance(item, str):  # a concept name
+                if item != "top":
+                    seed.add(("c", item))
+                continue
+            ks, b = item
+            cur = edge_roles.get((a, b))
+            if cur is None:
+                edge_roles[(a, b)] = set(ks)
+            else:
+                cur |= ks
+            for k in ks:
+                succ = successors.get((a, k))
+                if succ is None:
+                    successors[(a, k)] = {b}
+                    seed.add(("e", k))
+                else:
+                    succ.add(b)
+        self._facts[a] = self.engine.closure(seed)
 
-    def _seeds(self) -> dict[str, set]:
-        seeds: dict[str, set] = {a: {TOPK} for a in self.individuals}
-        for c, i in self.abox.concept_assertions:
-            if c != "top":
-                seeds[i].add(("c", c))
-        for x, k in self.successors:
-            seeds[x].add(("e", k))
-        return seeds
-
-    def _closed_facts(self) -> dict[str, frozenset]:
+    def _close_all(self) -> None:
+        """Close every individual not closed yet; with functional roles, then
+        run the fixpoint that feeds witness names back to individuals and
+        moves fillers along functional edges."""
+        if not self._index:
+            return
+        for a in list(self._index):
+            self._close(a)
         eng = self.engine
-        cur = {a: eng.closure(seed) for a, seed in self._seeds().items()}
         if not eng.functional:
-            return cur  # no witness feeds names back and no filler travels
+            return  # no witness feeds names back and no filler travels
+        cur = self._facts
+        individuals = sorted(cur)
         changed = True
         while changed:
             changed = False
-            for a in self.individuals:
+            for a in individuals:
                 extra: set = set()
                 # Feedback from anonymous witnesses below a.
                 for rk, w in eng._children_from(cur[a], None):
@@ -431,15 +481,48 @@ class ABoxContext:
                     changed = True
             # Fillers travel along asserted edges of functional roles, which
             # have no superroles: with functionality there are no inclusions.
-            for a in self.individuals:
+            for a in individuals:
                 for rk, fname in eng.fired(cur[a]):
                     if fname is None or rk not in eng.functional:
                         continue
-                    for b in self.successors.get((a, rk), ()):
+                    for b in self._successors.get((a, rk), ()):
                         if ("c", fname) not in cur[b]:
                             cur[b] = eng.closure(cur[b] | {("c", fname)})
                             changed = True
-        return cur
+
+    # -- per-individual reads ------------------------------------------------
+
+    def facts_at(self, a: str) -> frozenset:
+        """The closed facts of individual ``a``.  Without functional roles
+        they are the closure of ``a``'s own seed, so only ``a`` is closed;
+        with them, fillers travel and witnesses feed names back, so the
+        first read closes every individual and runs the fixpoint."""
+        facts = self._facts.get(a)
+        if facts is None:
+            if self.engine.functional:
+                self._close_all()
+            else:
+                self._close(a)
+            facts = self._facts[a]
+        return facts
+
+    def names_at(self, a: str) -> frozenset[str]:
+        return self.engine.names_of(self.facts_at(a))
+
+    def successors_at(self, a: str, k: RKey):
+        """The individuals that are ``k``-successors of ``a`` in the ABox."""
+        if a not in self._facts:
+            self.facts_at(a)
+        return self._successors.get((a, k), ())
+
+    def edge_roles_at(self, a: str, b: str):
+        """The role keys of the realized edge from ``a`` to ``b``."""
+        if a not in self._facts:
+            self.facts_at(a)
+        return self._edge_roles.get((a, b), ())
+
+    def has_individual(self, a: str) -> bool:
+        return a in self._facts or a in self._index
 
     def fired_children(self, a: str) -> list[tuple[RKey, frozenset]]:
         """The anonymous witnesses below individual ``a``: (role, seed names)
@@ -452,19 +535,37 @@ class ABoxContext:
             return hit
         eng = self.engine
         out = []
-        for rk, w in eng._children_from(self.facts[a], None):
-            succ = self.successors.get((a, rk), ())
+        for rk, w in eng._children_from(self.facts_at(a), None):
+            succ = self._successors.get((a, rk), ())
             if rk in eng.functional:
                 blocked = bool(succ)
             else:
-                blocked = any(w <= eng.names_of(self.facts[b]) for b in succ)
+                blocked = any(w <= self.names_at(b) for b in succ)
             if not blocked:
                 out.append((rk, w))
         self._fired[a] = out
         return out
 
-    def names_at(self, a: str) -> frozenset[str]:
-        return self.engine.names_of(self.facts[a])
+    # -- whole-ABox views ----------------------------------------------------
+
+    @property
+    def individuals(self) -> list[str]:
+        return sorted(self.facts)
+
+    @property
+    def facts(self) -> dict[str, frozenset]:
+        self._close_all()
+        return self._facts
+
+    @property
+    def successors(self) -> dict[tuple[str, RKey], set[str]]:
+        self._close_all()
+        return self._successors
+
+    @property
+    def edge_roles(self) -> dict[tuple[str, str], set[RKey]]:
+        self._close_all()
+        return self._edge_roles
 
     def satisfiable(self) -> bool:
         if self._sat is None:
@@ -474,19 +575,22 @@ class ABoxContext:
     def _compute_sat(self) -> bool:
         eng = self.engine
         functional = eng.functional
+        if not functional and not eng.disjoint:
+            return True  # nothing can clash, here or in any witness
         for (a, k), succ in self.successors.items():
             if k in functional and len(succ) > 1:
                 return False
         if not eng.disjoint:
             return True  # no clash can arise, here or in any witness
-        for a in self.individuals:
-            if eng._facts_clash(self.facts[a]):
+        individuals = self.individuals
+        for a in individuals:
+            if eng._facts_clash(self._facts[a]):
                 return False
-        for roles in self.edge_roles.values():
+        for roles in self._edge_roles.values():
             for r1, r2 in eng.rdisj_keys:
                 if r1 in roles and r2 in roles:
                     return False
-        for a in self.individuals:
+        for a in individuals:
             for rk, w in self.fired_children(a):
                 if eng.type_unsat((w, rk)):
                     return False

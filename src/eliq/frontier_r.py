@@ -45,14 +45,14 @@ def _r_nudges(prep: Prepared, v: str) -> list[tuple[RKey, str | None]]:
     eng = prep.ctx.engine
     ctx = prep.ctx
     out = set()
-    for t, f in eng.fired(ctx.facts[v]):
+    for t, f in eng.fired(ctx.facts_at(v)):
         seed = frozenset() if f is None else frozenset({f})
         witness_names = eng.names_of(eng.type_facts((seed, t)))
         for r in eng.superroles(t):
             for a in set(witness_names) | {None}:
                 blocked = any(
                     a is None or a in ctx.names_at(b)
-                    for b in ctx.successors.get((v, r), ())
+                    for b in ctx.successors_at(v, r)
                 )
                 if not blocked:
                     out.add((r, a))
@@ -90,7 +90,7 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
         du, dw = cand.down[u], cand.down[w]
         if du is None or dw is None:
             raise AssertionError("surviving candidate edges have origins")
-        for r in sorted(ctx.edge_roles.get((du, dw), ())):
+        for r in sorted(ctx.edge_roles_at(du, dw)):
             z = namer.fresh(du)
             qb.add_edge(role_of(r), z, w)
             qb.down[z] = du

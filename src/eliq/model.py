@@ -62,7 +62,11 @@ def intern_cq(q: CQ) -> int:
     """Intern a tree-shaped query, rooted at its answer variable.
 
     Subtrees are interned in post-order, children in parent-map order, with
-    an explicit stack, so deep queries do not exhaust the call stack."""
+    an explicit stack, so deep queries do not exhaust the call stack.  The id
+    is kept on ``q``, so each query object is interned once."""
+    tid = q.__dict__.get("_tid")
+    if tid is not None:
+        return tid
     parent = tree_order(q)
     labels = concept_index(q)
     children: dict[str, list[tuple[RKey, str]]] = {}
@@ -79,7 +83,9 @@ def intern_cq(q: CQ) -> int:
             stack.extend((w, False) for _, w in reversed(kids))
             continue
         ids[v] = intern_tree(labels.get(v, frozenset()), tuple(sorted((rk, ids[w]) for rk, w in kids)))
-    return ids[q.answer_var]
+    tid = ids[q.answer_var]
+    object.__setattr__(q, "_tid", tid)
+    return tid
 
 
 def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[str, str, str]]]:
@@ -290,7 +296,7 @@ class _PrefixWindow:
 
     def neighbors(self, node, want: RKey) -> Iterator:
         if isinstance(node, str):
-            yield from self.ctx.successors.get((node, want), ())
+            yield from self.ctx.successors_at(node, want)
         else:
             _, base, path = node
             inc = path[-1][0]
@@ -326,21 +332,48 @@ class _PrefixWindow:
 
 
 def _tree_feasible(win: _PrefixWindow, memo: dict, tid: int, node) -> bool:
-    key = (tid, node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    labels, children = tree_struct(tid)
-    ok = labels <= win.names(node)
-    if ok:
-        for rk, child_tid in children:
-            if not any(
-                _tree_feasible(win, memo, child_tid, m) for m in win.neighbors(node, rk)
-            ):
-                ok = False
-                break
-    memo[key] = ok
-    return ok
+    """Does the tree ``tid`` map into the window with its root at ``node``?
+
+    Its label must hold at ``node``, and each child subtree must fit at some
+    neighbour along its edge: the children are placed in order, each at the
+    first neighbour it fits at.  Depth first with an explicit stack, so deep
+    trees do not exhaust the call stack; memoized per (subtree, node)."""
+    # A frame: subtree, node, index of the child being placed (-1 before the
+    # label is checked), and that child's untried neighbours.
+    stack: list[list] = [[tid, node, -1, None]]
+    verdict = False  # of the frame popped last
+    while stack:
+        frame = stack[-1]
+        t, n, i, cands = frame
+        labels, children = tree_struct(t)
+        if i < 0:
+            hit = memo.get((t, n))
+            if hit is not None:
+                stack.pop()
+                verdict = hit
+                continue
+            if not labels <= win.names(n):
+                stack.pop()
+                verdict = memo[(t, n)] = False
+                continue
+            i = 0
+        elif verdict:
+            i, cands = i + 1, None  # child i fits: place the next one
+        if i == len(children):
+            stack.pop()
+            verdict = memo[(t, n)] = True
+            continue
+        rk, child = children[i]
+        if cands is None:
+            cands = win.neighbors(n, rk)
+        m = next(cands, None)
+        if m is None:
+            stack.pop()
+            verdict = memo[(t, n)] = False
+            continue
+        frame[2], frame[3] = i, cands
+        stack.append([child, m, -1, None])
+    return verdict
 
 
 def _fits(win: _PrefixWindow, adj: dict, labels: dict, v: str, m) -> bool:

@@ -40,7 +40,7 @@ def entails_basic(o: Ontology, b1: BasicConcept, b2: BasicConcept) -> bool:
         return True
     abox, x = _canonical_abox(b1)
     ctx = context_for(o, abox)
-    return basic_key(b2) in ctx.facts[x]
+    return basic_key(b2) in ctx.facts_at(x)
 
 
 def _canonical_abox(b: BasicConcept) -> tuple[ABox, str]:
@@ -109,7 +109,7 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
     backtracked.
     """
     ctx = context_for(o, a)
-    if ind not in ctx.facts:
+    if not ctx.has_individual(ind):
         raise InvalidArgumentError(f"{ind!r} is not an individual of the ABox")
     if not ctx.satisfiable():
         return True

@@ -278,6 +278,11 @@ class CQ:
     concept_atoms: frozenset[tuple[str, str]] = frozenset()
     role_atoms: frozenset[tuple[str, str, str]] = frozenset()
 
+    def __getstate__(self) -> dict:
+        # model.intern_cq keeps the query's tree id here, and pool ids are
+        # per process: a copy interns afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_tid"}
+
     def variables(self) -> frozenset[str]:
         out = {self.answer_var}
         out.update(v for _, v in self.concept_atoms)

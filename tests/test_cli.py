@@ -222,7 +222,14 @@ def test_deep_query_exits_2_without_traceback(files, capsys):
     write, _ = files
     chain = ", ".join(f"r(x{i},x{i + 1})" for i in range(899))
     q = write("chain.cq", f"q(x0) :- {chain}\n")
-    code = main(["check", "-o", write("empty.dlo", ""), "--contains", q, q])
+    assert main(["check", "-o", write("empty.dlo", ""), "--contains", q, q]) == 0  # containment is iterative
+    assert capsys.readouterr().out.strip() == "yes"
+    concept = "B"
+    for _ in range(900):
+        concept = f"some r . ({concept})"
+    o = write("nested.dlo", f"A sub {concept}\n")  # the concept parser still recurses
+    a = write("a.cq", "q(x0) :- A(x0)\n")
+    code = main(["check", "-o", o, "--contains", a, a])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -6,8 +6,8 @@ import pickle
 import weakref
 
 import eliq.engine as engine
-from eliq import ABox, parse_ontology
-from eliq.engine import context_for, engine_for
+from eliq import ABox, certain_answer, parse_cq, parse_ontology
+from eliq.engine import ABoxContext, context_for, engine_for
 
 ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
 
@@ -60,6 +60,9 @@ def test_evicted_engine_is_freed_without_the_collector():
     try:
         o = parse_ontology("F sub some r . G\n")
         ctx = context_for(o, ABOX)
+        # reads that close individuals, one by one and then all at once
+        assert ctx.names_at("a") == {"A0"} and ctx.fired_children("b") == []
+        assert ctx.satisfiable() and ctx.facts.keys() == {"a", "b"}
         eng_ref, ctx_ref = weakref.ref(ctx.engine), weakref.ref(ctx)
         del ctx
         for other in distinct_ontologies(engine._ENGINE_CAP, "evict"):
@@ -102,3 +105,27 @@ def test_evicted_engine_takes_its_contexts_along():
         engine_for(other)
     assert o not in engine._ENGINES
     assert not any(key[0] is eng for key in engine._CONTEXTS)
+
+
+def test_a_small_query_closes_few_individuals(monkeypatch):
+    # Without functional roles an individual closes from its own seed, so a
+    # one-edge query on a long chain closes its anchor and a neighbour.
+    closed = []
+    close = ABoxContext._close
+
+    def counting(self, a):
+        closed.append(a)
+        close(self, a)
+
+    monkeypatch.setattr(ABoxContext, "_close", counting)
+    n = 5000
+    chain = ABox(frozenset({("A", "a0")}), frozenset(("r", f"a{i}", f"a{i + 1}") for i in range(n - 1)))
+    o = parse_ontology("A sub some r . B\nB sub some s\n")
+    q = parse_cq("q(x) :- r(x,y)")
+    for anchor in ("a0", "a2500"):
+        closed.clear()
+        assert certain_answer(o, chain, q, anchor)
+        assert len(closed) <= 3, closed
+    closed.clear()
+    assert not certain_answer(o, chain, q, f"a{n - 1}")
+    assert len(closed) <= 3, closed

@@ -30,7 +30,7 @@ from eliq import (
 )
 from eliq.bruteforce import FrontierCheck
 from eliq.characterize import DataExample, ExampleSet, UniquenessVerdict
-from eliq.engine import TOPK, context_for, engine_for, rinv
+from eliq.engine import TOPK, ABoxContext, context_for, engine_for, rinv
 from eliq.errors import UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_abox, random_ontology, random_satisfiable_eliq
 from eliq.model import (
@@ -180,6 +180,43 @@ def test_contexts_match_the_reference_construction():
         seen["rdisj"] += bool(eng.rdisj_keys)
         seen["unsat"] += not ref.satisfiable()
         seen["fed"] += any(ref.facts[a] != eng.closure(s) for a, s in ref._seeds().items())
+    assert all(seen.values()), seen
+
+
+def test_on_demand_closing_matches_the_reference_construction():
+    # Fresh contexts, read individual by individual in a shuffled order
+    # before any whole-ABox view, so each read closes what it touches.
+    rng = random.Random(9002)
+    role_keys = [(r, inv) for r in ROLES for inv in (False, True)]
+    seen = {"func": 0, "unsat": 0}
+    for o, abox in _kernel_cases(9001, 300):
+        if dialect_of(o) is Dialect.RF:
+            continue
+        eng = engine_for(o)
+        ref = ReferenceContext(eng, abox)
+        ctx = ABoxContext(eng, abox)
+        reads = [(kind, a) for a in ref.individuals for kind in ("names", "children", "successors", "facts")]
+        rng.shuffle(reads)
+        for kind, a in reads:
+            assert ctx.has_individual(a)
+            if kind == "names":
+                assert ctx.names_at(a) == ref._names(a)
+            elif kind == "children":
+                assert ctx.fired_children(a) == [(rk, w) for rk, w, blocked in ref.fired_children(a) if not blocked]
+            elif kind == "successors":
+                for k in role_keys:
+                    assert set(ctx.successors_at(a, k)) == ref.successors.get((a, k), set())
+                for b in ref.individuals:
+                    assert set(ctx.edge_roles_at(a, b)) == ref.edge_roles.get((a, b), set())
+            else:
+                assert ctx.facts_at(a) == ref.facts[a]
+        assert not ctx.has_individual("_absent")
+        assert ctx.satisfiable() == ref.satisfiable()
+        assert ctx.facts == ref.facts
+        assert ctx.successors == ref.successors and ctx.edge_roles == ref.edge_roles
+        assert ctx.individuals == ref.individuals
+        seen["func"] += bool(eng.functional)
+        seen["unsat"] += not ref.satisfiable()
     assert all(seen.values()), seen
 
 

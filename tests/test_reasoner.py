@@ -435,6 +435,18 @@ def test_minimize_shrinks_the_chain_member_shallowest_first(monkeypatch):
     assert is_minimal(o, m)
 
 
+def test_containment_of_a_deep_chain_needs_no_deep_recursion():
+    # The homomorphism search keeps its own stack: one frame per query level
+    # would exceed the default recursion limit here.
+    n = 5000
+    o = parse_ontology("A sub B\n")
+    edges = [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)]
+    qa = make_cq("x0", [("A", f"x{n - 1}")], edges)
+    qb = make_cq("x0", [("B", f"x{n - 1}")], edges)
+    assert contained(o, qa, qa)
+    assert contained(o, qa, qb) and not contained(o, qb, qa)
+
+
 def test_minimize_refuses_cyclic_and_unsatisfiable_input():
     with pytest.raises(NotAnEliqError):
         minimize_eliq(Ontology(), parse_cq("q(x) :- r(x,y), r(y,x)"))

@@ -8,6 +8,7 @@ quadratic in query size); the walks must agree with them exactly, parent-map
 order and interned tree ids included.
 """
 
+import pickle
 import random
 
 import pytest
@@ -285,3 +286,19 @@ def test_intern_cq_handles_deep_chains():
     n = 5000
     chain = make_cq("x0", [("A", f"x{n - 1}")], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
     assert len(tree_to_cq(intern_cq(chain)).variables()) == n
+
+
+def test_intern_cq_interns_each_query_once(monkeypatch):
+    q = make_cq("x", [("A", "y")], [("r", "x", "y"), ("s", "z", "x")])
+    tid = intern_cq(q)
+
+    def banned(q):
+        raise AssertionError("query interned twice")
+
+    monkeypatch.setattr(model, "tree_order", banned)
+    assert intern_cq(q) == tid
+    # pool ids are per process: a copy carries no id and interns afresh
+    copy = pickle.loads(pickle.dumps(q))
+    assert "_tid" not in vars(copy) and copy == q and hash(copy) == hash(q)
+    monkeypatch.undo()
+    assert intern_cq(copy) == tid

@@ -576,7 +576,7 @@ class ABoxContext:
         eng = self.engine
         functional = eng.functional
         if not functional and not eng.disjoint:
-            return True  # nothing can clash, here or in any witness
+            return True  # only functionality and disjointness clash: close nothing
         for (a, k), succ in self.successors.items():
             if k in functional and len(succ) > 1:
                 return False

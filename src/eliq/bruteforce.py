@@ -19,15 +19,21 @@ bounded-size ELIQs the first positive example answers, bottom-up from its
 universal model, smallest first.  A negative example answers a candidate
 exactly when the candidate is one of the example's generalizations, built
 the same way, so the negatives are tested by set membership, and so is
-``q ⊑ cand``, against ``q``'s own generalizations.  A candidate gets a
-one-shot context of its own only when it fits every example, to decide
-``cand ⊑ q``, or, under disjointness, to test its satisfiability; both
-verdicts are memoized on ``q``'s context, per answer variable and tree id,
-and are dropped with that context when the context cache evicts it.  So
-``verify_unique`` on ``characterize``'s examples after
-``bruteforce_frontier_check`` of the same query, in one process, builds no
-candidate context; a single search gains only from the membership tests.
-A candidate becomes a query only when it is returned.  Like every kernel
+``q ⊑ cand``, against ``q``'s own generalizations.  ``cand ⊑ q`` is
+inherited where it can be: certain answers are preserved under ABox
+homomorphisms, so when a tree one concept name or one leaf smaller
+(``one_step_smaller``), which maps into the candidate at the root, is known
+to be contained in ``q``, so is the candidate.  Candidates come smallest
+first, so when the frontier is complete, and only candidates equivalent to
+``q`` get this far, most of them find such a tree.  A candidate gets a
+one-shot context of its own only when it fits every example and inherits
+no verdict, to decide ``cand ⊑ q``, or, under disjointness, to test its
+satisfiability.  Both verdicts, inherited or decided, are memoized on
+``q``'s context, per answer variable and tree id, and are dropped with that
+context when the context cache evicts it.  So ``verify_unique`` on
+``characterize``'s examples after ``bruteforce_frontier_check`` of the same
+query, in one process, builds no candidate context.  A candidate becomes a
+query only when it is returned.  Like every kernel
 computation, both oracles refuse the combined dialect (role inclusions with
 functionality) when they build ``q``'s context, before searching.
 """
@@ -45,6 +51,7 @@ from .model import (
     generalizations_upto,
     intern_cq,
     matches,
+    one_step_smaller,
     respects_functionality,
     tree_ids_upto,
     tree_to_abox,
@@ -90,12 +97,14 @@ def first_misfit(
     satisfiable unless there is disjointness.  ``q ⊑ cand`` holds exactly
     when the candidate is one of ``q``'s generalizations, a set-membership
     test (that list is the pool itself when the first positive is ``q``'s
-    own ABox).  ``cand ⊑ q``, and under disjointness the candidate's
-    satisfiability, are decided in a one-shot context of the candidate's
-    ABox and memoized on ``q_ctx`` (``trees_contained``,
-    ``trees_satisfiable``) for as long as ``q_ctx`` stays in the context
-    cache, so a second search over ``q`` builds no candidate context.  A
-    cyclic ``q`` is matched by backtracking.
+    own ABox).  ``cand ⊑ q`` holds when a tree one step smaller than the
+    candidate (``one_step_smaller``) is already known to be contained in
+    ``q``, since that tree maps into the candidate at the root.  Otherwise
+    it, and under disjointness the candidate's satisfiability, are decided
+    in a one-shot context of the candidate's ABox.  Both are memoized on
+    ``q_ctx`` (``trees_contained``, ``trees_satisfiable``) for as long as
+    ``q_ctx`` stays in the context cache, so a second search over ``q``
+    builds no candidate context.  A cyclic ``q`` is matched by backtracking.
     """
     names, roles = combined_signature(o, q)
     eng = q_ctx.engine
@@ -135,12 +144,15 @@ def first_misfit(
             return tree_to_cq(tid), checked
         key = (q.answer_var, tid)
         if key not in in_q:
-            if cand_ctx is None:
-                cand_ctx = _candidate_context(eng, tid)
-            if q_tid is None:
-                in_q[key] = matches(cand_ctx, q, _ROOT)
+            if any(in_q.get((q.answer_var, t)) for t in one_step_smaller(tid)):
+                in_q[key] = True  # a rooted part of the candidate is contained in q
             else:
-                in_q[key] = anchored(cand_ctx, q_tid, _ROOT)
+                if cand_ctx is None:
+                    cand_ctx = _candidate_context(eng, tid)
+                if q_tid is None:
+                    in_q[key] = matches(cand_ctx, q, _ROOT)
+                else:
+                    in_q[key] = anchored(cand_ctx, q_tid, _ROOT)
         if not in_q[key]:
             return tree_to_cq(tid), checked
     return None, checked

@@ -45,8 +45,6 @@ from .syntax import (
     exists_roles,
     make_cq,
     restrict,
-    subquery_at,
-    subtree_vars,
     tree_order,
 )
 
@@ -178,6 +176,22 @@ class Prepared:
         for v in self.children:
             self.children[v].sort(key=lambda p: (str(p[0]), p[1]))
 
+    def subtree_vars(self, root: str) -> set[str]:
+        """Variables of the query's subtree rooted at ``root``."""
+        out: set[str] = set()
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            out.add(v)
+            stack.extend(w for _, w in self.children.get(v, ()))
+        return out
+
+    def subquery(self, root: str) -> CQ:
+        """The ELIQ q_root: the query's subtree rooted at ``root``, with
+        ``root`` as answer variable."""
+        r = restrict(self.query, self.subtree_vars(root))
+        return CQ(root, r.concept_atoms, r.role_atoms)
+
 
 def strip_top(q: CQ) -> CQ:
     return CQ(q.answer_var, frozenset(p for p in q.concept_atoms if p[0] != "top"), q.role_atoms)
@@ -258,12 +272,10 @@ def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
     if x in memo:
         return memo[x]
     eng = prep.ctx.engine
-    q = prep.query
-    qx = subquery_at(q, x)
+    qx = prep.subquery(x)
     out = drop_concept_candidates(prep, x, qx)
     for role, y in prep.children.get(x, []):
-        below = subtree_vars(q, y)
-        base = restrict(qx, qx.variables() - below)
+        base = restrict(qx, qx.variables() - prep.subtree_vars(y))
         base_down = {v: v for v in base.variables() | {x}}
         rk = (role.name, role.inverted)
         subs = _f0(prep, namer, memo, y)
@@ -286,7 +298,7 @@ def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
             qb.add_edge(role, x, root)
         more_general = [s for s in sorted(eng.superroles(rk) - {rk}) if rk not in eng.superroles(s)]
         if more_general:
-            qy = subquery_at(q, y)
+            qy = prep.subquery(y)
             for s in more_general:
                 root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
                 qb.add_edge(role_of(s), x, root)

@@ -88,6 +88,41 @@ def intern_cq(q: CQ) -> int:
     return tid
 
 
+def one_step_smaller(tid: int) -> Iterator[int]:
+    """The pooled trees that are ``tid`` with one concept name dropped at one
+    node, or with one leaf dropped.  Each is a part of ``tid`` that keeps its
+    root, so it maps into ``tid`` at the root, and a query it is contained in
+    contains ``tid`` too.
+
+    Yielded lazily, nearest the root first, each once: nodes are visited in
+    pre-order with an explicit stack, so deep trees do not exhaust the call
+    stack, and of identical siblings only the first.  A reduction at a node
+    is carried up to the root by looking up each ancestor with the reduced
+    child in its place.  Trees are only looked up: one that is not in the
+    pool is left out, and nothing is interned, so the pool and its ids stay
+    as they are."""
+    # A node's way up: (parent, index of the node among its children, the
+    # parent's way up); None at the root.
+    stack: list[tuple[int, tuple | None]] = [(tid, None)]
+    while stack:
+        t, up = stack.pop()
+        labels, children = _STRUCT[t]
+        distinct = [i for i in range(len(children)) if i == 0 or children[i] != children[i - 1]]
+        keys = [(labels - {a}, children) for a in sorted(labels)]
+        keys += [(labels, children[:i] + children[i + 1:]) for i in distinct if not _STRUCT[children[i][1]][1]]
+        for key in keys:
+            s = _POOL.get(key)
+            way = up
+            while s is not None and way is not None:
+                p, i, way = way
+                p_labels, p_children = _STRUCT[p]
+                rest = p_children[:i] + p_children[i + 1:]
+                s = _POOL.get((p_labels, tuple(sorted(rest + ((p_children[i][0], s),)))))
+            if s is not None:
+                yield s
+        stack.extend((children[i][1], (t, i, up)) for i in reversed(distinct))
+
+
 def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[str, str, str]]]:
     """A tree's atoms, its nodes named ``root``, ``x1``, ``x2``, ... in pre-order,
     with an explicit stack, so deep trees do not exhaust the call stack."""

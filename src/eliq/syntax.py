@@ -491,14 +491,6 @@ def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
     return q
 
 
-def subquery_at(q: CQ, root: str) -> CQ:
-    """The ELIQ q_root: the subtree of ``q`` rooted at ``root``, with ``root``
-    as answer variable."""
-    keep = subtree_vars(q, root)
-    r = restrict(q, keep)
-    return CQ(root, r.concept_atoms, r.role_atoms)
-
-
 def eliq_to_concept(q: CQ) -> ELIConcept:
     """View a tree-shaped query as an ELI concept (inverse of concept_to_eliq)."""
     parent = tree_order(q)

@@ -1,10 +1,10 @@
 import json
 import random
 
-from eliq import Ontology, normalize, parse_abox, parse_ontology, universal_prefix
-from eliq.engine import context_for, rkey
+from eliq import Ontology, make_cq, model, normalize, parse_abox, parse_ontology, universal_prefix
+from eliq.engine import ABoxContext, Engine, context_for, rkey
 from eliq.gen import random_abox, random_ontology
-from eliq.model import tree_ids_upto
+from eliq.model import anchored, intern_cq, one_step_smaller, tree_ids_upto, tree_struct, tree_to_abox
 from eliq.reasoner import abox_satisfiable
 from reference_trees import reference_tree_ids
 
@@ -157,3 +157,53 @@ def test_tree_ids_upto_equals_the_direct_enumerator():
                 sides.reverse()
                 first, second = (side(names, roles, bound) for side in sides)
                 assert first == second, (sorted(names), sorted(roles), bound)
+
+
+def _form(tid: int) -> tuple:
+    """A pooled tree as nested tuples: sorted labels, sorted (edge, child) pairs."""
+    labels, children = tree_struct(tid)
+    return tuple(sorted(labels)), tuple(sorted((rk, _form(c)) for rk, c in children))
+
+
+def _one_step_reductions(form: tuple) -> set[tuple]:
+    """The reference: ``form`` with one name dropped at one node, or with one
+    leaf dropped, recursively over the nested tuples."""
+    labels, kids = form
+    out = {(labels[:i] + labels[i + 1:], kids) for i in range(len(labels))}
+    for i, (rk, kid) in enumerate(kids):
+        rest = kids[:i] + kids[i + 1:]
+        if not kid[1]:
+            out.add((labels, rest))
+        out.update((labels, tuple(sorted(rest + ((rk, k),)))) for k in _one_step_reductions(kid))
+    return out
+
+
+def test_one_step_smaller_looks_up_each_one_step_reduction():
+    # every tree of these sizes is pooled, so every reduction of one is
+    ids = tree_ids_upto(frozenset({"A", "B"}), frozenset({"r"}), 3) + tree_ids_upto(
+        frozenset({"A"}), frozenset({"r"}), 4)
+    eng = Engine(Ontology())
+    for tid in ids:
+        pooled = len(model._STRUCT)
+        got = list(one_step_smaller(tid))
+        assert len(model._STRUCT) == pooled
+        assert len(set(got)) == len(got)
+        assert {_form(s) for s in got} == _one_step_reductions(_form(tid)), _form(tid)
+        ctx = ABoxContext(eng, tree_to_abox(tid, "x0"))
+        assert all(anchored(ctx, s, "x0") for s in got)
+
+
+def test_one_step_smaller_leaves_out_what_is_not_pooled():
+    empty = tree_ids_upto(frozenset(), frozenset(), 1)[0]
+    # dropping a name at x1 leaves a leaf labelled with one fresh name, never interned
+    tid = intern_cq(make_cq("x0", [("Fresh1", "x1"), ("Fresh2", "x1")], [("fresh_r", "x0", "x1")]))
+    pooled = len(model._STRUCT)
+    assert list(one_step_smaller(tid)) == [empty]
+    assert len(model._STRUCT) == pooled
+
+
+def test_one_step_smaller_on_a_deep_chain_needs_no_deep_recursion():
+    n = 5000
+    tid = intern_cq(make_cq("x0", [], [("deep_r", f"x{i}", f"x{i + 1}") for i in range(n)]))
+    # without its leaf the chain is its own root's child subtree, one node shorter
+    assert list(one_step_smaller(tid)) == [tree_struct(tid)[1][0][1]]

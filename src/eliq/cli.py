@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .bruteforce import bruteforce_frontier_check
 from .characterize import characterize, verify_unique
-from .errors import EliqError, UnsupportedDialectError
+from .errors import EliqError, NotAnEliqError, UnsupportedDialectError
 from .frontier_base import Frontier, prune_equivalents
 from .frontier_f import frontier, frontier_f
 from .frontier_r import frontier_r
@@ -30,7 +30,7 @@ from .parser import (
     serialize_cq,
     serialize_ontology,
 )
-from .reasoner import certain_answer, contained, universal_prefix
+from .reasoner import certain_answer, contained, equivalent, universal_prefix
 from .syntax import combined_signature
 
 
@@ -165,10 +165,7 @@ def _dispatch(args) -> int:
         paths = args.contains or args.equivalent
         q1 = _read(paths[0], parse_cq)
         q2 = _read(paths[1], parse_cq)
-        if args.contains:
-            verdict = contained(o, q1, q2)
-        else:
-            verdict = contained(o, q1, q2) and contained(o, q2, q1)
+        verdict = (contained if args.contains else equivalent)(o, q1, q2)
         print("yes" if verdict else "no")
         return 0 if verdict else 1
 
@@ -198,6 +195,9 @@ def _dispatch(args) -> int:
     if args.command == "learn":
         o = _read(args.ontology, parse_ontology)
         target = _read(args.target, parse_cq)
+        if not target.is_eliq():
+            # The learner's hypotheses are ELIQs, so none could ever equal it.
+            raise NotAnEliqError(f"learn: the target is not an ELIQ: {serialize_cq(target).strip()}")
         oracle = SimulatedOracle(o, target)
         if args.seed:
             seed = _read(args.seed, parse_cq)

@@ -40,17 +40,19 @@ the one place that refuses the combined dialect (role inclusions with
 functionality), where that model is unsound: building a context over such an
 engine raises ``UnsupportedDialectError``.  Role entailment needs no context.
 
-``context_for`` caches contexts in a least-recently-used table of
-``_CONTEXT_CAP`` entries.  The oracles build their candidates' contexts
-directly, one-shot, so that candidates do not push the contexts of the query
-and of the frontier members out of the table.  What a candidate's context
-decides is kept instead on the context of the query's ABox, as ints and
-bools (``trees_contained``, ``trees_satisfiable``), so a second search over
-one query builds no candidate context, and the verdicts leave the table with
-that context.
+``engine_for`` and ``context_for`` keep engines and contexts in two
+``functools.lru_cache`` tables, of 32 engines and 16 contexts.  The oracles
+build their candidates' contexts directly, one-shot, so that candidates do
+not push the contexts of the query and of the frontier members out of the
+context table.  What a candidate's context decides is kept instead on the
+context of the query's ABox, as ints and bools (``trees_contained``,
+``trees_satisfiable``), so a second search over one query builds no candidate
+context, and the verdicts leave the table with that context.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
@@ -597,38 +599,23 @@ class ABoxContext:
         return True
 
 
-# Engines and contexts, least recently used first.  Contexts are keyed by the
-# engine object itself: an evicted engine's ``id`` can be reused by a later one.
-# Nothing in either cache refers back to its owner, so an evicted engine and
-# its contexts are freed by reference counting alone, with no cycle for the
-# garbage collector to find.
-_ENGINES: dict[Ontology, Engine] = {}
-_ENGINE_CAP = 32
-_CONTEXTS: dict[tuple[Engine, ABox], ABoxContext] = {}
+# Engines keyed by ontology and contexts keyed by (engine, ABox), each in a
+# least-recently-used table.  A context key holds its engine, so it cannot meet
+# a reused ``id``; an evicted engine's contexts age out of the context table,
+# and a context hit keeps its engine fresh, since ``context_for`` asks
+# ``engine_for`` first.  Nothing in either table refers back to its owner, so
+# what they evict is freed by reference counting alone, with no cycle for the
+# garbage collector to find.  ``_contexts.cache_info()`` counts the hits and
+# misses inside ``context_for``.
+_engines = functools.lru_cache(maxsize=32)(Engine)
 # Enough for one instance's query, frontier members and examples; a larger
-# cache raised the learner's peak memory without making it faster.
-_CONTEXT_CAP = 16
+# table raised the learner's peak memory without making it faster.
+_contexts = functools.lru_cache(maxsize=16)(ABoxContext)
 
 
 def engine_for(o: Ontology) -> Engine:
-    eng = _ENGINES.pop(o, None)
-    if eng is None:
-        eng = Engine(o)
-        if len(_ENGINES) >= _ENGINE_CAP:
-            evicted = _ENGINES.pop(next(iter(_ENGINES)))
-            for key in [k for k in _CONTEXTS if k[0] is evicted]:
-                del _CONTEXTS[key]
-    _ENGINES[o] = eng
-    return eng
+    return _engines(o)
 
 
 def context_for(o: Ontology, abox: ABox) -> ABoxContext:
-    eng = engine_for(o)
-    key = (eng, abox)
-    ctx = _CONTEXTS.pop(key, None)
-    if ctx is None:
-        ctx = ABoxContext(eng, abox)
-        if len(_CONTEXTS) >= _CONTEXT_CAP:
-            del _CONTEXTS[next(iter(_CONTEXTS))]
-    _CONTEXTS[key] = ctx
-    return ctx
+    return _contexts(engine_for(o), abox)

@@ -45,6 +45,7 @@ from .syntax import (
     exists_roles,
     make_cq,
     restrict,
+    tree_children,
     tree_order,
 )
 
@@ -118,13 +119,6 @@ class QB:
     def concepts_at(self, v: str) -> frozenset[str]:
         return frozenset(a for a, w in self.concepts if w == v)
 
-    def vars(self) -> set[str]:
-        out = {self.answer}
-        out.update(v for _, v in self.concepts)
-        for _, x, y in self.roles:
-            out.update((x, y))
-        return out
-
     def glue_query_copy(self, q: CQ, glue_from: str, glue_to: str, namer: Namer) -> None:
         """Attach a disjoint copy of ``q``, identifying ``glue_from``'s copy
         with the existing variable ``glue_to``.  Copied variables descend from
@@ -166,15 +160,10 @@ class Prepared:
     fresh_map: dict[str, ELIConcept]
     query: CQ  # saturated and minimized w.r.t. the normalized ontology
     ctx: ABoxContext  # context of the query's ABox
-    children: dict[str, list[tuple[Role, str]]] = field(default_factory=dict)
+    children: dict[str, list[tuple[Role, str]]] = field(init=False)
 
     def __post_init__(self):
-        parent = tree_order(self.query)
-        for v, (p, role) in parent.items():
-            if p is not None:
-                self.children.setdefault(p, []).append((role, v))
-        for v in self.children:
-            self.children[v].sort(key=lambda p: (str(p[0]), p[1]))
+        self.children = tree_children(self.query)
 
     def subtree_vars(self, root: str) -> set[str]:
         """Variables of the query's subtree rooted at ``root``."""
@@ -457,7 +446,6 @@ def build_frontier(
     op: str,
     dialects: frozenset[Dialect],
     compensate: Callable[[Prepared, Namer, GenCandidate], CQ],
-    tie_reverse: bool = False,
 ) -> Frontier:
     """The frontier driver shared by ``frontier_r`` and ``frontier_f``.
 
@@ -465,15 +453,12 @@ def build_frontier(
     and minimizes the query, runs Step 1 and the dialect's Step 2
     (``compensate``) on every root candidate, translates surrogate names back,
     and machine-checks Conditions 1 and 2 on every member before returning
-    them deduplicated and sorted.  ``tie_reverse`` compensates the root
-    candidates in reverse order (tests use it to vary tie-breaking).
+    them deduplicated and sorted.
     """
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)
     namer = Namer(prep.query.variables())
     cands = _f0(prep, namer, {}, prep.query.answer_var)
-    if tie_reverse:
-        cands = list(reversed(cands))
     raw_members = [compensate(prep, namer, c) for c in cands]
     if not size_ceiling_ok(prep.query, prep.ontology, raw_members):
         raise AssertionError("frontier size ceiling exceeded")

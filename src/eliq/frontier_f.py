@@ -29,7 +29,6 @@ query atoms, so the iteration terminates.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 
 from .engine import RKey, rinv, role_of
 from .frontier_base import (
@@ -60,7 +59,7 @@ def _f_nudges(prep: Prepared, v: str) -> list[tuple[RKey, frozenset[str]]]:
     return sorted(kept, key=lambda p: (p[0], sorted(p[1])))
 
 
-def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate, lifo: bool = False) -> CQ:
+def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
     eng = prep.ctx.engine
     q = prep.query
     qb = QB.of(cand.query, cand.down)
@@ -109,7 +108,7 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate, lifo: bool =
         mark(w, v, role.inverse())
 
     while marked:
-        src, dst, role = marked.pop() if lifo else marked.popleft()
+        src, dst, role = marked.popleft()
         processed += 1
         if processed > budget:
             raise AssertionError("marking iteration exceeded its termination bound")
@@ -163,11 +162,10 @@ def _iteration_budget(prep: Prepared, qb: QB) -> int:
     return max(1, len(qb.roles)) * (1 + n_q + sig * sig) + 10
 
 
-def frontier_f(o: Ontology, q: CQ, _tie_reverse: bool = False) -> Frontier:
+def frontier_f(o: Ontology, q: CQ) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or restricted functionality
     ontology; rejects unrestricted functionality with ``not_f_restricted``."""
-    compensate = partial(_compensate_f, lifo=_tie_reverse)
-    return build_frontier(o, q, "frontier_f", _F_DIALECTS, compensate, _tie_reverse)
+    return build_frontier(o, q, "frontier_f", _F_DIALECTS, _compensate_f)
 
 
 def frontier(o: Ontology, q: CQ) -> Frontier:

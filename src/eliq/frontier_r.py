@@ -98,11 +98,11 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
     return qb.freeze()
 
 
-def frontier_r(o: Ontology, q: CQ, _tie_reverse: bool = False) -> Frontier:
+def frontier_r(o: Ontology, q: CQ) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or role-inclusion ontology.
 
     Normalizes the ontology, saturates and minimizes the query, runs the
     generalize/compensate construction, translates surrogate names back, and
     machine-checks Conditions 1 and 2 on every member before returning.
     """
-    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _compensate_r, _tie_reverse)
+    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _compensate_r)

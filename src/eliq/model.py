@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .engine import ABoxContext, Engine, RKey, rinv, role_of
 from .errors import NotAnEliqError
-from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_order
+from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_children
 
 # ---------------------------------------------------------------------------
 # Interned rooted trees
@@ -67,12 +67,8 @@ def intern_cq(q: CQ) -> int:
     tid = q.__dict__.get("_tid")
     if tid is not None:
         return tid
-    parent = tree_order(q)
+    children = tree_children(q)
     labels = concept_index(q)
-    children: dict[str, list[tuple[RKey, str]]] = {}
-    for v, (p, role) in parent.items():
-        if p is not None:
-            children.setdefault(p, []).append(((role.name, role.inverted), v))  # type: ignore[union-attr]
     ids: dict[str, int] = {}
     stack = [(q.answer_var, False)]
     while stack:
@@ -82,7 +78,8 @@ def intern_cq(q: CQ) -> int:
             stack.append((v, True))
             stack.extend((w, False) for _, w in reversed(kids))
             continue
-        ids[v] = intern_tree(labels.get(v, frozenset()), tuple(sorted((rk, ids[w]) for rk, w in kids)))
+        ids[v] = intern_tree(labels.get(v, frozenset()),
+                             tuple(sorted(((r.name, r.inverted), ids[w]) for r, w in kids)))
     tid = ids[q.answer_var]
     object.__setattr__(q, "_tid", tid)
     return tid

@@ -441,19 +441,26 @@ def tree_order(q: CQ) -> dict[str, tuple[Optional[str], Optional[Role]]]:
     raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
 
 
+def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:
+    """Children map of an ELIQ: variable -> [(role from it, child)], each
+    list in ``tree_order``'s order, by role and then child.  Leaves are
+    absent.  Raises NotAnEliqError if the query is not tree-shaped."""
+    children: dict[str, list[tuple[Role, str]]] = {}
+    for v, (p, role) in tree_order(q).items():
+        if p is not None:
+            children.setdefault(p, []).append((role, v))  # type: ignore[arg-type]
+    return children
+
+
 def subtree_vars(q: CQ, root: str) -> frozenset[str]:
     """Variables of the subtree of an ELIQ rooted at ``root``."""
-    parent = tree_order(q)
-    children: dict[str, list[str]] = {}
-    for v, (p, _) in parent.items():
-        if p is not None:
-            children.setdefault(p, []).append(v)
+    children = tree_children(q)
     out = set()
     stack = [root]
     while stack:
         v = stack.pop()
         out.add(v)
-        stack.extend(children.get(v, ()))
+        stack.extend(w for _, w in children.get(v, ()))
     return frozenset(out)
 
 
@@ -493,16 +500,12 @@ def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
 
 def eliq_to_concept(q: CQ) -> ELIConcept:
     """View a tree-shaped query as an ELI concept (inverse of concept_to_eliq)."""
-    parent = tree_order(q)
+    children = tree_children(q)
     labels = concept_index(q)
-    children: dict[str, list[tuple[Role, str]]] = {}
-    for v, (p, role) in parent.items():
-        if p is not None:
-            children.setdefault(p, []).append((role, v))  # type: ignore[arg-type]
 
     def build(v: str) -> ELIConcept:
         parts = [atom(a) for a in sorted(labels.get(v, ()))]
-        for role, w in sorted(children.get(v, ()), key=lambda p: (str(p[0]), p[1])):
+        for role, w in children.get(v, ()):
             parts.append(exists(role, build(w)))
         return conj(parts)
 

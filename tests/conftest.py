@@ -71,3 +71,17 @@ def ex3_golden_member():
 def thm4_ontology():
     """Unrestricted functionality: no finite frontier exists for A(x)."""
     return parse_ontology("A sub some r\nsome r- sub some r\nsome r sub some s\nfunc r-\n")
+
+
+@pytest.fixture
+def reversed_root_candidates(monkeypatch):
+    """Step 2 compensates the root candidates of Step 1 in reverse order."""
+    import eliq.frontier_base as fb
+
+    f0 = fb._f0
+
+    def reversed_at_root(prep, namer, memo, x):
+        out = f0(prep, namer, memo, x)
+        return out[::-1] if x == prep.query.answer_var else out
+
+    monkeypatch.setattr(fb, "_f0", reversed_at_root)

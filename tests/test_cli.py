@@ -126,6 +126,20 @@ def test_learn_writes_trace(files, capsys, tmp_path):
     assert set(payload) == {"hypotheses", "membership_queries", "frontier_sizes", "outcome"}
 
 
+@pytest.mark.parametrize("target", ["q(x) :- r(x,x)\n", "q(x) :- A(y)\n"])
+def test_learn_refuses_a_target_that_is_not_an_eliq(files, capsys, target):
+    # No ELIQ hypothesis can equal such a target, so the learner would only
+    # spend its budget and report a negative verdict.
+    write, _ = files
+    code = main(["learn", "--ontology", write("o.dlo", "A sub some r . B\nr rsub s\n"),
+                 "--target", write("t.cq", target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not an ELIQ" in captured.err
+
+
 def test_characterize_writes_examples(files, tmp_path, capsys):
     write, _ = files
     out = tmp_path / "examples"

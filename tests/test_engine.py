@@ -1,5 +1,5 @@
-"""The engine cache: bounded, keyed by ontology equality, and freeing what it
-evicts by reference counting alone."""
+"""The engine and context tables: bounded, keyed by ontology equality, and
+freeing what they evict by reference counting alone."""
 
 import gc
 import pickle
@@ -10,6 +10,8 @@ from eliq import ABox, certain_answer, parse_cq, parse_ontology
 from eliq.engine import ABoxContext, context_for, engine_for
 
 ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
+ENGINE_CAP = engine._engines.cache_info().maxsize
+CONTEXT_CAP = engine._contexts.cache_info().maxsize
 
 
 def distinct_ontologies(n: int, tag: str = "") -> list:
@@ -39,9 +41,7 @@ def test_engine_cache_is_bounded_and_serves_the_right_ontology():
         ctx = context_for(o, ABOX)
         assert ctx.engine.original == o
         assert engine_for(o) is ctx.engine
-        assert len(engine._ENGINES) <= engine._ENGINE_CAP
-    live = set(map(id, engine._ENGINES.values()))
-    assert all(id(eng) in live for eng, _ in engine._CONTEXTS)
+        assert engine._engines.cache_info().currsize <= ENGINE_CAP
     # After eviction every ontology still gets a context built for itself.
     for o in onts:
         assert context_for(o, ABOX).engine.original == o
@@ -50,7 +50,7 @@ def test_engine_cache_is_bounded_and_serves_the_right_ontology():
 def test_recently_used_engines_stay_cached():
     kept = parse_ontology("K sub some r\n")
     eng = engine_for(kept)
-    for o in distinct_ontologies(3 * engine._ENGINE_CAP, "lru"):
+    for o in distinct_ontologies(3 * ENGINE_CAP, "lru"):
         engine_for(o)
         assert engine_for(kept) is eng
 
@@ -65,7 +65,7 @@ def test_evicted_engine_is_freed_without_the_collector():
         assert ctx.satisfiable() and ctx.facts.keys() == {"a", "b"}
         eng_ref, ctx_ref = weakref.ref(ctx.engine), weakref.ref(ctx)
         del ctx
-        for other in distinct_ontologies(engine._ENGINE_CAP, "evict"):
+        for other in distinct_ontologies(ENGINE_CAP, "evict"):
             context_for(other, ABOX)
         assert ctx_ref() is None
         assert eng_ref() is None
@@ -79,32 +79,49 @@ def distinct_aboxes(n: int) -> list:
 
 def test_context_cache_stays_within_its_cap():
     o = parse_ontology("A0 sub some r . B\n")
-    for abox in distinct_aboxes(3 * engine._CONTEXT_CAP):
+    for abox in distinct_aboxes(3 * CONTEXT_CAP):
         context_for(o, abox)
-        assert len(engine._CONTEXTS) <= engine._CONTEXT_CAP
+        assert engine._contexts.cache_info().currsize <= CONTEXT_CAP
 
 
 def test_recently_used_context_survives():
     o = parse_ontology("A0 sub some s . B\n")
     kept = context_for(o, ABOX)
-    for abox in distinct_aboxes(3 * engine._CONTEXT_CAP):
+    for abox in distinct_aboxes(3 * CONTEXT_CAP):
         context_for(o, abox)
         assert context_for(o, ABOX) is kept
-    # a context not used since is evicted, one at a time
-    first = distinct_aboxes(1)[0]
-    assert (engine_for(o), first) not in engine._CONTEXTS
-    assert len(engine._CONTEXTS) == engine._CONTEXT_CAP
+    assert engine._contexts.cache_info().currsize == CONTEXT_CAP
+    # a context not used since is evicted: asking for it again rebuilds it
+    misses = engine._contexts.cache_info().misses
+    context_for(o, distinct_aboxes(1)[0])
+    assert engine._contexts.cache_info().misses == misses + 1
 
 
-def test_evicted_engine_takes_its_contexts_along():
-    o = parse_ontology("H sub some r . G\n")
-    eng = engine_for(o)
-    for abox in distinct_aboxes(4):
-        context_for(o, abox)
-    for other in distinct_ontologies(engine._ENGINE_CAP, "drop"):
-        engine_for(other)
-    assert o not in engine._ENGINES
-    assert not any(key[0] is eng for key in engine._CONTEXTS)
+def test_evicted_engines_contexts_age_out():
+    gc.disable()
+    try:
+        o = parse_ontology("H sub some r . G\n")
+        refs = [weakref.ref(context_for(o, abox)) for abox in distinct_aboxes(4)]
+        eng_ref = weakref.ref(engine_for(o))
+        for other in distinct_ontologies(ENGINE_CAP, "drop"):
+            engine_for(other)
+        # the contexts still hold the evicted engine until they leave too
+        assert eng_ref() is not None
+        p = parse_ontology("P sub some r\n")
+        for i in range(CONTEXT_CAP):
+            context_for(p, ABox(frozenset({("P", f"p{i}")}), frozenset()))
+        assert all(ref() is None for ref in refs)
+        assert eng_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_repeated_context_is_a_hit():
+    o = parse_ontology("A0 sub some r . B\n")
+    ctx = context_for(o, ABOX)
+    hits = engine._contexts.cache_info().hits
+    assert context_for(o, ABOX) is ctx
+    assert engine._contexts.cache_info().hits == hits + 1
 
 
 def test_a_small_query_closes_few_individuals(monkeypatch):

@@ -1,7 +1,9 @@
+import importlib
 import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -127,11 +129,19 @@ def test_deep_functional_chain_terminates():
         assert m.is_eliq()
 
 
-def test_tie_order_cores_match(ex3_ontology, ex3_query):
+def test_tie_order_cores_match(ex3_ontology, ex3_query, request, monkeypatch):
     from eliq import minimal_core
 
+    ff = importlib.import_module("eliq.frontier_f")  # the package's frontier_f is the function
+
+    class Stack(deque):
+        def popleft(self):
+            return self.pop()
+
     a = frontier_f(ex3_ontology, ex3_query)
-    b = frontier_f(ex3_ontology, ex3_query, _tie_reverse=True)
+    request.getfixturevalue("reversed_root_candidates")
+    monkeypatch.setattr(ff, "deque", Stack)
+    b = frontier_f(ex3_ontology, ex3_query)
     core_a = minimal_core(ex3_ontology, list(a.members))
     core_b = minimal_core(ex3_ontology, list(b.members))
     assert len(core_a) == len(core_b)

@@ -43,7 +43,7 @@ def _verdict(v) -> tuple:
 
 
 def _cold(fn, *args) -> tuple:
-    engine._CONTEXTS.clear()
+    engine._contexts.cache_clear()
     return _verdict(fn(*args))
 
 
@@ -93,7 +93,7 @@ def test_warm_searches_equal_cold_ones(seed, candidate_contexts):
         ]
         for name, e in example_sets:
             cold = _cold(verify_unique, o, q, e, bound)
-            engine._CONTEXTS.clear()
+            engine._contexts.cache_clear()
             candidate_contexts.clear()
             assert bruteforce_frontier_check(o, q, members, bound).ok
             built_by_check = len(candidate_contexts)
@@ -128,14 +128,14 @@ def test_one_abox_with_two_answer_variables():
     )
     cold = _cold(verify_unique, o, q2, e2, 4)
     assert cold[:2] == (False, parse_cq("q(x0) :- r(x0,x1), A(x1)"))
-    engine._CONTEXTS.clear()
+    engine._contexts.cache_clear()
     assert bruteforce_frontier_check(o, q1, frontier(o, q1), 4).ok
     assert _verdict(verify_unique(o, q2, e2, 4)) == cold
     # and both queries' own example sets, in either order
     for first, second in ((q1, q2), (q2, q1)):
         e = characterize(o, second)
         cold = _cold(verify_unique, o, second, e, 4)
-        engine._CONTEXTS.clear()
+        engine._contexts.cache_clear()
         verify_unique(o, first, characterize(o, first), 4)
         assert _verdict(verify_unique(o, second, e, 4)) == cold
 
@@ -150,11 +150,11 @@ def _direct_and_inherited(monkeypatch, built: list, calls: list[tuple]) -> tuple
     with monkeypatch.context() as m:
         m.setattr(bruteforce_mod, "one_step_smaller", lambda tid: iter(()))
         for fn, *args in calls:
-            engine._CONTEXTS.clear()
+            engine._contexts.cache_clear()
             direct.append(fn(*args))
     n_direct = len(built)
     built.clear()
-    engine._CONTEXTS.clear()
+    engine._contexts.cache_clear()
     inherited = [fn(*args) for fn, *args in calls]
     return direct, inherited, n_direct, len(built)
 
@@ -237,7 +237,7 @@ def test_a_candidate_inherits_no_negative_verdict():
     # a part not contained in q says nothing about the whole.
     q = parse_cq("q(x) :- A(x), B(x), r(x,y)")
     positives = (DataExample(q.to_abox(), "x", True),)
-    engine._CONTEXTS.clear()
+    engine._contexts.cache_clear()
     first = verify_unique(Ontology(), q, ExampleSet(positives, (DataExample(parse_abox("top(a)\n"), "a", False),)), 2)
     assert first.counterexample == parse_cq("q(x0) :- A(x0)")
     second = verify_unique(Ontology(), q, ExampleSet(positives, (DataExample(parse_abox("A(a)\n"), "a", False),)), 2)

@@ -295,7 +295,7 @@ def test_intern_cq_interns_each_query_once(monkeypatch):
     def banned(q):
         raise AssertionError("query interned twice")
 
-    monkeypatch.setattr(model, "tree_order", banned)
+    monkeypatch.setattr(model, "tree_children", banned)
     assert intern_cq(q) == tid
     # pool ids are per process: a copy carries no id and interns afresh
     copy = pickle.loads(pickle.dumps(q))

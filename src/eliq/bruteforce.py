@@ -44,12 +44,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .engine import ABoxContext, Engine, context_for
-from .errors import EliqError, InvalidArgumentError, NotAnEliqError, UnsatisfiableError
+from .errors import EliqError, InvalidArgumentError, UnsatisfiableError
 from .frontier_base import Frontier, member_fault
 from .model import (
     anchored,
     generalizations_upto,
-    intern_cq,
     matches,
     one_step_smaller,
     respects_functionality,
@@ -108,10 +107,6 @@ def first_misfit(
     """
     names, roles = combined_signature(o, q)
     eng = q_ctx.engine
-    try:
-        q_tid = intern_cq(q)
-    except NotAnEliqError:
-        q_tid = None
     answered_by_negative: set[int] = set()
     for ctx, ind in negatives:
         answered_by_negative.update(generalizations_upto(ctx, ind, names, roles, bound))
@@ -149,10 +144,7 @@ def first_misfit(
             else:
                 if cand_ctx is None:
                     cand_ctx = _candidate_context(eng, tid)
-                if q_tid is None:
-                    in_q[key] = matches(cand_ctx, q, _ROOT)
-                else:
-                    in_q[key] = anchored(cand_ctx, q_tid, _ROOT)
+                in_q[key] = matches(cand_ctx, q, _ROOT)
         if not in_q[key]:
             return tree_to_cq(tid), checked
     return None, checked

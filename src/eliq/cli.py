@@ -16,11 +16,11 @@ from pathlib import Path
 from . import __version__
 from .bruteforce import bruteforce_frontier_check
 from .characterize import characterize, verify_unique
-from .errors import EliqError, NotAnEliqError, UnsupportedDialectError
+from .errors import EliqError, UnsupportedDialectError
 from .frontier_base import Frontier, prune_equivalents
 from .frontier_f import frontier, frontier_f
 from .frontier_r import frontier_r
-from .learn import SimulatedOracle, default_budget, learn_with_normal_form, seed_query
+from .learn import SimulatedOracle, default_budget, learn, seed_query
 from .normalform import normalize
 from .parser import (
     parse_abox,
@@ -195,16 +195,13 @@ def _dispatch(args) -> int:
     if args.command == "learn":
         o = _read(args.ontology, parse_ontology)
         target = _read(args.target, parse_cq)
-        if not target.is_eliq():
-            # The learner's hypotheses are ELIQs, so none could ever equal it.
-            raise NotAnEliqError(f"learn: the target is not an ELIQ: {serialize_cq(target).strip()}")
         oracle = SimulatedOracle(o, target)
         if args.seed:
             seed = _read(args.seed, parse_cq)
         else:
             seed = seed_query(o, combined_signature(o, target))
         budget = args.budget if args.budget is not None else default_budget(len(target.variables()), o)
-        trace = learn_with_normal_form(o, oracle, seed, budget)
+        trace = learn(o, oracle, seed, budget)
         payload = json.dumps(trace.to_dict(), indent=2, sort_keys=True)
         if args.trace:
             _write(Path(args.trace), payload + "\n")

@@ -17,8 +17,8 @@ functionality).
 ``build_frontier`` is the one driver: prepare, Step 1, Step 2, size ceiling,
 surrogate translation, the Condition 1-2 self-check, dedupe and sort.
 Surrogate translation is ``rewrite_abox``, the one expansion of the surrogate
-names ``normalize`` introduces; the learner rewrites its membership-query
-ABoxes with it too.
+names ``normalize`` introduces, so members come back in the input ontology's
+own vocabulary; the learner probes them as they are.
 Throughout, fresh variables remember which original query variable they
 descend from (the ``down`` map); compensation is driven by that bookkeeping.
 """

@@ -24,17 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .engine import rkey
-from .errors import InvalidArgumentError, SeedRequiredError, UnsatisfiableError
-from .frontier_base import (
-    SUPPORTED_DIALECTS,
-    ontology_size,
-    reject_unsupported,
-    rewrite_abox,
-    translate_members,
-)
+from .errors import InvalidArgumentError, NotAnEliqError, SeedRequiredError, UnsatisfiableError
+from .frontier_base import SUPPORTED_DIALECTS, ontology_size, reject_unsupported
 from .frontier_f import frontier
-from .normalform import normalize
 from .parser import serialize_cq
 from .reasoner import certain_answer, query_satisfiable, saturate
 from .syntax import ABox, CQ, Ontology, distances, make_cq, prune_role_atoms
@@ -47,9 +39,13 @@ class MembershipOracle(Protocol):
 
 
 class SimulatedOracle:
-    """Answers membership queries for a fixed hidden target query."""
+    """Answers membership queries for a fixed hidden target query, which must
+    be an ELIQ: the learner's hypotheses are ELIQs, so no other target could
+    ever be identified."""
 
     def __init__(self, ontology: Ontology, target: CQ):
+        if not target.is_eliq():
+            raise NotAnEliqError(f"the target is not an ELIQ: {serialize_cq(target).strip()}")
         self.ontology = ontology
         self.target = target
         self.query_count = 0
@@ -224,12 +220,13 @@ def treeify(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
 def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> LearnTrace:
     """Identify the oracle's target up to equivalence w.r.t. ``o``.
 
-    Requires a Core, role-inclusion, or restricted-functionality ontology (in
-    any syntactic form; callers with non-normal-form ontologies may prefer
-    ``learn_with_normal_form``, which keeps the oracle's vocabulary clean),
-    and a seed contained in the target.  Frontier members are probed smallest
-    first.  Returns the full hypothesis trace; ``budget_exceeded`` is an
-    outcome, not an exception.
+    Requires a Core, role-inclusion, or restricted-functionality ontology, in
+    any syntactic form, and a seed contained in the target.  Normal form stays
+    inside the frontier construction: its members arrive translated into the
+    ontology's own vocabulary, and ``saturate`` adds only the ontology's own
+    concept names, so no surrogate name reaches a hypothesis or the oracle.
+    Frontier members are probed smallest first.  Returns the full hypothesis
+    trace; ``budget_exceeded`` is an outcome, not an exception.
     """
     reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     if budget <= 0:
@@ -262,41 +259,9 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     return trace
 
 
-# ---------------------------------------------------------------------------
-# Reduction to normal form
-# ---------------------------------------------------------------------------
-
-
-class _RewritingOracle:
-    """Forwards membership queries after replacing surrogate-name assertions
-    by the concept trees they abbreviate (functionality-respecting, so the
-    rewritten ABox satisfies every functionality assertion the input did)."""
-
-    def __init__(self, inner: MembershipOracle, fresh_map, functional):
-        self.inner = inner
-        self.fresh_map = fresh_map
-        self.functional = functional
-
-    @property
-    def query_count(self) -> int:
-        return self.inner.query_count
-
-    def answer(self, abox: ABox, ind: str) -> bool:
-        return self.inner.answer(rewrite_abox(abox, self.fresh_map, self.functional), ind)
-
-
 def learn_with_normal_form(
     o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int
 ) -> LearnTrace:
-    """Run the learner over the normal form of ``o`` while the oracle keeps
-    working with ``o`` itself: every membership-query ABox is rewritten to
-    eliminate surrogate names before being forwarded (one forwarded query per
-    learner query), and the final hypotheses are translated back."""
-    reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
-    on, fresh_map = normalize(o)
-    functional = frozenset(rkey(r) for r in on.functional)
-    wrapped = _RewritingOracle(oracle, fresh_map, functional)
-    trace = learn(on, wrapped, seed, budget)
-    trace.hypotheses = translate_members(trace.hypotheses, fresh_map, functional)
-    return trace
-
+    """The same as ``learn``, which takes ontologies in any syntactic form;
+    kept as a name of the public API."""
+    return learn(o, oracle, seed, budget)

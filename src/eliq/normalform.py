@@ -57,8 +57,7 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
 
     Returns the converted ontology together with the map from fresh surrogate
     names to the complex concepts they stand for (used to translate frontier
-    members, and the learner's membership-query ABoxes and hypotheses, back
-    into the original vocabulary).
+    members back into the original vocabulary).
 
     Surrogates are named ``_X<n>``, skipping the concept names of ``o``, so a
     name of that form in ``o`` keeps its own meaning.  Queries and ABoxes are

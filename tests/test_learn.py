@@ -22,9 +22,9 @@ from eliq import (
     treeify,
 )
 from eliq.bruteforce import fixture
-from eliq.errors import SeedRequiredError, UnsupportedDialectError
+from eliq.errors import NotAnEliqError, SeedRequiredError, UnsupportedDialectError
+from eliq.frontier_base import rewrite_abox
 from eliq.gen import random_ontology, random_satisfiable_eliq
-from eliq.learn import rewrite_abox
 from eliq.normalform import FRESH_PREFIX
 
 
@@ -219,6 +219,14 @@ def test_budget_exceeded_is_an_outcome():
     trace = learn(o, oracle, seed, budget=2)
     assert trace.outcome == "budget_exceeded"
     assert trace.membership_queries <= 2
+
+
+def test_oracle_refuses_a_target_that_is_not_an_eliq():
+    # No ELIQ hypothesis can equal a cyclic target: the learner would spend
+    # its whole budget (640 queries here) and report budget_exceeded.
+    o = parse_ontology("A sub some r . B\nr rsub s\n")
+    with pytest.raises(NotAnEliqError):
+        SimulatedOracle(o, parse_cq("q(x) :- r(x,x)"))
 
 
 def test_learn_batch_random():

@@ -241,6 +241,6 @@ def test_hypotheses_translate_like_the_per_atom_expansion(monkeypatch):
     budget = default_budget(len(target.variables()), o)
     fast = learn_with_normal_form(o, SimulatedOracle(o, target), seed_q, budget)
     with monkeypatch.context() as m:
-        m.setattr(learn_mod, "translate_members", ref_translate_members)
+        m.setattr(frontier_base, "translate_members", ref_translate_members)
         slow = learn_with_normal_form(o, SimulatedOracle(o, target), seed_q, budget)
     assert fast.to_dict() == slow.to_dict()

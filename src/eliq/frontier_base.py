@@ -26,6 +26,7 @@ descend from (the ``down`` map); compensation is driven by that bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 from .engine import ABoxContext, RKey, context_for, role_of
@@ -320,9 +321,10 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
                         functional: frozenset[RKey]) -> None:
     """Glue the tree form of concept ``c`` at variable ``at``.
 
-    Existentials along a role in ``functional`` reuse an existing successor
-    instead of creating a second one (which would make the result
-    unsatisfiable); the reattached subtree merges recursively.
+    Existentials along a role in ``functional`` reuse an existing successor,
+    the least one if there are several, instead of creating a second one
+    (which would make the result unsatisfiable); the reattached subtree
+    merges recursively.
     """
     for part in concept_conjuncts(c):
         if part.kind == "top":
@@ -332,16 +334,13 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
             continue
         if part.kind != "exists" or part.role is None:
             raise AssertionError(f"unexpected concept part {part}")
-        rk = (part.role.name, part.role.inverted)
+        name, inverted = part.role.name, part.role.inverted
         target = None
-        if rk in functional:
-            for rname, s, t in sorted(qb.roles):
-                if not part.role.inverted and rname == part.role.name and s == at:
-                    target = t
-                    break
-                if part.role.inverted and rname == part.role.name and t == at:
-                    target = s
-                    break
+        if (name, inverted) in functional:
+            if inverted:
+                target = min((s for r, s, t in qb.roles if r == name and t == at), default=None)
+            else:
+                target = min((t for r, s, t in qb.roles if r == name and s == at), default=None)
         if target is None:
             target = namer.fresh(at)
             qb.down.setdefault(target, None)
@@ -359,9 +358,8 @@ def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: froze
     qb.concepts = {(a, v) for a, v in abox.concept_assertions if a != "top" and a not in fresh_map}
     qb.roles = set(abox.role_assertions)
     namer = Namer(abox.ind())
-    for name, b in sorted(abox.concept_assertions):
-        if name in fresh_map:
-            attach_concept_tree(qb, b, fresh_map[name], namer, functional)
+    for name, b in sorted(p for p in abox.concept_assertions if p[0] in fresh_map):
+        attach_concept_tree(qb, b, fresh_map[name], namer, functional)
     tops = frozenset(p for p in abox.concept_assertions if p[0] == "top")
     return ABox(frozenset(qb.concepts) | tops, frozenset(qb.roles))
 
@@ -369,7 +367,10 @@ def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: froze
 def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
                       functional: frozenset[RKey]) -> list[CQ]:
     """Replace surrogate atoms introduced by normalization with the concepts
-    they stand for."""
+    they stand for.  Without surrogates the members are returned as they
+    are."""
+    if not fresh_map:
+        return members
     out = []
     for m in members:
         abox = rewrite_abox(m.to_abox(), fresh_map, functional)
@@ -411,15 +412,15 @@ def check_conditions(o: Ontology, q: CQ, members: list[CQ], op: str) -> None:
             raise AssertionError(f"{op}: {_SELF_CHECK[fault]}: {m}")
 
 
-def size_ceiling_ok(q: CQ, o: Ontology, members: list[CQ]) -> bool:
-    """Generous polynomial sanity ceiling on the total variable count."""
+def size_ceiling_ok(q: CQ, o: Ontology, total_vars: int) -> bool:
+    """Generous polynomial sanity ceiling on the members' total variable
+    count ``total_vars``."""
     n = max(len(q.variables()), 1)
     names, roles = q.signature()
     s = max(len(names) + len(roles), 1)
     osz = max(ontology_size(o), 1)
     bound = s * osz * n**3 * (1 + (1 + n) * osz**3) * (1 + n * osz)
-    total = sum(len(m.variables()) for m in members)
-    return total <= bound
+    return total_vars <= bound
 
 
 def ontology_size(o: Ontology) -> int:
@@ -460,15 +461,28 @@ def build_frontier(
     namer = Namer(prep.query.variables())
     cands = _f0(prep, namer, {}, prep.query.answer_var)
     raw_members = [compensate(prep, namer, c) for c in cands]
-    if not size_ceiling_ok(prep.query, prep.ontology, raw_members):
+    sizes = [len(m.variables()) for m in raw_members]
+    if not size_ceiling_ok(prep.query, prep.ontology, sum(sizes)):
         raise AssertionError("frontier size ceiling exceeded")
     members = translate_members(raw_members, prep.fresh_map, prep.ctx.engine.functional)
     check_conditions(o, q, members, op)
-    return Frontier(tuple(sorted(set(members), key=_member_key)), q, o)
+    if members is not raw_members:
+        sizes = [len(m.variables()) for m in members]
+    return Frontier(_sorted_members(members, sizes), q, o)
 
 
-def _member_key(m: CQ):
-    return (len(m.variables()), sorted(m.concept_atoms), sorted(m.role_atoms))
+def _sorted_members(members: list[CQ], sizes: list[int]) -> tuple[CQ, ...]:
+    """``members`` deduplicated and sorted by variable count (``sizes``),
+    then by their sorted concept atoms and sorted role atoms.  The atom
+    lists are built only for members that share their size with another."""
+    size_of = dict(zip(members, sizes)).__getitem__
+    out: list[CQ] = []
+    for _, group in groupby(sorted(set(members), key=size_of), key=size_of):
+        run = list(group)
+        if len(run) > 1:
+            run.sort(key=lambda m: (sorted(m.concept_atoms), sorted(m.role_atoms)))
+        out.extend(run)
+    return tuple(out)
 
 
 def prune_equivalents(o: Ontology, members: list[CQ]) -> list[CQ]:

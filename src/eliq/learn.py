@@ -239,10 +239,8 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
         q_h = treeify(o, oracle, seed)
         trace.hypotheses.append(q_h)
         while True:
-            members = sorted(
-                frontier(o, q_h).members,
-                key=lambda m: (len(serialize_cq(m)), serialize_cq(m)),
-            )
+            text = {m: serialize_cq(m) for m in frontier(o, q_h).members}
+            members = sorted(text, key=lambda m: (len(text[m]), text[m]))
             trace.frontier_sizes.append(len(members))
             accepted = None
             for member in members:

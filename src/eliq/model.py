@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .engine import ABoxContext, Engine, RKey, rinv, role_of
 from .errors import NotAnEliqError
-from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_children
+from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_walk
 
 # ---------------------------------------------------------------------------
 # Interned rooted trees
@@ -61,26 +61,23 @@ def tree_struct(tid: int) -> tuple:
 def intern_cq(q: CQ) -> int:
     """Intern a tree-shaped query, rooted at its answer variable.
 
-    Subtrees are interned in post-order, children in parent-map order, with
-    an explicit stack, so deep queries do not exhaust the call stack.  The id
-    is kept on ``q``, so each query object is interned once."""
+    Subtrees are interned in ``tree_walk``'s pop order reversed, which is
+    the post-order with children in parent-map order: each subtree after its
+    children, siblings in order.  New subtrees get their pool ids in that
+    order, and deep queries need no call stack.  The id is kept on ``q``, so
+    each query object is interned once."""
     tid = q.__dict__.get("_tid")
     if tid is not None:
         return tid
-    children = tree_children(q)
+    parent, order = tree_walk(q)
     labels = concept_index(q)
-    ids: dict[str, int] = {}
-    stack = [(q.answer_var, False)]
-    while stack:
-        v, expanded = stack.pop()
-        kids = children.get(v, ())
-        if not expanded:
-            stack.append((v, True))
-            stack.extend((w, False) for _, w in reversed(kids))
-            continue
-        ids[v] = intern_tree(labels.get(v, frozenset()),
-                             tuple(sorted(((r.name, r.inverted), ids[w]) for r, w in kids)))
-    tid = ids[q.answer_var]
+    kids: dict[str, list] = {}  # (role key, child id) pairs of the variables reached so far
+    empty: frozenset = frozenset()
+    for v in reversed(order):
+        tid = intern_tree(labels.get(v, empty), tuple(sorted(kids.pop(v, ()))))
+        p, rk = parent[v]
+        if p is not None:
+            kids.setdefault(p, []).append((rk, tid))
     object.__setattr__(q, "_tid", tid)
     return tid
 

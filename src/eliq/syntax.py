@@ -419,26 +419,68 @@ def distances(atoms: Iterable[tuple[str, str, str]], start: str) -> dict[str, in
 # ---------------------------------------------------------------------------
 
 
+def tree_walk(q: CQ) -> tuple[dict[str, tuple[Optional[str], Optional[tuple[str, bool]]]], list[str]]:
+    """The one walk of an ELIQ from its answer variable: ``(parent, order)``.
+
+    ``parent`` maps each variable to (parent, (role name, inverted) from the
+    parent), the answer variable to (None, None), in discovery order.  The
+    walk pops variables from a stack and pushes each one's undiscovered
+    neighbours sorted by role as a string (``str(Role)``, so ``r-`` after
+    ``r'``) and then by variable; ``order`` lists the variables as popped.
+    That is a pre-order with children in reverse sorted order, so reversed it
+    is the post-order with children in sorted (parent-map) order: every
+    variable comes after all of its children.  Each role name's string keys
+    are built once.  Raises NotAnEliqError if the query is not tree-shaped.
+    """
+    atoms = q.role_atoms
+    adj: dict[str, list] = {}
+    keys: dict[str, tuple] = {}
+    for r, x, y in atoms:
+        k = keys.get(r)
+        if k is None:
+            k = keys[r] = (r, (r, False), r + "-", (r, True))
+        adj.setdefault(x, []).append((k[0], y, k[1]))
+        adj.setdefault(y, []).append((k[2], x, k[3]))
+    parent: dict[str, tuple] = {q.answer_var: (None, None)}
+    order = []
+    stack = [q.answer_var]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        nbrs = adj.get(v)
+        if nbrs:
+            if len(nbrs) > 1:
+                nbrs.sort()
+            for _, w, rk in nbrs:
+                if w not in parent:
+                    parent[w] = (v, rk)
+                    stack.append(w)
+    # A tree iff the walk reached every variable, over one atom each.  It
+    # reaches every variable with a role atom iff it reaches as many as the
+    # index holds, once it starts at one.
+    if (
+        len(parent) == len(atoms) + 1
+        and (not atoms or len(parent) == len(adj))
+        and all(v in parent for _, v in q.concept_atoms)
+    ):
+        return parent, order
+    raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
+
+
 def tree_order(q: CQ) -> dict[str, tuple[Optional[str], Optional[Role]]]:
-    """Parent map of an ELIQ: variable -> (parent, role from parent).
+    """Parent map of an ELIQ: variable -> (parent, role from parent), in
+    ``tree_walk``'s discovery order.
 
     The answer variable maps to (None, None).  Raises NotAnEliqError if the
     query is not tree-shaped.
     """
-    n = len(q.variables())
-    if len(q.role_atoms) == n - 1:  # tree-shaped iff also connected (see is_eliq)
-        adj = adjacency(q)
-        parent: dict[str, tuple[Optional[str], Optional[Role]]] = {q.answer_var: (None, None)}
-        frontier = [q.answer_var]
-        while frontier:
-            v = frontier.pop()
-            for role, w in sorted(adj.get(v, ()), key=lambda p: (str(p[0]), p[1])):
-                if w not in parent:
-                    parent[w] = (v, role)
-                    frontier.append(w)
-        if len(parent) == n:
-            return parent
-    raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
+    roles: dict = {None: None}  # Roles are immutable: build each once
+    out: dict[str, tuple[Optional[str], Optional[Role]]] = {}
+    for v, (p, rk) in tree_walk(q)[0].items():
+        if rk not in roles:
+            roles[rk] = Role(*rk)
+        out[v] = (p, roles[rk])
+    return out
 
 
 def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:

@@ -14,12 +14,12 @@ import random
 import pytest
 
 import eliq.model as model
-from eliq import CQ, Ontology, eliq_to_concept, make_cq, parse_abox
+from eliq import CQ, Ontology, Role, eliq_to_concept, make_cq, parse_abox
 from eliq.engine import context_for
 from eliq.errors import NotAnEliqError
 from eliq.gen import random_abox, random_eliq, random_ontology
 from eliq.model import anchored, intern_cq, intern_tree, matches, tree_to_cq
-from eliq.syntax import adjacency, concept_index, tree_order
+from eliq.syntax import adjacency, concept_index, tree_order, tree_walk
 
 NAMES = ["A", "B", "C"]
 ROLES = ["r", "s"]
@@ -174,9 +174,19 @@ HANDMADE = [
 ]
 
 
-def seeded_eliqs(seed: int, count: int, max_vars: int) -> list[CQ]:
+def seeded_eliqs(seed: int, count: int, max_vars: int, roles=ROLES) -> list[CQ]:
     rng = random.Random(seed)
-    return [random_eliq(rng, NAMES, ROLES, max_vars) for _ in range(count)]
+    return [random_eliq(rng, NAMES, roles, max_vars) for _ in range(count)]
+
+
+# ``r'`` sorts before ``r-`` as a string, but ("r", True) before ("r'", False)
+# as a (name, inverted) key: the walks order roles by their strings.
+PRIMED_ROLES = ["r", "r'"]
+PRIMED = [
+    make_cq("x", [("A", "y"), ("B", "z")], [("r", "y", "x"), ("r'", "x", "z")]),
+    make_cq("x", [("A", "y"), ("B", "z")], [("r'", "x", "y"), ("r", "z", "x")]),
+    make_cq("x", [("A", "w")], [("r", "y", "x"), ("r'", "x", "z"), ("r'", "w", "x"), ("r", "x", "u")]),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +201,22 @@ def test_tree_walks_agree_with_reference(seed):
         assert q.is_eliq() and ref_is_eliq(q)
         assert list(tree_order(q).items()) == list(ref_tree_order(q).items())
         assert intern_cq(q) == ref_intern_cq(q)
+
+
+def test_tree_walks_order_roles_by_their_strings(monkeypatch):
+    assert str(Role("r'")) < str(Role("r", True)) and ("r", True) < ("r'", False)
+    queries = PRIMED + seeded_eliqs(3, 100, 10, PRIMED_ROLES)
+    for q in queries:
+        assert list(tree_order(q).items()) == list(ref_tree_order(q).items())
+    # the inverse r-atom at y comes after the r'-atom at z
+    assert list(tree_order(PRIMED[0])) == ["x", "z", "y"]
+    pools = []
+    for intern in (intern_cq, ref_intern_cq):
+        monkeypatch.setattr(model, "_POOL", {})
+        monkeypatch.setattr(model, "_STRUCT", [])
+        ids = [intern(q) for q in [make_cq(q.answer_var, q.concept_atoms, q.role_atoms) for q in queries]]
+        pools.append((ids, list(model._STRUCT)))
+    assert pools[0] == pools[1]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -290,12 +316,15 @@ def test_intern_cq_handles_deep_chains():
 
 def test_intern_cq_interns_each_query_once(monkeypatch):
     q = make_cq("x", [("A", "y")], [("r", "x", "y"), ("s", "z", "x")])
+    walks = []
+    monkeypatch.setattr(model, "tree_walk", lambda q: walks.append(q) or tree_walk(q))
     tid = intern_cq(q)
+    assert walks == [q]  # interning walks the query through model.tree_walk
 
     def banned(q):
         raise AssertionError("query interned twice")
 
-    monkeypatch.setattr(model, "tree_children", banned)
+    monkeypatch.setattr(model, "tree_walk", banned)
     assert intern_cq(q) == tid
     # pool ids are per process: a copy carries no id and interns afresh
     copy = pickle.loads(pickle.dumps(q))

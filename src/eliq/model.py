@@ -71,7 +71,7 @@ def intern_cq(q: CQ) -> int:
         return tid
     parent, order = tree_walk(q)
     labels = concept_index(q)
-    kids: dict[str, list] = {}  # (role key, child id) pairs of the variables reached so far
+    kids: dict[str, list] = {}  # variable -> (role key, id) of its children interned so far
     empty: frozenset = frozenset()
     for v in reversed(order):
         tid = intern_tree(labels.get(v, empty), tuple(sorted(kids.pop(v, ()))))

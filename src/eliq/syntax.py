@@ -455,9 +455,9 @@ def tree_walk(q: CQ) -> tuple[dict[str, tuple[Optional[str], Optional[tuple[str,
                 if w not in parent:
                     parent[w] = (v, rk)
                     stack.append(w)
-    # A tree iff the walk reached every variable, over one atom each.  It
-    # reaches every variable with a role atom iff it reaches as many as the
-    # index holds, once it starts at one.
+    # A tree iff the walk reached every variable, over one atom each.  With
+    # role atoms, all it reaches is in ``adj``, so it reached all of ``adj``
+    # iff as many.
     if (
         len(parent) == len(atoms) + 1
         and (not atoms or len(parent) == len(adj))

@@ -3,14 +3,14 @@
 Facts about a single element are represented as keys:
 
     ("c", A)          element satisfies concept name A
-    ("e", (r, inv))   element has a successor along role r / r-
+    ("e", R)          element has a successor along the ``Role`` R (r or r-)
     ("top",)          always present
 
 ``Engine`` indexes a (normalized) ontology and computes:
 
 * ``closure`` — the basic-concept consequences of a set of facts;
 * witness types — the anonymous elements generated by existential
-  right-hand sides, keyed by (filler names, incoming role).  Functional
+  right-hand sides, keyed by (filler names, incoming ``Role``).  Functional
   roles merge all fillers into a single witness, and a witness whose
   entailed inverse existential points back along a functional role feeds
   its filler names back to the parent.  Both effects are stabilized by a
@@ -60,32 +60,18 @@ from .syntax import ABox, BasicConcept, Dialect, Ontology, Role, dialect_of
 
 TOPK = ("top",)
 
-RKey = tuple[str, bool]
-
-
-def rkey(r: Role) -> RKey:
-    return (r.name, r.inverted)
-
-
-def rinv(k: RKey) -> RKey:
-    return (k[0], not k[1])
-
-
-def role_of(k: RKey) -> Role:
-    return Role(k[0], k[1])
-
 
 def basic_key(b: BasicConcept):
     if b.kind == "top":
         return TOPK
     if b.kind == "name":
         return ("c", b.name)
-    return ("e", rkey(b.role))  # type: ignore[arg-type]
+    return ("e", b.role)
 
 
 # A witness type: the anonymous element created below some node, identified
 # by its seed concept names and the role it was reached by.
-TypeKey = tuple[frozenset, RKey]
+TypeKey = tuple[frozenset, Role]
 
 
 class Engine:
@@ -93,17 +79,17 @@ class Engine:
         self.original = o
         self.combined = dialect_of(o) is Dialect.RF
         self.o = normalize(o)[0]
-        self.functional: frozenset[RKey] = frozenset(rkey(r) for r in self.o.functional)
+        self.functional: frozenset[Role] = self.o.functional
 
         roles = self.o.signature()[1]
         self.original_names = frozenset(o.signature()[0])
-        self.role_keys: frozenset[RKey] = frozenset(
-            (r, inv) for r in roles for inv in (False, True)
+        self.role_keys: frozenset[Role] = frozenset(
+            Role(r, inv) for r in roles for inv in (False, True)
         )
         self._superroles = self._close_roles()
 
         # CI indexes over fact keys. Existential right-hand sides are stored
-        # as (role key, filler name or None) witness specs; they also imply
+        # as (role, filler name or None) witness specs; they also imply
         # the plain ("e", role) fact.
         self.to_basic: dict = {}
         self.to_exists: dict = {}
@@ -118,12 +104,12 @@ class Engine:
                     raise AssertionError(f"normalize left a non-normal right-hand side: {rhs}")
                 filler = rhs.filler
                 fname = None if filler is None or filler.kind == "top" else filler.name
-                self.to_exists.setdefault(lk, []).append((rkey(rhs.role), fname))
+                self.to_exists.setdefault(lk, []).append((rhs.role, fname))
 
         self.cdisj_keys = [
             (basic_key(b1), basic_key(b2)) for b1, b2 in self.o.concept_disjointness
         ]
-        self.rdisj_keys = [(rkey(r1), rkey(r2)) for r1, r2 in self.o.role_disjointness]
+        self.rdisj_keys = self.o.role_disjointness
         self.disjoint = bool(self.cdisj_keys or self.rdisj_keys)
 
         self._closure_cache: dict[frozenset, frozenset] = {}
@@ -138,16 +124,16 @@ class Engine:
         self._edge_keys: dict[str, tuple[frozenset, frozenset]] = {}
         # (interned tree id, incoming role) -> the tree respects functionality;
         # filled by model.respects_functionality.
-        self.functionality_memo: dict[tuple[int, RKey | None], bool] = {}
+        self.functionality_memo: dict[tuple[int, Role | None], bool] = {}
 
     # -- role hierarchy ----------------------------------------------------
 
-    def _close_roles(self) -> dict[RKey, frozenset]:
-        sup: dict[RKey, set[RKey]] = {k: {k} for k in self.role_keys}
+    def _close_roles(self) -> dict[Role, frozenset]:
+        sup: dict[Role, set[Role]] = {k: {k} for k in self.role_keys}
         edges = []
         for r1, r2 in self.o.role_inclusions:
-            edges.append((rkey(r1), rkey(r2)))
-            edges.append((rkey(r1.inverse()), rkey(r2.inverse())))
+            edges.append((r1, r2))
+            edges.append((r1.inverse(), r2.inverse()))
         changed = True
         while changed:
             changed = False
@@ -159,16 +145,16 @@ class Engine:
                     changed = True
         return {k: frozenset(v) for k, v in sup.items()}
 
-    def superroles(self, k: RKey) -> frozenset:
+    def superroles(self, k: Role) -> frozenset:
         return self._superroles.get(k, frozenset({k}))
 
     def edge_keys(self, r: str) -> tuple[frozenset, frozenset]:
-        """The role keys an assertion ``r(a, b)`` realizes from ``a`` to
-        ``b`` and from ``b`` to ``a``; memoized per role name."""
+        """The roles an assertion ``r(a, b)`` realizes from ``a`` to ``b``
+        and from ``b`` to ``a``; memoized per role name."""
         hit = self._edge_keys.get(r)
         if hit is None:
-            fwd = self.superroles((r, False))
-            hit = self._edge_keys[r] = (fwd, frozenset(rinv(s) for s in fwd))
+            fwd = self.superroles(Role(r))
+            hit = self._edge_keys[r] = (fwd, frozenset(s.inverse() for s in fwd))
         return hit
 
     # -- basic closure -----------------------------------------------------
@@ -207,7 +193,7 @@ class Engine:
         self._closure_cache[fseed] = out
         return out
 
-    def fired(self, facts) -> list[tuple[RKey, str | None]]:
+    def fired(self, facts) -> list[tuple[Role, str | None]]:
         """Existential witness specs whose left-hand side holds in ``facts``."""
         if not isinstance(facts, frozenset):
             facts = frozenset(facts)
@@ -233,14 +219,14 @@ class Engine:
 
     def _type_seed(self, key: TypeKey) -> frozenset:
         w, inc = key
-        return frozenset({("c", n) for n in w} | {("e", rinv(inc))})
+        return frozenset({("c", n) for n in w} | {("e", inc.inverse())})
 
     def type_facts(self, key: TypeKey) -> frozenset:
         if key not in self._tfacts:
             self._stabilize(key)
         return self._tfacts[key]
 
-    def type_children(self, key: TypeKey) -> list[tuple[RKey, frozenset]]:
+    def type_children(self, key: TypeKey) -> list[tuple[Role, frozenset]]:
         """Child types of a witness: (role, child key-names) pairs.
 
         Mirrors the universal-model trace step: one merged child per
@@ -250,18 +236,19 @@ class Engine:
         """
         return self._children_from(self.type_facts(key), key[1])
 
-    def _children_from(self, facts, inc: RKey | None) -> list[tuple[RKey, frozenset]]:
+    def _children_from(self, facts, inc: Role | None) -> list[tuple[Role, frozenset]]:
         if not isinstance(facts, frozenset):
             facts = frozenset(facts)
         hit = self._childfrom_cache.get((facts, inc))
         if hit is not None:
             return hit
-        by_role: dict[RKey, list[str | None]] = {}
+        by_role: dict[Role, list[str | None]] = {}
         for rk, fname in self.fired(facts):
             by_role.setdefault(rk, []).append(fname)
-        out: list[tuple[RKey, frozenset]] = []
+        back = None if inc is None else inc.inverse()
+        out: list[tuple[Role, frozenset]] = []
         for rk in sorted(by_role):
-            if inc is not None and rk == rinv(inc) and rinv(inc) in self.functional:
+            if rk == back and rk in self.functional:
                 continue  # merged into the parent
             fillers = by_role[rk]
             if rk in self.functional:
@@ -276,7 +263,7 @@ class Engine:
         self._childfrom_cache[(facts, inc)] = out
         return out
 
-    def maximal_witnesses(self, pairs: list[tuple[RKey, frozenset]]) -> list[tuple[RKey, frozenset]]:
+    def maximal_witnesses(self, pairs: list[tuple[Role, frozenset]]) -> list[tuple[Role, frozenset]]:
         """The first (role, seed) witness among ``pairs`` of each role and
         maximal concept-name set, unless that set is strictly contained in
         another along the same role; in their given order."""
@@ -314,17 +301,18 @@ class Engine:
                 self._tunsat.clear()
                 pending.extend(self._tdeps.get(k, ()))
 
-    def _feedback_of(self, facts, inc: RKey | None) -> frozenset[str]:
+    def _feedback_of(self, facts, inc: Role | None) -> frozenset[str]:
         """Filler names this element forces onto its parent.
 
         Applies when the inverse of the incoming role is functional: the
         parent is then the unique ``inc-`` successor, so every fired
         existential along ``inc-`` lands on it.
         """
-        if inc is None or rinv(inc) not in self.functional:
+        back = None if inc is None else inc.inverse()
+        if back not in self.functional:
             return frozenset()
         return frozenset(
-            n for rk, n in self.fired(facts) if rk == rinv(inc) and n is not None
+            n for rk, n in self.fired(facts) if rk == back and n is not None
         )
 
     def type_unsat(self, key: TypeKey) -> bool:
@@ -362,7 +350,7 @@ class Engine:
         edge_roles = self.superroles(inc)
         for r1, r2 in self.rdisj_keys:
             if (r1 in edge_roles and r2 in edge_roles) or (
-                rinv(r1) in edge_roles and rinv(r2) in edge_roles
+                r1.inverse() in edge_roles and r2.inverse() in edge_roles
             ):
                 return True
         return False
@@ -387,7 +375,7 @@ class ABoxContext:
         self.engine = engine
         self.abox = abox
         # Individuals not closed yet -> their asserted concept names (str)
-        # and incident role assertions, as (realized role keys, other end).
+        # and incident role assertions, as (realized roles, other end).
         # Closing an individual pops its entry, so the index is empty, and
         # takes no memory, once every individual is closed.
         self._index: dict[str, list] = {}
@@ -414,9 +402,9 @@ class ABoxContext:
         # What closing fills: each closed individual's facts, and its
         # realized edges (the RI-closure of the asserted role assertions).
         self._facts: dict[str, frozenset] = {}
-        self._edge_roles: dict[tuple[str, str], set[RKey]] = {}
-        self._successors: dict[tuple[str, RKey], set[str]] = {}
-        self._fired: dict[str, list[tuple[RKey, frozenset]]] = {}
+        self._edge_roles: dict[tuple[str, str], set[Role]] = {}
+        self._successors: dict[tuple[str, Role], set[str]] = {}
+        self._fired: dict[str, list[tuple[Role, frozenset]]] = {}
         self._sat: bool | None = None
         # (interned tree id, model node) -> homomorphism exists; filled by
         # model.anchored.
@@ -511,14 +499,14 @@ class ABoxContext:
     def names_at(self, a: str) -> frozenset[str]:
         return self.engine.names_of(self.facts_at(a))
 
-    def successors_at(self, a: str, k: RKey):
+    def successors_at(self, a: str, k: Role):
         """The individuals that are ``k``-successors of ``a`` in the ABox."""
         if a not in self._facts:
             self.facts_at(a)
         return self._successors.get((a, k), ())
 
     def edge_roles_at(self, a: str, b: str):
-        """The role keys of the realized edge from ``a`` to ``b``."""
+        """The roles of the realized edge from ``a`` to ``b``."""
         if a not in self._facts:
             self.facts_at(a)
         return self._edge_roles.get((a, b), ())
@@ -526,7 +514,7 @@ class ABoxContext:
     def has_individual(self, a: str) -> bool:
         return a in self._facts or a in self._index
 
-    def fired_children(self, a: str) -> list[tuple[RKey, frozenset]]:
+    def fired_children(self, a: str) -> list[tuple[Role, frozenset]]:
         """The anonymous witnesses below individual ``a``: (role, seed names)
         pairs, as ``Engine.type_children`` gives them below a witness.  A
         witness is left out when an asserted successor already serves as it:
@@ -560,12 +548,12 @@ class ABoxContext:
         return self._facts
 
     @property
-    def successors(self) -> dict[tuple[str, RKey], set[str]]:
+    def successors(self) -> dict[tuple[str, Role], set[str]]:
         self._close_all()
         return self._successors
 
     @property
-    def edge_roles(self) -> dict[tuple[str, str], set[RKey]]:
+    def edge_roles(self) -> dict[tuple[str, str], set[Role]]:
         self._close_all()
         return self._edge_roles
 

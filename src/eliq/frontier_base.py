@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable
 
-from .engine import ABoxContext, RKey, context_for, role_of
+from .engine import ABoxContext, context_for
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
 from .model import matches
 from .normalform import is_normal_form, normalize
@@ -46,6 +46,7 @@ from .syntax import (
     exists_roles,
     make_cq,
     restrict,
+    subtree_vars,
     tree_children,
     tree_order,
 )
@@ -166,20 +167,10 @@ class Prepared:
     def __post_init__(self):
         self.children = tree_children(self.query)
 
-    def subtree_vars(self, root: str) -> set[str]:
-        """Variables of the query's subtree rooted at ``root``."""
-        out: set[str] = set()
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            out.add(v)
-            stack.extend(w for _, w in self.children.get(v, ()))
-        return out
-
     def subquery(self, root: str) -> CQ:
         """The ELIQ q_root: the query's subtree rooted at ``root``, with
         ``root`` as answer variable."""
-        r = restrict(self.query, self.subtree_vars(root))
+        r = restrict(self.query, subtree_vars(self.children, root))
         return CQ(root, r.concept_atoms, r.role_atoms)
 
 
@@ -204,11 +195,11 @@ def name_entails(eng, a: str, b: str) -> bool:
     return ("c", b) in eng.closure({("c", a)})
 
 
-def exists_entails_name(eng, rk: RKey, b: str) -> bool:
+def exists_entails_name(eng, rk: Role, b: str) -> bool:
     return ("c", b) in eng.closure({("e", rk)})
 
 
-def names_implied_by_exists(eng, rk: RKey) -> frozenset[str]:
+def names_implied_by_exists(eng, rk: Role) -> frozenset[str]:
     return eng.names_of(eng.closure({("e", rk)}))
 
 
@@ -231,7 +222,7 @@ def drop_concept_candidates(prep: Prepared, x: str, subquery: CQ) -> list[GenCan
     for a in atoms:
         if any(name_entails(eng, b, a) and not name_entails(eng, a, b) for b in atoms):
             continue
-        if any(exists_entails_name(eng, (r.name, r.inverted), a) for r in incident):
+        if any(exists_entails_name(eng, r, a) for r in incident):
             continue
         removed = {b for b in atoms if name_entails(eng, a, b) and name_entails(eng, b, a)}
         reduced_full = CQ(
@@ -265,12 +256,11 @@ def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
     qx = prep.subquery(x)
     out = drop_concept_candidates(prep, x, qx)
     for role, y in prep.children.get(x, []):
-        base = restrict(qx, qx.variables() - prep.subtree_vars(y))
+        base = restrict(qx, qx.variables() - subtree_vars(prep.children, y))
         base_down = {v: v for v in base.variables() | {x}}
-        rk = (role.name, role.inverted)
         subs = _f0(prep, namer, memo, y)
         tag = f"sub:{role}@{x}->{y}"
-        if rk in eng.functional:
+        if role in eng.functional:
             # A functional edge keeps a single successor: one candidate per
             # choice of the child's generalization, plain removal without one.
             if not subs:
@@ -286,12 +276,12 @@ def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
         for sub in subs:
             root = qb.add_disjoint_copy(sub.query, sub.down, namer)
             qb.add_edge(role, x, root)
-        more_general = [s for s in sorted(eng.superroles(rk) - {rk}) if rk not in eng.superroles(s)]
+        more_general = [s for s in sorted(eng.superroles(role) - {role}) if role not in eng.superroles(s)]
         if more_general:
             qy = prep.subquery(y)
             for s in more_general:
                 root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
-                qb.add_edge(role_of(s), x, root)
+                qb.add_edge(s, x, root)
         out.append(GenCandidate(qb.freeze(), dict(qb.down), tag))
     memo[x] = out
     return out
@@ -318,7 +308,7 @@ def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
 
 
 def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
-                        functional: frozenset[RKey]) -> None:
+                        functional: frozenset[Role]) -> None:
     """Glue the tree form of concept ``c`` at variable ``at``.
 
     Existentials along a role in ``functional`` reuse an existing successor,
@@ -334,9 +324,9 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
             continue
         if part.kind != "exists" or part.role is None:
             raise AssertionError(f"unexpected concept part {part}")
-        name, inverted = part.role.name, part.role.inverted
+        name, inverted = part.role
         target = None
-        if (name, inverted) in functional:
+        if part.role in functional:
             if inverted:
                 target = min((s for r, s, t in qb.roles if r == name and t == at), default=None)
             else:
@@ -348,7 +338,7 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
         attach_concept_tree(qb, target, part.filler, namer, functional)  # type: ignore[arg-type]
 
 
-def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: frozenset[RKey]) -> ABox:
+def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: frozenset[Role]) -> ABox:
     """Replace each assertion ``X_C(b)`` of a surrogate name by the tree form
     of ``C`` glued at ``b``, reusing existing successors along functional
     roles, in one pass over the assertions."""
@@ -365,14 +355,17 @@ def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: froze
 
 
 def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
-                      functional: frozenset[RKey]) -> list[CQ]:
+                      functional: frozenset[Role]) -> list[CQ]:
     """Replace surrogate atoms introduced by normalization with the concepts
-    they stand for.  Without surrogates the members are returned as they
-    are."""
+    they stand for.  A member with no surrogate atom is returned as it is,
+    and so is the list when normalization made no surrogates."""
     if not fresh_map:
         return members
     out = []
     for m in members:
+        if not any(a in fresh_map for a, _ in m.concept_atoms):
+            out.append(m)
+            continue
         abox = rewrite_abox(m.to_abox(), fresh_map, functional)
         out.append(make_cq(m.answer_var, abox.concept_assertions, abox.role_assertions))
     return out

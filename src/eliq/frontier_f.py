@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .engine import RKey, rinv, role_of
 from .frontier_base import (
     Frontier,
     GenCandidate,
@@ -47,7 +46,7 @@ from .syntax import CQ, Dialect, Ontology, Role, dialect_of
 _F_DIALECTS = frozenset({Dialect.CORE, Dialect.F_RESTRICTED})
 
 
-def _f_nudges(prep: Prepared, v: str) -> list[tuple[RKey, frozenset[str]]]:
+def _f_nudges(prep: Prepared, v: str) -> list[tuple[Role, frozenset[str]]]:
     """Unwitnessed entailed successors of original variable v, as pairs
     (role, maximal concept-name set of the witness), keeping only the
     maximal sets per role."""
@@ -74,7 +73,7 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
             if not names_implied_by_exists(eng, rk) <= qb.concepts_at(x):
                 continue
             z = namer.fresh("z")
-            qb.add_edge(role_of(rk), x, z)
+            qb.add_edge(rk, x, z)
             for a in sorted(m):
                 qb.add_concept(a, z)
             qb.down[z] = None
@@ -90,15 +89,14 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
         if qb.down.get(dst) is None:
             raise AssertionError("marked atom target must have an origin")
         if qb.down.get(src) is None:
-            tk = (role.name, role.inverted)
-            if rinv(tk) in eng.functional and _q_has_edge(q, qb.down[dst], rinv(tk)):
+            back = role.inverse()
+            if back in eng.functional and _q_has_edge(q, qb.down[dst], back):
                 raise AssertionError("marking proviso violated")
         marked.append((src, dst, role))
 
     # Start: invert every edge whose inverse is not functional.
     for u, role, w in away_atoms(qb.freeze()):
-        tk = (role.name, role.inverted)
-        if rinv(tk) in eng.functional:
+        if role.inverse() in eng.functional:
             continue
         if qb.down.get(u) is None:
             raise AssertionError("away-directed sources have origins here")
@@ -112,8 +110,7 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
         processed += 1
         if processed > budget:
             raise AssertionError("marking iteration exceeded its termination bound")
-        tk = (role.name, role.inverted)
-        back = rinv(tk)
+        back = role.inverse()
         ydown = qb.down[dst]
         if ydown is None:
             raise AssertionError("marked atom target must have an origin")
@@ -129,7 +126,7 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
             qb.add_concept(a, dst)
         # (ii) re-expand the original variable's other query edges
         for s_role, z in sorted(q.neighbors(ydown), key=lambda p: (str(p[0]), p[1])):
-            if (s_role.name, s_role.inverted) == back and z == xdown:
+            if s_role == back and z == xdown:
                 continue
             z2 = namer.fresh(z)
             qb.add_edge(s_role, dst, z2)
@@ -140,19 +137,19 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
         for sk, m in _f_nudges(prep, ydown):
             u2 = namer.fresh("u")
             y2 = namer.fresh(ydown)
-            qb.add_edge(role_of(sk), dst, u2)
+            qb.add_edge(sk, dst, u2)
             for a in sorted(m):
                 qb.add_concept(a, u2)
-            qb.add_edge(role_of(rinv(sk)), u2, y2)
+            qb.add_edge(sk.inverse(), u2, y2)
             qb.down[u2] = None
             qb.down[y2] = ydown
-            mark(u2, y2, role_of(rinv(sk)))
+            mark(u2, y2, sk.inverse())
 
     return qb.freeze()
 
 
-def _q_has_edge(q: CQ, v: str, rk: RKey) -> bool:
-    return any((role.name, role.inverted) == rk for role, _ in q.neighbors(v))
+def _q_has_edge(q: CQ, v: str, role: Role) -> bool:
+    return any(r == role for r, _ in q.neighbors(v))
 
 
 def _iteration_budget(prep: Prepared, qb: QB) -> int:

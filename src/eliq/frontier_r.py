@@ -21,7 +21,6 @@ variables they descend from; compensation is driven entirely by it.
 
 from __future__ import annotations
 
-from .engine import RKey, role_of
 from .frontier_base import (
     Frontier,
     GenCandidate,
@@ -32,12 +31,12 @@ from .frontier_base import (
     build_frontier,
     names_implied_by_exists,
 )
-from .syntax import CQ, Dialect, Ontology
+from .syntax import CQ, Dialect, Ontology, Role
 
 _R_DIALECTS = frozenset({Dialect.CORE, Dialect.R})
 
 
-def _r_nudges(prep: Prepared, v: str) -> list[tuple[RKey, str | None]]:
+def _r_nudges(prep: Prepared, v: str) -> list[tuple[Role, str | None]]:
     """Unwitnessed entailed successors of original variable v: pairs (R, A)
     with A a concept name or None (top) such that the query entails an
     R-successor of v satisfying A and no role atom at v already provides
@@ -76,10 +75,10 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
                     continue
                 z = namer.fresh("z")
                 x2 = namer.fresh(dx)
-                qb.add_edge(role_of(s), x, z)
+                qb.add_edge(s, x, z)
                 if a is not None:
                     qb.add_concept(a, z)
-                qb.add_edge(role_of(r), x2, z)
+                qb.add_edge(r, x2, z)
                 qb.down[z] = None
                 qb.down[x2] = dx
                 qb.glue_query_copy(q, dx, x2, namer)
@@ -92,7 +91,7 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
             raise AssertionError("surviving candidate edges have origins")
         for r in sorted(ctx.edge_roles_at(du, dw)):
             z = namer.fresh(du)
-            qb.add_edge(role_of(r), z, w)
+            qb.add_edge(r, z, w)
             qb.down[z] = du
             qb.glue_query_copy(q, du, z, namer)
     return qb.freeze()

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import ABoxContext, Engine, RKey, rinv, role_of
+from .engine import ABoxContext, Engine
 from .errors import NotAnEliqError
 from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_walk
 
@@ -71,7 +71,7 @@ def intern_cq(q: CQ) -> int:
         return tid
     parent, order = tree_walk(q)
     labels = concept_index(q)
-    kids: dict[str, list] = {}  # variable -> (role key, id) of its children interned so far
+    kids: dict[str, list] = {}  # variable -> (role, id) of its children interned so far
     empty: frozenset = frozenset()
     for v in reversed(order):
         tid = intern_tree(labels.get(v, empty), tuple(sorted(kids.pop(v, ()))))
@@ -124,7 +124,7 @@ def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[st
     role_atoms: set[tuple[str, str, str]] = set()
     counter = 0
     # (parent's name, edge from it, subtree); the root comes with its own name and no edge
-    stack: list[tuple[str, RKey | None, int]] = [(root, None, tid)]
+    stack: list[tuple[str, Role | None, int]] = [(root, None, tid)]
     while stack:
         v, edge, t = stack.pop()
         if edge is not None:
@@ -151,7 +151,7 @@ def tree_to_abox(tid: int, root: str = "x0") -> ABox:
     return ABox(frozenset(concept_atoms), frozenset(role_atoms))
 
 
-def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[RKey]]:
+def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[Role]]:
     """Node labels (every subset of ``names``) and edge keys (both
     directions of every role), each in enumeration order."""
     sorted_names = sorted(names)
@@ -159,11 +159,11 @@ def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[RKey]]:
     for mask in range(1 << len(sorted_names)):
         labels.append(frozenset(n for i, n in enumerate(sorted_names) if mask >> i & 1))
     labels.sort(key=sorted)
-    edges: list[RKey] = sorted((r, inv) for r in sorted(roles) for inv in (False, True))
+    edges: list[Role] = sorted(Role(r, inv) for r in sorted(roles) for inv in (False, True))
     return labels, edges
 
 
-def _combos(attachments: list[tuple[int, RKey, int]], budget: int) -> list[tuple]:
+def _combos(attachments: list[tuple[int, Role, int]], budget: int) -> list[tuple]:
     """Every multiset of (subtree size, edge, tid) attachments whose sizes sum
     to ``budget``, as a sorted child tuple.  ``attachments`` must be sorted;
     the order of the result follows it."""
@@ -219,7 +219,7 @@ def generalizations_upto(
         elif not labs:
             out = []
         else:
-            attachments: list[tuple[int, RKey, int]] = []
+            attachments: list[tuple[int, Role, int]] = []
             for e in edges:
                 # a fixed visiting order fixes the order new trees are interned in
                 targets = sorted(win.neighbors(node, e), key=_node_order)
@@ -266,7 +266,7 @@ def _node_order(node) -> tuple:
     return (base, tuple((rk, sorted(seed)) for rk, seed in path))
 
 
-def respects_functionality(eng: Engine, tid: int, inc: RKey | None = None) -> bool:
+def respects_functionality(eng: Engine, tid: int, inc: Role | None = None) -> bool:
     """No node of the tree has two successors along a functional role, where
     the edge back to the parent (reached by ``inc``) counts too.  A tree
     violating functionality is equivalent to a folded tree, which the
@@ -279,7 +279,7 @@ def respects_functionality(eng: Engine, tid: int, inc: RKey | None = None) -> bo
         _, children = tree_struct(tid)
         out_roles = [rk for rk, _ in children]
         if inc is not None:
-            out_roles.append(rinv(inc))
+            out_roles.append(inc.inverse())
         hit = all(out_roles.count(rk) < 2 for rk in eng.functional) and all(
             respects_functionality(eng, c, rk) for rk, c in children
         )
@@ -292,7 +292,7 @@ def respects_functionality(eng: Engine, tid: int, inc: RKey | None = None) -> bo
 # ---------------------------------------------------------------------------
 
 # A node is either an individual name (str) or a trace tuple
-# ("t", base individual, ((role key, seed names), ...)).
+# ("t", base individual, ((role, seed names), ...)).
 
 
 class _PrefixWindow:
@@ -309,7 +309,7 @@ class _PrefixWindow:
         rk, seed = path[-1]
         return self.eng.names_of(self.eng.type_facts((seed, rk)))
 
-    def children(self, node) -> list[tuple[RKey, tuple]]:
+    def children(self, node) -> list[tuple[Role, tuple]]:
         hit = self._children.get(node)
         if hit is not None:
             return hit
@@ -323,13 +323,13 @@ class _PrefixWindow:
         self._children[node] = out
         return out
 
-    def neighbors(self, node, want: RKey) -> Iterator:
+    def neighbors(self, node, want: Role) -> Iterator:
         if isinstance(node, str):
             yield from self.ctx.successors_at(node, want)
         else:
             _, base, path = node
             inc = path[-1][0]
-            if rinv(want) in self.eng.superroles(inc):
+            if want.inverse() in self.eng.superroles(inc):
                 yield base if len(path) == 1 else ("t", base, path[:-1])
         for crk, child in self.children(node):
             if want in self.eng.superroles(crk):
@@ -408,7 +408,7 @@ def _tree_feasible(win: _PrefixWindow, memo: dict, tid: int, node) -> bool:
 def _fits(win: _PrefixWindow, adj: dict, labels: dict, v: str, m) -> bool:
     """``v``'s concept atoms and self-loops hold at model node ``m``."""
     return labels.get(v, frozenset()) <= win.names(m) and all(
-        m in win.neighbors(m, (role.name, role.inverted)) for role, w in adj.get(v, ()) if w == v
+        m in win.neighbors(m, role) for role, w in adj.get(v, ()) if w == v
     )
 
 
@@ -423,7 +423,7 @@ def _backtrack(win: _PrefixWindow, adj: dict, labels: dict, assignment: dict,
     for role, w in adj.get(v, ()):
         if w in assignment:
             found = set()
-            for m in win.neighbors(assignment[w], (role.name, not role.inverted)):
+            for m in win.neighbors(assignment[w], role.inverse()):
                 # role as seen from v: w --inv--> v means v --role--> w
                 found.add(m)
             candidates = found if candidates is None else candidates & found
@@ -558,7 +558,7 @@ def build_prefix(ctx: ABoxContext, depth: int) -> UniversalModelPrefix:
             for rk, child in kids:
                 names = win.names(child)
                 label = names if eng.functional else child[2][-1][1]
-                t = trace_of[child] = Trace(parent.origin, parent.steps + ((role_of(rk), label),))
+                t = trace_of[child] = Trace(parent.origin, parent.steps + ((rk, label),))
                 traces.append(t)
                 node_id = str(t)
                 labels[node_id] = names

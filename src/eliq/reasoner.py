@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .engine import basic_key, context_for, engine_for, rkey
+from .engine import basic_key, context_for, engine_for
 from .errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError
 from .model import (
     UniversalModelPrefix,
@@ -56,7 +56,7 @@ def _canonical_abox(b: BasicConcept) -> tuple[ABox, str]:
 def entails_role(o: Ontology, r1: Role, r2: Role) -> bool:
     """Reflexive-transitive closure of the role inclusions, closed under
     inversion."""
-    return rkey(r2) in engine_for(o).superroles(rkey(r1))
+    return r2 in engine_for(o).superroles(r1)
 
 
 def abox_satisfiable(o: Ontology, a: ABox) -> bool:

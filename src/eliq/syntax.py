@@ -3,8 +3,10 @@
 All values are immutable after construction and hashable, so they can be
 shared freely and used as cache keys.  Conventions used throughout:
 
-* Roles are a role name plus an inversion flag; double inversion is not
-  representable (``inverse`` flips the flag).
+* A role is a ``Role``, the pair (role name, inversion flag); double
+  inversion is not representable (``inverse`` flips the flag).  ``Role`` is
+  the one role type: the engine, the subtree pool and the frontier
+  constructions key roles by it, and nothing converts it to another form.
 * The top concept is written ``top`` and is also admitted as a unary
   "concept" in queries and ABoxes; every variable/individual implicitly
   satisfies it.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NotAnEliqError
 
@@ -30,8 +32,15 @@ TOP = "top"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Role:
+class Role(NamedTuple):
+    """A role name and whether it is inverted, written ``r`` or ``r-``.
+
+    It is also the one key roles are indexed by: in fact keys, witness
+    types, the subtree pool's edges and the frontier constructions.  Being a
+    tuple, it equals and hashes as the bare pair ``(name, inverted)``, so a
+    table that holds a bare pair serves it for the ``Role`` too; every role
+    key is therefore built as a ``Role``."""
+
     name: str
     inverted: bool = False
 
@@ -419,18 +428,19 @@ def distances(atoms: Iterable[tuple[str, str, str]], start: str) -> dict[str, in
 # ---------------------------------------------------------------------------
 
 
-def tree_walk(q: CQ) -> tuple[dict[str, tuple[Optional[str], Optional[tuple[str, bool]]]], list[str]]:
+def tree_walk(q: CQ) -> tuple[dict[str, tuple[Optional[str], Optional[Role]]], list[str]]:
     """The one walk of an ELIQ from its answer variable: ``(parent, order)``.
 
-    ``parent`` maps each variable to (parent, (role name, inverted) from the
-    parent), the answer variable to (None, None), in discovery order.  The
-    walk pops variables from a stack and pushes each one's undiscovered
-    neighbours sorted by role as a string (``str(Role)``, so ``r-`` after
-    ``r'``) and then by variable; ``order`` lists the variables as popped.
-    That is a pre-order with children in reverse sorted order, so reversed it
-    is the post-order with children in sorted (parent-map) order: every
-    variable comes after all of its children.  Each role name's string keys
-    are built once.  Raises NotAnEliqError if the query is not tree-shaped.
+    ``parent`` maps each variable to (parent, role from the parent), the
+    answer variable to (None, None), in discovery order.  The walk pops
+    variables from a stack and pushes each one's undiscovered neighbours
+    sorted by role as a string (``str(Role)``, so ``r-`` after ``r'``) and
+    then by variable; ``order`` lists the variables as popped.  That is a
+    pre-order with children in reverse sorted order, so reversed it is the
+    post-order with children in sorted (parent-map) order: every variable
+    comes after all of its children.  Each role name's two ``Role``s and
+    their strings are built once.  Raises NotAnEliqError if the query is not
+    tree-shaped.
     """
     atoms = q.role_atoms
     adj: dict[str, list] = {}
@@ -438,7 +448,7 @@ def tree_walk(q: CQ) -> tuple[dict[str, tuple[Optional[str], Optional[tuple[str,
     for r, x, y in atoms:
         k = keys.get(r)
         if k is None:
-            k = keys[r] = (r, (r, False), r + "-", (r, True))
+            k = keys[r] = (r, Role(r), r + "-", Role(r, True))
         adj.setdefault(x, []).append((k[0], y, k[1]))
         adj.setdefault(y, []).append((k[2], x, k[3]))
     parent: dict[str, tuple] = {q.answer_var: (None, None)}
@@ -451,9 +461,9 @@ def tree_walk(q: CQ) -> tuple[dict[str, tuple[Optional[str], Optional[tuple[str,
         if nbrs:
             if len(nbrs) > 1:
                 nbrs.sort()
-            for _, w, rk in nbrs:
+            for _, w, role in nbrs:
                 if w not in parent:
-                    parent[w] = (v, rk)
+                    parent[w] = (v, role)
                     stack.append(w)
     # A tree iff the walk reached every variable, over one atom each.  With
     # role atoms, all it reaches is in ``adj``, so it reached all of ``adj``
@@ -474,13 +484,7 @@ def tree_order(q: CQ) -> dict[str, tuple[Optional[str], Optional[Role]]]:
     The answer variable maps to (None, None).  Raises NotAnEliqError if the
     query is not tree-shaped.
     """
-    roles: dict = {None: None}  # Roles are immutable: build each once
-    out: dict[str, tuple[Optional[str], Optional[Role]]] = {}
-    for v, (p, rk) in tree_walk(q)[0].items():
-        if rk not in roles:
-            roles[rk] = Role(*rk)
-        out[v] = (p, roles[rk])
-    return out
+    return tree_walk(q)[0]
 
 
 def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:
@@ -494,16 +498,16 @@ def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:
     return children
 
 
-def subtree_vars(q: CQ, root: str) -> frozenset[str]:
-    """Variables of the subtree of an ELIQ rooted at ``root``."""
-    children = tree_children(q)
+def subtree_vars(children: dict[str, list[tuple[Role, str]]], root: str) -> set[str]:
+    """Variables of the subtree rooted at ``root`` of the ELIQ whose
+    ``tree_children`` map is ``children``."""
     out = set()
     stack = [root]
     while stack:
         v = stack.pop()
         out.add(v)
         stack.extend(w for _, w in children.get(v, ()))
-    return frozenset(out)
+    return out
 
 
 def restrict(q: CQ, keep: Collection[str]) -> CQ:

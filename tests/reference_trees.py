@@ -4,6 +4,7 @@ It builds every rooted labeled tree of each size from the trees of smaller
 sizes, with no universal model involved, and interns them in the shared pool.
 """
 
+from eliq import Role
 from eliq.model import intern_tree
 
 
@@ -37,7 +38,7 @@ def reference_tree_ids(names, roles, max_vars: int) -> list[int]:
         for mask in range(1 << len(sorted_names))
     ]
     labels.sort(key=sorted)
-    edges = sorted((r, inv) for r in sorted(roles) for inv in (False, True))
+    edges = sorted(Role(r, inv) for r in sorted(roles) for inv in (False, True))
     out: list[int] = []
     attachments: list = []  # (subtree size, edge, tid), sorted
     for size in range(1, max_vars + 1):

@@ -28,7 +28,7 @@ from eliq.characterize import UniquenessVerdict
 from eliq.errors import EliqError
 from eliq.frontier_base import check_conditions
 from eliq.gen import random_ontology, random_satisfiable_eliq
-from eliq.engine import context_for, engine_for, rinv
+from eliq.engine import context_for, engine_for
 from eliq.model import (
     anchored,
     generalizations_upto,
@@ -156,7 +156,7 @@ def test_generalizations_equal_enumerate_and_filter(dialect, features):
 
 def _no_functional_fork(eng, tid, inc=None):
     _, children = tree_struct(tid)
-    out = [rk for rk, _ in children] + ([rinv(inc)] if inc is not None else [])
+    out = [rk for rk, _ in children] + ([inc.inverse()] if inc is not None else [])
     if any(out.count(rk) > 1 for rk in eng.functional):
         return False
     return all(_no_functional_fork(eng, c, rk) for rk, c in children)

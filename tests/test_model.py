@@ -2,7 +2,7 @@ import json
 import random
 
 from eliq import Ontology, make_cq, model, normalize, parse_abox, parse_ontology, universal_prefix
-from eliq.engine import ABoxContext, Engine, context_for, rkey
+from eliq.engine import ABoxContext, Engine, context_for
 from eliq.gen import random_abox, random_ontology
 from eliq.model import anchored, intern_cq, one_step_smaller, tree_ids_upto, tree_struct, tree_to_abox
 from eliq.reasoner import abox_satisfiable

@@ -30,7 +30,7 @@ from eliq import (
 )
 from eliq.bruteforce import FrontierCheck
 from eliq.characterize import DataExample, ExampleSet, UniquenessVerdict
-from eliq.engine import TOPK, ABoxContext, context_for, engine_for, rinv
+from eliq.engine import TOPK, ABoxContext, context_for, engine_for
 from eliq.errors import UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_abox, random_ontology, random_satisfiable_eliq
 from eliq.model import (
@@ -59,8 +59,8 @@ class ReferenceContext:
         self.edge_roles: dict = {}
         self.successors: dict = {}
         for r, a, b in abox.role_assertions:
-            fwd = eng.superroles((r, False))
-            bwd = frozenset(rinv(s) for s in fwd)
+            fwd = eng.superroles(Role(r))
+            bwd = frozenset(s.inverse() for s in fwd)
             for x, y, ks in ((a, b, fwd), (b, a, bwd)):
                 self.edge_roles.setdefault((x, y), set()).update(ks)
                 for k in ks:

@@ -11,7 +11,7 @@ import dataclasses
 import random
 
 from eliq import ABox, Role, parse_abox, parse_ontology, universal_prefix
-from eliq.engine import context_for, role_of
+from eliq.engine import context_for
 from eliq.errors import UnsatisfiableError
 from eliq.gen import random_abox, random_ontology
 from eliq.model import Trace, UniversalModelPrefix
@@ -45,7 +45,7 @@ def reference_build_prefix(ctx, depth: int, dropped: list) -> UniversalModelPref
     frontier = []
 
     def push(origin, path, parent_id, rk, seed):
-        new_path = path + ((role_of(rk), trace_label(rk, seed)),)
+        new_path = path + ((rk, trace_label(rk, seed)),)
         t = Trace(origin, new_path)
         traces.append(t)
         tid = str(t)

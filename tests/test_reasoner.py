@@ -626,7 +626,7 @@ def _random_chain(rng, length):
 
     tid = intern_tree(frozenset(rng.sample("AB", rng.randint(0, 1))), ())
     for _ in range(length):
-        edge = (rng.choice("rs"), rng.random() < 0.5)
+        edge = Role(rng.choice("rs"), rng.random() < 0.5)
         tid = intern_tree(frozenset(rng.sample("AB", rng.randint(0, 1))), ((edge, tid),))
     return tid
 
@@ -655,7 +655,7 @@ def test_one_hom_memo_serves_trees_of_every_size():
             else:
                 tid = intern_cq(random_eliq(rng, ["A", "B"], ["r", "s"], 5))
             labels, children = tree_struct(tid)
-            extra = ((rng.choice("rs"), rng.random() < 0.5), intern_cq(random_eliq(rng, ["A", "B"], ["r", "s"], 3)))
+            extra = (Role(rng.choice("rs"), rng.random() < 0.5), intern_cq(random_eliq(rng, ["A", "B"], ["r", "s"], 3)))
             stack = [tid, intern_tree(labels, tuple(sorted(children + (extra,))))]
             while stack:  # both trees and all their subtrees
                 tid = stack.pop()

@@ -28,14 +28,13 @@ from eliq import (
     seed_query,
     serialize_cq,
 )
-from eliq.engine import rkey
 from eliq.errors import EliqError
 from eliq.frontier_base import QB, Namer, attach_concept_tree, translate_members
 from eliq.frontier_f import frontier
 from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.learn import minimize_cq
 from eliq.reasoner import minimize_eliq, saturate
-from eliq.syntax import Dialect, Ontology, dialect_of, restrict, subtree_vars, tree_order
+from eliq.syntax import Dialect, Ontology, dialect_of, restrict, subtree_vars, tree_children, tree_order
 
 NAMES = ["A", "B"]
 ROLES = ["r", "s"]
@@ -99,7 +98,7 @@ def ref_minimize_eliq(o: Ontology, q: CQ) -> CQ:
             key=lambda v: (-ref_depth(parent, v), v),
         )
         for v in by_depth:
-            candidate = restrict(q, q.variables() - subtree_vars(q, v))
+            candidate = restrict(q, q.variables() - subtree_vars(tree_children(q), v))
             if reasoner.certain_answer(o, candidate.to_abox(), q, q.answer_var):
                 q = candidate
                 changed = True
@@ -212,7 +211,7 @@ def test_translate_members_agrees_with_per_atom_expansion(seed):
         on, fresh_map = normalize(o)
         if not fresh_map:
             continue
-        functional = frozenset(rkey(r) for r in on.functional)
+        functional = on.functional
         names = NAMES + sorted(fresh_map)
         members = [random_eliq(rng, names, ROLES, 6) for _ in range(5)]
         assert [serialize_cq(m) for m in translate_members(members, fresh_map, functional)] == [

@@ -5,7 +5,8 @@ With surrogates, members must come out equal to the reference's, atom for
 atom (variable names included), on the members a frontier construction
 actually translates and on random members over surrogate names, with
 functional roles in either direction.  Without surrogates the members must
-come back as they are, the very objects.
+come back as they are, the very objects, and so must each member that
+carries no surrogate atom.
 """
 
 import random
@@ -15,11 +16,10 @@ import pytest
 import eliq.frontier_base as frontier_base
 import reference_translate as ref
 from eliq import normalize, parse_cq, parse_ontology
-from eliq.engine import rkey
 from eliq.errors import EliqError
 from eliq.frontier_f import frontier
 from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
-from eliq.syntax import Dialect, dialect_of
+from eliq.syntax import Dialect, Role, dialect_of
 
 NAMES = ["A", "B"]
 ROLES = ["r", "s"]
@@ -87,8 +87,8 @@ def test_random_members_translate_like_the_reference(seed):
         if not fresh_map:
             continue
         roles = sorted({r.name for r in on.functional} | set(ROLES))
-        for functional in (frozenset(rkey(r) for r in on.functional),
-                           frozenset((r, inv) for r in roles for inv in (False, True))):
+        for functional in (on.functional,
+                           frozenset(Role(r, inv) for r in roles for inv in (False, True))):
             members = [random_eliq(rng, NAMES + sorted(fresh_map), ROLES, 7) for _ in range(6)]
             assert frontier_base.translate_members(members, fresh_map, functional) == ref.translate_members(
                 members, fresh_map, functional
@@ -107,3 +107,17 @@ def test_members_come_back_unchanged_without_surrogates(monkeypatch):
         out = frontier_base.translate_members(members, fresh_map, functional)
         assert out is members
         assert out == ref.translate_members(members, fresh_map, functional)
+
+
+def test_members_without_surrogate_atoms_come_back_unchanged(monkeypatch):
+    cases = [(parse_ontology(o), parse_cq(q)) for o, q in FUNCTIONAL] + random_cases(500, 30)
+    calls = recorded_translations(monkeypatch, cases)
+    passed = 0
+    for members, fresh_map, functional in [c for c in calls if c[1]]:
+        out = frontier_base.translate_members(members, fresh_map, functional)
+        assert out == ref.translate_members(members, fresh_map, functional)
+        for m, t in zip(members, out):
+            if not any(a in fresh_map for a, _ in m.concept_atoms):
+                assert t is m
+                passed += 1
+    assert passed

@@ -76,7 +76,7 @@ def ref_intern_cq(q: CQ) -> int:
 
     def build(v: str) -> int:
         kids = tuple(
-            sorted(((role.name, role.inverted), build(w)) for role, w in children.get(v, ()))
+            sorted((role, build(w)) for role, w in children.get(v, ()))
         )
         return intern_tree(q.concepts_at(v), kids)
 
@@ -100,7 +100,7 @@ def ref_bfs_order(q: CQ, first: str) -> list:
 def ref_fits(win, q: CQ, v: str, m) -> bool:
     loops = [role for role, w in q.neighbors(v) if w == v]
     return q.concepts_at(v) <= win.names(m) and all(
-        m in set(win.neighbors(m, (role.name, role.inverted))) for role in loops
+        m in set(win.neighbors(m, role)) for role in loops
     )
 
 
@@ -111,7 +111,7 @@ def ref_backtrack(win, q: CQ, assignment: dict, order: list) -> bool:
     candidates = None
     for role, w in q.neighbors(v):
         if w in assignment:
-            found = set(win.neighbors(assignment[w], (role.name, not role.inverted)))
+            found = set(win.neighbors(assignment[w], role.inverse()))
             candidates = found if candidates is None else candidates & found
     if candidates is None:
         candidates = set(win.start_nodes(len(q.variables())))

@@ -16,9 +16,9 @@ functionality).
 
 ``build_frontier`` is the one driver: prepare, Step 1, Step 2, size ceiling,
 surrogate translation, the Condition 1-2 self-check, dedupe and sort.
-Surrogate translation is ``rewrite_abox``, the one expansion of the surrogate
-names ``normalize`` introduces, so members come back in the input ontology's
-own vocabulary; the learner probes them as they are.
+Surrogate translation is ``translate_members``, the one expansion of the
+surrogate names ``normalize`` introduces, so members come back in the input
+ontology's own vocabulary; the learner probes them as they are.
 Throughout, fresh variables remember which original query variable they
 descend from (the ``down`` map); compensation is driven by that bookkeeping.
 """
@@ -35,7 +35,6 @@ from .model import matches
 from .normalform import is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
-    ABox,
     CQ,
     Dialect,
     ELIConcept,
@@ -49,6 +48,7 @@ from .syntax import (
     subtree_vars,
     tree_children,
     tree_order,
+    tree_walk,
 )
 
 # The dialects some frontier construction accepts.
@@ -104,7 +104,7 @@ class QB:
     @classmethod
     def of(cls, q: CQ, down: dict[str, str | None] | None = None) -> "QB":
         qb = cls(q.answer_var)
-        qb.concepts = {(a, v) for a, v in q.concept_atoms if a != "top"}
+        qb.concepts = set(q.concept_atoms)
         qb.roles = set(q.role_atoms)
         qb.down = dict(down or {})
         return qb
@@ -113,10 +113,7 @@ class QB:
         self.concepts.add((name, v))
 
     def add_edge(self, role: Role, x: str, y: str) -> None:
-        if role.inverted:
-            self.roles.add((role.name, y, x))
-        else:
-            self.roles.add((role.name, x, y))
+        self.roles.add(role.atom(x, y))
 
     def concepts_at(self, v: str) -> frozenset[str]:
         return frozenset(a for a, w in self.concepts if w == v)
@@ -131,8 +128,7 @@ class QB:
                 rename[v] = namer.fresh(v)
                 self.down[rename[v]] = v
         for a, v in q.concept_atoms:
-            if a != "top":
-                self.concepts.add((a, rename[v]))
+            self.concepts.add((a, rename[v]))
         for r, x, y in q.role_atoms:
             self.roles.add((r, rename[x], rename[y]))
 
@@ -144,8 +140,7 @@ class QB:
         for v, nv in rename.items():
             self.down[nv] = down_src.get(v)
         for a, v in q.concept_atoms:
-            if a != "top":
-                self.concepts.add((a, rename[v]))
+            self.concepts.add((a, rename[v]))
         for r, x, y in q.role_atoms:
             self.roles.add((r, rename[x], rename[y]))
         return rename[q.answer_var]
@@ -174,15 +169,12 @@ class Prepared:
         return CQ(root, r.concept_atoms, r.role_atoms)
 
 
-def strip_top(q: CQ) -> CQ:
-    return CQ(q.answer_var, frozenset(p for p in q.concept_atoms if p[0] != "top"), q.role_atoms)
-
-
 def prepare(o: Ontology, q: CQ, op: str) -> Prepared:
     if not query_satisfiable(o, q):
         raise UnsatisfiableError(f"{op}: query is unsatisfiable w.r.t. the ontology")
     on, fmap = normalize(o)
-    qmin = strip_top(minimize_eliq(on, q))
+    qmin = minimize_eliq(on, q)
+    qmin = make_cq(qmin.answer_var, qmin.concept_atoms, qmin.role_atoms)
     return Prepared(on, fmap, qmin, context_for(on, qmin.to_abox()))
 
 
@@ -248,17 +240,28 @@ def drop_concept_candidates(prep: Prepared, x: str, subquery: CQ) -> list[GenCan
 # ---------------------------------------------------------------------------
 
 
-def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
-    """Step 1: the generalization set F0(x), memoized per variable in ``memo``."""
-    if x in memo:
-        return memo[x]
+def _f0(prep: Prepared, namer: Namer, top: str) -> list[GenCandidate]:
+    """Step 1: the generalization set F0(top), in one pass over the subtree
+    at ``top`` in post-order (``tree_walk``'s order reversed), so deep
+    queries do not exhaust the call stack.  A variable's F0 is its concept
+    drops, then its child edges' candidates in child order; each edge is
+    generalized as soon as its child is finished, which draws fresh names in
+    the order of a recursion per child."""
     eng = prep.ctx.engine
-    qx = prep.subquery(x)
-    out = drop_concept_candidates(prep, x, qx)
-    for role, y in prep.children.get(x, []):
-        base = restrict(qx, qx.variables() - subtree_vars(prep.children, y))
+    qtop = prep.subquery(top)
+    parent, order = tree_walk(qtop)
+    subqueries = {top: qtop}  # a variable's subquery, kept from its first finished child on
+    edges: dict[str, list[GenCandidate]] = {}  # a variable's finished child edges' candidates
+    for y in reversed(order):
+        qy = subqueries.pop(y, None) or prep.subquery(y)
+        subs = drop_concept_candidates(prep, y, qy) + edges.pop(y, [])
+        x, role = parent[y]
+        if x is None:
+            break  # ``top``, the walk's last variable
+        qx = subqueries.get(x) or subqueries.setdefault(x, prep.subquery(x))
+        out = edges.setdefault(x, [])
+        base = restrict(qx, qx.variables() - qy.variables())
         base_down = {v: v for v in base.variables() | {x}}
-        subs = _f0(prep, namer, memo, y)
         tag = f"sub:{role}@{x}->{y}"
         if role in eng.functional:
             # A functional edge keeps a single successor: one candidate per
@@ -277,14 +280,11 @@ def _f0(prep: Prepared, namer: Namer, memo: dict, x: str) -> list[GenCandidate]:
             root = qb.add_disjoint_copy(sub.query, sub.down, namer)
             qb.add_edge(role, x, root)
         more_general = [s for s in sorted(eng.superroles(role) - {role}) if role not in eng.superroles(s)]
-        if more_general:
-            qy = prep.subquery(y)
-            for s in more_general:
-                root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
-                qb.add_edge(s, x, root)
+        for s in more_general:
+            root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
+            qb.add_edge(s, x, root)
         out.append(GenCandidate(qb.freeze(), dict(qb.down), tag))
-    memo[x] = out
-    return out
+    return subs
 
 
 def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
@@ -293,7 +293,7 @@ def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
     if not is_normal_form(o):
         raise InvalidArgumentError("generalize expects an ontology in normal form")
     prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
-    return _f0(prep, Namer(q.variables()), {}, x)
+    return _f0(prep, Namer(q.variables()), x)
 
 
 def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
@@ -338,36 +338,25 @@ def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
         attach_concept_tree(qb, target, part.filler, namer, functional)  # type: ignore[arg-type]
 
 
-def rewrite_abox(abox: ABox, fresh_map: dict[str, ELIConcept], functional: frozenset[Role]) -> ABox:
-    """Replace each assertion ``X_C(b)`` of a surrogate name by the tree form
-    of ``C`` glued at ``b``, reusing existing successors along functional
-    roles, in one pass over the assertions."""
-    if not fresh_map:
-        return abox
-    qb = QB("_")
-    qb.concepts = {(a, v) for a, v in abox.concept_assertions if a != "top" and a not in fresh_map}
-    qb.roles = set(abox.role_assertions)
-    namer = Namer(abox.ind())
-    for name, b in sorted(p for p in abox.concept_assertions if p[0] in fresh_map):
-        attach_concept_tree(qb, b, fresh_map[name], namer, functional)
-    tops = frozenset(p for p in abox.concept_assertions if p[0] == "top")
-    return ABox(frozenset(qb.concepts) | tops, frozenset(qb.roles))
-
-
 def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
                       functional: frozenset[Role]) -> list[CQ]:
-    """Replace surrogate atoms introduced by normalization with the concepts
-    they stand for.  A member with no surrogate atom is returned as it is,
+    """Replace each surrogate atom ``X_C(v)`` introduced by normalization with
+    the tree form of ``C`` glued at ``v``, reusing existing successors along
+    functional roles.  A member with no surrogate atom is returned as it is,
     and so is the list when normalization made no surrogates."""
     if not fresh_map:
         return members
     out = []
     for m in members:
-        if not any(a in fresh_map for a, _ in m.concept_atoms):
+        surrogates = sorted(p for p in m.concept_atoms if p[0] in fresh_map)
+        if not surrogates:
             out.append(m)
             continue
-        abox = rewrite_abox(m.to_abox(), fresh_map, functional)
-        out.append(make_cq(m.answer_var, abox.concept_assertions, abox.role_assertions))
+        qb = QB.of(CQ(m.answer_var, m.concept_atoms.difference(surrogates), m.role_atoms))
+        namer = Namer(m.variables())
+        for name, v in surrogates:
+            attach_concept_tree(qb, v, fresh_map[name], namer, functional)
+        out.append(qb.freeze())
     return out
 
 
@@ -452,7 +441,7 @@ def build_frontier(
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)
     namer = Namer(prep.query.variables())
-    cands = _f0(prep, namer, {}, prep.query.answer_var)
+    cands = _f0(prep, namer, prep.query.answer_var)
     raw_members = [compensate(prep, namer, c) for c in cands]
     sizes = [len(m.variables()) for m in raw_members]
     if not size_ceiling_ok(prep.query, prep.ontology, sum(sizes)):

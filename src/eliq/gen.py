@@ -132,10 +132,7 @@ def random_eliq(
         r = random_role(rng, roles) if roles else None
         if r is None:
             break
-        if r.inverted:
-            role_atoms.append((r.name, v, parent))
-        else:
-            role_atoms.append((r.name, parent, v))
+        role_atoms.append(r.atom(parent, v))
     for v in vars_:
         for a in names:
             if rng.random() < 0.35:

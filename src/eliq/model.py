@@ -130,8 +130,7 @@ def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[st
         if edge is not None:
             counter += 1
             parent, v = v, f"x{counter}"
-            rname, inv = edge
-            role_atoms.add((rname, v, parent) if inv else (rname, parent, v))
+            role_atoms.add(edge.atom(parent, v))
         labels, children = tree_struct(t)
         concept_atoms.update((a, v) for a in labels)
         stack.extend((v, rk, child) for rk, child in reversed(children))
@@ -533,11 +532,7 @@ def build_prefix(ctx: ABoxContext, depth: int) -> UniversalModelPrefix:
     for a in ctx.individuals:
         closed_concepts.add(("top", a))
         closed_concepts.update((n, a) for n in ctx.names_at(a))
-    closed_roles = set()
-    for (a, b), roles in ctx.edge_roles.items():
-        for rname, inv in roles:
-            if not inv:
-                closed_roles.add((rname, a, b))
+    closed_roles = {r.atom(a, b) for (a, b), roles in ctx.edge_roles.items() for r in roles}
     base = ABox(frozenset(closed_concepts), frozenset(closed_roles))
 
     labels: dict[str, frozenset[str]] = {a: ctx.names_at(a) for a in ctx.individuals}
@@ -562,8 +557,7 @@ def build_prefix(ctx: ABoxContext, depth: int) -> UniversalModelPrefix:
                 traces.append(t)
                 node_id = str(t)
                 labels[node_id] = names
-                for rname, inv in eng.superroles(rk):
-                    edges.add((rname, node_id, parent_id) if inv else (rname, parent_id, node_id))
+                edges.update(r.atom(parent_id, node_id) for r in eng.superroles(rk))
                 level.append(child)
 
     return UniversalModelPrefix(

@@ -12,7 +12,8 @@
 ``.cq`` — either datalog style ``q(x0) :- A(x0), r(x0,y), r-(y,z)`` (inverse
 atoms are normalized on read) or ``eliq: <eli expression>``.
 
-``.abox`` — one assertion per line: ``A(a)`` / ``top(a)`` / ``r(a,b)``.
+``.abox`` — one assertion per line: ``A(a)`` / ``top(a)`` / ``r(a,b)`` /
+``r-(a,b)``, read by the same atom grammar as query atoms.
 
 Serialization is deterministic (atoms sorted), and every serializer
 round-trips through its parser.
@@ -247,6 +248,29 @@ def _parse_term_ident(ts: _Tokens) -> str:
     return tok
 
 
+def _parse_atom(ts: _Tokens, kind: str) -> tuple[str, str] | tuple[str, str, str]:
+    """One atom of a query or assertion of an ABox (``kind`` names which in
+    error messages): ``A(t)`` or ``top(t)`` as a pair ``(name, t)``,
+    ``r(t1,t2)`` or ``r-(t1,t2)`` as the stored triple ``Role.atom`` writes."""
+    pred = ts.next()
+    is_top = pred == TOP
+    inverted = pred.endswith("-")
+    name = pred[:-1] if inverted else pred
+    if not is_top and not _is_ident(name):
+        raise ts.error(f"expected an {kind}, got {pred!r}")
+    ts.expect("(")
+    t1 = _parse_term_ident(ts)
+    if ts.peek() == ",":
+        ts.next()
+        t2 = _parse_term_ident(ts)
+        ts.expect(")")
+        return Role(name, inverted).atom(t1, t2)
+    ts.expect(")")
+    if inverted:
+        raise ts.error(f"concept {kind}s cannot be inverted")
+    return (TOP if is_top else _concept_name(ts, name), t1)
+
+
 def parse_cq(text: str) -> CQ:
     lines = list(_lines(text))
     if not lines:
@@ -263,39 +287,17 @@ def parse_cq(text: str) -> CQ:
         for name in sorted(concept_signature(c)[0]):
             _concept_name(ts, name)
         return concept_to_eliq(c)
-    head = _parse_term_ident(ts)
-    if not _is_ident(head):
-        raise ts.error("expected a query head like q(x0)")
+    _parse_term_ident(ts)  # the query's name
     ts.expect("(")
     answer = _parse_term_ident(ts)
     ts.expect(")")
     ts.expect(":-")
-    concept_atoms: set[tuple[str, str]] = set()
-    role_atoms: list[tuple[Role, str, str]] = []
-    first = True
+    atoms = []
     while ts.peek() is not None:
-        if not first:
+        if atoms:
             ts.expect(",")
-        first = False
-        pred = ts.next()
-        is_top = pred == TOP
-        if not is_top and not _is_ident(pred.rstrip("-")):
-            raise ts.error(f"expected an atom, got {pred!r}")
-        inverted = pred.endswith("-")
-        name = pred[:-1] if inverted else pred
-        ts.expect("(")
-        t1 = _parse_term_ident(ts)
-        if ts.peek() == ",":
-            ts.next()
-            t2 = _parse_term_ident(ts)
-            ts.expect(")")
-            role_atoms.append((Role(name, inverted), t1, t2))
-        else:
-            ts.expect(")")
-            if inverted:
-                raise ts.error("concept atoms cannot be inverted")
-            concept_atoms.add((TOP if is_top else _concept_name(ts, name), t1))
-    q = make_cq(answer, concept_atoms, role_atoms)
+        atoms.append(_parse_atom(ts, "atom"))
+    q = make_cq(answer, (a for a in atoms if len(a) == 2), (a for a in atoms if len(a) == 3))
     if answer not in q.variables():
         raise ParseError(f"answer variable {answer!r} does not occur in the query", lineno, 1)
     return q
@@ -319,26 +321,8 @@ def parse_abox(text: str) -> ABox:
     role_assertions: set[tuple[str, str, str]] = set()
     for lineno, line in _lines(text):
         ts = _Tokens(line, lineno)
-        pred = ts.next()
-        is_top = pred == TOP
-        inverted = pred.endswith("-")
-        name = pred[:-1] if inverted else pred
-        if not is_top and not _is_ident(name):
-            raise ts.error(f"expected an assertion, got {pred!r}")
-        ts.expect("(")
-        t1 = _parse_term_ident(ts)
-        if ts.peek() == ",":
-            ts.next()
-            t2 = _parse_term_ident(ts)
-            ts.expect(")")
-            if inverted:
-                t1, t2 = t2, t1
-            role_assertions.add((name, t1, t2))
-        else:
-            ts.expect(")")
-            if inverted:
-                raise ts.error("concept assertions cannot be inverted")
-            concept_assertions.add((TOP if is_top else _concept_name(ts, name), t1))
+        a = _parse_atom(ts, "assertion")
+        (role_assertions if len(a) == 3 else concept_assertions).add(a)  # type: ignore[arg-type]
         ts.done()
     return ABox(frozenset(concept_assertions), frozenset(role_assertions))
 

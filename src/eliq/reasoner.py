@@ -47,8 +47,7 @@ def _canonical_abox(b: BasicConcept) -> tuple[ABox, str]:
     if b.kind == "name":
         return ABox(frozenset({(b.name, "_w0")})), "_w0"  # type: ignore[arg-type]
     if b.kind == "exists":
-        role: Role = b.role  # type: ignore[assignment]
-        atom = (role.name, "_w1", "_w0") if role.inverted else (role.name, "_w0", "_w1")
+        atom = b.role.atom("_w0", "_w1")  # type: ignore[union-attr]
         return ABox(frozenset(), frozenset({atom})), "_w0"
     return ABox(frozenset({("top", "_w0")})), "_w0"
 

@@ -10,8 +10,10 @@ shared freely and used as cache keys.  Conventions used throughout:
 * The top concept is written ``top`` and is also admitted as a unary
   "concept" in queries and ABoxes; every variable/individual implicitly
   satisfies it.
-* Query role atoms always use plain role names: an inverse atom
-  ``r-(x, y)`` is stored as ``r(y, x)``.
+* Role atoms always use plain role names: an inverse atom ``r-(x, y)`` is
+  stored as ``r(y, x)``.  ``Role.atom`` is the one writer of that rule.
+* ``make_cq`` drops redundant ``top`` atoms, so code that builds a query
+  through it need not filter them.
 * Conjunction of ELI concepts is associative-commutative: the ``conj``
   constructor flattens, deduplicates and sorts, so structural equality is
   equality up to reordering of conjuncts.
@@ -46,6 +48,11 @@ class Role(NamedTuple):
 
     def inverse(self) -> "Role":
         return Role(self.name, not self.inverted)
+
+    def atom(self, x: str, y: str) -> tuple[str, str, str]:
+        """The stored triple of the role atom ``self(x, y)``: ``(name, y,
+        x)`` when inverted, ``(name, x, y)`` otherwise."""
+        return (self.name, y, x) if self.inverted else (self.name, x, y)
 
     def __str__(self) -> str:
         return self.name + ("-" if self.inverted else "")
@@ -359,17 +366,9 @@ def make_cq(
     """Canonicalizing CQ constructor: inverse role atoms are stored forward,
     and redundant ``top`` atoms are dropped (every variable satisfies top;
     the atom-less single-variable query is the top query)."""
-    ratoms = set()
-    for r, x, y in role_atoms:
-        if isinstance(r, Role):
-            if r.inverted:
-                ratoms.add((r.name, y, x))
-            else:
-                ratoms.add((r.name, x, y))
-        else:
-            ratoms.add((r, x, y))
+    ratoms = frozenset(r.atom(x, y) if isinstance(r, Role) else (r, x, y) for r, x, y in role_atoms)
     catoms = frozenset(p for p in concept_atoms if p[0] != TOP)
-    return CQ(answer_var, catoms, frozenset(ratoms))
+    return CQ(answer_var, catoms, ratoms)
 
 
 # Whole-query walks index the atoms once per call through these two helpers
@@ -579,11 +578,7 @@ def concept_to_eliq(c: ELIConcept, answer_var: str = "x0") -> CQ:
                 build(p, v)
             return
         w = fresh()
-        role: Role = cur.role  # type: ignore[assignment]
-        if role.inverted:
-            role_atoms.add((role.name, w, v))
-        else:
-            role_atoms.add((role.name, v, w))
+        role_atoms.add(cur.role.atom(v, w))  # type: ignore[union-attr]
         build(cur.filler, w)  # type: ignore[arg-type]
 
     build(c, answer_var)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +119,21 @@ def test_prune_drops_equivalent_members(ex1_ontology, ex1_query):
             assert not equivalent(ex1_ontology, m, n)
     for m in members:
         assert any(equivalent(ex1_ontology, m, k) for k in pruned)
+
+
+def test_step_one_on_a_deep_chain_needs_no_deep_recursion():
+    # Step 1 walks the query in one loop: a frame per query level would
+    # exceed the recursion limit the script sets.
+    script = """
+import sys
+from eliq import frontier, make_cq, parse_ontology
+n = 100
+q = make_cq("x0", [("A", f"x{n - 1}")], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
+sys.setrecursionlimit(60)
+print(len(frontier(parse_ontology("A sub B\\n"), q).members))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"

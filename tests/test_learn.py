@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from eliq import (
-    ABox,
     Ontology,
     SimulatedOracle,
     combined_signature,
@@ -23,7 +22,7 @@ from eliq import (
 )
 from eliq.bruteforce import fixture
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsupportedDialectError
-from eliq.frontier_base import rewrite_abox
+from eliq.frontier_base import translate_members
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
 
@@ -256,23 +255,23 @@ def test_rewrite_abox_plain():
 
     on, fmap = normalize(o)
     xname = next(n for n, c in fmap.items() if c.kind == "and")
-    abox = ABox(frozenset({(xname, "b"), ("A", "b")}), frozenset())
-    rewritten = rewrite_abox(abox, fmap, frozenset())
-    assert all(not c.startswith(FRESH_PREFIX) for c, _ in rewritten.concept_assertions)
-    assert ("A", "b") in rewritten.concept_assertions
-    assert ("B", "b") in rewritten.concept_assertions
-    assert any(r == "s" and x == "b" for r, x, _ in rewritten.role_assertions)
+    member = make_cq("b", {(xname, "b"), ("A", "b")})
+    [rewritten] = translate_members([member], fmap, frozenset())
+    assert all(not c.startswith(FRESH_PREFIX) for c, _ in rewritten.concept_atoms)
+    assert ("A", "b") in rewritten.concept_atoms
+    assert ("B", "b") in rewritten.concept_atoms
+    assert any(r == "s" and x == "b" for r, x, _ in rewritten.role_atoms)
 
 
 def test_rewrite_abox_respects_functionality():
     from eliq.syntax import Role, atom, exists
 
     fmap = {"_X1": exists(Role("r"), atom("B"))}
-    abox = ABox(frozenset({("_X1", "b")}), frozenset({("r", "b", "c")}))
-    rewritten = rewrite_abox(abox, fmap, frozenset({("r", False)}))
+    member = make_cq("b", {("_X1", "b")}, {("r", "b", "c")})
+    [rewritten] = translate_members([member], fmap, frozenset({Role("r")}))
     # the existing r-successor is reused instead of adding a second one
-    assert ("B", "c") in rewritten.concept_assertions
-    assert sum(1 for r, x, _ in rewritten.role_assertions if r == "r" and x == "b") == 1
+    assert ("B", "c") in rewritten.concept_atoms
+    assert sum(1 for r, x, _ in rewritten.role_atoms if r == "r" and x == "b") == 1
 
 
 def test_normal_form_reduction_end_to_end():

@@ -6,7 +6,7 @@ shared by every caller: whichever of the two was interned first is what it
 hands back, and a later ``.inverse()`` on a bare pair fails.  This runs the
 constructions, the learner, the uniqueness check and the model prefix on the
 golden examples and then checks the type of every role key they left
-behind."""
+behind.  Every writer of a role atom stores it as ``Role.atom`` does."""
 
 import pytest
 
@@ -15,17 +15,23 @@ from eliq import (
     SimulatedOracle,
     characterize,
     combined_signature,
+    concept_to_eliq,
     default_budget,
     frontier_f,
     frontier_r,
     learn,
+    make_cq,
+    parse_abox,
+    parse_cq,
     seed_query,
     universal_prefix,
     verify_unique,
 )
 from eliq import model
 from eliq.engine import context_for, engine_for
-from eliq.syntax import tree_order
+from eliq.errors import ParseError
+from eliq.frontier_base import QB
+from eliq.syntax import exists, tree_order
 
 EXAMPLES = {"ex1": frontier_r, "ex2": frontier_r, "ex3": frontier_f}
 
@@ -83,3 +89,26 @@ def test_every_role_key_is_a_role(request, example):
     roles(steps)
     if example == "ex1":
         assert steps  # A(x0) under A sub some r has an r-witness
+
+
+@pytest.mark.parametrize("role", [Role("r"), Role("r", True)], ids=str)
+def test_role_atoms_are_stored_one_way(role):
+    # r(x, y) is stored as is, r-(x, y) as r(y, x)
+    assert role.atom("x", "y") == (("r", "y", "x") if role.inverted else ("r", "x", "y"))
+    assert make_cq("x", (), [(role, "x", "y")]).role_atoms == {role.atom("x", "y")}
+    qb = QB("x")
+    qb.add_edge(role, "x", "y")
+    assert qb.roles == {role.atom("x", "y")}
+    assert concept_to_eliq(exists(role), "x").role_atoms == {role.atom("x", "x1")}
+    tid = model.intern_tree(frozenset(), ((role, model.intern_tree(frozenset(), ())),))
+    assert model.tree_to_cq(tid, "x").role_atoms == {role.atom("x", "x1")}
+    assert parse_cq(f"q(x) :- {role}(x,y)").role_atoms == {role.atom("x", "y")}
+    assert parse_abox(f"{role}(a,b)\n").role_assertions == {role.atom("a", "b")}
+    for text, message in [
+        ("A-(a)\n", "line 1, column 6: concept assertions cannot be inverted"),
+        ("some(a)\n", "line 1, column 5: expected an assertion, got 'some'"),
+        ("_X1(a)\n", "line 1, column 7: concept name '_X1' is reserved for normal-form surrogates"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_abox(text)
+        assert str(err.value) == message

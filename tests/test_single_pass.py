@@ -3,8 +3,8 @@ earlier versions.
 
 ``minimize_cq`` and ``minimize_eliq`` scan their candidates once; the
 reference versions below restart the scan after every accepted removal.
-``translate_members`` expands all surrogate atoms of a member in one pass
-(``rewrite_abox``); the reference rebuilds the member once per surrogate atom.
+``translate_members`` expands all surrogate atoms of a member in one pass;
+the reference rebuilds the member once per surrogate atom.
 Results must agree exactly (``serialize_cq``), and the single passes must ask
 no more membership queries or certain-answer checks than the restarts.
 """

@@ -6,21 +6,29 @@ Facts about a single element are represented as keys:
     ("e", R)          element has a successor along the ``Role`` R (r or r-)
     ("top",)          always present
 
-``Engine`` indexes a (normalized) ontology and computes:
+``Engine`` indexes a (normalized) ontology in one implication table, which
+maps each fact key to the fact keys it implies in one step: ``("e", R)`` its
+strict superroles, and the left-hand side of each CI that CI's right-hand
+side.  Every closure is a worklist graph search over such data:
 
-* ``closure`` — the basic-concept consequences of a set of facts;
+* ``closure`` — the basic-concept consequences of a set of facts, the keys
+  reachable from them in the table;
+* superroles — the roles reachable along the role inclusions;
 * witness types — the anonymous elements generated by existential
   right-hand sides, keyed by (filler names, incoming ``Role``).  Functional
   roles merge all fillers into a single witness, and a witness whose
   entailed inverse existential points back along a functional role feeds
   its filler names back to the parent.  Both effects are stabilized by a
-  dependency-tracked fixpoint, so entailment is sound and complete for
-  DL-Lite with role inclusions and for DL-Lite with functionality
-  (including the unrestricted dialect).
+  worklist of types that pushes the readers of a changed type, so
+  entailment is sound and complete for DL-Lite with role inclusions and for
+  DL-Lite with functionality (including the unrestricted dialect).
 
 ``ABoxContext`` applies the same closure to the individuals of an ABox,
 including propagation of existential fillers across asserted edges of
-functional roles, and decides satisfiability.  Without functional roles no
+functional roles, and decides satisfiability; with functional roles a
+worklist of individuals whose facts may still grow stabilizes both.
+Every step only adds facts, so no visiting order changes the least
+fixpoint that the worklists reach.  Without functional roles no
 filler travels and no witness feeds names back, so an individual's facts are
 the closure of its own seed; without disjointness only two successors along
 one functional role make an ABox unsatisfiable, and with neither nothing does.
@@ -29,7 +37,7 @@ A context therefore closes individuals on demand.  Building one only indexes
 the ABox.  The first read of an individual closes it from its own seed,
 filling its facts, successors and edge roles, so a homomorphism search pays
 only for the individuals it reaches.  With a functional role the first read
-closes every individual the same way and then runs the fixpoint.  The
+closes every individual the same way and then runs the worklist.  The
 whole-ABox views close everything on first use.  The lazy state is plain
 data on the context and never refers back to it: a context in a reference
 cycle would outlive its eviction until the collector ran, and not at all
@@ -74,6 +82,18 @@ def basic_key(b: BasicConcept):
 TypeKey = tuple[frozenset, Role]
 
 
+def _reach(stack: list, edges: dict) -> set:
+    """Every node reachable from the nodes on ``stack`` along ``edges`` (node
+    -> its successors), the nodes themselves included; consumes ``stack``."""
+    seen = set()
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(edges.get(n, ()))
+    return seen
+
+
 class Engine:
     def __init__(self, o: Ontology):
         self.original = o
@@ -88,23 +108,24 @@ class Engine:
         )
         self._superroles = self._close_roles()
 
-        # CI indexes over fact keys. Existential right-hand sides are stored
-        # as (role, filler name or None) witness specs; they also imply
-        # the plain ("e", role) fact.
-        self.to_basic: dict = {}
+        # The implication table: each fact key -> the fact keys it implies in
+        # one step.  ("e", R) implies its strict superroles, and the
+        # left-hand side of a CI its right-hand side.  An existential
+        # right-hand side ("e", R) is also kept in ``to_exists`` as a (role,
+        # filler name or None) witness spec.
+        self.implies: dict = {
+            ("e", k): [("e", s) for s in sup if s != k] for k, sup in self._superroles.items()
+        }
         self.to_exists: dict = {}
         for lhs, rhs in self.o.concept_inclusions:
             lk = basic_key(lhs)
-            if rhs.kind in ("top", "name"):
-                self.to_basic.setdefault(lk, []).append(
-                    TOPK if rhs.kind == "top" else ("c", rhs.name)
-                )
-            else:
-                if rhs.kind != "exists":
-                    raise AssertionError(f"normalize left a non-normal right-hand side: {rhs}")
+            if rhs.kind == "exists":
                 filler = rhs.filler
                 fname = None if filler is None or filler.kind == "top" else filler.name
                 self.to_exists.setdefault(lk, []).append((rhs.role, fname))
+            elif rhs.kind not in ("top", "name"):
+                raise AssertionError(f"normalize left a non-normal right-hand side: {rhs}")
+            self.implies.setdefault(lk, []).append(basic_key(rhs))
 
         self.cdisj_keys = [
             (basic_key(b1), basic_key(b2)) for b1, b2 in self.o.concept_disjointness
@@ -129,21 +150,13 @@ class Engine:
     # -- role hierarchy ----------------------------------------------------
 
     def _close_roles(self) -> dict[Role, frozenset]:
-        sup: dict[Role, set[Role]] = {k: {k} for k in self.role_keys}
-        edges = []
+        """Each role's superroles, itself included: the roles reachable from
+        it along the direct inclusions and their inverses."""
+        up: dict[Role, list[Role]] = {}
         for r1, r2 in self.o.role_inclusions:
-            edges.append((r1, r2))
-            edges.append((r1.inverse(), r2.inverse()))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in edges:
-                sa = sup.setdefault(a, {a})
-                sb = sup.setdefault(b, {b})
-                if not sb <= sa:
-                    sa |= sb
-                    changed = True
-        return {k: frozenset(v) for k, v in sup.items()}
+            up.setdefault(r1, []).append(r2)
+            up.setdefault(r1.inverse(), []).append(r2.inverse())
+        return {k: frozenset(_reach([k], up)) for k in self.role_keys}
 
     def superroles(self, k: Role) -> frozenset:
         return self._superroles.get(k, frozenset({k}))
@@ -160,53 +173,22 @@ class Engine:
     # -- basic closure -----------------------------------------------------
 
     def closure(self, seed) -> frozenset:
+        """The basic-concept consequences of the facts ``seed``: every fact
+        key reachable from them, and from ``("top",)``, in the implication
+        table."""
         fseed = frozenset(seed)
         hit = self._closure_cache.get(fseed)
-        if hit is not None:
-            return hit
-        facts = set(fseed)
-        facts.add(TOPK)
-        changed = True
-        while changed:
-            changed = False
-            for f in list(facts):
-                if f[0] == "e":
-                    for s in self.superroles(f[1]):
-                        key = ("e", s)
-                        if key not in facts:
-                            facts.add(key)
-                            changed = True
-            for lhs, rhss in self.to_basic.items():
-                if lhs in facts:
-                    for rhs in rhss:
-                        if rhs not in facts:
-                            facts.add(rhs)
-                            changed = True
-            for lhs, specs in self.to_exists.items():
-                if lhs in facts:
-                    for rk, _ in specs:
-                        key = ("e", rk)
-                        if key not in facts:
-                            facts.add(key)
-                            changed = True
-        out = frozenset(facts)
-        self._closure_cache[fseed] = out
-        return out
+        if hit is None:
+            hit = self._closure_cache[fseed] = frozenset(_reach([TOPK, *fseed], self.implies))
+        return hit
 
-    def fired(self, facts) -> list[tuple[Role, str | None]]:
+    def fired(self, facts: frozenset) -> list[tuple[Role, str | None]]:
         """Existential witness specs whose left-hand side holds in ``facts``."""
-        if not isinstance(facts, frozenset):
-            facts = frozenset(facts)
         hit = self._fired_cache.get(facts)
-        if hit is not None:
-            return hit
-        out = set()
-        for lhs, specs in self.to_exists.items():
-            if lhs in facts:
-                out.update(specs)
-        result = sorted(out, key=lambda s: (s[0], s[1] or ""))
-        self._fired_cache[facts] = result
-        return result
+        if hit is None:
+            out = {spec for f in facts for spec in self.to_exists.get(f, ())}
+            hit = self._fired_cache[facts] = sorted(out, key=lambda s: (s[0], s[1] or ""))
+        return hit
 
     def names_of(self, facts: frozenset) -> frozenset[str]:
         hit = self._names_cache.get(facts)
@@ -226,6 +208,11 @@ class Engine:
             self._stabilize(key)
         return self._tfacts[key]
 
+    def feedback(self, key: TypeKey) -> frozenset[str]:
+        """The filler names the witness ``key`` forces onto its parent."""
+        self.type_facts(key)
+        return self._tfeedback[key]
+
     def type_children(self, key: TypeKey) -> list[tuple[Role, frozenset]]:
         """Child types of a witness: (role, child key-names) pairs.
 
@@ -236,9 +223,7 @@ class Engine:
         """
         return self._children_from(self.type_facts(key), key[1])
 
-    def _children_from(self, facts, inc: Role | None) -> list[tuple[Role, frozenset]]:
-        if not isinstance(facts, frozenset):
-            facts = frozenset(facts)
+    def _children_from(self, facts: frozenset, inc: Role | None) -> list[tuple[Role, frozenset]]:
         hit = self._childfrom_cache.get((facts, inc))
         if hit is not None:
             return hit
@@ -273,30 +258,29 @@ class Engine:
         return [pair for (rk, m), pair in first.items() if not any(rk2 == rk and m < m2 for rk2, m2 in first)]
 
     def _stabilize(self, key: TypeKey) -> None:
+        """Compute the facts and feedback of ``key`` and of every type below
+        it.  A type folds in its children's feedback, and a type whose facts
+        or feedback change pushes the types that read its feedback."""
         pending = [key]
         while pending:
             k = pending.pop()
             old_facts = self._tfacts.get(k, frozenset())
-            facts = set(self.closure(self._type_seed(k) | old_facts))
-            # Fold in feedback from children until locally stable.
-            while True:
-                grew = False
-                for rk, w in self._children_from(facts, k[1]):
-                    ck: TypeKey = (w, rk)
-                    if ck not in self._tfacts and ck != k:
-                        self._tfacts[ck] = self.closure(self._type_seed(ck))
-                        pending.append(ck)
-                    self._tdeps.setdefault(ck, set()).add(k)
-                    for n in self._tfeedback.get(ck, frozenset()):
-                        if ("c", n) not in facts:
-                            facts = set(self.closure(facts | {("c", n)}))
-                            grew = True
-                if not grew:
-                    break
-            ffacts = frozenset(facts)
-            feedback = self._feedback_of(ffacts, k[1])
-            if ffacts != old_facts or feedback != self._tfeedback.get(k):
-                self._tfacts[k] = ffacts
+            facts = self.closure(self._type_seed(k) | old_facts)
+            fed = set()
+            for rk, w in self._children_from(facts, k[1]):
+                ck: TypeKey = (w, rk)
+                if ck not in self._tfacts and ck != k:
+                    self._tfacts[ck] = self.closure(self._type_seed(ck))
+                    pending.append(ck)
+                self._tdeps.setdefault(ck, set()).add(k)
+                fed.update(("c", n) for n in self._tfeedback.get(ck, ()))
+            if not fed <= facts:
+                # The fed names may fire more children: visit k again.
+                facts = self.closure(facts | fed)
+                pending.append(k)
+            feedback = self._feedback_of(facts, k[1])
+            if facts != old_facts or feedback != self._tfeedback.get(k):
+                self._tfacts[k] = facts
                 self._tfeedback[k] = feedback
                 self._tunsat.clear()
                 pending.extend(self._tdeps.get(k, ()))
@@ -445,8 +429,8 @@ class ABoxContext:
 
     def _close_all(self) -> None:
         """Close every individual not closed yet; with functional roles, then
-        run the fixpoint that feeds witness names back to individuals and
-        moves fillers along functional edges."""
+        feed witness names back to individuals and move fillers along
+        functional edges until no individual's facts grow."""
         if not self._index:
             return
         for a in list(self._index):
@@ -455,30 +439,26 @@ class ABoxContext:
         if not eng.functional:
             return  # no witness feeds names back and no filler travels
         cur = self._facts
-        individuals = sorted(cur)
-        changed = True
-        while changed:
-            changed = False
-            for a in individuals:
-                extra: set = set()
-                # Feedback from anonymous witnesses below a.
-                for rk, w in eng._children_from(cur[a], None):
-                    eng.type_facts((w, rk))
-                    fb = eng._tfeedback.get((w, rk), frozenset())
-                    extra.update(("c", n) for n in fb)
-                if extra - cur[a]:
-                    cur[a] = eng.closure(cur[a] | extra)
-                    changed = True
+        # A worklist of individuals whose facts may still grow.
+        stack = list(cur)
+        while stack:
+            a = stack.pop()
+            facts = cur[a]
+            # Feedback from anonymous witnesses below a.
+            fed = {("c", n) for rk, w in eng._children_from(facts, None) for n in eng.feedback((w, rk))}
+            if not fed <= facts:
+                cur[a] = eng.closure(facts | fed)
+                stack.append(a)
+                continue
             # Fillers travel along asserted edges of functional roles, which
             # have no superroles: with functionality there are no inclusions.
-            for a in individuals:
-                for rk, fname in eng.fired(cur[a]):
-                    if fname is None or rk not in eng.functional:
-                        continue
-                    for b in self._successors.get((a, rk), ()):
-                        if ("c", fname) not in cur[b]:
-                            cur[b] = eng.closure(cur[b] | {("c", fname)})
-                            changed = True
+            for rk, fname in eng.fired(facts):
+                if fname is None or rk not in eng.functional:
+                    continue
+                for b in self._successors.get((a, rk), ()):
+                    if ("c", fname) not in cur[b]:
+                        cur[b] = eng.closure(cur[b] | {("c", fname)})
+                        stack.append(b)
 
     # -- per-individual reads ------------------------------------------------
 
@@ -486,7 +466,7 @@ class ABoxContext:
         """The closed facts of individual ``a``.  Without functional roles
         they are the closure of ``a``'s own seed, so only ``a`` is closed;
         with them, fillers travel and witnesses feed names back, so the
-        first read closes every individual and runs the fixpoint."""
+        first read closes every individual and runs the worklist."""
         facts = self._facts.get(a)
         if facts is None:
             if self.engine.functional:

@@ -118,32 +118,21 @@ class QB:
     def concepts_at(self, v: str) -> frozenset[str]:
         return frozenset(a for a, w in self.concepts if w == v)
 
-    def glue_query_copy(self, q: CQ, glue_from: str, glue_to: str, namer: Namer) -> None:
-        """Attach a disjoint copy of ``q``, identifying ``glue_from``'s copy
-        with the existing variable ``glue_to``.  Copied variables descend from
-        their originals."""
-        rename: dict[str, str] = {glue_from: glue_to}
+    def add_copy(self, q: CQ, namer: Namer, down: dict[str, str | None] | None = None,
+                 glue: tuple[str, str] | None = None) -> dict[str, str]:
+        """Add a copy of ``q`` whose variables are fresh, drawn in sorted
+        order, and return the renaming.  ``glue=(v, w)`` identifies ``v``'s
+        copy with the existing variable ``w``.  A copied variable descends
+        from what ``down`` maps its original to, or, without ``down``, from
+        its original."""
+        rename = dict([glue]) if glue else {}
         for v in sorted(q.variables()):
             if v not in rename:
                 rename[v] = namer.fresh(v)
-                self.down[rename[v]] = v
-        for a, v in q.concept_atoms:
-            self.concepts.add((a, rename[v]))
-        for r, x, y in q.role_atoms:
-            self.roles.add((r, rename[x], rename[y]))
-
-    def add_disjoint_copy(self, q: CQ, down_src: dict[str, str | None], namer: Namer) -> str:
-        """Add a fully disjoint copy of ``q``; returns the copy of its answer
-        variable.  Copied variables descend from what their originals
-        descended from."""
-        rename = {v: namer.fresh(v) for v in sorted(q.variables())}
-        for v, nv in rename.items():
-            self.down[nv] = down_src.get(v)
-        for a, v in q.concept_atoms:
-            self.concepts.add((a, rename[v]))
-        for r, x, y in q.role_atoms:
-            self.roles.add((r, rename[x], rename[y]))
-        return rename[q.answer_var]
+                self.down[rename[v]] = v if down is None else down.get(v)
+        self.concepts.update((a, rename[v]) for a, v in q.concept_atoms)
+        self.roles.update((r, rename[x], rename[y]) for r, x, y in q.role_atoms)
+        return rename
 
     def freeze(self) -> CQ:
         return make_cq(self.answer, self.concepts, self.roles)
@@ -271,18 +260,15 @@ def _f0(prep: Prepared, namer: Namer, top: str) -> list[GenCandidate]:
                 out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:drop"))
             for i, sub in enumerate(subs):
                 qb = QB.of(base, base_down)
-                root = qb.add_disjoint_copy(sub.query, sub.down, namer)
-                qb.add_edge(role, x, root)
+                qb.add_edge(role, x, qb.add_copy(sub.query, namer, sub.down)[sub.query.answer_var])
                 out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:choice{i}"))
             continue
         qb = QB.of(base, base_down)
         for sub in subs:
-            root = qb.add_disjoint_copy(sub.query, sub.down, namer)
-            qb.add_edge(role, x, root)
+            qb.add_edge(role, x, qb.add_copy(sub.query, namer, sub.down)[sub.query.answer_var])
         more_general = [s for s in sorted(eng.superroles(role) - {role}) if role not in eng.superroles(s)]
         for s in more_general:
-            root = qb.add_disjoint_copy(qy, {v: v for v in qy.variables()}, namer)
-            qb.add_edge(s, x, root)
+            qb.add_edge(s, x, qb.add_copy(qy, namer)[y])
         out.append(GenCandidate(qb.freeze(), dict(qb.down), tag))
     return subs
 

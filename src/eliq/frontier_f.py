@@ -66,9 +66,7 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
     # Step 2A: add entailed witness successors (no query copies here; the
     # iterative step below takes care of compensation around them).
     for x in sorted(cand.query.variables()):
-        dx = cand.down.get(x)
-        if dx is None:
-            continue
+        dx = cand.down[x]
         for rk, m in _f_nudges(prep, dx):
             if not names_implied_by_exists(eng, rk) <= qb.concepts_at(x):
                 continue
@@ -116,7 +114,7 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
             raise AssertionError("marked atom target must have an origin")
         if back not in eng.functional or not _q_has_edge(q, ydown, back):
             # A full copy of q cannot clash with functionality here.
-            qb.glue_query_copy(q, ydown, dst, namer)
+            qb.add_copy(q, namer, glue=(ydown, dst))
             continue
         xdown = qb.down[src]
         if xdown is None:

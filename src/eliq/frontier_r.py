@@ -66,9 +66,7 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
 
     # Step 2A: witness every still-entailed, unwitnessed successor.
     for x in sorted(cand.query.variables()):
-        dx = cand.down.get(x)
-        if dx is None:
-            continue
+        dx = cand.down[x]
         for r, a in _r_nudges(prep, dx):
             for s in sorted(eng.superroles(r)):
                 if not names_implied_by_exists(eng, s) <= qb.concepts_at(x):
@@ -81,7 +79,7 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
                 qb.add_edge(r, x2, z)
                 qb.down[z] = None
                 qb.down[x2] = dx
-                qb.glue_query_copy(q, dx, x2, namer)
+                qb.add_copy(q, namer, glue=(dx, x2))
 
     # Step 2B: below every surviving edge, reattach the original query along
     # each role that the ontology entails between the original endpoints.
@@ -93,7 +91,7 @@ def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
             z = namer.fresh(du)
             qb.add_edge(r, z, w)
             qb.down[z] = du
-            qb.glue_query_copy(q, du, z, namer)
+            qb.add_copy(q, namer, glue=(du, z))
     return qb.freeze()
 
 

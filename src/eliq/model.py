@@ -215,8 +215,6 @@ def generalizations_upto(
         labs = [lab for lab in labels if lab <= present]
         if size == 1:
             out = [intern_tree(lab, ()) for lab in labs]
-        elif not labs:
-            out = []
         else:
             attachments: list[tuple[int, Role, int]] = []
             for e in edges:

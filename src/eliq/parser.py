@@ -10,10 +10,12 @@
             | "rdisj" role role | "func" role
 
 ``.cq`` — either datalog style ``q(x0) :- A(x0), r(x0,y), r-(y,z)`` (inverse
-atoms are normalized on read) or ``eliq: <eli expression>``.
+atoms are normalized on read; the answer variable occurs in some atom, if
+only in ``top(x0)``) or ``eliq: <eli expression>``.
 
 ``.abox`` — one assertion per line: ``A(a)`` / ``top(a)`` / ``r(a,b)`` /
-``r-(a,b)``, read by the same atom grammar as query atoms.
+``r-(a,b)``, read by the same atom grammar as query atoms, in which ``top``
+is a concept and never a role.
 
 Serialization is deterministic (atoms sorted), and every serializer
 round-trips through its parser.
@@ -261,6 +263,8 @@ def _parse_atom(ts: _Tokens, kind: str) -> tuple[str, str] | tuple[str, str, str
     ts.expect("(")
     t1 = _parse_term_ident(ts)
     if ts.peek() == ",":
+        if is_top:
+            raise ts.error(f"{TOP!r} cannot be a role {kind}")
         ts.next()
         t2 = _parse_term_ident(ts)
         ts.expect(")")
@@ -297,17 +301,16 @@ def parse_cq(text: str) -> CQ:
         if atoms:
             ts.expect(",")
         atoms.append(_parse_atom(ts, "atom"))
-    q = make_cq(answer, (a for a in atoms if len(a) == 2), (a for a in atoms if len(a) == 3))
-    if answer not in q.variables():
+    if not any(answer in a[1:] for a in atoms):
         raise ParseError(f"answer variable {answer!r} does not occur in the query", lineno, 1)
-    return q
+    return make_cq(answer, (a for a in atoms if len(a) == 2), (a for a in atoms if len(a) == 3))
 
 
 def serialize_cq(q: CQ) -> str:
     atoms = [f"{a}({v})" for a, v in sorted(q.concept_atoms)]
     atoms += [f"{r}({x},{y})" for r, x, y in sorted(q.role_atoms)]
-    if not atoms:
-        atoms = [f"{TOP}({q.answer_var})"]
+    if not any(q.answer_var in a[1:] for a in q.concept_atoms | q.role_atoms):
+        atoms.insert(0, f"{TOP}({q.answer_var})")
     return f"q({q.answer_var}) :- " + ", ".join(atoms)
 
 

@@ -126,10 +126,11 @@ def test_learn_writes_trace(files, capsys, tmp_path):
     assert set(payload) == {"hypotheses", "membership_queries", "frontier_sizes", "outcome"}
 
 
-@pytest.mark.parametrize("target", ["q(x) :- r(x,x)\n", "q(x) :- A(y)\n"])
+@pytest.mark.parametrize("target", ["q(x) :- r(x,x)\n", "q(x) :- A(x), B(y)\n"])
 def test_learn_refuses_a_target_that_is_not_an_eliq(files, capsys, target):
     # No ELIQ hypothesis can equal such a target, so the learner would only
-    # spend its budget and report a negative verdict.
+    # spend its budget and report a negative verdict.  (An answer variable in
+    # no atom, as in q(x) :- A(y), is refused earlier, by the parser.)
     write, _ = files
     code = main(["learn", "--ontology", write("o.dlo", "A sub some r . B\nr rsub s\n"),
                  "--target", write("t.cq", target)])

@@ -1,12 +1,15 @@
 """The engine and context tables: bounded, keyed by ontology equality, and
-freeing what they evict by reference counting alone."""
+freeing what they evict by reference counting alone; and the kernel paths
+that only functionality or role disjointness reach."""
 
 import gc
 import pickle
 import weakref
 
+import pytest
+
 import eliq.engine as engine
-from eliq import ABox, certain_answer, parse_cq, parse_ontology
+from eliq import ABox, abox_satisfiable, certain_answer, parse_abox, parse_cq, parse_ontology
 from eliq.engine import ABoxContext, context_for, engine_for
 
 ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
@@ -146,3 +149,20 @@ def test_a_small_query_closes_few_individuals(monkeypatch):
     closed.clear()
     assert not certain_answer(o, chain, q, f"a{n - 1}")
     assert len(closed) <= 3, closed
+
+
+@pytest.mark.parametrize("abox", ["A(a)\n", "A(a)\nr(a,b)\n"])
+def test_a_witness_feeds_its_filler_back_to_an_individual(abox):
+    # a's r-witness satisfies some r-, so it needs an r- successor in B; r- is
+    # functional and a is already its r- successor, so a is in B.  With
+    # r(a,b) the filler also reaches a from b along the functional edge.
+    o = parse_ontology("A sub some r\nsome r- sub some r- . B\nfunc r-\n")
+    assert certain_answer(o, parse_abox(abox), parse_cq("q(x) :- B(x)"), "a")
+
+
+@pytest.mark.parametrize("abox, satisfiable", [("A(a)\n", False), ("B(a)\n", True)])
+def test_role_disjointness_clashes_inside_a_witness(abox, satisfiable):
+    # the witness of A sub some r is reached by r and so by its superrole s,
+    # which rdisj r s forbids; without A no witness is made
+    o = parse_ontology("A sub some r\nr rsub s\nrdisj r s\n")
+    assert abox_satisfiable(o, parse_abox(abox)) is satisfiable

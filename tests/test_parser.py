@@ -6,6 +6,7 @@ from eliq import (
     Role,
     contained,
     entails_basic,
+    make_cq,
     normalize,
     parse_abox,
     parse_cq,
@@ -107,6 +108,28 @@ def test_surrogate_concept_names_are_reserved_in_queries_and_aboxes(parse, text)
     # would be taken for a surrogate of the ontology
     with pytest.raises(ParseError, match="reserved"):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_cq, "q(x) :- A(y)", "answer variable 'x' does not occur"),
+        (parse_cq, "q(x) :- r(y,z), top(y)", "answer variable 'x' does not occur"),
+        (parse_cq, "q(x) :- top(x,y)", "'top' cannot be a role atom"),
+        (parse_cq, "q(x) :- A(x), top(y,x)", "'top' cannot be a role atom"),
+        (parse_abox, "top(a,b)\n", "'top' cannot be a role assertion"),
+    ],
+)
+def test_answer_variables_must_occur_and_top_is_no_role(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+def test_an_answer_variable_in_no_atom_is_written_as_top():
+    assert parse_cq("q(x) :- top(x)") == make_cq("x", (), ())
+    q = make_cq("x", [("A", "y")], [])
+    assert serialize_cq(q) == "q(x) :- top(x), A(y)"
+    assert parse_cq(serialize_cq(q)) == q
 
 
 def test_user_names_do_not_collide_with_surrogates():

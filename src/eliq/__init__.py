@@ -63,7 +63,6 @@ from .reasoner import (
 )
 from .syntax import (
     ABox,
-    BasicConcept,
     CQ,
     Dialect,
     ELIConcept,

@@ -56,7 +56,7 @@ from .model import (
     tree_to_abox,
     tree_to_cq,
 )
-from .syntax import CQ, Ontology, basic_name, combined_signature, make_cq
+from .syntax import CQ, Ontology, atom, combined_signature, make_cq
 
 # An example: a context and the individual it is labeled at.
 Example = tuple[ABoxContext, str]
@@ -297,7 +297,7 @@ def fixture(name: str, n: int):
         return o, _zigzag(n, with_prefix=False)
     if name == "thm9_disjointness":
         cdisj = tuple(
-            (basic_name(f"A{i}"), basic_name(f"A{i}p")) for i in range(1, n + 1)
+            (atom(f"A{i}"), atom(f"A{i}p")) for i in range(1, n + 1)
         )
         o = Ontology(concept_disjointness=cdisj)
         q = make_cq("x0", [(f"A{i}", "x0") for i in range(1, n + 1)])

@@ -64,12 +64,15 @@ import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, BasicConcept, Dialect, Ontology, Role, dialect_of
+from .syntax import ABox, Dialect, ELIConcept, Ontology, Role, dialect_of
 
 TOPK = ("top",)
 
 
-def basic_key(b: BasicConcept):
+def basic_key(b: ELIConcept):
+    """The fact key of a basic concept.  The engine also reads a normal-form
+    right-hand side ``some R . A`` through it, as ``("e", R)``, so it does not
+    require ``b.is_basic()``."""
     if b.kind == "top":
         return TOPK
     if b.kind == "name":

@@ -45,6 +45,7 @@ from .syntax import (
     exists_roles,
     make_cq,
     restrict,
+    subconcepts,
     subtree_vars,
     tree_children,
     tree_order,
@@ -392,16 +393,12 @@ def size_ceiling_ok(q: CQ, o: Ontology, total_vars: int) -> bool:
 
 
 def ontology_size(o: Ontology) -> int:
-    def csize(c: ELIConcept) -> int:
-        if c.kind in ("top", "name"):
-            return 1
-        if c.kind == "and":
-            return 1 + sum(csize(p) for p in c.parts)
-        return 2 + csize(c.filler)  # type: ignore[arg-type]
-
-    total = 0
-    for lhs, rhs in o.concept_inclusions:
-        total += 2 + csize(rhs)
+    """2 per CI and functionality assertion, 3 per other statement, plus 1
+    per node of every CI right-hand side, 2 per existential."""
+    total = 2 * len(o.concept_inclusions)
+    for _, rhs in o.concept_inclusions:
+        for c in subconcepts(rhs):
+            total += 2 if c.kind == "exists" else 1
     total += 3 * len(o.role_inclusions)
     total += 3 * len(o.concept_disjointness)
     total += 3 * len(o.role_disjointness)

@@ -12,13 +12,12 @@ from .normalform import normalize
 from .reasoner import query_satisfiable
 from .syntax import (
     ABox,
+    CONCEPT_TOP,
     CQ,
     ELIConcept,
     Ontology,
     Role,
     atom,
-    basic_exists,
-    basic_name,
     conj,
     exists,
     exists_roles,
@@ -30,15 +29,13 @@ def random_role(rng: random.Random, roles: list[str]) -> Role:
     return Role(rng.choice(roles), rng.random() < 0.5)
 
 
-def random_basic(rng: random.Random, names: list[str], roles: list[str]):
+def random_basic(rng: random.Random, names: list[str], roles: list[str]) -> ELIConcept:
     kind = rng.random()
     if kind < 0.15:
-        from .syntax import BASIC_TOP
-
-        return BASIC_TOP
+        return CONCEPT_TOP
     if kind < 0.6 or not roles:
-        return basic_name(rng.choice(names))
-    return basic_exists(random_role(rng, roles))
+        return atom(rng.choice(names))
+    return exists(random_role(rng, roles))
 
 
 def random_concept(rng: random.Random, names: list[str], roles: list[str], depth: int) -> ELIConcept:

@@ -40,12 +40,16 @@ class MembershipOracle(Protocol):
 
 class SimulatedOracle:
     """Answers membership queries for a fixed hidden target query, which must
-    be an ELIQ: the learner's hypotheses are ELIQs, so no other target could
-    ever be identified."""
+    be a satisfiable ELIQ: the learner's hypotheses are ELIQs, so no other
+    target could ever be identified, and an unsatisfiable target answers no
+    satisfiable ABox, so the learner would only spend its budget."""
 
     def __init__(self, ontology: Ontology, target: CQ):
         if not target.is_eliq():
             raise NotAnEliqError(f"the target is not an ELIQ: {serialize_cq(target).strip()}")
+        if not query_satisfiable(ontology, target):
+            raise UnsatisfiableError(
+                f"the target is unsatisfiable w.r.t. the ontology: {serialize_cq(target).strip()}")
         self.ontology = ontology
         self.target = target
         self.query_count = 0

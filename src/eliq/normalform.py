@@ -17,14 +17,7 @@ Expanding surrogate names back into the concepts they stand for is
 
 from __future__ import annotations
 
-from .syntax import (
-    BasicConcept,
-    ELIConcept,
-    Ontology,
-    atom,
-    basic_name,
-    exists,
-)
+from .syntax import ELIConcept, Ontology, atom, exists
 
 FRESH_PREFIX = "_X"
 
@@ -33,14 +26,10 @@ def _is_name_or_top(c: ELIConcept) -> bool:
     return c.kind in ("name", "top")
 
 
-def _basic_is_name_or_top(b: BasicConcept) -> bool:
-    return b.kind in ("name", "top")
-
-
-def is_normal_ci(lhs: BasicConcept, rhs: ELIConcept) -> bool:
+def is_normal_ci(lhs: ELIConcept, rhs: ELIConcept) -> bool:
     if _is_name_or_top(rhs):
         return True  # B sub A
-    if _basic_is_name_or_top(lhs):
+    if _is_name_or_top(lhs):
         if rhs.is_basic():
             return True  # A sub B
         if rhs.kind == "exists" and _is_name_or_top(rhs.filler):  # type: ignore[arg-type]
@@ -66,7 +55,7 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
     """
     fresh: dict[ELIConcept, str] = {}
     fresh_map: dict[str, ELIConcept] = {}
-    extra: list[tuple[BasicConcept, ELIConcept]] = []
+    extra: list[tuple[ELIConcept, ELIConcept]] = []
     taken = o.signature()[0]
     counter = [0]
 
@@ -88,14 +77,14 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
         fresh_map[name] = c
         if c.kind == "and":
             for part in c.parts:
-                extra.append((basic_name(name), surrogate(part)))
+                extra.append((atom(name), surrogate(part)))
         else:  # exists
             if c.kind != "exists" or c.role is None or c.filler is None:
                 raise AssertionError(f"complex concept is neither a conjunction nor an existential: {c}")
-            extra.append((basic_name(name), exists(c.role, surrogate(c.filler))))
+            extra.append((atom(name), exists(c.role, surrogate(c.filler))))
         return atom(name)
 
-    cis: list[tuple[BasicConcept, ELIConcept]] = []
+    cis: list[tuple[ELIConcept, ELIConcept]] = []
     for lhs, rhs in o.concept_inclusions:
         if is_normal_ci(lhs, rhs):
             cis.append((lhs, rhs))
@@ -105,7 +94,7 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
             name = fresh_name()
             fresh_map[name] = rhs
             cis.append((lhs, atom(name)))
-            extra.append((basic_name(name), rhs))
+            extra.append((atom(name), rhs))
         else:
             cis.append((lhs, surrogate(rhs)))
     cis.extend(extra)

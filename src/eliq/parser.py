@@ -29,8 +29,6 @@ from .errors import ParseError
 from .normalform import FRESH_PREFIX
 from .syntax import (
     ABox,
-    BASIC_TOP,
-    BasicConcept,
     CONCEPT_TOP,
     CQ,
     ELIConcept,
@@ -38,8 +36,6 @@ from .syntax import (
     Role,
     TOP,
     atom,
-    basic_exists,
-    basic_name,
     concept_signature,
     concept_to_eliq,
     conj,
@@ -49,27 +45,14 @@ from .syntax import (
 
 KEYWORDS = {"top", "some", "sub", "rsub", "disj", "rdisj", "func", "eliq"}
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.'~]*-?|[().,&:]|:-|\S)")
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.'~]*-?|:-|[().,&:]|\S)")
 _RESERVED = re.compile(re.escape(FRESH_PREFIX) + r"[0-9]+")
 
 
 class _Tokens:
     def __init__(self, text: str, line: int):
         self.line = line
-        self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                break
-            tok = m.group(1)
-            if tok == ":" and text[m.end() : m.end() + 1] == "-":
-                tok = ":-"
-                self.items.append((tok, m.start(1) + 1))
-                pos = m.end() + 1
-                continue
-            self.items.append((tok, m.start(1) + 1))
-            pos = m.end()
+        self.items = [(m.group(1), m.start(1) + 1) for m in _TOKEN.finditer(text)]
         self.i = 0
 
     def peek(self) -> str | None:
@@ -127,18 +110,18 @@ def _parse_role(ts: _Tokens) -> Role:
     return Role(name, inverted)
 
 
-def _parse_basic(ts: _Tokens) -> BasicConcept:
+def _parse_basic(ts: _Tokens) -> ELIConcept:
     tok = ts.peek()
     if tok == TOP:
         ts.next()
-        return BASIC_TOP
+        return CONCEPT_TOP
     if tok == "some":
         ts.next()
-        return basic_exists(_parse_role(ts))
+        return exists(_parse_role(ts))
     tok = ts.next()
     if not _is_ident(tok):
         raise ts.error(f"expected a basic concept, got {tok!r}")
-    return basic_name(tok)
+    return atom(tok)
 
 
 def _parse_eli(ts: _Tokens) -> ELIConcept:
@@ -185,9 +168,9 @@ def _lines(text: str):
 
 
 def parse_ontology(text: str) -> Ontology:
-    cis: list[tuple[BasicConcept, ELIConcept]] = []
+    cis: list[tuple[ELIConcept, ELIConcept]] = []
     ris: list[tuple[Role, Role]] = []
-    cdisj: list[tuple[BasicConcept, BasicConcept]] = []
+    cdisj: list[tuple[ELIConcept, ELIConcept]] = []
     rdisj: list[tuple[Role, Role]] = []
     functional: set[Role] = set()
     for lineno, line in _lines(text):
@@ -288,7 +271,7 @@ def parse_cq(text: str) -> CQ:
         ts.expect(":")
         c = _parse_eli(ts)
         ts.done()
-        for name in sorted(concept_signature(c)[0]):
+        for name in sorted(concept_signature([c])[0]):
             _concept_name(ts, name)
         return concept_to_eliq(c)
     _parse_term_ident(ts)  # the query's name

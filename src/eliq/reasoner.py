@@ -25,8 +25,8 @@ from .model import (
 from .normalform import is_normal_form
 from .syntax import (
     ABox,
-    BasicConcept,
     CQ,
+    ELIConcept,
     Ontology,
     Role,
     prune_role_atoms,
@@ -34,8 +34,12 @@ from .syntax import (
 )
 
 
-def entails_basic(o: Ontology, b1: BasicConcept, b2: BasicConcept) -> bool:
-    """Does every model of ``o`` satisfy ``b1 sub b2``?"""
+def entails_basic(o: Ontology, b1: ELIConcept, b2: ELIConcept) -> bool:
+    """Does every model of ``o`` satisfy ``b1 sub b2``?  Both must be basic
+    concepts; anything else raises InvalidArgumentError."""
+    for b in (b1, b2):
+        if not b.is_basic():
+            raise InvalidArgumentError(f"{b} is not a basic concept (top, a concept name or some R)")
     if b2.kind == "top":
         return True
     abox, x = _canonical_abox(b1)
@@ -43,7 +47,7 @@ def entails_basic(o: Ontology, b1: BasicConcept, b2: BasicConcept) -> bool:
     return basic_key(b2) in ctx.facts_at(x)
 
 
-def _canonical_abox(b: BasicConcept) -> tuple[ABox, str]:
+def _canonical_abox(b: ELIConcept) -> tuple[ABox, str]:
     if b.kind == "name":
         return ABox(frozenset({(b.name, "_w0")})), "_w0"  # type: ignore[arg-type]
     if b.kind == "exists":

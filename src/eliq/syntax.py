@@ -17,6 +17,10 @@ shared freely and used as cache keys.  Conventions used throughout:
 * Conjunction of ELI concepts is associative-commutative: the ``conj``
   constructor flattens, deduplicates and sorts, so structural equality is
   equality up to reordering of conjuncts.
+* ``ELIConcept`` is the one concept type.  A basic concept (``top``, a
+  name, or ``some R``) is an ``ELIConcept`` for which ``is_basic()`` holds;
+  ``Ontology`` checks that condition on CI left-hand sides and disjointness
+  operands when it is built.  ``subconcepts`` is the one walk of a concept.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import NotAnEliqError
+from .errors import InvalidArgumentError, NotAnEliqError
 
 TOP = "top"
 
@@ -56,33 +60,6 @@ class Role(NamedTuple):
 
     def __str__(self) -> str:
         return self.name + ("-" if self.inverted else "")
-
-
-@dataclass(frozen=True)
-class BasicConcept:
-    """``top``, a concept name, or an unqualified existential ``some R``."""
-
-    kind: str  # "top" | "name" | "exists"
-    name: Optional[str] = None
-    role: Optional[Role] = None
-
-    def __str__(self) -> str:
-        if self.kind == "top":
-            return TOP
-        if self.kind == "name":
-            return self.name  # type: ignore[return-value]
-        return f"some {self.role}"
-
-
-BASIC_TOP = BasicConcept("top")
-
-
-def basic_name(name: str) -> BasicConcept:
-    return BasicConcept("name", name=name)
-
-
-def basic_exists(role: Role) -> BasicConcept:
-    return BasicConcept("exists", role=role)
 
 
 @dataclass(frozen=True)
@@ -152,27 +129,30 @@ def concept_conjuncts(c: ELIConcept) -> tuple[ELIConcept, ...]:
     return c.parts if c.kind == "and" else (c,)
 
 
-def basic_to_concept(b: BasicConcept) -> ELIConcept:
-    if b.kind == "top":
-        return CONCEPT_TOP
-    if b.kind == "name":
-        return atom(b.name)  # type: ignore[arg-type]
-    return exists(b.role)  # type: ignore[arg-type]
-
-
-def concept_signature(c: ELIConcept) -> tuple[set[str], set[str]]:
-    names: set[str] = set()
-    roles: set[str] = set()
+def subconcepts(c: ELIConcept) -> Iterator[ELIConcept]:
+    """Every subconcept of ``c``, ``c`` included, in pre-order with
+    conjuncts left to right.  The walk keeps an explicit stack, so a concept
+    of any depth is walked at the default recursion limit."""
     stack = [c]
     while stack:
-        cur = stack.pop()
-        if cur.kind == "name":
-            names.add(cur.name)  # type: ignore[arg-type]
-        elif cur.kind == "and":
-            stack.extend(cur.parts)
-        elif cur.kind == "exists":
-            roles.add(cur.role.name)  # type: ignore[union-attr]
-            stack.append(cur.filler)  # type: ignore[arg-type]
+        c = stack.pop()
+        yield c
+        if c.kind == "and":
+            stack.extend(reversed(c.parts))
+        elif c.kind == "exists":
+            stack.append(c.filler)  # type: ignore[arg-type]
+
+
+def concept_signature(cs: Iterable[ELIConcept]) -> tuple[set[str], set[str]]:
+    """(concept names, role names) occurring in the concepts ``cs``."""
+    names: set[str] = set()
+    roles: set[str] = set()
+    for c in cs:
+        for sub in subconcepts(c):
+            if sub.kind == "name":
+                names.add(sub.name)  # type: ignore[arg-type]
+            elif sub.kind == "exists":
+                roles.add(sub.role.name)  # type: ignore[union-attr]
     return names, roles
 
 
@@ -191,13 +171,25 @@ class Dialect(enum.Enum):
 
 @dataclass(frozen=True)
 class Ontology:
-    """A DL-Lite ontology: CIs, RIs, disjointness constraints, functionality."""
+    """A DL-Lite ontology: CIs, RIs, disjointness constraints, functionality.
 
-    concept_inclusions: tuple[tuple[BasicConcept, ELIConcept], ...] = ()
+    The left-hand side of every CI and both operands of every disjointness
+    are basic concepts: ``ELIConcept``s for which ``is_basic()`` holds.  A
+    statement that breaks this raises InvalidArgumentError at construction.
+    """
+
+    concept_inclusions: tuple[tuple[ELIConcept, ELIConcept], ...] = ()
     role_inclusions: tuple[tuple[Role, Role], ...] = ()
-    concept_disjointness: tuple[tuple[BasicConcept, BasicConcept], ...] = ()
+    concept_disjointness: tuple[tuple[ELIConcept, ELIConcept], ...] = ()
     role_disjointness: tuple[tuple[Role, Role], ...] = ()
     functional: frozenset[Role] = frozenset()
+
+    def __post_init__(self) -> None:
+        basics = [lhs for lhs, _ in self.concept_inclusions]
+        basics += [b for pair in self.concept_disjointness for b in pair]
+        for c in basics:
+            if not c.is_basic():
+                raise InvalidArgumentError(f"{c} is not a basic concept (top, a concept name or some R)")
 
     def __hash__(self) -> int:
         # Computed once per object: ontologies key the engine cache, and
@@ -220,25 +212,10 @@ class Ontology:
 
     def signature(self) -> tuple[frozenset[str], frozenset[str]]:
         """(concept names, role names) occurring in any statement."""
-        names: set[str] = set()
-        roles: set[str] = set()
-
-        def add_basic(b: BasicConcept) -> None:
-            if b.kind == "name":
-                names.add(b.name)  # type: ignore[arg-type]
-            elif b.kind == "exists":
-                roles.add(b.role.name)  # type: ignore[union-attr]
-
-        for lhs, rhs in self.concept_inclusions:
-            add_basic(lhs)
-            n, r = concept_signature(rhs)
-            names.update(n)
-            roles.update(r)
+        names, roles = concept_signature(
+            c for pair in self.concept_inclusions + self.concept_disjointness for c in pair)
         for r1, r2 in self.role_inclusions + self.role_disjointness:
             roles.update((r1.name, r2.name))
-        for b1, b2 in self.concept_disjointness:
-            add_basic(b1)
-            add_basic(b2)
         for r in self.functional:
             roles.add(r.name)
         return frozenset(names), frozenset(roles)
@@ -267,14 +244,7 @@ def dialect_of(o: Ontology) -> Dialect:
 
 def exists_roles(c: ELIConcept) -> Iterator[Role]:
     """The role of every existential in ``c``, in pre-order."""
-    stack = [c]
-    while stack:
-        c = stack.pop()
-        if c.kind == "exists":
-            yield c.role  # type: ignore[misc]
-            stack.append(c.filler)  # type: ignore[arg-type]
-        elif c.kind == "and":
-            stack.extend(reversed(c.parts))
+    return (sub.role for sub in subconcepts(c) if sub.kind == "exists")  # type: ignore[misc]
 
 
 # ---------------------------------------------------------------------------

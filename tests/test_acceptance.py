@@ -238,11 +238,11 @@ def test_criterion_10_kernel_cross_checks():
 
         from eliq import ABox, Role, certain_answer, entails_basic, query_satisfiable
         from eliq.gen import random_abox, random_eliq
-        from eliq.syntax import basic_exists, basic_name, basic_to_concept, concept_to_eliq
+        from eliq.syntax import atom, concept_to_eliq, exists
 
         rng = random.Random(202410)
-        basics = [basic_name(n) for n in ("A", "B")] + [
-            basic_exists(Role(r, inv)) for r in ("r", "s") for inv in (False, True)
+        basics = [atom(n) for n in ("A", "B")] + [
+            exists(Role(r, inv)) for r in ("r", "s") for inv in (False, True)
         ]
         pairs = 0
         while pairs < 500:
@@ -250,8 +250,8 @@ def test_criterion_10_kernel_cross_checks():
                 rng, ["A", "B"], ["r", "s"], rng.randint(1, 5), dialect=rng.choice(["r", "f"])
             )
             for b1, b2 in itertools.product(basics, repeat=2):
-                q1 = concept_to_eliq(basic_to_concept(b1))
-                q2 = concept_to_eliq(basic_to_concept(b2))
+                q1 = concept_to_eliq(b1)
+                q2 = concept_to_eliq(b2)
                 if not (query_satisfiable(o, q1) and query_satisfiable(o, q2)):
                     continue
                 assert entails_basic(o, b1, b2) == contained(o, q1, q2)

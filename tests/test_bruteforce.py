@@ -36,7 +36,7 @@ from eliq.model import (
     tree_ids_upto,
     tree_struct,
 )
-from eliq.syntax import basic_exists, basic_name
+from eliq.syntax import atom, exists
 from reference_trees import reference_tree_ids
 
 NAMES, ROLES = ["A", "B"], ["r", "s"]
@@ -117,7 +117,7 @@ def _random_instances(seed, dialect, n):
         if len(out) % 3 == 0:
             o = dataclasses.replace(
                 o,
-                concept_disjointness=((basic_name("B"), basic_exists(Role("s", True))),),
+                concept_disjointness=((atom("B"), exists(Role("s", True))),),
                 role_disjointness=((Role("r"), Role("s", True)),),
             )
         q = random_satisfiable_eliq(rng, o, NAMES, ROLES, 3)

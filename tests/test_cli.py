@@ -126,19 +126,28 @@ def test_learn_writes_trace(files, capsys, tmp_path):
     assert set(payload) == {"hypotheses", "membership_queries", "frontier_sizes", "outcome"}
 
 
-@pytest.mark.parametrize("target", ["q(x) :- r(x,x)\n", "q(x) :- A(x), B(y)\n"])
-def test_learn_refuses_a_target_that_is_not_an_eliq(files, capsys, target):
-    # No ELIQ hypothesis can equal such a target, so the learner would only
-    # spend its budget and report a negative verdict.  (An answer variable in
-    # no atom, as in q(x) :- A(y), is refused earlier, by the parser.)
+@pytest.mark.parametrize("ontology, target, message", [
+    pytest.param("A sub some r . B\nr rsub s\n", "q(x) :- r(x,x)\n", "not an ELIQ",
+                 id="q(x) :- r(x,x)\n"),
+    pytest.param("A sub some r . B\nr rsub s\n", "q(x) :- A(x), B(y)\n", "not an ELIQ",
+                 id="q(x) :- A(x), B(y)\n"),
+    pytest.param("r rsub s\nrdisj r s\n", "q(x) :- s(y,z), A(x), r-(x,y), s-(z,w)\n", "unsatisfiable",
+                 id="unsatisfiable"),
+])
+def test_learn_refuses_a_target_that_is_not_an_eliq(files, capsys, ontology, target, message):
+    # No ELIQ hypothesis can equal a cyclic or disconnected target, and an
+    # unsatisfiable one rejects every satisfiable hypothesis, so the learner
+    # would only spend its budget and report a negative verdict.  (An answer
+    # variable in no atom, as in q(x) :- A(y), is refused earlier, by the
+    # parser.)  The small budget keeps a learner that does not refuse fast.
     write, _ = files
-    code = main(["learn", "--ontology", write("o.dlo", "A sub some r . B\nr rsub s\n"),
-                 "--target", write("t.cq", target)])
+    code = main(["learn", "--ontology", write("o.dlo", ontology),
+                 "--target", write("t.cq", target), "--budget", "50"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "not an ELIQ" in captured.err
+    assert message in captured.err
 
 
 def test_characterize_writes_examples(files, tmp_path, capsys):

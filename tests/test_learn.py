@@ -21,7 +21,7 @@ from eliq import (
     treeify,
 )
 from eliq.bruteforce import fixture
-from eliq.errors import NotAnEliqError, SeedRequiredError, UnsupportedDialectError
+from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.frontier_base import translate_members
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
@@ -226,6 +226,17 @@ def test_oracle_refuses_a_target_that_is_not_an_eliq():
     o = parse_ontology("A sub some r . B\nr rsub s\n")
     with pytest.raises(NotAnEliqError):
         SimulatedOracle(o, parse_cq("q(x) :- r(x,x)"))
+
+
+def test_oracle_refuses_an_unsatisfiable_target():
+    # r-(x,y) is r(y,x), which implies s(y,x), and r and s are disjoint.  The
+    # oracle would reject every satisfiable hypothesis, so the learner would
+    # spend its whole budget and report budget_exceeded.
+    o = parse_ontology("r rsub s\nrdisj r s\n")
+    target = parse_cq("q(x) :- s(y,z), A(x), r-(x,y), s-(z,w)")
+    assert target.is_eliq() and not query_satisfiable(o, target)
+    with pytest.raises(UnsatisfiableError):
+        SimulatedOracle(o, target)
 
 
 def test_learn_batch_random():

@@ -8,7 +8,7 @@ from eliq import Role, is_normal_form, normalize, parse_ontology, serialize_onto
 from eliq.frontier_base import ontology_size
 from eliq.gen import random_basic, random_ontology
 from eliq.reasoner import entails_basic
-from eliq.syntax import basic_exists, basic_name
+from eliq.syntax import atom, exists
 
 
 def test_nested_rhs_decomposition():
@@ -59,8 +59,8 @@ def test_idempotent():
 def test_conservative_for_basic_entailment():
     rng = random.Random(17)
     names, roles = ["A", "B"], ["r", "s"]
-    basics = [basic_name(n) for n in names] + [
-        basic_exists(Role(r, inv)) for r in roles for inv in (False, True)
+    basics = [atom(n) for n in names] + [
+        exists(Role(r, inv)) for r in roles for inv in (False, True)
     ]
     for _ in range(40):
         o = random_ontology(rng, names, roles, rng.randint(1, 5), dialect=rng.choice(["r", "f"]))

@@ -41,7 +41,7 @@ from eliq.model import (
     tree_ids_upto,
     tree_to_cq,
 )
-from eliq.syntax import Dialect, basic_exists, basic_name, dialect_of
+from eliq.syntax import Dialect, atom, dialect_of, exists
 
 NAMES, ROLES = ["A", "B"], ["r", "s"]
 
@@ -140,7 +140,7 @@ class ReferenceContext:
 def _with_disjointness(o: Ontology) -> Ontology:
     return dataclasses.replace(
         o,
-        concept_disjointness=((basic_name("B"), basic_exists(Role("s", True))),),
+        concept_disjointness=((atom("B"), exists(Role("s", True))),),
         role_disjointness=((Role("r"), Role("s", True)),),
     )
 

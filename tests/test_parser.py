@@ -17,7 +17,7 @@ from eliq import (
 )
 from eliq.errors import ParseError
 from eliq.gen import random_abox, random_eliq, random_ontology
-from eliq.syntax import basic_exists, basic_name
+from eliq.syntax import atom, exists
 
 
 def test_example_ontology(ex1_ontology):
@@ -38,7 +38,7 @@ def test_functionality_and_comments():
 
 def test_disjointness_statements():
     o = parse_ontology("disj A some r\nrdisj r s-\n")
-    assert o.concept_disjointness == ((basic_name("A"), basic_exists(Role("r"))),)
+    assert o.concept_disjointness == ((atom("A"), exists(Role("r"))),)
     assert o.role_disjointness == ((Role("r"), Role("s", True)),)
 
 
@@ -59,6 +59,7 @@ def test_parse_error_position():
 def test_cq_inverse_atoms_normalized():
     q = parse_cq("q(x0) :- A(x0), r(x0,y), r-(y,z)")
     assert ("r", "z", "y") in q.role_atoms
+    assert parse_cq("q(x0):-A(x0),r(x0,y),r-(y,z)") == q
 
 
 def test_cq_eliq_form():
@@ -137,7 +138,7 @@ def test_user_names_do_not_collide_with_surrogates():
     # keeps its own meaning and A sub D does not follow
     o = parse_ontology("A sub some r . (B & C)\n_X1 sub D\n")
     assert "_X1" not in normalize(o)[1]
-    assert not entails_basic(o, basic_name("A"), basic_name("D"))
+    assert not entails_basic(o, atom("A"), atom("D"))
     assert not contained(o, parse_cq("q(x0) :- A(x0)"), parse_cq("q(x0) :- D(x0)"))
     assert contained(o, parse_cq("q(x0) :- A(x0)"), parse_cq("q(x0) :- r(x0,y), B(y), C(y)"))
     # normal-form output, surrogate names included, parses back

@@ -15,7 +15,7 @@ from eliq.engine import context_for
 from eliq.errors import UnsatisfiableError
 from eliq.gen import random_abox, random_ontology
 from eliq.model import Trace, UniversalModelPrefix
-from eliq.syntax import basic_exists, basic_name
+from eliq.syntax import atom, exists
 
 NAMES, ROLES = ["A", "B"], ["r", "s"]
 
@@ -98,7 +98,7 @@ def _corpus():
     for i in range(600):
         o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 5), dialect=("r", "f", "core")[i % 3], normal_form=True)
         if i % 2:
-            o = dataclasses.replace(o, concept_disjointness=((basic_name("B"), basic_exists(Role("s", True))),))
+            o = dataclasses.replace(o, concept_disjointness=((atom("B"), exists(Role("s", True))),))
         yield o, random_abox(rng, NAMES, ROLES, rng.randint(1, 3), rng.randint(1, 5))
     for o, a in HANDMADE:
         yield parse_ontology(o), parse_abox(a)

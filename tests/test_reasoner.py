@@ -23,11 +23,11 @@ from eliq import (
     query_satisfiable,
     saturate,
 )
-from eliq.errors import NotAnEliqError, UnsatisfiableError, UnsupportedDialectError
+from eliq.errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_abox, random_eliq, random_ontology, random_satisfiable_eliq
 import eliq.reasoner as reasoner
 from eliq.reasoner import is_minimal
-from eliq.syntax import BASIC_TOP, basic_exists, basic_name, eliq_to_concept
+from eliq.syntax import CONCEPT_TOP, atom, conj, eliq_to_concept, exists
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -117,9 +117,18 @@ def _holds_role(rs, role: Role, d, e) -> bool:
 
 
 def test_entails_basic_examples(ex1_ontology):
-    assert entails_basic(ex1_ontology, basic_exists(Role("r")), basic_name("A"))
-    assert entails_basic(ex1_ontology, basic_name("A"), BASIC_TOP)
-    assert not entails_basic(ex1_ontology, basic_name("A"), basic_name("B"))
+    assert entails_basic(ex1_ontology, exists(Role("r")), atom("A"))
+    assert entails_basic(ex1_ontology, atom("A"), CONCEPT_TOP)
+    assert not entails_basic(ex1_ontology, atom("A"), atom("B"))
+
+
+@pytest.mark.parametrize("b1, b2", [
+    (exists(Role("r"), atom("A")), atom("A")),
+    (atom("A"), conj([atom("A"), atom("B")])),
+], ids=["qualified_existential", "conjunction"])
+def test_entails_basic_refuses_a_non_basic_argument(ex1_ontology, b1, b2):
+    with pytest.raises(InvalidArgumentError):
+        entails_basic(ex1_ontology, b1, b2)
 
 
 def test_entails_role_examples(ex2_ontology):
@@ -147,10 +156,10 @@ def test_entails_basic_agrees_with_semantic_enumeration():
     # bounded-domain countermodels refute; entailments have no countermodel
     o = parse_ontology("A sub some r\nsome r- sub C\nC sub some s\n")
     cases = [
-        (basic_name("A"), basic_exists(Role("s")), False),
-        (basic_name("A"), basic_exists(Role("r")), True),
-        (basic_name("C"), basic_exists(Role("s")), True),
-        (basic_exists(Role("r", True)), basic_name("C"), True),
+        (atom("A"), exists(Role("s")), False),
+        (atom("A"), exists(Role("r")), True),
+        (atom("C"), exists(Role("s")), True),
+        (exists(Role("r", True)), atom("C"), True),
     ]
     domain = [0, 1]
     for b1, b2, expected in cases:
@@ -171,17 +180,17 @@ def test_entails_basic_agrees_with_semantic_enumeration():
 def test_entails_basic_agrees_with_containment():
     rng = random.Random(31)
     names, roles = ["A", "B"], ["r"]
-    basics = [basic_name(n) for n in names] + [
-        basic_exists(Role("r", inv)) for inv in (False, True)
+    basics = [atom(n) for n in names] + [
+        exists(Role("r", inv)) for inv in (False, True)
     ]
-    from eliq.syntax import basic_to_concept, concept_to_eliq
+    from eliq.syntax import concept_to_eliq
 
     pairs = 0
     while pairs < 500:
         o = random_ontology(rng, names, roles, rng.randint(1, 6), dialect=rng.choice(["r", "f"]))
         for b1 in basics:
             for b2 in basics:
-                q1, q2 = concept_to_eliq(basic_to_concept(b1)), concept_to_eliq(basic_to_concept(b2))
+                q1, q2 = concept_to_eliq(b1), concept_to_eliq(b2)
                 if not (query_satisfiable(o, q1) and query_satisfiable(o, q2)):
                     continue
                 assert entails_basic(o, b1, b2) == contained(o, q1, q2)
@@ -350,7 +359,7 @@ RF_CLASH = "A sub some r . B\nA sub some s . C\nr rsub s\nfunc s\ndisj B C\n"
 RF_FEEDBACK = "A sub some r . B\nr rsub s\nfunc s-\nB sub some s- . D\n"
 RF_CALLS = {
     "abox_satisfiable": lambda: abox_satisfiable(parse_ontology(RF_CLASH), parse_abox("A(a)\n")),
-    "entails_basic": lambda: entails_basic(parse_ontology(RF_FEEDBACK), basic_name("A"), basic_name("D")),
+    "entails_basic": lambda: entails_basic(parse_ontology(RF_FEEDBACK), atom("A"), atom("D")),
     "query_satisfiable": lambda: query_satisfiable(parse_ontology(RF_CLASH), parse_cq("q(x) :- A(x)")),
     "saturate": lambda: saturate(parse_ontology(RF_FEEDBACK), parse_cq("q(x) :- A(x)")),
     "minimize_eliq": lambda: minimize_eliq(parse_ontology(RF_FEEDBACK), parse_cq("q(x) :- A(x)")),

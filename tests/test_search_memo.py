@@ -33,7 +33,7 @@ from eliq import (
 from eliq import engine
 from eliq.characterize import DataExample, ExampleSet
 from eliq.gen import random_ontology, random_satisfiable_eliq
-from eliq.syntax import basic_exists, basic_name
+from eliq.syntax import atom, exists
 
 NAMES, ROLES = ["A", "B"], ["r", "s"]
 
@@ -70,7 +70,7 @@ def _instances(seed: int, n: int):
         if i % 2:
             o = dataclasses.replace(
                 o,
-                concept_disjointness=((basic_name("B"), basic_exists(Role("s", True))),),
+                concept_disjointness=((atom("B"), exists(Role("s", True))),),
                 role_disjointness=((Role("r"), Role("s", True)),),
             )
         q = random_satisfiable_eliq(rng, o, NAMES, ROLES, 3)

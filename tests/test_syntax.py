@@ -14,8 +14,9 @@ from eliq import (
     parse_cq,
     parse_ontology,
 )
-from eliq.errors import NotAnEliqError
-from eliq.syntax import atom, conj, exists, exists_roles
+from eliq.errors import InvalidArgumentError, NotAnEliqError
+from eliq.frontier_base import ontology_size
+from eliq.syntax import CONCEPT_TOP, atom, conj, exists, exists_roles, subconcepts
 
 
 def test_role_double_inversion():
@@ -96,6 +97,33 @@ def test_concept_round_trip_random():
         assert concept_to_eliq(eliq_to_concept(back)) == back
         if i % 50 == 0:
             assert equivalent(Ontology(), q, back)
+
+
+def test_subconcepts_in_pre_order():
+    inner = conj([atom("B"), exists(Role("s"))])
+    c = conj([atom("A"), exists(Role("r"), inner)])
+    assert list(subconcepts(c)) == [
+        c, atom("A"), exists(Role("r"), inner), inner, atom("B"), exists(Role("s")), CONCEPT_TOP,
+    ]
+
+
+def test_ontology_size_of_a_deep_right_hand_side():
+    # B sub some r . (some r . ( ... A)), 5,000 levels: 2 for the CI, 2 per
+    # existential and 1 for A, at the default recursion limit.
+    c = atom("A")
+    for _ in range(5000):
+        c = exists(Role("r"), c)
+    assert ontology_size(Ontology(concept_inclusions=((atom("B"), c),))) == 10_003
+
+
+@pytest.mark.parametrize("cis, cdisj", [
+    (((exists(Role("r"), atom("B")), atom("C")),), ()),
+    ((), ((conj([atom("A"), atom("B")]), atom("C")),)),
+], ids=["ci_left_hand_side", "disjointness_operand"])
+def test_ontology_refuses_a_concept_that_is_not_basic(cis, cdisj):
+    # Read as ``some r sub C``, the first would give C(a) from r(a,b) alone.
+    with pytest.raises(InvalidArgumentError):
+        Ontology(concept_inclusions=cis, concept_disjointness=cdisj)
 
 
 class TestDialect:

@@ -14,13 +14,29 @@ least general; it is the only dialect-specific part and lives in
 ``frontier_r`` (role inclusions) and ``frontier_f`` (restricted
 functionality).
 
-``build_frontier`` is the one driver: prepare, Step 1, Step 2, size ceiling,
-surrogate translation, the Condition 1-2 self-check, dedupe and sort.
-Surrogate translation is ``translate_members``, the one expansion of the
-surrogate names ``normalize`` introduces, so members come back in the input
-ontology's own vocabulary; the learner probes them as they are.
-Throughout, fresh variables remember which original query variable they
-descend from (the ``down`` map); compensation is driven by that bookkeeping.
+Candidates and members repeat the same parts many times, so they are built
+as trees in ``Trees``, a table local to one construction that stores each
+distinct node once: a node is its concept names, its origin (``down``: the
+original query variable it descends from, None for structure that
+compensation or translation adds) and its children as (role, node) pairs.
+Step 1 builds every candidate there, and the role-inclusion Step 2 builds
+its members there too, each compensated node once per parent origin.  The
+functional Step 2 works on queries: ``Trees.candidate`` names a candidate's
+nodes and returns it as a ``GenCandidate``, with its ``down`` map.
+
+``build_frontier`` is the one driver: prepare, Step 1, the dialect's Step 2
+with surrogate translation, size ceiling, the Condition 1-2 self-check,
+dedupe and sort.  Surrogate translation expands the surrogate names
+``normalize`` introduces, so members come back in the input ontology's own
+vocabulary; the learner probes them as they are.  Tree members are
+translated on the tree (``Trees.members``), once per distinct node, and
+query members by ``translate_members``.  A tree member is interned into the
+subtree pool once it is finished and translated, and its query remembers
+the pool id, so the self-check's Condition 1 walks no member.  Members are
+distinct up to isomorphism: of members with the same pool id, the first is
+kept.  A tree member's variables are named in pre-order, from its nodes'
+origins and the table's order, so the names depend on nothing but the
+construction.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from typing import Callable
 
 from .engine import ABoxContext, context_for
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
-from .model import matches
+from .model import intern_cq, intern_tree, mark_interned, matches
 from .normalform import is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
@@ -41,14 +57,12 @@ from .syntax import (
     Ontology,
     Role,
     concept_conjuncts,
+    concept_index,
     dialect_of,
     exists_roles,
     make_cq,
-    restrict,
     subconcepts,
-    subtree_vars,
     tree_children,
-    tree_order,
     tree_walk,
 )
 
@@ -78,18 +92,21 @@ class Frontier:
 
 
 class Namer:
-    """Deterministic fresh-variable source; names carry their origin as a hint."""
+    """Deterministic fresh-variable source; names carry their origin as a hint.
+
+    A name is ``<hint>~<count>``, the count rising with every name drawn.  A
+    name splits back into its hint and count at its last ``~``, so no two
+    drawn names are equal, and only the names in ``used`` need avoiding."""
 
     def __init__(self, used=()):
         self.n = 0
-        self.used = set(used)
+        self.used = frozenset(used)
 
     def fresh(self, hint: str) -> str:
         while True:
             self.n += 1
             name = f"{hint}~{self.n}"
             if name not in self.used:
-                self.used.add(name)
                 return name
 
 
@@ -152,12 +169,6 @@ class Prepared:
     def __post_init__(self):
         self.children = tree_children(self.query)
 
-    def subquery(self, root: str) -> CQ:
-        """The ELIQ q_root: the query's subtree rooted at ``root``, with
-        ``root`` as answer variable."""
-        r = restrict(self.query, subtree_vars(self.children, root))
-        return CQ(root, r.concept_atoms, r.role_atoms)
-
 
 def prepare(o: Ontology, q: CQ, op: str) -> Prepared:
     if not query_satisfiable(o, q):
@@ -166,6 +177,218 @@ def prepare(o: Ontology, q: CQ, op: str) -> Prepared:
     qmin = minimize_eliq(on, q)
     qmin = make_cq(qmin.answer_var, qmin.concept_atoms, qmin.role_atoms)
     return Prepared(on, fmap, qmin, context_for(on, qmin.to_abox()))
+
+
+# ---------------------------------------------------------------------------
+# Trees under construction
+# ---------------------------------------------------------------------------
+
+
+def bottom_up(keys, below: Callable, memo: dict, make: Callable) -> None:
+    """Set ``memo[k] = make(k)`` for each of ``keys`` and every key below
+    it, where ``below(k)`` lists the keys whose ``memo`` entries ``make(k)``
+    reads.  Children first, in the order ``below`` lists them, with an
+    explicit stack, so deep trees do not exhaust the call stack; a key
+    already in ``memo`` is left as it is."""
+    for key in keys:
+        stack = [key]
+        while stack:
+            k = stack[-1]
+            if k in memo:
+                stack.pop()
+                continue
+            todo = [c for c in below(k) if c not in memo]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            memo[k] = make(k)
+
+
+class Trees:
+    """The table of trees one frontier construction builds.
+
+    A node is (concept names, origin, children): the origin is the original
+    query variable the node descends from, or None, and the children are
+    sorted (role, node) pairs.  Each distinct node is stored once and
+    numbered in the order it was first built; ``nodes[n]`` is node ``n``.
+    The original query's subtree at each variable ``v`` is ``original[v]``,
+    and ``rerooted()[v]`` is the whole query re-rooted at ``v``."""
+
+    def __init__(self, prep: Prepared):
+        self.prep = prep
+        self.nodes: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._shared: dict = {}
+        self._sizes: dict[int, int] = {}
+        self._pool_ids: dict[int, int] = {}
+        self._rerooted: dict[str, int] | None = None
+        q = prep.query
+        self.parent, self.order = tree_walk(q)
+        labels = concept_index(q)
+        self.labels = {v: labels.get(v, frozenset()) for v in self.order}
+        self.original: dict[str, int] = {}
+        for v in reversed(self.order):  # children first
+            self.original[v] = self.node(self.labels[v], v, self.kids(v))
+
+    def node(self, labels: frozenset[str], down: str | None, children) -> int:
+        key = (labels, down, tuple(sorted(children)))
+        n = self._ids.get(key)
+        if n is None:
+            # Equal label sets and roles share one object each, which the
+            # pool keeps.
+            shared = self._shared
+            key = (shared.setdefault(labels, labels), down,
+                   tuple((shared.setdefault(role, role), c) for role, c in key[2]))
+            n = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return n
+
+    def kids(self, v: str, but: str | None = None) -> list[tuple[Role, int]]:
+        """The original subtrees below variable ``v``, leaving out child
+        ``but``."""
+        return [(role, self.original[w]) for role, w in self.prep.children.get(v, ()) if w != but]
+
+    def below(self, n: int) -> list[int]:
+        return [c for _, c in self.nodes[n][2]]
+
+    def rerooted(self) -> dict[str, int]:
+        """The query re-rooted at each of its variables.  The re-rootings
+        share their parts: below the root, each part is the query on one side
+        of one atom, so there are at most 3n - 2 distinct subtrees for n
+        variables."""
+        if self._rerooted is None:
+            above: dict[str, int] = {}  # v -> the query beyond v's parent, rooted there
+            out: dict[str, int] = {}
+            for v in self.order:  # parents first
+                p, role = self.parent[v]
+                kids = self.kids(v)
+                if p is not None:
+                    up = self.kids(p, but=v)
+                    pp, prole = self.parent[p]
+                    if pp is not None:
+                        up.append((prole.inverse(), above[p]))
+                    above[v] = self.node(self.labels[p], p, up)
+                    kids.append((role.inverse(), above[v]))
+                out[v] = self.node(self.labels[v], v, kids)
+            self._rerooted = out
+        return self._rerooted
+
+    def size(self, n: int) -> int:
+        """The number of variables of tree ``n``."""
+        sizes = self._sizes
+        bottom_up((n,), self.below, sizes, lambda m: 1 + sum(sizes[c] for c in self.below(m)))
+        return sizes[n]
+
+    def intern(self, roots: list[int]) -> list[int]:
+        """Intern the trees ``roots`` into the subtree pool; their pool ids.
+
+        Their subtrees that are new to the pool get ids smallest first: by
+        variable count, then by concept-name count, then by their sorted
+        names, ties in table order.  Candidates of one size come in pool-id
+        order from ``model.generalizations_upto``, so this puts a tree with a
+        name dropped below one of its nodes before the tree itself, and the
+        oracles, which inherit "contained in q" from such a tree, meet it
+        first."""
+        nodes, ids = self.nodes, self._pool_ids
+        sizes: dict[int, int] = {}  # the size of every node below ``roots``
+        bottom_up(roots, self.below, sizes, self.size)
+        for n in sorted(sizes, key=lambda n: (sizes[n], len(nodes[n][0]), sorted(nodes[n][0]), n)):
+            if n not in ids:
+                labels, _, children = nodes[n]
+                ids[n] = intern_tree(labels, tuple(sorted((role, ids[c]) for role, c in children)))
+        return [ids[n] for n in roots]
+
+    def translate(self, roots: list[int]) -> list[int]:
+        """``roots`` with every surrogate name expanded into the tree form of
+        its concept, once per distinct node: the concept's names join the
+        node's label, and each ``some R . D`` adds an R-child that is the
+        tree of ``D``.  Successors are never shared, so this is the meaning
+        of ``attach_concept_tree`` without functional roles."""
+        fresh_map = self.prep.fresh_map
+        if not fresh_map:
+            return roots
+        nodes = self.nodes
+        parts = {name: self._concept_parts(c) for name, c in fresh_map.items()}
+        done: dict[int, int] = {}
+
+        def make(n: int) -> int:
+            labels, down, children = nodes[n]
+            kids = [(role, done[c]) for role, c in children]
+            surrogates = labels.intersection(fresh_map)
+            for name in surrogates:
+                names, extra = parts[name]
+                labels = labels.union(names)
+                kids.extend(extra)
+            return self.node(labels.difference(surrogates), down, kids)
+
+        bottom_up(roots, self.below, done, make)
+        return [done[n] for n in roots]
+
+    def _concept_parts(self, c: ELIConcept) -> tuple[frozenset[str], list[tuple[Role, int]]]:
+        """The names and children that gluing the tree form of ``c`` at a
+        node adds to it; walked with ``subconcepts``, innermost first."""
+        parts: dict[int, tuple[frozenset[str], list]] = {}
+        for sub in reversed(list(subconcepts(c))):
+            if sub.kind == "name":
+                parts[id(sub)] = (frozenset({sub.name}), [])
+            elif sub.kind == "and":
+                names = frozenset().union(*(parts[id(p)][0] for p in sub.parts))
+                parts[id(sub)] = (names, [kid for p in sub.parts for kid in parts[id(p)][1]])
+            elif sub.kind == "exists":
+                names, kids = parts[id(sub.filler)]
+                parts[id(sub)] = (frozenset(), [(sub.role, self.node(names, None, kids))])
+            else:
+                parts[id(sub)] = (frozenset(), [])
+        return parts[id(c)]
+
+    def query(self, n: int, root: str, namer: Namer) -> tuple[CQ, dict[str, str | None]]:
+        """Tree ``n`` as a query whose answer variable ``root`` is its root,
+        and every variable's origin.  The other variables are named by
+        ``namer`` in pre-order, children in the node's order, each hinted by
+        its origin ("z" without one)."""
+        concept_atoms: list[tuple[str, str]] = []
+        role_atoms: list[tuple[str, str, str]] = []
+        down: dict[str, str | None] = {}
+        nodes = self.nodes
+        stack: list[tuple] = [(None, None, n)]  # (parent's variable, role from it, node)
+        while stack:
+            p, role, m = stack.pop()
+            labels, origin, children = nodes[m]
+            if p is None:
+                v = root
+            else:
+                v = namer.fresh("z" if origin is None else origin)
+                role_atoms.append(role.atom(p, v))
+            down[v] = origin
+            if labels:
+                concept_atoms.extend([(a, v) for a in labels])
+            if children:
+                stack.extend([(v, role, c) for role, c in reversed(children)])
+        return CQ(root, frozenset(concept_atoms), frozenset(role_atoms)), down
+
+    def candidate(self, n: int, provenance: str, root: str, namer: Namer) -> GenCandidate:
+        """Step 1 candidate ``n`` as a query rooted at ``root``, with its
+        ``down`` map."""
+        return GenCandidate(*self.query(n, root, namer), provenance)
+
+    def members(self, roots: list[int]) -> tuple[list[CQ], list[int], int]:
+        """The finished members ``roots`` as queries: translated, interned
+        into the pool, the first of each pool id kept and named afresh.
+        Returns them, their variable counts, and the total variable count of
+        ``roots`` before translation."""
+        raw_vars = sum(self.size(n) for n in roots)
+        answer = self.prep.query.answer_var
+        out: list[CQ] = []
+        sizes: list[int] = []
+        seen: set[int] = set()
+        roots = self.translate(roots)
+        for n, tid in zip(roots, self.intern(roots)):
+            if tid not in seen:
+                seen.add(tid)
+                out.append(mark_interned(self.query(n, answer, Namer((answer,)))[0], tid))
+                sizes.append(self.size(n))
+        return out, sizes, raw_vars
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +408,9 @@ def names_implied_by_exists(eng, rk: Role) -> frozenset[str]:
     return eng.names_of(eng.closure({("e", rk)}))
 
 
-def drop_concept_candidates(prep: Prepared, x: str, subquery: CQ) -> list[GenCandidate]:
+def drop_concept_candidates(prep: Prepared, x: str) -> list[tuple[frozenset[str], str]]:
     """Case (A): drop a concept atom at ``x`` (identical in both dialects).
+    Returns, per drop, the names ``x`` keeps and the provenance.
 
     A drop must actually generalize: after removing the atom (together with
     its equivalence class), the name must no longer be entailed at ``x`` by
@@ -215,13 +439,7 @@ def drop_concept_candidates(prep: Prepared, x: str, subquery: CQ) -> list[GenCan
         rctx = context_for(prep.ontology, reduced_full.to_abox())
         if a in rctx.names_at(x):
             continue  # still entailed after removal: not a generalization
-        cand = CQ(
-            x,
-            frozenset(p for p in subquery.concept_atoms if not (p[1] == x and p[0] in removed)),
-            subquery.role_atoms,
-        )
-        down = {v: v for v in cand.variables()}
-        out.append(GenCandidate(cand, down, f"drop:{a}@{x}"))
+        out.append((frozenset(atoms).difference(removed), f"drop:{a}@{x}"))
     return out
 
 
@@ -230,48 +448,38 @@ def drop_concept_candidates(prep: Prepared, x: str, subquery: CQ) -> list[GenCan
 # ---------------------------------------------------------------------------
 
 
-def _f0(prep: Prepared, namer: Namer, top: str) -> list[GenCandidate]:
-    """Step 1: the generalization set F0(top), in one pass over the subtree
-    at ``top`` in post-order (``tree_walk``'s order reversed), so deep
-    queries do not exhaust the call stack.  A variable's F0 is its concept
-    drops, then its child edges' candidates in child order; each edge is
-    generalized as soon as its child is finished, which draws fresh names in
-    the order of a recursion per child."""
+def _f0(prep: Prepared, trees: Trees, top: str) -> list[tuple[int, str]]:
+    """Step 1: the generalization set F0(top), as (node of ``trees``,
+    provenance) pairs, in one pass over the subtree at ``top``, children
+    before parents, so deep queries do not exhaust the call stack.  A
+    variable's F0 is its concept drops, then its child edges' candidates in
+    child order."""
     eng = prep.ctx.engine
-    qtop = prep.subquery(top)
-    parent, order = tree_walk(qtop)
-    subqueries = {top: qtop}  # a variable's subquery, kept from its first finished child on
-    edges: dict[str, list[GenCandidate]] = {}  # a variable's finished child edges' candidates
-    for y in reversed(order):
-        qy = subqueries.pop(y, None) or prep.subquery(y)
-        subs = drop_concept_candidates(prep, y, qy) + edges.pop(y, [])
-        x, role = parent[y]
-        if x is None:
-            break  # ``top``, the walk's last variable
-        qx = subqueries.get(x) or subqueries.setdefault(x, prep.subquery(x))
-        out = edges.setdefault(x, [])
-        base = restrict(qx, qx.variables() - qy.variables())
-        base_down = {v: v for v in base.variables() | {x}}
-        tag = f"sub:{role}@{x}->{y}"
-        if role in eng.functional:
-            # A functional edge keeps a single successor: one candidate per
-            # choice of the child's generalization, plain removal without one.
-            if not subs:
-                qb = QB.of(base, base_down)
-                out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:drop"))
-            for i, sub in enumerate(subs):
-                qb = QB.of(base, base_down)
-                qb.add_edge(role, x, qb.add_copy(sub.query, namer, sub.down)[sub.query.answer_var])
-                out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:choice{i}"))
-            continue
-        qb = QB.of(base, base_down)
-        for sub in subs:
-            qb.add_edge(role, x, qb.add_copy(sub.query, namer, sub.down)[sub.query.answer_var])
-        more_general = [s for s in sorted(eng.superroles(role) - {role}) if role not in eng.superroles(s)]
-        for s in more_general:
-            qb.add_edge(s, x, qb.add_copy(qy, namer)[y])
-        out.append(GenCandidate(qb.freeze(), dict(qb.down), tag))
-    return subs
+    order = [top]
+    for v in order:  # breadth first: reversed, every child comes before its parent
+        order.extend(w for _, w in prep.children.get(v, ()))
+    f0: dict[str, list[tuple[int, str]]] = {}
+    for x in reversed(order):
+        kids = trees.kids(x)
+        out = [(trees.node(kept, x, kids), provenance) for kept, provenance in drop_concept_candidates(prep, x)]
+        for role, y in prep.children.get(x, ()):
+            subs = f0.pop(y)
+            base = trees.kids(x, but=y)
+            tag = f"sub:{role}@{x}->{y}"
+            if role in eng.functional:
+                # A functional edge keeps a single successor: one candidate per
+                # choice of the child's generalization, plain removal without one.
+                if not subs:
+                    out.append((trees.node(trees.labels[x], x, base), f"{tag}:drop"))
+                for i, (sub, _) in enumerate(subs):
+                    out.append((trees.node(trees.labels[x], x, base + [(role, sub)]), f"{tag}:choice{i}"))
+                continue
+            base += [(role, sub) for sub, _ in subs]
+            more_general = [s for s in sorted(eng.superroles(role) - {role}) if role not in eng.superroles(s)]
+            base += [(s, trees.original[y]) for s in more_general]
+            out.append((trees.node(trees.labels[x], x, base), tag))
+        f0[x] = out
+    return f0[top]
 
 
 def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
@@ -280,13 +488,9 @@ def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
     if not is_normal_form(o):
         raise InvalidArgumentError("generalize expects an ontology in normal form")
     prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
-    return _f0(prep, Namer(q.variables()), x)
-
-
-def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
-    """The role atoms of an ELIQ as (parent, role, child) triples, directed
-    away from the answer variable."""
-    return [(p, role, v) for v, (p, role) in sorted(tree_order(q).items()) if p is not None]
+    trees = Trees(prep)
+    namer = Namer(q.variables())
+    return [trees.candidate(n, provenance, x, namer) for n, provenance in _f0(prep, trees, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +549,16 @@ def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
             attach_concept_tree(qb, v, fresh_map[name], namer, functional)
         out.append(qb.freeze())
     return out
+
+
+def query_members(prep: Prepared, raw: list[CQ]) -> tuple[list[CQ], list[int], int]:
+    """The members ``raw``, built as queries, with their surrogate names
+    translated (``translate_members``); returns them, their variable counts,
+    and the total variable count of ``raw``."""
+    raw_sizes = [len(m.variables()) for m in raw]
+    members = translate_members(raw, prep.fresh_map, prep.ctx.engine.functional)
+    sizes = raw_sizes if members is raw else [len(m.variables()) for m in members]
+    return members, sizes, sum(raw_sizes)
 
 
 def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ, m_ctx: ABoxContext) -> str | None:
@@ -411,39 +625,39 @@ def build_frontier(
     q: CQ,
     op: str,
     dialects: frozenset[Dialect],
-    compensate: Callable[[Prepared, Namer, GenCandidate], CQ],
+    compensate: Callable[[Prepared, Trees, list[tuple[int, str]]], tuple[list[CQ], list[int], int]],
 ) -> Frontier:
     """The frontier driver shared by ``frontier_r`` and ``frontier_f``.
 
     Rejects dialects outside ``dialects``, normalizes the ontology, saturates
-    and minimizes the query, runs Step 1 and the dialect's Step 2
-    (``compensate``) on every root candidate, translates surrogate names back,
-    and machine-checks Conditions 1 and 2 on every member before returning
-    them deduplicated and sorted.
+    and minimizes the query, and runs Step 1.  The dialect's ``compensate``
+    runs Step 2 on every root candidate and translates surrogate names back;
+    it returns the members, their variable counts, and the members' total
+    variable count before translation.  The driver then machine-checks
+    Conditions 1 and 2 on every member before returning them deduplicated
+    and sorted.
     """
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)
-    namer = Namer(prep.query.variables())
-    cands = _f0(prep, namer, prep.query.answer_var)
-    raw_members = [compensate(prep, namer, c) for c in cands]
-    sizes = [len(m.variables()) for m in raw_members]
-    if not size_ceiling_ok(prep.query, prep.ontology, sum(sizes)):
+    trees = Trees(prep)
+    members, sizes, raw_vars = compensate(prep, trees, _f0(prep, trees, prep.query.answer_var))
+    if not size_ceiling_ok(prep.query, prep.ontology, raw_vars):
         raise AssertionError("frontier size ceiling exceeded")
-    members = translate_members(raw_members, prep.fresh_map, prep.ctx.engine.functional)
     check_conditions(o, q, members, op)
-    if members is not raw_members:
-        sizes = [len(m.variables()) for m in members]
     return Frontier(_sorted_members(members, sizes), q, o)
 
 
 def _sorted_members(members: list[CQ], sizes: list[int]) -> tuple[CQ, ...]:
-    """``members`` deduplicated and sorted by variable count (``sizes``),
-    then by their sorted concept atoms and sorted role atoms.  The atom
-    lists are built only for members that share their size with another."""
-    size_of = dict(zip(members, sizes)).__getitem__
+    """``members``, the first of each pool id kept, sorted by variable count
+    (``sizes``), then by their sorted concept atoms and sorted role atoms.
+    The atom lists are built only for members that share their size with
+    another."""
+    by_id: dict[int, tuple[int, CQ]] = {}
+    for m, size in zip(members, sizes):
+        by_id.setdefault(intern_cq(m), (size, m))
     out: list[CQ] = []
-    for _, group in groupby(sorted(set(members), key=size_of), key=size_of):
-        run = list(group)
+    for _, group in groupby(sorted(by_id.values(), key=lambda p: p[0]), key=lambda p: p[0]):
+        run = [m for _, m in group]
         if len(run) > 1:
             run.sort(key=lambda m: (sorted(m.concept_atoms), sorted(m.role_atoms)))
         out.extend(run)

@@ -36,12 +36,13 @@ from .frontier_base import (
     Namer,
     Prepared,
     QB,
-    away_atoms,
+    Trees,
     build_frontier,
     names_implied_by_exists,
+    query_members,
 )
 from .frontier_r import frontier_r
-from .syntax import CQ, Dialect, Ontology, Role, dialect_of
+from .syntax import CQ, Dialect, Ontology, Role, dialect_of, tree_order
 
 _F_DIALECTS = frozenset({Dialect.CORE, Dialect.F_RESTRICTED})
 
@@ -146,6 +147,21 @@ def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
     return qb.freeze()
 
 
+def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
+    """The role atoms of an ELIQ as (parent, role, child) triples, directed
+    away from the answer variable."""
+    return [(p, role, v) for v, (p, role) in sorted(tree_order(q).items()) if p is not None]
+
+
+def _members_f(prep: Prepared, trees: Trees, cands: list[tuple[int, str]]) -> tuple[list[CQ], list[int], int]:
+    """Step 2 on each root candidate, named as a query."""
+    namer = Namer(prep.query.variables())
+    answer = prep.query.answer_var
+    return query_members(
+        prep, [_compensate_f(prep, namer, trees.candidate(n, provenance, answer, namer)) for n, provenance in cands]
+    )
+
+
 def _q_has_edge(q: CQ, v: str, role: Role) -> bool:
     return any(r == role for r, _ in q.neighbors(v))
 
@@ -160,7 +176,7 @@ def _iteration_budget(prep: Prepared, qb: QB) -> int:
 def frontier_f(o: Ontology, q: CQ) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or restricted functionality
     ontology; rejects unrestricted functionality with ``not_f_restricted``."""
-    return build_frontier(o, q, "frontier_f", _F_DIALECTS, _compensate_f)
+    return build_frontier(o, q, "frontier_f", _F_DIALECTS, _members_f)
 
 
 def frontier(o: Ontology, q: CQ) -> Frontier:

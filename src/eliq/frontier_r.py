@@ -15,19 +15,22 @@ and hang a full copy of the original query next to it.  2B: below every
 surviving child edge, reattach a copy of the original query through each
 entailed role between the corresponding original variables.
 
-Candidates carry a ``down`` map from their variables to the original query
-variables they descend from; compensation is driven entirely by it.
+Candidates are trees of ``frontier_base.Trees`` whose nodes carry the
+original query variable they descend from (``down``); compensation is
+driven entirely by it, and it is local.  What 2A adds at a node depends
+only on the node's labels and origin, what 2B adds only on the node's and
+its parent's origins, and every glued copy is the query re-rooted at an
+original variable.  So the members are built bottom-up in the tree table,
+each candidate node compensated once per parent origin.
 """
 
 from __future__ import annotations
 
 from .frontier_base import (
     Frontier,
-    GenCandidate,
-    Namer,
     Prepared,
-    QB,
-    away_atoms,
+    Trees,
+    bottom_up,
     build_frontier,
     names_implied_by_exists,
 )
@@ -58,41 +61,47 @@ def _r_nudges(prep: Prepared, v: str) -> list[tuple[Role, str | None]]:
     return sorted(out, key=lambda p: (p[0], p[1] or ""))
 
 
-def _compensate_r(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
+def _compensate_r(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
+    """Step 2 on the candidate trees ``cands``: their compensated trees, in
+    order."""
     eng = prep.ctx.engine
     ctx = prep.ctx
-    q = prep.query
-    qb = QB.of(cand.query, cand.down)
+    nodes = trees.nodes
+    rerooted = trees.rerooted()
+    witnesses: dict[tuple[frozenset[str], str], list[tuple[Role, int]]] = {}
 
-    # Step 2A: witness every still-entailed, unwitnessed successor.
-    for x in sorted(cand.query.variables()):
-        dx = cand.down[x]
-        for r, a in _r_nudges(prep, dx):
-            for s in sorted(eng.superroles(r)):
-                if not names_implied_by_exists(eng, s) <= qb.concepts_at(x):
-                    continue
-                z = namer.fresh("z")
-                x2 = namer.fresh(dx)
-                qb.add_edge(s, x, z)
-                if a is not None:
-                    qb.add_concept(a, z)
-                qb.add_edge(r, x2, z)
-                qb.down[z] = None
-                qb.down[x2] = dx
-                qb.add_copy(q, namer, glue=(dx, x2))
+    def step_2a(labels: frozenset[str], dx: str) -> list[tuple[Role, int]]:
+        # Witness every still-entailed, unwitnessed successor.
+        hit = witnesses.get((labels, dx))
+        if hit is None:
+            hit = witnesses[(labels, dx)] = []
+            for r, a in _r_nudges(prep, dx):
+                z = trees.node(frozenset() if a is None else frozenset({a}), None, [(r.inverse(), rerooted[dx])])
+                hit.extend((s, z) for s in sorted(eng.superroles(r)) if names_implied_by_exists(eng, s) <= labels)
+        return hit
 
-    # Step 2B: below every surviving edge, reattach the original query along
-    # each role that the ontology entails between the original endpoints.
-    for u, _, w in away_atoms(cand.query):
-        du, dw = cand.down[u], cand.down[w]
-        if du is None or dw is None:
-            raise AssertionError("surviving candidate edges have origins")
-        for r in sorted(ctx.edge_roles_at(du, dw)):
-            z = namer.fresh(du)
-            qb.add_edge(r, z, w)
-            qb.down[z] = du
-            qb.add_copy(q, namer, glue=(du, z))
-    return qb.freeze()
+    done: dict[tuple[int, str | None], int] = {}  # (candidate node, parent's origin) -> compensated
+
+    def below(key: tuple[int, str | None]) -> list[tuple[int, str | None]]:
+        _, dx, children = nodes[key[0]]
+        return [(c, dx) for _, c in children]
+
+    def make(key: tuple[int, str | None]) -> int:
+        n, du = key
+        labels, dx, children = nodes[n]
+        kids = [(role, done[(c, dx)]) for role, c in children] + step_2a(labels, dx)
+        if du is not None:
+            # Step 2B: below the edge from the parent, reattach the original
+            # query along each role the ontology entails between the origins.
+            kids += [(r.inverse(), rerooted[du]) for r in sorted(ctx.edge_roles_at(du, dx))]
+        return trees.node(labels, dx, kids)
+
+    bottom_up([(n, None) for n in cands], below, done, make)
+    return [done[(n, None)] for n in cands]
+
+
+def _members_r(prep: Prepared, trees: Trees, cands: list[tuple[int, str]]) -> tuple[list[CQ], list[int], int]:
+    return trees.members(_compensate_r(prep, trees, [n for n, _ in cands]))
 
 
 def frontier_r(o: Ontology, q: CQ) -> Frontier:
@@ -102,4 +111,4 @@ def frontier_r(o: Ontology, q: CQ) -> Frontier:
     generalize/compensate construction, translates surrogate names back, and
     machine-checks Conditions 1 and 2 on every member before returning.
     """
-    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _compensate_r)
+    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _members_r)

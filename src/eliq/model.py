@@ -82,6 +82,14 @@ def intern_cq(q: CQ) -> int:
     return tid
 
 
+def mark_interned(q: CQ, tid: int) -> CQ:
+    """Record on ``q`` that it is the pooled tree ``tid`` rooted at its
+    answer variable, so ``intern_cq(q)`` returns ``tid`` without walking
+    ``q``; returns ``q``.  The caller vouches that ``q`` is that tree."""
+    object.__setattr__(q, "_tid", tid)
+    return q
+
+
 def one_step_smaller(tid: int) -> Iterator[int]:
     """The pooled trees that are ``tid`` with one concept name dropped at one
     node, or with one leaf dropped.  Each is a part of ``tid`` that keeps its

@@ -499,15 +499,42 @@ def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
     stays rejected after any further removal), as certain answers are, so
     the result has no droppable atom left; shallow atoms first lets one
     drop cut off a whole branch before its atoms are asked about.
+
+    When ``q`` is a tree, an atom's part is the subtree below its farther
+    endpoint, read from one children map built from the distances; atoms
+    come shallowest first, so no earlier drop reached below an atom still
+    present.  Otherwise (a cycle, or a part the answer variable does not
+    reach) the part is found by a search over the rest of the query, per
+    atom.
     """
     dist = distances(q.role_atoms, q.answer_var)
     far = len(dist)  # atoms the answer variable does not reach come last
     order = sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t))
+    below: dict[str, list[str]] | None = None
+    if len(q.role_atoms) == len(dist) - 1 and len(dist) == len(q.variables()):
+        below = {}
+        for _, x, y in q.role_atoms:
+            p, c = (x, y) if dist[x] < dist[y] else (y, x)
+            below.setdefault(p, []).append(c)
     for atom in order:
         if atom not in q.role_atoms:
             continue  # cut off by an earlier drop
-        rest = q.role_atoms - {atom}
-        smaller = restrict(CQ(q.answer_var, q.concept_atoms, rest), distances(rest, q.answer_var).keys())
+        if below is None:
+            rest = q.role_atoms - {atom}
+            smaller = restrict(CQ(q.answer_var, q.concept_atoms, rest), distances(rest, q.answer_var).keys())
+        else:
+            _, x, y = atom
+            gone = set()
+            stack = [y if dist[y] > dist[x] else x]
+            while stack:
+                v = stack.pop()
+                gone.add(v)
+                stack.extend(below.get(v, ()))
+            smaller = CQ(
+                q.answer_var,
+                frozenset(p for p in q.concept_atoms if p[1] not in gone),
+                frozenset(t for t in q.role_atoms if t[1] not in gone and t[2] not in gone),
+            )
         if keeps(smaller, q):
             q = smaller
     return q

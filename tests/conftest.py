@@ -80,8 +80,8 @@ def reversed_root_candidates(monkeypatch):
 
     f0 = fb._f0
 
-    def reversed_at_root(prep, namer, x):
-        out = f0(prep, namer, x)
+    def reversed_at_root(prep, trees, x):
+        out = f0(prep, trees, x)
         return out[::-1] if x == prep.query.answer_var else out
 
     monkeypatch.setattr(fb, "_f0", reversed_at_root)

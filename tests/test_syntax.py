@@ -16,7 +16,17 @@ from eliq import (
 )
 from eliq.errors import InvalidArgumentError, NotAnEliqError
 from eliq.frontier_base import ontology_size
-from eliq.syntax import CONCEPT_TOP, atom, conj, exists, exists_roles, subconcepts
+from eliq.syntax import (
+    CONCEPT_TOP,
+    atom,
+    conj,
+    distances,
+    exists,
+    exists_roles,
+    prune_role_atoms,
+    restrict,
+    subconcepts,
+)
 
 
 def test_role_double_inversion():
@@ -79,6 +89,46 @@ def test_eliq_to_concept_rejects_cycles():
     q = make_cq("x", [], [("r", "x", "y"), ("s", "y", "x")])
     with pytest.raises(NotAnEliqError):
         eliq_to_concept(q)
+
+
+def ref_prune_role_atoms(q, keeps):
+    """``prune_role_atoms`` with the part an atom cuts off found by a search
+    over the rest of the query, for every atom."""
+    dist = distances(q.role_atoms, q.answer_var)
+    far = len(dist)
+    for atom in sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t)):
+        if atom in q.role_atoms:
+            rest = q.role_atoms - {atom}
+            smaller = restrict(CQ(q.answer_var, q.concept_atoms, rest), distances(rest, q.answer_var).keys())
+            if keeps(smaller, q):
+                q = smaller
+    return q
+
+
+@pytest.mark.parametrize("shape", ["trees", "cycles"])
+def test_prune_role_atoms_agrees_with_a_search_per_atom(shape):
+    # Same queries asked in the same order, and the same result, whatever
+    # ``keeps`` answers: here a fixed pseudo-random choice per query.
+    from eliq.gen import random_eliq
+
+    rng = random.Random(f"prune:{shape}")
+    for _ in range(300):
+        q = random_eliq(rng, ["A", "B"], ["r", "s"], rng.randint(1, 12))
+        if shape == "cycles":
+            vs = sorted(q.variables()) + ["u"]
+            atoms = {(rng.choice("rs"), rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(1, 3))}
+            q = CQ(q.answer_var, q.concept_atoms, q.role_atoms | atoms)
+        salt = rng.random()
+        asked = ([], [])
+
+        def keeps(i):
+            def answer(smaller, current):
+                asked[i].append((smaller, current))
+                return random.Random(f"{salt}{sorted(smaller.role_atoms)}").random() < 0.6
+            return answer
+
+        assert prune_role_atoms(q, keeps(0)) == ref_prune_role_atoms(q, keeps(1))
+        assert asked[0] == asked[1]
 
 
 def test_concept_round_trip_random():

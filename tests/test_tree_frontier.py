@@ -1,0 +1,172 @@
+"""Frontier members built as shared trees against the earlier construction
+in ``reference_frontier.py``.
+
+Members are compared as pool ids: the trees the subtree pool numbers them
+by, so two members are the same exactly when they are isomorphic.  The
+construction keeps one member per pool id, so its pool ids must be the
+reference's with duplicates removed.  Step 1 alone (``generalize``) must
+give the reference's candidates together with their ``down`` maps.  Member
+names may depend only on the construction, not on what the process interned
+before or on the hash seed.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from eliq import (
+    CQ,
+    frontier_f,
+    frontier_r,
+    generalize,
+    make_cq,
+    minimize_eliq,
+    normalize,
+    parse_cq,
+    parse_ontology,
+)
+from eliq.gen import random_ontology, random_satisfiable_eliq
+from eliq.model import intern_cq
+from eliq.syntax import Dialect, dialect_of
+from reference_frontier import reference_frontier, reference_generalize
+
+NAMES = ["A", "B", "C"]
+ROLES = ["r", "s", "t"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def assert_same_members(o, q, dialect):
+    build = frontier_r if dialect == "r" else frontier_f
+    members = build(o, q).members
+    ids = [intern_cq(m) for m in members]
+    assert len(set(ids)) == len(ids), "isomorphic members kept twice"
+    assert sorted(ids) == sorted({intern_cq(m) for m in reference_frontier(o, q, dialect)})
+    assert [len(m.variables()) for m in members] == sorted(len(m.variables()) for m in members)
+
+
+def chain(n: int) -> CQ:
+    """The chain family's query: r-edges from x0 to x(n-1), A at the end."""
+    return make_cq("x0", [("A", f"x{n - 1}")], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
+
+
+def test_examples_match_the_reference(ex1_ontology, ex1_query, ex2_ontology, ex2_query, ex3_ontology, ex3_query):
+    assert_same_members(ex1_ontology, ex1_query, "r")
+    assert_same_members(ex2_ontology, ex2_query, "r")
+    assert_same_members(ex3_ontology, ex3_query, "f")
+    ladder = parse_ontology("A sub some r\nr rsub s\n")
+    for n in range(1, 5):
+        assert_same_members(ladder, chain(n), "r")
+
+
+@pytest.mark.parametrize("dialect", ["r", "f"])
+@pytest.mark.parametrize("normal_form", [True, False], ids=["normal_form", "surrogates"])
+def test_random_instances_match_the_reference(dialect, normal_form):
+    rng = random.Random(f"tree-frontier:{dialect}:{normal_form}")
+    checked = with_surrogates = 0
+    while checked < 25:
+        o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 4), dialect=dialect, normal_form=normal_form)
+        if dialect_of(o) not in (Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED):
+            continue
+        q = random_satisfiable_eliq(rng, o, NAMES, ROLES, 5)
+        kind = "r" if dialect_of(o) in (Dialect.CORE, Dialect.R) else "f"
+        assert_same_members(o, q, kind)
+        checked += 1
+        with_surrogates += bool(normalize(o)[1])
+    assert bool(with_surrogates) != normal_form
+
+
+def down_tree(q: CQ, down: dict) -> int:
+    """The pool id of ``q`` with each variable also labelled by its origin."""
+    marks = {(f"@{down[v]}", v) for v in q.variables()}
+    return intern_cq(CQ(q.answer_var, q.concept_atoms | marks, q.role_atoms))
+
+
+def test_generalize_matches_the_reference():
+    rng = random.Random(71)
+    checked = 0
+    while checked < 30:
+        dialect = ("r", "f")[checked % 2]
+        o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 4), dialect=dialect, normal_form=True)
+        if dialect_of(o) not in (Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED):
+            continue
+        q = minimize_eliq(o, random_satisfiable_eliq(rng, o, NAMES, ROLES, 5))
+        for x in sorted(q.variables()):
+            new = generalize(o, q, x)
+            ref = reference_generalize(o, q, x)
+            assert [c.provenance for c in new] == [c.provenance for c in ref]
+            assert [down_tree(c.query, c.down) for c in new] == [down_tree(c.query, c.down) for c in ref]
+            assert all(c.query.answer_var == x for c in new)
+        checked += 1
+
+
+# Members of these instances are printed by a fresh process, once as it
+# starts and once after interning unrelated trees in reverse order.
+NAMING_SCRIPT = """
+import random, sys
+from eliq import frontier, parse_cq, parse_ontology, serialize_cq
+from eliq.errors import EliqError
+from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
+from eliq.model import intern_cq
+if sys.argv[1] == "busy":
+    rng = random.Random(5)
+    trees = [random_eliq(rng, ["A", "B", "C", "D"], ["r", "s", "t"], 6) for _ in range(3000)]
+    for q in reversed(trees):
+        intern_cq(q)
+cases = [
+    ("A sub some r\\nsome r sub A\\nr rsub s\\n", "q(x0) :- A(x0), B(x0)"),
+    ("r rsub s\\n", "q(x0) :- r(x0,y), A(y)"),
+    ("func s\\n", "q(x0) :- r(x0,y), s(x0,z), A(z)"),
+    ("A sub some r . (B & some s)\\nr rsub t\\n", "q(x0) :- r(x0,y), B(y), A(x0)"),
+]
+cases = [(parse_ontology(o), parse_cq(q)) for o, q in cases]
+rng = random.Random(9)
+for i in range(16):
+    o = random_ontology(rng, ["A", "B", "C"], ["r", "s", "t"], rng.randint(1, 4), dialect="rf"[i % 2])
+    cases.append((o, random_satisfiable_eliq(rng, o, ["A", "B", "C"], ["r", "s", "t"], 5)))
+for o, q in cases:
+    try:
+        print(" | ".join(serialize_cq(m) for m in frontier(o, q).members))
+    except EliqError as e:
+        print(type(e).__name__)
+"""
+
+
+def test_member_names_do_not_depend_on_the_pool():
+    outputs = []
+    for mode, hash_seed in (("fresh", "0"), ("busy", "1")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-c", NAMING_SCRIPT, mode], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 20 and "~" in outputs[0]
+
+
+def test_frontier_r_on_a_deep_chain_needs_no_deep_recursion():
+    # Step 1, both parts of Step 2, the re-rooted copies and the surrogate
+    # translation of `some t . (B & some u)` each keep their own stack: a
+    # frame per query level would exceed the recursion limit the script sets.
+    ontology = "A sub some t . (B & some u)\nt rsub v\n"
+    script = f"""
+import sys
+from eliq import frontier_r, make_cq, parse_ontology
+n = 100
+q = make_cq("x0", [("A", f"x{{n - 1}}")], [("r", f"x{{i}}", f"x{{i + 1}}") for i in range(n - 1)])
+o = parse_ontology({ontology!r})
+sys.setrecursionlimit(60)
+print(*sorted(len(m.variables()) for m in frontier_r(o, q).members))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    o = parse_ontology(ontology)
+    assert normalize(o)[1], "the ontology needs a surrogate"
+    expected = {intern_cq(m): len(m.variables()) for m in reference_frontier(o, chain(100), "r")}
+    assert [int(v) for v in out.stdout.split()] == sorted(expected.values())
+    assert max(expected.values()) > 10_000
+

@@ -94,18 +94,20 @@ class Frontier:
 class Namer:
     """Deterministic fresh-variable source; names carry their origin as a hint.
 
-    A name is ``<hint>~<count>``, the count rising with every name drawn.  A
-    name splits back into its hint and count at its last ``~``, so no two
-    drawn names are equal, and only the names in ``used`` need avoiding."""
+    A name is ``<base>~<count>``: the hint up to its first ``~``, and a
+    count that rises with every name drawn.  So names do not grow when they
+    are hinted by names drawn before, no two drawn names are equal, and only
+    the names in ``used`` need avoiding."""
 
     def __init__(self, used=()):
         self.n = 0
         self.used = frozenset(used)
 
     def fresh(self, hint: str) -> str:
+        base = hint.partition("~")[0]
         while True:
             self.n += 1
-            name = f"{hint}~{self.n}"
+            name = f"{base}~{self.n}"
             if name not in self.used:
                 return name
 
@@ -136,21 +138,17 @@ class QB:
     def concepts_at(self, v: str) -> frozenset[str]:
         return frozenset(a for a, w in self.concepts if w == v)
 
-    def add_copy(self, q: CQ, namer: Namer, down: dict[str, str | None] | None = None,
-                 glue: tuple[str, str] | None = None) -> dict[str, str]:
-        """Add a copy of ``q`` whose variables are fresh, drawn in sorted
-        order, and return the renaming.  ``glue=(v, w)`` identifies ``v``'s
-        copy with the existing variable ``w``.  A copied variable descends
-        from what ``down`` maps its original to, or, without ``down``, from
-        its original."""
-        rename = dict([glue]) if glue else {}
+    def add_copy(self, q: CQ, namer: Namer, glue: tuple[str, str]) -> None:
+        """Add a copy of ``q`` in which ``glue=(v, w)`` identifies ``v``'s
+        copy with the existing variable ``w``, and every other variable is
+        fresh, drawn in sorted order, and descends from its original."""
+        rename = dict([glue])
         for v in sorted(q.variables()):
             if v not in rename:
                 rename[v] = namer.fresh(v)
-                self.down[rename[v]] = v if down is None else down.get(v)
+                self.down[rename[v]] = v
         self.concepts.update((a, rename[v]) for a, v in q.concept_atoms)
         self.roles.update((r, rename[x], rename[y]) for r, x, y in q.role_atoms)
-        return rename
 
     def freeze(self) -> CQ:
         return make_cq(self.answer, self.concepts, self.roles)

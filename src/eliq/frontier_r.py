@@ -76,8 +76,10 @@ def _compensate_r(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
         if hit is None:
             hit = witnesses[(labels, dx)] = []
             for r, a in _r_nudges(prep, dx):
-                z = trees.node(frozenset() if a is None else frozenset({a}), None, [(r.inverse(), rerooted[dx])])
-                hit.extend((s, z) for s in sorted(eng.superroles(r)) if names_implied_by_exists(eng, s) <= labels)
+                roles = [s for s in sorted(eng.superroles(r)) if names_implied_by_exists(eng, s) <= labels]
+                if roles:
+                    z = trees.node(frozenset() if a is None else frozenset({a}), None, [(r.inverse(), rerooted[dx])])
+                    hit.extend((s, z) for s in roles)
         return hit
 
     done: dict[tuple[int, str | None], int] = {}  # (candidate node, parent's origin) -> compensated
@@ -101,6 +103,7 @@ def _compensate_r(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
 
 
 def _members_r(prep: Prepared, trees: Trees, cands: list[tuple[int, str]]) -> tuple[list[CQ], list[int], int]:
+    """Step 2 on every root candidate, then the members as queries."""
     return trees.members(_compensate_r(prep, trees, [n for n, _ in cands]))
 
 

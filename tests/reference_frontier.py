@@ -27,6 +27,19 @@ from eliq.frontier_r import _R_DIALECTS, _r_nudges
 from eliq.syntax import CQ, restrict, subtree_vars, tree_walk
 
 
+def add_copy(qb, q, namer, down=None):
+    """Add a copy of ``q`` with fresh variables to ``qb``, each descending
+    from what ``down`` maps its original to (its original without ``down``);
+    the renaming."""
+    rename = {}
+    for v in sorted(q.variables()):
+        rename[v] = namer.fresh(v)
+        qb.down[rename[v]] = v if down is None else down.get(v)
+    qb.concepts.update((a, rename[v]) for a, v in q.concept_atoms)
+    qb.roles.update((r, rename[x], rename[y]) for r, x, y in q.role_atoms)
+    return rename
+
+
 def subquery(prep, root):
     r = restrict(prep.query, subtree_vars(prep.children, root))
     return CQ(root, r.concept_atoms, r.role_atoms)
@@ -63,15 +76,15 @@ def f0(prep, namer, top):
                 out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:drop"))
             for i, sub in enumerate(subs):
                 qb = QB.of(base, base_down)
-                qb.add_edge(role, x, qb.add_copy(sub.query, namer, sub.down)[sub.query.answer_var])
+                qb.add_edge(role, x, add_copy(qb, sub.query, namer, sub.down)[sub.query.answer_var])
                 out.append(GenCandidate(qb.freeze(), dict(qb.down), f"{tag}:choice{i}"))
             continue
         qb = QB.of(base, base_down)
         for sub in subs:
-            qb.add_edge(role, x, qb.add_copy(sub.query, namer, sub.down)[sub.query.answer_var])
+            qb.add_edge(role, x, add_copy(qb, sub.query, namer, sub.down)[sub.query.answer_var])
         more_general = [s for s in sorted(eng.superroles(role) - {role}) if role not in eng.superroles(s)]
         for s in more_general:
-            qb.add_edge(s, x, qb.add_copy(qy, namer)[y])
+            qb.add_edge(s, x, add_copy(qb, qy, namer)[y])
         out.append(GenCandidate(qb.freeze(), dict(qb.down), tag))
     return subs
 

@@ -19,24 +19,29 @@ as trees in ``Trees``, a table local to one construction that stores each
 distinct node once: a node is its concept names, its origin (``down``: the
 original query variable it descends from, None for structure that
 compensation or translation adds) and its children as (role, node) pairs.
-Step 1 builds every candidate there, and the role-inclusion Step 2 builds
-its members there too, each compensated node once per parent origin.  The
-functional Step 2 works on queries: ``Trees.candidate`` names a candidate's
-nodes and returns it as a ``GenCandidate``, with its ``down`` map.
+Step 1 builds every candidate there, and both dialects' Step 2 build their
+members there too, each compensated node once per parent context.
+``Trees.candidate`` names a candidate's nodes and returns it as a
+``GenCandidate``, with its ``down`` map, for ``generalize``.
 
-``build_frontier`` is the one driver: prepare, Step 1, the dialect's Step 2
-with surrogate translation, size ceiling, the Condition 1-2 self-check,
-dedupe and sort.  Surrogate translation expands the surrogate names
+``build_frontier`` is the one driver: prepare, Step 1, the dialect's Step 2,
+then ``Trees.members``, the size ceiling, the Condition 1-2 self-check,
+dedupe and sort.  ``Trees.members`` first expands the surrogate names
 ``normalize`` introduces, so members come back in the input ontology's own
-vocabulary; the learner probes them as they are.  Tree members are
-translated on the tree (``Trees.members``), once per distinct node, and
-query members by ``translate_members``.  A tree member is interned into the
-subtree pool once it is finished and translated, and its query remembers
-the pool id, so the self-check's Condition 1 walks no member.  Members are
-distinct up to isomorphism: of members with the same pool id, the first is
-kept.  A tree member's variables are named in pre-order, from its nodes'
-origins and the table's order, so the names depend on nothing but the
-construction.
+vocabulary; the learner probes them as they are.  The expansion runs on the
+tree, once per distinct node, unless a surrogate's concept has an
+existential along a functional role: that existential reuses an existing
+successor, possibly the node's parent, so those members are named and
+expanded by ``translate_members``, then read back into the table.  Then
+every node drops each child that a sibling implies (``Trees.reduce``): a
+duplicate, or one whose tree maps into a sibling's along a subrole of its
+edge.  The result is equivalent by a homomorphism each way, with no
+reasoning beyond the role hierarchy.  A finished member is interned into the
+subtree pool and its query remembers the pool id, so the self-check's
+Condition 1 walks no member.  Members are distinct up to isomorphism: of
+members with the same pool id, the first is kept.  A member's variables are
+named in pre-order, from its nodes' origins and the table's order, so the
+names depend on nothing but the construction.
 """
 
 from __future__ import annotations
@@ -135,21 +140,6 @@ class QB:
     def add_edge(self, role: Role, x: str, y: str) -> None:
         self.roles.add(role.atom(x, y))
 
-    def concepts_at(self, v: str) -> frozenset[str]:
-        return frozenset(a for a, w in self.concepts if w == v)
-
-    def add_copy(self, q: CQ, namer: Namer, glue: tuple[str, str]) -> None:
-        """Add a copy of ``q`` in which ``glue=(v, w)`` identifies ``v``'s
-        copy with the existing variable ``w``, and every other variable is
-        fresh, drawn in sorted order, and descends from its original."""
-        rename = dict([glue])
-        for v in sorted(q.variables()):
-            if v not in rename:
-                rename[v] = namer.fresh(v)
-                self.down[rename[v]] = v
-        self.concepts.update((a, rename[v]) for a, v in q.concept_atoms)
-        self.roles.update((r, rename[x], rename[y]) for r, x, y in q.role_atoms)
-
     def freeze(self) -> CQ:
         return make_cq(self.answer, self.concepts, self.roles)
 
@@ -220,6 +210,7 @@ class Trees:
         self._shared: dict = {}
         self._sizes: dict[int, int] = {}
         self._pool_ids: dict[int, int] = {}
+        self._maps: dict[tuple[int, int], bool] = {}
         self._rerooted: dict[str, int] | None = None
         q = prep.query
         self.parent, self.order = tree_walk(q)
@@ -302,10 +293,18 @@ class Trees:
         its concept, once per distinct node: the concept's names join the
         node's label, and each ``some R . D`` adds an R-child that is the
         tree of ``D``.  Successors are never shared, so this is the meaning
-        of ``attach_concept_tree`` without functional roles."""
+        of ``attach_concept_tree`` when no surrogate's concept has an
+        existential along a functional role.  When one has, the trees are
+        named, translated by ``translate_members`` and read back."""
         fresh_map = self.prep.fresh_map
         if not fresh_map:
             return roots
+        functional = self.prep.ctx.engine.functional
+        if any(r in functional for c in fresh_map.values() for r in exists_roles(c)):
+            answer = self.prep.query.answer_var
+            named = [self.query(n, answer, Namer((answer,))) for n in roots]
+            out = translate_members([m for m, _ in named], fresh_map, functional)
+            return [self.tree_of(m, down) for m, (_, down) in zip(out, named)]
         nodes = self.nodes
         parts = {name: self._concept_parts(c) for name, c in fresh_map.items()}
         done: dict[int, int] = {}
@@ -340,6 +339,81 @@ class Trees:
                 parts[id(sub)] = (frozenset(), [])
         return parts[id(c)]
 
+    def tree_of(self, q: CQ, down: dict[str, str | None]) -> int:
+        """The tree of the ELIQ ``q`` rooted at its answer variable, each
+        variable's node with origin ``down.get(v)``."""
+        parent, order = tree_walk(q)
+        labels = concept_index(q)
+        kids: dict[str, list[tuple[Role, int]]] = {}
+        n = -1
+        for v in reversed(order):  # children first, the root last
+            n = self.node(labels.get(v, frozenset()), down.get(v), kids.pop(v, ()))
+            p, role = parent[v]
+            if p is not None:
+                kids.setdefault(p, []).append((role, n))
+        return n
+
+    def maps(self, a: int, b: int) -> bool:
+        """Whether tree ``a`` maps into tree ``b`` by a homomorphism that
+        sends root to root and each edge to an edge along a subrole of its
+        role; memoized per pair of nodes, with an explicit stack."""
+        memo, nodes = self._maps, self.nodes
+        hit = memo.get((a, b))
+        if hit is not None:
+            return hit
+        sup = self.prep.ctx.engine.superroles
+        stack = [(a, b)]
+        while stack:
+            x, y = pair = stack[-1]
+            if pair in memo:
+                stack.pop()
+                continue
+            verdict, todo = x == y or nodes[x][0] <= nodes[y][0], None
+            if verdict and x != y:
+                ykids = nodes[y][2]
+                for r, c in nodes[x][2]:
+                    targets = [(c, d) for s, d in ykids if r in sup(s)]
+                    if not any(memo.get(t) for t in targets):
+                        # Decide the first pair not decided yet, then scan
+                        # again; with every pair decided, x does not map.
+                        todo = next((t for t in targets if t not in memo), None)
+                        verdict = False
+                        break
+            if todo is not None:
+                stack.append(todo)
+            else:
+                memo[pair] = verdict
+                stack.pop()
+        return memo[(a, b)]
+
+    def reduce(self, roots: list[int]) -> list[int]:
+        """``roots`` with every node, bottom-up, dropping each child that a
+        sibling implies: a child (r, c) goes when a sibling (s, d) has r
+        among the superroles of s and c maps into d (``maps``).  Of two
+        children that imply each other, the first in sorted order stays, so
+        a duplicate goes too.  The result is equivalent to the tree by a
+        homomorphism each way."""
+        nodes, maps = self.nodes, self.maps
+        sup = self.prep.ctx.engine.superroles
+        done: dict[int, int] = {}
+
+        def implied(i: int, kids: list[tuple[Role, int]]) -> bool:
+            r, c = kids[i]
+            for j, (s, d) in enumerate(kids):
+                if j != i and r in sup(s) and maps(c, d) and (j < i or s not in sup(r) or not maps(d, c)):
+                    return True
+            return False
+
+        def make(n: int) -> int:
+            labels, down, children = nodes[n]
+            kids = sorted((role, done[c]) for role, c in children)
+            if len(kids) > 1:
+                kids = [kid for i, kid in enumerate(kids) if not implied(i, kids)]
+            return n if tuple(kids) == children else self.node(labels, down, kids)
+
+        bottom_up(roots, self.below, done, make)
+        return [done[n] for n in roots]
+
     def query(self, n: int, root: str, namer: Namer) -> tuple[CQ, dict[str, str | None]]:
         """Tree ``n`` as a query whose answer variable ``root`` is its root,
         and every variable's origin.  The other variables are named by
@@ -371,16 +445,16 @@ class Trees:
         return GenCandidate(*self.query(n, root, namer), provenance)
 
     def members(self, roots: list[int]) -> tuple[list[CQ], list[int], int]:
-        """The finished members ``roots`` as queries: translated, interned
-        into the pool, the first of each pool id kept and named afresh.
-        Returns them, their variable counts, and the total variable count of
-        ``roots`` before translation."""
+        """The finished members ``roots`` as queries: translated, reduced,
+        interned into the pool, the first of each pool id kept and named
+        afresh.  Returns them, their variable counts, and the total variable
+        count of ``roots`` before translation."""
         raw_vars = sum(self.size(n) for n in roots)
         answer = self.prep.query.answer_var
         out: list[CQ] = []
         sizes: list[int] = []
         seen: set[int] = set()
-        roots = self.translate(roots)
+        roots = self.reduce(self.translate(roots))
         for n, tid in zip(roots, self.intern(roots)):
             if tid not in seen:
                 seen.add(tid)
@@ -549,16 +623,6 @@ def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
     return out
 
 
-def query_members(prep: Prepared, raw: list[CQ]) -> tuple[list[CQ], list[int], int]:
-    """The members ``raw``, built as queries, with their surrogate names
-    translated (``translate_members``); returns them, their variable counts,
-    and the total variable count of ``raw``."""
-    raw_sizes = [len(m.variables()) for m in raw]
-    members = translate_members(raw, prep.fresh_map, prep.ctx.engine.functional)
-    sizes = raw_sizes if members is raw else [len(m.variables()) for m in members]
-    return members, sizes, sum(raw_sizes)
-
-
 def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ, m_ctx: ABoxContext) -> str | None:
     """Why ``m`` is no frontier member of ``q``: it is unsatisfiable, ``q`` is
     not contained in it (Condition 1), or it is contained in ``q`` (Condition
@@ -623,22 +687,22 @@ def build_frontier(
     q: CQ,
     op: str,
     dialects: frozenset[Dialect],
-    compensate: Callable[[Prepared, Trees, list[tuple[int, str]]], tuple[list[CQ], list[int], int]],
+    compensate: Callable[[Prepared, Trees, list[int]], list[int]],
 ) -> Frontier:
     """The frontier driver shared by ``frontier_r`` and ``frontier_f``.
 
     Rejects dialects outside ``dialects``, normalizes the ontology, saturates
     and minimizes the query, and runs Step 1.  The dialect's ``compensate``
-    runs Step 2 on every root candidate and translates surrogate names back;
-    it returns the members, their variable counts, and the members' total
-    variable count before translation.  The driver then machine-checks
-    Conditions 1 and 2 on every member before returning them deduplicated
-    and sorted.
+    runs Step 2 on the root candidates' trees and returns the members'
+    trees, which ``Trees.members`` translates, reduces and names.  The driver
+    then machine-checks Conditions 1 and 2 on every member before returning
+    them deduplicated and sorted.
     """
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)
     trees = Trees(prep)
-    members, sizes, raw_vars = compensate(prep, trees, _f0(prep, trees, prep.query.answer_var))
+    cands = [n for n, _ in _f0(prep, trees, prep.query.answer_var)]
+    members, sizes, raw_vars = trees.members(compensate(prep, trees, cands))
     if not size_ceiling_ok(prep.query, prep.ontology, raw_vars):
         raise AssertionError("frontier size ceiling exceeded")
     check_conditions(o, q, members, op)

@@ -16,35 +16,41 @@ Step 2's compensation cannot simply hang copies of the original query
 wherever it likes: a copy glued next to a functional edge would create a
 second successor and make the member unsatisfiable.  2A therefore only adds
 the entailed witness successors (with their maximal concept-name label sets),
-and 2B rebuilds the surrounding structure iteratively: starting from the
-inverse of every non-inverse-functional edge, marked atoms are processed by
-either gluing a full query copy (when no functionality clash is possible) or
-by re-expanding the neighborhood of the corresponding original variable one
+and 2B rebuilds the surrounding structure: starting from the inverse of
+every non-inverse-functional edge, each marked atom is processed by either
+gluing a full query copy (when no functionality clash is possible) or by
+re-expanding the neighborhood of the corresponding original variable one
 step, marking the new atoms.  Gluing is blocked exactly when the inverse of
 the processed atom's role is functional and the original variable carries an
-outgoing atom of that role in the query; the re-expansion consumes distinct
-query atoms, so the iteration terminates.
+outgoing atom of that role in the query.
+
+The members are built bottom-up in ``frontier_base.Trees``, as the
+role-inclusion ones are.  A marked atom's target is always a fresh leaf, and
+what grows below it depends only on the marked role, the target's origin and
+the source's origin, so each such triple is expanded once.  The triples are
+finitely many, and a re-expansion never walks back along the query edge it
+came by, so the expansion ends.  What 2A adds at a candidate node depends
+only on its labels and origin, what 2B adds below it only on its own and its
+parent's origins and the role between them.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .frontier_base import (
     Frontier,
-    GenCandidate,
-    Namer,
     Prepared,
-    QB,
     Trees,
+    bottom_up,
     build_frontier,
     names_implied_by_exists,
-    query_members,
 )
 from .frontier_r import frontier_r
-from .syntax import CQ, Dialect, Ontology, Role, dialect_of, tree_order
+from .syntax import CQ, Dialect, Ontology, Role, dialect_of
 
 _F_DIALECTS = frozenset({Dialect.CORE, Dialect.F_RESTRICTED})
+
+# A marked atom, as (marked role, target's origin, source's origin or None).
+Marked = tuple[Role, str, str | None]
 
 
 def _f_nudges(prep: Prepared, v: str) -> list[tuple[Role, frozenset[str]]]:
@@ -59,124 +65,98 @@ def _f_nudges(prep: Prepared, v: str) -> list[tuple[Role, frozenset[str]]]:
     return sorted(kept, key=lambda p: (p[0], sorted(p[1])))
 
 
-def _compensate_f(prep: Prepared, namer: Namer, cand: GenCandidate) -> CQ:
+def _compensate_f(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
+    """Step 2 on the candidate trees ``cands``: their compensated trees, in
+    order."""
     eng = prep.ctx.engine
+    functional = eng.functional
     q = prep.query
-    qb = QB.of(cand.query, cand.down)
+    nodes = trees.nodes
+    rerooted = trees.rerooted()
 
-    # Step 2A: add entailed witness successors (no query copies here; the
-    # iterative step below takes care of compensation around them).
-    for x in sorted(cand.query.variables()):
-        dx = cand.down[x]
-        for rk, m in _f_nudges(prep, dx):
-            if not names_implied_by_exists(eng, rk) <= qb.concepts_at(x):
-                continue
-            z = namer.fresh("z")
-            qb.add_edge(rk, x, z)
-            for a in sorted(m):
-                qb.add_concept(a, z)
-            qb.down[z] = None
+    def glued(role: Role, y: str) -> bool:
+        # A full copy of q glued at a marked role-target with origin y cannot
+        # clash with functionality.
+        back = role.inverse()
+        return back not in functional or all(r != back for r, _ in q.neighbors(y))
 
-    # Step 2B.  Work on the current atom set (candidate plus 2A successors).
-    marked: deque = deque()
-    processed = 0
-    budget = _iteration_budget(prep, qb)
-
-    def mark(src: str, dst: str, role: Role) -> None:
+    def mark(role: Role, y: str | None, x: str | None) -> Marked:
         # Marking proviso: the target descends from a query variable, and a
         # source with no origin must be safely gluable later.
-        if qb.down.get(dst) is None:
+        if y is None:
             raise AssertionError("marked atom target must have an origin")
-        if qb.down.get(src) is None:
-            back = role.inverse()
-            if back in eng.functional and _q_has_edge(q, qb.down[dst], back):
-                raise AssertionError("marking proviso violated")
-        marked.append((src, dst, role))
+        if x is None and not glued(role, y):
+            raise AssertionError("marking proviso violated")
+        return (role, y, x)
 
-    # Start: invert every edge whose inverse is not functional.
-    for u, role, w in away_atoms(qb.freeze()):
-        if role.inverse() in eng.functional:
-            continue
-        if qb.down.get(u) is None:
-            raise AssertionError("away-directed sources have origins here")
-        v = namer.fresh(u)
-        qb.add_edge(role.inverse(), w, v)
-        qb.down[v] = qb.down[u]
-        mark(w, v, role.inverse())
-
-    while marked:
-        src, dst, role = marked.popleft()
-        processed += 1
-        if processed > budget:
-            raise AssertionError("marking iteration exceeded its termination bound")
+    def reexpansion(key: Marked) -> list[tuple[Role, frozenset[str] | None, Marked]]:
+        # The atoms processing a non-glued marked atom adds below its target,
+        # as (role, witness labels or None, marked atom): the original
+        # variable's other query edges, and its entailed witness successors
+        # each with an inverse twin that is glued.
+        role, y, x = key
         back = role.inverse()
-        ydown = qb.down[dst]
-        if ydown is None:
-            raise AssertionError("marked atom target must have an origin")
-        if back not in eng.functional or not _q_has_edge(q, ydown, back):
-            # A full copy of q cannot clash with functionality here.
-            qb.add_copy(q, namer, glue=(ydown, dst))
-            continue
-        xdown = qb.down[src]
-        if xdown is None:
-            raise AssertionError("non-glue step requires a source origin")
-        # (i) transfer concept names of the original variable
-        for a in sorted(prep.ctx.names_at(ydown)):
-            qb.add_concept(a, dst)
-        # (ii) re-expand the original variable's other query edges
-        for s_role, z in sorted(q.neighbors(ydown), key=lambda p: (str(p[0]), p[1])):
-            if s_role == back and z == xdown:
-                continue
-            z2 = namer.fresh(z)
-            qb.add_edge(s_role, dst, z2)
-            qb.down[z2] = z
-            mark(dst, z2, s_role)
-        # (iii) re-expand the entailed witness successors, paired with an
-        # inverse twin that the next round glues a copy onto
-        for sk, m in _f_nudges(prep, ydown):
-            u2 = namer.fresh("u")
-            y2 = namer.fresh(ydown)
-            qb.add_edge(sk, dst, u2)
-            for a in sorted(m):
-                qb.add_concept(a, u2)
-            qb.add_edge(sk.inverse(), u2, y2)
-            qb.down[u2] = None
-            qb.down[y2] = ydown
-            mark(u2, y2, sk.inverse())
+        out: list[tuple[Role, frozenset[str] | None, Marked]] = [
+            (s, None, mark(s, z, y)) for s, z in sorted(q.neighbors(y)) if s != back or z != x
+        ]
+        out += [(sk, m, mark(sk.inverse(), y, None)) for sk, m in _f_nudges(prep, y)]
+        return out
 
-    return qb.freeze()
+    grown: dict[Marked, int] = {}  # marked atom -> the tree hung at its target
 
+    def below_marked(key: Marked) -> list[Marked]:
+        return [] if glued(key[0], key[1]) else [k for _, _, k in reexpansion(key)]
 
-def away_atoms(q: CQ) -> list[tuple[str, Role, str]]:
-    """The role atoms of an ELIQ as (parent, role, child) triples, directed
-    away from the answer variable."""
-    return [(p, role, v) for v, (p, role) in sorted(tree_order(q).items()) if p is not None]
+    def grow(key: Marked) -> int:
+        role, y, _ = key
+        if glued(role, y):
+            return rerooted[y]
+        kids = [(s, grown[k] if m is None else trees.node(m, None, [(k[0], grown[k])]))
+                for s, m, k in reexpansion(key)]
+        return trees.node(prep.ctx.names_at(y), y, kids)
 
+    def marked(role: Role, y: str | None, x: str | None) -> tuple[Role, int]:
+        key = mark(role, y, x)
+        bottom_up((key,), below_marked, grown, grow)
+        return role, grown[key]
 
-def _members_f(prep: Prepared, trees: Trees, cands: list[tuple[int, str]]) -> tuple[list[CQ], list[int], int]:
-    """Step 2 on each root candidate, named as a query."""
-    namer = Namer(prep.query.variables())
-    answer = prep.query.answer_var
-    return query_members(
-        prep, [_compensate_f(prep, namer, trees.candidate(n, provenance, answer, namer)) for n, provenance in cands]
-    )
+    witnesses: dict[tuple[frozenset[str], str], list[tuple[Role, int]]] = {}
 
+    def step_2a(labels: frozenset[str], dx: str) -> list[tuple[Role, int]]:
+        # Witness every still-entailed, unwitnessed successor; the inverse of
+        # its edge is marked unless that inverse is functional.
+        hit = witnesses.get((labels, dx))
+        if hit is None:
+            hit = witnesses[(labels, dx)] = []
+            for rk, m in _f_nudges(prep, dx):
+                if names_implied_by_exists(eng, rk) <= labels:
+                    back = rk.inverse()
+                    hit.append((rk, trees.node(m, None, [] if back in functional else [marked(back, dx, None)])))
+        return hit
 
-def _q_has_edge(q: CQ, v: str, role: Role) -> bool:
-    return any(r == role for r, _ in q.neighbors(v))
+    done: dict[tuple[int, Role | None, str | None], int] = {}  # (candidate node, parent role, parent's origin)
 
+    def below(key: tuple[int, Role | None, str | None]) -> list[tuple[int, Role, str]]:
+        _, dx, children = nodes[key[0]]
+        return [(c, role, dx) for role, c in children]
 
-def _iteration_budget(prep: Prepared, qb: QB) -> int:
-    n_q = len(prep.query.variables())
-    names, roles = prep.ontology.signature()
-    sig = len(names) + len(roles)
-    return max(1, len(qb.roles)) * (1 + n_q + sig * sig) + 10
+    def make(key: tuple[int, Role | None, str | None]) -> int:
+        n, prole, du = key
+        labels, dx, children = nodes[n]
+        kids = [(role, done[(c, role, dx)]) for role, c in children] + step_2a(labels, dx)
+        if prole is not None and prole.inverse() not in functional:
+            # Step 2B starts at the inverse of the edge from the parent.
+            kids.append(marked(prole.inverse(), du, dx))
+        return trees.node(labels, dx, kids)
+
+    bottom_up([(n, None, None) for n in cands], below, done, make)
+    return [done[(n, None, None)] for n in cands]
 
 
 def frontier_f(o: Ontology, q: CQ) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or restricted functionality
     ontology; rejects unrestricted functionality with ``not_f_restricted``."""
-    return build_frontier(o, q, "frontier_f", _F_DIALECTS, _members_f)
+    return build_frontier(o, q, "frontier_f", _F_DIALECTS, _compensate_f)
 
 
 def frontier(o: Ontology, q: CQ) -> Frontier:

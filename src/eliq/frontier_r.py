@@ -102,11 +102,6 @@ def _compensate_r(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
     return [done[(n, None)] for n in cands]
 
 
-def _members_r(prep: Prepared, trees: Trees, cands: list[tuple[int, str]]) -> tuple[list[CQ], list[int], int]:
-    """Step 2 on every root candidate, then the members as queries."""
-    return trees.members(_compensate_r(prep, trees, [n for n, _ in cands]))
-
-
 def frontier_r(o: Ontology, q: CQ) -> Frontier:
     """The frontier of ``q`` w.r.t. a Core or role-inclusion ontology.
 
@@ -114,4 +109,4 @@ def frontier_r(o: Ontology, q: CQ) -> Frontier:
     generalize/compensate construction, translates surrogate names back, and
     machine-checks Conditions 1 and 2 on every member before returning.
     """
-    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _members_r)
+    return build_frontier(o, q, "frontier_r", _R_DIALECTS, _compensate_r)

@@ -2,12 +2,16 @@
 kept as the reference for ``frontier_base.build_frontier``.
 
 Step 1 copies the child's subquery and every member of the child's F0 into a
-``QB`` per candidate, with fresh names from one ``Namer``; Step 2 (role
-inclusions) glues a fresh copy of the query at every compensation point;
-members are translated with ``translate_members``, checked by
-``check_conditions`` (which walks each member to intern it) and deduplicated
-as queries, so isomorphic members with different variable names both stay.
+``QB`` per candidate, with fresh names from one ``Namer``; Step 2 glues a
+fresh copy of the query at every compensation point, and the functional
+Step 2B processes its marked atoms from a queue, within an explicit
+iteration budget; members are translated with ``translate_members``, checked
+by ``check_conditions`` (which walks each member to intern it) and
+deduplicated as queries, so isomorphic members with different variable names
+both stay.  No member is reduced.
 """
+
+from collections import deque
 
 from eliq.engine import context_for
 from eliq.frontier_base import (
@@ -22,9 +26,9 @@ from eliq.frontier_base import (
     reject_unsupported,
     translate_members,
 )
-from eliq.frontier_f import _F_DIALECTS, _compensate_f, away_atoms
+from eliq.frontier_f import _F_DIALECTS, _f_nudges
 from eliq.frontier_r import _R_DIALECTS, _r_nudges
-from eliq.syntax import CQ, restrict, subtree_vars, tree_walk
+from eliq.syntax import CQ, restrict, subtree_vars, tree_order, tree_walk
 
 
 def add_copy(qb, q, namer, down=None):
@@ -38,6 +42,25 @@ def add_copy(qb, q, namer, down=None):
     qb.concepts.update((a, rename[v]) for a, v in q.concept_atoms)
     qb.roles.update((r, rename[x], rename[y]) for r, x, y in q.role_atoms)
     return rename
+
+
+def glue_copy(qb, q, namer, glue):
+    """Add a copy of ``q`` in which ``glue=(v, w)`` identifies ``v``'s copy
+    with the existing variable ``w``, and every other variable is fresh,
+    drawn in sorted order, and descends from its original."""
+    rename = dict([glue])
+    for v in sorted(q.variables()):
+        if v not in rename:
+            rename[v] = namer.fresh(v)
+            qb.down[rename[v]] = v
+    qb.concepts.update((a, rename[v]) for a, v in q.concept_atoms)
+    qb.roles.update((r, rename[x], rename[y]) for r, x, y in q.role_atoms)
+
+
+def away_atoms(q):
+    """The role atoms of an ELIQ as (parent, role, child) triples, directed
+    away from the answer variable."""
+    return [(p, role, v) for v, (p, role) in sorted(tree_order(q).items()) if p is not None]
 
 
 def subquery(prep, root):
@@ -98,7 +121,7 @@ def compensate_r(prep, namer, cand):
         dx = cand.down[x]
         for r, a in _r_nudges(prep, dx):
             for s in sorted(eng.superroles(r)):
-                if not names_implied_by_exists(eng, s) <= qb.concepts_at(x):
+                if not names_implied_by_exists(eng, s) <= cand.query.concepts_at(x):
                     continue
                 z = namer.fresh("z")
                 x2 = namer.fresh(dx)
@@ -108,14 +131,113 @@ def compensate_r(prep, namer, cand):
                 qb.add_edge(r, x2, z)
                 qb.down[z] = None
                 qb.down[x2] = dx
-                qb.add_copy(q, namer, glue=(dx, x2))
+                glue_copy(qb, q, namer, (dx, x2))
     for u, _, w in away_atoms(cand.query):
         du, dw = cand.down[u], cand.down[w]
         for r in sorted(ctx.edge_roles_at(du, dw)):
             z = namer.fresh(du)
             qb.add_edge(r, z, w)
             qb.down[z] = du
-            qb.add_copy(q, namer, glue=(du, z))
+            glue_copy(qb, q, namer, (du, z))
+    return qb.freeze()
+
+
+def q_has_edge(q, v, role):
+    return any(r == role for r, _ in q.neighbors(v))
+
+
+def iteration_budget(prep, qb):
+    n_q = len(prep.query.variables())
+    names, roles = prep.ontology.signature()
+    sig = len(names) + len(roles)
+    return max(1, len(qb.roles)) * (1 + n_q + sig * sig) + 10
+
+
+def compensate_f(prep, namer, cand):
+    eng = prep.ctx.engine
+    q = prep.query
+    qb = QB.of(cand.query, cand.down)
+
+    # Step 2A: add entailed witness successors (no query copies here; the
+    # iterative step below takes care of compensation around them).
+    for x in sorted(cand.query.variables()):
+        dx = cand.down[x]
+        for rk, m in _f_nudges(prep, dx):
+            if not names_implied_by_exists(eng, rk) <= cand.query.concepts_at(x):
+                continue
+            z = namer.fresh("z")
+            qb.add_edge(rk, x, z)
+            for a in sorted(m):
+                qb.add_concept(a, z)
+            qb.down[z] = None
+
+    # Step 2B.  Work on the current atom set (candidate plus 2A successors).
+    marked = deque()
+    processed = 0
+    budget = iteration_budget(prep, qb)
+
+    def mark(src, dst, role):
+        # Marking proviso: the target descends from a query variable, and a
+        # source with no origin must be safely gluable later.
+        if qb.down.get(dst) is None:
+            raise AssertionError("marked atom target must have an origin")
+        if qb.down.get(src) is None:
+            back = role.inverse()
+            if back in eng.functional and q_has_edge(q, qb.down[dst], back):
+                raise AssertionError("marking proviso violated")
+        marked.append((src, dst, role))
+
+    # Start: invert every edge whose inverse is not functional.
+    for u, role, w in away_atoms(qb.freeze()):
+        if role.inverse() in eng.functional:
+            continue
+        if qb.down.get(u) is None:
+            raise AssertionError("away-directed sources have origins here")
+        v = namer.fresh(u)
+        qb.add_edge(role.inverse(), w, v)
+        qb.down[v] = qb.down[u]
+        mark(w, v, role.inverse())
+
+    while marked:
+        src, dst, role = marked.popleft()
+        processed += 1
+        if processed > budget:
+            raise AssertionError("marking iteration exceeded its termination bound")
+        back = role.inverse()
+        ydown = qb.down[dst]
+        if ydown is None:
+            raise AssertionError("marked atom target must have an origin")
+        if back not in eng.functional or not q_has_edge(q, ydown, back):
+            # A full copy of q cannot clash with functionality here.
+            glue_copy(qb, q, namer, (ydown, dst))
+            continue
+        xdown = qb.down[src]
+        if xdown is None:
+            raise AssertionError("non-glue step requires a source origin")
+        # (i) transfer concept names of the original variable
+        for a in sorted(prep.ctx.names_at(ydown)):
+            qb.add_concept(a, dst)
+        # (ii) re-expand the original variable's other query edges
+        for s_role, z in sorted(q.neighbors(ydown), key=lambda p: (str(p[0]), p[1])):
+            if s_role == back and z == xdown:
+                continue
+            z2 = namer.fresh(z)
+            qb.add_edge(s_role, dst, z2)
+            qb.down[z2] = z
+            mark(dst, z2, s_role)
+        # (iii) re-expand the entailed witness successors, paired with an
+        # inverse twin that the next round glues a copy onto
+        for sk, m in _f_nudges(prep, ydown):
+            u2 = namer.fresh("u")
+            y2 = namer.fresh(ydown)
+            qb.add_edge(sk, dst, u2)
+            for a in sorted(m):
+                qb.add_concept(a, u2)
+            qb.add_edge(sk.inverse(), u2, y2)
+            qb.down[u2] = None
+            qb.down[y2] = ydown
+            mark(u2, y2, sk.inverse())
+
     return qb.freeze()
 
 
@@ -123,7 +245,7 @@ def reference_frontier(o, q, dialect):
     """The members of ``frontier_r`` (``dialect`` "r") or ``frontier_f``
     ("f") as the earlier construction built them, deduplicated as queries and
     sorted by variable count, then by their sorted atoms."""
-    dialects, compensate = (_R_DIALECTS, compensate_r) if dialect == "r" else (_F_DIALECTS, _compensate_f)
+    dialects, compensate = (_R_DIALECTS, compensate_r) if dialect == "r" else (_F_DIALECTS, compensate_f)
     op = "frontier_r" if dialect == "r" else "frontier_f"
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)

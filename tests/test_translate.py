@@ -6,9 +6,10 @@ atom (variable names included), on the members a frontier construction
 actually translates and on random members over surrogate names, with
 functional roles in either direction.  Without surrogates the members must
 come back as they are, the very objects, and so must each member that
-carries no surrogate atom.  Only ``frontier_f`` translates members as
-queries (``frontier_r`` translates them on its trees), so the recorded
-translations come from restricted-functionality ontologies.
+carries no surrogate atom.  A frontier translates its members as queries
+only when a surrogate's concept has an existential along a functional role
+(otherwise it translates them on its trees), so the recorded translations
+come from restricted-functionality ontologies drawn to have one.
 """
 
 import random
@@ -21,7 +22,7 @@ from eliq import normalize, parse_cq, parse_ontology
 from eliq.errors import EliqError
 from eliq.frontier_f import frontier
 from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
-from eliq.syntax import Dialect, Role, dialect_of
+from eliq.syntax import Dialect, Role, dialect_of, exists_roles
 
 NAMES = ["A", "B"]
 ROLES = ["r", "s"]
@@ -55,20 +56,31 @@ def recorded_translations(monkeypatch, cases):
     return calls
 
 
-def random_cases(seed: int, count: int, dialects=("r", "f", "core")):
+def has_functional_existential(o) -> bool:
+    on, fresh_map = normalize(o)
+    return any(r in on.functional for c in fresh_map.values() for r in exists_roles(c))
+
+
+def random_cases(seed: int, count: int, dialects=("r", "f", "core"), keep=lambda o: True):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         dialect = dialects[len(out) % len(dialects)]
         o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 3), dialect=dialect)
-        if dialect_of(o) in SUPPORTED:
+        if dialect_of(o) in SUPPORTED and keep(o):
             out.append((o, random_satisfiable_eliq(rng, o, NAMES, ROLES, 4)))
     return out
 
 
+def translated_cases(seed: int, count: int):
+    """The functional cases and ``count`` random ones whose members a
+    frontier translates as queries."""
+    cases = [(parse_ontology(o), parse_cq(q)) for o, q in FUNCTIONAL]
+    return cases + random_cases(seed, count, ("f",), has_functional_existential)
+
+
 def test_frontier_translations_agree_with_reference(monkeypatch):
-    cases = [(parse_ontology(o), parse_cq(q)) for o, q in FUNCTIONAL] + random_cases(500, 30, ("f",))
-    calls = recorded_translations(monkeypatch, cases)
+    calls = recorded_translations(monkeypatch, translated_cases(500, 12))
     with_surrogates = [c for c in calls if c[1]]
     assert len(with_surrogates) >= 10
     assert any(functional for _, _, functional in with_surrogates)
@@ -99,21 +111,26 @@ def test_random_members_translate_like_the_reference(seed):
     assert checked
 
 
-def test_members_come_back_unchanged_without_surrogates(monkeypatch):
+def test_members_come_back_unchanged_without_surrogates():
+    # A frontier never translates members without surrogates, so this
+    # translates the members of such frontiers directly.
     cases = [(parse_ontology("A sub some r\nsome r sub A\nr rsub s\n"), parse_cq("q(x0) :- A(x0), B(x0)")),
              (parse_ontology("func s\n"), parse_cq("q(x0) :- r(x0,y), s(x0,z), A(z)"))]
-    calls = recorded_translations(monkeypatch, cases + random_cases(700, 12, ("f",)))
-    without = [c for c in calls if not c[1]]
-    assert len(without) >= 2
-    for members, fresh_map, functional in without:
-        out = frontier_base.translate_members(members, fresh_map, functional)
+    checked = 0
+    for o, q in cases + random_cases(700, 12, ("f",)):
+        on, fresh_map = normalize(o)
+        if fresh_map:
+            continue
+        members = list(frontier(o, q).members)
+        out = frontier_base.translate_members(members, fresh_map, on.functional)
         assert out is members
-        assert out == ref.translate_members(members, fresh_map, functional)
+        assert out == ref.translate_members(members, fresh_map, on.functional)
+        checked += 1
+    assert checked >= 2
 
 
 def test_members_without_surrogate_atoms_come_back_unchanged(monkeypatch):
-    cases = [(parse_ontology(o), parse_cq(q)) for o, q in FUNCTIONAL] + random_cases(500, 30, ("f",))
-    calls = recorded_translations(monkeypatch, cases)
+    calls = recorded_translations(monkeypatch, translated_cases(500, 12))
     passed = 0
     for members, fresh_map, functional in [c for c in calls if c[1]]:
         out = frontier_base.translate_members(members, fresh_map, functional)

@@ -2,12 +2,15 @@
 in ``reference_frontier.py``.
 
 Members are compared as pool ids: the trees the subtree pool numbers them
-by, so two members are the same exactly when they are isomorphic.  The
+by, so two members are the same exactly when they are isomorphic.  Before
+``Trees.reduce`` drops the children that a sibling implies, the
 construction keeps one member per pool id, so its pool ids must be the
-reference's with duplicates removed.  Step 1 alone (``generalize``) must
-give the reference's candidates together with their ``down`` maps.  Member
-names may depend only on the construction, not on what the process interned
-before or on the hash seed.
+reference's with duplicates removed.  After it, each member must be
+equivalent to exactly one of the reference's members, and each of those to
+exactly one member.  Step 1 alone (``generalize``) must give the
+reference's candidates together with their ``down`` maps.  Member names may
+depend only on the construction, not on what the process interned before or
+on the hash seed.
 """
 
 import os
@@ -20,6 +23,8 @@ import pytest
 
 from eliq import (
     CQ,
+    Role,
+    equivalent,
     frontier_f,
     frontier_r,
     generalize,
@@ -29,9 +34,11 @@ from eliq import (
     parse_cq,
     parse_ontology,
 )
+from eliq.engine import context_for
+from eliq.frontier_base import Prepared, Trees
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.model import intern_cq
-from eliq.syntax import Dialect, dialect_of
+from eliq.syntax import Dialect, dialect_of, exists_roles
 from reference_frontier import reference_frontier, reference_generalize
 
 NAMES = ["A", "B", "C"]
@@ -39,13 +46,33 @@ ROLES = ["r", "s", "t"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def unreduced(build, o, q):
+    """The members ``build`` gives with ``Trees.reduce`` left out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Trees, "reduce", lambda self, roots: roots)
+        return build(o, q).members
+
+
 def assert_same_members(o, q, dialect):
     build = frontier_r if dialect == "r" else frontier_f
-    members = build(o, q).members
-    ids = [intern_cq(m) for m in members]
+    reference: dict[int, CQ] = {}
+    for m in reference_frontier(o, q, dialect):
+        reference.setdefault(intern_cq(m), m)
+    ids = [intern_cq(m) for m in unreduced(build, o, q)]
     assert len(set(ids)) == len(ids), "isomorphic members kept twice"
-    assert sorted(ids) == sorted({intern_cq(m) for m in reference_frontier(o, q, dialect)})
+    assert sorted(ids) == sorted(reference)
+    members = build(o, q).members
     assert [len(m.variables()) for m in members] == sorted(len(m.variables()) for m in members)
+    hits = [[equivalent(o, m, r) for r in reference.values()] for m in members]
+    assert all(row.count(True) == 1 for row in hits), "a member is not equivalent to exactly one reference member"
+    assert all(col.count(True) == 1 for col in zip(*hits)), "a reference member is not matched exactly once"
+
+
+def has_functional_existential(o) -> bool:
+    """Whether a surrogate's concept has an existential along a functional
+    role, so the members are translated as queries."""
+    on, fresh_map = normalize(o)
+    return any(r in on.functional for c in fresh_map.values() for r in exists_roles(c))
 
 
 def chain(n: int) -> CQ:
@@ -53,20 +80,39 @@ def chain(n: int) -> CQ:
     return make_cq("x0", [("A", f"x{n - 1}")], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
 
 
-def test_examples_match_the_reference(ex1_ontology, ex1_query, ex2_ontology, ex2_query, ex3_ontology, ex3_query):
+# Restricted functionality with surrogates: the first two translate on the
+# tree, the last two as queries (a functional existential in a surrogate).
+F_SURROGATES = [
+    ("A sub some t . (B & some u)\nfunc s\n", "q(x0) :- s(x0,y), s(y,z), A(z), r(x0,w)"),
+    ("A sub some t- . (B & some s)\nfunc r\n", "q(x0) :- r(x0,y), A(y), B(x0)"),
+    ("A sub some r . (B & some s . A)\nfunc r\n", "q(x0) :- A(x0), r(x0,y), B(y)"),
+    ("B sub some s . (A & some r . B)\nfunc s\nfunc r\n", "q(x0) :- B(x0), s(x0,y), r(y,z), A(y)"),
+]
+
+
+def test_examples_match_the_reference(ex1_ontology, ex1_query, ex2_ontology, ex2_query, ex3_ontology, ex3_query,
+                                      ex3_golden_member):
     assert_same_members(ex1_ontology, ex1_query, "r")
     assert_same_members(ex2_ontology, ex2_query, "r")
     assert_same_members(ex3_ontology, ex3_query, "f")
+    assert_same_members(ex3_ontology, ex3_golden_member, "f")
     ladder = parse_ontology("A sub some r\nr rsub s\n")
     for n in range(1, 5):
         assert_same_members(ladder, chain(n), "r")
+    functional_existentials = []
+    for o, q in F_SURROGATES:
+        o = parse_ontology(o)
+        assert dialect_of(o) is Dialect.F_RESTRICTED and normalize(o)[1]
+        assert_same_members(o, parse_cq(q), "f")
+        functional_existentials.append(has_functional_existential(o))
+    assert functional_existentials == [False, False, True, True]
 
 
 @pytest.mark.parametrize("dialect", ["r", "f"])
 @pytest.mark.parametrize("normal_form", [True, False], ids=["normal_form", "surrogates"])
 def test_random_instances_match_the_reference(dialect, normal_form):
     rng = random.Random(f"tree-frontier:{dialect}:{normal_form}")
-    checked = with_surrogates = 0
+    checked = with_surrogates = functional_existentials = 0
     while checked < 25:
         o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 4), dialect=dialect, normal_form=normal_form)
         if dialect_of(o) not in (Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED):
@@ -76,7 +122,10 @@ def test_random_instances_match_the_reference(dialect, normal_form):
         assert_same_members(o, q, kind)
         checked += 1
         with_surrogates += bool(normalize(o)[1])
+        functional_existentials += has_functional_existential(o)
     assert bool(with_surrogates) != normal_form
+    if dialect == "f" and not normal_form:
+        assert functional_existentials
 
 
 def down_tree(q: CQ, down: dict) -> int:
@@ -121,6 +170,9 @@ cases = [
     ("r rsub s\\n", "q(x0) :- r(x0,y), A(y)"),
     ("func s\\n", "q(x0) :- r(x0,y), s(x0,z), A(z)"),
     ("A sub some r . (B & some s)\\nr rsub t\\n", "q(x0) :- r(x0,y), B(y), A(x0)"),
+    ("A sub some t . (B & some u)\\nfunc s\\n", "q(x0) :- s(x0,y), s(y,z), A(z), r(x0,w)"),
+    ("A sub some r . (B & some s . A)\\nfunc r\\n", "q(x0) :- A(x0), r(x0,y), B(y)"),
+    ("B sub some s . (A & some r . B)\\nfunc s\\nfunc r\\n", "q(x0) :- B(x0), s(x0,y), r(y,z), A(y)"),
 ]
 cases = [(parse_ontology(o), parse_cq(q)) for o, q in cases]
 rng = random.Random(9)
@@ -144,29 +196,74 @@ def test_member_names_do_not_depend_on_the_pool():
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("\n") == 20 and "~" in outputs[0]
+    assert outputs[0].count("\n") == 23 and "~" in outputs[0]
+
+
+DEEP_CHAIN_SCRIPT = """
+import sys
+from eliq import frontier_f, frontier_r, make_cq, parse_ontology
+build = {"r": frontier_r, "f": frontier_f}[sys.argv[1]]
+n = 100
+q = make_cq("x0", [("A", f"x{n - 1}")], [(sys.argv[2], f"x{i}", f"x{i + 1}") for i in range(n - 1)])
+o = parse_ontology(sys.argv[3])
+sys.setrecursionlimit(60)
+print(*sorted(len(m.variables()) for m in build(o, q).members))
+"""
+
+
+def members_of_deep_chain(dialect: str, role: str, ontology: str) -> list[int]:
+    """The sorted variable counts of the members of the n = 100 chain along
+    ``role``, built in a process whose recursion limit is 60."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", DEEP_CHAIN_SCRIPT, dialect, role, ontology], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return [int(v) for v in out.stdout.split()]
 
 
 def test_frontier_r_on_a_deep_chain_needs_no_deep_recursion():
-    # Step 1, both parts of Step 2, the re-rooted copies and the surrogate
-    # translation of `some t . (B & some u)` each keep their own stack: a
-    # frame per query level would exceed the recursion limit the script sets.
+    # Step 1, both parts of Step 2, the re-rooted copies, the surrogate
+    # translation of `some t . (B & some u)` and the reduction each keep
+    # their own stack: a frame per query level would exceed the recursion
+    # limit the script sets.
     ontology = "A sub some t . (B & some u)\nt rsub v\n"
-    script = f"""
-import sys
-from eliq import frontier_r, make_cq, parse_ontology
-n = 100
-q = make_cq("x0", [("A", f"x{{n - 1}}")], [("r", f"x{{i}}", f"x{{i + 1}}") for i in range(n - 1)])
-o = parse_ontology({ontology!r})
-sys.setrecursionlimit(60)
-print(*sorted(len(m.variables()) for m in frontier_r(o, q).members))
-"""
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
     o = parse_ontology(ontology)
     assert normalize(o)[1], "the ontology needs a surrogate"
-    expected = {intern_cq(m): len(m.variables()) for m in reference_frontier(o, chain(100), "r")}
-    assert [int(v) for v in out.stdout.split()] == sorted(expected.values())
-    assert max(expected.values()) > 10_000
+    q = make_cq("x0", [("A", "x99")], [("r", f"x{i}", f"x{i + 1}") for i in range(99)])
+    whole = {intern_cq(m) for m in unreduced(frontier_r, o, q)}
+    assert whole == {intern_cq(m) for m in reference_frontier(o, q, "r")}
+    assert max(len(m.variables()) for m in unreduced(frontier_r, o, q)) > 10_000
+    assert members_of_deep_chain("r", "r", ontology) == [len(m.variables()) for m in frontier_r(o, q).members]
 
+
+def test_frontier_f_on_a_deep_chain_needs_no_deep_recursion():
+    # With `func s` along an s-chain, Step 2B re-expands every marked atom
+    # up the chain to its root instead of gluing a copy, so the expansion
+    # is as deep as the query.
+    ontology = "A sub some t . (B & some u)\nfunc s\n"
+    o = parse_ontology(ontology)
+    assert dialect_of(o) is Dialect.F_RESTRICTED and normalize(o)[1]
+    q = make_cq("x0", [("A", "x99")], [("s", f"x{i}", f"x{i + 1}") for i in range(99)])
+    whole = unreduced(frontier_f, o, q)
+    assert {intern_cq(m) for m in whole} == {intern_cq(m) for m in reference_frontier(o, q, "f")}
+    assert max(len(m.variables()) for m in whole) > 4_000
+    assert members_of_deep_chain("f", "s", ontology) == [len(m.variables()) for m in frontier_f(o, q).members]
+
+
+def test_a_more_specific_sibling_drops_a_more_general_one():
+    # Below the root: (s, {A}) maps into (r, {A, B}) along r rsub s, so it
+    # goes; the duplicate (r, {A, B}) goes too.  (r, {A}) stays beside
+    # (s, {A, B}): s is no subrole of r.
+    o = parse_ontology("r rsub s\n")
+    q = parse_cq("q(x) :- A(x)")
+    trees = Trees(Prepared(o, {}, q, context_for(o, q.to_abox())))
+    a, ab = trees.node(frozenset("A"), None, []), trees.node(frozenset("AB"), None, [])
+    r, s = Role("r"), Role("s")
+    root = trees.node(frozenset(), None, [(s, a), (r, ab), (r, ab), (r, a)])
+    (reduced,) = trees.reduce([root])
+    assert trees.nodes[reduced][2] == ((r, ab),)
+    other = trees.node(frozenset(), None, [(r, a), (s, ab)])
+    assert trees.reduce([other]) == [other]
+    deep = trees.node(frozenset(), None, [(s, trees.node(frozenset(), None, [(s, a)])),
+                                          (r, trees.node(frozenset(), None, [(r, ab)]))])
+    assert trees.nodes[trees.reduce([deep])[0]][2] == ((r, trees.node(frozenset(), None, [(r, ab)])),)

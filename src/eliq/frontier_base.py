@@ -21,20 +21,19 @@ original query variable it descends from, None for structure that
 compensation or translation adds) and its children as (role, node) pairs.
 Step 1 builds every candidate there, and both dialects' Step 2 build their
 members there too, each compensated node once per parent context.
-``Trees.candidate`` names a candidate's nodes and returns it as a
-``GenCandidate``, with its ``down`` map, for ``generalize``.
+``Trees.query`` names a candidate's nodes and gives its ``down`` map, for
+``generalize``.
 
 ``build_frontier`` is the one driver: prepare, Step 1, the dialect's Step 2,
-then ``Trees.members``, the size ceiling, the Condition 1-2 self-check,
-dedupe and sort.  ``Trees.members`` first expands the surrogate names
-``normalize`` introduces, so members come back in the input ontology's own
-vocabulary; the learner probes them as they are.  The expansion runs on the
-tree, once per distinct node, unless a surrogate's concept has an
-existential along a functional role: that existential reuses an existing
-successor, possibly the node's parent, so those members are named and
-expanded by ``translate_members``, then read back into the table.  Then
-every node drops each child that a sibling implies (``Trees.reduce``): a
-duplicate, or one whose tree maps into a sibling's along a subrole of its
+then ``Trees.members``, the size ceiling, the Condition 1-2 self-check and
+the sort.  ``Trees.members`` first expands the surrogate names ``normalize``
+introduces (``translate_members``), so members come back in the input
+ontology's own vocabulary; the learner probes them as they are.  The
+expansion runs on the table: an existential along a functional role sends
+its filler to the node's one neighbour along that role, possibly its
+parent, or to a fresh child; every other existential adds a fresh child.
+Then every node drops each child that a sibling implies (``Trees.reduce``):
+a duplicate, or one whose tree maps into a sibling's along a subrole of its
 edge.  The result is equivalent by a homomorphism each way, with no
 reasoning beyond the role hierarchy.  A finished member is interned into the
 subtree pool and its query remembers the pool id, so the self-check's
@@ -52,7 +51,7 @@ from typing import Callable
 
 from .engine import ABoxContext, context_for
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
-from .model import intern_cq, intern_tree, mark_interned, matches
+from .model import intern_tree, mark_interned, matches
 from .normalform import is_normal_form, normalize
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
@@ -61,7 +60,6 @@ from .syntax import (
     ELIConcept,
     Ontology,
     Role,
-    concept_conjuncts,
     concept_index,
     dialect_of,
     exists_roles,
@@ -117,33 +115,6 @@ class Namer:
                 return name
 
 
-class QB:
-    """Mutable query-under-construction with the ``down`` bookkeeping."""
-
-    def __init__(self, answer: str):
-        self.answer = answer
-        self.concepts: set[tuple[str, str]] = set()
-        self.roles: set[tuple[str, str, str]] = set()
-        self.down: dict[str, str | None] = {}
-
-    @classmethod
-    def of(cls, q: CQ, down: dict[str, str | None] | None = None) -> "QB":
-        qb = cls(q.answer_var)
-        qb.concepts = set(q.concept_atoms)
-        qb.roles = set(q.role_atoms)
-        qb.down = dict(down or {})
-        return qb
-
-    def add_concept(self, name: str, v: str) -> None:
-        self.concepts.add((name, v))
-
-    def add_edge(self, role: Role, x: str, y: str) -> None:
-        self.roles.add(role.atom(x, y))
-
-    def freeze(self) -> CQ:
-        return make_cq(self.answer, self.concepts, self.roles)
-
-
 @dataclass
 class Prepared:
     """Inputs lifted to the normal-form world, ready for construction."""
@@ -176,21 +147,19 @@ def bottom_up(keys, below: Callable, memo: dict, make: Callable) -> None:
     """Set ``memo[k] = make(k)`` for each of ``keys`` and every key below
     it, where ``below(k)`` lists the keys whose ``memo`` entries ``make(k)``
     reads.  Children first, in the order ``below`` lists them, with an
-    explicit stack, so deep trees do not exhaust the call stack; a key
-    already in ``memo`` is left as it is."""
+    explicit stack, so deep trees do not exhaust the call stack; each key is
+    expanded once, and one already in ``memo`` is left as it is."""
     for key in keys:
-        stack = [key]
+        stack = [(key, False)]
         while stack:
-            k = stack[-1]
+            k, expanded = stack.pop()
             if k in memo:
-                stack.pop()
                 continue
-            todo = [c for c in below(k) if c not in memo]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            stack.pop()
-            memo[k] = make(k)
+            if expanded:
+                memo[k] = make(k)
+            else:
+                stack.append((k, True))
+                stack.extend([(c, False) for c in reversed(below(k)) if c not in memo])
 
 
 class Trees:
@@ -201,7 +170,9 @@ class Trees:
     sorted (role, node) pairs.  Each distinct node is stored once and
     numbered in the order it was first built; ``nodes[n]`` is node ``n``.
     The original query's subtree at each variable ``v`` is ``original[v]``,
-    and ``rerooted()[v]`` is the whole query re-rooted at ``v``."""
+    and ``rerooted()[v]`` is the whole query re-rooted at ``v``.  Step 1,
+    Step 2, the surrogate translation (``translate_members``) and
+    ``reduce`` all build here; only ``members`` names the finished trees."""
 
     def __init__(self, prep: Prepared):
         self.prep = prep
@@ -287,71 +258,6 @@ class Trees:
                 labels, _, children = nodes[n]
                 ids[n] = intern_tree(labels, tuple(sorted((role, ids[c]) for role, c in children)))
         return [ids[n] for n in roots]
-
-    def translate(self, roots: list[int]) -> list[int]:
-        """``roots`` with every surrogate name expanded into the tree form of
-        its concept, once per distinct node: the concept's names join the
-        node's label, and each ``some R . D`` adds an R-child that is the
-        tree of ``D``.  Successors are never shared, so this is the meaning
-        of ``attach_concept_tree`` when no surrogate's concept has an
-        existential along a functional role.  When one has, the trees are
-        named, translated by ``translate_members`` and read back."""
-        fresh_map = self.prep.fresh_map
-        if not fresh_map:
-            return roots
-        functional = self.prep.ctx.engine.functional
-        if any(r in functional for c in fresh_map.values() for r in exists_roles(c)):
-            answer = self.prep.query.answer_var
-            named = [self.query(n, answer, Namer((answer,))) for n in roots]
-            out = translate_members([m for m, _ in named], fresh_map, functional)
-            return [self.tree_of(m, down) for m, (_, down) in zip(out, named)]
-        nodes = self.nodes
-        parts = {name: self._concept_parts(c) for name, c in fresh_map.items()}
-        done: dict[int, int] = {}
-
-        def make(n: int) -> int:
-            labels, down, children = nodes[n]
-            kids = [(role, done[c]) for role, c in children]
-            surrogates = labels.intersection(fresh_map)
-            for name in surrogates:
-                names, extra = parts[name]
-                labels = labels.union(names)
-                kids.extend(extra)
-            return self.node(labels.difference(surrogates), down, kids)
-
-        bottom_up(roots, self.below, done, make)
-        return [done[n] for n in roots]
-
-    def _concept_parts(self, c: ELIConcept) -> tuple[frozenset[str], list[tuple[Role, int]]]:
-        """The names and children that gluing the tree form of ``c`` at a
-        node adds to it; walked with ``subconcepts``, innermost first."""
-        parts: dict[int, tuple[frozenset[str], list]] = {}
-        for sub in reversed(list(subconcepts(c))):
-            if sub.kind == "name":
-                parts[id(sub)] = (frozenset({sub.name}), [])
-            elif sub.kind == "and":
-                names = frozenset().union(*(parts[id(p)][0] for p in sub.parts))
-                parts[id(sub)] = (names, [kid for p in sub.parts for kid in parts[id(p)][1]])
-            elif sub.kind == "exists":
-                names, kids = parts[id(sub.filler)]
-                parts[id(sub)] = (frozenset(), [(sub.role, self.node(names, None, kids))])
-            else:
-                parts[id(sub)] = (frozenset(), [])
-        return parts[id(c)]
-
-    def tree_of(self, q: CQ, down: dict[str, str | None]) -> int:
-        """The tree of the ELIQ ``q`` rooted at its answer variable, each
-        variable's node with origin ``down.get(v)``."""
-        parent, order = tree_walk(q)
-        labels = concept_index(q)
-        kids: dict[str, list[tuple[Role, int]]] = {}
-        n = -1
-        for v in reversed(order):  # children first, the root last
-            n = self.node(labels.get(v, frozenset()), down.get(v), kids.pop(v, ()))
-            p, role = parent[v]
-            if p is not None:
-                kids.setdefault(p, []).append((role, n))
-        return n
 
     def maps(self, a: int, b: int) -> bool:
         """Whether tree ``a`` maps into tree ``b`` by a homomorphism that
@@ -439,13 +345,9 @@ class Trees:
                 stack.extend([(v, role, c) for role, c in reversed(children)])
         return CQ(root, frozenset(concept_atoms), frozenset(role_atoms)), down
 
-    def candidate(self, n: int, provenance: str, root: str, namer: Namer) -> GenCandidate:
-        """Step 1 candidate ``n`` as a query rooted at ``root``, with its
-        ``down`` map."""
-        return GenCandidate(*self.query(n, root, namer), provenance)
-
     def members(self, roots: list[int]) -> tuple[list[CQ], list[int], int]:
-        """The finished members ``roots`` as queries: translated, reduced,
+        """The finished members ``roots`` as queries: translated when
+        normalization made surrogates (``translate_members``), reduced,
         interned into the pool, the first of each pool id kept and named
         afresh.  Returns them, their variable counts, and the total variable
         count of ``roots`` before translation."""
@@ -454,13 +356,129 @@ class Trees:
         out: list[CQ] = []
         sizes: list[int] = []
         seen: set[int] = set()
-        roots = self.reduce(self.translate(roots))
+        roots = self.reduce(translate_members(self, roots) if self.prep.fresh_map else roots)
         for n, tid in zip(roots, self.intern(roots)):
             if tid not in seen:
                 seen.add(tid)
                 out.append(mark_interned(self.query(n, answer, Namer((answer,)))[0], tid))
                 sizes.append(self.size(n))
         return out, sizes, raw_vars
+
+
+# What gluing a concept at a node adds to it: concept names, new children,
+# and the fillers of its existentials along functional roles, by role, as the
+# ids of their concepts.
+_Glue = tuple[frozenset[str], list[tuple[Role, int]], dict[Role, tuple[int, ...]]]
+
+
+def _merge(a: _Glue, b: _Glue) -> _Glue:
+    sent = dict(a[2])
+    for role, fillers in b[2].items():
+        sent[role] = sent.get(role, ()) + fillers
+    return a[0] | b[0], a[1] + b[1], sent
+
+
+def translate_members(trees: Trees, roots: list[int]) -> list[int]:
+    """The trees ``roots`` with every surrogate name expanded into the tree
+    form of its concept: its names join the node's label, and each
+    existential along a role that is not functional adds a fresh child per
+    occurrence.  The fillers along a functional role R all go to the node's
+    one R-neighbour: its parent when R leads back there, else its R-child,
+    else one fresh child that holds them all; two R-neighbours raise
+    ``AssertionError``.  Restricted functionality has no ``some R . D`` with
+    ``func R-``, so no filler comes back along its edge: what a node sends
+    its parent is found bottom-up, once per node, and then each node is
+    expanded once per key (node, incoming role if its inverse is functional,
+    fillers pushed down to it), all with ``subconcepts`` and ``bottom_up``."""
+    nodes, node = trees.nodes, trees.node
+    fresh_map, functional = trees.prep.fresh_map, trees.prep.ctx.engine.functional
+    parts: dict[int, _Glue] = {}  # id of a subconcept -> what gluing it adds
+    holders: dict[tuple[int, ...], int] = {}  # fillers -> the fresh node holding them
+
+    def glue(fillers) -> _Glue:
+        out = None
+        for f in fillers:
+            out = parts[f] if out is None else _merge(out, parts[f])
+        return out or (frozenset(), [], {})
+
+    def hold(fillers: tuple[int, ...]) -> int:
+        names, kids, sent = glue(fillers)
+        return node(names, None, kids + [(role, holders[f]) for role, f in sent.items()])
+
+    def holder(fillers: tuple[int, ...]) -> int:
+        bottom_up((fillers,), lambda f: list(glue(f)[2].values()), holders, hold)
+        return holders[fillers]
+
+    for c in fresh_map.values():
+        for sub in reversed(list(subconcepts(c))):  # innermost first
+            if sub.kind == "and":
+                parts[id(sub)] = glue([id(p) for p in sub.parts])
+            elif sub.kind != "exists":  # a name, or top
+                parts[id(sub)] = (frozenset({sub.name} if sub.kind == "name" else ()), [], {})
+            elif sub.role in functional:
+                parts[id(sub)] = (frozenset(), [], {sub.role: (id(sub.filler),)})
+            else:
+                parts[id(sub)] = (frozenset(), [(sub.role, holder((id(sub.filler),)))], {})
+
+    relabeled: dict[frozenset[str], _Glue] = {}  # labels -> the new labels, with what the surrogates add
+
+    def relabel(labels: frozenset[str]) -> _Glue:
+        hit = relabeled.get(labels)
+        if hit is None:
+            surrogates = labels.intersection(fresh_map)
+            names, kids, sent = glue([id(fresh_map[name]) for name in sorted(surrogates)])
+            hit = relabeled[labels] = (labels.difference(surrogates) | names if surrogates else labels, kids, sent)
+        return hit
+
+    glued: dict[int, _Glue] = {}  # node -> its labels, with what its surrogates and children's fillers add
+
+    def glue_at(n: int) -> _Glue:
+        labels, _, children = nodes[n]
+        out = relabel(labels)
+        for role, c in children:
+            fillers = glued[c][2].get(role.inverse())
+            if fillers:
+                out = _merge(out, glue(fillers))
+        return out
+
+    if any(sent for _, _, sent in parts.values()):
+        # Fillers travel along functional roles: first, what each node gets
+        # from its children.  Otherwise it gets what its surrogates add.
+        bottom_up(roots, trees.below, glued, glue_at)
+    back = {role.inverse() for role in functional}  # the roles whose inverse is functional
+    plans: dict[tuple, tuple] = {}  # key -> (labels, origin, fresh children, children's keys)
+
+    def plan(key: tuple[int, Role | None, tuple[int, ...]]) -> tuple:
+        hit = plans.get(key)
+        if hit is None:
+            n, up, down = key
+            labels, origin, children = nodes[n]
+            labels, kids, sent = glued[n] if glued else relabel(labels)
+            if down:
+                labels, kids, sent = _merge((labels, kids, sent), glue(down))
+            kids, pushed = list(kids), {}
+            for role, fillers in sent.items():
+                near = [c for r, c in children if r == role]
+                if up is not None and role == up.inverse():
+                    near.append(None)  # the parent, which ``glue_at`` sent them to
+                if len(near) > 1:
+                    raise AssertionError(f"surrogate fillers along functional {role} meet {len(near)} neighbours")
+                if not near:
+                    kids.append((role, holder(fillers)))
+                elif near[0] is not None:
+                    pushed[role] = fillers
+            below = [(role, (c, role if role in back else None, pushed.get(role, ()))) for role, c in children]
+            hit = plans[key] = (labels, origin, kids, below)
+        return hit
+
+    def make(key) -> int:
+        labels, origin, kids, below = plan(key)
+        return node(labels, origin, kids + [(role, done[k]) for role, k in below])
+
+    done: dict[tuple, int] = {}
+    keys = [(n, None, ()) for n in roots]
+    bottom_up(keys, lambda key: [k for _, k in plan(key)[3]], done, make)
+    return [done[k] for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -562,65 +580,12 @@ def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
     prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
     trees = Trees(prep)
     namer = Namer(q.variables())
-    return [trees.candidate(n, provenance, x, namer) for n, provenance in _f0(prep, trees, x)]
+    return [GenCandidate(*trees.query(n, x, namer), provenance) for n, provenance in _f0(prep, trees, x)]
 
 
 # ---------------------------------------------------------------------------
 # Assembling and validating frontiers
 # ---------------------------------------------------------------------------
-
-
-def attach_concept_tree(qb: QB, at: str, c: ELIConcept, namer: Namer,
-                        functional: frozenset[Role]) -> None:
-    """Glue the tree form of concept ``c`` at variable ``at``.
-
-    Existentials along a role in ``functional`` reuse an existing successor,
-    the least one if there are several, instead of creating a second one
-    (which would make the result unsatisfiable); the reattached subtree
-    merges recursively.
-    """
-    for part in concept_conjuncts(c):
-        if part.kind == "top":
-            continue
-        if part.kind == "name":
-            qb.add_concept(part.name, at)  # type: ignore[arg-type]
-            continue
-        if part.kind != "exists" or part.role is None:
-            raise AssertionError(f"unexpected concept part {part}")
-        name, inverted = part.role
-        target = None
-        if part.role in functional:
-            if inverted:
-                target = min((s for r, s, t in qb.roles if r == name and t == at), default=None)
-            else:
-                target = min((t for r, s, t in qb.roles if r == name and s == at), default=None)
-        if target is None:
-            target = namer.fresh(at)
-            qb.down.setdefault(target, None)
-            qb.add_edge(part.role, at, target)
-        attach_concept_tree(qb, target, part.filler, namer, functional)  # type: ignore[arg-type]
-
-
-def translate_members(members: list[CQ], fresh_map: dict[str, ELIConcept],
-                      functional: frozenset[Role]) -> list[CQ]:
-    """Replace each surrogate atom ``X_C(v)`` introduced by normalization with
-    the tree form of ``C`` glued at ``v``, reusing existing successors along
-    functional roles.  A member with no surrogate atom is returned as it is,
-    and so is the list when normalization made no surrogates."""
-    if not fresh_map:
-        return members
-    out = []
-    for m in members:
-        surrogates = sorted(p for p in m.concept_atoms if p[0] in fresh_map)
-        if not surrogates:
-            out.append(m)
-            continue
-        qb = QB.of(CQ(m.answer_var, m.concept_atoms.difference(surrogates), m.role_atoms))
-        namer = Namer(m.variables())
-        for name, v in surrogates:
-            attach_concept_tree(qb, v, fresh_map[name], namer, functional)
-        out.append(qb.freeze())
-    return out
 
 
 def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ, m_ctx: ABoxContext) -> str | None:
@@ -694,9 +659,9 @@ def build_frontier(
     Rejects dialects outside ``dialects``, normalizes the ontology, saturates
     and minimizes the query, and runs Step 1.  The dialect's ``compensate``
     runs Step 2 on the root candidates' trees and returns the members'
-    trees, which ``Trees.members`` translates, reduces and names.  The driver
-    then machine-checks Conditions 1 and 2 on every member before returning
-    them deduplicated and sorted.
+    trees, which ``Trees.members`` translates, reduces, deduplicates and
+    names.  The driver then machine-checks Conditions 1 and 2 on every member
+    before returning them sorted.
     """
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)
@@ -710,15 +675,11 @@ def build_frontier(
 
 
 def _sorted_members(members: list[CQ], sizes: list[int]) -> tuple[CQ, ...]:
-    """``members``, the first of each pool id kept, sorted by variable count
-    (``sizes``), then by their sorted concept atoms and sorted role atoms.
-    The atom lists are built only for members that share their size with
-    another."""
-    by_id: dict[int, tuple[int, CQ]] = {}
-    for m, size in zip(members, sizes):
-        by_id.setdefault(intern_cq(m), (size, m))
+    """``members`` sorted by variable count (``sizes``), then by their sorted
+    concept atoms and sorted role atoms.  The atom lists are built only for
+    members that share their size with another."""
     out: list[CQ] = []
-    for _, group in groupby(sorted(by_id.values(), key=lambda p: p[0]), key=lambda p: p[0]):
+    for _, group in groupby(sorted(zip(sizes, members), key=lambda p: p[0]), key=lambda p: p[0]):
         run = [m for _, m in group]
         if len(run) > 1:
             run.sort(key=lambda m: (sorted(m.concept_atoms), sorted(m.role_atoms)))

@@ -12,7 +12,7 @@ distinct complex right-hand-side subconcept and is a conservative extension:
 entailment between basic concepts over the original signature is unchanged.
 Already-normal inclusions are kept verbatim, so conversion is idempotent.
 Expanding surrogate names back into the concepts they stand for is
-``frontier_base.translate_members``.
+``frontier_base.translate_members``, on the trees of frontier members.
 """
 
 from __future__ import annotations

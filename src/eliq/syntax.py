@@ -125,10 +125,6 @@ def conj(parts: Iterable[ELIConcept]) -> ELIConcept:
     return ELIConcept("and", parts=ordered)
 
 
-def concept_conjuncts(c: ELIConcept) -> tuple[ELIConcept, ...]:
-    return c.parts if c.kind == "and" else (c,)
-
-
 def subconcepts(c: ELIConcept) -> Iterator[ELIConcept]:
     """Every subconcept of ``c``, ``c`` included, in pre-order with
     conjuncts left to right.  The walk keeps an explicit stack, so a concept

@@ -5,17 +5,16 @@ Step 1 copies the child's subquery and every member of the child's F0 into a
 ``QB`` per candidate, with fresh names from one ``Namer``; Step 2 glues a
 fresh copy of the query at every compensation point, and the functional
 Step 2B processes its marked atoms from a queue, within an explicit
-iteration budget; members are translated with ``translate_members``, checked
-by ``check_conditions`` (which walks each member to intern it) and
-deduplicated as queries, so isomorphic members with different variable names
-both stay.  No member is reduced.
+iteration budget; members are translated with ``reference_translate``'s
+``translate_members``, checked by ``check_conditions`` (which walks each
+member to intern it) and deduplicated as queries, so isomorphic members with
+different variable names both stay.  No member is reduced.
 """
 
 from collections import deque
 
 from eliq.engine import context_for
 from eliq.frontier_base import (
-    QB,
     GenCandidate,
     Namer,
     Prepared,
@@ -24,11 +23,11 @@ from eliq.frontier_base import (
     names_implied_by_exists,
     prepare,
     reject_unsupported,
-    translate_members,
 )
 from eliq.frontier_f import _F_DIALECTS, _f_nudges
 from eliq.frontier_r import _R_DIALECTS, _r_nudges
 from eliq.syntax import CQ, restrict, subtree_vars, tree_order, tree_walk
+from reference_translate import QB, translate_members
 
 
 def add_copy(qb, q, namer, down=None):

@@ -46,7 +46,7 @@ def _annotations(tree: ast.Module):
 
 def _used_names(tree: ast.Module) -> set[str]:
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # Names inside string annotations, e.g. ``-> "QB"``.
+    # Names inside string annotations, e.g. ``-> "ABox"``.
     for ann in _annotations(tree):
         for n in ast.walk(ann):
             if isinstance(n, ast.Constant) and isinstance(n.value, str):

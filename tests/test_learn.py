@@ -22,9 +22,9 @@ from eliq import (
 )
 from eliq.bruteforce import fixture
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
-from eliq.frontier_base import translate_members
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
+from reference_translate import on_table
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_rewrite_abox_plain():
     on, fmap = normalize(o)
     xname = next(n for n, c in fmap.items() if c.kind == "and")
     member = make_cq("b", {(xname, "b"), ("A", "b")})
-    [rewritten] = translate_members([member], fmap, frozenset())
+    rewritten = on_table(on, fmap, member)
     assert all(not c.startswith(FRESH_PREFIX) for c, _ in rewritten.concept_atoms)
     assert ("A", "b") in rewritten.concept_atoms
     assert ("B", "b") in rewritten.concept_atoms
@@ -279,10 +279,10 @@ def test_rewrite_abox_respects_functionality():
 
     fmap = {"_X1": exists(Role("r"), atom("B"))}
     member = make_cq("b", {("_X1", "b")}, {("r", "b", "c")})
-    [rewritten] = translate_members([member], fmap, frozenset({Role("r")}))
+    rewritten = on_table(parse_ontology("func r\n"), fmap, member)
     # the existing r-successor is reused instead of adding a second one
-    assert ("B", "c") in rewritten.concept_atoms
-    assert sum(1 for r, x, _ in rewritten.role_atoms if r == "r" and x == "b") == 1
+    [(r, b, c)] = rewritten.role_atoms
+    assert (r, b) == ("r", "b") and rewritten.concept_atoms == {("B", c)}
 
 
 def test_normal_form_reduction_end_to_end():

@@ -23,6 +23,7 @@ from eliq import (
     make_cq,
     parse_abox,
     parse_cq,
+    parse_ontology,
     seed_query,
     universal_prefix,
     verify_unique,
@@ -30,7 +31,7 @@ from eliq import (
 from eliq import model
 from eliq.engine import context_for, engine_for
 from eliq.errors import ParseError
-from eliq.frontier_base import QB
+from eliq.frontier_base import Namer, Prepared, Trees
 from eliq.syntax import exists, tree_order
 
 EXAMPLES = {"ex1": frontier_r, "ex2": frontier_r, "ex3": frontier_f}
@@ -96,9 +97,11 @@ def test_role_atoms_are_stored_one_way(role):
     # r(x, y) is stored as is, r-(x, y) as r(y, x)
     assert role.atom("x", "y") == (("r", "y", "x") if role.inverted else ("r", "x", "y"))
     assert make_cq("x", (), [(role, "x", "y")]).role_atoms == {role.atom("x", "y")}
-    qb = QB("x")
-    qb.add_edge(role, "x", "y")
-    assert qb.roles == {role.atom("x", "y")}
+    q = parse_cq("q(x) :- A(x)")
+    o = parse_ontology("A sub B\n")
+    trees = Trees(Prepared(o, {}, q, context_for(o, q.to_abox())))
+    tree = trees.node(frozenset(), None, [(role, trees.node(frozenset(), None, []))])
+    assert trees.query(tree, "x", Namer(("x",)))[0].role_atoms == {role.atom("x", "z~1")}
     assert concept_to_eliq(exists(role), "x").role_atoms == {role.atom("x", "x1")}
     tid = model.intern_tree(frozenset(), ((role, model.intern_tree(frozenset(), ())),))
     assert model.tree_to_cq(tid, "x").role_atoms == {role.atom("x", "x1")}

@@ -1,18 +1,18 @@
-"""``translate_members`` against the reference translation in
-``reference_translate.py``.
+"""``frontier_base.translate_members``, the surrogate translation on the tree
+table, against the query-level translation in ``reference_translate.py``.
 
-With surrogates, members must come out equal to the reference's, atom for
-atom (variable names included), on the members a frontier construction
-actually translates and on random members over surrogate names, with
-functional roles in either direction.  Without surrogates the members must
-come back as they are, the very objects, and so must each member that
-carries no surrogate atom.  A frontier translates its members as queries
-only when a surrogate's concept has an existential along a functional role
-(otherwise it translates them on its trees), so the recorded translations
-come from restricted-functionality ontologies drawn to have one.
+Translated members must be the reference's up to isomorphism: the same pool
+ids (``intern_cq``).  This must hold on the trees frontier constructions
+actually translate, and on random members over surrogate names under the
+ontology's own functional roles.  The reference reuses the least of several
+successors along a functional role; the table refuses a member where
+fillers meet two neighbours along one functional role, which no frontier
+builds.  A frontier without surrogates translates nothing, and a tree with
+no surrogate name comes back as the very node it was.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,32 +20,38 @@ import eliq.frontier_base as frontier_base
 import reference_translate as ref
 from eliq import normalize, parse_cq, parse_ontology
 from eliq.errors import EliqError
+from eliq.frontier_base import Namer
 from eliq.frontier_f import frontier
 from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
-from eliq.syntax import Dialect, Role, dialect_of, exists_roles
+from eliq.model import intern_cq
+from eliq.syntax import Dialect, Role, dialect_of, exists_roles, make_cq, tree_walk
 
 NAMES = ["A", "B"]
 ROLES = ["r", "s"]
 SUPPORTED = (Dialect.CORE, Dialect.R, Dialect.F_RESTRICTED)
 
-# Surrogates under functional roles: a forward and an inverse one, each with
-# a query that gives the surrogate's variable a successor to reuse.
+# Surrogates under functional roles: forward and inverse ones, each with a
+# query that gives the surrogate's variable a neighbour to reuse.  In the
+# last, fillers go up to the parent, into an original child and into a child
+# an earlier surrogate added.
 FUNCTIONAL = [
     ("A sub some r . (B & some s . A)\nfunc r\n", "q(x0) :- A(x0), r(x0,y), B(y)"),
     ("A sub some r- . (B & some s . B)\nfunc r-\nfunc s\n", "q(x0) :- A(x0), r(y,x0), B(y), s(y,z)"),
     ("B sub some s . (A & some r . B)\nfunc s\nfunc r\n", "q(x0) :- B(x0), s(x0,y), r(y,z), A(y)"),
+    ("some s- sub A & B\nsome s- sub some s . some s . A\nfunc s\n", "q(x0) :- B(x0), r(x0,y1), s(y2,y1)"),
 ]
 
 
 def recorded_translations(monkeypatch, cases):
-    """(raw members, surrogate map, functional keys) of every translation
-    the frontiers of ``cases`` make."""
+    """(trees, roots, translated roots) of every translation the frontiers
+    of ``cases`` make."""
     calls = []
     real = frontier_base.translate_members
 
-    def record(members, fresh_map, functional):
-        calls.append((list(members), fresh_map, functional))
-        return real(members, fresh_map, functional)
+    def record(trees, roots):
+        out = real(trees, roots)
+        calls.append((trees, list(roots), out))
+        return out
 
     monkeypatch.setattr(frontier_base, "translate_members", record)
     for o, q in cases:
@@ -73,70 +79,94 @@ def random_cases(seed: int, count: int, dialects=("r", "f", "core"), keep=lambda
 
 
 def translated_cases(seed: int, count: int):
-    """The functional cases and ``count`` random ones whose members a
-    frontier translates as queries."""
+    """The functional cases and ``count`` random ones with a functional
+    existential in a surrogate's concept."""
     cases = [(parse_ontology(o), parse_cq(q)) for o, q in FUNCTIONAL]
     return cases + random_cases(seed, count, ("f",), has_functional_existential)
 
 
+def reuse_kinds(m, reused) -> Counter:
+    """The reference's reuses in translating ``m``, by what was reused: the
+    parent, an original child, or a child an earlier surrogate added."""
+    parent = tree_walk(m)[0]
+    kinds = Counter()
+    for at, target, _ in reused:
+        if at in parent and parent[at][0] == target:
+            kinds["parent"] += 1
+        elif target in parent:
+            kinds["original child"] += 1
+        else:
+            kinds["added child"] += 1
+    return kinds
+
+
 def test_frontier_translations_agree_with_reference(monkeypatch):
     calls = recorded_translations(monkeypatch, translated_cases(500, 12))
-    with_surrogates = [c for c in calls if c[1]]
-    assert len(with_surrogates) >= 10
-    assert any(functional for _, _, functional in with_surrogates)
-    for members, fresh_map, functional in with_surrogates:
-        assert frontier_base.translate_members(members, fresh_map, functional) == ref.translate_members(
-            members, fresh_map, functional
-        )
+    assert len(calls) >= 10
+    kinds = Counter()
+    for trees, roots, out in calls:
+        answer = trees.prep.query.answer_var
+        functional = trees.prep.ctx.engine.functional
+        for root, tid in zip(roots, trees.intern(out)):
+            m = trees.query(root, answer, Namer((answer,)))[0]
+            expected, reused = ref.translate_member(m, trees.prep.fresh_map, functional)
+            assert tid == intern_cq(expected)
+            assert all(choices == 1 for _, _, choices in reused)
+            kinds += reuse_kinds(m, reused)
+    assert kinds["parent"] and kinds["original child"] and kinds["added child"], kinds
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_random_members_translate_like_the_reference(seed):
     # Members over surrogate names hit many surrogate atoms per variable and
-    # several successors along one functional role.
+    # several neighbours along one functional role.
     rng = random.Random(600 + seed)
     checked = 0
     for o, _ in random_cases(600 + seed, 12):
         on, fresh_map = normalize(o)
         if not fresh_map:
             continue
-        roles = sorted({r.name for r in on.functional} | set(ROLES))
-        for functional in (on.functional,
-                           frozenset(Role(r, inv) for r in roles for inv in (False, True))):
-            members = [random_eliq(rng, NAMES + sorted(fresh_map), ROLES, 7) for _ in range(6)]
-            assert frontier_base.translate_members(members, fresh_map, functional) == ref.translate_members(
-                members, fresh_map, functional
-            )
-            checked += 1
+        for _ in range(6):
+            m = random_eliq(rng, NAMES + sorted(fresh_map), ROLES, 7)
+            expected, reused = ref.translate_member(m, fresh_map, on.functional)
+            if any(choices > 1 for _, _, choices in reused):
+                with pytest.raises(AssertionError, match="neighbours"):
+                    ref.on_table(on, fresh_map, m)
+            else:
+                assert intern_cq(ref.on_table(on, fresh_map, m)) == intern_cq(expected)
+                checked += 1
     assert checked
 
 
-def test_members_come_back_unchanged_without_surrogates():
-    # A frontier never translates members without surrogates, so this
-    # translates the members of such frontiers directly.
+def test_two_neighbours_along_a_functional_role_are_refused():
+    # Where the reference reuses the least of two r-successors: two r-children,
+    # and the parent and an r-child.
+    on, fresh_map = normalize(parse_ontology("A sub some s . some r . B\nfunc r\n"))
+    name = next(x for x, c in fresh_map.items() if c.role == Role("r"))
+    for m in (make_cq("x", [(name, "x")], [("r", "x", "y"), ("r", "x", "z")]),
+              make_cq("x", [(name, "y")], [("r", "y", "x"), ("r", "y", "z")])):
+        assert [choices for _, _, choices in ref.translate_member(m, fresh_map, on.functional)[1]] == [2]
+        with pytest.raises(AssertionError, match="2 neighbours"):
+            ref.on_table(on, fresh_map, m)
+
+
+def test_members_come_back_unchanged_without_surrogates(monkeypatch):
     cases = [(parse_ontology("A sub some r\nsome r sub A\nr rsub s\n"), parse_cq("q(x0) :- A(x0), B(x0)")),
              (parse_ontology("func s\n"), parse_cq("q(x0) :- r(x0,y), s(x0,z), A(z)"))]
-    checked = 0
-    for o, q in cases + random_cases(700, 12, ("f",)):
-        on, fresh_map = normalize(o)
-        if fresh_map:
-            continue
-        members = list(frontier(o, q).members)
-        out = frontier_base.translate_members(members, fresh_map, on.functional)
-        assert out is members
-        assert out == ref.translate_members(members, fresh_map, on.functional)
-        checked += 1
-    assert checked >= 2
+    cases += [(o, q) for o, q in random_cases(700, 12, ("f",)) if not normalize(o)[1]]
+    assert len(cases) >= 4
+    assert recorded_translations(monkeypatch, cases) == []
 
 
 def test_members_without_surrogate_atoms_come_back_unchanged(monkeypatch):
     calls = recorded_translations(monkeypatch, translated_cases(500, 12))
     passed = 0
-    for members, fresh_map, functional in [c for c in calls if c[1]]:
-        out = frontier_base.translate_members(members, fresh_map, functional)
-        assert out == ref.translate_members(members, fresh_map, functional)
-        for m, t in zip(members, out):
+    for trees, roots, out in calls:
+        fresh_map = trees.prep.fresh_map
+        answer = trees.prep.query.answer_var
+        for root, n in zip(roots, out):
+            m = trees.query(root, answer, Namer((answer,)))[0]
             if not any(a in fresh_map for a, _ in m.concept_atoms):
-                assert t is m
+                assert n == root
                 passed += 1
     assert passed

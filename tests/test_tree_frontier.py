@@ -70,7 +70,7 @@ def assert_same_members(o, q, dialect):
 
 def has_functional_existential(o) -> bool:
     """Whether a surrogate's concept has an existential along a functional
-    role, so the members are translated as queries."""
+    role, so the members' translation reuses neighbours."""
     on, fresh_map = normalize(o)
     return any(r in on.functional for c in fresh_map.values() for r in exists_roles(c))
 
@@ -80,13 +80,16 @@ def chain(n: int) -> CQ:
     return make_cq("x0", [("A", f"x{n - 1}")], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
 
 
-# Restricted functionality with surrogates: the first two translate on the
-# tree, the last two as queries (a functional existential in a surrogate).
+# Restricted functionality with surrogates.  In the last three a surrogate's
+# concept has an existential along a functional role, so its fillers reuse
+# a neighbour; in the last, the verify corpus's case, they reuse the parent,
+# an original child and a child an earlier surrogate added.
 F_SURROGATES = [
     ("A sub some t . (B & some u)\nfunc s\n", "q(x0) :- s(x0,y), s(y,z), A(z), r(x0,w)"),
     ("A sub some t- . (B & some s)\nfunc r\n", "q(x0) :- r(x0,y), A(y), B(x0)"),
     ("A sub some r . (B & some s . A)\nfunc r\n", "q(x0) :- A(x0), r(x0,y), B(y)"),
     ("B sub some s . (A & some r . B)\nfunc s\nfunc r\n", "q(x0) :- B(x0), s(x0,y), r(y,z), A(y)"),
+    ("some s- sub A & B\nsome s- sub some s . some s . A\nfunc s\n", "q(x0) :- B(x0), r(x0,y1), s(y2,y1)"),
 ]
 
 
@@ -105,7 +108,7 @@ def test_examples_match_the_reference(ex1_ontology, ex1_query, ex2_ontology, ex2
         assert dialect_of(o) is Dialect.F_RESTRICTED and normalize(o)[1]
         assert_same_members(o, parse_cq(q), "f")
         functional_existentials.append(has_functional_existential(o))
-    assert functional_existentials == [False, False, True, True]
+    assert functional_existentials == [False, False, True, True, True]
 
 
 @pytest.mark.parametrize("dialect", ["r", "f"])

@@ -16,12 +16,12 @@ from pathlib import Path
 from . import __version__
 from .bruteforce import bruteforce_frontier_check
 from .characterize import characterize, verify_unique
+from .engine import normal_form
 from .errors import EliqError, UnsupportedDialectError
 from .frontier_base import Frontier, prune_equivalents
 from .frontier_f import frontier, frontier_f
 from .frontier_r import frontier_r
 from .learn import SimulatedOracle, default_budget, learn, seed_query
-from .normalform import normalize
 from .parser import (
     parse_abox,
     parse_cq,
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "normalize":
         o = _read(args.ontology, parse_ontology)
-        on, fmap = normalize(o)
+        on, fmap = normal_form(o)
         if args.json:
             print(
                 json.dumps(
@@ -173,13 +173,10 @@ def _dispatch(args) -> int:
         o = _read(args.ontology, parse_ontology)
         a = _read(args.abox, parse_abox)
         q = _read(args.query, parse_cq)
-        if args.ind not in a.ind():
-            raise EliqError(f"{args.ind!r} is not an individual of the ABox")
-        if args.dump_model:
-            on, _ = normalize(o)
-            depth = args.depth if args.depth is not None else len(q.variables())
-            _write(Path(args.dump_model), universal_prefix(on, a, depth).to_json() + "\n")
         verdict = certain_answer(o, a, q, args.ind)
+        if args.dump_model:
+            depth = args.depth if args.depth is not None else len(q.variables())
+            _write(Path(args.dump_model), universal_prefix(normal_form(o)[0], a, depth).to_json() + "\n")
         print("yes" if verdict else "no")
         return 0 if verdict else 1
 

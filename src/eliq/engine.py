@@ -6,7 +6,7 @@ Facts about a single element are represented as keys:
     ("e", R)          element has a successor along the ``Role`` R (r or r-)
     ("top",)          always present
 
-``Engine`` indexes a (normalized) ontology in one implication table, which
+``Engine`` indexes a normal-form ontology in one implication table, which
 maps each fact key to the fact keys it implies in one step: ``("e", R)`` its
 strict superroles, and the left-hand side of each CI that CI's right-hand
 side.  Every closure is a worklist graph search over such data:
@@ -48,14 +48,14 @@ the one place that refuses the combined dialect (role inclusions with
 functionality), where that model is unsound: building a context over such an
 engine raises ``UnsupportedDialectError``.  Role entailment needs no context.
 
-``engine_for`` and ``context_for`` keep engines and contexts in two
-``functools.lru_cache`` tables, of 32 engines and 16 contexts.  The oracles
-build their candidates' contexts directly, one-shot, so that candidates do
-not push the contexts of the query and of the frontier members out of the
-context table.  What a candidate's context decides is kept instead on the
-context of the query's ABox, as ints and bools (``trees_contained``,
-``trees_satisfiable``), so a second search over one query builds no candidate
-context, and the verdicts leave the table with that context.
+``normal_form``, ``engine_for`` and ``context_for`` keep normal forms, engines
+keyed by normal form, and contexts in three ``functools.lru_cache`` tables, of
+32, 32 and 16 entries.  The oracles build their candidates' contexts directly,
+one-shot, so that candidates do not push the contexts of the query and of the
+frontier members out of the context table.  What a candidate's context decides
+is kept instead on the context of the query's ABox, as ints and bools
+(``trees_contained``, ``trees_satisfiable``), so a second search over one
+query builds no candidate context, and the verdicts leave the table with it.
 """
 
 from __future__ import annotations
@@ -99,13 +99,11 @@ def _reach(stack: list, edges: dict) -> set:
 
 class Engine:
     def __init__(self, o: Ontology):
-        self.original = o
         self.combined = dialect_of(o) is Dialect.RF
-        self.o = normalize(o)[0]
-        self.functional: frozenset[Role] = self.o.functional
+        self.o = o
+        self.functional: frozenset[Role] = o.functional
 
-        roles = self.o.signature()[1]
-        self.original_names = frozenset(o.signature()[0])
+        roles = o.signature()[1]
         self.role_keys: frozenset[Role] = frozenset(
             Role(r, inv) for r in roles for inv in (False, True)
         )
@@ -127,7 +125,7 @@ class Engine:
                 fname = None if filler is None or filler.kind == "top" else filler.name
                 self.to_exists.setdefault(lk, []).append((rhs.role, fname))
             elif rhs.kind not in ("top", "name"):
-                raise AssertionError(f"normalize left a non-normal right-hand side: {rhs}")
+                raise AssertionError(f"Engine needs a normal-form ontology, got right-hand side {rhs}")
             self.implies.setdefault(lk, []).append(basic_key(rhs))
 
         self.cdisj_keys = [
@@ -570,14 +568,18 @@ class ABoxContext:
         return True
 
 
-# Engines keyed by ontology and contexts keyed by (engine, ABox), each in a
-# least-recently-used table.  A context key holds its engine, so it cannot meet
-# a reused ``id``; an evicted engine's contexts age out of the context table,
-# and a context hit keeps its engine fresh, since ``context_for`` asks
-# ``engine_for`` first.  Nothing in either table refers back to its owner, so
-# what they evict is freed by reference counting alone, with no cycle for the
-# garbage collector to find.  ``_contexts.cache_info()`` counts the hits and
-# misses inside ``context_for``.
+# Callers share a cached normal form and must not mutate it.  A context key
+# holds its engine, so it cannot meet a reused ``id``; an evicted engine's
+# contexts age out of the context table, and a context hit keeps its engine
+# fresh, since ``context_for`` asks ``engine_for`` first.  Nothing in a table
+# refers back to its owner, so what they evict is freed by reference counting
+# alone, with no cycle for the garbage collector to find.
+# ``_contexts.cache_info()`` counts the hits and misses inside ``context_for``.
+@functools.lru_cache(maxsize=32)
+def normal_form(o: Ontology) -> tuple[Ontology, dict]:
+    return normalize(o)
+
+
 _engines = functools.lru_cache(maxsize=32)(Engine)
 # Enough for one instance's query, frontier members and examples; a larger
 # table raised the learner's peak memory without making it faster.
@@ -585,7 +587,7 @@ _contexts = functools.lru_cache(maxsize=16)(ABoxContext)
 
 
 def engine_for(o: Ontology) -> Engine:
-    return _engines(o)
+    return _engines(normal_form(o)[0])
 
 
 def context_for(o: Ontology, abox: ABox) -> ABoxContext:

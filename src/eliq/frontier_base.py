@@ -49,10 +49,10 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable
 
-from .engine import ABoxContext, context_for
+from .engine import ABoxContext, context_for, normal_form
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
 from .model import intern_tree, mark_interned, matches
-from .normalform import is_normal_form, normalize
+from .normalform import is_normal_form
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
     CQ,
@@ -132,7 +132,7 @@ class Prepared:
 def prepare(o: Ontology, q: CQ, op: str) -> Prepared:
     if not query_satisfiable(o, q):
         raise UnsatisfiableError(f"{op}: query is unsatisfiable w.r.t. the ontology")
-    on, fmap = normalize(o)
+    on, fmap = normal_form(o)
     qmin = minimize_eliq(on, q)
     qmin = make_cq(qmin.answer_var, qmin.concept_atoms, qmin.role_atoms)
     return Prepared(on, fmap, qmin, context_for(on, qmin.to_abox()))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .normalform import normalize
+from .engine import normal_form as normal_form_of
 from .reasoner import query_satisfiable
 from .syntax import (
     ABox,
@@ -94,7 +94,7 @@ def random_ontology(
     if dialect == "f":
         o = _restrict_functional(o)
     if normal_form:
-        o, _ = normalize(o)
+        o = normal_form_of(o)[0]
     return o
 
 

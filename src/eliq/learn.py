@@ -68,6 +68,7 @@ class LearnTrace:
 
     @property
     def final(self) -> CQ:
+        """The last hypothesis; a ``seed_rejected`` trace has none."""
         return self.hypotheses[-1]
 
     def to_dict(self) -> dict:
@@ -225,12 +226,15 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     """Identify the oracle's target up to equivalence w.r.t. ``o``.
 
     Requires a Core, role-inclusion, or restricted-functionality ontology, in
-    any syntactic form, and a seed contained in the target.  Normal form stays
+    any syntactic form, and a seed contained in the target.  The first
+    membership query asks the oracle whether the seed is; if not, the outcome
+    is ``seed_rejected`` and no hypothesis is recorded.  Normal form stays
     inside the frontier construction: its members arrive translated into the
     ontology's own vocabulary, and ``saturate`` adds only the ontology's own
     concept names, so no surrogate name reaches a hypothesis or the oracle.
     Frontier members are probed smallest first.  Returns the full hypothesis
-    trace; ``budget_exceeded`` is an outcome, not an exception.
+    trace; ``seed_rejected`` and ``budget_exceeded`` are outcomes, not
+    exceptions.
     """
     reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     if budget <= 0:
@@ -240,6 +244,9 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     oracle = _Budget(oracle, budget)
     trace = LearnTrace()
     try:
+        if not oracle.answer(seed.to_abox(), seed.answer_var):
+            trace.outcome = "seed_rejected"
+            return trace
         q_h = treeify(o, oracle, seed)
         trace.hypotheses.append(q_h)
         while True:
@@ -257,7 +264,8 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
             trace.hypotheses.append(q_h)
     except BudgetExceeded:
         trace.outcome = "budget_exceeded"
-    trace.membership_queries = oracle.query_count
+    finally:
+        trace.membership_queries = oracle.query_count
     return trace
 
 

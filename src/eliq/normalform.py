@@ -10,8 +10,9 @@ In particular ``some R sub some S`` and CIs with a compound right-hand side
 are not normal.  Conversion introduces one fresh surrogate name ``_X<n>`` per
 distinct complex right-hand-side subconcept and is a conservative extension:
 entailment between basic concepts over the original signature is unchanged.
-Already-normal inclusions are kept verbatim, so conversion is idempotent.
-Expanding surrogate names back into the concepts they stand for is
+Already-normal inclusions are kept verbatim, so conversion is idempotent.  Its
+one caller is ``engine.normal_form``, which caches the result.  Expanding
+surrogate names back into the concepts they stand for is
 ``frontier_base.translate_members``, on the trees of frontier members.
 """
 

@@ -78,13 +78,13 @@ def query_satisfiable(o: Ontology, q: CQ) -> bool:
 
 
 def saturate(o: Ontology, q: CQ) -> CQ:
-    """Add every entailed concept atom on the existing variables of ``q``."""
+    """Add every entailed atom ``A(v)``, ``A`` a concept name of ``o`` and ``v`` a variable of ``q``."""
     abox = q.to_abox()
     ctx = context_for(o, abox)
     if not ctx.satisfiable():
         raise UnsatisfiableError("cannot saturate a query that is unsatisfiable w.r.t. the ontology")
     atoms = set(q.concept_atoms)
-    visible = ctx.engine.original_names  # internal surrogate names never leak
+    visible = o.signature()[0]
     for v in q.variables():
         atoms.update((n, v) for n in ctx.names_at(v) if n in visible)
     return CQ(q.answer_var, frozenset(atoms), q.role_atoms)

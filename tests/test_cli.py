@@ -150,6 +150,15 @@ def test_learn_refuses_a_target_that_is_not_an_eliq(files, capsys, ontology, tar
     assert message in captured.err
 
 
+def test_learn_exits_1_when_the_target_does_not_contain_the_seed(files, capsys):
+    write, _ = files
+    code = main(["learn", "--ontology", write("o.dlo", "A sub C\n"), "--target", write("t.cq", "q(x) :- A(x)\n"),
+                 "--seed", write("s.cq", "q(x) :- B(x)\n")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "seed_rejected" and payload["hypotheses"] == []
+
+
 def test_characterize_writes_examples(files, tmp_path, capsys):
     write, _ = files
     out = tmp_path / "examples"
@@ -275,6 +284,7 @@ def test_check_refuses_the_combined_dialect_first(files, capsys):
 # {file} is a regular file, so nothing can be written below it, even by root.
 REFUSALS = {
     "negative_depth": "answer -o {o} -a {a} -q {q} --ind a --dump-model {tmp}/m.json --depth -1",
+    "unknown_individual": "answer -o {o} -a {a} -q {q} --ind b --dump-model {tmp}/m.json",
     "negative_budget": "learn --ontology {o} --target {q} --budget -5",
     "zero_budget": "learn --ontology {o} --target {q} --budget 0",
     "unwritable_dump_model": "answer -o {o} -a {a} -q {q} --ind a --dump-model {file}/m.json",
@@ -291,6 +301,7 @@ def test_refusals_exit_2_with_one_error_line(files, capsys, case):
     assert main(REFUSALS[case].format(**paths).split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
 
 
 EXAMPLES = {

@@ -4,13 +4,15 @@ that only functionality or role disjointness reach."""
 
 import gc
 import pickle
+import sys
 import weakref
 
 import pytest
 
 import eliq.engine as engine
-from eliq import ABox, abox_satisfiable, certain_answer, parse_abox, parse_cq, parse_ontology
+from eliq import ABox, abox_satisfiable, certain_answer, frontier, parse_abox, parse_cq, parse_ontology
 from eliq.engine import ABoxContext, context_for, engine_for
+from eliq.normalform import normalize
 
 ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
 ENGINE_CAP = engine._engines.cache_info().maxsize
@@ -30,6 +32,33 @@ def test_equal_ontologies_share_one_engine():
     assert parse_ontology("C sub D\nA sub B\n") != parse_ontology("A sub B\nC sub D\n")
 
 
+def test_an_ontology_and_its_normal_form_share_one_engine():
+    o = parse_ontology("A sub some r . (B & some s . C)\n")
+    on = normalize(o)[0]
+    assert on != o
+    assert engine_for(o) is engine_for(on)
+    assert context_for(o, ABOX) is context_for(on, ABOX)
+
+
+def test_repeated_frontiers_normalize_an_ontology_once(monkeypatch):
+    calls = []
+
+    def counting(o):
+        calls.append(o)
+        return normalize(o)
+
+    # Every binding of normalize in the package, as the benchmark's tracer
+    # replaces it.
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "eliq"]:
+        if vars(module).get("normalize") is normalize:
+            monkeypatch.setattr(module, "normalize", counting)
+    o = parse_ontology("N1 sub some r . (N2 & some s . N3)\n")
+    q = parse_cq("q(x) :- N1(x), r(x,y)")
+    assert frontier(o, q).members == frontier(o, q).members
+    assert calls.count(o) == 1
+    assert len(calls) == len(set(calls))
+
+
 def test_cached_hash_is_not_carried_into_copies():
     o = parse_ontology("A sub some r\n")
     hash(o)
@@ -42,12 +71,12 @@ def test_engine_cache_is_bounded_and_serves_the_right_ontology():
     onts = distinct_ontologies(100)
     for o in onts:
         ctx = context_for(o, ABOX)
-        assert ctx.engine.original == o
+        assert ctx.engine.o == normalize(o)[0]
         assert engine_for(o) is ctx.engine
         assert engine._engines.cache_info().currsize <= ENGINE_CAP
     # After eviction every ontology still gets a context built for itself.
     for o in onts:
-        assert context_for(o, ABOX).engine.original == o
+        assert context_for(o, ABOX).engine.o == normalize(o)[0]
 
 
 def test_recently_used_engines_stay_cached():

@@ -220,6 +220,16 @@ def test_budget_exceeded_is_an_outcome():
     assert trace.membership_queries <= 2
 
 
+def test_a_seed_the_target_does_not_contain_is_rejected():
+    # B(x) is not contained in A(x): learning on from it would end in a
+    # hypothesis built from B, reported as a success.
+    o = parse_ontology("A sub C\n")
+    oracle = SimulatedOracle(o, parse_cq("q(x) :- A(x)"))
+    trace = learn(o, oracle, parse_cq("q(x) :- B(x)"), 100)
+    assert trace.outcome == "seed_rejected"
+    assert trace.hypotheses == [] and trace.membership_queries == 1
+
+
 def test_oracle_refuses_a_target_that_is_not_an_eliq():
     # No ELIQ hypothesis can equal a cyclic target: the learner would spend
     # its whole budget (640 queries here) and report budget_exceeded.

@@ -24,6 +24,7 @@ from eliq import (
 )
 from eliq.errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_abox, random_eliq, random_ontology, random_satisfiable_eliq
+from eliq.normalform import is_normal_form, normalize
 import eliq.reasoner as reasoner
 from eliq.reasoner import is_minimal
 from eliq.syntax import CONCEPT_TOP, atom, conj, eliq_to_concept, exists
@@ -252,6 +253,25 @@ def test_saturate_idempotent_and_equivalent():
         qs = saturate(o, q)
         assert saturate(o, qs) == qs
         assert equivalent(o, q, qs)
+
+
+def test_saturate_adds_the_names_of_its_own_ontology():
+    # saturate(o, q) keeps the concept names of o: none of the surrogates of
+    # o's normal form, which saturate(on, q) adds, and frontier Step 1 needs.
+    rng = random.Random(29)
+    with_surrogates = 0
+    for _ in range(100):
+        o = random_ontology(rng, ["A", "B", "C"], ["r", "s"], rng.randint(1, 4), dialect=rng.choice(["r", "f"]))
+        if is_normal_form(o):
+            continue
+        on, fresh_map = normalize(o)
+        q = random_satisfiable_eliq(rng, o, ["A", "B", "C"], ["r", "s"], 4)
+        added = {n for n, _ in saturate(o, q).concept_atoms - q.concept_atoms}
+        assert added <= o.signature()[0]
+        beyond = {n for n, _ in saturate(on, q).concept_atoms - q.concept_atoms} - added
+        assert beyond <= fresh_map.keys()
+        with_surrogates += bool(beyond)
+    assert with_surrogates > 0
 
 
 def test_saturate_functional_edge_propagation():

@@ -10,12 +10,7 @@ silently patches nothing; reach the module with
 
 __version__ = "0.1.0"
 
-from .bruteforce import (
-    ConjunctiveOntology,
-    bruteforce_frontier_check,
-    bruteforce_min_frontier_aq,
-    fixture,
-)
+from .bruteforce import bruteforce_frontier_check
 from .characterize import DataExample, ExampleSet, characterize, fits, verify_unique
 from .errors import (
     EliqError,
@@ -25,7 +20,7 @@ from .errors import (
     UnsatisfiableError,
     UnsupportedDialectError,
 )
-from .frontier_base import Frontier, GenCandidate, generalize, minimal_core, prune_equivalents
+from .frontier_base import Frontier, GenCandidate, generalize, minimal_core
 from .frontier_f import frontier, frontier_f
 from .frontier_r import frontier_r
 from .learn import (

@@ -18,9 +18,8 @@ from .bruteforce import bruteforce_frontier_check
 from .characterize import characterize, verify_unique
 from .engine import normal_form
 from .errors import EliqError, UnsupportedDialectError
-from .frontier_base import Frontier, prune_equivalents
-from .frontier_f import frontier, frontier_f
-from .frontier_r import frontier_r
+from .frontier_base import Frontier
+from .frontier_f import frontier
 from .learn import SimulatedOracle, default_budget, learn, seed_query
 from .parser import (
     parse_abox,
@@ -49,11 +48,6 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text)
     except OSError as exc:
         raise EliqError(f"cannot write {path}: {exc}") from exc
-
-
-def _frontier(dialect: str, o, q) -> Frontier:
-    """The frontier construction ``--dialect`` selects, applied to ``o`` and ``q``."""
-    return {"auto": frontier, "r": frontier_r, "f": frontier_f}[dialect](o, q)
 
 
 def _frontier_json(frontier: Frontier) -> str:
@@ -99,8 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("frontier", help="compute a frontier")
     p.add_argument("-o", "--ontology", required=True)
     p.add_argument("-q", "--query", required=True)
-    p.add_argument("--dialect", choices=["auto", "r", "f"], default="auto")
-    p.add_argument("--prune", action="store_true", help="drop members equivalent to another member")
+    p.add_argument(
+        "--prune", action="store_true", help="no-op, kept for existing scripts: no two members are equivalent"
+    )
 
     p = sub.add_parser("learn", help="learn a hidden query from a simulated membership oracle")
     p.add_argument("--ontology", required=True)
@@ -120,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     vf.add_argument("-o", "--ontology", required=True)
     vf.add_argument("-q", "--query", required=True)
     vf.add_argument("--bound", type=int, default=4)
-    vf.add_argument("--dialect", choices=["auto", "r", "f"], default="auto")
     vu = vsub.add_parser("unique", help="check a characterization exhaustively")
     vu.add_argument("-o", "--ontology", required=True)
     vu.add_argument("-q", "--query", required=True)
@@ -183,10 +177,7 @@ def _dispatch(args) -> int:
     if args.command == "frontier":
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
-        result = _frontier(args.dialect, o, q)
-        if args.prune:
-            result = Frontier(tuple(prune_equivalents(o, list(result.members))), q, o)
-        print(_frontier_json(result))
+        print(_frontier_json(frontier(o, q)))
         return 0
 
     if args.command == "learn":
@@ -229,8 +220,7 @@ def _dispatch(args) -> int:
         o = _read(args.ontology, parse_ontology)
         q = _read(args.query, parse_cq)
         if args.verify_what == "frontier":
-            found = _frontier(args.dialect, o, q)
-            result = bruteforce_frontier_check(o, q, found, args.bound)
+            result = bruteforce_frontier_check(o, q, frontier(o, q), args.bound)
             if result.ok:
                 print(f"ok ({result.candidates_checked} generalizations covered)")
                 return 0

@@ -577,6 +577,8 @@ def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
     ELIQ ``q`` over a normal-form ontology."""
     if not is_normal_form(o):
         raise InvalidArgumentError("generalize expects an ontology in normal form")
+    if x not in q.variables():
+        raise InvalidArgumentError(f"{x!r} is not a variable of the query")
     prep = Prepared(o, {}, q, context_for(o, q.to_abox()))
     trees = Trees(prep)
     namer = Namer(q.variables())
@@ -685,15 +687,6 @@ def _sorted_members(members: list[CQ], sizes: list[int]) -> tuple[CQ, ...]:
             run.sort(key=lambda m: (sorted(m.concept_atoms), sorted(m.role_atoms)))
         out.extend(run)
     return tuple(out)
-
-
-def prune_equivalents(o: Ontology, members: list[CQ]) -> list[CQ]:
-    """Drop members equivalent (w.r.t. o) to an earlier member."""
-    kept: list[CQ] = []
-    for m in members:
-        if not any(contained(o, m, k) and contained(o, k, m) for k in kept):
-            kept.append(m)
-    return kept
 
 
 def minimal_core(o: Ontology, members: list[CQ]) -> list[CQ]:

@@ -52,8 +52,11 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
     Surrogates are named ``_X<n>``, skipping the concept names of ``o``, so a
     name of that form in ``o`` keeps its own meaning.  Queries and ABoxes are
     not seen here: the prefix ``_X`` followed by digits is reserved in them,
-    and their parsers reject such concept names.
+    and their parsers reject such concept names.  An ontology already in
+    normal form is returned as it is, with no surrogates.
     """
+    if is_normal_form(o):
+        return o, {}
     fresh: dict[ELIConcept, str] = {}
     fresh_map: dict[str, ELIConcept] = {}
     extra: list[tuple[ELIConcept, ELIConcept]] = []

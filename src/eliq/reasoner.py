@@ -30,7 +30,6 @@ from .syntax import (
     Ontology,
     Role,
     prune_role_atoms,
-    restrict,
 )
 
 
@@ -149,18 +148,6 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     return prune_role_atoms(
         q, lambda smaller, current: certain_answer(o, smaller.to_abox(), current, current.answer_var)
     )
-
-
-def is_minimal(o: Ontology, q: CQ) -> bool:
-    """The literal minimality check: no single-variable restriction stays
-    equivalent (used as a test oracle; restrictions may be disconnected)."""
-    for v in sorted(q.variables()):
-        if v == q.answer_var:
-            continue
-        rest = restrict(q, q.variables() - {v})
-        if certain_answer(o, rest.to_abox(), q, q.answer_var):
-            return False
-    return True
 
 
 def enumerate_eliqs(

@@ -463,18 +463,6 @@ def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:
     return children
 
 
-def subtree_vars(children: dict[str, list[tuple[Role, str]]], root: str) -> set[str]:
-    """Variables of the subtree rooted at ``root`` of the ELIQ whose
-    ``tree_children`` map is ``children``."""
-    out = set()
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        out.add(v)
-        stack.extend(w for _, w in children.get(v, ()))
-    return out
-
-
 def restrict(q: CQ, keep: Collection[str]) -> CQ:
     """Restriction of ``q`` to atoms mentioning only variables in ``keep``."""
     return CQ(

@@ -13,7 +13,6 @@ from collections import Counter
 from eliq import (
     SimulatedOracle,
     bruteforce_frontier_check,
-    bruteforce_min_frontier_aq,
     characterize,
     combined_signature,
     contained,
@@ -29,11 +28,11 @@ from eliq import (
     seed_query,
     verify_unique,
 )
-from eliq.bruteforce import fixture
 from eliq.errors import UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX, normalize
 from eliq.syntax import Dialect, Ontology, dialect_of
+from paper_fixtures import bruteforce_min_frontier_aq, fixture
 
 EX1_O = "A sub some r\nsome r sub A\nr rsub s\n"
 EX1_Q = "q(x0) :- A(x0), B(x0)"

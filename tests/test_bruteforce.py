@@ -11,7 +11,6 @@ from eliq import (
     ExampleSet,
     Role,
     bruteforce_frontier_check,
-    bruteforce_min_frontier_aq,
     characterize,
     combined_signature,
     contained,
@@ -23,7 +22,6 @@ from eliq import (
     serialize_cq,
     verify_unique,
 )
-from eliq.bruteforce import ConjunctiveOntology, fixture, thm10_qstar
 from eliq.characterize import UniquenessVerdict
 from eliq.errors import EliqError
 from eliq.frontier_base import check_conditions
@@ -37,6 +35,7 @@ from eliq.model import (
     tree_struct,
 )
 from eliq.syntax import atom, exists
+from paper_fixtures import ConjunctiveOntology, bruteforce_min_frontier_aq, fixture, thm10_qstar
 from reference_trees import reference_tree_ids
 
 NAMES, ROLES = ["A", "B"], ["r", "s"]

@@ -50,28 +50,29 @@ def test_frontier_rejection_exit_code(files, capsys):
     assert "not_f_restricted" in capsys.readouterr().err
 
 
-def test_frontier_dialect_r_rejects_functionality(files, capsys):
+@pytest.mark.parametrize("verb", [["frontier"], ["verify", "frontier"]])
+def test_frontier_verbs_take_no_dialect_option(files, capsys, verb):
+    # Both verbs use frontier(o, q), the library's one dialect dispatch.
     write, _ = files
-    code = main(
-        ["frontier", "-o", write("o.dlo", "func s\n"), "-q", write("q.cq", "q(x) :- s(x,y)\n"), "--dialect", "r"]
-    )
-    assert code == 2
-    assert "unsupported_dialect" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(verb + ["-o", write("o.dlo", "func s\n"), "-q", write("q.cq", "q(x) :- s(x,y)\n"), "--dialect", "r"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --dialect r" in capsys.readouterr().err
 
 
-def test_frontier_prune_leaves_no_two_equivalent_members(files, capsys):
-    from eliq import equivalent, parse_cq, parse_ontology
-
+@pytest.mark.parametrize(
+    "ontology, query",
+    [(EX1, EX1_Q), ("r rsub s\n", "q(x0) :- r(x0,y), A(y)\n"), ("func s\n", "q(x0) :- r(x0,y), s(x0,z), A(z)\n")],
+    ids=["ex1", "ex2", "ex3"],
+)
+def test_frontier_prune_is_a_no_op(files, capsys, ontology, query):
+    # No two members are equivalent, so --prune has nothing to drop.
     write, _ = files
-    code = main(["frontier", "-o", write("o.dlo", EX1), "-q", write("q.cq", EX1_Q), "--prune"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    o = parse_ontology(EX1)
-    members = [parse_cq(m) for m in payload["members"]]
-    assert payload["member_count"] == len(members) >= 1
-    for i, m in enumerate(members):
-        for n in members[i + 1:]:
-            assert not equivalent(o, m, n)
+    argv = ["frontier", "-o", write("o.dlo", ontology), "-q", write("q.cq", query)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--prune"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_check_contains(files, capsys):
@@ -209,17 +210,16 @@ def test_verify_unique_at_a_huge_bound_stops_at_the_first_empty_size(files):
 
 def test_verify_frontier_rejects_an_unsatisfiable_member(files, capsys, monkeypatch):
     write, _ = files
-    build = cli.frontier_f
+    build = cli.frontier
 
     def with_unsatisfiable_member(o, q):
         found = build(o, q)
         bad = parse_cq("q(x) :- r(x,y1), r(x,y2)")
         return Frontier(found.members + (bad,), found.source_query, found.source_ontology)
 
-    monkeypatch.setattr(cli, "frontier_f", with_unsatisfiable_member)
+    monkeypatch.setattr(cli, "frontier", with_unsatisfiable_member)
     code = main(
-        ["verify", "frontier", "-o", write("o.dlo", "func r\n"), "-q", write("q.cq", "q(x) :- r(x,y), A(y)\n"),
-         "--dialect", "f"]
+        ["verify", "frontier", "-o", write("o.dlo", "func r\n"), "-q", write("q.cq", "q(x) :- r(x,y), A(y)\n")]
     )
     assert code == 1
     assert capsys.readouterr().out == (

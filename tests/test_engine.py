@@ -11,7 +11,7 @@ import pytest
 
 import eliq.engine as engine
 from eliq import ABox, abox_satisfiable, certain_answer, frontier, parse_abox, parse_cq, parse_ontology
-from eliq.engine import ABoxContext, context_for, engine_for
+from eliq.engine import ABoxContext, context_for, engine_for, normal_form
 from eliq.normalform import normalize
 
 ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
@@ -38,6 +38,14 @@ def test_an_ontology_and_its_normal_form_share_one_engine():
     assert on != o
     assert engine_for(o) is engine_for(on)
     assert context_for(o, ABOX) is context_for(on, ABOX)
+
+
+def test_a_normal_form_is_its_own_normal_form():
+    # Not an equal copy, which engine_for would build and hash again.
+    on = normal_form(parse_ontology("N4 sub some r . (N5 & some s . N6)\n"))[0]
+    assert normal_form(on) == (on, {})
+    assert normal_form(on)[0] is on
+    assert normalize(on)[0] is on
 
 
 def test_repeated_frontiers_normalize_an_ontology_once(monkeypatch):

@@ -22,7 +22,7 @@ from eliq import (
     parse_ontology,
     query_satisfiable,
 )
-from eliq.errors import UnsupportedDialectError
+from eliq.errors import InvalidArgumentError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 
 import reference_frontier
@@ -178,6 +178,13 @@ def test_generalize_requires_normal_form():
     o = parse_ontology("A sub some r . (B & C)\n")
     with pytest.raises(ValueError):
         generalize(o, parse_cq("q(x0) :- A(x0)"), "x0")
+
+
+def test_generalize_refuses_a_variable_not_in_the_query():
+    # An empty F0 would claim that the variable has no generalization.
+    o = parse_ontology("A sub B\n")
+    with pytest.raises(InvalidArgumentError, match="'nope' is not a variable of the query"):
+        generalize(o, parse_cq("q(x0) :- A(x0), r(x0,y), B(y)"), "nope")
 
 
 def test_size_ceiling_holds_under_optimization():

@@ -11,13 +11,14 @@ from eliq import (
     bruteforce_frontier_check,
     contained,
     equivalent,
+    frontier,
     frontier_r,
     generalize,
     minimal_core,
     minimize_eliq,
     parse_cq,
     parse_ontology,
-    prune_equivalents,
+    query_satisfiable,
     saturate,
 )
 from eliq.errors import UnsatisfiableError, UnsupportedDialectError
@@ -110,15 +111,24 @@ def test_minimal_core_unique_up_to_equivalence(ex1_ontology, ex1_query, request)
         assert any(equivalent(ex1_ontology, m, n) for n in core_b)
 
 
-def test_prune_drops_equivalent_members(ex1_ontology, ex1_query):
-    members = list(frontier_r(ex1_ontology, ex1_query).members)
-    pruned = prune_equivalents(ex1_ontology, members)
-    assert prune_equivalents(ex1_ontology, pruned) == pruned
-    for i, m in enumerate(pruned):
-        for n in pruned[i + 1:]:
-            assert not equivalent(ex1_ontology, m, n)
-    for m in members:
-        assert any(equivalent(ex1_ontology, m, k) for k in pruned)
+def test_no_two_members_of_a_frontier_are_equivalent():
+    # Why ``eliq frontier --prune`` has nothing left to drop.
+    rng = random.Random(4021)
+    names, roles = ["A", "B", "C"], ["r", "s"]
+    pairs = 0
+    for i in range(600):
+        o = random_ontology(
+            rng, names, roles, rng.randint(1, 5), dialect=("r", "f", "core")[i % 3], disjointness=i % 2 == 1
+        )
+        q = random_satisfiable_eliq(rng, o, names, roles, 6)
+        if not query_satisfiable(o, q):
+            continue
+        members = frontier(o, q).members
+        for j, m in enumerate(members):
+            for n in members[j + 1:]:
+                pairs += 1
+                assert not equivalent(o, m, n), (o, q, m, n)
+    assert pairs > 500
 
 
 def test_step_one_on_a_deep_chain_needs_no_deep_recursion():

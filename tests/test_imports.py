@@ -6,7 +6,8 @@ attribute that it does not define itself.  The package ``__init__`` is
 exempt: it re-exports names it never uses itself.  No module uses an
 ``assert`` statement, which ``python -O`` strips.  Every module-level
 function and class is named somewhere in the repository's code besides its
-own definition and that re-export.
+own definition and that re-export, and every one outside ``eliq.__all__``
+by the library's own code, its demos, benchmark or scripts.
 """
 
 import ast
@@ -132,12 +133,13 @@ def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return out
 
 
-def test_every_module_level_definition_is_named_elsewhere():
-    """A function or class that nothing names but its own definition and the
-    package's re-export is dead code."""
+def _unnamed(dirs: tuple[str, ...], exempt: set[str]) -> list[str]:
+    """The module-level functions and classes of ``src/eliq/`` that no code
+    under ``dirs`` names, other than their own definitions and the package's
+    re-export, and that are not in ``exempt``."""
     trees = {
         p: ast.parse(p.read_text(), filename=str(p))
-        for d in USER_DIRS
+        for d in dirs
         for p in sorted((ROOT / d).rglob("*.py"))
         if p != SRC / "__init__.py"
     }
@@ -148,8 +150,27 @@ def test_every_module_level_definition_is_named_elsewhere():
         for node in trees[path].body:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name not in exempt
                 and node.name not in elsewhere
                 and node.name not in _named(trees[path], skip=node)
             ):
                 unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    return unnamed
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    """A function or class that nothing names but its own definition and the
+    package's re-export is dead code."""
+    unnamed = _unnamed(USER_DIRS, set())
     assert not unnamed, "named nowhere but in their definition: " + ", ".join(unnamed)
+
+
+def test_every_private_module_level_definition_serves_the_library():
+    """A function or class outside ``eliq.__all__`` that only tests name
+    belongs in ``tests/``.  ``gen.py`` is exempt: it is the random-instance
+    generator that the tests and the benchmark share."""
+    import eliq
+
+    library_users = ("src", "demos", "perfbench", "scripts")
+    test_only = [n for n in _unnamed(library_users, set(eliq.__all__)) if not n.startswith("gen.py:")]
+    assert not test_only, "named only by tests; move them to tests/: " + ", ".join(test_only)

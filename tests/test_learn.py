@@ -20,10 +20,10 @@ from eliq import (
     seed_query,
     treeify,
 )
-from eliq.bruteforce import fixture
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
+from paper_fixtures import fixture
 from reference_translate import on_table
 
 

@@ -26,8 +26,8 @@ from eliq.errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError
 from eliq.gen import random_abox, random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.normalform import is_normal_form, normalize
 import eliq.reasoner as reasoner
-from eliq.reasoner import is_minimal
 from eliq.syntax import CONCEPT_TOP, atom, conj, eliq_to_concept, exists
+from paper_fixtures import is_minimal
 from reference_frontier import reference_frontier
 
 # ---------------------------------------------------------------------------

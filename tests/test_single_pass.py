@@ -36,7 +36,8 @@ from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.learn import minimize_cq
 from eliq.model import intern_cq
 from eliq.reasoner import minimize_eliq, saturate
-from eliq.syntax import Dialect, Ontology, dialect_of, restrict, subtree_vars, tree_children, tree_order
+from eliq.syntax import Dialect, Ontology, dialect_of, restrict, tree_children, tree_order
+from paper_fixtures import subtree_vars
 from reference_translate import QB, attach_concept_tree, on_table, round_trip, translate_member
 
 NAMES = ["A", "B"]

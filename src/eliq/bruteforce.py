@@ -25,9 +25,9 @@ homomorphisms, so when a tree one concept name or one leaf smaller
 to be contained in ``q``, so is the candidate.  Candidates come smallest
 first, so when the frontier is complete, and only candidates equivalent to
 ``q`` get this far, most of them find such a tree.  A candidate gets a
-one-shot context of its own only when it fits every example and inherits
-no verdict, to decide ``cand ⊑ q``, or, under disjointness, to test its
-satisfiability.  Both verdicts, inherited or decided, are memoized on
+one-shot context of its pooled tree only when it fits every example and
+inherits no verdict, to decide ``cand ⊑ q``, or, under disjointness, to
+test its satisfiability.  Both verdicts, inherited or decided, are memoized on
 ``q``'s context, per answer variable and tree id, and are dropped with that
 context when the context cache evicts it.  So ``verify_unique`` on
 ``characterize``'s examples after ``bruteforce_frontier_check`` of the same
@@ -51,7 +51,6 @@ from .model import (
     one_step_smaller,
     respects_functionality,
     tree_ids_upto,
-    tree_to_abox,
     tree_to_cq,
 )
 from .syntax import CQ, Ontology, combined_signature
@@ -98,8 +97,8 @@ def first_misfit(
     candidate (``one_step_smaller``) is already known to be contained in
     ``q``, since that tree maps into the candidate at the root.  Otherwise
     it, and under disjointness the candidate's satisfiability, are decided
-    in a one-shot context of the candidate's ABox.  Both are memoized on
-    ``q_ctx`` (``trees_contained``, ``trees_satisfiable``) for as long as
+    in a one-shot context of the candidate's pooled tree.  Both are memoized
+    on ``q_ctx`` (``trees_contained``, ``trees_satisfiable``) for as long as
     ``q_ctx`` stays in the context cache, so a second search over ``q``
     builds no candidate context.  A cyclic ``q`` is matched by backtracking.
     """
@@ -149,8 +148,9 @@ def first_misfit(
 
 
 def _candidate_context(eng: Engine, tid: int) -> ABoxContext:
-    """A candidate's one-shot context, rooted at ``_ROOT``, kept out of the cache."""
-    return ABoxContext(eng, tree_to_abox(tid, _ROOT))
+    """A candidate's one-shot context, read from its pooled tree and rooted
+    at ``_ROOT``, kept out of the cache."""
+    return ABoxContext(eng, (tid, _ROOT))
 
 
 @dataclass(frozen=True)

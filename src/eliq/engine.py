@@ -33,15 +33,21 @@ filler travels and no witness feeds names back, so an individual's facts are
 the closure of its own seed; without disjointness only two successors along
 one functional role make an ABox unsatisfiable, and with neither nothing does.
 
-A context therefore closes individuals on demand.  Building one only indexes
-the ABox.  The first read of an individual closes it from its own seed,
-filling its facts, successors and edge roles, so a homomorphism search pays
-only for the individuals it reaches.  With a functional role the first read
-closes every individual the same way and then runs the worklist.  The
-whole-ABox views close everything on first use.  The lazy state is plain
-data on the context and never refers back to it: a context in a reference
-cycle would outlive its eviction until the collector ran, and not at all
-after ``gc.freeze``.
+A context therefore closes individuals on demand.  It has two sources: an
+ABox, or a tree of the subtree pool (``model.intern_tree``), given as its pool
+id and the name of its root.  Building a context from an ABox indexes every
+individual; building one from a pooled tree indexes only the root, and closing
+a tree node names and indexes its children, so a node becomes an individual
+when a read first reaches it.  The first read of an individual closes it from
+its own seed, filling its facts, successors and edge roles, so without
+functional roles a homomorphism search pays only for the individuals it
+reaches, and on a pooled tree indexes only them and their children.  With a
+functional role the first read closes every individual the same way, a pooled
+tree level by level to its leaves, and then runs the worklist.  The whole-ABox
+views close everything on first use.  The lazy state is plain data on the
+context and never refers back to it: a context in a reference cycle would
+outlive its eviction until the collector ran, and not at all after
+``gc.freeze``.
 
 Every universal-model computation starts from an ``ABoxContext``, so it is
 the one place that refuses the combined dialect (role inclusions with
@@ -51,11 +57,13 @@ engine raises ``UnsupportedDialectError``.  Role entailment needs no context.
 ``normal_form``, ``engine_for`` and ``context_for`` keep normal forms, engines
 keyed by normal form, and contexts in three ``functools.lru_cache`` tables, of
 32, 32 and 16 entries.  The oracles build their candidates' contexts directly,
-one-shot, so that candidates do not push the contexts of the query and of the
-frontier members out of the context table.  What a candidate's context decides
-is kept instead on the context of the query's ABox, as ints and bools
-(``trees_contained``, ``trees_satisfiable``), so a second search over one
-query builds no candidate context, and the verdicts leave the table with it.
+one-shot, from their pool ids, so that candidates do not push the contexts of
+the query and of the frontier members out of the context table.  The frontier
+self-check reads each member from its pool id the same way.  What a
+candidate's context decides is kept instead on the context of the query's
+ABox, as ints and bools (``trees_contained``, ``trees_satisfiable``), so a
+second search over one query builds no candidate context, and the verdicts
+leave the table with it.
 """
 
 from __future__ import annotations
@@ -347,43 +355,39 @@ class Engine:
 class ABoxContext:
     """Closure of an ABox under an Engine's ontology, computed on demand.
 
-    The constructor only indexes the ABox.  The per-individual reads
+    ``source`` is an ABox, or a pooled tree given as (pool id, root name).
+    A tree's root keeps its name, and every other node is named
+    ``<root>.<n>`` when its parent is closed, with n counting up, so siblings
+    are numbered consecutively in pool-child order.  The constructor only
+    indexes the ABox, or the tree's root.  The per-individual reads
     (``facts_at``, ``names_at``, ``successors_at``, ``edge_roles_at``,
     ``fired_children``) close the individuals they touch; the whole-ABox
     views (``individuals``, ``facts``, ``successors``, ``edge_roles``) close
     every individual on first use."""
 
-    def __init__(self, engine: Engine, abox: ABox):
+    def __init__(self, engine: Engine, source: ABox | tuple[int, str]):
         if engine.combined:
             raise UnsupportedDialectError(
                 "unsupported_dialect", "universal models are unsound for role inclusions with functionality")
         self.engine = engine
-        self.abox = abox
         # Individuals not closed yet -> their asserted concept names (str)
         # and incident role assertions, as (realized roles, other end).
         # Closing an individual pops its entry, so the index is empty, and
-        # takes no memory, once every individual is closed.
-        self._index: dict[str, list] = {}
-        index = self._index
-        for c, i in abox.concept_assertions:
-            entry = index.get(i)
-            if entry is None:
-                index[i] = [c]
-            else:
-                entry.append(c)
-        edge_keys = engine._edge_keys
-        for r, a, b in abox.role_assertions:
-            keys = edge_keys.get(r) or engine.edge_keys(r)
-            entry = index.get(a)
-            if entry is None:
-                index[a] = [(keys[0], b)]
-            else:
-                entry.append((keys[0], b))
-            entry = index.get(b)
-            if entry is None:
-                index[b] = [(keys[1], a)]
-            else:
-                entry.append((keys[1], a))
+        # takes no memory, once every individual is closed.  A node of a
+        # pooled tree that no read has reached yet is indexed as (its pool
+        # id, its edge to its parent or None); closing it names its children
+        # and indexes them the same way.
+        self._index: dict[str, list | tuple] = {}
+        if isinstance(source, ABox):
+            self._index_abox(source)
+        else:
+            from .model import tree_struct  # model imports this module
+
+            tid, root = source
+            self._tree = tree_struct
+            self._root = root
+            self._named = 0  # tree nodes named so far, the root aside
+            self._index[root] = (tid, None)
         # What closing fills: each closed individual's facts, and its
         # realized edges (the RI-closure of the asserted role assertions).
         self._facts: dict[str, frozenset] = {}
@@ -402,13 +406,60 @@ class ABoxContext:
         self.trees_contained: dict[tuple[str, int], bool] = {}
         self.trees_satisfiable: dict[int, bool] = {}
 
+    def _index_abox(self, abox: ABox) -> None:
+        index = self._index
+        for c, i in abox.concept_assertions:
+            entry = index.get(i)
+            if entry is None:
+                index[i] = [c]
+            else:
+                entry.append(c)
+        engine = self.engine
+        edge_keys = engine._edge_keys
+        for r, a, b in abox.role_assertions:
+            keys = edge_keys.get(r) or engine.edge_keys(r)
+            entry = index.get(a)
+            if entry is None:
+                index[a] = [(keys[0], b)]
+            else:
+                entry.append((keys[0], b))
+            entry = index.get(b)
+            if entry is None:
+                index[b] = [(keys[1], a)]
+            else:
+                entry.append((keys[1], a))
+
+    def _reach_tree_node(self, a: str, tid: int, up: tuple | None) -> list:
+        """The index entry of the tree node ``a``: the labels of its pooled
+        tree ``tid``, ``up`` (the realized roles to its parent and the
+        parent; None at the root) and an edge to each child.  Names the
+        children in pool-child order and indexes them as reached."""
+        labels, children = self._tree(tid)
+        entry: list = [*labels]
+        if up is not None:
+            entry.append(up)
+        index = self._index
+        engine = self.engine
+        for rk, child in children:
+            self._named += 1
+            b = f"{self._root}.{self._named}"
+            down, back = engine._edge_keys.get(rk.name) or engine.edge_keys(rk.name)
+            if rk.inverted:
+                down, back = back, down
+            entry.append((down, b))
+            index[b] = (child, (back, a))
+        return entry
+
     def _close(self, a: str) -> None:
         """Close ``a`` from its own seed: its concept names and one
         existential per realized role of an incident edge."""
         seed = {TOPK}
         edge_roles = self._edge_roles
         successors = self._successors
-        for item in self._index.pop(a):
+        entry = self._index.pop(a)
+        if type(entry) is tuple:
+            entry = self._reach_tree_node(a, *entry)
+        for item in entry:
             if isinstance(item, str):  # a concept name
                 if item != "top":
                     seed.add(("c", item))
@@ -434,8 +485,11 @@ class ABoxContext:
         functional edges until no individual's facts grow."""
         if not self._index:
             return
-        for a in list(self._index):
-            self._close(a)
+        # Closing a tree node indexes its children, so a tree is closed level
+        # by level, with no call stack as deep as the tree.
+        while self._index:
+            for a in list(self._index):
+                self._close(a)
         eng = self.engine
         if not eng.functional:
             return  # no witness feeds names back and no filler travels

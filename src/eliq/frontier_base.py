@@ -36,9 +36,12 @@ Then every node drops each child that a sibling implies (``Trees.reduce``):
 a duplicate, or one whose tree maps into a sibling's along a subrole of its
 edge.  The result is equivalent by a homomorphism each way, with no
 reasoning beyond the role hierarchy.  A finished member is interned into the
-subtree pool and its query remembers the pool id, so the self-check's
-Condition 1 walks no member.  Members are distinct up to isomorphism: of
-members with the same pool id, the first is kept.  A member's variables are
+subtree pool and its query remembers the pool id, so the self-check builds
+no ABox of it: Condition 1 finds the member's tree by its pool id, and
+Condition 2 and the satisfiability check read the member in a context over
+that tree, which without functional roles closes only the nodes a search
+reaches.  Members are distinct up to isomorphism: of members with the same
+pool id, the first is kept.  A member's variables are
 named in pre-order, from its nodes' origins and the table's order, so the
 names depend on nothing but the construction.
 """
@@ -51,7 +54,7 @@ from typing import Callable
 
 from .engine import ABoxContext, context_for, normal_form
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
-from .model import intern_tree, mark_interned, matches
+from .model import intern_tree, mark_interned, matches, pool_id
 from .normalform import is_normal_form
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
@@ -616,10 +619,15 @@ _SELF_CHECK = {
 
 def check_conditions(o: Ontology, q: CQ, members: list[CQ], op: str) -> None:
     """Machine-check Conditions 1 and 2 of the frontier definition, and that
-    every member is satisfiable."""
+    every member is satisfiable.  A member that carries a pool id is read
+    from its pooled tree, in a one-shot context that builds no ABox; any
+    other member from its ABox, in the context table."""
     q_ctx = context_for(o, q.to_abox())
+    eng = q_ctx.engine
     for m in members:
-        fault = member_fault(q, q_ctx, m, context_for(o, m.to_abox()))
+        tid = pool_id(m)
+        m_ctx = context_for(o, m.to_abox()) if tid is None else ABoxContext(eng, (tid, m.answer_var))
+        fault = member_fault(q, q_ctx, m, m_ctx)
         if fault is not None:
             raise AssertionError(f"{op}: {_SELF_CHECK[fault]}: {m}")
 

@@ -66,7 +66,7 @@ def intern_cq(q: CQ) -> int:
     children, siblings in order.  New subtrees get their pool ids in that
     order, and deep queries need no call stack.  The id is kept on ``q``, so
     each query object is interned once."""
-    tid = q.__dict__.get("_tid")
+    tid = pool_id(q)
     if tid is not None:
         return tid
     parent, order = tree_walk(q)
@@ -80,6 +80,12 @@ def intern_cq(q: CQ) -> int:
             kids.setdefault(p, []).append((rk, tid))
     object.__setattr__(q, "_tid", tid)
     return tid
+
+
+def pool_id(q: CQ) -> int | None:
+    """The pool id that ``intern_cq`` or ``mark_interned`` recorded on
+    ``q``, or None if neither has."""
+    return q.__dict__.get("_tid")
 
 
 def mark_interned(q: CQ, tid: int) -> CQ:
@@ -125,14 +131,15 @@ def one_step_smaller(tid: int) -> Iterator[int]:
         stack.extend((children[i][1], (t, i, up)) for i in reversed(distinct))
 
 
-def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[str, str, str]]]:
-    """A tree's atoms, its nodes named ``root``, ``x1``, ``x2``, ... in pre-order,
-    with an explicit stack, so deep trees do not exhaust the call stack."""
+def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
+    """The pooled tree ``tid`` as a query, its nodes named ``answer_var``,
+    ``x1``, ``x2``, ... in pre-order, with an explicit stack, so deep trees
+    do not exhaust the call stack."""
     concept_atoms: set[tuple[str, str]] = set()
     role_atoms: set[tuple[str, str, str]] = set()
     counter = 0
     # (parent's name, edge from it, subtree); the root comes with its own name and no edge
-    stack: list[tuple[str, Role | None, int]] = [(root, None, tid)]
+    stack: list[tuple[str, Role | None, int]] = [(answer_var, None, tid)]
     while stack:
         v, edge, t = stack.pop()
         if edge is not None:
@@ -142,20 +149,7 @@ def _tree_atoms(tid: int, root: str) -> tuple[set[tuple[str, str]], set[tuple[st
         labels, children = tree_struct(t)
         concept_atoms.update((a, v) for a in labels)
         stack.extend((v, rk, child) for rk, child in reversed(children))
-    return concept_atoms, role_atoms
-
-
-def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:
-    concept_atoms, role_atoms = _tree_atoms(tid, answer_var)
     return CQ(answer_var, frozenset(concept_atoms), frozenset(role_atoms))
-
-
-def tree_to_abox(tid: int, root: str = "x0") -> ABox:
-    """``tree_to_cq(tid, root).to_abox()``, without building the query."""
-    concept_atoms, role_atoms = _tree_atoms(tid, root)
-    if not concept_atoms and not role_atoms:
-        concept_atoms.add(("top", root))
-    return ABox(frozenset(concept_atoms), frozenset(role_atoms))
 
 
 def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[Role]]:

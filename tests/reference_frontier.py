@@ -7,8 +7,9 @@ fresh copy of the query at every compensation point, and the functional
 Step 2B processes its marked atoms from a queue, within an explicit
 iteration budget; members are translated with ``reference_translate``'s
 ``translate_members``, checked by ``check_conditions`` (which walks each
-member to intern it) and deduplicated as queries, so isomorphic members with
-different variable names both stay.  No member is reduced.
+member to intern it and, since none carries a pool id, reads it from its
+ABox) and deduplicated as queries, so isomorphic members with different
+variable names both stay.  No member is reduced.
 """
 
 from collections import deque

@@ -21,9 +21,12 @@ from eliq import (
     query_satisfiable,
     saturate,
 )
+import eliq.frontier_base as frontier_base
+from eliq.engine import ABoxContext
 from eliq.errors import UnsatisfiableError, UnsupportedDialectError
 from eliq.frontier_base import size_ceiling_ok
 from eliq.gen import random_ontology, random_satisfiable_eliq
+from eliq.syntax import CQ, make_cq
 
 
 def test_example_one_golden(ex1_ontology, ex1_query, ex1_golden_members):
@@ -147,3 +150,42 @@ print(len(frontier(parse_ontology("A sub B\\n"), q).members))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1"
+
+
+def test_the_self_check_reads_members_from_the_pool(monkeypatch):
+    # The chain members have a thousand variables and more, but the
+    # self-check builds no ABox of them and closes only the nodes its
+    # homomorphism tests reach.
+    n = 30
+    o = parse_ontology("A sub some r\nr rsub s\n")
+    q = make_cq("x0", [("A", f"x{i}") for i in range(n + 1)], [("r", f"x{i}", f"x{i + 1}") for i in range(n)])
+    checking = []  # non-empty while check_conditions runs
+    closed, aboxes = [], []
+    close, to_abox, check = ABoxContext._close, CQ.to_abox, frontier_base.check_conditions
+
+    def counting_close(self, a):
+        if checking:
+            closed.append(a)
+        close(self, a)
+
+    def counting_to_abox(self):
+        if checking:
+            aboxes.append(self)
+        return to_abox(self)
+
+    def checked(*args):
+        checking.append(True)
+        try:
+            check(*args)
+        finally:
+            checking.clear()
+
+    monkeypatch.setattr(ABoxContext, "_close", counting_close)
+    monkeypatch.setattr(CQ, "to_abox", counting_to_abox)
+    monkeypatch.setattr(frontier_base, "check_conditions", checked)
+    members = frontier_r(o, q).members
+    assert min(len(m.variables()) for m in members) > 30 * n, [len(m.variables()) for m in members]
+    assert not any(m is a for m in members for a in aboxes)
+    # the query's n + 1 individuals, and n + 1 nodes of each of the two members
+    assert len(members) == 2
+    assert len(closed) <= 3 * (n + 1), len(closed)

@@ -4,7 +4,7 @@ import random
 from eliq import Ontology, make_cq, model, normalize, parse_abox, parse_ontology, universal_prefix
 from eliq.engine import ABoxContext, Engine, context_for
 from eliq.gen import random_abox, random_ontology
-from eliq.model import anchored, intern_cq, one_step_smaller, tree_ids_upto, tree_struct, tree_to_abox
+from eliq.model import anchored, intern_cq, one_step_smaller, tree_ids_upto, tree_struct
 from eliq.reasoner import abox_satisfiable
 from reference_trees import reference_tree_ids
 
@@ -189,7 +189,7 @@ def test_one_step_smaller_looks_up_each_one_step_reduction():
         assert len(model._STRUCT) == pooled
         assert len(set(got)) == len(got)
         assert {_form(s) for s in got} == _one_step_reductions(_form(tid)), _form(tid)
-        ctx = ABoxContext(eng, tree_to_abox(tid, "x0"))
+        ctx = ABoxContext(eng, (tid, "x0"))
         assert all(anchored(ctx, s, "x0") for s in got)
 
 

@@ -56,14 +56,17 @@ engine raises ``UnsupportedDialectError``.  Role entailment needs no context.
 
 ``normal_form``, ``engine_for`` and ``context_for`` keep normal forms, engines
 keyed by normal form, and contexts in three ``functools.lru_cache`` tables, of
-32, 32 and 16 entries.  The oracles build their candidates' contexts directly,
-one-shot, from their pool ids, so that candidates do not push the contexts of
-the query and of the frontier members out of the context table.  The frontier
-self-check reads each member from its pool id the same way.  What a
-candidate's context decides is kept instead on the context of the query's
-ABox, as ints and bools (``trees_contained``, ``trees_satisfiable``), so a
-second search over one query builds no candidate context, and the verdicts
-leave the table with it.
+32, 32 and 16 entries; a context is keyed by its source.  The frontier
+self-check reads each member from its pool id through the table, and
+``certain_answer`` reads an ABox that a pooled query rendered (``ABox.tree``)
+from that tree's entry when it answers at the root, so the learner's probes
+of the members find the self-check's contexts.  The oracles build their
+candidates' contexts directly, one-shot, from their pool ids, so that
+candidates do not push the contexts of the query and of the frontier members
+out of the context table.  What a candidate's context decides is kept
+instead on the context of the query's ABox, as ints and bools
+(``trees_contained``, ``trees_satisfiable``), so a second search over one
+query builds no candidate context, and the verdicts leave the table with it.
 """
 
 from __future__ import annotations
@@ -378,6 +381,7 @@ class ABoxContext:
         # id, its edge to its parent or None); closing it names its children
         # and indexes them the same way.
         self._index: dict[str, list | tuple] = {}
+        self._tree = None  # for a tree source, model.tree_struct
         if isinstance(source, ABox):
             self._index_abox(source)
         else:
@@ -547,6 +551,11 @@ class ABoxContext:
         return self._edge_roles.get((a, b), ())
 
     def has_individual(self, a: str) -> bool:
+        """Is ``a`` an individual of the source?  A tree context names a node
+        only when its parent is closed, so a name it does not know yet closes
+        the whole tree before the answer."""
+        if a not in self._facts and a not in self._index and self._tree is not None:
+            self._close_all()
         return a in self._facts or a in self._index
 
     def fired_children(self, a: str) -> list[tuple[Role, frozenset]]:
@@ -644,5 +653,7 @@ def engine_for(o: Ontology) -> Engine:
     return _engines(normal_form(o)[0])
 
 
-def context_for(o: Ontology, abox: ABox) -> ABoxContext:
-    return _contexts(engine_for(o), abox)
+def context_for(o: Ontology, source: ABox | tuple[int, str]) -> ABoxContext:
+    """The context of ``source``, an ABox or a pooled tree given as (pool
+    id, root name), from the context table."""
+    return _contexts(engine_for(o), source)

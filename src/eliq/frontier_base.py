@@ -40,10 +40,11 @@ subtree pool and its query remembers the pool id, so the self-check builds
 no ABox of it: Condition 1 finds the member's tree by its pool id, and
 Condition 2 and the satisfiability check read the member in a context over
 that tree, which without functional roles closes only the nodes a search
-reaches.  Members are distinct up to isomorphism: of members with the same
-pool id, the first is kept.  A member's variables are
-named in pre-order, from its nodes' origins and the table's order, so the
-names depend on nothing but the construction.
+reaches; the context stays in the context table, where the learner's probe
+of the member finds it.  Members are distinct up to isomorphism: of members
+with the same pool id, the first is kept.  A member's variables are named in
+pre-order, from its nodes' origins and the table's order, so the names
+depend on nothing but the construction.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Callable
 
 from .engine import ABoxContext, context_for, normal_form
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
-from .model import intern_tree, mark_interned, matches, pool_id
+from .model import intern_cq, intern_tree, mark_interned, matches
 from .normalform import is_normal_form
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
@@ -598,8 +599,9 @@ def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ, m_ctx: ABoxContext) -> str | 
     not contained in it (Condition 1), or it is contained in ``q`` (Condition
     2, which an unsatisfiable member violates too); None if it is a member.
 
-    ``q_ctx`` and ``m_ctx`` are the contexts of the two queries' ABoxes, and
-    ``q`` must be satisfiable.  Decided with one homomorphism test each way."""
+    ``q_ctx`` and ``m_ctx`` are the contexts of the two queries, each read
+    from its ABox or its pooled tree, and ``q`` must be satisfiable.
+    Decided with one homomorphism test each way."""
     if not m_ctx.satisfiable():
         return "member is unsatisfiable"
     if not matches(q_ctx, m, q.answer_var):
@@ -619,15 +621,18 @@ _SELF_CHECK = {
 
 def check_conditions(o: Ontology, q: CQ, members: list[CQ], op: str) -> None:
     """Machine-check Conditions 1 and 2 of the frontier definition, and that
-    every member is satisfiable.  A member that carries a pool id is read
-    from its pooled tree, in a one-shot context that builds no ABox; any
-    other member from its ABox, in the context table."""
+    every member is satisfiable.  Each member is read from its pooled tree,
+    in the context table, so no member ABox is built, and the learner's
+    probes of the members find these contexts (``certain_answer``).
+
+    A member that ``Trees.members`` built is taken to be the tree its
+    recorded pool id names (``mark_interned``), so the check reads the
+    trees, not the emitted queries; ``bruteforce_frontier_check`` reads the
+    emitted queries, and ``tests/test_tree_frontier.py`` compares them
+    with their trees."""
     q_ctx = context_for(o, q.to_abox())
-    eng = q_ctx.engine
     for m in members:
-        tid = pool_id(m)
-        m_ctx = context_for(o, m.to_abox()) if tid is None else ABoxContext(eng, (tid, m.answer_var))
-        fault = member_fault(q, q_ctx, m, m_ctx)
+        fault = member_fault(q, q_ctx, m, context_for(o, (intern_cq(m), m.answer_var)))
         if fault is not None:
             raise AssertionError(f"{op}: {_SELF_CHECK[fault]}: {m}")
 

@@ -66,7 +66,7 @@ def intern_cq(q: CQ) -> int:
     children, siblings in order.  New subtrees get their pool ids in that
     order, and deep queries need no call stack.  The id is kept on ``q``, so
     each query object is interned once."""
-    tid = pool_id(q)
+    tid = q.__dict__.get("_tid")
     if tid is not None:
         return tid
     parent, order = tree_walk(q)
@@ -80,12 +80,6 @@ def intern_cq(q: CQ) -> int:
             kids.setdefault(p, []).append((rk, tid))
     object.__setattr__(q, "_tid", tid)
     return tid
-
-
-def pool_id(q: CQ) -> int | None:
-    """The pool id that ``intern_cq`` or ``mark_interned`` recorded on
-    ``q``, or None if neither has."""
-    return q.__dict__.get("_tid")
 
 
 def mark_interned(q: CQ, tid: int) -> CQ:

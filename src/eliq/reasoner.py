@@ -108,9 +108,12 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
     anchored homomorphism search into the universal model, expanded lazily.
     An ELIQ's image stays within ``|var(q)| - 1`` trace levels of the anchor,
     so its search is finite; a query with cycles or disconnected parts is
-    backtracked.
+    backtracked.  An ABox that renders a pooled tree (``ABox.tree``) is read
+    from that tree when ``ind`` is its root, with the same answer, so a
+    frontier member's ABox finds the context the self-check left.
     """
-    ctx = context_for(o, a)
+    tree = a.tree
+    ctx = context_for(o, tree if tree is not None and tree[1] == ind else a)
     if not ctx.has_individual(ind):
         raise InvalidArgumentError(f"{ind!r} is not an individual of the ABox")
     if not ctx.satisfiable():

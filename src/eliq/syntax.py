@@ -297,11 +297,18 @@ class CQ:
         return len(self.role_atoms) == len(self.variables()) - 1 and self.is_connected()
 
     def to_abox(self) -> "ABox":
+        """The query's canonical ABox; a query that ``model.intern_cq`` or
+        ``model.mark_interned`` recorded as a pooled tree gives it that tree
+        (``ABox.tree``)."""
         concepts = self.concept_atoms
         mentioned = {v for _, v in concepts} | {v for _, x, y in self.role_atoms for v in (x, y)}
         if self.answer_var not in mentioned:
             concepts = concepts | {(TOP, self.answer_var)}
-        return ABox(concepts, self.role_atoms)
+        abox = ABox(concepts, self.role_atoms)
+        tid = self.__dict__.get("_tid")
+        if tid is not None:
+            object.__setattr__(abox, "_tree", (tid, self.answer_var))
+        return abox
 
     def signature(self) -> tuple[frozenset[str], frozenset[str]]:
         names = frozenset(a for a, _ in self.concept_atoms if a != TOP)
@@ -315,6 +322,17 @@ class ABox:
 
     concept_assertions: frozenset[tuple[str, str]] = frozenset()
     role_assertions: frozenset[tuple[str, str, str]] = frozenset()
+
+    def __getstate__(self) -> dict:
+        # CQ.to_abox keeps the pooled tree here, and pool ids are per process.
+        return {k: v for k, v in self.__dict__.items() if k != "_tree"}
+
+    @property
+    def tree(self) -> tuple[int, str] | None:
+        """The pooled tree this ABox renders, as (pool id, root), when it is
+        a pooled query's ABox (``CQ.to_abox``); otherwise None.  Not part of
+        the ABox's value: equal ABoxes compare equal with or without it."""
+        return self.__dict__.get("_tree")
 
     def ind(self) -> frozenset[str]:
         out = set(a for _, a in self.concept_assertions)

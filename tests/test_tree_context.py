@@ -1,13 +1,17 @@
 """A context read from a pooled tree against the context of the same tree's
 ABox: per node, the same names, successors along every role, fired children
-and satisfiability, and the same anchored homomorphisms."""
+and satisfiability, and the same anchored homomorphisms.  A pooled query's
+ABox is answered at its root from the tree's context."""
 
+import pickle
 import random
 
+from eliq import certain_answer, frontier
+from eliq import engine
 from eliq.engine import ABoxContext, engine_for
 from eliq.gen import random_eliq, random_ontology
 from eliq.model import anchored, intern_cq, tree_struct, tree_to_cq
-from eliq.parser import parse_ontology
+from eliq.parser import parse_cq, parse_ontology
 from eliq.syntax import Ontology, Role, make_cq
 
 NAMES = ["A", "B", "C"]
@@ -60,9 +64,14 @@ def test_a_tree_context_reads_as_its_abox_does():
         abox = tree_to_cq(tid).to_abox()
         probes = [intern_cq(random_eliq(rng, NAMES, ROLES, 4)) for _ in range(4)]
 
-        # First reads on fresh contexts: the root's names, satisfiability
-        # and anchored tests at the root, each before anything else is read.
+        # First reads on fresh contexts: the root's names, satisfiability,
+        # anchored tests at the root and whether a node exists, each before
+        # anything else is read.  The tree context names its nodes x0.1 to
+        # x0.<size - 1>, and knows each before a read reaches it.
         assert ABoxContext(eng, (tid, "x0")).names_at("x0") == ABoxContext(eng, abox).names_at("x0")
+        size = len(abox.ind())
+        assert ABoxContext(eng, (tid, "x0")).has_individual(f"x0.{size - 1}") == (size > 1)
+        assert not ABoxContext(eng, (tid, "x0")).has_individual(f"x0.{size}")
         sat = ABoxContext(eng, (tid, "x0")).satisfiable()
         assert sat == ABoxContext(eng, abox).satisfiable()
         unsat += not sat
@@ -96,3 +105,29 @@ def test_a_deep_chain_under_a_functional_role_closes_in_full():
     assert len(ctx.individuals) == n
     assert all(ctx.names_at(a) == {"A", "B"} for a in ctx.individuals if a != "x0")
     assert ctx.satisfiable()
+
+
+def test_a_member_probe_reads_the_context_the_self_check_left():
+    # A frontier member's ABox names its pooled tree, so a certain answer at
+    # the member's root finds the context the self-check left in the table,
+    # and answers as the same ABox without the tree does.
+    o = parse_ontology("A sub some r . B\nr rsub s\n")
+    q = parse_cq("q(x0) :- A(x0), r(x0,x1), A(x1), B(x1), r(x1,x2), A(x2)")
+    targets = [parse_cq(t) for t in ("q(x) :- s(x,y), B(y)", "q(x) :- r(x,y), s(y,z), A(z)", "q(x) :- A(x)")]
+    members = frontier(o, q).members
+    assert 1 < len(members) <= 8
+    info = engine._contexts.cache_info
+    for m in members:
+        abox = m.to_abox()
+        assert abox.tree == (intern_cq(m), m.answer_var)
+        hits, misses = info().hits, info().misses
+        got = [certain_answer(o, abox, t, m.answer_var) for t in targets]
+        assert (info().hits, info().misses) == (hits + len(targets), misses)
+        # pool ids are per process: a copy of the ABox names no tree
+        plain = pickle.loads(pickle.dumps(abox))
+        assert plain.tree is None and plain == abox and hash(plain) == hash(abox)
+        assert got == [certain_answer(o, plain, t, m.answer_var) for t in targets]
+        # away from the root the ABox itself is read
+        inner = sorted(abox.ind() - {m.answer_var})[0]
+        assert [certain_answer(o, abox, t, inner) for t in targets] == [
+            certain_answer(o, plain, t, inner) for t in targets]

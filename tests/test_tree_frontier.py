@@ -58,10 +58,15 @@ def assert_same_members(o, q, dialect):
     reference: dict[int, CQ] = {}
     for m in reference_frontier(o, q, dialect):
         reference.setdefault(intern_cq(m), m)
-    ids = [intern_cq(m) for m in unreduced(build, o, q)]
+    raw = unreduced(build, o, q)
+    ids = [intern_cq(m) for m in raw]
     assert len(set(ids)) == len(ids), "isomorphic members kept twice"
     assert sorted(ids) == sorted(reference)
     members = build(o, q).members
+    # the self-check reads each member's recorded tree, so the emitted
+    # queries must be those trees
+    for m in (*raw, *members):
+        assert intern_cq(CQ(m.answer_var, m.concept_atoms, m.role_atoms)) == intern_cq(m), m
     assert [len(m.variables()) for m in members] == sorted(len(m.variables()) for m in members)
     hits = [[equivalent(o, m, r) for r in reference.values()] for m in members]
     assert all(row.count(True) == 1 for row in hits), "a member is not equivalent to exactly one reference member"

@@ -25,13 +25,16 @@ side.  Every closure is a worklist graph search over such data:
 
 ``ABoxContext`` applies the same closure to the individuals of an ABox,
 including propagation of existential fillers across asserted edges of
-functional roles, and decides satisfiability; with functional roles a
+functional roles, and decides satisfiability; when fillers travel, a
 worklist of individuals whose facts may still grow stabilizes both.
 Every step only adds facts, so no visiting order changes the least
-fixpoint that the worklists reach.  Without functional roles no
-filler travels and no witness feeds names back, so an individual's facts are
-the closure of its own seed; without disjointness only two successors along
-one functional role make an ABox unsatisfiable, and with neither nothing does.
+fixpoint that the worklists reach.  A filler moves between elements only
+through a CI ``X sub some R . A`` with R functional and A a concept name
+(``Engine.fillers_travel``): along an asserted edge of R, or back from a
+witness reached by R-.  Without such a CI no filler travels and no witness
+feeds names back, so an individual's facts are the closure of its own seed.
+Without disjointness only two asserted successors along one functional role
+make an ABox unsatisfiable, and with neither nothing does.
 
 A context therefore closes individuals on demand.  It has two sources: an
 ABox, or a tree of the subtree pool (``model.intern_tree``), given as its pool
@@ -39,15 +42,18 @@ id and the name of its root.  Building a context from an ABox indexes every
 individual; building one from a pooled tree indexes only the root, and closing
 a tree node names and indexes its children, so a node becomes an individual
 when a read first reaches it.  The first read of an individual closes it from
-its own seed, filling its facts, successors and edge roles, so without
-functional roles a homomorphism search pays only for the individuals it
-reaches, and on a pooled tree indexes only them and their children.  With a
-functional role the first read closes every individual the same way, a pooled
-tree level by level to its leaves, and then runs the worklist.  The whole-ABox
-views close everything on first use.  The lazy state is plain data on the
-context and never refers back to it: a context in a reference cycle would
-outlive its eviction until the collector ran, and not at all after
-``gc.freeze``.
+its own seed, filling its facts, successors and edge roles, so unless fillers
+travel a homomorphism search pays only for the individuals it reaches, and on
+a pooled tree indexes only them and their children.  When fillers travel the
+first read closes every individual the same way, a pooled tree level by level
+to its leaves, and then runs the worklist.  Satisfiability without
+disjointness, on an engine whose fillers do not travel, closes nothing: an
+ABox records its functional forks while it is indexed, and a pooled tree asks
+``model.respects_functionality``, memoized per (pool id, incoming role) on
+the engine.  The whole-ABox views close everything on first use.  The lazy
+state is plain data on the context and never refers back to it: a context in
+a reference cycle would outlive its eviction until the collector ran, and not
+at all after ``gc.freeze``.
 
 Every universal-model computation starts from an ``ABoxContext``, so it is
 the one place that refuses the combined dialect (role inclusions with
@@ -144,6 +150,14 @@ class Engine:
         ]
         self.rdisj_keys = self.o.role_disjointness
         self.disjoint = bool(self.cdisj_keys or self.rdisj_keys)
+        # A filler moves between elements only through a CI ``X sub some R .
+        # A`` with R functional and a named filler A: along an asserted edge
+        # of R, or back from a witness reached by R-.  Without one, every
+        # element's facts are the closure of its own seed.
+        self.fillers_travel = any(
+            rk in self.functional and fname is not None
+            for specs in self.to_exists.values() for rk, fname in specs
+        )
 
         self._closure_cache: dict[frozenset, frozenset] = {}
         # Witness-type fixpoint state.
@@ -382,6 +396,10 @@ class ABoxContext:
         # and indexes them the same way.
         self._index: dict[str, list | tuple] = {}
         self._tree = None  # for a tree source, model.tree_struct
+        # For an ABox source of a functional engine whose fillers do not
+        # travel: some individual has two asserted successors along one
+        # functional role.
+        self._forked = False
         if isinstance(source, ABox):
             self._index_abox(source)
         else:
@@ -389,6 +407,7 @@ class ABoxContext:
 
             tid, root = source
             self._tree = tree_struct
+            self._tid = tid
             self._root = root
             self._named = 0  # tree nodes named so far, the root aside
             self._index[root] = (tid, None)
@@ -432,6 +451,21 @@ class ABoxContext:
                 index[b] = [(keys[1], a)]
             else:
                 entry.append((keys[1], a))
+        functional = engine.functional
+        if functional and not engine.fillers_travel:
+            # Satisfiability then reads only the asserted edges: record a
+            # fork here, so deciding it closes nothing.  A functional role
+            # has no superroles, so an assertion r(a, b) gives a a successor
+            # along a functional role only if that role is r, and b only if
+            # it is r-.
+            ends = []
+            for r, a, b in abox.role_assertions:
+                fwd, bwd = edge_keys[r]
+                if not fwd.isdisjoint(functional):
+                    ends.append((a, r, False))
+                if not bwd.isdisjoint(functional):
+                    ends.append((b, r, True))
+            self._forked = len(ends) != len(set(ends))
 
     def _reach_tree_node(self, a: str, tid: int, up: tuple | None) -> list:
         """The index entry of the tree node ``a``: the labels of its pooled
@@ -495,8 +529,8 @@ class ABoxContext:
             for a in list(self._index):
                 self._close(a)
         eng = self.engine
-        if not eng.functional:
-            return  # no witness feeds names back and no filler travels
+        if not eng.fillers_travel:
+            return  # every individual's facts are the closure of its own seed
         cur = self._facts
         # A worklist of individuals whose facts may still grow.
         stack = list(cur)
@@ -522,13 +556,15 @@ class ABoxContext:
     # -- per-individual reads ------------------------------------------------
 
     def facts_at(self, a: str) -> frozenset:
-        """The closed facts of individual ``a``.  Without functional roles
-        they are the closure of ``a``'s own seed, so only ``a`` is closed;
-        with them, fillers travel and witnesses feed names back, so the
-        first read closes every individual and runs the worklist."""
+        """The closed facts of individual ``a``.  When the engine's fillers
+        travel (``Engine.fillers_travel``: some CI ``X sub some R . A`` with R
+        functional and A a name), a filler may move along asserted edges and
+        witnesses may feed names back, so the first read closes every
+        individual and runs the worklist.  Otherwise they are the closure of
+        ``a``'s own seed, so only ``a`` is closed."""
         facts = self._facts.get(a)
         if facts is None:
-            if self.engine.functional:
+            if self.engine.fillers_travel:
                 self._close_all()
             else:
                 self._close(a)
@@ -609,8 +645,19 @@ class ABoxContext:
     def _compute_sat(self) -> bool:
         eng = self.engine
         functional = eng.functional
-        if not functional and not eng.disjoint:
-            return True  # only functionality and disjointness clash: close nothing
+        if not eng.disjoint:
+            # Only two asserted successors along one functional role clash.
+            # Without travelling fillers a read closes only what it reaches,
+            # so they are read from the source, closing nothing; a travelling
+            # engine's first read closes everything anyway.
+            if not functional:
+                return True
+            if not eng.fillers_travel:
+                if self._tree is None:
+                    return not self._forked
+                from .model import respects_functionality  # model imports this module
+
+                return respects_functionality(eng, self._tid)
         for (a, k), succ in self.successors.items():
             if k in functional and len(succ) > 1:
                 return False

@@ -266,17 +266,28 @@ def respects_functionality(eng: Engine, tid: int, inc: Role | None = None) -> bo
     enumerations produce anyway.  Memoized on the engine."""
     if not eng.functional:
         return True
-    key = (tid, inc)
-    hit = eng.functionality_memo.get(key)
-    if hit is None:
-        _, children = tree_struct(tid)
+    memo = eng.functionality_memo
+    hit = memo.get((tid, inc))
+    if hit is not None:
+        return hit
+    # Post-order over the (subtree, incoming role) keys not in the memo yet,
+    # with no call stack as deep as the tree; the root's verdict comes last.
+    stack = [(tid, inc)]
+    while stack:
+        t, i = key = stack[-1]
+        _, children = tree_struct(t)
         out_roles = [rk for rk, _ in children]
-        if inc is not None:
-            out_roles.append(inc.inverse())
-        hit = all(out_roles.count(rk) < 2 for rk in eng.functional) and all(
-            respects_functionality(eng, c, rk) for rk, c in children
-        )
-        eng.functionality_memo[key] = hit
+        if i is not None:
+            out_roles.append(i.inverse())
+        if all(out_roles.count(rk) < 2 for rk in eng.functional):
+            verdicts = [memo.get((c, rk)) for rk, c in children]
+            if None in verdicts:
+                stack.extend((c, rk) for (rk, c), v in zip(children, verdicts) if v is None)
+                continue
+            hit = memo[key] = False not in verdicts
+        else:
+            hit = memo[key] = False
+        stack.pop()
     return hit
 
 

@@ -12,7 +12,9 @@ import pytest
 import eliq.engine as engine
 from eliq import ABox, abox_satisfiable, certain_answer, frontier, parse_abox, parse_cq, parse_ontology
 from eliq.engine import ABoxContext, context_for, engine_for, normal_form
+from eliq.model import intern_cq, respects_functionality
 from eliq.normalform import normalize
+from eliq.syntax import CQ, make_cq
 
 ABOX = ABox(frozenset({("A0", "a")}), frozenset({("r", "a", "b")}))
 ENGINE_CAP = engine._engines.cache_info().maxsize
@@ -164,19 +166,30 @@ def test_a_repeated_context_is_a_hit():
     assert engine._contexts.cache_info().hits == hits + 1
 
 
-def test_a_small_query_closes_few_individuals(monkeypatch):
-    # Without functional roles an individual closes from its own seed, so a
-    # one-edge query on a long chain closes its anchor and a neighbour.
-    closed = []
+@pytest.fixture
+def closed(monkeypatch):
+    """The individuals that ``ABoxContext._close`` closes, in order."""
+    out = []
     close = ABoxContext._close
 
     def counting(self, a):
-        closed.append(a)
+        out.append(a)
         close(self, a)
 
     monkeypatch.setattr(ABoxContext, "_close", counting)
+    return out
+
+
+def r_chain(n: int) -> ABox:
+    """``A(a0)`` and ``r(a<i>, a<i+1>)`` for i < n - 1."""
+    return ABox(frozenset({("A", "a0")}), frozenset(("r", f"a{i}", f"a{i + 1}") for i in range(n - 1)))
+
+
+def test_a_small_query_closes_few_individuals(closed):
+    # Without functional roles an individual closes from its own seed, so a
+    # one-edge query on a long chain closes its anchor and a neighbour.
     n = 5000
-    chain = ABox(frozenset({("A", "a0")}), frozenset(("r", f"a{i}", f"a{i + 1}") for i in range(n - 1)))
+    chain = r_chain(n)
     o = parse_ontology("A sub some r . B\nB sub some s\n")
     q = parse_cq("q(x) :- r(x,y)")
     for anchor in ("a0", "a2500"):
@@ -186,6 +199,61 @@ def test_a_small_query_closes_few_individuals(monkeypatch):
     closed.clear()
     assert not certain_answer(o, chain, q, f"a{n - 1}")
     assert len(closed) <= 3, closed
+
+
+def test_a_functional_role_without_travelling_fillers_closes_locally(closed):
+    # s is functional, but no existential along s has a named filler, so no
+    # filler moves between individuals: each one still closes from its own
+    # seed, and satisfiability reads the asserted edges and closes nothing.
+    o = parse_ontology("A sub some r . B\nB sub some s\nfunc s\n")
+    assert engine_for(o).functional and not engine_for(o).fillers_travel
+    chain = r_chain(5000)
+    engine._contexts.cache_clear()
+    assert abox_satisfiable(o, chain)
+    assert closed == []
+    q = parse_cq("q(x) :- r(x,y)")
+    for anchor in ("a0", "a2500"):
+        closed.clear()
+        assert certain_answer(o, chain, q, anchor)
+        assert len(closed) <= 3, closed
+    closed.clear()  # matched in a0's witness, after a1 fails
+    assert certain_answer(o, chain, parse_cq("q(x) :- r(x,y), B(y), s(y,z)"), "a0")
+    assert len(closed) <= 3, closed
+
+
+@pytest.mark.parametrize("edges, satisfiable", [
+    ([("r", "a", "b"), ("r", "a", "c")], False),
+    ([("r", "a", "b"), ("r", "c", "b")], True),
+    ([("r", "a", "b"), ("s", "a", "c")], True),
+])
+def test_two_asserted_successors_along_a_functional_role_clash(closed, edges, satisfiable):
+    # The ABox and the same tree from the subtree pool, read without closing.
+    o = parse_ontology("A sub some r\nfunc r\n")
+    eng = engine_for(o)
+    assert not eng.fillers_travel
+    abox = ABox(frozenset(), frozenset(edges))
+    tid = intern_cq(make_cq("a", [], edges))
+    assert ABoxContext(eng, abox).satisfiable() is satisfiable
+    assert ABoxContext(eng, (tid, "a")).satisfiable() is satisfiable
+    assert closed == []
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_functionality_of_a_deep_chain_is_checked_without_deep_recursion(fork):
+    # A 5,000-individual chain under func r, at the default recursion limit;
+    # with ``fork`` the last individual that has an r-successor gets a
+    # second one.
+    n = 5000
+    o = parse_ontology("A sub some r\nfunc r\n")
+    eng = engine_for(o)
+    assert not eng.fillers_travel and sys.getrecursionlimit() < n
+    chain = r_chain(n)
+    if fork:
+        chain = ABox(chain.concept_assertions, chain.role_assertions | {("r", f"a{n - 2}", "extra")})
+    assert abox_satisfiable(o, chain) is not fork
+    tid = intern_cq(CQ("a0", chain.concept_assertions, chain.role_assertions))
+    assert ABoxContext(eng, (tid, "a0")).satisfiable() is not fork
+    assert respects_functionality(eng, tid) is not fork
 
 
 @pytest.mark.parametrize("abox", ["A(a)\n", "A(a)\nr(a,b)\n"])

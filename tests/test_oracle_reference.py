@@ -185,15 +185,20 @@ def test_contexts_match_the_reference_construction():
 
 def test_on_demand_closing_matches_the_reference_construction():
     # Fresh contexts, read individual by individual in a shuffled order
-    # before any whole-ABox view, so each read closes what it touches.
+    # before any whole-ABox view, so each read closes what it touches; and
+    # fresh contexts whose first read is satisfiability.  Functional engines
+    # whose fillers travel close everything on the first read; the others
+    # close only what a read reaches, and decide satisfiability from the
+    # asserted edges alone.
     rng = random.Random(9002)
     role_keys = [(r, inv) for r in ROLES for inv in (False, True)]
-    seen = {"func": 0, "unsat": 0}
+    seen = {"travel": 0, "local": 0, "unsat": 0, "forked": 0}
     for o, abox in _kernel_cases(9001, 300):
         if dialect_of(o) is Dialect.RF:
             continue
         eng = engine_for(o)
         ref = ReferenceContext(eng, abox)
+        assert ABoxContext(eng, abox).satisfiable() == ref.satisfiable()
         ctx = ABoxContext(eng, abox)
         reads = [(kind, a) for a in ref.individuals for kind in ("names", "children", "successors", "facts")]
         rng.shuffle(reads)
@@ -215,8 +220,11 @@ def test_on_demand_closing_matches_the_reference_construction():
         assert ctx.facts == ref.facts
         assert ctx.successors == ref.successors and ctx.edge_roles == ref.edge_roles
         assert ctx.individuals == ref.individuals
-        seen["func"] += bool(eng.functional)
+        local = bool(eng.functional) and not eng.fillers_travel
+        seen["travel"] += eng.fillers_travel
+        seen["local"] += local
         seen["unsat"] += not ref.satisfiable()
+        seen["forked"] += local and not eng.disjoint and not ref.satisfiable()
     assert all(seen.values()), seen
 
 

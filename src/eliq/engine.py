@@ -150,10 +150,8 @@ class Engine:
         ]
         self.rdisj_keys = self.o.role_disjointness
         self.disjoint = bool(self.cdisj_keys or self.rdisj_keys)
-        # A filler moves between elements only through a CI ``X sub some R .
-        # A`` with R functional and a named filler A: along an asserted edge
-        # of R, or back from a witness reached by R-.  Without one, every
-        # element's facts are the closure of its own seed.
+        # Whether a filler can move between elements (see the module
+        # docstring): some existential along a functional role has a name.
         self.fillers_travel = any(
             rk in self.functional and fname is not None
             for specs in self.to_exists.values() for rk, fname in specs

@@ -33,8 +33,10 @@ through a CI ``X sub some R . A`` with R functional and A a concept name
 (``Engine.fillers_travel``): along an asserted edge of R, or back from a
 witness reached by R-.  Without such a CI no filler travels and no witness
 feeds names back, so an individual's facts are the closure of its own seed.
-Without disjointness only two asserted successors along one functional role
-make an ABox unsatisfiable, and with neither nothing does.
+Only two asserted successors along one functional role break functionality:
+witnesses add none (``fired_children`` blocks them, ``_children_from`` merges
+them), and no role inclusion lets an edge realize a functional role.  Without
+disjointness nothing else makes an ABox unsatisfiable.
 
 A context therefore closes individuals on demand.  It has two sources: an
 ABox, or a tree of the subtree pool (``model.intern_tree``), given as its pool
@@ -46,14 +48,15 @@ its own seed, filling its facts, successors and edge roles, so unless fillers
 travel a homomorphism search pays only for the individuals it reaches, and on
 a pooled tree indexes only them and their children.  When fillers travel the
 first read closes every individual the same way, a pooled tree level by level
-to its leaves, and then runs the worklist.  Satisfiability without
-disjointness, on an engine whose fillers do not travel, closes nothing: an
-ABox records its functional forks while it is indexed, and a pooled tree asks
-``model.respects_functionality``, memoized per (pool id, incoming role) on
-the engine.  The whole-ABox views close everything on first use.  The lazy
-state is plain data on the context and never refers back to it: a context in
-a reference cycle would outlive its eviction until the collector ran, and not
-at all after ``gc.freeze``.
+to its leaves, and then runs the worklist.  Satisfiability reads
+functionality from the source on every engine, closing nothing: an ABox
+records its functional forks while it is indexed, and a pooled tree asks
+``model.respects_functionality``, memoized per (pool id, incoming role) on the
+engine.  Without disjointness that decides it; the disjointness checks close
+every individual.  The whole-ABox views close everything on first use.  The
+lazy state is plain data on the context and never refers back to it: a
+context in a reference cycle would outlive its eviction until the collector
+ran, and not at all after ``gc.freeze``.
 
 Every universal-model computation starts from an ``ABoxContext``, so it is
 the one place that refuses the combined dialect (role inclusions with
@@ -394,9 +397,8 @@ class ABoxContext:
         # and indexes them the same way.
         self._index: dict[str, list | tuple] = {}
         self._tree = None  # for a tree source, model.tree_struct
-        # For an ABox source of a functional engine whose fillers do not
-        # travel: some individual has two asserted successors along one
-        # functional role.
+        # For an ABox source: some individual has two asserted successors
+        # along one functional role.
         self._forked = False
         if isinstance(source, ABox):
             self._index_abox(source)
@@ -437,33 +439,30 @@ class ABoxContext:
                 entry.append(c)
         engine = self.engine
         edge_keys = engine._edge_keys
+        functional = engine.functional
+        # Satisfiability reads functionality from the source: record a fork
+        # here.  A functional role has no superroles, so r(a, b) gives a a
+        # successor along a functional role only if that role is r, and b
+        # only if it is r-.
+        ends = []
         for r, a, b in abox.role_assertions:
-            keys = edge_keys.get(r) or engine.edge_keys(r)
+            fwd, bwd = edge_keys.get(r) or engine.edge_keys(r)
             entry = index.get(a)
             if entry is None:
-                index[a] = [(keys[0], b)]
+                index[a] = [(fwd, b)]
             else:
-                entry.append((keys[0], b))
+                entry.append((fwd, b))
             entry = index.get(b)
             if entry is None:
-                index[b] = [(keys[1], a)]
+                index[b] = [(bwd, a)]
             else:
-                entry.append((keys[1], a))
-        functional = engine.functional
-        if functional and not engine.fillers_travel:
-            # Satisfiability then reads only the asserted edges: record a
-            # fork here, so deciding it closes nothing.  A functional role
-            # has no superroles, so an assertion r(a, b) gives a a successor
-            # along a functional role only if that role is r, and b only if
-            # it is r-.
-            ends = []
-            for r, a, b in abox.role_assertions:
-                fwd, bwd = edge_keys[r]
+                entry.append((bwd, a))
+            if functional:
                 if not fwd.isdisjoint(functional):
                     ends.append((a, r, False))
                 if not bwd.isdisjoint(functional):
                     ends.append((b, r, True))
-            self._forked = len(ends) != len(set(ends))
+        self._forked = len(ends) != len(set(ends))
 
     def _reach_tree_node(self, a: str, tid: int, up: tuple | None) -> list:
         """The index entry of the tree node ``a``: the labels of its pooled
@@ -642,22 +641,16 @@ class ABoxContext:
 
     def _compute_sat(self) -> bool:
         eng = self.engine
-        functional = eng.functional
-        if not eng.disjoint:
-            # Only two asserted successors along one functional role clash.
-            # Without travelling fillers a read closes only what it reaches,
-            # so they are read from the source, closing nothing; a travelling
-            # engine's first read closes everything anyway.
-            if not functional:
-                return True
-            if not eng.fillers_travel:
-                if self._tree is None:
-                    return not self._forked
-                from .model import respects_functionality  # model imports this module
+        # Only two asserted successors along one functional role break
+        # functionality: a witness never adds a second one.  So it is read
+        # from the source, closing nothing.
+        if self._tree is None:
+            if self._forked:
+                return False
+        else:
+            from .model import respects_functionality  # model imports this module
 
-                return respects_functionality(eng, self._tid)
-        for (a, k), succ in self.successors.items():
-            if k in functional and len(succ) > 1:
+            if not respects_functionality(eng, self._tid):
                 return False
         if not eng.disjoint:
             return True  # no clash can arise, here or in any witness

@@ -557,30 +557,24 @@ def eliq_to_concept(q: CQ) -> ELIConcept:
 
 
 def concept_to_eliq(c: ELIConcept, answer_var: str = "x0") -> CQ:
-    """View an ELI concept as a tree-shaped query rooted at ``answer_var``."""
+    """View an ELI concept as a tree-shaped query rooted at ``answer_var``.
+    Variables are named ``x1, x2, ...`` in pre-order, conjuncts left to right;
+    the walk keeps an explicit stack, so no call stack is as deep as ``c``."""
     concept_atoms: set[tuple[str, str]] = set()
     role_atoms: set[tuple[str, str, str]] = set()
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"x{counter[0]}"
-
-    def build(cur: ELIConcept, v: str) -> None:
-        if cur.kind == "top":
-            return
+    fresh = 0
+    stack = [(c, answer_var)]
+    while stack:
+        cur, v = stack.pop()
         if cur.kind == "name":
             concept_atoms.add((cur.name, v))  # type: ignore[arg-type]
-            return
-        if cur.kind == "and":
-            for p in cur.parts:
-                build(p, v)
-            return
-        w = fresh()
-        role_atoms.add(cur.role.atom(v, w))  # type: ignore[union-attr]
-        build(cur.filler, w)  # type: ignore[arg-type]
-
-    build(c, answer_var)
+        elif cur.kind == "and":
+            stack.extend((p, v) for p in reversed(cur.parts))
+        elif cur.kind == "exists":
+            fresh += 1
+            w = f"x{fresh}"
+            role_atoms.add(cur.role.atom(v, w))  # type: ignore[union-attr]
+            stack.append((cur.filler, w))
     return CQ(answer_var, frozenset(concept_atoms), frozenset(role_atoms))
 
 

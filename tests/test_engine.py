@@ -221,20 +221,35 @@ def test_a_functional_role_without_travelling_fillers_closes_locally(closed):
     assert len(closed) <= 3, closed
 
 
+@pytest.mark.parametrize("text", [
+    "A sub some r\nfunc r\n",
+    "A sub some r . B\nfunc r\n",
+    "A sub some r . B\nfunc r\ndisj B C\n",
+], ids=["local", "travel", "travel_disj"])
 @pytest.mark.parametrize("edges, satisfiable", [
     ([("r", "a", "b"), ("r", "a", "c")], False),
     ([("r", "a", "b"), ("r", "c", "b")], True),
     ([("r", "a", "b"), ("s", "a", "c")], True),
 ])
-def test_two_asserted_successors_along_a_functional_role_clash(closed, edges, satisfiable):
-    # The ABox and the same tree from the subtree pool, read without closing.
-    o = parse_ontology("A sub some r\nfunc r\n")
-    eng = engine_for(o)
-    assert not eng.fillers_travel
+def test_two_asserted_successors_along_a_functional_role_clash(closed, text, edges, satisfiable):
+    # The ABox and the same tree from the subtree pool.  Whether fillers
+    # travel or not, functionality is read from the source, closing nothing;
+    # only the disjointness checks close individuals.
+    eng = engine_for(parse_ontology(text))
+    assert eng.fillers_travel is ("B" in text)
     abox = ABox(frozenset(), frozenset(edges))
     tid = intern_cq(make_cq("a", [], edges))
     assert ABoxContext(eng, abox).satisfiable() is satisfiable
     assert ABoxContext(eng, (tid, "a")).satisfiable() is satisfiable
+    if not satisfiable or not eng.disjoint:
+        assert closed == []
+
+
+def test_satisfiability_of_a_travelling_engine_closes_nothing_without_disjointness(closed):
+    o = parse_ontology("A sub some r . B\nfunc r\n")
+    assert engine_for(o).fillers_travel
+    engine._contexts.cache_clear()
+    assert abox_satisfiable(o, r_chain(5000))
     assert closed == []
 
 

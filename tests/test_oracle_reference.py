@@ -188,11 +188,11 @@ def test_on_demand_closing_matches_the_reference_construction():
     # before any whole-ABox view, so each read closes what it touches; and
     # fresh contexts whose first read is satisfiability.  Functional engines
     # whose fillers travel close everything on the first read; the others
-    # close only what a read reaches, and decide satisfiability from the
-    # asserted edges alone.
+    # close only what a read reaches.  Every functional engine reads a fork,
+    # two asserted successors along one functional role, from the source.
     rng = random.Random(9002)
     role_keys = [(r, inv) for r in ROLES for inv in (False, True)]
-    seen = {"travel": 0, "local": 0, "unsat": 0, "forked": 0}
+    seen = {"travel": 0, "local": 0, "unsat": 0, "forked": 0, "travel_forked": 0}
     for o, abox in _kernel_cases(9001, 300):
         if dialect_of(o) is Dialect.RF:
             continue
@@ -225,6 +225,8 @@ def test_on_demand_closing_matches_the_reference_construction():
         seen["local"] += local
         seen["unsat"] += not ref.satisfiable()
         seen["forked"] += local and not eng.disjoint and not ref.satisfiable()
+        seen["travel_forked"] += eng.fillers_travel and any(
+            k in eng.functional and len(succ) > 1 for (_, k), succ in ref.successors.items())
     assert all(seen.values()), seen
 
 

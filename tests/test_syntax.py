@@ -166,6 +166,26 @@ def test_ontology_size_of_a_deep_right_hand_side():
     assert ontology_size(Ontology(concept_inclusions=((atom("B"), c),))) == 10_003
 
 
+def test_concept_to_eliq_of_a_deep_concept():
+    # some r . (some r . ( ... A)), 5,000 levels, at the default recursion
+    # limit: a chain x0 -r-> x1 ... x5000 with A at its end.
+    c = atom("A")
+    for _ in range(5000):
+        c = exists(Role("r"), c)
+    q = concept_to_eliq(c)
+    assert len(q.variables()) == 5001
+    assert q.concept_atoms == {("A", "x5000")}
+    assert ("r", "x4999", "x5000") in q.role_atoms
+
+
+def test_concept_to_eliq_names_variables_in_pre_order():
+    # Conjuncts left to right, each existential's filler before its siblings.
+    c = conj([atom("A"), exists(Role("r"), exists(Role("s"))), exists(Role("t"))])
+    q = concept_to_eliq(c)
+    assert q.role_atoms == {("r", "x0", "x1"), ("s", "x1", "x2"), ("t", "x0", "x3")}
+    assert q.concept_atoms == {("A", "x0")}
+
+
 @pytest.mark.parametrize("cis, cdisj", [
     (((exists(Role("r"), atom("B")), atom("C")),), ()),
     ((), ((conj([atom("A"), atom("B")]), atom("C")),)),

@@ -6,7 +6,8 @@ keeps every answer.
 Runs passes ``0 .. N-1`` of the workload's corpus in one process, as the
 benchmark worker does: the instances come from ``perfbench/gen.py`` in a
 child process, and ``perfbench/workloads.py`` parses, prepares and runs them.
-Both run with ``PYTHONHASHSEED=0`` (the script restarts itself under it).
+Both run with ``PYTHONHASHSEED=0`` (the script restarts itself under it,
+keeping ``-O``, so the workload runs with the caller's optimization level).
 Prints one JSON line: the SHA-256 of the outputs and the size of the subtree
 pool (``len(model._STRUCT)``) afterwards.  What is hashed, per instance in
 run order:
@@ -60,7 +61,8 @@ def main() -> int:
     ap.add_argument("--scale", choices=("full", "tiny"), default="full")
     args = ap.parse_args()
     if os.environ.get("PYTHONHASHSEED") != "0":
-        os.execve(sys.executable, [sys.executable, *sys.argv], child_env())
+        optimize = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+        os.execve(sys.executable, [sys.executable, *optimize, *sys.argv], child_env())
     eliq = import_eliq()
     from eliq import model
 

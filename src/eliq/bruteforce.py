@@ -86,44 +86,63 @@ def first_misfit(
     satisfiable candidates that fit the positives, up to the verdict.
 
     ``q_ctx`` is ``query_context(o, q)``.  Candidates are the
-    generalizations of the first positive example, tested against any
-    further positives; with no positives every bounded-size ELIQ is a
-    candidate.  A candidate violating functionality folds to an enumerated
-    equivalent, and outside the combined dialect every other candidate is
-    satisfiable unless there is disjointness.  ``q ⊑ cand`` holds exactly
-    when the candidate is one of ``q``'s generalizations, a set-membership
-    test (that list is the pool itself when the first positive is ``q``'s
-    own ABox).  ``cand ⊑ q`` holds when a tree one step smaller than the
-    candidate (``one_step_smaller``) is already known to be contained in
-    ``q``, since that tree maps into the candidate at the root.  Otherwise
-    it, and under disjointness the candidate's satisfiability, are decided
-    in a one-shot context of the candidate's pooled tree.  Both are memoized
-    on ``q_ctx`` (``trees_contained``, ``trees_satisfiable``) for as long as
-    ``q_ctx`` stays in the context cache, so a second search over ``q``
-    builds no candidate context.  A cyclic ``q`` is matched by backtracking.
+    generalizations of the first positive example; with no positives every
+    bounded-size ELIQ is a candidate.  Once per search, before the first
+    candidate, it builds the negatives' generalizations and, unless the
+    first positive is ``q``'s own ABox at its answer variable (then every
+    candidate generalizes ``q``), the set of ``q``'s generalizations; and it
+    reads whether the engine has a functional role or disjointness and
+    whether any positive is left after the first.  Per candidate, in this
+    order:
+
+    - a candidate violating functionality (tested only on an engine with a
+      functional role) is skipped: it folds to an enumerated equivalent;
+    - it must be anchored in every further positive (tested only when there
+      is one);
+    - under disjointness it must be satisfiable; outside the combined
+      dialect every other candidate is;
+    - it must not be among a negative's generalizations;
+    - ``q ⊑ cand`` holds exactly when it is among ``q``'s generalizations,
+      a set-membership test;
+    - ``cand ⊑ q`` holds when a tree one step smaller than the candidate
+      (``one_step_smaller``) is already known to be contained in ``q``,
+      since that tree maps into the candidate at the root.
+
+    Otherwise ``cand ⊑ q``, and under disjointness the candidate's
+    satisfiability, are decided in a one-shot context of the candidate's
+    pooled tree, built at most once per candidate.  Both are memoized on ``q_ctx`` (``trees_contained``,
+    ``trees_satisfiable``) for as long as ``q_ctx`` stays in the context
+    cache, so a second search over ``q`` builds no candidate context.  A
+    cyclic ``q`` is matched by backtracking.
     """
     names, roles = combined_signature(o, q)
     eng = q_ctx.engine
     answered_by_negative: set[int] = set()
     for ctx, ind in negatives:
         answered_by_negative.update(generalizations_upto(ctx, ind, names, roles, bound))
-    positives = list(positives)
-    if positives:
-        ctx, ind = positives.pop(0)
+    further = list(positives)
+    if further:
+        ctx, ind = further.pop(0)
         pool = generalizations_upto(ctx, ind, names, roles, bound)
     else:
+        ctx, ind = None, None
         pool = tree_ids_upto(names, roles, bound)
-    q_generalizations = set(generalizations_upto(q_ctx, q.answer_var, names, roles, bound))
+    q_generalizations = None  # None: the pool is q's own, so every candidate generalizes q
+    if ctx is not q_ctx or ind != q.answer_var:
+        q_generalizations = set(generalizations_upto(q_ctx, q.answer_var, names, roles, bound))
+    functional = bool(eng.functional)
+    disjoint = eng.disjoint
+    answer_var = q.answer_var
     satisfiable = q_ctx.trees_satisfiable
     in_q = q_ctx.trees_contained  # (answer variable, tid) -> cand ⊑ q
     checked = 0
     for tid in pool:
-        if not respects_functionality(eng, tid):
+        if functional and not respects_functionality(eng, tid):
             continue
-        if not all(anchored(ctx, tid, ind) for ctx, ind in positives):
+        if further and not all(anchored(ctx, tid, ind) for ctx, ind in further):
             continue
         cand_ctx = None
-        if eng.disjoint:
+        if disjoint:
             if tid not in satisfiable:
                 cand_ctx = _candidate_context(eng, tid)
                 satisfiable[tid] = cand_ctx.satisfiable()
@@ -132,11 +151,11 @@ def first_misfit(
         checked += 1
         if tid in answered_by_negative:
             continue
-        if tid not in q_generalizations:
+        if q_generalizations is not None and tid not in q_generalizations:
             return tree_to_cq(tid), checked
-        key = (q.answer_var, tid)
+        key = (answer_var, tid)
         if key not in in_q:
-            if any(in_q.get((q.answer_var, t)) for t in one_step_smaller(tid)):
+            if any(in_q.get((answer_var, t)) for t in one_step_smaller(tid)):
                 in_q[key] = True  # a rooted part of the candidate is contained in q
             else:
                 if cand_ctx is None:

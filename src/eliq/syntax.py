@@ -543,17 +543,25 @@ def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
 
 
 def eliq_to_concept(q: CQ) -> ELIConcept:
-    """View a tree-shaped query as an ELI concept (inverse of concept_to_eliq)."""
+    """View a tree-shaped query as an ELI concept (inverse of concept_to_eliq).
+    Built bottom-up with an explicit stack, so no call stack is as deep as
+    ``q``.  A variable with one conjunct is that conjunct, so a chain is built
+    without hashing a concept; ``conj`` hashes and sorts two or more."""
     children = tree_children(q)
     labels = concept_index(q)
-
-    def build(v: str) -> ELIConcept:
+    built: dict[str, ELIConcept] = {}
+    stack = [q.answer_var]
+    while stack:
+        v = stack[-1]
+        pending = [w for _, w in children.get(v, ()) if w not in built]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
         parts = [atom(a) for a in sorted(labels.get(v, ()))]
-        for role, w in children.get(v, ()):
-            parts.append(exists(role, build(w)))
-        return conj(parts)
-
-    return build(q.answer_var)
+        parts += [exists(role, built.pop(w)) for role, w in children.get(v, ())]
+        built[v] = parts[0] if len(parts) == 1 else conj(parts)
+    return built[q.answer_var]
 
 
 def concept_to_eliq(c: ELIConcept, answer_var: str = "x0") -> CQ:

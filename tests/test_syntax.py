@@ -18,6 +18,7 @@ from eliq.errors import InvalidArgumentError, NotAnEliqError
 from eliq.frontier_base import ontology_size
 from eliq.syntax import (
     CONCEPT_TOP,
+    ELIConcept,
     atom,
     conj,
     distances,
@@ -176,6 +177,21 @@ def test_concept_to_eliq_of_a_deep_concept():
     assert len(q.variables()) == 5001
     assert q.concept_atoms == {("A", "x5000")}
     assert ("r", "x4999", "x5000") in q.role_atoms
+
+
+def test_eliq_to_concept_of_a_deep_chain(monkeypatch):
+    # x0 -r-> x1 ... x5000 with A at its end, named in pre-order, at the
+    # default recursion limit.  Hashing the concept would recurse to its
+    # depth, so building it must not.
+    q = make_cq(
+        "x0", [("A", "x5000")], [("r", f"x{i}", f"x{i + 1}") for i in range(5000)]
+    )
+
+    def no_hash(self):
+        raise AssertionError("hashed a concept")
+
+    monkeypatch.setattr(ELIConcept, "__hash__", no_hash)
+    assert concept_to_eliq(eliq_to_concept(q)) == q
 
 
 def test_concept_to_eliq_names_variables_in_pre_order():

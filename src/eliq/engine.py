@@ -38,19 +38,34 @@ witnesses add none (``fired_children`` blocks them, ``_children_from`` merges
 them), and no role inclusion lets an edge realize a functional role.  Without
 disjointness nothing else makes an ABox unsatisfiable.
 
-A context therefore closes individuals on demand.  It has two sources: an
-ABox, or a tree of the subtree pool (``model.intern_tree``), given as its pool
-id and the name of its root.  Building a context from an ABox indexes every
-individual; building one from a pooled tree indexes only the root, and closing
-a tree node names and indexes its children, so a node becomes an individual
-when a read first reaches it.  The first read of an individual closes it from
-its own seed, filling its facts, successors and edge roles, so unless fillers
-travel a homomorphism search pays only for the individuals it reaches, and on
-a pooled tree indexes only them and their children.  When fillers travel the
-first read closes every individual the same way, a pooled tree level by level
-to its leaves, and then runs the worklist.  Satisfiability reads
-functionality from the source on every engine, closing nothing: an ABox
-records its functional forks while it is indexed, and a pooled tree asks
+A context therefore closes individuals on demand.  It has three sources: an
+ABox; a tree of the subtree pool (``model.intern_tree``), given as its pool
+id and the name of its root; or a cut (``syntax.Cut``), a query's index
+(``syntax.QueryIndex``) with the variables and atoms that a minimization
+removes so far, read instead of a copy of the smaller query.  Building a
+context from an ABox indexes every individual; building one from a pooled
+tree indexes only the root, and closing a tree node names and indexes its
+children, so a node becomes an individual when a read first reaches it;
+building one from a cut indexes nothing, and closing an individual reads its
+entry from the query's index, skipping removed individuals and the atoms
+into them.  The first read of an individual closes it from its own seed,
+filling its facts, successors and edge roles, so unless fillers travel a
+homomorphism search pays only for the individuals it reaches, and on a pooled
+tree or a cut indexes only them (and a tree node's children).  A cut's
+context closes an individual whose atoms the cut all keeps by sharing what
+the context of the whole indexed query closed for it (its facts, edge roles
+and successors), which the index keeps per engine
+(``QueryIndex.contexts``), so the checks of one minimization close each
+individual once, and again only the parents of removed parts.  When the
+index reads its query's saturation on demand (``QueryIndex.saturation``), a
+cut's context asserts the saturated names of each individual it closes
+itself, since the cut may have removed the atoms that entailed them.  When
+fillers travel the first read closes every individual the same way, a
+pooled tree level by level to its leaves, and then runs the worklist.  Satisfiability
+reads functionality from the source on every engine, closing nothing: an
+ABox records its functional forks while it is indexed, a cut rechecks only
+the places where its query's index has two atoms along one role direction
+(``QueryIndex.forks``), and a pooled tree asks
 ``model.respects_functionality``, memoized per (pool id, incoming role) on the
 engine.  Without disjointness that decides it; the disjointness checks close
 every individual.  The whole-ABox views close everything on first use.  The
@@ -70,9 +85,11 @@ self-check reads each member from its pool id through the table, and
 ``certain_answer`` reads an ABox that a pooled query rendered (``ABox.tree``)
 from that tree's entry when it answers at the root, so the learner's probes
 of the members find the self-check's contexts.  The oracles build their
-candidates' contexts directly, one-shot, from their pool ids, so that
-candidates do not push the contexts of the query and of the frontier members
-out of the context table.  What a candidate's context decides is kept
+candidates' contexts directly, one-shot, from their pool ids, and
+``certain_answer`` and ``reasoner.saturating_index`` build a cut's context
+one-shot too (``ABox.cut``), so that neither candidates nor minimization checks push the
+contexts of the query and of the frontier members out of the context table,
+and no check hashes its ABox.  What a candidate's context decides is kept
 instead on the context of the query's ABox, as ints and bools
 (``trees_contained``, ``trees_satisfiable``), so a second search over one
 query builds no candidate context, and the verdicts leave the table with it.
@@ -84,7 +101,7 @@ import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, Dialect, ELIConcept, Ontology, Role, dialect_of
+from .syntax import ABox, Cut, Dialect, ELIConcept, Ontology, Role, dialect_of
 
 TOPK = ("top",)
 
@@ -373,17 +390,21 @@ class Engine:
 class ABoxContext:
     """Closure of an ABox under an Engine's ontology, computed on demand.
 
-    ``source`` is an ABox, or a pooled tree given as (pool id, root name).
-    A tree's root keeps its name, and every other node is named
-    ``<root>.<n>`` when its parent is closed, with n counting up, so siblings
-    are numbered consecutively in pool-child order.  The constructor only
-    indexes the ABox, or the tree's root.  The per-individual reads
-    (``facts_at``, ``names_at``, ``successors_at``, ``edge_roles_at``,
-    ``fired_children``) close the individuals they touch; the whole-ABox
-    views (``individuals``, ``facts``, ``successors``, ``edge_roles``) close
-    every individual on first use."""
+    ``source`` is an ABox, a pooled tree given as (pool id, root name), or a
+    cut of a query's index (``syntax.Cut``), whose individuals are the
+    variables it keeps.  A tree's root keeps its name, and every other node
+    is named ``<root>.<n>`` when its parent is closed, with n counting up, so
+    siblings are numbered consecutively in pool-child order.  The
+    constructor only indexes the ABox, or the tree's root; for a cut it
+    indexes nothing, checks the index's forks when the engine has
+    functional roles, and finds the whole query's context that it shares
+    intact individuals with.  The per-individual reads (``facts_at``,
+    ``names_at``, ``successors_at``, ``edge_roles_at``, ``fired_children``)
+    close the individuals they touch; the whole-ABox views
+    (``individuals``, ``facts``, ``successors``, ``edge_roles``) close every
+    individual on first use."""
 
-    def __init__(self, engine: Engine, source: ABox | tuple[int, str]):
+    def __init__(self, engine: Engine, source: ABox | tuple[int, str] | Cut):
         if engine.combined:
             raise UnsupportedDialectError(
                 "unsupported_dialect", "universal models are unsound for role inclusions with functionality")
@@ -394,14 +415,28 @@ class ABoxContext:
         # takes no memory, once every individual is closed.  A node of a
         # pooled tree that no read has reached yet is indexed as (its pool
         # id, its edge to its parent or None); closing it names its children
-        # and indexes them the same way.
+        # and indexes them the same way.  A cut's individuals are indexed
+        # from the cut's query index when they are closed, and never here.
         self._index: dict[str, list | tuple] = {}
         self._tree = None  # for a tree source, model.tree_struct
-        # For an ABox source: some individual has two asserted successors
-        # along one functional role.
+        # For a cut source: the index's table of variables, and the cut's
+        # removed variables and atoms.  Not the cut, which refers to the
+        # index: the index keeps the whole query's context (``_base``).
+        self._cut: tuple | None = None
+        self._closed_all = False
+        # For an ABox or a cut source: some individual has two asserted
+        # successors along one functional role.
         self._forked = False
         if isinstance(source, ABox):
             self._index_abox(source)
+        elif isinstance(source, Cut):
+            self._cut = (source.index.at, source.gone, source.part, source.dropped)
+            self._forked = bool(engine.functional) and self._cut_forked(source)
+            self._base, self._touched = self._base_for(source)
+            # The saturation's names are asserted names here: a cut may
+            # remove the atoms that entailed them.  Intact individuals
+            # shared with the base have them already.
+            self._extra = source.index.saturation
         else:
             from .model import tree_struct  # model imports this module
 
@@ -464,6 +499,85 @@ class ABoxContext:
                     ends.append((b, r, True))
         self._forked = len(ends) != len(set(ends))
 
+    def _cut_forked(self, cut: Cut) -> bool:
+        """Some individual the cut keeps has two kept atoms along one
+        functional role: read only at the index's forks."""
+        engine = self.engine
+        for v, r, subject, ends in cut.index.forks():
+            roles = engine.edge_keys(r)[0 if subject else 1]
+            if roles.isdisjoint(engine.functional) or cut.removes(v):
+                continue
+            kept = [w for w, t in ends if not cut.removes(w) and t not in cut.dropped]
+            if len(kept) > 1:
+                return True
+        return False
+
+    def _base_for(self, cut: Cut) -> tuple:
+        """(the context of the whole indexed query, the cut's touched
+        variables) when this context can read intact individuals from it:
+        unless fillers travel, a kept variable whose atoms are all kept has
+        the facts, edges and successors it has in the whole query.  The
+        whole query's context is kept on the index, per engine: the first
+        one built registers itself there (``reasoner.saturating_index``
+        builds it), unless a caller registered one (``minimize_eliq``
+        registers the context table's)."""
+        if self.engine.fillers_travel or cut.touched is None:
+            return None, None
+        contexts = cut.index.contexts
+        if not (cut.gone or cut.part or cut.dropped):
+            contexts.setdefault(self.engine, self)
+            return None, None
+        base = contexts.get(self.engine)
+        if base is None:
+            base = ABoxContext(self.engine, cut.index.cut())
+        return base, cut.touched
+
+    def _share(self, a: str) -> None:
+        """Close the intact individual ``a`` from the whole query's context:
+        take its facts there, and the sets of its edge roles and successors,
+        which no context changes once the individual is closed."""
+        at, gone, part, _ = self._cut
+        if a in gone or a in part:
+            raise KeyError(a)
+        base = self._base
+        if a not in base._facts:
+            base._close(a)
+        self._facts[a] = base._facts[a]
+        edge_roles, successors = self._edge_roles, self._successors
+        for item in at[a]:
+            if type(item) is tuple:
+                _, x, y = item
+                b = y if x == a else x
+                ks = edge_roles[(a, b)] = base._edge_roles[(a, b)]
+                for k in ks:
+                    successors[(a, k)] = base._successors[(a, k)]
+
+    def _reach_cut_individual(self, a: str) -> list:
+        """The index entry of the cut's individual ``a``, as ``_index_abox``
+        makes it, from the cut's query index: ``a``'s concept names and an
+        edge for each atom the cut keeps."""
+        at, gone, part, dropped = self._cut
+        if a in gone or a in part:
+            raise KeyError(a)
+        engine = self.engine
+        entry: list = []
+        for item in at[a]:
+            if type(item) is str:
+                entry.append(item)
+                continue
+            if dropped and item in dropped:
+                continue
+            r, x, y = item
+            fwd, bwd = engine._edge_keys.get(r) or engine.edge_keys(r)
+            if x == a and y not in gone and y not in part:
+                entry.append((fwd, y))
+            if y == a and x not in gone and x not in part:
+                entry.append((bwd, x))
+        if self._extra is not None:
+            sat, visible = self._extra
+            entry += [n for n in sat.names_at(a) if n in visible]
+        return entry
+
     def _reach_tree_node(self, a: str, tid: int, up: tuple | None) -> list:
         """The index entry of the tree node ``a``: the labels of its pooled
         tree ``tid``, ``up`` (the realized roles to its parent and the
@@ -491,9 +605,15 @@ class ABoxContext:
         seed = {TOPK}
         edge_roles = self._edge_roles
         successors = self._successors
-        entry = self._index.pop(a)
-        if type(entry) is tuple:
-            entry = self._reach_tree_node(a, *entry)
+        if self._cut is not None:
+            if self._base is not None and a not in self._touched:
+                self._share(a)
+                return
+            entry = self._reach_cut_individual(a)
+        else:
+            entry = self._index.pop(a)
+            if type(entry) is tuple:
+                entry = self._reach_tree_node(a, *entry)
         for item in entry:
             if isinstance(item, str):  # a concept name
                 if item != "top":
@@ -518,8 +638,15 @@ class ABoxContext:
         """Close every individual not closed yet; with functional roles, then
         feed witness names back to individuals and move fillers along
         functional edges until no individual's facts grow."""
-        if not self._index:
+        if self._closed_all:
             return
+        self._closed_all = True
+        if self._cut is not None:
+            at, gone, part, _ = self._cut
+            facts = self._facts
+            for a in at:
+                if a not in facts and a not in gone and a not in part:
+                    self._close(a)
         # Closing a tree node indexes its children, so a tree is closed level
         # by level, with no call stack as deep as the tree.
         while self._index:
@@ -587,6 +714,9 @@ class ABoxContext:
         """Is ``a`` an individual of the source?  A tree context names a node
         only when its parent is closed, so a name it does not know yet closes
         the whole tree before the answer."""
+        if self._cut is not None:
+            at, gone, part, _ = self._cut
+            return a in at and a not in gone and a not in part
         if a not in self._facts and a not in self._index and self._tree is not None:
             self._close_all()
         return a in self._facts or a in self._index
@@ -644,7 +774,7 @@ class ABoxContext:
         # Only two asserted successors along one functional role break
         # functionality: a witness never adds a second one.  So it is read
         # from the source, closing nothing.
-        if self._tree is None:
+        if self._tree is None:  # an ABox or a cut
             if self._forked:
                 return False
         else:

@@ -62,13 +62,17 @@ def random_ontology(
     dialect: str = "r",
     normal_form: bool = False,
     disjointness: bool = False,
+    role_disjointness: bool = False,
 ) -> Ontology:
     """A random ontology of the requested dialect.
 
     ``dialect`` is "core", "r" (role inclusions allowed) or "f" (restricted
     functionality: functional roles never occur under an inverse on a
     right-hand side; achieved by choosing functional roles last and skipping
-    offenders).
+    offenders).  ``disjointness`` turns some statements into concept
+    disjointness, and ``role_disjointness`` some others into role
+    disjointness; without them a seed draws the same ontology as before
+    they existed.
     """
     cis = []
     ris = []
@@ -81,6 +85,8 @@ def random_ontology(
             ris.append((random_role(rng, roles), random_role(rng, roles)))
         elif disjointness and 0.8 <= kind < 0.9:
             cdisj.append((random_basic(rng, names, roles), random_basic(rng, names, roles)))
+        elif role_disjointness and roles and kind >= 0.9:
+            rdisj.append((random_role(rng, roles), random_role(rng, roles)))
         else:
             cis.append(
                 (random_basic(rng, names, roles), random_concept(rng, names, roles, max_depth))

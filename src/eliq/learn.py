@@ -28,7 +28,7 @@ from .errors import InvalidArgumentError, NotAnEliqError, SeedRequiredError, Uns
 from .frontier_base import SUPPORTED_DIALECTS, ontology_size, reject_unsupported
 from .frontier_f import frontier
 from .parser import serialize_cq
-from .reasoner import certain_answer, query_satisfiable, saturate
+from .reasoner import certain_answer, query_satisfiable, saturating_index
 from .syntax import ABox, CQ, Ontology, distances, make_cq, prune_role_atoms
 
 
@@ -174,10 +174,18 @@ def _hamilton_cycle(n_verts: int, k: int) -> list[tuple[int, int]]:
 def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
     """Saturate ``q``, then remove role atoms, shallowest first, each with
     the part it alone connects to the answer variable, while the oracle
-    accepts (``prune_role_atoms``); the result is minimal and saturated."""
-    return prune_role_atoms(
-        saturate(o, q), lambda smaller, _: oracle.answer(smaller.to_abox(), smaller.answer_var)
-    )
+    accepts (``prune_role_atoms``); the result is minimal and saturated.
+
+    The query is indexed once, standing for its saturation, whose names are
+    read on demand from one context of the whole query that the checks
+    share (``reasoner.saturating_index``); only the result is saturated in
+    full.  Each membership query hands the oracle the ABox of a cut of the
+    index (``Cut.to_abox``), whose assertion sets, saturated, materialize
+    only if the oracle reads them; ``certain_answer`` reads the cut itself,
+    so a ``SimulatedOracle`` check copies nothing."""
+    index = saturating_index(o, q)
+    return index.saturated(
+        prune_role_atoms(index, lambda smaller, current: oracle.answer(smaller, current.answer_var)))
 
 
 def _find_cycle_atom(q: CQ) -> tuple[str, str, str] | None:

@@ -416,30 +416,43 @@ def _fits(win: _PrefixWindow, adj: dict, labels: dict, v: str, m) -> bool:
     )
 
 
-def _backtrack(win: _PrefixWindow, adj: dict, labels: dict, assignment: dict,
-               order: list[str], i: int) -> bool:
-    """Extend ``assignment`` to ``order[i:]``; ``adj`` and ``labels`` index
-    the query (``adjacency``, ``concept_index``)."""
-    if i == len(order):
-        return True
-    v = order[i]
+def _candidates(win: _PrefixWindow, adj: dict, assignment: dict, v: str, n_vars: int):
+    """The model nodes ``v`` may map to: the common neighbours, along ``v``'s
+    role atoms, of its assigned neighbours; with none assigned, every start
+    node of a part of ``n_vars`` variables."""
     candidates = None
     for role, w in adj.get(v, ()):
         if w in assignment:
-            found = set()
-            for m in win.neighbors(assignment[w], role.inverse()):
-                # role as seen from v: w --inv--> v means v --role--> w
-                found.add(m)
+            # role as seen from v: w --inv--> v means v --role--> w
+            found = set(win.neighbors(assignment[w], role.inverse()))
             candidates = found if candidates is None else candidates & found
-    if candidates is None:
-        candidates = win.start_nodes(len(order))
-    for m in candidates:
-        if _fits(win, adj, labels, v, m):
-            assignment[v] = m
-            if _backtrack(win, adj, labels, assignment, order, i + 1):
-                return True
-            del assignment[v]
-    return False
+    return win.start_nodes(n_vars) if candidates is None else candidates
+
+
+def _backtrack(win: _PrefixWindow, adj: dict, labels: dict, assignment: dict,
+               order: list[str], i: int) -> bool:
+    """Extend ``assignment`` to ``order[i:]``; ``adj`` and ``labels`` index
+    the query (``adjacency``, ``concept_index``).  Depth first over the
+    variables in order, each trying its candidates in turn, with an explicit
+    stack of their iterators, so a query of any size is searched at the
+    default recursion limit."""
+    stack = []  # for order[i + k], the iterator over its untried candidates
+    while True:
+        j = i + len(stack)
+        if j == len(order):
+            return True
+        v = order[j]
+        stack.append(iter(_candidates(win, adj, assignment, v, len(order))))
+        while True:
+            v = order[i + len(stack) - 1]
+            m = next((m for m in stack[-1] if _fits(win, adj, labels, v, m)), None)
+            if m is not None:
+                assignment[v] = m
+                break
+            stack.pop()  # v's candidates are exhausted: try the previous variable's next
+            if not stack:
+                return False
+            del assignment[order[i + len(stack) - 1]]
 
 
 def _bfs_order(q: CQ, adj: dict) -> list[str]:

@@ -125,34 +125,55 @@ def _parse_basic(ts: _Tokens) -> ELIConcept:
 
 
 def _parse_eli(ts: _Tokens) -> ELIConcept:
-    parts = [_parse_eli_prim(ts)]
-    while ts.peek() == "&":
-        ts.next()
-        parts.append(_parse_eli_prim(ts))
-    return conj(parts) if len(parts) > 1 else parts[0]
+    """``eli ::= prim ("&" prim)*``, with ``prim ::= "top" | IDENT | "some"
+    role "." prim | "some" role | "(" eli ")"``.
 
-
-def _parse_eli_prim(ts: _Tokens) -> ELIConcept:
-    tok = ts.peek()
-    if tok == TOP:
-        ts.next()
-        return CONCEPT_TOP
-    if tok == "(":
-        ts.next()
-        out = _parse_eli(ts)
-        ts.expect(")")
-        return out
-    if tok == "some":
-        ts.next()
-        role = _parse_role(ts)
-        if ts.peek() == ".":
+    Parsed with an explicit stack of the constructs still open, innermost
+    last: a list is a conjunction's prims so far, each one but the
+    outermost opened by a parenthesis, and a ``Role`` an existential waiting
+    for its filler.  So a concept of any depth is parsed at the default
+    recursion limit, reading the tokens in the order a recursive descent
+    would, with the same errors."""
+    stack: list = [[]]
+    while True:
+        # Read one prim, opening constructs until it ends in a value.
+        tok = ts.peek()
+        if tok == TOP:
             ts.next()
-            return exists(role, _parse_eli_prim(ts))
-        return exists(role)
-    tok = ts.next()
-    if not _is_ident(tok):
-        raise ts.error(f"expected an ELI concept, got {tok!r}")
-    return atom(tok)
+            value = CONCEPT_TOP
+        elif tok == "(":
+            ts.next()
+            stack.append([])
+            continue
+        elif tok == "some":
+            ts.next()
+            role = _parse_role(ts)
+            if ts.peek() == ".":
+                ts.next()
+                stack.append(role)
+                continue
+            value = exists(role)
+        else:
+            tok = ts.next()
+            if not _is_ident(tok):
+                raise ts.error(f"expected an ELI concept, got {tok!r}")
+            value = atom(tok)
+        # Close the constructs the value completes.
+        while True:
+            top = stack[-1]
+            if isinstance(top, Role):
+                stack.pop()
+                value = exists(top, value)
+                continue
+            top.append(value)
+            if ts.peek() == "&":
+                ts.next()
+                break  # the conjunction goes on with another prim
+            stack.pop()
+            value = conj(top) if len(top) > 1 else top[0]
+            if not stack:
+                return value
+            ts.expect(")")
 
 
 def _lines(text: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .engine import basic_key, context_for, engine_for
+from .engine import ABoxContext, basic_key, context_for, engine_for
 from .errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError
 from .model import (
     UniversalModelPrefix,
@@ -28,6 +28,7 @@ from .syntax import (
     CQ,
     ELIConcept,
     Ontology,
+    QueryIndex,
     Role,
     prune_role_atoms,
 )
@@ -89,6 +90,20 @@ def saturate(o: Ontology, q: CQ) -> CQ:
     return CQ(q.answer_var, frozenset(atoms), q.role_atoms)
 
 
+def saturating_index(o: Ontology, q: CQ) -> QueryIndex:
+    """The index of ``q`` standing for ``saturate(o, q)``
+    (``QueryIndex.saturation``): the entailed names are read on demand from
+    one one-shot context of the whole query, which the cuts of the index
+    share, so a minimization closes only what its checks reach and what it
+    keeps.  Raises ``UnsatisfiableError`` as ``saturate`` does."""
+    index = QueryIndex(q)
+    ctx = ABoxContext(engine_for(o), index.cut())
+    if not ctx.satisfiable():
+        raise UnsatisfiableError("cannot saturate a query that is unsatisfiable w.r.t. the ontology")
+    index.saturation = (ctx, o.signature()[0])
+    return index
+
+
 def universal_prefix(o: Ontology, a: ABox, depth: int) -> UniversalModelPrefix:
     """Materialize the traces of length <= depth of the universal model."""
     if not is_normal_form(o):
@@ -110,10 +125,17 @@ def certain_answer(o: Ontology, a: ABox, q: CQ, ind: str) -> bool:
     so its search is finite; a query with cycles or disconnected parts is
     backtracked.  An ABox that renders a pooled tree (``ABox.tree``) is read
     from that tree when ``ind`` is its root, with the same answer, so a
-    frontier member's ABox finds the context the self-check left.
+    frontier member's ABox finds the context the self-check left.  An ABox
+    that renders a cut (``ABox.cut``) is read from the cut, in a one-shot
+    context that stays out of the context table, so a minimization's check
+    neither copies nor hashes its query.
     """
-    tree = a.tree
-    ctx = context_for(o, tree if tree is not None and tree[1] == ind else a)
+    cut = a.cut
+    if cut is not None:
+        ctx = ABoxContext(engine_for(o), cut)
+    else:
+        tree = a.tree
+        ctx = context_for(o, tree if tree is not None and tree[1] == ind else a)
     if not ctx.has_individual(ind):
         raise InvalidArgumentError(f"{ind!r} is not an individual of the ABox")
     if not ctx.satisfiable():
@@ -142,14 +164,26 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     drop of an inner variable is equivalent to dropping its subtree (the
     orphaned components can never contribute to an anchored match), so
     subtree drops suffice for minimality.
+
+    ``saturate`` reads the query's names from the context table, where
+    ``frontier_base.prepare`` has just checked the query's satisfiability.
+    The saturated query is then indexed once (``QueryIndex``), and each
+    check reads a cut of that index (``Cut``) in a one-shot context, so no
+    check copies, hashes or re-indexes the query.  The cuts share what the
+    table's context of the query closed (``QueryIndex.contexts``): saturation
+    adds only names that the context entails, so its closure is that of the
+    saturated query.
     """
-    q = saturate(o, q)
-    if not q.is_eliq():
-        raise NotAnEliqError(f"not an ELIQ: {q.concept_atoms | q.role_atoms}")
+    saturated = saturate(o, q)
+    if not saturated.is_eliq():
+        raise NotAnEliqError(f"not an ELIQ: {saturated.concept_atoms | saturated.role_atoms}")
+    index = QueryIndex(saturated)
+    whole = context_for(o, q.to_abox())
+    index.contexts[whole.engine] = whole
     # Dropping atoms only generalizes: the smaller query stays equivalent iff
     # the current one still holds on its ABox.
     return prune_role_atoms(
-        q, lambda smaller, current: certain_answer(o, smaller.to_abox(), current, current.answer_var)
+        index, lambda smaller, current: certain_answer(o, smaller, current, current.answer_var)
     )
 
 

@@ -21,6 +21,10 @@ shared freely and used as cache keys.  Conventions used throughout:
   name, or ``some R``) is an ``ELIConcept`` for which ``is_basic()`` holds;
   ``Ontology`` checks that condition on CI left-hand sides and disjointness
   operands when it is built.  ``subconcepts`` is the one walk of a concept.
+* ``QueryIndex`` and ``Cut`` are the exception to immutability: working
+  state of one minimization (``prune_role_atoms``), which reads a query's
+  index through cuts instead of copying the query per question.  A cut's
+  ABox (``Cut.to_abox``) is an ordinary ``ABox`` value once read.
 """
 
 from __future__ import annotations
@@ -316,16 +320,36 @@ class CQ:
         return names, roles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ABox:
-    """A finite set of concept and role assertions over individual names."""
+    """A finite set of concept and role assertions over individual names.
 
-    concept_assertions: frozenset[tuple[str, str]] = frozenset()
-    role_assertions: frozenset[tuple[str, str, str]] = frozenset()
+    The ABox of a cut (``Cut.to_abox``) holds only the cut until its
+    assertion sets are first read; they then materialize, equal to those of
+    the cut's query's ABox.  So the fields have no class-level defaults, and
+    ``__getattr__`` is reached only for a cut's sets not yet read."""
+
+    concept_assertions: frozenset[tuple[str, str]]
+    role_assertions: frozenset[tuple[str, str, str]]
+
+    def __init__(self, concept_assertions: frozenset[tuple[str, str]] = frozenset(),
+                 role_assertions: frozenset[tuple[str, str, str]] = frozenset()):
+        object.__setattr__(self, "concept_assertions", concept_assertions)
+        object.__setattr__(self, "role_assertions", role_assertions)
+
+    def __getattr__(self, name: str):
+        cut = self.__dict__.get("_cut")
+        if cut is None or name not in ("concept_assertions", "role_assertions"):
+            raise AttributeError(name)
+        abox = cut.index.saturated(cut.query()).to_abox()
+        object.__setattr__(self, "concept_assertions", abox.concept_assertions)
+        object.__setattr__(self, "role_assertions", abox.role_assertions)
+        return self.__dict__[name]
 
     def __getstate__(self) -> dict:
-        # CQ.to_abox keeps the pooled tree here, and pool ids are per process.
-        return {k: v for k, v in self.__dict__.items() if k != "_tree"}
+        # CQ.to_abox keeps the pooled tree on the ABox, and pool ids are per
+        # process; a cut refers to its query's index.  A copy is plain.
+        return {"concept_assertions": self.concept_assertions, "role_assertions": self.role_assertions}
 
     @property
     def tree(self) -> tuple[int, str] | None:
@@ -333,6 +357,12 @@ class ABox:
         a pooled query's ABox (``CQ.to_abox``); otherwise None.  Not part of
         the ABox's value: equal ABoxes compare equal with or without it."""
         return self.__dict__.get("_tree")
+
+    @property
+    def cut(self) -> "Cut | None":
+        """The cut this ABox renders (``Cut.to_abox``), or None.  Not part of
+        the ABox's value, like ``tree``."""
+        return self.__dict__.get("_cut")
 
     def ind(self) -> frozenset[str]:
         out = set(a for _, a in self.concept_assertions)
@@ -481,19 +511,165 @@ def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:
     return children
 
 
-def restrict(q: CQ, keep: Collection[str]) -> CQ:
-    """Restriction of ``q`` to atoms mentioning only variables in ``keep``."""
-    return CQ(
-        q.answer_var,
-        frozenset((a, v) for a, v in q.concept_atoms if v in keep),
-        frozenset(t for t in q.role_atoms if t[1] in keep and t[2] in keep),
-    )
+class QueryIndex:
+    """One index of a query, read through cuts (``Cut``) instead of copies.
+
+    ``at`` maps each variable to a list of its concept names (top left out)
+    and the role atoms that mention it: an item is a name when it is a str,
+    else an atom, whose ends tell the directions it is seen from the
+    variable in (both, for a self-loop).  ``contexts`` maps an engine to the
+    context of the whole query (``cut()``) under it, which
+    ``engine.ABoxContext`` keeps here so that the contexts of the cuts share
+    what it closes.  ``saturation`` is None, or a context of the whole query
+    and the concept names it may add: the query then stands for its
+    saturation, whose entailed names are read from that context on demand
+    (``saturated``), so a minimization closes only what its checks reach
+    and what it keeps."""
+
+    __slots__ = ("query", "at", "contexts", "saturation", "_forks")
+
+    def __init__(self, q: CQ):
+        self.query = q
+        at: dict[str, list] = {q.answer_var: []}
+        for a, v in q.concept_atoms:
+            names = at.get(v)
+            if names is None:
+                names = at[v] = []
+            if a != TOP:
+                names.append(a)
+        for t in q.role_atoms:
+            _, x, y = t
+            for v in (x, y) if x != y else (x,):
+                items = at.get(v)
+                if items is None:
+                    at[v] = [t]
+                else:
+                    items.append(t)
+        self.at = at
+        self.contexts: dict = {}
+        self.saturation: tuple | None = None
+        self._forks: list | None = None
+
+    def forks(self) -> list[tuple[str, str, bool, list[tuple[str, tuple[str, str, str]]]]]:
+        """Where two or more atoms leave a variable along one role direction,
+        as (variable, role name, the variable is the subject, [(other end,
+        atom), ...]): the only places a functional role can fork, so a cut's
+        context checks functionality there alone.  Computed on first use."""
+        if self._forks is None:
+            self._forks = []
+            for v, items in self.at.items():
+                if len(items) < 2:
+                    continue
+                ends: dict[tuple[str, bool], list] = {}
+                for t in items:
+                    if type(t) is tuple:
+                        r, x, y = t
+                        if x == v:
+                            ends.setdefault((r, True), []).append((y, t))
+                        if y == v:
+                            ends.setdefault((r, False), []).append((x, t))
+                self._forks.extend((v, r, subject, e) for (r, subject), e in ends.items() if len(e) > 1)
+        return self._forks
+
+    def saturated(self, q: CQ) -> CQ:
+        """``q``, a part of the indexed query, with the entailed names of its
+        variables that ``saturation`` reads; ``q`` itself without one."""
+        if self.saturation is None:
+            return q
+        ctx, visible = self.saturation
+        names = frozenset((n, v) for v in q.variables() for n in ctx.names_at(v) if n in visible)
+        return CQ(q.answer_var, q.concept_atoms | names, q.role_atoms)
+
+    def cut(self) -> "Cut":
+        """The cut that removes nothing: the whole query."""
+        return Cut(self, frozenset(), frozenset(), frozenset(), None, frozenset())
 
 
-def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
+class Cut:
+    """A query's index with some of its variables and role atoms removed.
+
+    ``gone`` and ``part`` are removed variables: the removals accepted so
+    far, and the part of the drop being asked about, a collection of
+    variables.  ``dropped`` holds removed role atoms whose ends may both
+    stay.  The cut stands for the indexed query without them (``query``),
+    built from ``current``, the query without ``gone`` (None: the indexed
+    query, when ``gone`` is empty).  Every variable the cut keeps, but the
+    answer variable, keeps an atom, so the cut's individuals are those of
+    its query's ABox.  ``touched`` holds the kept variables that a removed
+    atom mentions, or is None when they are not listed; every other kept
+    variable has all its atoms.  Reading a cut copies nothing:
+    ``engine.ABoxContext`` takes it as a source, and ``to_abox`` gives an
+    ABox whose assertion sets materialize only when read.  A cut is never
+    changed after it is made; it compares and hashes by identity."""
+
+    __slots__ = ("index", "gone", "part", "dropped", "current", "touched")
+
+    def __init__(self, index: QueryIndex, gone: frozenset[str], part: Collection[str],
+                 dropped: frozenset[tuple[str, str, str]], current: CQ | None,
+                 touched: frozenset[str] | None):
+        self.index = index
+        self.gone = gone
+        self.part = part
+        self.dropped = dropped
+        self.current = current
+        self.touched = touched
+
+    def removes(self, v: str) -> bool:
+        return v in self.gone or v in self.part
+
+    def query(self) -> CQ:
+        """The query the cut stands for: ``current`` without the atoms that
+        the index lists at the ``part`` variables, and without ``dropped``."""
+        q = self.index.query if self.current is None else self.current
+        at = self.index.at
+        concepts = {(TOP, v) for v in self.part}
+        roles = set()
+        for v in self.part:
+            for item in at[v]:
+                if type(item) is str:
+                    concepts.add((item, v))
+                else:
+                    roles.add(item)
+        return CQ(q.answer_var, q.concept_atoms - concepts, q.role_atoms - roles - self.dropped)
+
+    def to_abox(self) -> ABox:
+        """An ABox equal to the ABox of ``query()``, saturated as the index
+        reads it (``QueryIndex.saturated``), whose assertion sets
+        materialize on first access (``ABox.cut``)."""
+        abox = object.__new__(ABox)
+        object.__setattr__(abox, "_cut", self)
+        return abox
+
+
+class _Subtree:
+    """The variables of one subtree of a tree, as a range of a pre-order of
+    the tree, in which every subtree is contiguous: a membership test costs
+    the same for any size, and nothing is listed until it is iterated."""
+
+    __slots__ = ("pos", "pre", "lo", "hi")
+
+    def __init__(self, pos: dict[str, int], pre: list[str], lo: int, hi: int):
+        self.pos, self.pre, self.lo, self.hi = pos, pre, lo, hi
+
+    def __contains__(self, v: object) -> bool:
+        return self.lo <= self.pos.get(v, -1) < self.hi  # type: ignore[arg-type]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.pre[self.lo:self.hi])
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+
+def prune_role_atoms(q: CQ | QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ:
     """Greedily drop role atoms of ``q``, each together with the part of the
     query it alone connects to the answer variable, whenever
-    ``keeps(smaller, current)`` accepts the smaller query.
+    ``keeps(smaller, current)`` accepts the ABox ``smaller`` of the smaller
+    query, ``current`` being the query as pruned so far.
+
+    ``q`` is a query or its index.  Each question reads a cut of the one
+    index (``Cut.to_abox``), so no question copies the query; the smaller
+    query is built only when a drop is accepted.
 
     Atoms are visited once, shallowest first: by the breadth-first distance
     of their nearer endpoint from the answer variable, ties in ``sorted``
@@ -503,42 +679,65 @@ def prune_role_atoms(q: CQ, keeps: Callable[[CQ, CQ], bool]) -> CQ:
     drop cut off a whole branch before its atoms are asked about.
 
     When ``q`` is a tree, an atom's part is the subtree below its farther
-    endpoint, read from one children map built from the distances; atoms
-    come shallowest first, so no earlier drop reached below an atom still
-    present.  Otherwise (a cycle, or a part the answer variable does not
-    reach) the part is found by a search over the rest of the query, per
-    atom.
+    endpoint, a range of one pre-order of the tree built from the distances
+    (``_Subtree``); atoms come shallowest first, so no earlier drop reached
+    below an atom still present.  Otherwise (a cycle, or a part the answer
+    variable does not reach) the part is what a search over the rest of the
+    query does not reach from the answer variable, per atom.
     """
+    index = q if isinstance(q, QueryIndex) else QueryIndex(q)
+    q = index.query
     dist = distances(q.role_atoms, q.answer_var)
     far = len(dist)  # atoms the answer variable does not reach come last
     order = sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t))
-    below: dict[str, list[str]] | None = None
-    if len(q.role_atoms) == len(dist) - 1 and len(dist) == len(q.variables()):
-        below = {}
+    tree = len(q.role_atoms) == len(dist) - 1 and len(dist) == len(index.at)
+    if tree:
+        below: dict[str, list[str]] = {}
         for _, x, y in q.role_atoms:
             p, c = (x, y) if dist[x] < dist[y] else (y, x)
             below.setdefault(p, []).append(c)
+        pre: list[str] = []  # each subtree is a range of this pre-order
+        stack = [q.answer_var]
+        while stack:
+            v = stack.pop()
+            pre.append(v)
+            stack.extend(below.get(v, ()))
+        pos = {v: i for i, v in enumerate(pre)}
+        end: dict[str, int] = {}  # each variable's subtree ends before end[v]
+        for v in reversed(pre):
+            kids = below.get(v)
+            # the child pushed first is popped last, so its range ends v's
+            end[v] = end[kids[0]] if kids else pos[v] + 1
+    gone: frozenset[str] = frozenset()
+    dropped: frozenset[tuple[str, str, str]] = frozenset()
+    touched: frozenset[str] | None = frozenset()  # in a tree, the parents of the removed parts
     for atom in order:
-        if atom not in q.role_atoms:
+        _, x, y = atom
+        if x in gone or y in gone or (dropped and atom in dropped):
             continue  # cut off by an earlier drop
-        if below is None:
-            rest = q.role_atoms - {atom}
-            smaller = restrict(CQ(q.answer_var, q.concept_atoms, rest), distances(rest, q.answer_var).keys())
+        if tree:
+            p, c = (x, y) if dist[y] > dist[x] else (y, x)
+            part: Collection[str] = _Subtree(pos, pre, pos[c], end[c])
+            cut = Cut(index, gone, part, dropped, q, touched | {p})
         else:
-            _, x, y = atom
-            gone = set()
-            stack = [y if dist[y] > dist[x] else x]
+            cut_atoms = dropped | {atom}
+            reach = {q.answer_var}
+            stack = [q.answer_var]
             while stack:
                 v = stack.pop()
-                gone.add(v)
-                stack.extend(below.get(v, ()))
-            smaller = CQ(
-                q.answer_var,
-                frozenset(p for p in q.concept_atoms if p[1] not in gone),
-                frozenset(t for t in q.role_atoms if t[1] not in gone and t[2] not in gone),
-            )
-        if keeps(smaller, q):
-            q = smaller
+                for t in index.at[v]:
+                    if type(t) is tuple and t not in cut_atoms:
+                        w = t[2] if t[1] == v else t[1]
+                        if w not in reach and w not in gone:
+                            reach.add(w)
+                            stack.append(w)
+            part = frozenset(v for v in index.at if v not in reach and v not in gone)
+            cut = Cut(index, gone, part, cut_atoms, q, None)
+        if keeps(cut.to_abox(), q):
+            gone = gone.union(part)
+            dropped = cut.dropped
+            touched = cut.touched
+            q = cut.query()
     return q
 
 

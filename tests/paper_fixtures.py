@@ -20,7 +20,8 @@ from itertools import combinations
 from eliq.errors import EliqError, InvalidArgumentError
 from eliq.parser import parse_ontology
 from eliq.reasoner import certain_answer
-from eliq.syntax import CQ, Ontology, Role, atom, make_cq, restrict
+from eliq.syntax import CQ, Ontology, Role, atom, make_cq
+from reference_prune import restrict
 
 # ---------------------------------------------------------------------------
 # Conjunctions of atomic queries under conjunctive ontologies

@@ -27,8 +27,9 @@ from eliq.frontier_base import (
 )
 from eliq.frontier_f import _F_DIALECTS, _f_nudges
 from eliq.frontier_r import _R_DIALECTS, _r_nudges
-from eliq.syntax import CQ, restrict, tree_order, tree_walk
+from eliq.syntax import CQ, tree_order, tree_walk
 from paper_fixtures import subtree_vars
+from reference_prune import restrict
 from reference_translate import QB, translate_members
 
 

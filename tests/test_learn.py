@@ -1,11 +1,14 @@
+import pickle
 import random
 from collections import Counter
 
 import pytest
 
 from eliq import (
+    ABox,
     Ontology,
     SimulatedOracle,
+    certain_answer,
     combined_signature,
     contained,
     default_budget,
@@ -20,6 +23,7 @@ from eliq import (
     seed_query,
     treeify,
 )
+from eliq.syntax import prune_role_atoms
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
@@ -249,13 +253,19 @@ def test_oracle_refuses_an_unsatisfiable_target():
         SimulatedOracle(o, target)
 
 
-def test_learn_batch_random():
+def _batch_corpus():
+    """(ontology, target) pairs of random normal-form ontologies, r and f
+    dialects in turn."""
     rng = random.Random(103)
     for i in range(20):
         dialect = "r" if i % 2 == 0 else "f"
         o = random_ontology(rng, ["A", "B"], ["r", "s"], rng.randint(1, 4),
                             dialect=dialect, normal_form=True)
-        target = random_satisfiable_eliq(rng, o, ["A", "B"], ["r", "s"], 5)
+        yield o, random_satisfiable_eliq(rng, o, ["A", "B"], ["r", "s"], 5)
+
+
+def test_learn_batch_random():
+    for o, target in _batch_corpus():
         oracle = SimulatedOracle(o, target)
         seed = seed_query(o, combined_signature(o, target))
         budget = default_budget(len(target.variables()), o)
@@ -263,6 +273,53 @@ def test_learn_batch_random():
         assert trace.outcome == "success"
         assert equivalent(o, trace.final, target)
         assert trace.membership_queries <= budget
+
+
+class _CopyingOracle:
+    """An oracle outside the library: it reads only the two assertion sets
+    of each ABox it is asked about, and answers on a fresh ABox of them."""
+
+    def __init__(self, o, target):
+        self.o, self.target, self.query_count = o, target, 0
+
+    def answer(self, abox, ind):
+        self.query_count += 1
+        return certain_answer(self.o, ABox(abox.concept_assertions, abox.role_assertions), self.target, ind)
+
+
+def test_an_oracle_reading_only_the_assertions_learns_the_same():
+    # Minimization asks about the ABoxes of cuts, whose assertion sets
+    # materialize when read: an oracle that reads them sees the ABoxes it
+    # saw when each question copied the query.
+    cuts = 0
+    for o, target in _batch_corpus():
+        seed = seed_query(o, combined_signature(o, target))
+        budget = default_budget(len(target.variables()), o)
+        copying = _CopyingOracle(o, target)
+        asked = copying.answer
+
+        def answer(abox, ind):
+            nonlocal cuts
+            cuts += abox.cut is not None
+            return asked(abox, ind)
+
+        copying.answer = answer
+        traces = [learn(o, oracle, seed, budget).to_dict() for oracle in (SimulatedOracle(o, target), copying)]
+        assert traces[0] == traces[1]
+    assert cuts
+
+
+def test_a_pickled_cut_abox_is_a_plain_abox():
+    q = parse_cq("q(x) :- A(x), r(x,y), B(y), s(y,z), r(x,w)")
+    asked = []
+    prune_role_atoms(q, lambda smaller, current: asked.append(smaller) or False)
+    assert asked and all(smaller.cut is not None for smaller in asked)
+    for smaller in asked:
+        plain = ABox(smaller.concept_assertions, smaller.role_assertions)
+        copy = pickle.loads(pickle.dumps(smaller))
+        assert type(copy) is ABox and copy.cut is None and copy == plain
+        assert pickle.dumps(smaller) == pickle.dumps(plain)
+    assert pickle.loads(pickle.dumps(asked[0].cut.index.cut().to_abox())) == q.to_abox()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from eliq import (
 )
 from eliq.errors import ParseError
 from eliq.gen import random_abox, random_eliq, random_ontology
-from eliq.syntax import atom, exists
+from eliq.syntax import atom, concept_to_eliq, exists
 
 
 def test_example_ontology(ex1_ontology):
@@ -146,3 +146,16 @@ def test_user_names_do_not_collide_with_surrogates():
     assert parse_ontology(serialize_ontology(on)) == on
     # variables, individuals, roles and other spellings are not reserved
     assert parse_cq("q(_X1) :- _X1(_X1,y), _X(y), _Xa(y), X1(y)").answer_var == "_X1"
+
+
+def test_a_deep_eliq_concept_parses_at_the_default_recursion_limit():
+    # some r . (some r . ( ... A)), 5,000 levels, with and without the
+    # parentheses: the parser keeps its own stack of open constructs.
+    n = 5000
+    c = atom("A")
+    for _ in range(n):
+        c = exists(Role("r"), c)
+    expected = concept_to_eliq(c)
+    assert parse_cq("eliq: " + "some r . (" * n + "A" + ")" * n) == expected
+    assert parse_cq("eliq: " + "some r . " * n + "A") == expected
+    assert parse_ontology("B sub " + "some r . (" * n + "A" + ")" * n).concept_inclusions[0][1].role == Role("r")

@@ -477,6 +477,19 @@ def test_containment_of_a_deep_chain_needs_no_deep_recursion():
     assert contained(o, qa, qb) and not contained(o, qb, qa)
 
 
+def test_containment_of_a_deep_cyclic_query_needs_no_deep_recursion():
+    # A cycle is no tree, so it is matched by backtracking, which keeps its
+    # own stack of candidate iterators: one frame per variable would exceed
+    # the default recursion limit here.
+    n = 5000
+    o = parse_ontology("A sub B\n")
+    cycle = [("r", f"x{i}", f"x{(i + 1) % n}") for i in range(n)]
+    qa = make_cq("x0", [("A", f"x{n // 2}")], cycle)
+    qb = make_cq("x0", [("B", f"x{n // 2}")], cycle)
+    assert contained(o, qa, qa)
+    assert contained(o, qa, qb) and not contained(o, qb, qa)
+
+
 def test_minimize_refuses_cyclic_and_unsatisfiable_input():
     with pytest.raises(NotAnEliqError):
         minimize_eliq(Ontology(), parse_cq("q(x) :- r(x,y), r(y,x)"))

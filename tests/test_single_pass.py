@@ -36,8 +36,9 @@ from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.learn import minimize_cq
 from eliq.model import intern_cq
 from eliq.reasoner import minimize_eliq, saturate
-from eliq.syntax import Dialect, Ontology, dialect_of, restrict, tree_children, tree_order
+from eliq.syntax import Dialect, Ontology, dialect_of, tree_children, tree_order
 from paper_fixtures import subtree_vars
+from reference_prune import ref_prune_role_atoms, restrict
 from reference_translate import QB, attach_concept_tree, on_table, round_trip, translate_member
 
 NAMES = ["A", "B"]
@@ -178,6 +179,54 @@ def test_minimize_cq_agrees_with_restart(seed):
                 continue
             assert serialize_cq(minimize_cq(o, fast, start)) == serialize_cq(ref_minimize_cq(o, slow, start))
             assert fast.query_count <= slow.query_count
+
+
+def test_a_name_entailed_through_a_dropped_atom_stays_asserted():
+    # minimize_cq reads the saturation on demand, but each question's ABox
+    # still asserts it: x keeps A after r(x,y), which entailed it, is gone,
+    # also for an oracle over another ontology.
+    o = parse_ontology("some r sub A\n")
+    target = parse_cq("q(x) :- A(x)")
+    for oracle_ontology in (o, Ontology()):
+        oracle = SimulatedOracle(oracle_ontology, target)
+        assert serialize_cq(minimize_cq(o, oracle, parse_cq("q(x) :- r(x,y)"))) == "q(x) :- A(x)"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimize_cq_asks_what_the_copying_prune_asks(seed):
+    # The questions and the result of minimize_cq equal those of the
+    # copying prune over the eagerly saturated query, under an oracle over
+    # the learner's ontology and over another one.
+    for rng, o in ontologies(300 + seed, 9, normal_form=True):
+        target = random_satisfiable_eliq(rng, o, NAMES, ROLES, 4)
+        start = random_satisfiable_eliq(rng, o, NAMES, ROLES, 7)
+        other = ontologies(rng.randint(0, 10 ** 6), 1, normal_form=True)[0][1]
+        for oracle_ontology in (o, other):
+            if not reasoner.query_satisfiable(oracle_ontology, target):
+                continue
+            asked = ([], [])
+
+            def keeps(i, oracle):
+                def answer(smaller, current):
+                    asked[i].append(smaller)
+                    return oracle.answer(smaller, current.answer_var)
+                return answer
+
+            fast = minimize_cq(o, RecordingOracle(SimulatedOracle(oracle_ontology, target), asked[0]), start)
+            slow = ref_prune_role_atoms(saturate(o, start), keeps(1, SimulatedOracle(oracle_ontology, target)))
+            assert serialize_cq(fast) == serialize_cq(slow)
+            assert asked[0] == asked[1]
+
+
+class RecordingOracle:
+    """``oracle``, recording each ABox it is asked about in ``asked``."""
+
+    def __init__(self, oracle, asked):
+        self.oracle, self.asked, self.query_count = oracle, asked, 0
+
+    def answer(self, abox, ind):
+        self.asked.append(abox)
+        return self.oracle.answer(abox, ind)
 
 
 @pytest.mark.parametrize("seed", range(4))

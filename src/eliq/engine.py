@@ -101,7 +101,7 @@ import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, Cut, Dialect, ELIConcept, Ontology, Role, dialect_of
+from .syntax import ABox, CQ, Cut, Dialect, ELIConcept, Ontology, Role, dialect_of
 
 TOPK = ("top",)
 
@@ -463,6 +463,9 @@ class ABoxContext:
         # query answering there, and tree id -> the tree is satisfiable.
         self.trees_contained: dict[tuple[str, int], bool] = {}
         self.trees_satisfiable: dict[int, bool] = {}
+        # reasoner.minimize_eliq's result on the query whose ABox this is, by
+        # the concept names its saturation may add.
+        self.minimized: dict[frozenset, CQ] = {}
 
     def _index_abox(self, abox: ABox) -> None:
         index = self._index

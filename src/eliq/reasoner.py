@@ -172,19 +172,26 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     check copies, hashes or re-indexes the query.  The cuts share what the
     table's context of the query closed (``QueryIndex.contexts``): saturation
     adds only names that the context entails, so its closure is that of the
-    saturated query.
+    saturated query.  The result is kept on that context too, so asking
+    again about the same query, as a second frontier of it does, asks no
+    check again.
     """
+    whole = context_for(o, q.to_abox())
+    visible = o.signature()[0]
+    done = whole.minimized.get(visible)
+    if done is not None:
+        return done
     saturated = saturate(o, q)
     if not saturated.is_eliq():
         raise NotAnEliqError(f"not an ELIQ: {saturated.concept_atoms | saturated.role_atoms}")
     index = QueryIndex(saturated)
-    whole = context_for(o, q.to_abox())
     index.contexts[whole.engine] = whole
     # Dropping atoms only generalizes: the smaller query stays equivalent iff
     # the current one still holds on its ABox.
-    return prune_role_atoms(
+    done = whole.minimized[visible] = prune_role_atoms(
         index, lambda smaller, current: certain_answer(o, smaller, current, current.answer_var)
     )
+    return done
 
 
 def enumerate_eliqs(

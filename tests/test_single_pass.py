@@ -242,6 +242,19 @@ def test_minimize_eliq_agrees_with_restart(seed, monkeypatch):
         assert fast_calls <= counter.calls
 
 
+def test_minimizing_a_query_again_asks_no_check(monkeypatch):
+    # The result is kept on the context of the query's ABox, per set of
+    # names saturation may add: the normal form's surrogates make another.
+    counter = CountingCertainAnswer(monkeypatch)
+    o = parse_ontology("A sub some r . (B & some s)\n")
+    q = parse_cq("q(x) :- A(x), r(x,y), B(y), r(x,z)")
+    first = minimize_eliq(o, q)
+    asked = counter.calls
+    assert asked and minimize_eliq(o, q) is first and counter.calls == asked
+    on = normalize(o)[0]
+    assert serialize_cq(minimize_eliq(on, q)) != serialize_cq(first) and counter.calls > asked
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_learning_agrees_with_restart(seed, monkeypatch):
     for rng, o in ontologies(200 + seed, 6):

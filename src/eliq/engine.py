@@ -463,9 +463,9 @@ class ABoxContext:
         # query answering there, and tree id -> the tree is satisfiable.
         self.trees_contained: dict[tuple[str, int], bool] = {}
         self.trees_satisfiable: dict[int, bool] = {}
-        # reasoner.minimize_eliq's result on the query whose ABox this is, by
-        # the concept names its saturation may add.
-        self.minimized: dict[frozenset, CQ] = {}
+        # reasoner.minimize_eliq's result on a query whose ABox this is, by
+        # (its answer variable, the concept names its saturation may add).
+        self.minimized: dict[tuple[str, frozenset], CQ] = {}
 
     def _index_abox(self, abox: ABox) -> None:
         index = self._index

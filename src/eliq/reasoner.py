@@ -177,8 +177,10 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     check again.
     """
     whole = context_for(o, q.to_abox())
-    visible = o.signature()[0]
-    done = whole.minimized.get(visible)
+    # The ABox leaves out an answer variable with atoms: queries differing
+    # only in it share the context, so it is part of the key.
+    key = (q.answer_var, o.signature()[0])
+    done = whole.minimized.get(key)
     if done is not None:
         return done
     saturated = saturate(o, q)
@@ -188,7 +190,7 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     index.contexts[whole.engine] = whole
     # Dropping atoms only generalizes: the smaller query stays equivalent iff
     # the current one still holds on its ABox.
-    done = whole.minimized[visible] = prune_role_atoms(
+    done = whole.minimized[key] = prune_role_atoms(
         index, lambda smaller, current: certain_answer(o, smaller, current, current.answer_var)
     )
     return done

@@ -661,15 +661,15 @@ class _Subtree:
         return self.hi - self.lo
 
 
-def prune_role_atoms(q: CQ | QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ:
-    """Greedily drop role atoms of ``q``, each together with the part of the
-    query it alone connects to the answer variable, whenever
+def prune_role_atoms(index: QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ:
+    """Greedily drop role atoms of the indexed query, each together with the
+    part of the query it alone connects to the answer variable, whenever
     ``keeps(smaller, current)`` accepts the ABox ``smaller`` of the smaller
     query, ``current`` being the query as pruned so far.
 
-    ``q`` is a query or its index.  Each question reads a cut of the one
-    index (``Cut.to_abox``), so no question copies the query; the smaller
-    query is built only when a drop is accepted.
+    Each question reads a cut of the one index (``Cut.to_abox``), so no
+    question copies the query; the smaller query is built only when a drop
+    is accepted.
 
     Atoms are visited once, shallowest first: by the breadth-first distance
     of their nearer endpoint from the answer variable, ties in ``sorted``
@@ -678,14 +678,13 @@ def prune_role_atoms(q: CQ | QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> C
     the result has no droppable atom left; shallow atoms first lets one
     drop cut off a whole branch before its atoms are asked about.
 
-    When ``q`` is a tree, an atom's part is the subtree below its farther
+    When the query is a tree, an atom's part is the subtree below its farther
     endpoint, a range of one pre-order of the tree built from the distances
     (``_Subtree``); atoms come shallowest first, so no earlier drop reached
     below an atom still present.  Otherwise (a cycle, or a part the answer
     variable does not reach) the part is what a search over the rest of the
     query does not reach from the answer variable, per atom.
     """
-    index = q if isinstance(q, QueryIndex) else QueryIndex(q)
     q = index.query
     dist = distances(q.role_atoms, q.answer_var)
     far = len(dist)  # atoms the answer variable does not reach come last

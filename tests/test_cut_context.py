@@ -71,7 +71,7 @@ def _cuts_and_copies(q: CQ, salt: float) -> list:
             return random.Random(f"{salt}{len(asked[i])}").random() < 0.5
         return answer
 
-    assert prune_role_atoms(q, keeps(0)) == ref_prune_role_atoms(q, keeps(1))
+    assert prune_role_atoms(QueryIndex(q), keeps(0)) == ref_prune_role_atoms(q, keeps(1))
     return list(zip(*asked))
 
 

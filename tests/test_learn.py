@@ -23,7 +23,7 @@ from eliq import (
     seed_query,
     treeify,
 )
-from eliq.syntax import prune_role_atoms
+from eliq.syntax import QueryIndex, prune_role_atoms
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
@@ -312,7 +312,7 @@ def test_an_oracle_reading_only_the_assertions_learns_the_same():
 def test_a_pickled_cut_abox_is_a_plain_abox():
     q = parse_cq("q(x) :- A(x), r(x,y), B(y), s(y,z), r(x,w)")
     asked = []
-    prune_role_atoms(q, lambda smaller, current: asked.append(smaller) or False)
+    prune_role_atoms(QueryIndex(q), lambda smaller, current: asked.append(smaller) or False)
     assert asked and all(smaller.cut is not None for smaller in asked)
     for smaller in asked:
         plain = ABox(smaller.concept_assertions, smaller.role_assertions)

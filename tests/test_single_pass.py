@@ -35,7 +35,7 @@ from eliq.frontier_f import frontier
 from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.learn import minimize_cq
 from eliq.model import intern_cq
-from eliq.reasoner import minimize_eliq, saturate
+from eliq.reasoner import equivalent, minimize_eliq, saturate
 from eliq.syntax import Dialect, Ontology, dialect_of, tree_children, tree_order
 from paper_fixtures import subtree_vars
 from reference_prune import ref_prune_role_atoms, restrict
@@ -253,6 +253,17 @@ def test_minimizing_a_query_again_asks_no_check(monkeypatch):
     assert asked and minimize_eliq(o, q) is first and counter.calls == asked
     on = normalize(o)[0]
     assert serialize_cq(minimize_eliq(on, q)) != serialize_cq(first) and counter.calls > asked
+    # The same atoms answering at another variable have the same ABox, but
+    # not the same minimization: the answer variable is part of the key.
+    empty = parse_ontology("")
+    at_x = parse_cq("q(x) :- r(x,y), r(x,z)")
+    at_y = parse_cq("q(y) :- r(x,y), r(x,z)")
+    assert at_x.to_abox() == at_y.to_abox()
+    assert minimize_eliq(empty, at_x).answer_var == "x"
+    asked = counter.calls
+    again = minimize_eliq(empty, at_y)
+    assert counter.calls > asked and again.answer_var == "y"
+    assert equivalent(empty, again, at_y) and len(again.variables()) == 2
 
 
 @pytest.mark.parametrize("seed", range(3))

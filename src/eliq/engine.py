@@ -51,15 +51,10 @@ entry from the query's index, skipping removed individuals and the atoms
 into them.  The first read of an individual closes it from its own seed,
 filling its facts, successors and edge roles, so unless fillers travel a
 homomorphism search pays only for the individuals it reaches, and on a pooled
-tree or a cut indexes only them (and a tree node's children).  A cut's
-context closes an individual whose atoms the cut all keeps by sharing what
-the context of the whole indexed query closed for it (its facts, edge roles
-and successors), which the index keeps per engine
-(``QueryIndex.contexts``), so the checks of one minimization close each
-individual once, and again only the parents of removed parts.  When the
+tree or a cut indexes only them (and a tree node's children).  When the
 index reads its query's saturation on demand (``QueryIndex.saturation``), a
-cut's context asserts the saturated names of each individual it closes
-itself, since the cut may have removed the atoms that entailed them.  When
+cut's context asserts the saturated names of each individual it closes,
+since the cut may have removed the atoms that entailed them.  When
 fillers travel the first read closes every individual the same way, a
 pooled tree level by level to its leaves, and then runs the worklist.  Satisfiability
 reads functionality from the source on every engine, closing nothing: an
@@ -396,9 +391,8 @@ class ABoxContext:
     is named ``<root>.<n>`` when its parent is closed, with n counting up, so
     siblings are numbered consecutively in pool-child order.  The
     constructor only indexes the ABox, or the tree's root; for a cut it
-    indexes nothing, checks the index's forks when the engine has
-    functional roles, and finds the whole query's context that it shares
-    intact individuals with.  The per-individual reads (``facts_at``,
+    indexes nothing, and checks the index's forks when the engine has
+    functional roles.  The per-individual reads (``facts_at``,
     ``names_at``, ``successors_at``, ``edge_roles_at``, ``fired_children``)
     close the individuals they touch; the whole-ABox views
     (``individuals``, ``facts``, ``successors``, ``edge_roles``) close every
@@ -420,8 +414,7 @@ class ABoxContext:
         self._index: dict[str, list | tuple] = {}
         self._tree = None  # for a tree source, model.tree_struct
         # For a cut source: the index's table of variables, and the cut's
-        # removed variables and atoms.  Not the cut, which refers to the
-        # index: the index keeps the whole query's context (``_base``).
+        # removed variables and atoms.
         self._cut: tuple | None = None
         self._closed_all = False
         # For an ABox or a cut source: some individual has two asserted
@@ -432,10 +425,8 @@ class ABoxContext:
         elif isinstance(source, Cut):
             self._cut = (source.index.at, source.gone, source.part, source.dropped)
             self._forked = bool(engine.functional) and self._cut_forked(source)
-            self._base, self._touched = self._base_for(source)
             # The saturation's names are asserted names here: a cut may
-            # remove the atoms that entailed them.  Intact individuals
-            # shared with the base have them already.
+            # remove the atoms that entailed them.
             self._extra = source.index.saturation
         else:
             from .model import tree_struct  # model imports this module
@@ -515,46 +506,6 @@ class ABoxContext:
                 return True
         return False
 
-    def _base_for(self, cut: Cut) -> tuple:
-        """(the context of the whole indexed query, the cut's touched
-        variables) when this context can read intact individuals from it:
-        unless fillers travel, a kept variable whose atoms are all kept has
-        the facts, edges and successors it has in the whole query.  The
-        whole query's context is kept on the index, per engine: the first
-        one built registers itself there (``reasoner.saturating_index``
-        builds it), unless a caller registered one (``minimize_eliq``
-        registers the context table's)."""
-        if self.engine.fillers_travel or cut.touched is None:
-            return None, None
-        contexts = cut.index.contexts
-        if not (cut.gone or cut.part or cut.dropped):
-            contexts.setdefault(self.engine, self)
-            return None, None
-        base = contexts.get(self.engine)
-        if base is None:
-            base = ABoxContext(self.engine, cut.index.cut())
-        return base, cut.touched
-
-    def _share(self, a: str) -> None:
-        """Close the intact individual ``a`` from the whole query's context:
-        take its facts there, and the sets of its edge roles and successors,
-        which no context changes once the individual is closed."""
-        at, gone, part, _ = self._cut
-        if a in gone or a in part:
-            raise KeyError(a)
-        base = self._base
-        if a not in base._facts:
-            base._close(a)
-        self._facts[a] = base._facts[a]
-        edge_roles, successors = self._edge_roles, self._successors
-        for item in at[a]:
-            if type(item) is tuple:
-                _, x, y = item
-                b = y if x == a else x
-                ks = edge_roles[(a, b)] = base._edge_roles[(a, b)]
-                for k in ks:
-                    successors[(a, k)] = base._successors[(a, k)]
-
     def _reach_cut_individual(self, a: str) -> list:
         """The index entry of the cut's individual ``a``, as ``_index_abox``
         makes it, from the cut's query index: ``a``'s concept names and an
@@ -609,9 +560,6 @@ class ABoxContext:
         edge_roles = self._edge_roles
         successors = self._successors
         if self._cut is not None:
-            if self._base is not None and a not in self._touched:
-                self._share(a)
-                return
             entry = self._reach_cut_individual(a)
         else:
             entry = self._index.pop(a)

@@ -169,12 +169,9 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     ``frontier_base.prepare`` has just checked the query's satisfiability.
     The saturated query is then indexed once (``QueryIndex``), and each
     check reads a cut of that index (``Cut``) in a one-shot context, so no
-    check copies, hashes or re-indexes the query.  The cuts share what the
-    table's context of the query closed (``QueryIndex.contexts``): saturation
-    adds only names that the context entails, so its closure is that of the
-    saturated query.  The result is kept on that context too, so asking
-    again about the same query, as a second frontier of it does, asks no
-    check again.
+    check copies, hashes or re-indexes the query.  The result is kept on the
+    table's context of the query, by answer variable, so asking again about
+    the same query, as a second frontier of it does, asks no check again.
     """
     whole = context_for(o, q.to_abox())
     # The ABox leaves out an answer variable with atoms: queries differing
@@ -187,7 +184,6 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     if not saturated.is_eliq():
         raise NotAnEliqError(f"not an ELIQ: {saturated.concept_atoms | saturated.role_atoms}")
     index = QueryIndex(saturated)
-    index.contexts[whole.engine] = whole
     # Dropping atoms only generalizes: the smaller query stays equivalent iff
     # the current one still holds on its ABox.
     done = whole.minimized[key] = prune_role_atoms(

@@ -517,16 +517,13 @@ class QueryIndex:
     ``at`` maps each variable to a list of its concept names (top left out)
     and the role atoms that mention it: an item is a name when it is a str,
     else an atom, whose ends tell the directions it is seen from the
-    variable in (both, for a self-loop).  ``contexts`` maps an engine to the
-    context of the whole query (``cut()``) under it, which
-    ``engine.ABoxContext`` keeps here so that the contexts of the cuts share
-    what it closes.  ``saturation`` is None, or a context of the whole query
+    variable in (both, for a self-loop).  ``saturation`` is None, or a context of the whole query
     and the concept names it may add: the query then stands for its
     saturation, whose entailed names are read from that context on demand
     (``saturated``), so a minimization closes only what its checks reach
     and what it keeps."""
 
-    __slots__ = ("query", "at", "contexts", "saturation", "_forks")
+    __slots__ = ("query", "at", "saturation", "_forks")
 
     def __init__(self, q: CQ):
         self.query = q
@@ -546,7 +543,6 @@ class QueryIndex:
                 else:
                     items.append(t)
         self.at = at
-        self.contexts: dict = {}
         self.saturation: tuple | None = None
         self._forks: list | None = None
 
@@ -582,7 +578,7 @@ class QueryIndex:
 
     def cut(self) -> "Cut":
         """The cut that removes nothing: the whole query."""
-        return Cut(self, frozenset(), frozenset(), frozenset(), None, frozenset())
+        return Cut(self, frozenset(), frozenset(), frozenset(), None)
 
 
 class Cut:
@@ -595,24 +591,20 @@ class Cut:
     built from ``current``, the query without ``gone`` (None: the indexed
     query, when ``gone`` is empty).  Every variable the cut keeps, but the
     answer variable, keeps an atom, so the cut's individuals are those of
-    its query's ABox.  ``touched`` holds the kept variables that a removed
-    atom mentions, or is None when they are not listed; every other kept
-    variable has all its atoms.  Reading a cut copies nothing:
+    its query's ABox.  Reading a cut copies nothing:
     ``engine.ABoxContext`` takes it as a source, and ``to_abox`` gives an
     ABox whose assertion sets materialize only when read.  A cut is never
     changed after it is made; it compares and hashes by identity."""
 
-    __slots__ = ("index", "gone", "part", "dropped", "current", "touched")
+    __slots__ = ("index", "gone", "part", "dropped", "current")
 
     def __init__(self, index: QueryIndex, gone: frozenset[str], part: Collection[str],
-                 dropped: frozenset[tuple[str, str, str]], current: CQ | None,
-                 touched: frozenset[str] | None):
+                 dropped: frozenset[tuple[str, str, str]], current: CQ | None):
         self.index = index
         self.gone = gone
         self.part = part
         self.dropped = dropped
         self.current = current
-        self.touched = touched
 
     def removes(self, v: str) -> bool:
         return v in self.gone or v in self.part
@@ -709,15 +701,14 @@ def prune_role_atoms(index: QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ
             end[v] = end[kids[0]] if kids else pos[v] + 1
     gone: frozenset[str] = frozenset()
     dropped: frozenset[tuple[str, str, str]] = frozenset()
-    touched: frozenset[str] | None = frozenset()  # in a tree, the parents of the removed parts
     for atom in order:
         _, x, y = atom
         if x in gone or y in gone or (dropped and atom in dropped):
             continue  # cut off by an earlier drop
         if tree:
-            p, c = (x, y) if dist[y] > dist[x] else (y, x)
+            c = y if dist[y] > dist[x] else x
             part: Collection[str] = _Subtree(pos, pre, pos[c], end[c])
-            cut = Cut(index, gone, part, dropped, q, touched | {p})
+            cut = Cut(index, gone, part, dropped, q)
         else:
             cut_atoms = dropped | {atom}
             reach = {q.answer_var}
@@ -731,11 +722,10 @@ def prune_role_atoms(index: QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ
                             reach.add(w)
                             stack.append(w)
             part = frozenset(v for v in index.at if v not in reach and v not in gone)
-            cut = Cut(index, gone, part, cut_atoms, q, None)
+            cut = Cut(index, gone, part, cut_atoms, q)
         if keeps(cut.to_abox(), q):
             gone = gone.union(part)
             dropped = cut.dropped
-            touched = cut.touched
             q = cut.query()
     return q
 

@@ -517,11 +517,11 @@ class QueryIndex:
     ``at`` maps each variable to a list of its concept names (top left out)
     and the role atoms that mention it: an item is a name when it is a str,
     else an atom, whose ends tell the directions it is seen from the
-    variable in (both, for a self-loop).  ``saturation`` is None, or a context of the whole query
-    and the concept names it may add: the query then stands for its
-    saturation, whose entailed names are read from that context on demand
-    (``saturated``), so a minimization closes only what its checks reach
-    and what it keeps."""
+    variable in (both, for a self-loop).  ``saturation`` is None, or a
+    context of the whole query and the concept names it may add: the query
+    then stands for its saturation, whose entailed names are read from that
+    context on demand (``saturated``), so a minimization closes only what
+    its checks reach and what it keeps."""
 
     __slots__ = ("query", "at", "saturation", "_forks")
 

@@ -1,11 +1,11 @@
 """Frontiers, unique characterizations, and exact learning of ELI queries
 under DL-Lite ontologies, with brute-force verification oracles.
 
-The package re-exports the functions ``learn``, ``frontier_f`` and
-``frontier_r`` under the names of their modules.  So ``import eliq.learn as L``
-binds the function, not the module, and ``monkeypatch.setattr(L, ...)``
-silently patches nothing; reach the module with
-``importlib.import_module("eliq.learn")``.
+The package re-exports the functions ``characterize``, ``learn``,
+``frontier_f`` and ``frontier_r`` under the names of their modules.  So
+``import eliq.learn as L`` binds the function, not the module, and
+``monkeypatch.setattr(L, ...)`` silently patches nothing; reach the module
+with ``importlib.import_module("eliq.learn")``.
 """
 
 __version__ = "0.1.0"

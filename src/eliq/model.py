@@ -16,11 +16,15 @@ traces up to a requested depth into an inspectable ``UniversalModelPrefix``
 Tree-shaped queries are interned into a global subtree pool and matched with
 a feasibility DP memoized per (subtree, model node) on the context, so
 repeated checks of structurally overlapping queries against one ABox reuse
-each other's work.  ``generalizations_upto`` runs that feasibility test the
-other way round: it builds, smallest first, every bounded-size tree that maps
-into the model at an anchor, which is how the oracles obtain a query's
-generalizations, and ``tree_ids_upto`` obtains every bounded-size tree the
-same way, from a model that every tree maps to.  Queries with cycles fall
+each other's work.  The pool is keyed by child tuple: each sorted tuple of
+(edge, subtree id) pairs maps to the id of its tree while one root label set
+uses it, and to a small label-set table once a second one does.
+``generalizations_upto`` runs the feasibility test the other way round: it
+builds, smallest first, every bounded-size tree that maps into the model at
+an anchor, looking up each child multiset once for all of its labels, which
+is how the oracles obtain a query's generalizations, and ``tree_ids_upto``
+obtains every bounded-size tree the same way, from a model that every tree
+maps to.  Queries with cycles fall
 back to plain backtracking over the same window (cyclic queries can fold
 onto anonymous tree parts, so they are *not* restricted to ABox individuals,
 and parts the answer variable does not reach can match at any depth).
@@ -40,17 +44,36 @@ from .syntax import ABox, CQ, Ontology, Role, adjacency, concept_index, tree_wal
 # Interned rooted trees
 # ---------------------------------------------------------------------------
 
-_POOL: dict[tuple, int] = {}
+# child tuple -> the id of its one tree, or {labels: id} once a second
+# label set uses the child tuple; _STRUCT[id] is (labels, children).
+_POOL: dict[tuple, int | dict[frozenset, int]] = {}
 _STRUCT: list[tuple] = []
 
 
+def _pooled(entry, labels: frozenset) -> int | None:
+    """The id of the tree with ``labels`` in a pool entry, as
+    ``_POOL.get(children)`` returns it; None if it is not pooled."""
+    if type(entry) is int:
+        return entry if _STRUCT[entry][0] == labels else None
+    return None if entry is None else entry.get(labels)
+
+
 def intern_tree(labels: frozenset, children: tuple) -> int:
-    key = (labels, children)
-    tid = _POOL.get(key)
+    """The id of the tree with root label ``labels`` and the sorted
+    (edge, id) tuple ``children``; a new tree gets the next id.  The pool
+    holds one entry per child tuple, so a caller that looks up the entry
+    once reads every label set's id from it with ``_pooled``."""
+    entry = _POOL.get(children)
+    tid = _pooled(entry, labels)
     if tid is None:
         tid = len(_STRUCT)
-        _POOL[key] = tid
-        _STRUCT.append(key)
+        if entry is None:
+            _POOL[children] = tid
+        elif type(entry) is int:
+            _POOL[children] = {_STRUCT[entry][0]: entry, labels: tid}
+        else:
+            entry[labels] = tid
+        _STRUCT.append((labels, children))
     return tid
 
 
@@ -112,14 +135,14 @@ def one_step_smaller(tid: int) -> Iterator[int]:
         distinct = [i for i in range(len(children)) if i == 0 or children[i] != children[i - 1]]
         keys = [(labels - {a}, children) for a in sorted(labels)]
         keys += [(labels, children[:i] + children[i + 1:]) for i in distinct if not _STRUCT[children[i][1]][1]]
-        for key in keys:
-            s = _POOL.get(key)
+        for key_labels, key_children in keys:
+            s = _pooled(_POOL.get(key_children), key_labels)
             way = up
             while s is not None and way is not None:
                 p, i, way = way
                 p_labels, p_children = _STRUCT[p]
                 rest = p_children[:i] + p_children[i + 1:]
-                s = _POOL.get((p_labels, tuple(sorted(rest + ((p_children[i][0], s),)))))
+                s = _pooled(_POOL.get(tuple(sorted(rest + ((p_children[i][0], s),)))), p_labels)
             if s is not None:
                 yield s
         stack.extend((children[i][1], (t, i, up)) for i in reversed(distinct))
@@ -160,20 +183,20 @@ def _alphabet(names, roles) -> tuple[list[frozenset[str]], list[Role]]:
 
 def _combos(attachments: list[tuple[int, Role, int]], budget: int) -> list[tuple]:
     """Every multiset of (subtree size, edge, tid) attachments whose sizes sum
-    to ``budget``, as a sorted child tuple.  ``attachments`` must be sorted;
-    the order of the result follows it."""
+    to ``budget`` (at least 1), as a sorted child tuple.  ``attachments``
+    must be sorted; the order of the result follows it."""
     combos: list[tuple] = []
 
     def rec(remaining: int, start: int, acc: list) -> None:
-        if remaining == 0:
-            combos.append(tuple(sorted(acc)))
-            return
         for i in range(start, len(attachments)):
             s, e, t = attachments[i]
             if s > remaining:
                 break  # attachments sorted by size
             acc.append((e, t))
-            rec(remaining - s, i, acc)
+            if s == remaining:
+                combos.append(tuple(sorted(acc)))
+            else:
+                rec(remaining - s, i, acc)
             acc.pop()
 
     rec(budget, 0, [])
@@ -193,7 +216,10 @@ def generalizations_upto(
     of ``size`` nodes fits at a model node when its label holds there and each
     child subtree fits at some neighbour along its edge, so the trees fitting
     at a node are formed from the smaller trees fitting at its neighbours.
-    The result is memoized on ``ctx``; callers must not change it.
+    Each child tuple is looked up in the pool once per node and size, and
+    the id of every label that holds at the node is read from its entry;
+    new trees are interned label by label, in the order of the result.  The
+    result is memoized on ``ctx``; callers must not change it.
     """
     done = ctx.generalizations.get((anchor, names, roles, bound))
     if done is not None:
@@ -210,7 +236,7 @@ def generalizations_upto(
         present = win.names(node)
         labs = [lab for lab in labels if lab <= present]
         if size == 1:
-            out = [intern_tree(lab, ()) for lab in labs]
+            combos = [()]
         else:
             attachments: list[tuple[int, Role, int]] = []
             for e in edges:
@@ -223,7 +249,15 @@ def generalizations_upto(
                     attachments.extend((s, e, t) for t in fit)
             attachments.sort()
             combos = _combos(attachments, size - 1)
-            out = [intern_tree(lab, kids) for lab in labs for kids in combos]
+        entries = [_POOL.get(kids) for kids in combos]
+        out = []
+        for lab in labs:
+            for j, kids in enumerate(combos):
+                tid = _pooled(entries[j], lab)
+                if tid is None:
+                    tid = intern_tree(lab, kids)
+                    entries[j] = _POOL[kids]
+                out.append(tid)
         memo[key] = out
         return out
 

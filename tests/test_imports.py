@@ -7,10 +7,13 @@ exempt: it re-exports names it never uses itself.  No module uses an
 ``assert`` statement, which ``python -O`` strips.  Every module-level
 function and class is named somewhere in the repository's code besides its
 own definition and that re-export, and every one outside ``eliq.__all__``
-by the library's own code, its demos, benchmark or scripts.
+by the library's own code, its demos, benchmark or scripts.  The package
+docstring names every submodule that a re-export shadows.
 """
 
 import ast
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -174,3 +177,17 @@ def test_every_private_module_level_definition_serves_the_library():
     library_users = ("src", "demos", "perfbench", "scripts")
     test_only = [n for n in _unnamed(library_users, set(eliq.__all__)) if not n.startswith("gen.py:")]
     assert not test_only, "named only by tests; move them to tests/: " + ", ".join(test_only)
+
+
+def test_package_docstring_names_every_shadowed_submodule():
+    """A re-export named like its submodule hides the module from
+    ``import eliq.<name> as m``; the docstring warns of each one."""
+    import eliq
+
+    shadowed = [
+        m.name for m in pkgutil.iter_modules(eliq.__path__)
+        if m.name in vars(eliq) and not inspect.ismodule(vars(eliq)[m.name])
+    ]
+    assert shadowed
+    unnamed = [name for name in shadowed if f"``{name}``" not in eliq.__doc__]
+    assert not unnamed, "shadowed submodules the package docstring does not name: " + ", ".join(unnamed)

@@ -1,10 +1,10 @@
 import json
 import random
 
-from eliq import Ontology, make_cq, model, normalize, parse_abox, parse_ontology, universal_prefix
+from eliq import Ontology, Role, make_cq, model, normalize, parse_abox, parse_ontology, universal_prefix
 from eliq.engine import ABoxContext, Engine, context_for
 from eliq.gen import random_abox, random_ontology
-from eliq.model import anchored, intern_cq, one_step_smaller, tree_ids_upto, tree_struct
+from eliq.model import anchored, intern_cq, intern_tree, one_step_smaller, tree_ids_upto, tree_struct
 from eliq.reasoner import abox_satisfiable
 from reference_trees import reference_tree_ids
 
@@ -207,3 +207,32 @@ def test_one_step_smaller_on_a_deep_chain_needs_no_deep_recursion():
     tid = intern_cq(make_cq("x0", [], [("deep_r", f"x{i}", f"x{i + 1}") for i in range(n)]))
     # without its leaf the chain is its own root's child subtree, one node shorter
     assert list(one_step_smaller(tid)) == [tree_struct(tid)[1][0][1]]
+
+
+def test_a_child_tuple_entry_is_promoted_to_a_label_table(monkeypatch):
+    # A fresh pool, so the ids are known: the leaf gets 0 and each new tree
+    # the next one, whichever label set reaches its child tuple first.
+    monkeypatch.setattr(model, "_POOL", {})
+    monkeypatch.setattr(model, "_STRUCT", [])
+    a, b, ab = frozenset({"A"}), frozenset({"B"}), frozenset({"A", "B"})
+    leaf = intern_tree(frozenset(), ())
+    trees = {}
+    for role, order in (("r", (a, ab, b)), ("s", (ab, a, b))):
+        kids = ((Role(role), leaf),)
+        for i, labels in enumerate(order):
+            trees[role, labels] = intern_tree(labels, kids)
+            # one label set: the entry is its tree's id; two: a table of them
+            assert isinstance(model._POOL[kids], dict) == (i > 0)
+    assert trees == {("r", a): 1, ("r", ab): 2, ("r", b): 3, ("s", ab): 4, ("s", a): 5, ("s", b): 6}
+    for (role, labels), tid in trees.items():
+        assert intern_tree(labels, ((Role(role), leaf),)) == tid
+        assert model._STRUCT[tid] == (labels, ((Role(role), leaf),))
+    assert len(model._STRUCT) == 7
+    for role in ("r", "s"):
+        # the leaf dropped, (A & B, ()), is not pooled
+        assert list(one_step_smaller(trees[role, ab])) == [trees[role, b], trees[role, a]]
+        assert list(one_step_smaller(trees[role, a])) == []
+    # a drop below the root is carried up through the parents' entries
+    up = {labels: intern_tree(frozenset(), ((Role("r"), trees["s", labels]),)) for labels in (ab, a, b)}
+    assert list(one_step_smaller(up[ab])) == [up[b], up[a]]
+    assert len(model._STRUCT) == 10

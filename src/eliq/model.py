@@ -252,11 +252,12 @@ def generalizations_upto(
         entries = [_POOL.get(kids) for kids in combos]
         out = []
         for lab in labs:
-            for j, kids in enumerate(combos):
-                tid = _pooled(entries[j], lab)
+            for j, entry in enumerate(entries):
+                # most entries are label tables: read them without a call
+                tid = entry.get(lab) if type(entry) is dict else _pooled(entry, lab)
                 if tid is None:
-                    tid = intern_tree(lab, kids)
-                    entries[j] = _POOL[kids]
+                    tid = intern_tree(lab, combos[j])
+                    entries[j] = _POOL[combos[j]]
                 out.append(tid)
         memo[key] = out
         return out

@@ -24,10 +24,10 @@ builds, smallest first, every bounded-size tree that maps into the model at
 an anchor, looking up each child multiset once for all of its labels, which
 is how the oracles obtain a query's generalizations, and ``tree_ids_upto``
 obtains every bounded-size tree the same way, from a model that every tree
-maps to.  Queries with cycles fall
-back to plain backtracking over the same window (cyclic queries can fold
-onto anonymous tree parts, so they are *not* restricted to ABox individuals,
-and parts the answer variable does not reach can match at any depth).
+maps to.  Queries with cycles fall back to plain backtracking over the same
+window (cyclic queries can fold onto anonymous tree parts, so they are *not*
+restricted to ABox individuals, and parts the answer variable does not reach
+can match at any depth).
 """
 
 from __future__ import annotations
@@ -58,6 +58,20 @@ def _pooled(entry, labels: frozenset) -> int | None:
     return None if entry is None else entry.get(labels)
 
 
+def _add(labels: frozenset, children: tuple, entry) -> int:
+    """Pool the tree with ``labels`` and ``children``, which is not pooled,
+    under the entry ``_POOL.get(children)`` returned; returns its new id."""
+    tid = len(_STRUCT)
+    if entry is None:
+        _POOL[children] = tid
+    elif type(entry) is int:
+        _POOL[children] = {_STRUCT[entry][0]: entry, labels: tid}
+    else:
+        entry[labels] = tid
+    _STRUCT.append((labels, children))
+    return tid
+
+
 def intern_tree(labels: frozenset, children: tuple) -> int:
     """The id of the tree with root label ``labels`` and the sorted
     (edge, id) tuple ``children``; a new tree gets the next id.  The pool
@@ -65,16 +79,7 @@ def intern_tree(labels: frozenset, children: tuple) -> int:
     once reads every label set's id from it with ``_pooled``."""
     entry = _POOL.get(children)
     tid = _pooled(entry, labels)
-    if tid is None:
-        tid = len(_STRUCT)
-        if entry is None:
-            _POOL[children] = tid
-        elif type(entry) is int:
-            _POOL[children] = {_STRUCT[entry][0]: entry, labels: tid}
-        else:
-            entry[labels] = tid
-        _STRUCT.append((labels, children))
-    return tid
+    return _add(labels, children, entry) if tid is None else tid
 
 
 def tree_struct(tid: int) -> tuple:
@@ -256,8 +261,9 @@ def generalizations_upto(
                 # most entries are label tables: read them without a call
                 tid = entry.get(lab) if type(entry) is dict else _pooled(entry, lab)
                 if tid is None:
-                    tid = intern_tree(lab, combos[j])
-                    entries[j] = _POOL[combos[j]]
+                    tid = _add(lab, combos[j], entry)
+                    if type(entry) is not dict:  # a table is filled in place
+                        entries[j] = _POOL[combos[j]]
                 out.append(tid)
         memo[key] = out
         return out

@@ -76,7 +76,8 @@ def intern_tree(labels: frozenset, children: tuple) -> int:
     """The id of the tree with root label ``labels`` and the sorted
     (edge, id) tuple ``children``; a new tree gets the next id.  The pool
     holds one entry per child tuple, so a caller that looks up the entry
-    once reads every label set's id from it with ``_pooled``."""
+    once reads every label set's id from it with ``_pooled`` and pools a
+    missing one with ``_add``."""
     entry = _POOL.get(children)
     tid = _pooled(entry, labels)
     return _add(labels, children, entry) if tid is None else tid

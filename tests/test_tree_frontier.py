@@ -13,6 +13,7 @@ depend only on the construction, not on what the process interned before or
 on the hash seed.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from eliq import (
     normalize,
     parse_cq,
     parse_ontology,
+    serialize_cq,
 )
 from eliq.engine import context_for
 from eliq.frontier_base import Prepared, Trees
@@ -114,6 +116,25 @@ def test_examples_match_the_reference(ex1_ontology, ex1_query, ex2_ontology, ex2
         assert_same_members(o, parse_cq(q), "f")
         functional_existentials.append(has_functional_existential(o))
     assert functional_existentials == [False, False, True, True, True]
+
+
+# The SHA-256 of the restricted-F members below, one line per instance.
+# Routing role inclusions through Step 2 left these members as they were.
+RESTRICTED_F_OUTPUT = "7a6d5cbdb5f275a7d0bde3acf8540d9d56dfb706794f80e3c3fa86bd9b0bbcc7"
+
+
+def test_restricted_f_output_is_pinned():
+    cases = [(parse_ontology(o), parse_cq(q)) for o, q in F_SURROGATES]
+    rng = random.Random("restricted-f-output")
+    while len(cases) < len(F_SURROGATES) + 40:
+        normal_form = len(cases) % 2 == 1
+        o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 4), dialect="f", normal_form=normal_form)
+        if dialect_of(o) is Dialect.F_RESTRICTED:
+            cases.append((o, random_satisfiable_eliq(rng, o, NAMES, ROLES, 5)))
+    assert all(o.functional for o, _ in cases)
+    assert sum(bool(normalize(o)[1]) for o, _ in cases) == 14
+    text = "".join(" | ".join(serialize_cq(m) for m in frontier_f(o, q).members) + "\n" for o, q in cases)
+    assert hashlib.sha256(text.encode()).hexdigest() == RESTRICTED_F_OUTPUT
 
 
 @pytest.mark.parametrize("dialect", ["r", "f"])

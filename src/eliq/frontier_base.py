@@ -590,6 +590,121 @@ def generalize(o: Ontology, q: CQ, x: str) -> list[GenCandidate]:
 
 
 # ---------------------------------------------------------------------------
+# Step 2: compensation
+# ---------------------------------------------------------------------------
+
+# A marked atom, as (marked role, target's origin, source's origin or None).
+Marked = tuple[Role, str, str | None]
+
+
+def nudges(prep: Prepared, v: str) -> list[tuple[Role, frozenset[str]]]:
+    """Unwitnessed entailed successors of original variable v, as pairs
+    (role, maximal concept-name set of the witness), keeping only the
+    maximal sets per role."""
+    eng = prep.ctx.engine
+    kept = {
+        (rk, eng.names_of(eng.type_facts((w, rk))))
+        for rk, w in eng.maximal_witnesses(prep.ctx.fired_children(v))
+    }
+    return sorted(kept, key=lambda p: (p[0], sorted(p[1])))
+
+
+def compensate(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
+    """Step 2 on the candidate trees ``cands``: their compensated trees, in
+    order."""
+    eng = prep.ctx.engine
+    functional = eng.functional
+    q = prep.query
+    nodes = trees.nodes
+    rerooted = trees.rerooted()
+
+    def glued(role: Role, y: str) -> bool:
+        # A full copy of q glued at a marked role-target with origin y cannot
+        # clash with functionality.
+        back = role.inverse()
+        return back not in functional or all(r != back for r, _ in q.neighbors(y))
+
+    def mark(role: Role, y: str | None, x: str | None) -> Marked:
+        # Marking proviso: the target descends from a query variable, and a
+        # source with no origin must be safely gluable later.
+        if y is None:
+            raise AssertionError("marked atom target must have an origin")
+        if x is None and not glued(role, y):
+            raise AssertionError("marking proviso violated")
+        return (role, y, x)
+
+    def reexpansion(key: Marked) -> list[tuple[Role, frozenset[str] | None, Marked]]:
+        # The atoms processing a non-glued marked atom adds below its target,
+        # as (role, witness labels or None, marked atom): the original
+        # variable's other query edges, and its entailed witness successors
+        # each with an inverse twin that is glued.  Only a functional role
+        # blocks a glue, so no role inclusion applies here.
+        role, y, x = key
+        back = role.inverse()
+        out: list[tuple[Role, frozenset[str] | None, Marked]] = [
+            (s, None, mark(s, z, y)) for s, z in sorted(q.neighbors(y)) if s != back or z != x
+        ]
+        out += [(sk, m, mark(sk.inverse(), y, None)) for sk, m in nudges(prep, y)]
+        return out
+
+    grown: dict[Marked, int] = {}  # marked atom -> the tree hung at its target
+
+    def below_marked(key: Marked) -> list[Marked]:
+        return [] if glued(key[0], key[1]) else [k for _, _, k in reexpansion(key)]
+
+    def grow(key: Marked) -> int:
+        role, y, _ = key
+        if glued(role, y):
+            return rerooted[y]
+        kids = [(s, grown[k] if m is None else trees.node(m, None, [(k[0], grown[k])]))
+                for s, m, k in reexpansion(key)]
+        return trees.node(prep.ctx.names_at(y), y, kids)
+
+    def marked(role: Role, y: str | None, x: str | None) -> tuple[Role, int]:
+        key = mark(role, y, x)
+        bottom_up((key,), below_marked, grown, grow)
+        return role, grown[key]
+
+    witnesses: dict[tuple[frozenset[str], str], list[tuple[Role, int]]] = {}
+
+    def step_2a(labels: frozenset[str], dx: str) -> list[tuple[Role, int]]:
+        # Witness every still-entailed, unwitnessed successor along each of
+        # its role's superroles that brings back no dropped name; the inverse
+        # of the role that fired it is marked unless that inverse is
+        # functional.
+        hit = witnesses.get((labels, dx))
+        if hit is None:
+            hit = witnesses[(labels, dx)] = []
+            for rk, m in nudges(prep, dx):
+                roles = [sk for sk in sorted(eng.superroles(rk)) if names_implied_by_exists(eng, sk) <= labels]
+                if roles:
+                    back = rk.inverse()
+                    z = trees.node(m, None, [] if back in functional else [marked(back, dx, None)])
+                    hit.extend((sk, z) for sk in roles)
+        return hit
+
+    done: dict[tuple[int, Role | None, str | None], int] = {}  # (candidate node, parent role, parent's origin)
+
+    def below(key: tuple[int, Role | None, str | None]) -> list[tuple[int, Role, str]]:
+        _, dx, children = nodes[key[0]]
+        return [(c, role, dx) for role, c in children]
+
+    def make(key: tuple[int, Role | None, str | None]) -> int:
+        n, prole, du = key
+        labels, dx, children = nodes[n]
+        kids = [(role, done[(c, role, dx)]) for role, c in children] + step_2a(labels, dx)
+        if prole is not None:
+            # Step 2B starts at the inverse of each role the ontology entails
+            # between the origins of the edge from the parent.
+            kids += [marked(r.inverse(), du, dx) for r in sorted(prep.ctx.edge_roles_at(du, dx))
+                     if r.inverse() not in functional]
+        return trees.node(labels, dx, kids)
+
+    bottom_up([(n, None, None) for n in cands], below, done, make)
+    return [done[(n, None, None)] for n in cands]
+
+
+# ---------------------------------------------------------------------------
 # Assembling and validating frontiers
 # ---------------------------------------------------------------------------
 
@@ -662,20 +777,13 @@ def ontology_size(o: Ontology) -> int:
     return total
 
 
-def build_frontier(
-    o: Ontology,
-    q: CQ,
-    op: str,
-    dialects: frozenset[Dialect],
-    compensate: Callable[[Prepared, Trees, list[int]], list[int]],
-) -> Frontier:
+def build_frontier(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) -> Frontier:
     """The frontier driver shared by ``frontier_r`` and ``frontier_f``.
 
     Rejects dialects outside ``dialects``, normalizes the ontology, saturates
-    and minimizes the query, and runs Step 1.  The dialect's ``compensate``
-    runs Step 2 on the root candidates' trees and returns the members'
-    trees, which ``Trees.members`` translates, reduces, deduplicates and
-    names.  The driver then machine-checks Conditions 1 and 2 on every member
+    and minimizes the query, and runs Step 1.  ``compensate`` runs Step 2
+    on the root candidates' trees and returns the members' trees, which
+    ``Trees.members`` translates, reduces, deduplicates and names.  The driver then machine-checks Conditions 1 and 2 on every member
     before returning them sorted.
     """
     reject_unsupported(o, dialects, op)

@@ -3,9 +3,15 @@ kept as the reference for ``frontier_base.build_frontier``.
 
 Step 1 copies the child's subquery and every member of the child's F0 into a
 ``QB`` per candidate, with fresh names from one ``Namer``; Step 2 glues a
-fresh copy of the query at every compensation point, and the functional
-Step 2B processes its marked atoms from a queue, within an explicit
-iteration budget; members are translated with ``reference_translate``'s
+fresh copy of the query at every compensation point, and Step 2B processes
+its marked atoms from a queue, within an explicit iteration budget.  Both
+dialects get that Step 2 (``compensate_f``), with the two rules that role
+inclusions add: a witness hangs along every superrole of the role that fired
+it that brings no dropped name back, marked back along that role's inverse,
+and Step 2B starts at the inverse of every role entailed along a candidate
+edge.  The paper's own Step 2 for role inclusions (``compensate_r``), which
+glues a copy of the query next to every single-name witness, is kept too,
+for the tests that match members with it up to equivalence.  Members are translated with ``reference_translate``'s
 ``translate_members``, checked by ``check_conditions`` (which walks each
 member to intern it and, since none carries a pool id, reads it from its
 ABox) and deduplicated as queries, so isomorphic members with different
@@ -25,8 +31,9 @@ from eliq.frontier_base import (
     prepare,
     reject_unsupported,
 )
-from eliq.frontier_f import _F_DIALECTS, _f_nudges
-from eliq.frontier_r import _R_DIALECTS, _r_nudges
+from eliq.frontier_base import nudges
+from eliq.frontier_f import _F_DIALECTS
+from eliq.frontier_r import _R_DIALECTS
 from eliq.syntax import CQ, tree_order, tree_walk
 from paper_fixtures import subtree_vars
 from reference_prune import restrict
@@ -114,6 +121,28 @@ def f0(prep, namer, top):
     return subs
 
 
+def r_nudges(prep, v):
+    """Unwitnessed entailed successors of original variable v, as the paper's
+    role-inclusion Step 2 reads them: pairs (R, A) with A a concept name or
+    None (top) such that the query entails an R-successor of v satisfying A
+    and no role atom at v already provides one."""
+    eng = prep.ctx.engine
+    ctx = prep.ctx
+    out = set()
+    for t, f in eng.fired(ctx.facts_at(v)):
+        seed = frozenset() if f is None else frozenset({f})
+        witness_names = eng.names_of(eng.type_facts((seed, t)))
+        for r in eng.superroles(t):
+            for a in set(witness_names) | {None}:
+                blocked = any(
+                    a is None or a in ctx.names_at(b)
+                    for b in ctx.successors_at(v, r)
+                )
+                if not blocked:
+                    out.add((r, a))
+    return sorted(out, key=lambda p: (p[0], p[1] or ""))
+
+
 def compensate_r(prep, namer, cand):
     eng = prep.ctx.engine
     ctx = prep.ctx
@@ -121,7 +150,7 @@ def compensate_r(prep, namer, cand):
     qb = QB.of(cand.query, cand.down)
     for x in sorted(cand.query.variables()):
         dx = cand.down[x]
-        for r, a in _r_nudges(prep, dx):
+        for r, a in r_nudges(prep, dx):
             for s in sorted(eng.superroles(r)):
                 if not names_implied_by_exists(eng, s) <= cand.query.concepts_at(x):
                     continue
@@ -160,18 +189,22 @@ def compensate_f(prep, namer, cand):
     q = prep.query
     qb = QB.of(cand.query, cand.down)
 
-    # Step 2A: add entailed witness successors (no query copies here; the
-    # iterative step below takes care of compensation around them).
+    # Step 2A: add entailed witness successors along every superrole of the
+    # role that fired them that brings back no dropped name (no query copies
+    # here; the iterative step below takes care of compensation around them).
+    fired = {}  # witness -> the role that fired it
     for x in sorted(cand.query.variables()):
         dx = cand.down[x]
-        for rk, m in _f_nudges(prep, dx):
-            if not names_implied_by_exists(eng, rk) <= cand.query.concepts_at(x):
-                continue
-            z = namer.fresh("z")
-            qb.add_edge(rk, x, z)
-            for a in sorted(m):
-                qb.add_concept(a, z)
-            qb.down[z] = None
+        for rk, m in nudges(prep, dx):
+            for sk in sorted(eng.superroles(rk)):
+                if not names_implied_by_exists(eng, sk) <= cand.query.concepts_at(x):
+                    continue
+                z = namer.fresh("z")
+                qb.add_edge(sk, x, z)
+                for a in sorted(m):
+                    qb.add_concept(a, z)
+                qb.down[z] = None
+                fired[z] = rk
 
     # Step 2B.  Work on the current atom set (candidate plus 2A successors).
     marked = deque()
@@ -189,16 +222,21 @@ def compensate_f(prep, namer, cand):
                 raise AssertionError("marking proviso violated")
         marked.append((src, dst, role))
 
-    # Start: invert every edge whose inverse is not functional.
+    # Start: below a witness, invert the role that fired it; below a
+    # candidate edge, every role entailed between its ends' origins.  Never
+    # invert into a functional role.
     for u, role, w in away_atoms(qb.freeze()):
-        if role.inverse() in eng.functional:
-            continue
         if qb.down.get(u) is None:
             raise AssertionError("away-directed sources have origins here")
-        v = namer.fresh(u)
-        qb.add_edge(role.inverse(), w, v)
-        qb.down[v] = qb.down[u]
-        mark(w, v, role.inverse())
+        roles = [fired[w]] if w in fired else sorted(prep.ctx.edge_roles_at(qb.down[u], qb.down[w]))
+        for r in roles:
+            back = r.inverse()
+            if back in eng.functional:
+                continue
+            v = namer.fresh(u)
+            qb.add_edge(back, w, v)
+            qb.down[v] = qb.down[u]
+            mark(w, v, back)
 
     while marked:
         src, dst, role = marked.popleft()
@@ -229,7 +267,7 @@ def compensate_f(prep, namer, cand):
             mark(dst, z2, s_role)
         # (iii) re-expand the entailed witness successors, paired with an
         # inverse twin that the next round glues a copy onto
-        for sk, m in _f_nudges(prep, ydown):
+        for sk, m in nudges(prep, ydown):
             u2 = namer.fresh("u")
             y2 = namer.fresh(ydown)
             qb.add_edge(sk, dst, u2)
@@ -243,11 +281,13 @@ def compensate_f(prep, namer, cand):
     return qb.freeze()
 
 
-def reference_frontier(o, q, dialect):
+def reference_frontier(o, q, dialect, paper=False):
     """The members of ``frontier_r`` (``dialect`` "r") or ``frontier_f``
     ("f") as the earlier construction built them, deduplicated as queries and
-    sorted by variable count, then by their sorted atoms."""
-    dialects, compensate = (_R_DIALECTS, compensate_r) if dialect == "r" else (_F_DIALECTS, compensate_f)
+    sorted by variable count, then by their sorted atoms.  With ``paper``,
+    role inclusions get the paper's own Step 2 (``compensate_r``)."""
+    dialects = _R_DIALECTS if dialect == "r" else _F_DIALECTS
+    compensate = compensate_r if paper and dialect == "r" else compensate_f
     op = "frontier_r" if dialect == "r" else "frontier_f"
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)

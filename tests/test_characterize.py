@@ -3,19 +3,25 @@ import random
 import pytest
 
 from eliq import (
+    Dialect,
     Ontology,
+    bruteforce_frontier_check,
     characterize,
+    dialect_of,
     equivalent,
     fits,
+    frontier_f,
     frontier_r,
     parse_cq,
     parse_ontology,
     verify_unique,
 )
+from eliq import bruteforce
 from eliq.characterize import ExampleSet
 from eliq.errors import UnsupportedDialectError
 from eliq.frontier_base import ontology_size
 from eliq.gen import random_ontology, random_satisfiable_eliq
+from eliq.model import generalizations_upto
 
 
 def test_example_set_shape(ex1_ontology, ex1_query):
@@ -97,3 +103,23 @@ def test_random_characterizations_are_unique():
         assert fits(o, q, examples)
         verdict = verify_unique(o, q, examples, len(q.variables()) + 1)
         assert verdict.ok, f"counterexample {verdict.counterexample}"
+
+
+def test_verify_unique_after_the_frontier_check_builds_no_generalizations(monkeypatch):
+    # On a Core ontology, characterize's negatives are the frontier_f
+    # members the check already enumerated, so the second search finds the
+    # generalizations of every example in its context's memo.
+    o = parse_ontology("some r sub some r- . some s- . B\nsome s sub B\n")
+    q = parse_cq("q(x0) :- A(y2), r(y1,x0), s(y1,y2)")
+    assert dialect_of(o) is Dialect.CORE
+    assert bruteforce_frontier_check(o, q, frontier_f(o, q), 4).ok
+    built = []
+
+    def counted(ctx, anchor, names, roles, bound):
+        if (anchor, names, roles, bound) not in ctx.generalizations:
+            built.append(anchor)
+        return generalizations_upto(ctx, anchor, names, roles, bound)
+
+    monkeypatch.setattr(bruteforce, "generalizations_upto", counted)
+    assert verify_unique(o, q, characterize(o, q), len(q.variables()) + 1).ok
+    assert built == []

@@ -448,12 +448,13 @@ def test_minimize_keeps_core_under_empty_ontology():
 
 
 def test_minimize_shrinks_the_chain_member_shallowest_first(monkeypatch):
-    # The single frontier member of the n = 4 chain query, as the
-    # construction builds it before any sibling is dropped.  Shallowest
-    # first, one drop cuts off a whole redundant branch; deepest first,
-    # every variable of it was asked about one by one (244 checks).
+    # The single frontier member of the n = 4 chain query, as the paper's
+    # role-inclusion construction builds it, with no sibling dropped.
+    # Shallowest first, one drop cuts off a whole redundant branch; deepest
+    # first, every variable of it was asked about one by one (244 checks).
     o = parse_ontology("A sub some r\nr rsub s\n")
-    (member,) = reference_frontier(o, parse_cq("q(x0) :- A(x4), r(x0,x1), r(x1,x2), r(x2,x3), r(x3,x4)"), "r")
+    q = parse_cq("q(x0) :- A(x4), r(x0,x1), r(x1,x2), r(x2,x3), r(x3,x4)")
+    (member,) = reference_frontier(o, q, "r", paper=True)
     calls = []
     inner = reasoner.certain_answer
     monkeypatch.setattr(reasoner, "certain_answer", lambda *args: calls.append(args) or inner(*args))

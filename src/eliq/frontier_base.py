@@ -1,4 +1,5 @@
-"""Everything the two frontier constructions share: Step 1 and the driver.
+"""Everything the two frontier constructions share: Step 1, Step 2 and the
+driver.
 
 A frontier construction runs in two steps.  Step 1 (*generalize*, ``_f0``
 here) computes, bottom-up per variable x, the set F0(x) of least-general ways
@@ -8,32 +9,44 @@ the child subtree by every member of the child's own F0 (reattached via the
 same role), and additionally reattach the unchanged child subtree along every
 strictly more general role.  At a functional child edge the child may keep
 only a single successor, so one candidate is emitted per choice of the
-child's generalization (and plain removal when the child has none).  Step 2
-(*compensate*) re-attaches enough structure to keep every root candidate
-least general; it is the only dialect-specific part and lives in
-``frontier_r`` (role inclusions) and ``frontier_f`` (restricted
-functionality).
+child's generalization (and plain removal when the child has none).
+
+Step 2 (*compensate*) re-attaches enough structure to keep every root
+candidate least general.  2A hangs below each node the witnesses that its
+origin entails and no query edge provides, along every superrole of the role
+that fired them whose existential implies only names the node keeps.  2B
+marks the inverse of every role entailed along each candidate edge, and of
+the role that fired each witness, unless that inverse is functional.  A
+marked atom glues a copy of the query at its target or, where the copy
+could clash with functionality, re-expands the target's origin one step and
+marks the new atoms, never walking back along the edge it came by.
+
+The paper gives role inclusions a Step 2 of their own.  Here they share
+restricted functionality's, with the superroles of 2A and the entailed roles
+of 2B added, which without role inclusions are the fired role and the
+edge's own.  So that case rests not on the paper's proof but on the
+brute-force oracle (``bruteforce_frontier_check``) and on tests that match
+its members one to one, up to equivalence, with the paper construction's.
 
 Candidates and members repeat the same parts many times, so they are built
 as trees in ``Trees``, a table local to one construction that stores each
 distinct node once: a node is its concept names, its origin (``down``: the
 original query variable it descends from, None for structure that
 compensation or translation adds) and its children as (role, node) pairs.
-Step 1 builds every candidate there, and both dialects' Step 2 build their
-members there too, each compensated node once per parent context.
-``Trees.query`` names a candidate's nodes and gives its ``down`` map, for
-``generalize``.
+Step 1 builds every candidate there, and Step 2 builds the members there
+too, each compensated node once per parent context.  ``Trees.query`` names a
+candidate's nodes and gives its ``down`` map, for ``generalize``.
 
-``build_frontier`` is the one driver: prepare, Step 1, the dialect's Step 2,
-then ``Trees.members``, the size ceiling, the Condition 1-2 self-check and
-the sort.  ``Trees.members`` first expands the surrogate names ``normalize``
+``build_frontier`` is the one driver: prepare, Step 1, Step 2, then
+``Trees.members``, the size ceiling, the Condition 1-2 self-check and the
+sort.  ``Trees.members`` first expands the surrogate names ``normalize``
 introduces (``translate_members``), so members come back in the input
 ontology's own vocabulary; the learner probes them as they are.  The
 expansion runs on the table: an existential along a functional role sends
-its filler to the node's one neighbour along that role, possibly its
-parent, or to a fresh child; every other existential adds a fresh child.
-Then every node drops each child that a sibling implies (``Trees.reduce``):
-a duplicate, or one whose tree maps into a sibling's along a subrole of its
+its filler to the node's one neighbour along that role, possibly its parent,
+or to a fresh child; every other existential adds a fresh child.  Then every
+node drops each child that a sibling implies (``Trees.reduce``): a
+duplicate, or one whose tree maps into a sibling's along a subrole of its
 edge.  The result is equivalent by a homomorphism each way, with no
 reasoning beyond the role hierarchy.  A finished member is interned into the
 subtree pool and its query remembers the pool id, so the self-check builds
@@ -611,7 +624,9 @@ def nudges(prep: Prepared, v: str) -> list[tuple[Role, frozenset[str]]]:
 
 def compensate(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
     """Step 2 on the candidate trees ``cands``: their compensated trees, in
-    order."""
+    order.  What grows at a marked atom's target, a fresh leaf, depends only
+    on the marked role and the two origins, so each such triple is expanded
+    once, and the expansion ends."""
     eng = prep.ctx.engine
     functional = eng.functional
     q = prep.query

@@ -7,10 +7,13 @@ ontologies in which no concept-inclusion right-hand side uses ``some R . D``
 with ``func(R-)`` asserted; anything else is rejected with the reason code
 ``not_f_restricted``.
 
-Step 1, Step 2 and the driver are shared with the role-inclusion
-construction and live in ``frontier_base``; this module holds only the
-dialect check and ``frontier``, the dispatch between the two constructions.
-On a Core ontology, which both accept, they return the same members.
+Step 1, Step 2 and the driver live in ``frontier_base``; this module holds
+only the dialect check and ``frontier``, the dispatch between the two
+constructions.  Step 2 is the paper's restricted-functionality compensation.
+Role inclusions share it with two rules added, backed by the brute-force
+checks rather than by the paper's proof; without role inclusions the rules
+change nothing, so on a Core ontology both constructions return the same
+members.
 """
 
 from __future__ import annotations

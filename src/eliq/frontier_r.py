@@ -1,23 +1,13 @@
-"""The frontier construction for ontologies with role inclusions.
+"""The frontier construction for Core and role-inclusion ontologies.
 
 Given a satisfiable ELIQ, the construction produces a finite set of least
 general generalizations (a *frontier*): every member strictly generalizes the
 query, and every ELIQ that strictly generalizes the query is entailed by some
-member.  Step 1, Step 2 and the driver are shared with the
-restricted-functionality construction and live in ``frontier_base``; this
-module holds only the dialect check.
-
-The paper gives role inclusions a Step 2 of their own, which hangs a full
-copy of the query next to every witness and below every edge.  Here they
-share the restricted-functionality compensation (``frontier_base.compensate``)
-with two rules added: a witness hangs along every superrole of the role that
-fired it, unless the superrole brings a dropped name back, and Step 2B starts
-at the inverse of every role the ontology entails along an edge, not only of
-the edge's own role.  Without functional roles every marked atom glues a
-copy of the query, so the members are the paper's with smaller witnesses.
-The paper proves its own construction, not this one: the role-inclusion
-case is backed by the brute-force oracle (``bruteforce_frontier_check``) and
-by the tests that compare it with the paper's construction.
+member.  Step 1, Step 2 and the driver live in ``frontier_base``; this module
+holds only the dialect check.  Its Step 2 is not the paper's role-inclusion
+construction but the restricted-functionality compensation plus two rules
+(witnesses along superroles, and Step 2B along every entailed role), backed
+by the brute-force checks rather than by the paper's proof.
 """
 
 from __future__ import annotations

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import chain, zip_longest
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidArgumentError, NotAnEliqError
@@ -85,21 +87,61 @@ class ELIConcept:
             or (self.kind == "exists" and self.filler is not None and self.filler.kind == "top")
         )
 
+    def __hash__(self) -> int:
+        # Cached per object and computed children first, with an explicit
+        # stack, so a concept of any depth hashes at the default recursion limit.
+        stack = [self]
+        while "_hash" not in self.__dict__:
+            c = stack[-1]
+            below = [p for p in (*c.parts, c.filler) if p is not None and "_hash" not in p.__dict__]
+            stack.extend(below)
+            if not below:
+                stack.pop()
+                kids = tuple(p if p is None else p.__dict__["_hash"] for p in (*c.parts, c.filler))
+                object.__setattr__(c, "_hash", hash((c.kind, c.name, c.role, kids)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes; a copy hashes afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    def __eq__(self, other) -> bool:
+        # Node by node, in ``subconcepts``' pre-order.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(
+            (a.kind, a.name, a.role, len(a.parts)) == (b.kind, b.name, b.role, len(b.parts))
+            for a, b in zip(subconcepts(self), subconcepts(other)))
+
     def __str__(self) -> str:
-        if self.kind == "top":
-            return TOP
-        if self.kind == "name":
-            return self.name  # type: ignore[return-value]
-        if self.kind == "and":
-            return " & ".join(
-                f"({p})" if p.kind == "and" else str(p) for p in self.parts
-            )
-        filler: ELIConcept = self.filler  # type: ignore[assignment]
-        if filler.kind == "top":
-            return f"some {self.role}"
-        if filler.kind == "and":
-            return f"some {self.role} . ({filler})"
-        return f"some {self.role} . {filler}"
+        return "".join(_pieces(self))
+
+
+def _pieces(c: ELIConcept) -> Iterator[str]:
+    """``str(c)`` in pieces, left to right, with an explicit stack.  A
+    conjunction under a conjunction or ``some R .`` is parenthesized."""
+    stack: list = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, str) or c.kind in ("top", "name"):
+            yield c if isinstance(c, str) else c.name or TOP
+        elif c.kind == "and":
+            for i, p in enumerate(reversed(c.parts), 1):
+                stack.extend(((")", p, "(") if p.kind == "and" else (p,)) + ((" & ",) if i < len(c.parts) else ()))
+        elif c.filler.kind == "top":  # type: ignore[union-attr]
+            yield f"some {c.role}"
+        else:
+            yield f"some {c.role} . "
+            stack.extend((")", c.filler, "(") if c.filler.kind == "and" else (c.filler,))  # type: ignore[union-attr]
+
+
+def _str_order(a: ELIConcept, b: ELIConcept) -> int:
+    """-1, 0 or 1 as ``str(a)`` sorts before, with or after ``str(b)``,
+    read character by character only as far as they differ."""
+    for x, y in zip_longest(chain.from_iterable(_pieces(a)), chain.from_iterable(_pieces(b))):
+        if x != y:
+            return -1 if x is None or (y is not None and x < y) else 1
+    return 0
 
 
 CONCEPT_TOP = ELIConcept("top")
@@ -123,7 +165,7 @@ def conj(parts: Iterable[ELIConcept]) -> ELIConcept:
             flat.add(p)
     if not flat:
         return CONCEPT_TOP
-    ordered = tuple(sorted(flat, key=str))
+    ordered = tuple(sorted(flat, key=cmp_to_key(_str_order)))
     if len(ordered) == 1:
         return ordered[0]
     return ELIConcept("and", parts=ordered)

@@ -103,6 +103,24 @@ def test_conditions_and_completeness_random():
         assert size_ceiling_ok(q, o, sum(len(m.variables()) for m in frontier.members))
 
 
+def test_role_inclusion_frontiers_are_complete_at_bound_four():
+    # The paper proves its own Step 2 for role inclusions, not the shared
+    # one with its two added rules, so the brute-force oracle backs it.
+    rng = random.Random("role-inclusion-sweep")
+    checked = with_inclusions = 0
+    for i in range(300):
+        o = random_ontology(rng, ["A", "B"], ["r", "s"], rng.randint(1, 5), dialect="r",
+                            disjointness=i % 3 == 0, role_disjointness=i % 4 == 0)
+        q = random_satisfiable_eliq(rng, o, ["A", "B"], ["r", "s"], 5)
+        if not query_satisfiable(o, q):
+            continue
+        check = bruteforce_frontier_check(o, q, frontier_r(o, q), 4)
+        assert check.ok, (o, q, check)
+        checked += 1
+        with_inclusions += bool(o.role_inclusions)
+    assert checked > 250 and with_inclusions > 100
+
+
 def test_minimal_core_unique_up_to_equivalence(ex1_ontology, ex1_query, request):
     a = frontier_r(ex1_ontology, ex1_query)
     request.getfixturevalue("reversed_root_candidates")

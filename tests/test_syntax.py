@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -240,3 +241,47 @@ class TestDialect:
                 assert after is Dialect.RF
             else:
                 assert after in (Dialect.F, Dialect.F_RESTRICTED)
+
+
+def test_deep_concepts_answer_at_the_default_recursion_limit():
+    # Hashing, comparing and printing a concept, and the conj that the
+    # parser and eliq_to_concept call per level, keep their own stacks.
+    n = 5000
+
+    def chain():
+        c = atom("A")
+        for _ in range(n):
+            c = exists(Role("r"), c)
+        return c
+
+    a, b = chain(), chain()
+    assert hash(a) == hash(b) and a == b and not a != b
+    assert a != exists(Role("s"), a.filler) and a != chain().filler
+    assert str(a) == "some r . " * n + "A"
+    q = parse_cq("eliq: " + "some r . (A & " * n + "A" + ")" * n)
+    assert len(q.variables()) == n + 1 and q.concept_atoms == {("A", f"x{i}") for i in range(1, n + 1)}
+    labelled = make_cq("x0", [("A", f"x{i}") for i in range(n)], [("r", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
+    c = eliq_to_concept(labelled)
+    assert str(c) == "A & some r . (" * (n - 2) + "A & some r . A" + ")" * (n - 2)
+    assert concept_to_eliq(c).variables() == {f"x{i}" for i in range(n)}
+
+
+def test_concepts_print_compare_and_order_as_before():
+    r = Role("r")
+    c = conj([exists(r.inverse(), conj([atom("B"), exists(r)])), atom("A"), ELIConcept("and", parts=(atom("C"), atom("D")))])
+    assert str(c) == "A & C & D & some r- . (B & some r)"
+    nested = ELIConcept("and", parts=(atom("A"), ELIConcept("and", parts=(atom("B"), CONCEPT_TOP))))
+    assert str(nested) == "A & (B & top)"
+    # conj orders its conjuncts by their text, read only as far as needed
+    parts = [atom("Bb"), atom("B"), exists(r, atom("A")), exists(r), atom("A"), exists(Role("q"))]
+    assert [str(p) for p in conj(parts).parts] == sorted(str(p) for p in parts)
+    assert exists(r, atom("A")) != exists(r, atom("B")) and atom("A") != CONCEPT_TOP
+    assert atom("A").__eq__("A") is NotImplemented
+
+
+def test_a_concepts_cached_hash_is_not_carried_into_copies():
+    c = conj([atom("A"), exists(Role("r"), atom("B"))])
+    hash(c)
+    copy = pickle.loads(pickle.dumps(c))
+    assert "_hash" not in vars(copy) and "_hash" in vars(c)
+    assert copy == c and hash(copy) == hash(c)

@@ -103,15 +103,20 @@ class ELIConcept:
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes; a copy hashes afresh.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_shape")}
 
     def __eq__(self, other) -> bool:
-        # Node by node, in ``subconcepts``' pre-order.
+        # Equal hashes, then equal node shapes in ``subconcepts``' pre-order,
+        # kept on each concept compared, so a repeated comparison is cheap.
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or all(
-            (a.kind, a.name, a.role, len(a.parts)) == (b.kind, b.name, b.role, len(b.parts))
-            for a, b in zip(subconcepts(self), subconcepts(other)))
+        if self is other or hash(self) != hash(other):
+            return self is other
+        for c in (self, other):
+            if "_shape" not in c.__dict__:
+                shape = tuple((n.kind, n.name, n.role, len(n.parts)) for n in subconcepts(c))
+                object.__setattr__(c, "_shape", shape)
+        return self.__dict__["_shape"] == other.__dict__["_shape"]
 
     def __str__(self) -> str:
         return "".join(_pieces(self))

@@ -110,13 +110,14 @@ class ELIConcept:
         # kept on each concept compared, so a repeated comparison is cheap.
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self is other or hash(self) != hash(other):
+        mine, theirs = self.__dict__, other.__dict__
+        if self is other or (mine.get("_hash") or hash(self)) != (theirs.get("_hash") or hash(other)):
             return self is other
         for c in (self, other):
             if "_shape" not in c.__dict__:
                 shape = tuple((n.kind, n.name, n.role, len(n.parts)) for n in subconcepts(c))
                 object.__setattr__(c, "_shape", shape)
-        return self.__dict__["_shape"] == other.__dict__["_shape"]
+        return mine["_shape"] == theirs["_shape"]
 
     def __str__(self) -> str:
         return "".join(_pieces(self))

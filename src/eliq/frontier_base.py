@@ -698,25 +698,25 @@ def compensate(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
                     hit.extend((sk, z) for sk in roles)
         return hit
 
-    done: dict[tuple[int, Role | None, str | None], int] = {}  # (candidate node, parent role, parent's origin)
+    done: dict[tuple[int, str | None], int] = {}  # (candidate node, parent's origin) -> compensated
 
-    def below(key: tuple[int, Role | None, str | None]) -> list[tuple[int, Role, str]]:
+    def below(key: tuple[int, str | None]) -> list[tuple[int, str]]:
         _, dx, children = nodes[key[0]]
-        return [(c, role, dx) for role, c in children]
+        return [(c, dx) for _, c in children]
 
-    def make(key: tuple[int, Role | None, str | None]) -> int:
-        n, prole, du = key
+    def make(key: tuple[int, str | None]) -> int:
+        n, du = key
         labels, dx, children = nodes[n]
-        kids = [(role, done[(c, role, dx)]) for role, c in children] + step_2a(labels, dx)
-        if prole is not None:
+        kids = [(role, done[(c, dx)]) for role, c in children] + step_2a(labels, dx)
+        if du is not None:
             # Step 2B starts at the inverse of each role the ontology entails
             # between the origins of the edge from the parent.
             kids += [marked(r.inverse(), du, dx) for r in sorted(prep.ctx.edge_roles_at(du, dx))
                      if r.inverse() not in functional]
         return trees.node(labels, dx, kids)
 
-    bottom_up([(n, None, None) for n in cands], below, done, make)
-    return [done[(n, None, None)] for n in cands]
+    bottom_up([(n, None) for n in cands], below, done, make)
+    return [done[(n, None)] for n in cands]
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,9 @@ def _pieces(c: ELIConcept) -> Iterator[str]:
             yield c if isinstance(c, str) else c.name or TOP
         elif c.kind == "and":
             for i, p in enumerate(reversed(c.parts), 1):
-                stack.extend(((")", p, "(") if p.kind == "and" else (p,)) + ((" & ",) if i < len(c.parts) else ()))
+                stack.extend((")", p, "(") if p.kind == "and" else (p,))
+                if i < len(c.parts):
+                    stack.append(" & ")
         elif c.filler.kind == "top":  # type: ignore[union-attr]
             yield f"some {c.role}"
         else:

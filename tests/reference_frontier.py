@@ -11,11 +11,12 @@ it that brings no dropped name back, marked back along that role's inverse,
 and Step 2B starts at the inverse of every role entailed along a candidate
 edge.  The paper's own Step 2 for role inclusions (``compensate_r``), which
 glues a copy of the query next to every single-name witness, is kept too,
-for the tests that match members with it up to equivalence.  Members are translated with ``reference_translate``'s
-``translate_members``, checked by ``check_conditions`` (which walks each
-member to intern it and, since none carries a pool id, reads it from its
-ABox) and deduplicated as queries, so isomorphic members with different
-variable names both stay.  No member is reduced.
+for the tests that match members with it up to equivalence.  Members are
+translated with ``reference_translate``'s ``translate_members``, checked by
+``check_conditions`` (which walks each member to intern it and, since none
+carries a pool id, reads it from its ABox) and deduplicated as queries, so
+isomorphic members with different variable names both stay.  No member is
+reduced.
 """
 
 from collections import deque

@@ -6,8 +6,9 @@ by, so two members are the same exactly when they are isomorphic.  Before
 ``Trees.reduce`` drops the children that a sibling implies, the
 construction keeps one member per pool id, so its pool ids must be the
 reference's with duplicates removed.  After it, each member must be
-equivalent to exactly one of the reference's members, and each of those to
-exactly one member.  Step 1 alone (``generalize``) must give the
+equivalent to exactly one of the paper construction's members, and each of
+those to exactly one member; for role inclusions that is the reference's
+``paper=True`` construction, whose Step 2 is not the shared one.  Step 1 alone (``generalize``) must give the
 reference's candidates together with their ``down`` maps.  Member names may
 depend only on the construction, not on what the process interned before or
 on the hash seed.

@@ -20,9 +20,10 @@ exactly when the candidate is one of the example's generalizations, built
 the same way, so the negatives are tested by set membership, and so is
 ``q ⊑ cand``, against ``q``'s own generalizations.  ``cand ⊑ q`` is
 inherited where it can be: certain answers are preserved under ABox
-homomorphisms, so when a tree one concept name or one leaf smaller
-(``one_step_smaller``), which maps into the candidate at the root, is known
-to be contained in ``q``, so is the candidate.  Candidates come smallest
+homomorphisms, so when a tree one concept name or one leaf smaller, which
+maps into the candidate at the root, is known to be contained in ``q``, so
+is the candidate; ``smaller_contained`` looks for such a tree in the pool,
+returning at the first one marked contained.  Candidates come smallest
 first, so when the frontier is complete, and only candidates equivalent to
 ``q`` get this far, most of them find such a tree.  A candidate gets a
 one-shot context of its pooled tree only when it fits every example and
@@ -48,8 +49,8 @@ from .model import (
     anchored,
     generalizations_upto,
     matches,
-    one_step_smaller,
     respects_functionality,
+    smaller_contained,
     tree_ids_upto,
     tree_to_cq,
 )
@@ -105,8 +106,9 @@ def first_misfit(
     - ``q ⊑ cand`` holds exactly when it is among ``q``'s generalizations,
       a set-membership test;
     - ``cand ⊑ q`` holds when a tree one step smaller than the candidate
-      (``one_step_smaller``) is already known to be contained in ``q``,
-      since that tree maps into the candidate at the root.
+      is already known to be contained in ``q`` (``smaller_contained``
+      over ``q_ctx.trees_contained``), since that tree maps into the
+      candidate at the root.
 
     Otherwise ``cand ⊑ q``, and under disjointness the candidate's
     satisfiability, are decided in a one-shot context of the candidate's
@@ -155,7 +157,7 @@ def first_misfit(
             return tree_to_cq(tid), checked
         key = (answer_var, tid)
         if key not in in_q:
-            if any(in_q.get((answer_var, t)) for t in one_step_smaller(tid)):
+            if smaller_contained(tid, in_q, answer_var):
                 in_q[key] = True  # a rooted part of the candidate is contained in q
             else:
                 if cand_ctx is None:

@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Some walks are still recursive; a verdict of 1 would read as "no".
+        # A backstop for a walk that recurses; a verdict of 1 would read as "no".
         print("error: input nested too deeply (Python recursion limit exceeded)", file=sys.stderr)
         return 2
 

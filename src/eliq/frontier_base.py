@@ -525,26 +525,27 @@ def drop_concept_candidates(prep: Prepared, x: str) -> list[tuple[frozenset[str]
     stronger atom at x, or an incident role atom whose existential implies
     the name) cover the common cases; the final entailment check also catches
     less direct routes, such as a functional inverse role forcing the name
-    onto an asserted predecessor.
+    onto an asserted predecessor.  Unless fillers travel, it reads the
+    closure of ``x``'s own seed, as ``ABoxContext.facts_at`` would.
     """
     eng = prep.ctx.engine
     q = prep.query
     out = []
     atoms = sorted(q.concepts_at(x))
     incident = [role for role, _ in q.neighbors(x)]
+    edges = {("e", k) for r in incident for k in eng.superroles(r)}
     for a in atoms:
         if any(name_entails(eng, b, a) and not name_entails(eng, a, b) for b in atoms):
             continue
         if any(exists_entails_name(eng, r, a) for r in incident):
             continue
         removed = {b for b in atoms if name_entails(eng, a, b) and name_entails(eng, b, a)}
-        reduced_full = CQ(
-            q.answer_var,
-            frozenset(p for p in q.concept_atoms if not (p[1] == x and p[0] in removed)),
-            q.role_atoms,
-        )
-        rctx = context_for(prep.ontology, reduced_full.to_abox())
-        if a in rctx.names_at(x):
+        if eng.fillers_travel:
+            kept = frozenset(p for p in q.concept_atoms if not (p[1] == x and p[0] in removed))
+            entailed = a in context_for(prep.ontology, CQ(q.answer_var, kept, q.role_atoms).to_abox()).names_at(x)
+        else:
+            entailed = ("c", a) in eng.closure(edges.union(("c", b) for b in atoms if b not in removed))
+        if entailed:
             continue  # still entailed after removal: not a generalization
         out.append((frozenset(atoms).difference(removed), f"drop:{a}@{x}"))
     return out

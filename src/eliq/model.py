@@ -119,39 +119,48 @@ def mark_interned(q: CQ, tid: int) -> CQ:
     return q
 
 
-def one_step_smaller(tid: int) -> Iterator[int]:
-    """The pooled trees that are ``tid`` with one concept name dropped at one
-    node, or with one leaf dropped.  Each is a part of ``tid`` that keeps its
-    root, so it maps into ``tid`` at the root, and a query it is contained in
-    contains ``tid`` too.
+def smaller_contained(tid: int, known: dict, answer_var: str) -> bool:
+    """Whether a pooled tree one step smaller than ``tid`` (one concept name
+    dropped at one node, or one leaf dropped) is marked true in ``known``
+    under ``(answer_var, its id)``.  Such a tree keeps ``tid``'s root and
+    maps into ``tid`` there, so a query it is contained in contains ``tid``.
 
-    Yielded lazily, nearest the root first, each once: nodes are visited in
-    pre-order with an explicit stack, so deep trees do not exhaust the call
-    stack, and of identical siblings only the first.  A reduction at a node
-    is carried up to the root by looking up each ancestor with the reduced
-    child in its place.  Trees are only looked up: one that is not in the
-    pool is left out, and nothing is interned, so the pool and its ids stay
-    as they are."""
+    Nodes are visited nearest the root first, in pre-order with an explicit
+    stack, and of identical siblings only the first.  A node's pool entry is
+    read once for its label drops, and a child tuple sliced only for a leaf
+    drop; a drop below the root is carried up one ancestor at a time, and
+    the search returns at the first hit.  Nothing is interned: a tree not in
+    the pool is left out."""
     # A node's way up: (parent, index of the node among its children, the
     # parent's way up); None at the root.
     stack: list[tuple[int, tuple | None]] = [(tid, None)]
     while stack:
         t, up = stack.pop()
         labels, children = _STRUCT[t]
+        entry = _POOL.get(children)
+        if entry is not None:
+            for a in sorted(labels):
+                s = _pooled(entry, labels - {a})
+                if s is not None and known.get((answer_var, s if up is None else _carried(s, up))):
+                    return True
         distinct = [i for i in range(len(children)) if i == 0 or children[i] != children[i - 1]]
-        keys = [(labels - {a}, children) for a in sorted(labels)]
-        keys += [(labels, children[:i] + children[i + 1:]) for i in distinct if not _STRUCT[children[i][1]][1]]
-        for key_labels, key_children in keys:
-            s = _pooled(_POOL.get(key_children), key_labels)
-            way = up
-            while s is not None and way is not None:
-                p, i, way = way
-                p_labels, p_children = _STRUCT[p]
-                rest = p_children[:i] + p_children[i + 1:]
-                s = _pooled(_POOL.get(tuple(sorted(rest + ((p_children[i][0], s),)))), p_labels)
-            if s is not None:
-                yield s
+        for i in distinct:
+            if not _STRUCT[children[i][1]][1]:
+                s = _pooled(_POOL.get(children[:i] + children[i + 1:]), labels)
+                if s is not None and known.get((answer_var, s if up is None else _carried(s, up))):
+                    return True
         stack.extend((children[i][1], (t, i, up)) for i in reversed(distinct))
+    return False
+
+
+def _carried(s: int | None, way: tuple | None) -> int | None:
+    """The root's tree with the node ``way`` leads up from replaced by ``s``."""
+    while s is not None and way is not None:
+        p, i, way = way
+        p_labels, p_children = _STRUCT[p]
+        rest = p_children[:i] + p_children[i + 1:]
+        s = _pooled(_POOL.get(tuple(sorted(rest + ((p_children[i][0], s),)))), p_labels)
+    return s
 
 
 def tree_to_cq(tid: int, answer_var: str = "x0") -> CQ:

@@ -71,22 +71,33 @@ def normalize(o: Ontology) -> tuple[Ontology, dict[str, ELIConcept]]:
                 return name
 
     def surrogate(c: ELIConcept) -> ELIConcept:
-        """A name-or-top concept X_c with (recursively emitted) X_c sub c rules."""
-        if _is_name_or_top(c):
-            return c
-        if c in fresh:
-            return atom(fresh[c])
-        name = fresh_name()
-        fresh[c] = name
-        fresh_map[name] = c
-        if c.kind == "and":
-            for part in c.parts:
-                extra.append((atom(name), surrogate(part)))
-        else:  # exists
-            if c.kind != "exists" or c.role is None or c.filler is None:
-                raise AssertionError(f"complex concept is neither a conjunction nor an existential: {c}")
-            extra.append((atom(name), exists(c.role, surrogate(c.filler))))
-        return atom(name)
+        """A name-or-top concept X_c with X_c sub c rules, a part's rules
+        before its parent's, named with an explicit stack."""
+        stack: list[tuple[ELIConcept, str, tuple, int]] = []  # (c, X_c, c's parts, part being named)
+        while True:
+            if _is_name_or_top(c) or c in fresh:
+                got = c if _is_name_or_top(c) else atom(fresh[c])
+            else:
+                if c.kind != "and" and (c.kind != "exists" or c.role is None or c.filler is None):
+                    raise AssertionError(f"complex concept is neither a conjunction nor an existential: {c}")
+                name = fresh_name()
+                fresh[c], fresh_map[name] = name, c
+                below = c.parts if c.kind == "and" else (c.filler,)
+                if below:
+                    stack.append((c, name, below, 0))
+                    c = below[0]
+                    continue
+                got = atom(name)
+            while stack:  # got names a finished part: its parent's rule, then the parent's next part
+                p, name, below, i = stack.pop()
+                extra.append((atom(name), got if p.kind == "and" else exists(p.role, got)))  # type: ignore[arg-type]
+                if i + 1 < len(below):
+                    stack.append((p, name, below, i + 1))
+                    c = below[i + 1]
+                    break
+                got = atom(name)
+            else:
+                return got
 
     cis: list[tuple[ELIConcept, ELIConcept]] = []
     for lhs, rhs in o.concept_inclusions:

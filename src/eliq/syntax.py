@@ -122,6 +122,21 @@ class ELIConcept:
     def __str__(self) -> str:
         return "".join(_pieces(self))
 
+    def __repr__(self) -> str:
+        # The dataclass repr, in pieces on an explicit stack, so a concept of
+        # any depth prints at the default recursion limit.
+        out, stack = [], [self]
+        while stack:
+            c = stack.pop()
+            if isinstance(c, str):
+                out.append(c)
+                continue
+            parts = [x for i, p in enumerate(c.parts) for x in ((", ", p) if i else (p,))]
+            stack += reversed([
+                f"{c.__class__.__qualname__}(kind={c.kind!r}, name={c.name!r}, parts=(", *parts,
+                ",), role=" if len(c.parts) == 1 else "), role=", f"{c.role!r}, filler=", "None" if c.filler is None else c.filler, ")"])
+        return "".join(out)
+
 
 def _pieces(c: ELIConcept) -> Iterator[str]:
     """``str(c)`` in pieces, left to right, with an explicit stack.  A

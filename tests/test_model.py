@@ -4,8 +4,9 @@ import random
 from eliq import Ontology, Role, make_cq, model, normalize, parse_abox, parse_ontology, universal_prefix
 from eliq.engine import ABoxContext, Engine, context_for
 from eliq.gen import random_abox, random_ontology
-from eliq.model import anchored, intern_cq, intern_tree, one_step_smaller, tree_ids_upto, tree_struct
+from eliq.model import anchored, intern_cq, intern_tree, smaller_contained, tree_ids_upto, tree_struct
 from eliq.reasoner import abox_satisfiable
+from reference_search import one_step_smaller
 from reference_trees import reference_tree_ids
 
 import pytest
@@ -199,6 +200,8 @@ def test_one_step_smaller_leaves_out_what_is_not_pooled():
     tid = intern_cq(make_cq("x0", [("Fresh1", "x1"), ("Fresh2", "x1")], [("fresh_r", "x0", "x1")]))
     pooled = len(model._STRUCT)
     assert list(one_step_smaller(tid)) == [empty]
+    assert smaller_contained(tid, {("x0", empty): True}, "x0")
+    assert not smaller_contained(tid, {("x0", empty): False}, "x0")
     assert len(model._STRUCT) == pooled
 
 
@@ -206,7 +209,25 @@ def test_one_step_smaller_on_a_deep_chain_needs_no_deep_recursion():
     n = 5000
     tid = intern_cq(make_cq("x0", [], [("deep_r", f"x{i}", f"x{i + 1}") for i in range(n)]))
     # without its leaf the chain is its own root's child subtree, one node shorter
-    assert list(one_step_smaller(tid)) == [tree_struct(tid)[1][0][1]]
+    shorter = tree_struct(tid)[1][0][1]
+    assert list(one_step_smaller(tid)) == [shorter]
+    assert smaller_contained(tid, {("x0", shorter): True}, "x0")
+    assert not smaller_contained(tid, {}, "x0")
+
+
+def test_smaller_contained_equals_any_over_the_reference():
+    ids = tree_ids_upto(frozenset({"A", "B"}), frozenset({"r", "s"}), 4)
+    pooled = len(model._STRUCT)
+    rng = random.Random(34)
+    # marks as first_misfit leaves them: True, False, or none at all
+    knowns = [{("x0", t): rng.random() < 0.8 for t in ids if rng.random() < density} for density in (0.05, 0.3, 0.8)]
+    wrong = []  # the trees where the two disagree
+    for tid in ids:
+        smaller = list(one_step_smaller(tid))
+        wrong += [tid for known in knowns if smaller_contained(tid, known, "x0") != any(known.get(("x0", t)) for t in smaller)]
+    assert not wrong, [_form(tid) for tid in wrong[:5]]
+    assert not any(smaller_contained(tid, knowns[-1], "x1") for tid in ids[::50])
+    assert len(model._STRUCT) == pooled
 
 
 def test_a_child_tuple_entry_is_promoted_to_a_label_table(monkeypatch):
@@ -235,4 +256,7 @@ def test_a_child_tuple_entry_is_promoted_to_a_label_table(monkeypatch):
     # a drop below the root is carried up through the parents' entries
     up = {labels: intern_tree(frozenset(), ((Role("r"), trees["s", labels]),)) for labels in (ab, a, b)}
     assert list(one_step_smaller(up[ab])) == [up[b], up[a]]
+    for labels in (a, b):
+        assert smaller_contained(up[ab], {("x0", up[labels]): True}, "x0")
+        assert not smaller_contained(up[labels], {("x0", up[ab]): True}, "x0")
     assert len(model._STRUCT) == 10

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from eliq import Role, is_normal_form, normalize, parse_ontology, serialize_ontology
+from eliq import Role, contained, is_normal_form, normalize, parse_cq, parse_ontology, serialize_ontology
 from eliq.frontier_base import ontology_size
 from eliq.gen import random_basic, random_ontology
 from eliq.reasoner import entails_basic
@@ -26,6 +26,24 @@ def test_nested_rhs_decomposition():
         q = concept_to_eliq(concept)
         abox = make_cq("x0", [(name, "x0")]).to_abox()
         assert certain_answer(on, abox, q, "x0")
+
+
+def test_surrogates_of_a_deep_concept_at_the_default_recursion_limit():
+    # B sub some r . (some r . ( ... A)), 2,000 levels: one surrogate per
+    # level, named from the outside in, each level's rule after the rule of
+    # the level below it
+    n = 2000
+    concept = atom("A")
+    for _ in range(n):
+        concept = exists(Role("r"), concept)
+    o = parse_ontology("B sub " + "some r . (" * n + "A" + ")" * n + "\n")
+    on, fmap = normalize(o)
+    assert list(fmap) == [f"_X{i}" for i in range(1, n + 1)] and fmap["_X1"] == concept
+    assert on.concept_inclusions[:2] == ((atom("B"), atom("_X1")), (atom(f"_X{n}"), exists(Role("r"), atom("A"))))
+    assert on.concept_inclusions[-1] == (atom("_X1"), exists(Role("r"), atom("_X2")))
+    b = parse_cq("q(x0) :- B(x0)")
+    chain = parse_cq("q(x0) :- " + ", ".join([f"r(x{i},x{i + 1})" for i in range(n)] + [f"A(x{n})"]))
+    assert contained(o, b, chain) and not contained(o, chain, b)
 
 
 def test_already_normal_is_unchanged(ex1_ontology):

@@ -148,7 +148,7 @@ def _direct_and_inherited(monkeypatch, built: list, calls: list[tuple]) -> tuple
     built.clear()
     direct = []
     with monkeypatch.context() as m:
-        m.setattr(bruteforce_mod, "one_step_smaller", lambda tid: iter(()))
+        m.setattr(bruteforce_mod, "smaller_contained", lambda tid, known, answer_var: False)
         for fn, *args in calls:
             engine._contexts.cache_clear()
             direct.append(fn(*args))

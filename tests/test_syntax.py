@@ -279,6 +279,24 @@ def test_concepts_print_compare_and_order_as_before():
     assert atom("A").__eq__("A") is NotImplemented
 
 
+def test_concepts_repr_as_dataclasses_do_at_any_depth():
+    c = exists(Role("r", True), conj([atom("A"), atom("B")]))
+    name = "ELIConcept(kind='name', name={!r}, parts=(), role=None, filler=None)"
+    assert repr(c) == (
+        "ELIConcept(kind='exists', name=None, parts=(), role=Role(name='r', inverted=True), filler="
+        f"ELIConcept(kind='and', name=None, parts=({name.format('A')}, {name.format('B')}), role=None, filler=None))"
+    )
+    assert repr(ELIConcept("and", parts=(atom("A"),))) == (
+        f"ELIConcept(kind='and', name=None, parts=({name.format('A')},), role=None, filler=None)"
+    )
+    n = 2000
+    deep = atom("A")
+    for _ in range(n):
+        deep = exists(Role("r"), deep)
+    text = repr(deep)
+    assert text.count("kind='exists'") == n and text.endswith(name.format("A") + ")" * n)
+
+
 def test_a_concepts_cached_hash_is_not_carried_into_copies():
     c = conj([atom("A"), exists(Role("r"), atom("B"))])
     hash(c)

@@ -37,27 +37,25 @@ Step 1 builds every candidate there, and Step 2 builds the members there
 too, each compensated node once per parent context.  ``Trees.query`` names a
 candidate's nodes and gives its ``down`` map, for ``generalize``.
 
-``build_frontier`` is the one driver: prepare, Step 1, Step 2, then
-``Trees.members``, the size ceiling, the Condition 1-2 self-check and the
-sort.  ``Trees.members`` first expands the surrogate names ``normalize``
-introduces (``translate_members``), so members come back in the input
-ontology's own vocabulary; the learner probes them as they are.  The
-expansion runs on the table: an existential along a functional role sends
+``frontier_trees`` is the one driver: prepare, Step 1, Step 2, the size
+ceiling, then the members' trees, checked.  It first expands the surrogate
+names ``normalize`` introduces (``translate_members``), so members come back
+in the input ontology's own vocabulary; the learner probes them as they are.
+The expansion runs on the table: an existential along a functional role sends
 its filler to the node's one neighbour along that role, possibly its parent,
 or to a fresh child; every other existential adds a fresh child.  Then every
 node drops each child that a sibling implies (``Trees.reduce``): a
 duplicate, or one whose tree maps into a sibling's along a subrole of its
 edge.  The result is equivalent by a homomorphism each way, with no
 reasoning beyond the role hierarchy.  A finished member is interned into the
-subtree pool and its query remembers the pool id, so the self-check builds
-no ABox of it: Condition 1 finds the member's tree by its pool id, and
-Condition 2 and the satisfiability check read the member in a context over
-that tree, which without functional roles closes only the nodes a search
-reaches; the context stays in the context table, where the learner's probe
-of the member finds it.  Members are distinct up to isomorphism: of members
-with the same pool id, the first is kept.  A member's variables are named in
-pre-order, from its nodes' origins and the table's order, so the names
-depend on nothing but the construction.
+subtree pool, so the self-check names no member and builds no ABox of one:
+Condition 1 finds the member's tree by its pool id, and Condition 2 and the
+satisfiability check read the member in a context over that tree, which
+without functional roles closes only the nodes a search reaches; the context
+stays in the context table, where the learner's probe of the member finds
+it.  Of members with the same pool id, the first is kept.  The driver
+returns the checked trees, which ``build_frontier`` names (``Trees.member``)
+in pre-order, from their nodes' origins and the table's order.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from typing import Callable
 
 from .engine import ABoxContext, context_for, normal_form
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
-from .model import intern_cq, intern_tree, mark_interned, matches
+from .model import anchored, intern_tree, mark_interned, matches
 from .normalform import is_normal_form
 from .reasoner import contained, minimize_eliq, query_satisfiable
 from .syntax import (
@@ -189,7 +187,7 @@ class Trees:
     The original query's subtree at each variable ``v`` is ``original[v]``,
     and ``rerooted()[v]`` is the whole query re-rooted at ``v``.  Step 1,
     Step 2, the surrogate translation (``translate_members``) and
-    ``reduce`` all build here; only ``members`` names the finished trees."""
+    ``reduce`` all build here; only ``member`` names the finished trees."""
 
     def __init__(self, prep: Prepared):
         self.prep = prep
@@ -199,6 +197,7 @@ class Trees:
         self._sizes: dict[int, int] = {}
         self._pool_ids: dict[int, int] = {}
         self._maps: dict[tuple[int, int], bool] = {}
+        self._text: dict[int, tuple] = {}
         self._rerooted: dict[str, int] | None = None
         q = prep.query
         self.parent, self.order = tree_walk(q)
@@ -362,24 +361,47 @@ class Trees:
                 stack.extend([(v, role, c) for role, c in reversed(children)])
         return CQ(root, frozenset(concept_atoms), frozenset(role_atoms)), down
 
-    def members(self, roots: list[int]) -> tuple[list[CQ], list[int], int]:
-        """The finished members ``roots`` as queries: translated when
-        normalization made surrogates (``translate_members``), reduced,
-        interned into the pool, the first of each pool id kept and named
-        afresh.  Returns them, their variable counts, and the total variable
-        count of ``roots`` before translation."""
-        raw_vars = sum(self.size(n) for n in roots)
+    def member(self, n: int, tid: int) -> CQ:
+        """The finished member ``n``, of pool id ``tid``, named afresh by
+        ``query`` at the query's answer variable (``mark_interned``)."""
         answer = self.prep.query.answer_var
-        out: list[CQ] = []
-        sizes: list[int] = []
-        seen: set[int] = set()
-        roots = self.reduce(translate_members(self, roots) if self.prep.fresh_map else roots)
-        for n, tid in zip(roots, self.intern(roots)):
-            if tid not in seen:
-                seen.add(tid)
-                out.append(mark_interned(self.query(n, answer, Namer((answer,)))[0], tid))
-                sizes.append(self.size(n))
-        return out, sizes, raw_vars
+        return mark_interned(self.query(n, answer, Namer((answer,)))[0], tid)
+
+    def text_length(self, n: int) -> int:
+        """``len(serialize_cq(self.member(n, tid)))``, from the table, with no
+        name drawn and no atom built: a pre-order walk, as ``member`` names
+        the tree, that counts the names ``Namer`` would draw and adds each
+        node's characters (``_text_of``)."""
+        answer, text = self.prep.query.answer_var, self._text
+        skip_base, _, skip = answer.partition("~")  # Namer skips the answer variable's name
+        skip = int(skip) if skip.isdecimal() and str(int(skip)) == skip else 0
+        base, weight, chars, atoms, kids = text.get(n) or self._text_of(n)
+        # the root is named ``answer`` and has no role atom to it
+        chars += (weight - 1) * len(answer) - (len(base) + 1) * weight
+        atoms, stack, drawn, digits, limit = atoms - 1, list(kids), 0, 1, 10
+        while stack:
+            base, weight, own, own_atoms, kids = text.get(m := stack.pop()) or self._text_of(m)
+            drawn += 1 + (drawn + 1 == skip and base == skip_base)
+            if drawn >= limit:  # a draw adds at most 2, so it passes one power of 10
+                digits, limit = digits + 1, limit * 10
+            chars += own + weight * digits
+            atoms += own_atoms
+            stack.extend(kids)
+        head = 7 + len(answer)  # "q(x) :- "
+        return head + chars + 2 * (atoms - 1) if atoms else head + 5 + len(answer)  # "top(x)"
+
+    def _text_of(self, m: int) -> tuple:
+        """Node ``m`` below a parent, for ``text_length``, kept in ``_text``:
+        (its name's base, the times its name is written, the characters of
+        its atoms and of its children's role atoms but for its name's count
+        and its children's names, its atom count, its children reversed)."""
+        labels, origin, children = self.nodes[m]
+        base = "z" if origin is None else origin.partition("~")[0]
+        weight = 1 + len(labels) + len(children)  # its role atom, its concept atoms, its children's role atoms
+        own = (len(base) + 1) * weight + sum(map(len, labels)) + 2 * len(labels)
+        own += sum(len(role.name) + 3 for role, _ in children)
+        out = self._text[m] = (base, weight, own, 1 + len(labels), [c for _, c in reversed(children)])
+        return out
 
 
 # What gluing a concept at a node adds to it: concept names, new children,
@@ -725,19 +747,21 @@ def compensate(prep: Prepared, trees: Trees, cands: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ, m_ctx: ABoxContext) -> str | None:
+def member_fault(q: CQ, q_ctx: ABoxContext, m: CQ | tuple[int, str], m_ctx: ABoxContext) -> str | None:
     """Why ``m`` is no frontier member of ``q``: it is unsatisfiable, ``q`` is
     not contained in it (Condition 1), or it is contained in ``q`` (Condition
     2, which an unsatisfiable member violates too); None if it is a member.
 
+    ``m`` is a query, or a pooled tree given as (pool id, answer variable).
     ``q_ctx`` and ``m_ctx`` are the contexts of the two queries, each read
     from its ABox or its pooled tree, and ``q`` must be satisfiable.
     Decided with one homomorphism test each way."""
     if not m_ctx.satisfiable():
         return "member is unsatisfiable"
-    if not matches(q_ctx, m, q.answer_var):
+    tid, answer = m if type(m) is tuple else (None, m.answer_var)
+    if not (matches(q_ctx, m, q.answer_var) if tid is None else anchored(q_ctx, tid, q.answer_var)):
         return "member violates Condition 1"
-    if matches(m_ctx, q, m.answer_var):
+    if matches(m_ctx, q, answer):
         return "member violates Condition 2"
     return None
 
@@ -750,22 +774,21 @@ _SELF_CHECK = {
 }
 
 
-def check_conditions(o: Ontology, q: CQ, members: list[CQ], op: str) -> None:
+def check_conditions(o: Ontology, q: CQ, members: list[tuple[int, str]], op: str, name: Callable[[int], CQ]) -> None:
     """Machine-check Conditions 1 and 2 of the frontier definition, and that
-    every member is satisfiable.  Each member is read from its pooled tree,
-    in the context table, so no member ABox is built, and the learner's
-    probes of the members find these contexts (``certain_answer``).
+    every member is satisfiable.  Each member is given as its pooled tree,
+    (pool id, answer variable), and read in the context table, so no member
+    ABox is built, and the learner's probes of the members find these
+    contexts (``certain_answer``).  A fault names the i-th member ``name(i)``.
 
-    A member that ``Trees.members`` built is taken to be the tree its
-    recorded pool id names (``mark_interned``), so the check reads the
-    trees, not the emitted queries; ``bruteforce_frontier_check`` reads the
-    emitted queries, and ``tests/test_tree_frontier.py`` compares them
-    with their trees."""
+    The check reads the trees, not the queries ``build_frontier`` names;
+    ``bruteforce_frontier_check`` reads the named queries, and
+    ``tests/test_tree_frontier.py`` compares them with their trees."""
     q_ctx = context_for(o, q.to_abox())
-    for m in members:
-        fault = member_fault(q, q_ctx, m, context_for(o, (intern_cq(m), m.answer_var)))
+    for i, m in enumerate(members):
+        fault = member_fault(q, q_ctx, m, context_for(o, m))
         if fault is not None:
-            raise AssertionError(f"{op}: {_SELF_CHECK[fault]}: {m}")
+            raise AssertionError(f"{op}: {_SELF_CHECK[fault]}: {name(i)}")
 
 
 def size_ceiling_ok(q: CQ, o: Ontology, total_vars: int) -> bool:
@@ -793,24 +816,34 @@ def ontology_size(o: Ontology) -> int:
     return total
 
 
-def build_frontier(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) -> Frontier:
-    """The frontier driver shared by ``frontier_r`` and ``frontier_f``.
-
-    Rejects dialects outside ``dialects``, normalizes the ontology, saturates
-    and minimizes the query, and runs Step 1.  ``compensate`` runs Step 2
-    on the root candidates' trees and returns the members' trees, which
-    ``Trees.members`` translates, reduces, deduplicates and names.  The driver then machine-checks Conditions 1 and 2 on every member
-    before returning them sorted.
-    """
+def frontier_trees(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) -> tuple[Trees, list[tuple[int, int]]]:
+    """The frontier driver: rejects dialects outside ``dialects``, prepares,
+    runs Step 1 and Step 2, checks the size ceiling, translates, reduces and
+    interns the members' trees, keeping the first of each pool id, and
+    checks Conditions 1 and 2 on each.  Returns the table and the members as
+    (node, pool id) pairs, in construction order."""
     reject_unsupported(o, dialects, op)
     prep = prepare(o, q, op)
     trees = Trees(prep)
-    cands = [n for n, _ in _f0(prep, trees, prep.query.answer_var)]
-    members, sizes, raw_vars = trees.members(compensate(prep, trees, cands))
-    if not size_ceiling_ok(prep.query, prep.ontology, raw_vars):
+    roots = compensate(prep, trees, [n for n, _ in _f0(prep, trees, prep.query.answer_var)])
+    if not size_ceiling_ok(prep.query, prep.ontology, sum(trees.size(n) for n in roots)):
         raise AssertionError("frontier size ceiling exceeded")
-    check_conditions(o, q, members, op)
-    return Frontier(_sorted_members(members, sizes), q, o)
+    roots = trees.reduce(translate_members(trees, roots) if prep.fresh_map else roots)
+    first: dict[int, int] = {}  # pool id -> the first node with it
+    for n, tid in zip(roots, trees.intern(roots)):
+        first.setdefault(tid, n)
+    kept = [(n, tid) for tid, n in first.items()]
+    answer = prep.query.answer_var
+    check_conditions(o, q, [(tid, answer) for _, tid in kept], op, lambda i: trees.member(*kept[i]))
+    return trees, kept
+
+
+def build_frontier(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) -> Frontier:
+    """The frontier of ``frontier_r`` and ``frontier_f``: the driver's
+    members (``frontier_trees``), named (``Trees.member``) and sorted."""
+    trees, kept = frontier_trees(o, q, op, dialects)
+    members = [trees.member(n, tid) for n, tid in kept]
+    return Frontier(_sorted_members(members, [trees.size(n) for n, _ in kept]), q, o)
 
 
 def _sorted_members(members: list[CQ], sizes: list[int]) -> tuple[CQ, ...]:

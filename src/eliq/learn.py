@@ -12,7 +12,8 @@ possible target, it alternates three ingredients:
   the oracle still accepts (the routine ``minimize_eliq`` uses too);
 * the frontier of the current hypothesis supplies the candidate
   generalization steps: any member the oracle accepts becomes the next
-  hypothesis.
+  hypothesis.  Members are probed as checked trees (``frontier_trees``),
+  and only the accepted one and those tied in serialized length are named.
 
 When no frontier member is accepted, the hypothesis is equivalent to the
 target.  A hard budget on membership queries is always enforced; exceeding it
@@ -21,12 +22,13 @@ is a reported outcome, not a crash.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol
 
 from .errors import InvalidArgumentError, NotAnEliqError, SeedRequiredError, UnsatisfiableError
-from .frontier_base import SUPPORTED_DIALECTS, ontology_size, reject_unsupported
-from .frontier_f import frontier
+from .frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees, ontology_size, reject_unsupported
 from .parser import serialize_cq
 from .reasoner import certain_answer, query_satisfiable, saturating_index
 from .syntax import ABox, CQ, Ontology, distances, make_cq, prune_role_atoms
@@ -85,18 +87,19 @@ class BudgetExceeded(Exception):
 
 
 class _Budget:
-    """``oracle``, until it has answered ``limit`` queries; then ``BudgetExceeded``."""
+    """``oracle``, until it has answered ``limit`` queries since the budget was made; then ``BudgetExceeded``."""
 
     def __init__(self, oracle: MembershipOracle, limit: int):
         self.oracle = oracle
         self.limit = limit
+        self.start = oracle.query_count
 
     @property
     def query_count(self) -> int:
-        return self.oracle.query_count
+        return self.oracle.query_count - self.start
 
     def answer(self, abox: ABox, ind: str) -> bool:
-        if self.oracle.query_count >= self.limit:
+        if self.query_count >= self.limit:
             raise BudgetExceeded
         return self.oracle.answer(abox, ind)
 
@@ -230,6 +233,18 @@ def treeify(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
 # ---------------------------------------------------------------------------
 
 
+def probe_order(trees: Trees, members: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], dict]:
+    """The frontier ``members``, (node, pool id) pairs of ``trees``, sorted as
+    their named queries ``m`` sort by ``(len(serialize_cq(m)), serialize_cq(m))``,
+    and the members named on the way: lengths come from the table
+    (``Trees.text_length``), and only tied members are named and serialized."""
+    length = {m: trees.text_length(m[0]) for m in members}
+    tied = Counter(length.values())
+    named = {m: trees.member(*m) for m in members if tied[length[m]] > 1}
+    text = {m: serialize_cq(q) for m, q in named.items()}
+    return sorted(members, key=lambda m: (length[m], text.get(m, ""))), named
+
+
 def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> LearnTrace:
     """Identify the oracle's target up to equivalence w.r.t. ``o``.
 
@@ -240,9 +255,12 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     inside the frontier construction: its members arrive translated into the
     ontology's own vocabulary, and ``saturate`` adds only the ontology's own
     concept names, so no surrogate name reaches a hypothesis or the oracle.
-    Frontier members are probed smallest first.  Returns the full hypothesis
-    trace; ``seed_rejected`` and ``budget_exceeded`` are outcomes, not
-    exceptions.
+    Frontier members are probed in ``probe_order``, from the tree table; a
+    probe's ABox renders the member's tree (``ABox.tree``) and names the
+    member only if the oracle reads its assertion sets.  Only this run's
+    membership queries count, against ``budget`` and in the trace.  Returns
+    the full hypothesis trace; ``seed_rejected`` and ``budget_exceeded`` are
+    outcomes, not exceptions.
     """
     reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     if budget <= 0:
@@ -258,17 +276,16 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
         q_h = treeify(o, oracle, seed)
         trace.hypotheses.append(q_h)
         while True:
-            text = {m: serialize_cq(m) for m in frontier(o, q_h).members}
-            members = sorted(text, key=lambda m: (len(text[m]), text[m]))
+            trees, members = frontier_trees(o, q_h, "learn", SUPPORTED_DIALECTS)
             trace.frontier_sizes.append(len(members))
-            accepted = None
-            for member in members:
-                if oracle.answer(member.to_abox(), member.answer_var):
-                    accepted = member
+            order, named = probe_order(trees, members)
+            answer = trees.prep.query.answer_var
+            for m in order:
+                if oracle.answer(ABox.deferred(partial(trees.member, *m), tree=(m[1], answer)), answer):
                     break
-            if accepted is None:
-                break
-            q_h = minimize_cq(o, oracle, accepted)
+            else:
+                break  # no member is accepted: the hypothesis is equivalent to the target
+            q_h = minimize_cq(o, oracle, named.get(m) or trees.member(*m))
             trace.hypotheses.append(q_h)
     except BudgetExceeded:
         trace.outcome = "budget_exceeded"

@@ -24,7 +24,8 @@ shared freely and used as cache keys.  Conventions used throughout:
 * ``QueryIndex`` and ``Cut`` are the exception to immutability: working
   state of one minimization (``prune_role_atoms``), which reads a query's
   index through cuts instead of copying the query per question.  A cut's
-  ABox (``Cut.to_abox``) is an ordinary ``ABox`` value once read.
+  ABox (``Cut.to_abox``), like any deferred ABox (``ABox.deferred``), is an
+  ordinary ``ABox`` value once read.
 """
 
 from __future__ import annotations
@@ -273,17 +274,18 @@ class Ontology:
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes; a copy hashes afresh.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_signature")}
 
     def signature(self) -> tuple[frozenset[str], frozenset[str]]:
-        """(concept names, role names) occurring in any statement."""
-        names, roles = concept_signature(
-            c for pair in self.concept_inclusions + self.concept_disjointness for c in pair)
-        for r1, r2 in self.role_inclusions + self.role_disjointness:
-            roles.update((r1.name, r2.name))
-        for r in self.functional:
-            roles.add(r.name)
-        return frozenset(names), frozenset(roles)
+        """(concept names, role names) occurring in any statement; computed
+        once per object, like the hash."""
+        if "_signature" not in self.__dict__:
+            names, roles = concept_signature(
+                c for pair in self.concept_inclusions + self.concept_disjointness for c in pair)
+            roles.update(r.name for pair in self.role_inclusions + self.role_disjointness for r in pair)
+            roles.update(r.name for r in self.functional)
+            object.__setattr__(self, "_signature", (frozenset(names), frozenset(roles)))
+        return self.__dict__["_signature"]
 
 
 def dialect_of(o: Ontology) -> Dialect:
@@ -389,10 +391,10 @@ class CQ:
 class ABox:
     """A finite set of concept and role assertions over individual names.
 
-    The ABox of a cut (``Cut.to_abox``) holds only the cut until its
-    assertion sets are first read; they then materialize, equal to those of
-    the cut's query's ABox.  So the fields have no class-level defaults, and
-    ``__getattr__`` is reached only for a cut's sets not yet read."""
+    A deferred ABox (``deferred``), such as a cut's, holds only a query until
+    its assertion sets are first read; they then materialize, equal to those
+    of the query's ABox.  So the fields have no class-level defaults, and
+    ``__getattr__`` is reached only for a deferred ABox's sets not yet read."""
 
     concept_assertions: frozenset[tuple[str, str]]
     role_assertions: frozenset[tuple[str, str, str]]
@@ -402,25 +404,35 @@ class ABox:
         object.__setattr__(self, "concept_assertions", concept_assertions)
         object.__setattr__(self, "role_assertions", role_assertions)
 
+    @classmethod
+    def deferred(cls, query: Callable[[], "CQ"], cut: "Cut | None" = None,
+                 tree: tuple[int, str] | None = None) -> "ABox":
+        """An ABox equal to ``query().to_abox()``, whose assertion sets
+        materialize when first read; it renders ``cut`` or ``tree``."""
+        abox = object.__new__(cls)
+        abox.__dict__.update(_query=query, _cut=cut, _tree=tree)
+        return abox
+
     def __getattr__(self, name: str):
-        cut = self.__dict__.get("_cut")
-        if cut is None or name not in ("concept_assertions", "role_assertions"):
+        query = self.__dict__.get("_query")
+        if query is None or name not in ("concept_assertions", "role_assertions"):
             raise AttributeError(name)
-        abox = cut.index.saturated(cut.query()).to_abox()
+        abox = query().to_abox()
         object.__setattr__(self, "concept_assertions", abox.concept_assertions)
         object.__setattr__(self, "role_assertions", abox.role_assertions)
         return self.__dict__[name]
 
     def __getstate__(self) -> dict:
-        # CQ.to_abox keeps the pooled tree on the ABox, and pool ids are per
-        # process; a cut refers to its query's index.  A copy is plain.
+        # A pooled tree's id is per process, and a deferred ABox refers to
+        # its query's maker.  A copy is plain.
         return {"concept_assertions": self.concept_assertions, "role_assertions": self.role_assertions}
 
     @property
     def tree(self) -> tuple[int, str] | None:
         """The pooled tree this ABox renders, as (pool id, root), when it is
-        a pooled query's ABox (``CQ.to_abox``); otherwise None.  Not part of
-        the ABox's value: equal ABoxes compare equal with or without it."""
+        a pooled query's ABox (``CQ.to_abox``, ``deferred``); otherwise
+        None.  Not part of the ABox's value: equal ABoxes compare equal with
+        or without it."""
         return self.__dict__.get("_tree")
 
     @property
@@ -693,9 +705,7 @@ class Cut:
         """An ABox equal to the ABox of ``query()``, saturated as the index
         reads it (``QueryIndex.saturated``), whose assertion sets
         materialize on first access (``ABox.cut``)."""
-        abox = object.__new__(ABox)
-        object.__setattr__(abox, "_cut", self)
-        return abox
+        return ABox.deferred(lambda: self.index.saturated(self.query()), cut=self)
 
 
 class _Subtree:

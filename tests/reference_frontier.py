@@ -13,10 +13,9 @@ edge.  The paper's own Step 2 for role inclusions (``compensate_r``), which
 glues a copy of the query next to every single-name witness, is kept too,
 for the tests that match members with it up to equivalence.  Members are
 translated with ``reference_translate``'s ``translate_members``, checked by
-``check_conditions`` (which walks each member to intern it and, since none
-carries a pool id, reads it from its ABox) and deduplicated as queries, so
-isomorphic members with different variable names both stay.  No member is
-reduced.
+``check_conditions`` on their pooled trees (each member is walked once to
+intern it) and deduplicated as queries, so isomorphic members with
+different variable names both stay.  No member is reduced.
 """
 
 from collections import deque
@@ -35,6 +34,7 @@ from eliq.frontier_base import (
 from eliq.frontier_base import nudges
 from eliq.frontier_f import _F_DIALECTS
 from eliq.frontier_r import _R_DIALECTS
+from eliq.model import intern_cq
 from eliq.syntax import CQ, tree_order, tree_walk
 from paper_fixtures import subtree_vars
 from reference_prune import restrict
@@ -295,7 +295,7 @@ def reference_frontier(o, q, dialect, paper=False):
     namer = Namer(prep.query.variables())
     raw = [compensate(prep, namer, c) for c in f0(prep, namer, prep.query.answer_var)]
     members = translate_members(raw, prep.fresh_map, prep.ctx.engine.functional)
-    check_conditions(o, q, members, op)
+    check_conditions(o, q, [(intern_cq(m), m.answer_var) for m in members], op, members.__getitem__)
     return sorted(set(members), key=lambda m: (len(m.variables()), sorted(m.concept_atoms), sorted(m.role_atoms)))
 
 

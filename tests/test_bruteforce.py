@@ -30,6 +30,7 @@ from eliq.engine import context_for, engine_for
 from eliq.model import (
     anchored,
     generalizations_upto,
+    intern_cq,
     respects_functionality,
     tree_ids_upto,
     tree_struct,
@@ -92,9 +93,10 @@ def test_construction_self_check_names_each_fault():
         ("q(x) :- r(x,y), A(y)", "member violates Condition 2 (member refines q)"),
     ):
         m = parse_cq(member)
-        with pytest.raises(AssertionError, match=rf"^op: {re.escape(message)}: "):
-            check_conditions(o, q, [m], "op")
-    check_conditions(o, q, list(frontier_f(o, q).members), "op")
+        with pytest.raises(AssertionError, match=rf"^op: {re.escape(message)}: {re.escape(str(m))}$"):
+            check_conditions(o, q, [(intern_cq(m), m.answer_var)], "op", [m].__getitem__)
+    members = frontier_f(o, q).members
+    check_conditions(o, q, [(intern_cq(m), m.answer_var) for m in members], "op", members.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import importlib
 import pickle
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -23,12 +25,17 @@ from eliq import (
     seed_query,
     treeify,
 )
+from eliq.frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees
+from eliq.learn import probe_order
+from eliq.parser import serialize_cq
 from eliq.syntax import QueryIndex, prune_role_atoms
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX
 from paper_fixtures import fixture
 from reference_translate import on_table
+
+learn_mod = importlib.import_module("eliq.learn")
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +295,11 @@ class _CopyingOracle:
 
 
 def test_an_oracle_reading_only_the_assertions_learns_the_same():
-    # Minimization asks about the ABoxes of cuts, whose assertion sets
-    # materialize when read: an oracle that reads them sees the ABoxes it
-    # saw when each question copied the query.
-    cuts = 0
+    # Minimization asks about the ABoxes of cuts, and the frontier probes
+    # about the ABoxes of pooled trees, whose assertion sets materialize
+    # when read: an oracle that reads them sees the ABoxes it saw when each
+    # question copied a named query.
+    cuts = trees = 0
     for o, target in _batch_corpus():
         seed = seed_query(o, combined_signature(o, target))
         budget = default_budget(len(target.variables()), o)
@@ -299,14 +307,115 @@ def test_an_oracle_reading_only_the_assertions_learns_the_same():
         asked = copying.answer
 
         def answer(abox, ind):
-            nonlocal cuts
+            nonlocal cuts, trees
             cuts += abox.cut is not None
+            trees += abox.tree is not None
             return asked(abox, ind)
 
         copying.answer = answer
         traces = [learn(o, oracle, seed, budget).to_dict() for oracle in (SimulatedOracle(o, target), copying)]
         assert traces[0] == traces[1]
-    assert cuts
+    assert cuts and trees
+
+
+def _recording_frontiers(monkeypatch) -> list:
+    """The (table, members) pairs of every frontier the learner builds from
+    now on, in order."""
+    frontiers = []
+    real = learn_mod.frontier_trees
+
+    def recording(*args):
+        frontiers.append(real(*args))
+        return frontiers[-1]
+
+    monkeypatch.setattr(learn_mod, "frontier_trees", recording)
+    return frontiers
+
+
+def _serialized(trees, member) -> tuple[int, str]:
+    text = serialize_cq(trees.member(*member))
+    return len(text), text
+
+
+def test_the_probe_order_is_the_order_of_the_serializations(monkeypatch):
+    # Lengths are read off the tree table and only ties are named: the order
+    # must equal the sort of the named members by (length, text), and each
+    # tree-derived length the length of the member's serialization.
+    frontiers = _recording_frontiers(monkeypatch)
+    for o, target in _batch_corpus():
+        oracle = SimulatedOracle(o, target)
+        learn(o, oracle, seed_query(o, combined_signature(o, target)), default_budget(len(target.variables()), o))
+    ladder = parse_ontology("A sub some r\nr rsub s\n")
+    for n in range(1, 11):
+        for names in ([f"x{i}" for i in range(n + 1)], [f"x~{i + 9}" for i in range(n + 1)]):
+            q = make_cq(names[0], [("A", v) for v in names], [("r", names[i], names[i + 1]) for i in range(n)])
+            frontiers.append(frontier_trees(ladder, q, "frontier_r", SUPPORTED_DIALECTS))
+    # the top member, which serializes with a top atom
+    top = frontier_trees(Ontology(), parse_cq("q(x) :- A(x)"), "frontier_r", SUPPORTED_DIALECTS)
+    assert [serialize_cq(top[0].member(*m)) for m in top[1]] == ["q(x) :- top(x)"]
+    # an answer variable whose name the namer skips
+    skipped = frontier_trees(parse_ontology("A sub B\n"), parse_cq("q(x~1) :- r(x~1,y), A(y)"), "frontier_r",
+                             SUPPORTED_DIALECTS)
+    assert any("x~2" in skipped[0].member(*m).variables() for m in skipped[1])
+    frontiers += [top, skipped]
+    checked = ties = 0
+    for trees, members in frontiers:
+        for m in members:
+            assert trees.text_length(m[0]) == _serialized(trees, m)[0], serialize_cq(trees.member(*m))
+        order, named = probe_order(trees, members)
+        assert order == sorted(members, key=lambda m: _serialized(trees, m))
+        assert all(named[m] == trees.member(*m) for m in named)
+        checked += len(members)
+        ties += len(named)
+    assert checked > 100 and ties
+
+
+def test_a_learner_names_only_the_accepted_and_the_tied_members(monkeypatch):
+    frontiers = _recording_frontiers(monkeypatch)
+    named, accepted = [], []
+    real_query = Trees.query
+
+    def counting_query(self, n, root, namer):
+        named.append((self, n))
+        return real_query(self, n, root, namer)
+
+    monkeypatch.setattr(Trees, "query", counting_query)
+    for o, target in islice(_batch_corpus(), 8):
+        oracle = SimulatedOracle(o, target)
+        asked = oracle.answer
+
+        def answer(abox, ind):
+            yes = asked(abox, ind)
+            if yes and abox.tree is not None and frontiers:
+                # a probe of the last frontier's member with this pool id
+                trees, members = frontiers[-1]
+                accepted.append((trees, {tid: n for n, tid in members}[abox.tree[0]]))
+            return yes
+
+        oracle.answer = answer
+        learn(o, oracle, seed_query(o, combined_signature(o, target)), default_budget(len(target.variables()), o))
+    calls = list(named)
+    tied = set()
+    for trees, members in frontiers:
+        lengths = Counter(_serialized(trees, m)[0] for m in members)
+        tied.update((trees, m[0]) for m in members if lengths[_serialized(trees, m)[0]] > 1)
+    assert tied and accepted and set(accepted) - tied
+    # each named once: a tied member that is accepted is not named again
+    assert Counter(calls) == Counter(tied | set(accepted))
+
+
+def test_a_reused_oracle_counts_each_run_alone():
+    # The budget and the trace count the queries of one run, not the
+    # oracle's lifetime count.
+    o = parse_ontology("A sub some r\n")
+    target = parse_cq("q(x) :- r(x,y), B(y)")
+    oracle = SimulatedOracle(o, target)
+    seed = seed_query(o, combined_signature(o, target))
+    first, second = (learn(o, oracle, seed, 1000).to_dict() for _ in range(2))
+    assert first == second and first["membership_queries"] == 18
+    assert learn(o, oracle, seed, 23).to_dict() == first
+    assert oracle.query_count == 54
+    assert learn(o, oracle, seed, 17).outcome == "budget_exceeded"
 
 
 def test_a_pickled_cut_abox_is_a_plain_abox():

@@ -38,35 +38,39 @@ witnesses add none (``fired_children`` blocks them, ``_children_from`` merges
 them), and no role inclusion lets an edge realize a functional role.  Without
 disjointness nothing else makes an ABox unsatisfiable.
 
-A context therefore closes individuals on demand.  It has three sources: an
-ABox; a tree of the subtree pool (``model.intern_tree``), given as its pool
-id and the name of its root; or a cut (``syntax.Cut``), a query's index
-(``syntax.QueryIndex``) with the variables and atoms that a minimization
-removes so far, read instead of a copy of the smaller query.  Building a
-context from an ABox indexes every individual; building one from a pooled
-tree indexes only the root, and closing a tree node names and indexes its
-children, so a node becomes an individual when a read first reaches it;
-building one from a cut indexes nothing, and closing an individual reads its
-entry from the query's index, skipping removed individuals and the atoms
-into them.  The first read of an individual closes it from its own seed,
-filling its facts, successors and edge roles, so unless fillers travel a
-homomorphism search pays only for the individuals it reaches, and on a pooled
-tree or a cut indexes only them (and a tree node's children).  When the
-index reads its query's saturation on demand (``QueryIndex.saturation``), a
-cut's context asserts the saturated names of each individual it closes,
-since the cut may have removed the atoms that entailed them.  When
-fillers travel the first read closes every individual the same way, a
-pooled tree level by level to its leaves, and then runs the worklist.  Satisfiability
-reads functionality from the source on every engine, closing nothing: an
-ABox records its functional forks while it is indexed, a cut rechecks only
-the places where its query's index has two atoms along one role direction
-(``QueryIndex.forks``), and a pooled tree asks
-``model.respects_functionality``, memoized per (pool id, incoming role) on the
-engine.  Without disjointness that decides it; the disjointness checks close
-every individual.  The whole-ABox views close everything on first use.  The
-lazy state is plain data on the context and never refers back to it: a
-context in a reference cycle would outlive its eviction until the collector
-ran, and not at all after ``gc.freeze``.
+A context therefore closes individuals on demand, from one of four sources:
+
+* an ABox, all of whose individuals are indexed when the context is built;
+* a tree of the subtree pool (``model.intern_tree``), given as its pool id
+  and the name of its root: the root is indexed, and closing a node names
+  and indexes its children, so a node becomes an individual when a read
+  first reaches it;
+* a cut of a pooled tree (``syntax.TreeCut``): a tree that a minimization
+  cuts (``syntax.CutTree``), without the subtrees the cut removes.  Closing
+  a position reads its labels and kept edges from the tree; unless fillers
+  travel, one that keeps all its children takes its facts from the
+  context of the whole tree, and every other asserts the saturated names
+  that context reads for it, which the cut may have removed the cause of;
+* a cut of a query's index (``syntax.Cut``), for a query with cycles:
+  closing an individual reads its entry from the index, skipping the
+  removed individuals and atoms.
+
+The first read of an individual closes it from its own seed, filling its
+facts, successors and edge roles, so unless fillers travel a homomorphism
+search pays only for the individuals it reaches.  When fillers travel the
+first read closes every individual the same way, a tree level by level to
+its leaves, and then runs the worklist.  Satisfiability reads functionality
+from the source, closing nothing: an ABox records its functional forks
+while it is indexed, an index cut rechecks only the places where its index
+has two atoms along one role direction (``QueryIndex.forks``), and a pooled
+tree asks ``model.respects_functionality``, memoized per (pool id, incoming
+role) on the engine.  Without disjointness that decides it; the
+disjointness checks close every individual.  A tree cut is satisfiable: a
+minimization cuts only a satisfiable tree, and a cut keeps part of it,
+saturated as the tree entails.  The whole-ABox views close everything on
+first use.  The lazy state is plain data on the context and never refers
+back to it: a context in a reference cycle would outlive its eviction until
+the collector ran, and not at all after ``gc.freeze``.
 
 Every universal-model computation starts from an ``ABoxContext``, so it is
 the one place that refuses the combined dialect (role inclusions with
@@ -80,14 +84,14 @@ self-check reads each member from its pool id through the table, and
 ``certain_answer`` reads an ABox that a pooled query rendered (``ABox.tree``)
 from that tree's entry when it answers at the root, so the learner's probes
 of the members find the self-check's contexts.  The oracles build their
-candidates' contexts directly, one-shot, from their pool ids, and
-``certain_answer`` and ``reasoner.saturating_index`` build a cut's context
-one-shot too (``ABox.cut``), so that neither candidates nor minimization checks push the
-contexts of the query and of the frontier members out of the context table,
-and no check hashes its ABox.  What a candidate's context decides is kept
-instead on the context of the query's ABox, as ints and bools
-(``trees_contained``, ``trees_satisfiable``), so a second search over one
-query builds no candidate context, and the verdicts leave the table with it.
+candidates' contexts directly, one-shot, from their pool ids, and a cut's
+context, and its whole tree's, are one-shot too (``ABox.cut``), so neither
+candidates nor minimizations push the contexts of the query and of the
+frontier members out of the table, and no check hashes its ABox.  What a
+candidate's context decides is kept instead on the context of the query's
+ABox, as ints and bools (``trees_contained``, ``trees_satisfiable``), so a
+second search over one query builds no candidate context, and the verdicts
+leave the table with it.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, CQ, Cut, Dialect, ELIConcept, Ontology, Role, dialect_of
+from .syntax import ABox, CQ, Cut, Dialect, ELIConcept, Ontology, Role, TreeCut, dialect_of
 
 TOPK = ("top",)
 
@@ -182,6 +186,7 @@ class Engine:
         self._names_cache: dict[frozenset, frozenset[str]] = {}
         self._childfrom_cache: dict = {}
         self._edge_keys: dict[str, tuple[frozenset, frozenset]] = {}
+        self._role_edges: dict[Role, tuple[frozenset, frozenset]] = {}
         # (interned tree id, incoming role) -> the tree respects functionality;
         # filled by model.respects_functionality.
         self.functionality_memo: dict[tuple[int, Role | None], bool] = {}
@@ -207,6 +212,15 @@ class Engine:
         if hit is None:
             fwd = self.superroles(Role(r))
             hit = self._edge_keys[r] = (fwd, frozenset(s.inverse() for s in fwd))
+        return hit
+
+    def role_edges(self, rk: Role) -> tuple[frozenset, frozenset]:
+        """The roles an edge along ``rk`` realizes forward and backward;
+        memoized per role."""
+        hit = self._role_edges.get(rk)
+        if hit is None:
+            fwd, bwd = self.edge_keys(rk.name)
+            hit = self._role_edges[rk] = (bwd, fwd) if rk.inverted else (fwd, bwd)
         return hit
 
     # -- basic closure -----------------------------------------------------
@@ -385,20 +399,21 @@ class Engine:
 class ABoxContext:
     """Closure of an ABox under an Engine's ontology, computed on demand.
 
-    ``source`` is an ABox, a pooled tree given as (pool id, root name), or a
-    cut of a query's index (``syntax.Cut``), whose individuals are the
-    variables it keeps.  A tree's root keeps its name, and every other node
-    is named ``<root>.<n>`` when its parent is closed, with n counting up, so
-    siblings are numbered consecutively in pool-child order.  The
-    constructor only indexes the ABox, or the tree's root; for a cut it
-    indexes nothing, and checks the index's forks when the engine has
-    functional roles.  The per-individual reads (``facts_at``,
-    ``names_at``, ``successors_at``, ``edge_roles_at``, ``fired_children``)
-    close the individuals they touch; the whole-ABox views
-    (``individuals``, ``facts``, ``successors``, ``edge_roles``) close every
-    individual on first use."""
+    ``source`` is an ABox, a pooled tree given as (pool id, root name), a
+    cut of a pooled tree (``syntax.TreeCut``), whose individuals are the
+    names of the positions it keeps, or a cut of a query's index
+    (``syntax.Cut``), whose individuals are the variables it keeps.  A tree's
+    root keeps its name, and every other node is named ``<root>.<n>`` when
+    its parent is closed, with n counting up, so siblings are numbered
+    consecutively in pool-child order.  The constructor only indexes the
+    ABox, or the tree's root; for a cut it indexes nothing, and checks an
+    index's forks when the engine has functional roles.  The per-individual
+    reads (``facts_at``, ``names_at``, ``successors_at``, ``edge_roles_at``,
+    ``fired_children``) close the individuals they touch; the whole-ABox
+    views (``individuals``, ``facts``, ``successors``, ``edge_roles``) close
+    every individual on first use."""
 
-    def __init__(self, engine: Engine, source: ABox | tuple[int, str] | Cut):
+    def __init__(self, engine: Engine, source: ABox | tuple[int, str] | Cut | TreeCut):
         if engine.combined:
             raise UnsupportedDialectError(
                 "unsupported_dialect", "universal models are unsound for role inclusions with functionality")
@@ -416,6 +431,10 @@ class ABoxContext:
         # For a cut source: the index's table of variables, and the cut's
         # removed variables and atoms.
         self._cut: tuple | None = None
+        # For a tree cut source: the cut, and the context of its whole tree
+        # (None in that context itself).
+        self._tcut: TreeCut | None = None
+        self._whole: ABoxContext | None = None
         self._closed_all = False
         # For an ABox or a cut source: some individual has two asserted
         # successors along one functional role.
@@ -425,9 +444,9 @@ class ABoxContext:
         elif isinstance(source, Cut):
             self._cut = (source.index.at, source.gone, source.part, source.dropped)
             self._forked = bool(engine.functional) and self._cut_forked(source)
-            # The saturation's names are asserted names here: a cut may
-            # remove the atoms that entailed them.
-            self._extra = source.index.saturation
+        elif isinstance(source, TreeCut):
+            self._tcut = source
+            self._whole = source.tree.whole
         else:
             from .model import tree_struct  # model imports this module
 
@@ -443,7 +462,8 @@ class ABoxContext:
         self._edge_roles: dict[tuple[str, str], set[Role]] = {}
         self._successors: dict[tuple[str, Role], set[str]] = {}
         self._fired: dict[str, list[tuple[Role, frozenset]]] = {}
-        self._sat: bool | None = None
+        # A tree cut's tree is satisfiable, and so is what a cut keeps of it.
+        self._sat: bool | None = None if self._tcut is None else True
         # (interned tree id, model node) -> homomorphism exists; filled by
         # model.anchored.
         self.hom_memo: dict[tuple, bool] = {}
@@ -527,9 +547,6 @@ class ABoxContext:
                 entry.append((fwd, y))
             if y == a and x not in gone and x not in part:
                 entry.append((bwd, x))
-        if self._extra is not None:
-            sat, visible = self._extra
-            entry += [n for n in sat.names_at(a) if n in visible]
         return entry
 
     def _reach_tree_node(self, a: str, tid: int, up: tuple | None) -> list:
@@ -542,16 +559,44 @@ class ABoxContext:
         if up is not None:
             entry.append(up)
         index = self._index
-        engine = self.engine
+        role_edges = self.engine.role_edges
         for rk, child in children:
             self._named += 1
             b = f"{self._root}.{self._named}"
-            down, back = engine._edge_keys.get(rk.name) or engine.edge_keys(rk.name)
-            if rk.inverted:
-                down, back = back, down
+            down, back = role_edges(rk)
             entry.append((down, b))
             index[b] = (child, (back, a))
         return entry
+
+    def _reach_tree_cut(self, a: str) -> tuple[list, frozenset | None]:
+        """The index entry of the tree cut's individual ``a``, as
+        ``_index_abox`` makes it: its labels and an edge to its parent and to
+        each child the cut keeps.  Unless fillers travel, an individual that
+        keeps all its children has the facts of the whole tree, returned
+        too; any other asserts the names the whole tree's context reads for
+        it (``CutTree.visible``), since the cut may remove what entailed them."""
+        cut = self._tcut
+        tree, step, part = cut.tree, cut.step, cut.part  # type: ignore[union-attr]
+        dropped, names = tree.dropped, tree.names
+        i = tree.at[a]
+        entry: list = [*tree.labels[i]]
+        engine = self.engine
+        touched = False
+        for rk, j in tree.kids[i] or tree.children(i):
+            if j == part or (dropped and dropped.get(j, step) < step):  # ``cut.removes(j)``
+                touched = True
+            else:
+                entry.append(((engine._role_edges.get(rk) or engine.role_edges(rk))[0], names[j]))
+        if i:
+            p, rk = tree.up[i]
+            entry.append(((engine._role_edges.get(rk) or engine.role_edges(rk))[1], names[p]))
+        whole = self._whole
+        if whole is None:
+            return entry, None
+        if not touched and not engine.fillers_travel:
+            return entry, whole._facts.get(a) or whole.facts_at(a)
+        entry += [n for n in whole.names_at(a) if n in tree.visible]
+        return entry, None
 
     def _close(self, a: str) -> None:
         """Close ``a`` from its own seed: its concept names and one
@@ -559,8 +604,11 @@ class ABoxContext:
         seed = {TOPK}
         edge_roles = self._edge_roles
         successors = self._successors
+        facts = None
         if self._cut is not None:
             entry = self._reach_cut_individual(a)
+        elif self._tcut is not None:
+            entry, facts = self._reach_tree_cut(a)
         else:
             entry = self._index.pop(a)
             if type(entry) is tuple:
@@ -583,7 +631,7 @@ class ABoxContext:
                     seed.add(("e", k))
                 else:
                     succ.add(b)
-        self._facts[a] = self.engine.closure(seed)
+        self._facts[a] = facts or self.engine.closure(seed)
 
     def _close_all(self) -> None:
         """Close every individual not closed yet; with functional roles, then
@@ -598,6 +646,14 @@ class ABoxContext:
             for a in at:
                 if a not in facts and a not in gone and a not in part:
                     self._close(a)
+        elif self._tcut is not None:
+            cut, facts = self._tcut, self._facts
+            tree, stack = cut.tree, [0]
+            while stack:
+                i = stack.pop()
+                if tree.names[i] not in facts:
+                    self._close(tree.names[i])
+                stack.extend(j for _, j in tree.children(i) if not cut.removes(j))
         # Closing a tree node indexes its children, so a tree is closed level
         # by level, with no call stack as deep as the tree.
         while self._index:
@@ -668,6 +724,14 @@ class ABoxContext:
         if self._cut is not None:
             at, gone, part, _ = self._cut
             return a in at and a not in gone and a not in part
+        if self._tcut is not None:
+            cut, tree = self._tcut, self._tcut.tree
+            if a not in tree.at:
+                self._close_all()
+            i = tree.at.get(a)
+            while i and not cut.removes(i):
+                i = tree.up[i][0]
+            return i == 0
         if a not in self._facts and a not in self._index and self._tree is not None:
             self._close_all()
         return a in self._facts or a in self._index

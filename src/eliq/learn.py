@@ -9,11 +9,13 @@ possible target, it alternates three ingredients:
   doubling a cycle and re-minimizing;
 * ``minimize_cq`` greedily removes role atoms in one pass, shallowest first,
   each with the part it alone connects to the answer variable, as long as
-  the oracle still accepts (the routine ``minimize_eliq`` uses too);
+  the oracle still accepts (the order ``minimize_eliq`` uses too);
 * the frontier of the current hypothesis supplies the candidate
-  generalization steps: any member the oracle accepts becomes the next
-  hypothesis.  Members are probed as checked trees (``frontier_trees``),
-  and only the accepted one and those tied in serialized length are named.
+  generalization steps: any member the oracle accepts, minimized, becomes
+  the next hypothesis.  Members are probed as checked trees
+  (``frontier_trees``) and the accepted one is minimized as cuts of its tree
+  (``Trees.cut_tree``), so only the members tied in serialized length and
+  each minimized hypothesis are named.
 
 When no frontier member is accepted, the hypothesis is equivalent to the
 target.  A hard budget on membership queries is always enforced; exceeding it
@@ -27,11 +29,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Protocol
 
+from .engine import ABoxContext, engine_for
 from .errors import InvalidArgumentError, NotAnEliqError, SeedRequiredError, UnsatisfiableError
 from .frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees, ontology_size, reject_unsupported
 from .parser import serialize_cq
-from .reasoner import certain_answer, query_satisfiable, saturating_index
-from .syntax import ABox, CQ, Ontology, distances, make_cq, prune_role_atoms
+from .reasoner import certain_answer, query_satisfiable
+from .syntax import (ABox, CQ, CutTree, Ontology, QueryIndex, TreeCut, distances, make_cq, prune_role_atoms,
+                     prune_tree)
 
 
 class MembershipOracle(Protocol):
@@ -174,21 +178,38 @@ def _hamilton_cycle(n_verts: int, k: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
+def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ | CutTree) -> CQ:
     """Saturate ``q``, then remove role atoms, shallowest first, each with
     the part it alone connects to the answer variable, while the oracle
-    accepts (``prune_role_atoms``); the result is minimal and saturated.
+    accepts; the result is minimal and saturated.
 
-    The query is indexed once, standing for its saturation, whose names are
-    read on demand from one context of the whole query that the checks
-    share (``reasoner.saturating_index``); only the result is saturated in
-    full.  Each membership query hands the oracle the ABox of a cut of the
-    index (``Cut.to_abox``), whose assertion sets, saturated, materialize
-    only if the oracle reads them; ``certain_answer`` reads the cut itself,
-    so a ``SimulatedOracle`` check copies nothing."""
-    index = saturating_index(o, q)
-    return index.saturated(
-        prune_role_atoms(index, lambda smaller, current: oracle.answer(smaller, current.answer_var)))
+    A tree, a frontier member's (``Trees.cut_tree``) or a tree-shaped
+    query, is cut (``prune_tree``): the saturation's names are read on
+    demand from one context of the whole tree, which its cuts share, and
+    only the result is named and saturated in full.  A member must be
+    satisfiable, as ``frontier_trees`` checks it.  A query with cycles, one
+    of ``treeify``'s, is saturated and indexed once, and cut as an index
+    (``prune_role_atoms``).  Either way, each membership query hands the
+    oracle the ABox of a cut, whose assertion sets materialize only if the
+    oracle reads them; ``certain_answer`` reads the cut itself, so a
+    ``SimulatedOracle`` check copies nothing.  No context of the query
+    enters the context table."""
+    visible = o.signature()[0]
+    if isinstance(q, CQ):
+        whole = ABoxContext(engine_for(o), q.to_abox())
+        if not whole.satisfiable():
+            raise UnsatisfiableError("cannot saturate a query that is unsatisfiable w.r.t. the ontology")
+        if not q.is_eliq():
+            names = {(n, v) for v in q.variables() for n in whole.names_at(v) if n in visible}
+            return prune_role_atoms(QueryIndex(CQ(q.answer_var, q.concept_atoms | names, q.role_atoms)),
+                                    lambda smaller, current: oracle.answer(smaller, current.answer_var))
+        tree = CutTree.of_query(q)
+        tree.whole = whole
+    else:
+        tree = q
+        tree.whole = ABoxContext(engine_for(o), TreeCut(tree, 0, None))
+    tree.visible = visible
+    return tree.query(prune_tree(tree, oracle.answer))
 
 
 def _find_cycle_atom(q: CQ) -> tuple[str, str, str] | None:
@@ -233,16 +254,15 @@ def treeify(o: Ontology, oracle: MembershipOracle, q: CQ) -> CQ:
 # ---------------------------------------------------------------------------
 
 
-def probe_order(trees: Trees, members: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], dict]:
+def probe_order(trees: Trees, members: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The frontier ``members``, (node, pool id) pairs of ``trees``, sorted as
-    their named queries ``m`` sort by ``(len(serialize_cq(m)), serialize_cq(m))``,
-    and the members named on the way: lengths come from the table
-    (``Trees.text_length``), and only tied members are named and serialized."""
+    their named queries ``m`` sort by ``(len(serialize_cq(m)), serialize_cq(m))``:
+    lengths come from the table (``Trees.text_length``), and only tied
+    members are named and serialized."""
     length = {m: trees.text_length(m[0]) for m in members}
     tied = Counter(length.values())
-    named = {m: trees.member(*m) for m in members if tied[length[m]] > 1}
-    text = {m: serialize_cq(q) for m, q in named.items()}
-    return sorted(members, key=lambda m: (length[m], text.get(m, ""))), named
+    text = {m: serialize_cq(trees.member(*m)) for m in members if tied[length[m]] > 1}
+    return sorted(members, key=lambda m: (length[m], text.get(m, "")))
 
 
 def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> LearnTrace:
@@ -257,10 +277,11 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
     concept names, so no surrogate name reaches a hypothesis or the oracle.
     Frontier members are probed in ``probe_order``, from the tree table; a
     probe's ABox renders the member's tree (``ABox.tree``) and names the
-    member only if the oracle reads its assertion sets.  Only this run's
-    membership queries count, against ``budget`` and in the trace.  Returns
-    the full hypothesis trace; ``seed_rejected`` and ``budget_exceeded`` are
-    outcomes, not exceptions.
+    member only if the oracle reads its assertion sets.  The accepted member
+    is minimized as cuts of its tree, so the next hypothesis is named once.
+    Only this run's membership queries count, against ``budget`` and in the
+    trace.  Returns the full hypothesis trace; ``seed_rejected`` and
+    ``budget_exceeded`` are outcomes, not exceptions.
     """
     reject_unsupported(o, SUPPORTED_DIALECTS, "learn")
     if budget <= 0:
@@ -278,14 +299,13 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
         while True:
             trees, members = frontier_trees(o, q_h, "learn", SUPPORTED_DIALECTS)
             trace.frontier_sizes.append(len(members))
-            order, named = probe_order(trees, members)
             answer = trees.prep.query.answer_var
-            for m in order:
+            for m in probe_order(trees, members):
                 if oracle.answer(ABox.deferred(partial(trees.member, *m), tree=(m[1], answer)), answer):
                     break
             else:
                 break  # no member is accepted: the hypothesis is equivalent to the target
-            q_h = minimize_cq(o, oracle, named.get(m) or trees.member(*m))
+            q_h = minimize_cq(o, oracle, trees.cut_tree(m[0]))
             trace.hypotheses.append(q_h)
     except BudgetExceeded:
         trace.outcome = "budget_exceeded"

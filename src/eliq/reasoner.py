@@ -14,10 +14,13 @@ from __future__ import annotations
 from typing import Iterator
 
 from .engine import ABoxContext, basic_key, context_for, engine_for
-from .errors import InvalidArgumentError, NotAnEliqError, UnsatisfiableError
+from .errors import InvalidArgumentError, UnsatisfiableError
 from .model import (
     UniversalModelPrefix,
+    anchored,
     build_prefix,
+    drop_subtree,
+    intern_cq,
     matches,
     tree_ids_upto,
     tree_to_cq,
@@ -26,11 +29,11 @@ from .normalform import is_normal_form
 from .syntax import (
     ABox,
     CQ,
+    CutTree,
     ELIConcept,
     Ontology,
-    QueryIndex,
     Role,
-    prune_role_atoms,
+    prune_tree,
 )
 
 
@@ -90,20 +93,6 @@ def saturate(o: Ontology, q: CQ) -> CQ:
     return CQ(q.answer_var, frozenset(atoms), q.role_atoms)
 
 
-def saturating_index(o: Ontology, q: CQ) -> QueryIndex:
-    """The index of ``q`` standing for ``saturate(o, q)``
-    (``QueryIndex.saturation``): the entailed names are read on demand from
-    one one-shot context of the whole query, which the cuts of the index
-    share, so a minimization closes only what its checks reach and what it
-    keeps.  Raises ``UnsatisfiableError`` as ``saturate`` does."""
-    index = QueryIndex(q)
-    ctx = ABoxContext(engine_for(o), index.cut())
-    if not ctx.satisfiable():
-        raise UnsatisfiableError("cannot saturate a query that is unsatisfiable w.r.t. the ontology")
-    index.saturation = (ctx, o.signature()[0])
-    return index
-
-
 def universal_prefix(o: Ontology, a: ABox, depth: int) -> UniversalModelPrefix:
     """Materialize the traces of length <= depth of the universal model."""
     if not is_normal_form(o):
@@ -160,18 +149,21 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     while preserving equivalence w.r.t. ``o``.
 
     Saturates, then drops whole subtrees, shallowest first, whose removal
-    keeps the query equivalent (``prune_role_atoms``).  A single-variable
-    drop of an inner variable is equivalent to dropping its subtree (the
-    orphaned components can never contribute to an anchored match), so
-    subtree drops suffice for minimality.
+    keeps the query equivalent (``prune_tree``).  A single-variable drop of
+    an inner variable is equivalent to dropping its subtree (the orphaned
+    components can never contribute to an anchored match), so subtree drops
+    suffice for minimality.
 
     ``saturate`` reads the query's names from the context table, where
     ``frontier_base.prepare`` has just checked the query's satisfiability.
-    The saturated query is then indexed once (``QueryIndex``), and each
-    check reads a cut of that index (``Cut``) in a one-shot context, so no
-    check copies, hashes or re-indexes the query.  The result is kept on the
-    table's context of the query, by answer variable, so asking again about
-    the same query, as a second frontier of it does, asks no check again.
+    Each check reads a cut of the saturated query (``syntax.TreeCut``) in a
+    one-shot context, which takes the facts of every individual that keeps
+    all its children from that table context, so no check copies, hashes or
+    indexes the query.  The query as pruned so far is interned when a check
+    first reads it, and then each accepted drop is carried up from its
+    parent (``model.drop_subtree``).  The result is kept on the table's
+    context of the query, by answer variable, so asking again about the
+    same query, as a second frontier of it does, asks no check again.
     """
     whole = context_for(o, q.to_abox())
     # The ABox leaves out an answer variable with atoms: queries differing
@@ -181,14 +173,24 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     if done is not None:
         return done
     saturated = saturate(o, q)
-    if not saturated.is_eliq():
-        raise NotAnEliqError(f"not an ELIQ: {saturated.concept_atoms | saturated.role_atoms}")
-    index = QueryIndex(saturated)
-    # Dropping atoms only generalizes: the smaller query stays equivalent iff
-    # the current one still holds on its ABox.
-    done = whole.minimized[key] = prune_role_atoms(
-        index, lambda smaller, current: certain_answer(o, smaller, current, current.answer_var)
-    )
+    tree = CutTree.of_query(saturated)  # raises NotAnEliqError unless a tree
+    tree.whole = whole
+    tids: dict[str, int] = {}  # each variable's subtree id in the query as pruned so far
+    carried = 0  # the accepted drops carried up into ``tids``
+
+    def keeps(smaller: ABox, ind: str) -> bool:
+        # Dropping atoms only generalizes: the smaller query stays equivalent
+        # iff the current one still holds on its ABox.
+        nonlocal carried
+        if not tids:
+            intern_cq(saturated, tids)
+        for c in list(tree.dropped)[carried:]:
+            drop_subtree(tree, tids, c)
+        carried = len(tree.dropped)
+        return anchored(ABoxContext(whole.engine, smaller.cut), tids[ind], ind)
+
+    cut = prune_tree(tree, keeps)
+    done = whole.minimized[key] = tree.query(cut) if tree.dropped else saturated
     return done
 
 

@@ -21,11 +21,11 @@ shared freely and used as cache keys.  Conventions used throughout:
   name, or ``some R``) is an ``ELIConcept`` for which ``is_basic()`` holds;
   ``Ontology`` checks that condition on CI left-hand sides and disjointness
   operands when it is built.  ``subconcepts`` is the one walk of a concept.
-* ``QueryIndex`` and ``Cut`` are the exception to immutability: working
-  state of one minimization (``prune_role_atoms``), which reads a query's
-  index through cuts instead of copying the query per question.  A cut's
-  ABox (``Cut.to_abox``), like any deferred ABox (``ABox.deferred``), is an
-  ordinary ``ABox`` value once read.
+* ``CutTree`` and ``QueryIndex`` are the exception to immutability: working
+  state of one minimization of a tree (``prune_tree``) or of a query with
+  cycles (``prune_role_atoms``), read through cuts (``TreeCut``, ``Cut``)
+  instead of copies of the query.  A cut's ABox, like any deferred ABox
+  (``ABox.deferred``), is an ordinary ``ABox`` value once read.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ class ABox:
         object.__setattr__(self, "role_assertions", role_assertions)
 
     @classmethod
-    def deferred(cls, query: Callable[[], "CQ"], cut: "Cut | None" = None,
+    def deferred(cls, query: Callable[[], "CQ"], cut: "Cut | TreeCut | None" = None,
                  tree: tuple[int, str] | None = None) -> "ABox":
         """An ABox equal to ``query().to_abox()``, whose assertion sets
         materialize when first read; it renders ``cut`` or ``tree``."""
@@ -436,8 +436,8 @@ class ABox:
         return self.__dict__.get("_tree")
 
     @property
-    def cut(self) -> "Cut | None":
-        """The cut this ABox renders (``Cut.to_abox``), or None.  Not part of
+    def cut(self) -> "Cut | TreeCut | None":
+        """The cut this ABox renders (``to_abox`` of a cut), or None.  Not part of
         the ABox's value, like ``tree``."""
         return self.__dict__.get("_cut")
 
@@ -594,13 +594,9 @@ class QueryIndex:
     ``at`` maps each variable to a list of its concept names (top left out)
     and the role atoms that mention it: an item is a name when it is a str,
     else an atom, whose ends tell the directions it is seen from the
-    variable in (both, for a self-loop).  ``saturation`` is None, or a
-    context of the whole query and the concept names it may add: the query
-    then stands for its saturation, whose entailed names are read from that
-    context on demand (``saturated``), so a minimization closes only what
-    its checks reach and what it keeps."""
+    variable in (both, for a self-loop)."""
 
-    __slots__ = ("query", "at", "saturation", "_forks")
+    __slots__ = ("query", "at", "_forks")
 
     def __init__(self, q: CQ):
         self.query = q
@@ -620,7 +616,6 @@ class QueryIndex:
                 else:
                     items.append(t)
         self.at = at
-        self.saturation: tuple | None = None
         self._forks: list | None = None
 
     def forks(self) -> list[tuple[str, str, bool, list[tuple[str, tuple[str, str, str]]]]]:
@@ -644,15 +639,6 @@ class QueryIndex:
                 self._forks.extend((v, r, subject, e) for (r, subject), e in ends.items() if len(e) > 1)
         return self._forks
 
-    def saturated(self, q: CQ) -> CQ:
-        """``q``, a part of the indexed query, with the entailed names of its
-        variables that ``saturation`` reads; ``q`` itself without one."""
-        if self.saturation is None:
-            return q
-        ctx, visible = self.saturation
-        names = frozenset((n, v) for v in q.variables() for n in ctx.names_at(v) if n in visible)
-        return CQ(q.answer_var, q.concept_atoms | names, q.role_atoms)
-
     def cut(self) -> "Cut":
         """The cut that removes nothing: the whole query."""
         return Cut(self, frozenset(), frozenset(), frozenset(), None)
@@ -661,21 +647,21 @@ class QueryIndex:
 class Cut:
     """A query's index with some of its variables and role atoms removed.
 
-    ``gone`` and ``part`` are removed variables: the removals accepted so
-    far, and the part of the drop being asked about, a collection of
-    variables.  ``dropped`` holds removed role atoms whose ends may both
-    stay.  The cut stands for the indexed query without them (``query``),
-    built from ``current``, the query without ``gone`` (None: the indexed
-    query, when ``gone`` is empty).  Every variable the cut keeps, but the
-    answer variable, keeps an atom, so the cut's individuals are those of
-    its query's ABox.  Reading a cut copies nothing:
-    ``engine.ABoxContext`` takes it as a source, and ``to_abox`` gives an
-    ABox whose assertion sets materialize only when read.  A cut is never
-    changed after it is made; it compares and hashes by identity."""
+    ``gone`` and ``part`` are sets of removed variables: the removals
+    accepted so far, and the part of the drop being asked about.
+    ``dropped`` holds removed role atoms whose ends may both stay.  The cut
+    stands for the indexed query without them (``query``), built from
+    ``current``, the query without ``gone`` (None: the indexed query, when
+    ``gone`` is empty).  Every variable the cut keeps, but the answer
+    variable, keeps an atom, so the cut's individuals are those of its
+    query's ABox.  Reading a cut copies nothing: ``engine.ABoxContext``
+    takes it as a source, and ``to_abox`` gives an ABox whose assertion sets
+    materialize only when read.  A cut is never changed after it is made; it
+    compares and hashes by identity."""
 
     __slots__ = ("index", "gone", "part", "dropped", "current")
 
-    def __init__(self, index: QueryIndex, gone: frozenset[str], part: Collection[str],
+    def __init__(self, index: QueryIndex, gone: frozenset[str], part: frozenset[str],
                  dropped: frozenset[tuple[str, str, str]], current: CQ | None):
         self.index = index
         self.gone = gone
@@ -702,107 +688,173 @@ class Cut:
         return CQ(q.answer_var, q.concept_atoms - concepts, q.role_atoms - roles - self.dropped)
 
     def to_abox(self) -> ABox:
-        """An ABox equal to the ABox of ``query()``, saturated as the index
-        reads it (``QueryIndex.saturated``), whose assertion sets
+        """An ABox equal to the ABox of ``query()``, whose assertion sets
         materialize on first access (``ABox.cut``)."""
-        return ABox.deferred(lambda: self.index.saturated(self.query()), cut=self)
-
-
-class _Subtree:
-    """The variables of one subtree of a tree, as a range of a pre-order of
-    the tree, in which every subtree is contiguous: a membership test costs
-    the same for any size, and nothing is listed until it is iterated."""
-
-    __slots__ = ("pos", "pre", "lo", "hi")
-
-    def __init__(self, pos: dict[str, int], pre: list[str], lo: int, hi: int):
-        self.pos, self.pre, self.lo, self.hi = pos, pre, lo, hi
-
-    def __contains__(self, v: object) -> bool:
-        return self.lo <= self.pos.get(v, -1) < self.hi  # type: ignore[arg-type]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.pre[self.lo:self.hi])
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
+        return ABox.deferred(self.query, cut=self)
 
 
 def prune_role_atoms(index: QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ:
     """Greedily drop role atoms of the indexed query, each together with the
     part of the query it alone connects to the answer variable, whenever
     ``keeps(smaller, current)`` accepts the ABox ``smaller`` of the smaller
-    query, ``current`` being the query as pruned so far.
+    query, ``current`` being the query as pruned so far.  The learner runs it
+    on queries with cycles; a tree is pruned by ``prune_tree``.
 
     Each question reads a cut of the one index (``Cut.to_abox``), so no
     question copies the query; the smaller query is built only when a drop
-    is accepted.
-
-    Atoms are visited once, shallowest first: by the breadth-first distance
-    of their nearer endpoint from the answer variable, ties in ``sorted``
-    order.  One pass suffices when ``keeps`` is monotone (a query it rejects
-    stays rejected after any further removal), as certain answers are, so
-    the result has no droppable atom left; shallow atoms first lets one
-    drop cut off a whole branch before its atoms are asked about.
-
-    When the query is a tree, an atom's part is the subtree below its farther
-    endpoint, a range of one pre-order of the tree built from the distances
-    (``_Subtree``); atoms come shallowest first, so no earlier drop reached
-    below an atom still present.  Otherwise (a cycle, or a part the answer
-    variable does not reach) the part is what a search over the rest of the
-    query does not reach from the answer variable, per atom.
+    is accepted.  Atoms are visited once, shallowest first: by the
+    breadth-first distance of their nearer endpoint from the answer
+    variable, ties in ``sorted`` order.  One pass suffices when ``keeps`` is
+    monotone (a query it rejects stays rejected after any further removal),
+    as certain answers are, so the result has no droppable atom left.  An
+    atom's part is what a search over the rest of the query does not reach
+    from the answer variable.
     """
     q = index.query
     dist = distances(q.role_atoms, q.answer_var)
     far = len(dist)  # atoms the answer variable does not reach come last
     order = sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t))
-    tree = len(q.role_atoms) == len(dist) - 1 and len(dist) == len(index.at)
-    if tree:
-        below: dict[str, list[str]] = {}
-        for _, x, y in q.role_atoms:
-            p, c = (x, y) if dist[x] < dist[y] else (y, x)
-            below.setdefault(p, []).append(c)
-        pre: list[str] = []  # each subtree is a range of this pre-order
-        stack = [q.answer_var]
-        while stack:
-            v = stack.pop()
-            pre.append(v)
-            stack.extend(below.get(v, ()))
-        pos = {v: i for i, v in enumerate(pre)}
-        end: dict[str, int] = {}  # each variable's subtree ends before end[v]
-        for v in reversed(pre):
-            kids = below.get(v)
-            # the child pushed first is popped last, so its range ends v's
-            end[v] = end[kids[0]] if kids else pos[v] + 1
     gone: frozenset[str] = frozenset()
     dropped: frozenset[tuple[str, str, str]] = frozenset()
     for atom in order:
         _, x, y = atom
         if x in gone or y in gone or (dropped and atom in dropped):
             continue  # cut off by an earlier drop
-        if tree:
-            c = y if dist[y] > dist[x] else x
-            part: Collection[str] = _Subtree(pos, pre, pos[c], end[c])
-            cut = Cut(index, gone, part, dropped, q)
-        else:
-            cut_atoms = dropped | {atom}
-            reach = {q.answer_var}
-            stack = [q.answer_var]
-            while stack:
-                v = stack.pop()
-                for t in index.at[v]:
-                    if type(t) is tuple and t not in cut_atoms:
-                        w = t[2] if t[1] == v else t[1]
-                        if w not in reach and w not in gone:
-                            reach.add(w)
-                            stack.append(w)
-            part = frozenset(v for v in index.at if v not in reach and v not in gone)
-            cut = Cut(index, gone, part, cut_atoms, q)
+        cut_atoms = dropped | {atom}
+        reach = {q.answer_var}
+        stack = [q.answer_var]
+        while stack:
+            v = stack.pop()
+            for t in index.at[v]:
+                if type(t) is tuple and t not in cut_atoms:
+                    w = t[2] if t[1] == v else t[1]
+                    if w not in reach and w not in gone:
+                        reach.add(w)
+                        stack.append(w)
+        part = frozenset(v for v in index.at if v not in reach and v not in gone)
+        cut = Cut(index, gone, part, cut_atoms, q)
         if keeps(cut.to_abox(), q):
             gone = gone.union(part)
             dropped = cut.dropped
             q = cut.query()
     return q
+
+
+class CutTree:
+    """A tree-shaped query that one minimization cuts (``prune_tree``), read
+    one position at a time.  Position 0 is the root; the others are numbered
+    as their parents are first expanded.  Position i is the variable
+    ``names[i]``, with the concept names ``labels[i]``, below ``up[i]`` =
+    (parent position, role from it), or (None, None) at the root.
+    ``children(i)`` lists its (role, position) pairs, which ``expand(i)``
+    gives on first use as (role, name, labels) triples.  ``dropped`` maps the
+    root of each accepted drop to the check that dropped it.
+
+    The minimization sets ``whole``, a context of the whole query whose
+    individuals are the names, and ``visible``, the names of its facts that
+    the query's saturation adds.  A cut's context reads from ``whole`` the
+    facts of each individual whose children it all keeps.  The query must be
+    satisfiable, and every cut of it, saturated, is then satisfiable too."""
+
+    __slots__ = ("names", "labels", "up", "kids", "at", "expand", "dropped", "whole", "visible")
+
+    def __init__(self, root: str, labels: Collection[str],
+                 expand: Callable[[int], list[tuple[Role, str, Collection[str]]]]):
+        self.names, self.labels, self.up, self.kids = [root], [labels], [(None, None)], [None]
+        self.at = {root: 0}
+        self.expand, self.dropped = expand, {}
+        self.whole = None
+        self.visible: Collection[str] = frozenset()
+
+    @classmethod
+    def of_query(cls, q: CQ) -> "CutTree":
+        """The ELIQ ``q``, its positions named by its variables and labelled
+        by its concept atoms, ``top`` too.  Raises NotAnEliqError if ``q`` is
+        not tree-shaped."""
+        children = tree_children(q)
+        labels: dict[str, list[str]] = {}
+        for a, v in q.concept_atoms:
+            labels.setdefault(v, []).append(a)
+        tree = cls(q.answer_var, labels.get(q.answer_var, ()),
+                   lambda i: [(role, w, labels.get(w, ())) for role, w in children.get(tree.names[i], ())])
+        return tree
+
+    def children(self, i: int) -> list[tuple[Role, int]]:
+        kids = self.kids[i]
+        if kids is None:
+            kids = self.kids[i] = []
+            for role, name, labels in self.expand(i):
+                kids.append((role, len(self.names)))
+                self.at[name] = len(self.names)
+                self.names.append(name)
+                self.labels.append(labels)
+                self.up.append((i, role))
+                self.kids.append(None)
+        return kids
+
+    def query(self, cut: "TreeCut") -> CQ:
+        """The query ``cut`` stands for: the positions it keeps, each with its
+        labels and the ``visible`` names of its facts in ``whole``, and the
+        role atoms between them.  A pre-order walk with an explicit stack."""
+        concepts: list[tuple[str, str]] = []
+        roles: list[tuple[str, str, str]] = []
+        names, visible = self.names, self.visible
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            v = names[i]
+            concepts += [(a, v) for a in self.labels[i]]
+            if visible:
+                concepts += [(n, v) for n in self.whole.names_at(v) if n in visible]
+            for role, j in self.children(i):
+                if not cut.removes(j):
+                    roles.append(role.atom(v, names[j]))
+                    stack.append(j)
+        return CQ(names[0], frozenset(concepts), frozenset(roles))
+
+
+class TreeCut:
+    """A cut tree without the subtrees at the positions it removes: ``part``,
+    the subtree being asked about, and those dropped by the checks before
+    check ``step``.  Reading it copies nothing: ``engine.ABoxContext`` takes
+    it as a source, and ``to_abox`` gives an ABox whose assertion sets, those
+    of ``tree.query(self)``, materialize only when read.  A cut is never
+    changed after it is made; it compares and hashes by identity."""
+
+    __slots__ = ("tree", "step", "part")
+
+    def __init__(self, tree: CutTree, step: int, part: int | None):
+        self.tree, self.step, self.part = tree, step, part
+
+    def removes(self, i: int) -> bool:
+        """Whether the cut removes position ``i``, whose parent it keeps."""
+        return i == self.part or self.tree.dropped.get(i, self.step) < self.step
+
+    def to_abox(self) -> ABox:
+        return ABox.deferred(lambda: self.tree.query(self), cut=self)
+
+
+def prune_tree(tree: CutTree, keeps: Callable[[ABox, str], bool]) -> TreeCut:
+    """``prune_role_atoms`` on a tree: visit its role atoms in the same
+    order, and drop each with the subtree below it whenever ``keeps(smaller,
+    answer variable)`` accepts the ABox of the cut without that subtree
+    (``TreeCut.to_abox``).  Level by level: the atoms from one depth's kept
+    positions to their children, sorted; the child of a rejected drop joins
+    the next level.  Only the positions checked, and those the checks read,
+    are expanded, and no question names or copies the query.  Returns the
+    cut of every accepted drop."""
+    names = tree.names
+    level, step = [0], 0
+    while level:
+        atoms = sorted((role.atom(names[i], names[j]), j) for i in level for role, j in tree.children(i))
+        level = []
+        for _, j in atoms:
+            step += 1
+            if keeps(TreeCut(tree, step, j).to_abox(), names[0]):
+                tree.dropped[j] = step
+            else:
+                level.append(j)
+    return TreeCut(tree, step + 1, None)
 
 
 def eliq_to_concept(q: CQ) -> ELIConcept:

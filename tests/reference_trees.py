@@ -2,10 +2,16 @@
 
 It builds every rooted labeled tree of each size from the trees of smaller
 sizes, with no universal model involved, and interns them in the shared pool.
+Each result is kept per (names, roles, bound) and per pool object, since
+some tests swap ``model._POOL``: a pool only grows, so the ids it gave stay
+valid while it is the pool.
 """
 
+import eliq.model as model
 from eliq import Role
 from eliq.model import intern_tree
+
+_DONE: dict[tuple, tuple] = {}  # (names, roles, bound) -> (the pool, the ids)
 
 
 def _combos(attachments: list, budget: int) -> list[tuple]:
@@ -31,7 +37,16 @@ def _combos(attachments: list, budget: int) -> list[tuple]:
 
 def reference_tree_ids(names, roles, max_vars: int) -> list[int]:
     """All rooted labeled trees with at most ``max_vars`` nodes, one id per
-    isomorphism class, ordered by size."""
+    isomorphism class, ordered by size; a new list each call."""
+    key = (frozenset(names), frozenset(roles), max_vars)
+    done = _DONE.get(key)
+    if done is None or done[0] is not model._POOL:
+        done = _DONE[key] = (model._POOL, _enumerate(names, roles, max_vars))
+    return list(done[1])
+
+
+def _enumerate(names, roles, max_vars: int) -> list[int]:
+    """``reference_tree_ids``, interned in the current pool."""
     sorted_names = sorted(names)
     labels = [
         frozenset(n for i, n in enumerate(sorted_names) if mask >> i & 1)

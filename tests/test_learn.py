@@ -25,13 +25,14 @@ from eliq import (
     seed_query,
     treeify,
 )
-from eliq.frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees
+from eliq.frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees, prepare
 from eliq.learn import probe_order
-from eliq.parser import serialize_cq
-from eliq.syntax import QueryIndex, prune_role_atoms
+from eliq.parser import serialize_cq, serialize_ontology
+from eliq.reasoner import minimize_eliq
+from eliq.syntax import CutTree, QueryIndex, prune_role_atoms
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
-from eliq.normalform import FRESH_PREFIX
+from eliq.normalform import FRESH_PREFIX, normalize
 from paper_fixtures import fixture
 from reference_translate import on_table
 
@@ -362,17 +363,20 @@ def test_the_probe_order_is_the_order_of_the_serializations(monkeypatch):
     for trees, members in frontiers:
         for m in members:
             assert trees.text_length(m[0]) == _serialized(trees, m)[0], serialize_cq(trees.member(*m))
-        order, named = probe_order(trees, members)
-        assert order == sorted(members, key=lambda m: _serialized(trees, m))
-        assert all(named[m] == trees.member(*m) for m in named)
+        assert probe_order(trees, members) == sorted(members, key=lambda m: _serialized(trees, m))
+        lengths = Counter(_serialized(trees, m)[0] for m in members)
         checked += len(members)
-        ties += len(named)
+        ties += sum(lengths[_serialized(trees, m)[0]] > 1 for m in members)
     assert checked > 100 and ties
 
 
-def test_a_learner_names_only_the_accepted_and_the_tied_members(monkeypatch):
+def test_a_learner_names_only_the_tied_members_and_each_hypothesis_once(monkeypatch):
+    # Members are probed as trees, and the accepted one is minimized as cuts
+    # of its tree: a member is named only when it ties in serialized length
+    # (``probe_order``), an accepted one too, and each minimized hypothesis
+    # is named once, from the cuts' tree.
     frontiers = _recording_frontiers(monkeypatch)
-    named, accepted = [], []
+    named, accepted, cut_trees, hypotheses = [], [], [], []
     real_query = Trees.query
 
     def counting_query(self, n, root, namer):
@@ -380,6 +384,18 @@ def test_a_learner_names_only_the_accepted_and_the_tied_members(monkeypatch):
         return real_query(self, n, root, namer)
 
     monkeypatch.setattr(Trees, "query", counting_query)
+    real_cut_tree, real_naming = Trees.cut_tree, CutTree.query
+
+    def recording_cut_tree(self, n):
+        cut_trees.append(real_cut_tree(self, n))
+        return cut_trees[-1]
+
+    def counting_naming(self, cut):
+        hypotheses.append(self)
+        return real_naming(self, cut)
+
+    monkeypatch.setattr(Trees, "cut_tree", recording_cut_tree)
+    monkeypatch.setattr(CutTree, "query", counting_naming)
     for o, target in islice(_batch_corpus(), 8):
         oracle = SimulatedOracle(o, target)
         asked = oracle.answer
@@ -400,8 +416,10 @@ def test_a_learner_names_only_the_accepted_and_the_tied_members(monkeypatch):
         lengths = Counter(_serialized(trees, m)[0] for m in members)
         tied.update((trees, m[0]) for m in members if lengths[_serialized(trees, m)[0]] > 1)
     assert tied and accepted and set(accepted) - tied
-    # each named once: a tied member that is accepted is not named again
-    assert Counter(calls) == Counter(tied | set(accepted))
+    # only the tied members are named, each once, whether accepted or not
+    assert Counter(calls) == Counter(tied)
+    # each accepted member is cut as one tree, which names its hypothesis once
+    assert len(cut_trees) == len(accepted) and Counter(map(id, hypotheses)) == Counter(map(id, cut_trees))
 
 
 def test_a_reused_oracle_counts_each_run_alone():
@@ -525,3 +543,19 @@ def test_normal_form_reduction_matches_prenormalized_learning():
         assert trace_nf.outcome == trace_pre.outcome == "success"
         assert equivalent(o, trace_nf.final, target)
         assert equivalent(on, trace_pre.final, target)
+
+
+def test_preparing_a_hypothesis_minimizes_it_again_under_the_normal_form():
+    # ``minimize_cq`` minimizes under the ontology, and ``prepare`` again
+    # under its normal form, whose surrogate _X1 can stand for a subtree the
+    # learner keeps: so the second minimization is not a no-op, and the
+    # learner must not skip it or record its hypothesis as minimized.
+    o = parse_ontology("some r sub some r . B\n")
+    target = parse_cq("q(x) :- r(x,y), B(y)")
+    assert serialize_cq(minimize_cq(o, SimulatedOracle(o, target), target)) == "q(x) :- B(y), r(x,y)"
+    trace = learn(o, SimulatedOracle(o, target), seed_query(o, combined_signature(o, target)), 100)
+    assert trace.outcome == "success" and serialize_cq(trace.final) == "q(x0) :- B(z~1), r(x0,z~1)"
+    on = normalize(o)[0]
+    assert serialize_ontology(on) == "some r sub _X1\n_X1 sub some r . B\n"
+    assert serialize_cq(minimize_eliq(on, trace.final)) == "q(x0) :- _X1(x0)"
+    assert serialize_cq(prepare(o, trace.final, "learn").query) == "q(x0) :- _X1(x0)"

@@ -36,7 +36,7 @@ from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.learn import minimize_cq
 from eliq.model import intern_cq
 from eliq.reasoner import equivalent, minimize_eliq, saturate
-from eliq.syntax import Dialect, Ontology, dialect_of, tree_children, tree_order
+from eliq.syntax import Dialect, Ontology, TreeCut, dialect_of, tree_children, tree_order
 from paper_fixtures import subtree_vars
 from reference_prune import ref_prune_role_atoms, restrict
 from reference_translate import QB, attach_concept_tree, on_table, round_trip, translate_member
@@ -143,15 +143,20 @@ def ontologies(seed: int, count: int, normal_form: bool = False):
 
 
 class CountingCertainAnswer:
+    """Counts the checks of ``reasoner``'s minimizations: ``minimize_eliq``
+    matches on each cut's context (``anchored``), and the reference asks
+    ``certain_answer``."""
+
     def __init__(self, monkeypatch):
         self.calls = 0
-        inner = reasoner.certain_answer
+        for name in ("certain_answer", "anchored"):
+            monkeypatch.setattr(reasoner, name, self.counting(getattr(reasoner, name)))
 
+    def counting(self, inner):
         def counted(*args):
             self.calls += 1
             return inner(*args)
-
-        monkeypatch.setattr(reasoner, "certain_answer", counted)
+        return counted
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,9 @@ def test_learning_agrees_with_restart(seed, monkeypatch):
         budget = default_budget(len(target.variables()), o)
         fast = learn_with_normal_form(o, SimulatedOracle(o, target), seed_q, budget)
         with monkeypatch.context() as m:
-            m.setattr(learn_mod, "minimize_cq", ref_minimize_cq)
+            # the learner hands over the accepted member as a tree to cut
+            m.setattr(learn_mod, "minimize_cq", lambda o, oracle, q: ref_minimize_cq(
+                o, oracle, q if isinstance(q, CQ) else q.query(TreeCut(q, 0, None))))
             slow = learn_with_normal_form(o, SimulatedOracle(o, target), seed_q, budget)
         fast_d, slow_d = fast.to_dict(), slow.to_dict()
         assert fast_d.pop("membership_queries") <= slow_d.pop("membership_queries")

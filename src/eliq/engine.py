@@ -38,7 +38,7 @@ witnesses add none (``fired_children`` blocks them, ``_children_from`` merges
 them), and no role inclusion lets an edge realize a functional role.  Without
 disjointness nothing else makes an ABox unsatisfiable.
 
-A context therefore closes individuals on demand, from one of four sources:
+A context therefore closes individuals on demand, from one of three sources:
 
 * an ABox, all of whose individuals are indexed when the context is built;
 * a tree of the subtree pool (``model.intern_tree``), given as its pool id
@@ -50,48 +50,45 @@ A context therefore closes individuals on demand, from one of four sources:
   a position reads its labels and kept edges from the tree; unless fillers
   travel, one that keeps all its children takes its facts from the
   context of the whole tree, and every other asserts the saturated names
-  that context reads for it, which the cut may have removed the cause of;
-* a cut of a query's index (``syntax.Cut``), for a query with cycles:
-  closing an individual reads its entry from the index, skipping the
-  removed individuals and atoms.
+  that context reads for it, which the cut may have removed the cause of.
+  That context is the minimization's ontology's: under another ontology, as
+  an oracle's may be, the cut is read as its ABox.
 
 The first read of an individual closes it from its own seed, filling its
 facts, successors and edge roles, so unless fillers travel a homomorphism
 search pays only for the individuals it reaches.  When fillers travel the
-first read closes every individual the same way, a tree level by level to
-its leaves, and then runs the worklist.  Satisfiability reads functionality
-from the source, closing nothing: an ABox records its functional forks
-while it is indexed, an index cut rechecks only the places where its index
-has two atoms along one role direction (``QueryIndex.forks``), and a pooled
-tree asks ``model.respects_functionality``, memoized per (pool id, incoming
-role) on the engine.  Without disjointness that decides it; the
-disjointness checks close every individual.  A tree cut is satisfiable: a
-minimization cuts only a satisfiable tree, and a cut keeps part of it,
-saturated as the tree entails.  The whole-ABox views close everything on
-first use.  The lazy state is plain data on the context and never refers
-back to it: a context in a reference cycle would outlive its eviction until
-the collector ran, and not at all after ``gc.freeze``.
+first read closes every individual the same way, a tree level by level to its
+leaves, and then runs the worklist.  Satisfiability reads functionality from
+the source, closing nothing: an ABox records its functional forks while it is
+indexed, and a pooled tree asks ``model.respects_functionality``, memoized
+per (pool id, incoming role) on the engine.  Without disjointness that
+decides it; the disjointness checks close every individual.  A tree cut is
+satisfiable: a minimization cuts only a satisfiable tree, and a cut keeps
+part of it, saturated as the tree entails.  The whole-ABox views close
+everything on first use.  The lazy state is plain data on the context and
+never refers back to it: a context in a reference cycle would outlive its
+eviction until the collector ran, and not at all after ``gc.freeze``.
 
 Every universal-model computation starts from an ``ABoxContext``, so it is
 the one place that refuses the combined dialect (role inclusions with
 functionality), where that model is unsound: building a context over such an
 engine raises ``UnsupportedDialectError``.  Role entailment needs no context.
 
-``normal_form``, ``engine_for`` and ``context_for`` keep normal forms, engines
-keyed by normal form, and contexts in three ``functools.lru_cache`` tables, of
-32, 32 and 16 entries; a context is keyed by its source.  The frontier
-self-check reads each member from its pool id through the table, and
+``normal_form``, ``engine_for`` and ``context_for`` keep normal forms,
+engines keyed by normal form, and contexts in three ``functools.lru_cache``
+tables, of 32, 32 and 16 entries; a context is keyed by its source.  The
+frontier self-check reads each member from its pool id through the table, and
 ``certain_answer`` reads an ABox that a pooled query rendered (``ABox.tree``)
 from that tree's entry when it answers at the root, so the learner's probes
 of the members find the self-check's contexts.  The oracles build their
-candidates' contexts directly, one-shot, from their pool ids, and a cut's
-context, and its whole tree's, are one-shot too (``ABox.cut``), so neither
-candidates nor minimizations push the contexts of the query and of the
-frontier members out of the table, and no check hashes its ABox.  What a
-candidate's context decides is kept instead on the context of the query's
-ABox, as ints and bools (``trees_contained``, ``trees_satisfiable``), so a
-second search over one query builds no candidate context, and the verdicts
-leave the table with it.
+candidates' contexts directly, one-shot, from their pool ids, and a
+minimization's questions and its whole tree's context are one-shot too
+(``ABox.cut``), so neither candidates nor minimizations push the contexts of
+the query and of the frontier members out of the table, and no check hashes
+its ABox.  What a candidate's context decides is kept instead on the context
+of the query's ABox, as ints and bools (``trees_contained``,
+``trees_satisfiable``), so a second search over one query builds no candidate
+context, and the verdicts leave the table with it.
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, CQ, Cut, Dialect, ELIConcept, Ontology, Role, TreeCut, dialect_of
+from .syntax import ABox, CQ, Dialect, ELIConcept, Ontology, Role, TreeCut, dialect_of
 
 TOPK = ("top",)
 
@@ -399,21 +396,18 @@ class Engine:
 class ABoxContext:
     """Closure of an ABox under an Engine's ontology, computed on demand.
 
-    ``source`` is an ABox, a pooled tree given as (pool id, root name), a
-    cut of a pooled tree (``syntax.TreeCut``), whose individuals are the
-    names of the positions it keeps, or a cut of a query's index
-    (``syntax.Cut``), whose individuals are the variables it keeps.  A tree's
-    root keeps its name, and every other node is named ``<root>.<n>`` when
-    its parent is closed, with n counting up, so siblings are numbered
-    consecutively in pool-child order.  The constructor only indexes the
-    ABox, or the tree's root; for a cut it indexes nothing, and checks an
-    index's forks when the engine has functional roles.  The per-individual
-    reads (``facts_at``, ``names_at``, ``successors_at``, ``edge_roles_at``,
-    ``fired_children``) close the individuals they touch; the whole-ABox
-    views (``individuals``, ``facts``, ``successors``, ``edge_roles``) close
-    every individual on first use."""
+    ``source`` is an ABox, a pooled tree given as (pool id, root name), or a
+    cut of a pooled tree (``syntax.TreeCut``), whose individuals are the names
+    of the positions it keeps.  A tree's root keeps its name, and every other
+    node is named ``<root>.<n>`` when its parent is closed, with n counting
+    up, so siblings are numbered consecutively in pool-child order.  The
+    constructor only indexes the ABox, or the tree's root; for a cut it
+    indexes nothing.  The per-individual reads (``facts_at``, ``names_at``,
+    ``successors_at``, ``edge_roles_at``, ``fired_children``) close the
+    individuals they touch; the whole-ABox views (``individuals``, ``facts``,
+    ``successors``, ``edge_roles``) close every individual on first use."""
 
-    def __init__(self, engine: Engine, source: ABox | tuple[int, str] | Cut | TreeCut):
+    def __init__(self, engine: Engine, source: ABox | tuple[int, str] | TreeCut):
         if engine.combined:
             raise UnsupportedDialectError(
                 "unsupported_dialect", "universal models are unsound for role inclusions with functionality")
@@ -424,29 +418,27 @@ class ABoxContext:
         # takes no memory, once every individual is closed.  A node of a
         # pooled tree that no read has reached yet is indexed as (its pool
         # id, its edge to its parent or None); closing it names its children
-        # and indexes them the same way.  A cut's individuals are indexed
-        # from the cut's query index when they are closed, and never here.
+        # and indexes them the same way.  A cut's individuals are read from
+        # its tree when they are closed, and never indexed.
         self._index: dict[str, list | tuple] = {}
         self._tree = None  # for a tree source, model.tree_struct
-        # For a cut source: the index's table of variables, and the cut's
-        # removed variables and atoms.
-        self._cut: tuple | None = None
-        # For a tree cut source: the cut, and the context of its whole tree
-        # (None in that context itself).
-        self._tcut: TreeCut | None = None
+        # For a tree cut source read under its whole tree's engine: the cut,
+        # and the context of its whole tree (None in that context itself).
+        self._cut: TreeCut | None = None
         self._whole: ABoxContext | None = None
         self._closed_all = False
-        # For an ABox or a cut source: some individual has two asserted
-        # successors along one functional role.
+        # For an ABox source: some individual has two asserted successors
+        # along one functional role.
         self._forked = False
         if isinstance(source, ABox):
             self._index_abox(source)
-        elif isinstance(source, Cut):
-            self._cut = (source.index.at, source.gone, source.part, source.dropped)
-            self._forked = bool(engine.functional) and self._cut_forked(source)
+        elif isinstance(source, TreeCut) and (source.whole is None or source.whole.engine is engine):
+            self._cut = source
+            self._whole = source.whole
         elif isinstance(source, TreeCut):
-            self._tcut = source
-            self._whole = source.tree.whole
+            # Under another ontology the whole tree's facts are not this
+            # engine's: read the cut's query, saturated as its ABox is.
+            self._index_abox(source.to_abox())
         else:
             from .model import tree_struct  # model imports this module
 
@@ -463,7 +455,7 @@ class ABoxContext:
         self._successors: dict[tuple[str, Role], set[str]] = {}
         self._fired: dict[str, list[tuple[Role, frozenset]]] = {}
         # A tree cut's tree is satisfiable, and so is what a cut keeps of it.
-        self._sat: bool | None = None if self._tcut is None else True
+        self._sat: bool | None = None if self._cut is None else True
         # (interned tree id, model node) -> homomorphism exists; filled by
         # model.anchored.
         self.hom_memo: dict[tuple, bool] = {}
@@ -513,42 +505,6 @@ class ABoxContext:
                     ends.append((b, r, True))
         self._forked = len(ends) != len(set(ends))
 
-    def _cut_forked(self, cut: Cut) -> bool:
-        """Some individual the cut keeps has two kept atoms along one
-        functional role: read only at the index's forks."""
-        engine = self.engine
-        for v, r, subject, ends in cut.index.forks():
-            roles = engine.edge_keys(r)[0 if subject else 1]
-            if roles.isdisjoint(engine.functional) or cut.removes(v):
-                continue
-            kept = [w for w, t in ends if not cut.removes(w) and t not in cut.dropped]
-            if len(kept) > 1:
-                return True
-        return False
-
-    def _reach_cut_individual(self, a: str) -> list:
-        """The index entry of the cut's individual ``a``, as ``_index_abox``
-        makes it, from the cut's query index: ``a``'s concept names and an
-        edge for each atom the cut keeps."""
-        at, gone, part, dropped = self._cut
-        if a in gone or a in part:
-            raise KeyError(a)
-        engine = self.engine
-        entry: list = []
-        for item in at[a]:
-            if type(item) is str:
-                entry.append(item)
-                continue
-            if dropped and item in dropped:
-                continue
-            r, x, y = item
-            fwd, bwd = engine._edge_keys.get(r) or engine.edge_keys(r)
-            if x == a and y not in gone and y not in part:
-                entry.append((fwd, y))
-            if y == a and x not in gone and x not in part:
-                entry.append((bwd, x))
-        return entry
-
     def _reach_tree_node(self, a: str, tid: int, up: tuple | None) -> list:
         """The index entry of the tree node ``a``: the labels of its pooled
         tree ``tid``, ``up`` (the realized roles to its parent and the
@@ -575,21 +531,21 @@ class ABoxContext:
         keeps all its children has the facts of the whole tree, returned
         too; any other asserts the names the whole tree's context reads for
         it (``CutTree.visible``), since the cut may remove what entailed them."""
-        cut = self._tcut
+        cut = self._cut
         tree, step, part = cut.tree, cut.step, cut.part  # type: ignore[union-attr]
         dropped, names = tree.dropped, tree.names
         i = tree.at[a]
         entry: list = [*tree.labels[i]]
         engine = self.engine
-        touched = False
-        for rk, j in tree.kids[i] or tree.children(i):
+        role_edges, touched = engine.role_edges, False
+        for rk, j in tree.kids[i]:
             if j == part or (dropped and dropped.get(j, step) < step):  # ``cut.removes(j)``
                 touched = True
             else:
-                entry.append(((engine._role_edges.get(rk) or engine.role_edges(rk))[0], names[j]))
+                entry.append((role_edges(rk)[0], names[j]))
         if i:
             p, rk = tree.up[i]
-            entry.append(((engine._role_edges.get(rk) or engine.role_edges(rk))[1], names[p]))
+            entry.append((role_edges(rk)[1], names[p]))
         whole = self._whole
         if whole is None:
             return entry, None
@@ -606,8 +562,6 @@ class ABoxContext:
         successors = self._successors
         facts = None
         if self._cut is not None:
-            entry = self._reach_cut_individual(a)
-        elif self._tcut is not None:
             entry, facts = self._reach_tree_cut(a)
         else:
             entry = self._index.pop(a)
@@ -641,19 +595,13 @@ class ABoxContext:
             return
         self._closed_all = True
         if self._cut is not None:
-            at, gone, part, _ = self._cut
-            facts = self._facts
-            for a in at:
-                if a not in facts and a not in gone and a not in part:
-                    self._close(a)
-        elif self._tcut is not None:
-            cut, facts = self._tcut, self._facts
+            cut, facts = self._cut, self._facts
             tree, stack = cut.tree, [0]
             while stack:
                 i = stack.pop()
                 if tree.names[i] not in facts:
                     self._close(tree.names[i])
-                stack.extend(j for _, j in tree.children(i) if not cut.removes(j))
+                stack.extend(j for _, j in tree.kids[i] if not cut.removes(j))
         # Closing a tree node indexes its children, so a tree is closed level
         # by level, with no call stack as deep as the tree.
         while self._index:
@@ -722,12 +670,7 @@ class ABoxContext:
         only when its parent is closed, so a name it does not know yet closes
         the whole tree before the answer."""
         if self._cut is not None:
-            at, gone, part, _ = self._cut
-            return a in at and a not in gone and a not in part
-        if self._tcut is not None:
-            cut, tree = self._tcut, self._tcut.tree
-            if a not in tree.at:
-                self._close_all()
+            cut, tree = self._cut, self._cut.tree
             i = tree.at.get(a)
             while i and not cut.removes(i):
                 i = tree.up[i][0]
@@ -789,7 +732,7 @@ class ABoxContext:
         # Only two asserted successors along one functional role break
         # functionality: a witness never adds a second one.  So it is read
         # from the source, closing nothing.
-        if self._tree is None:  # an ABox or a cut
+        if self._tree is None:  # an ABox
             if self._forked:
                 return False
         else:

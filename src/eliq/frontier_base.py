@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable
+from typing import Callable, Collection
 
 from .engine import ABoxContext, context_for, normal_form
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
@@ -368,42 +368,22 @@ class Trees:
         answer = self.prep.query.answer_var
         return mark_interned(self.query(n, answer, Namer((answer,)))[0], tid)
 
-    def cut_tree(self, n: int) -> CutTree:
+    def cut_tree(self, n: int, visible: Collection[str]) -> CutTree:
         """The finished member ``n`` as a tree to cut (``syntax.CutTree``),
-        its positions named as ``member`` names them, each when its parent is
-        first expanded: by the node's pre-order rank in ``query``, read off
-        the table's sizes, past the rank whose name ``Namer`` skips."""
-        answer, nodes, size = self.prep.query.answer_var, self.nodes, self.size
-        skip = self._skipped(n, answer)
-        at = [(n, 0)]  # each position's node and pre-order rank
-
-        def expand(i: int) -> list[tuple[Role, str, frozenset[str]]]:
-            m, r = at[i]
-            out = []
-            for role, c in nodes[m][2]:
-                labels, origin, _ = nodes[c]
-                at.append((c, r + 1))
-                out.append((role, f"{_base(origin)}~{r + 1 + (r + 1 >= skip)}", labels))
-                r += size(c)
-            return out
-
-        return CutTree(answer, nodes[n][0], expand)
-
-    def _skipped(self, n: int, answer: str) -> int:
-        """The pre-order rank in tree ``n`` of the node whose name ``Namer``
-        would draw equal to ``answer``, and so skip; ``n``'s size if none."""
-        base, _, k = answer.partition("~")
-        end = self.size(n)
-        if not (k.isdecimal() and str(int(k)) == k and 0 < int(k) < end):
-            return end
-        rank, r = int(k), 0
-        while r < rank:  # descend to the node of that rank
-            for _, c in self.nodes[n][2]:
-                if rank <= r + self.size(c):
-                    n, r = c, r + 1
-                    break
-                r += self.size(c)
-        return rank if _base(self.nodes[n][1]) == base else end
+        its positions named as ``member`` names them, ``visible`` the names
+        the minimization's saturation may add."""
+        answer, nodes = self.prep.query.answer_var, self.nodes
+        namer = Namer((answer,))
+        names, labels, up = [], [], []
+        stack: list[tuple] = [(None, None, n)]  # (parent's position, role from it, node)
+        while stack:
+            p, role, m = stack.pop()
+            own, origin, children = nodes[m]
+            names.append(answer if p is None else namer.fresh("z" if origin is None else origin))
+            labels.append(own)
+            up.append((p, role))
+            stack.extend([(len(up) - 1, role, c) for role, c in reversed(children)])
+        return CutTree(names, labels, up, visible)
 
     def text_length(self, n: int) -> int:
         """``len(serialize_cq(self.member(n, tid)))``, from the table, with no
@@ -411,14 +391,15 @@ class Trees:
         the tree, that counts the names ``Namer`` would draw and adds each
         node's characters (``_text_of``)."""
         answer, text = self.prep.query.answer_var, self._text
-        skip = self._skipped(n, answer)
+        skip_base, _, skip = answer.partition("~")  # Namer skips the answer variable's name
+        skip = int(skip) if skip.isdecimal() and str(int(skip)) == skip else 0
         base, weight, chars, atoms, kids = text.get(n) or self._text_of(n)
         # the root is named ``answer`` and has no role atom to it
         chars += (weight - 1) * len(answer) - (len(base) + 1) * weight
         atoms, stack, drawn, digits, limit = atoms - 1, list(kids), 0, 1, 10
         while stack:
             base, weight, own, own_atoms, kids = text.get(m := stack.pop()) or self._text_of(m)
-            drawn += 1 + (drawn + 1 == skip)
+            drawn += 1 + (drawn + 1 == skip and base == skip_base)
             if drawn >= limit:  # a draw adds at most 2, so it passes one power of 10
                 digits, limit = digits + 1, limit * 10
             chars += own + weight * digits
@@ -433,18 +414,12 @@ class Trees:
         its atoms and of its children's role atoms but for its name's count
         and its children's names, its atom count, its children reversed)."""
         labels, origin, children = self.nodes[m]
-        base = _base(origin)
+        base = "z" if origin is None else origin.partition("~")[0]
         weight = 1 + len(labels) + len(children)  # its role atom, its concept atoms, its children's role atoms
         own = (len(base) + 1) * weight + sum(map(len, labels)) + 2 * len(labels)
         own += sum(len(role.name) + 3 for role, _ in children)
         out = self._text[m] = (base, weight, own, 1 + len(labels), [c for _, c in reversed(children)])
         return out
-
-
-def _base(origin: str | None) -> str:
-    """What ``Namer`` keeps of a node's hint: its origin up to the first
-    ``~``, "z" without one."""
-    return "z" if origin is None else origin.partition("~")[0]
 
 
 # What gluing a concept at a node adds to it: concept names, new children,

@@ -34,8 +34,7 @@ from .errors import InvalidArgumentError, NotAnEliqError, SeedRequiredError, Uns
 from .frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees, ontology_size, reject_unsupported
 from .parser import serialize_cq
 from .reasoner import certain_answer, query_satisfiable
-from .syntax import (ABox, CQ, CutTree, Ontology, QueryIndex, TreeCut, distances, make_cq, prune_role_atoms,
-                     prune_tree)
+from .syntax import ABox, CQ, CutTree, Ontology, TreeCut, distances, make_cq, prune_role_atoms, prune_tree
 
 
 class MembershipOracle(Protocol):
@@ -183,33 +182,30 @@ def minimize_cq(o: Ontology, oracle: MembershipOracle, q: CQ | CutTree) -> CQ:
     the part it alone connects to the answer variable, while the oracle
     accepts; the result is minimal and saturated.
 
-    A tree, a frontier member's (``Trees.cut_tree``) or a tree-shaped
-    query, is cut (``prune_tree``): the saturation's names are read on
-    demand from one context of the whole tree, which its cuts share, and
-    only the result is named and saturated in full.  A member must be
-    satisfiable, as ``frontier_trees`` checks it.  A query with cycles, one
-    of ``treeify``'s, is saturated and indexed once, and cut as an index
-    (``prune_role_atoms``).  Either way, each membership query hands the
-    oracle the ABox of a cut, whose assertion sets materialize only if the
-    oracle reads them; ``certain_answer`` reads the cut itself, so a
-    ``SimulatedOracle`` check copies nothing.  No context of the query
-    enters the context table."""
-    visible = o.signature()[0]
+    A tree, a tree-shaped query or a frontier member (``Trees.cut_tree``,
+    whose visible names must be the ontology's), is cut (``prune_tree``):
+    the saturation's names are read on demand from one context of the whole
+    tree, which its cuts share, and only the result is named and saturated
+    in full.  A member must be satisfiable, as ``frontier_trees`` checks
+    it.  Each membership query hands the oracle the ABox of a cut, whose
+    assertion sets materialize only if the oracle reads them;
+    ``certain_answer`` reads the cut itself, so a ``SimulatedOracle`` check
+    copies nothing.  A query with cycles, one of ``treeify``'s, is
+    saturated at once and pruned by copies (``prune_role_atoms``).  No
+    context of the query enters the context table."""
+    engine, visible = engine_for(o), o.signature()[0]
     if isinstance(q, CQ):
-        whole = ABoxContext(engine_for(o), q.to_abox())
+        whole = ABoxContext(engine, q.to_abox())
         if not whole.satisfiable():
             raise UnsatisfiableError("cannot saturate a query that is unsatisfiable w.r.t. the ontology")
         if not q.is_eliq():
             names = {(n, v) for v in q.variables() for n in whole.names_at(v) if n in visible}
-            return prune_role_atoms(QueryIndex(CQ(q.answer_var, q.concept_atoms | names, q.role_atoms)),
+            return prune_role_atoms(CQ(q.answer_var, q.concept_atoms | names, q.role_atoms),
                                     lambda smaller, current: oracle.answer(smaller, current.answer_var))
-        tree = CutTree.of_query(q)
-        tree.whole = whole
+        q = CutTree.of_query(q, visible)
     else:
-        tree = q
-        tree.whole = ABoxContext(engine_for(o), TreeCut(tree, 0, None))
-    tree.visible = visible
-    return tree.query(prune_tree(tree, oracle.answer))
+        whole = ABoxContext(engine, TreeCut(q, None, 0, None))
+    return q.query(prune_tree(q, whole, oracle.answer))
 
 
 def _find_cycle_atom(q: CQ) -> tuple[str, str, str] | None:
@@ -305,7 +301,7 @@ def learn(o: Ontology, oracle: MembershipOracle, seed: CQ, budget: int) -> Learn
                     break
             else:
                 break  # no member is accepted: the hypothesis is equivalent to the target
-            q_h = minimize_cq(o, oracle, trees.cut_tree(m[0]))
+            q_h = minimize_cq(o, oracle, trees.cut_tree(m[0], o.signature()[0]))
             trace.hypotheses.append(q_h)
     except BudgetExceeded:
         trace.outcome = "budget_exceeded"

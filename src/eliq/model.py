@@ -38,7 +38,7 @@ from typing import Iterator
 
 from .engine import ABoxContext, Engine
 from .errors import NotAnEliqError
-from .syntax import ABox, CQ, CutTree, Ontology, Role, adjacency, concept_index, tree_walk
+from .syntax import TOP, ABox, CQ, CutTree, Ontology, Role, adjacency, concept_index, tree_walk
 
 # ---------------------------------------------------------------------------
 # Interned rooted trees
@@ -87,17 +87,16 @@ def tree_struct(tid: int) -> tuple:
     return _STRUCT[tid]
 
 
-def intern_cq(q: CQ, tids: dict[str, int] | None = None) -> int:
-    """Intern a tree-shaped query, rooted at its answer variable, and record
-    each variable's subtree id in ``tids`` if given.
+def intern_cq(q: CQ) -> int:
+    """Intern a tree-shaped query, rooted at its answer variable.
 
     Subtrees are interned in ``tree_walk``'s pop order reversed, which is
     the post-order with children in parent-map order: each subtree after its
     children, siblings in order.  New subtrees get their pool ids in that
     order, and deep queries need no call stack.  The id is kept on ``q``, so
-    each query object is interned once unless ``tids`` is asked for."""
+    each query object is interned once."""
     tid = q.__dict__.get("_tid")
-    if tid is not None and tids is None:
+    if tid is not None:
         return tid
     parent, order = tree_walk(q)
     labels = concept_index(q)
@@ -105,8 +104,6 @@ def intern_cq(q: CQ, tids: dict[str, int] | None = None) -> int:
     empty: frozenset = frozenset()
     for v in reversed(order):
         tid = intern_tree(labels.get(v, empty), tuple(sorted(kids.pop(v, ()))))
-        if tids is not None:
-            tids[v] = tid
         p, rk = parent[v]
         if p is not None:
             kids.setdefault(p, []).append((rk, tid))
@@ -114,23 +111,36 @@ def intern_cq(q: CQ, tids: dict[str, int] | None = None) -> int:
     return tid
 
 
-def drop_subtree(tree: CutTree, tids: dict[str, int], c: int) -> None:
-    """Update ``tids``, each variable's subtree id in a pruned tree (a
-    ``syntax.CutTree``), for the drop of the subtree at position ``c``: its
-    parent's tree loses that child, and each ancestor's takes its child's
-    new tree, interned one after the other up to the root."""
-    names, up = tree.names, tree.up
+def intern_positions(tree: CutTree) -> list[int]:
+    """The subtree id of each position of ``tree`` (a ``syntax.CutTree``),
+    interned last position first: for a tree in ``tree_walk``'s order
+    (``CutTree.of_query``), in the order ``intern_cq`` interns the query."""
+    tids = [0] * len(tree.names)
+    for i in reversed(range(len(tids))):
+        labels = tree.labels[i]
+        if TOP in labels:
+            labels = labels - {TOP}
+        tids[i] = intern_tree(labels, tuple(sorted((rk, tids[j]) for rk, j in tree.kids[i])))
+    return tids
+
+
+def drop_subtree(tree: CutTree, tids: list[int], c: int) -> None:
+    """Update ``tids``, each position's subtree id in a pruned tree, for the
+    drop of the subtree at position ``c``: its parent's tree loses that
+    child, and each ancestor's takes its child's new tree, interned one
+    after the other up to the root."""
+    up = tree.up
     p, role = up[c]
-    old, new = (role, tids[names[c]]), ()
+    old, new = (role, tids[c]), ()
     while p is not None:
-        v = names[p]
-        labels, children = _STRUCT[tids[v]]
+        labels, children = _STRUCT[tids[p]]
         kids = list(children)
         kids.remove(old)
         kids.extend(new)
-        p, role = up[p]
-        old, new = (role, tids[v]), ((role, intern_tree(labels, tuple(sorted(kids)))),)
-        tids[v] = new[0][1]
+        old = (up[p][1], tids[p])
+        tids[p] = intern_tree(labels, tuple(sorted(kids)))
+        new = ((old[0], tids[p]),)
+        p = up[p][0]
 
 
 def mark_interned(q: CQ, tid: int) -> CQ:

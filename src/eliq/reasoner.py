@@ -20,7 +20,8 @@ from .model import (
     anchored,
     build_prefix,
     drop_subtree,
-    intern_cq,
+    intern_positions,
+    mark_interned,
     matches,
     tree_ids_upto,
     tree_to_cq,
@@ -174,22 +175,22 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
         return done
     saturated = saturate(o, q)
     tree = CutTree.of_query(saturated)  # raises NotAnEliqError unless a tree
-    tree.whole = whole
-    tids: dict[str, int] = {}  # each variable's subtree id in the query as pruned so far
+    tids: list[int] = []  # each position's subtree id in the query as pruned so far
     carried = 0  # the accepted drops carried up into ``tids``
 
     def keeps(smaller: ABox, ind: str) -> bool:
         # Dropping atoms only generalizes: the smaller query stays equivalent
         # iff the current one still holds on its ABox.
-        nonlocal carried
+        nonlocal tids, carried
         if not tids:
-            intern_cq(saturated, tids)
+            tids = intern_positions(tree)
+            mark_interned(saturated, tids[0])
         for c in list(tree.dropped)[carried:]:
             drop_subtree(tree, tids, c)
         carried = len(tree.dropped)
-        return anchored(ABoxContext(whole.engine, smaller.cut), tids[ind], ind)
+        return anchored(ABoxContext(whole.engine, smaller.cut), tids[0], ind)
 
-    cut = prune_tree(tree, keeps)
+    cut = prune_tree(tree, whole, keeps)
     done = whole.minimized[key] = tree.query(cut) if tree.dropped else saturated
     return done
 

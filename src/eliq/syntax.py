@@ -21,9 +21,8 @@ shared freely and used as cache keys.  Conventions used throughout:
   name, or ``some R``) is an ``ELIConcept`` for which ``is_basic()`` holds;
   ``Ontology`` checks that condition on CI left-hand sides and disjointness
   operands when it is built.  ``subconcepts`` is the one walk of a concept.
-* ``CutTree`` and ``QueryIndex`` are the exception to immutability: working
-  state of one minimization of a tree (``prune_tree``) or of a query with
-  cycles (``prune_role_atoms``), read through cuts (``TreeCut``, ``Cut``)
+* ``CutTree`` is the exception to immutability: working state of one
+  minimization of a tree (``prune_tree``), read through cuts (``TreeCut``)
   instead of copies of the query.  A cut's ABox, like any deferred ABox
   (``ABox.deferred``), is an ordinary ``ABox`` value once read.
 """
@@ -405,7 +404,7 @@ class ABox:
         object.__setattr__(self, "role_assertions", role_assertions)
 
     @classmethod
-    def deferred(cls, query: Callable[[], "CQ"], cut: "Cut | TreeCut | None" = None,
+    def deferred(cls, query: Callable[[], "CQ"], cut: "TreeCut | None" = None,
                  tree: tuple[int, str] | None = None) -> "ABox":
         """An ABox equal to ``query().to_abox()``, whose assertion sets
         materialize when first read; it renders ``cut`` or ``tree``."""
@@ -436,9 +435,11 @@ class ABox:
         return self.__dict__.get("_tree")
 
     @property
-    def cut(self) -> "Cut | TreeCut | None":
-        """The cut this ABox renders (``to_abox`` of a cut), or None.  Not part of
-        the ABox's value, like ``tree``."""
+    def cut(self) -> "TreeCut | ABox | None":
+        """The source of a minimization's question, which ``certain_answer``
+        reads in a one-shot context: the tree cut this ABox renders
+        (``TreeCut.to_abox``), or a plain copy of it (``prune_role_atoms``);
+        otherwise None.  Not part of the ABox's value, like ``tree``."""
         return self.__dict__.get("_cut")
 
     def ind(self) -> frozenset[str]:
@@ -588,214 +589,78 @@ def tree_children(q: CQ) -> dict[str, list[tuple[Role, str]]]:
     return children
 
 
-class QueryIndex:
-    """One index of a query, read through cuts (``Cut``) instead of copies.
-
-    ``at`` maps each variable to a list of its concept names (top left out)
-    and the role atoms that mention it: an item is a name when it is a str,
-    else an atom, whose ends tell the directions it is seen from the
-    variable in (both, for a self-loop)."""
-
-    __slots__ = ("query", "at", "_forks")
-
-    def __init__(self, q: CQ):
-        self.query = q
-        at: dict[str, list] = {q.answer_var: []}
-        for a, v in q.concept_atoms:
-            names = at.get(v)
-            if names is None:
-                names = at[v] = []
-            if a != TOP:
-                names.append(a)
-        for t in q.role_atoms:
-            _, x, y = t
-            for v in (x, y) if x != y else (x,):
-                items = at.get(v)
-                if items is None:
-                    at[v] = [t]
-                else:
-                    items.append(t)
-        self.at = at
-        self._forks: list | None = None
-
-    def forks(self) -> list[tuple[str, str, bool, list[tuple[str, tuple[str, str, str]]]]]:
-        """Where two or more atoms leave a variable along one role direction,
-        as (variable, role name, the variable is the subject, [(other end,
-        atom), ...]): the only places a functional role can fork, so a cut's
-        context checks functionality there alone.  Computed on first use."""
-        if self._forks is None:
-            self._forks = []
-            for v, items in self.at.items():
-                if len(items) < 2:
-                    continue
-                ends: dict[tuple[str, bool], list] = {}
-                for t in items:
-                    if type(t) is tuple:
-                        r, x, y = t
-                        if x == v:
-                            ends.setdefault((r, True), []).append((y, t))
-                        if y == v:
-                            ends.setdefault((r, False), []).append((x, t))
-                self._forks.extend((v, r, subject, e) for (r, subject), e in ends.items() if len(e) > 1)
-        return self._forks
-
-    def cut(self) -> "Cut":
-        """The cut that removes nothing: the whole query."""
-        return Cut(self, frozenset(), frozenset(), frozenset(), None)
-
-
-class Cut:
-    """A query's index with some of its variables and role atoms removed.
-
-    ``gone`` and ``part`` are sets of removed variables: the removals
-    accepted so far, and the part of the drop being asked about.
-    ``dropped`` holds removed role atoms whose ends may both stay.  The cut
-    stands for the indexed query without them (``query``), built from
-    ``current``, the query without ``gone`` (None: the indexed query, when
-    ``gone`` is empty).  Every variable the cut keeps, but the answer
-    variable, keeps an atom, so the cut's individuals are those of its
-    query's ABox.  Reading a cut copies nothing: ``engine.ABoxContext``
-    takes it as a source, and ``to_abox`` gives an ABox whose assertion sets
-    materialize only when read.  A cut is never changed after it is made; it
-    compares and hashes by identity."""
-
-    __slots__ = ("index", "gone", "part", "dropped", "current")
-
-    def __init__(self, index: QueryIndex, gone: frozenset[str], part: frozenset[str],
-                 dropped: frozenset[tuple[str, str, str]], current: CQ | None):
-        self.index = index
-        self.gone = gone
-        self.part = part
-        self.dropped = dropped
-        self.current = current
-
-    def removes(self, v: str) -> bool:
-        return v in self.gone or v in self.part
-
-    def query(self) -> CQ:
-        """The query the cut stands for: ``current`` without the atoms that
-        the index lists at the ``part`` variables, and without ``dropped``."""
-        q = self.index.query if self.current is None else self.current
-        at = self.index.at
-        concepts = {(TOP, v) for v in self.part}
-        roles = set()
-        for v in self.part:
-            for item in at[v]:
-                if type(item) is str:
-                    concepts.add((item, v))
-                else:
-                    roles.add(item)
-        return CQ(q.answer_var, q.concept_atoms - concepts, q.role_atoms - roles - self.dropped)
-
-    def to_abox(self) -> ABox:
-        """An ABox equal to the ABox of ``query()``, whose assertion sets
-        materialize on first access (``ABox.cut``)."""
-        return ABox.deferred(self.query, cut=self)
-
-
-def prune_role_atoms(index: QueryIndex, keeps: Callable[[ABox, CQ], bool]) -> CQ:
-    """Greedily drop role atoms of the indexed query, each together with the
-    part of the query it alone connects to the answer variable, whenever
+def prune_role_atoms(q: CQ, keeps: Callable[[ABox, CQ], bool]) -> CQ:
+    """Greedily drop role atoms of ``q``, each together with the part of the
+    query it alone connects to the answer variable, whenever
     ``keeps(smaller, current)`` accepts the ABox ``smaller`` of the smaller
     query, ``current`` being the query as pruned so far.  The learner runs it
-    on queries with cycles; a tree is pruned by ``prune_tree``.
+    on queries with cycles, which ``treeify`` keeps small, and copies the
+    smaller query for each question; a tree is pruned by ``prune_tree``.
 
-    Each question reads a cut of the one index (``Cut.to_abox``), so no
-    question copies the query; the smaller query is built only when a drop
-    is accepted.  Atoms are visited once, shallowest first: by the
-    breadth-first distance of their nearer endpoint from the answer
-    variable, ties in ``sorted`` order.  One pass suffices when ``keeps`` is
-    monotone (a query it rejects stays rejected after any further removal),
-    as certain answers are, so the result has no droppable atom left.  An
-    atom's part is what a search over the rest of the query does not reach
-    from the answer variable.
+    Atoms are visited once, shallowest first: by the breadth-first distance
+    of their nearer endpoint from the answer variable, ties in ``sorted``
+    order.  One pass suffices when ``keeps`` is monotone (a query it rejects
+    stays rejected after any further removal), as certain answers are, so
+    the result has no droppable atom left.  Each question's ABox is read in
+    a one-shot context (``ABox.cut``), like a tree cut's.
     """
-    q = index.query
     dist = distances(q.role_atoms, q.answer_var)
     far = len(dist)  # atoms the answer variable does not reach come last
-    order = sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t))
-    gone: frozenset[str] = frozenset()
-    dropped: frozenset[tuple[str, str, str]] = frozenset()
-    for atom in order:
-        _, x, y = atom
-        if x in gone or y in gone or (dropped and atom in dropped):
-            continue  # cut off by an earlier drop
-        cut_atoms = dropped | {atom}
-        reach = {q.answer_var}
-        stack = [q.answer_var]
-        while stack:
-            v = stack.pop()
-            for t in index.at[v]:
-                if type(t) is tuple and t not in cut_atoms:
-                    w = t[2] if t[1] == v else t[1]
-                    if w not in reach and w not in gone:
-                        reach.add(w)
-                        stack.append(w)
-        part = frozenset(v for v in index.at if v not in reach and v not in gone)
-        cut = Cut(index, gone, part, cut_atoms, q)
-        if keeps(cut.to_abox(), q):
-            gone = gone.union(part)
-            dropped = cut.dropped
-            q = cut.query()
+    for atom in sorted(q.role_atoms, key=lambda t: (min(dist.get(t[1], far), dist.get(t[2], far)), t)):
+        if atom in q.role_atoms:  # else cut off by an earlier drop
+            rest = q.role_atoms - {atom}
+            reach = distances(rest, q.answer_var)
+            smaller = CQ(q.answer_var, frozenset(c for c in q.concept_atoms if c[1] in reach),
+                         frozenset(t for t in rest if t[1] in reach))
+            abox = smaller.to_abox()
+            object.__setattr__(abox, "_cut", ABox(abox.concept_assertions, abox.role_assertions))
+            if keeps(abox, q):
+                q = smaller
     return q
 
 
 class CutTree:
-    """A tree-shaped query that one minimization cuts (``prune_tree``), read
-    one position at a time.  Position 0 is the root; the others are numbered
-    as their parents are first expanded.  Position i is the variable
-    ``names[i]``, with the concept names ``labels[i]``, below ``up[i]`` =
-    (parent position, role from it), or (None, None) at the root.
-    ``children(i)`` lists its (role, position) pairs, which ``expand(i)``
-    gives on first use as (role, name, labels) triples.  ``dropped`` maps the
-    root of each accepted drop to the check that dropped it.
+    """A tree-shaped query that one minimization cuts (``prune_tree``).
+    Position i is the variable ``names[i]``, with the concept names
+    ``labels[i]``, below ``up[i]`` = (parent position, role from it), or
+    (None, None) at the root, position 0; a parent comes before its
+    children, which ``kids[i]`` lists as (role, position) pairs.
+    ``visible`` holds the concept names that the query's saturation may
+    add, read from the context of the whole query (``TreeCut.whole``).
+    ``dropped`` maps the root of each accepted drop to the check that
+    dropped it.  The query must be satisfiable, and every cut of it,
+    saturated, is then satisfiable too."""
 
-    The minimization sets ``whole``, a context of the whole query whose
-    individuals are the names, and ``visible``, the names of its facts that
-    the query's saturation adds.  A cut's context reads from ``whole`` the
-    facts of each individual whose children it all keeps.  The query must be
-    satisfiable, and every cut of it, saturated, is then satisfiable too."""
+    __slots__ = ("names", "labels", "up", "kids", "at", "visible", "dropped")
 
-    __slots__ = ("names", "labels", "up", "kids", "at", "expand", "dropped", "whole", "visible")
-
-    def __init__(self, root: str, labels: Collection[str],
-                 expand: Callable[[int], list[tuple[Role, str, Collection[str]]]]):
-        self.names, self.labels, self.up, self.kids = [root], [labels], [(None, None)], [None]
-        self.at = {root: 0}
-        self.expand, self.dropped = expand, {}
-        self.whole = None
-        self.visible: Collection[str] = frozenset()
+    def __init__(self, names: list[str], labels: list[frozenset[str]], up: list[tuple],
+                 visible: Collection[str] = frozenset()):
+        self.names, self.labels, self.up, self.visible = names, labels, up, visible
+        self.at = {v: i for i, v in enumerate(names)}
+        self.kids: list[list[tuple[Role, int]]] = [[] for _ in names]
+        for i, (p, role) in enumerate(up):
+            if p is not None:
+                self.kids[p].append((role, i))
+        self.dropped: dict[int, int] = {}
 
     @classmethod
-    def of_query(cls, q: CQ) -> "CutTree":
-        """The ELIQ ``q``, its positions named by its variables and labelled
-        by its concept atoms, ``top`` too.  Raises NotAnEliqError if ``q`` is
-        not tree-shaped."""
-        children = tree_children(q)
-        labels: dict[str, list[str]] = {}
+    def of_query(cls, q: CQ, visible: Collection[str] = frozenset()) -> "CutTree":
+        """The ELIQ ``q``, its positions its variables in ``tree_walk``'s
+        order, each labelled by its concept atoms, ``top`` too.  Raises
+        NotAnEliqError if ``q`` is not tree-shaped."""
+        parent, order = tree_walk(q)
+        labels: dict[str, set[str]] = {}
         for a, v in q.concept_atoms:
-            labels.setdefault(v, []).append(a)
-        tree = cls(q.answer_var, labels.get(q.answer_var, ()),
-                   lambda i: [(role, w, labels.get(w, ())) for role, w in children.get(tree.names[i], ())])
-        return tree
-
-    def children(self, i: int) -> list[tuple[Role, int]]:
-        kids = self.kids[i]
-        if kids is None:
-            kids = self.kids[i] = []
-            for role, name, labels in self.expand(i):
-                kids.append((role, len(self.names)))
-                self.at[name] = len(self.names)
-                self.names.append(name)
-                self.labels.append(labels)
-                self.up.append((i, role))
-                self.kids.append(None)
-        return kids
+            labels.setdefault(v, set()).add(a)
+        at = {v: i for i, v in enumerate(order)}
+        return cls(order, [frozenset(labels.get(v, ())) for v in order],
+                   [(at.get(p), role) for p, role in map(parent.__getitem__, order)], visible)
 
     def query(self, cut: "TreeCut") -> CQ:
         """The query ``cut`` stands for: the positions it keeps, each with its
-        labels and the ``visible`` names of its facts in ``whole``, and the
-        role atoms between them.  A pre-order walk with an explicit stack."""
+        labels and the ``visible`` names of its facts in ``cut.whole``, and
+        the role atoms between them.  A pre-order walk with an explicit
+        stack."""
         concepts: list[tuple[str, str]] = []
         roles: list[tuple[str, str, str]] = []
         names, visible = self.names, self.visible
@@ -805,8 +670,8 @@ class CutTree:
             v = names[i]
             concepts += [(a, v) for a in self.labels[i]]
             if visible:
-                concepts += [(n, v) for n in self.whole.names_at(v) if n in visible]
-            for role, j in self.children(i):
+                concepts += [(n, v) for n in cut.whole.names_at(v) if n in visible]
+            for role, j in self.kids[i]:
                 if not cut.removes(j):
                     roles.append(role.atom(v, names[j]))
                     stack.append(j)
@@ -816,15 +681,19 @@ class CutTree:
 class TreeCut:
     """A cut tree without the subtrees at the positions it removes: ``part``,
     the subtree being asked about, and those dropped by the checks before
-    check ``step``.  Reading it copies nothing: ``engine.ABoxContext`` takes
-    it as a source, and ``to_abox`` gives an ABox whose assertion sets, those
-    of ``tree.query(self)``, materialize only when read.  A cut is never
-    changed after it is made; it compares and hashes by identity."""
+    check ``step``.  ``whole`` is a context of the whole query whose
+    individuals are its names, under the minimization's ontology, or None
+    in that context itself; a cut's context reads from it the facts of each
+    individual whose children the cut all keeps.  Reading a cut copies
+    nothing: ``engine.ABoxContext`` takes it as a source, and ``to_abox``
+    gives an ABox whose assertion sets, those of ``tree.query(self)``,
+    materialize only when read.  A cut is never changed after it is made;
+    it compares and hashes by identity."""
 
-    __slots__ = ("tree", "step", "part")
+    __slots__ = ("tree", "whole", "step", "part")
 
-    def __init__(self, tree: CutTree, step: int, part: int | None):
-        self.tree, self.step, self.part = tree, step, part
+    def __init__(self, tree: CutTree, whole, step: int, part: int | None):
+        self.tree, self.whole, self.step, self.part = tree, whole, step, part
 
     def removes(self, i: int) -> bool:
         """Whether the cut removes position ``i``, whose parent it keeps."""
@@ -834,27 +703,26 @@ class TreeCut:
         return ABox.deferred(lambda: self.tree.query(self), cut=self)
 
 
-def prune_tree(tree: CutTree, keeps: Callable[[ABox, str], bool]) -> TreeCut:
+def prune_tree(tree: CutTree, whole, keeps: Callable[[ABox, str], bool]) -> TreeCut:
     """``prune_role_atoms`` on a tree: visit its role atoms in the same
     order, and drop each with the subtree below it whenever ``keeps(smaller,
     answer variable)`` accepts the ABox of the cut without that subtree
-    (``TreeCut.to_abox``).  Level by level: the atoms from one depth's kept
-    positions to their children, sorted; the child of a rejected drop joins
-    the next level.  Only the positions checked, and those the checks read,
-    are expanded, and no question names or copies the query.  Returns the
-    cut of every accepted drop."""
+    (``TreeCut.to_abox``), each cut reading the context ``whole``.  Level by
+    level: the atoms from one depth's kept positions to their children,
+    sorted; the child of a rejected drop joins the next level.  No question
+    names or copies the query.  Returns the cut of every accepted drop."""
     names = tree.names
     level, step = [0], 0
     while level:
-        atoms = sorted((role.atom(names[i], names[j]), j) for i in level for role, j in tree.children(i))
+        atoms = sorted((role.atom(names[i], names[j]), j) for i in level for role, j in tree.kids[i])
         level = []
         for _, j in atoms:
             step += 1
-            if keeps(TreeCut(tree, step, j).to_abox(), names[0]):
+            if keeps(TreeCut(tree, whole, step, j).to_abox(), names[0]):
                 tree.dropped[j] = step
             else:
                 level.append(j)
-    return TreeCut(tree, step + 1, None)
+    return TreeCut(tree, whole, step + 1, None)
 
 
 def eliq_to_concept(q: CQ) -> ELIConcept:

@@ -1,82 +1,70 @@
-"""A cut context against the context of the copied smaller ABox.
+"""A tree cut's context against the context of the copied smaller ABox.
 
-``prune_role_atoms`` asks about cuts of one query index (``syntax.Cut``),
-and ``ABoxContext`` reads a cut as its source without copying the query.
-Each cut asked about here is compared with a context over the ABox that the
-reference prune (``reference_prune``) copies for the same question: the
-individuals, every kept individual's facts and names, its successors, edge
-roles and witnesses, satisfiability, and anchored matches of random tree
-queries.  The queries are random trees, and the doubled cyclic queries that
-``learn.treeify`` minimizes; the ontologies have functional roles, concept
-disjointness and role disjointness.  ``keeps`` accepts pseudo-randomly, so
-the cuts remove random parts: whole subtrees, and on cyclic queries single
-atoms too.
+``minimize_cq`` asks about cuts of one tree (``syntax.TreeCut``), and
+``ABoxContext`` reads a cut as its source without copying the query: the
+positions the cut leaves untouched take their facts from the context of the
+whole query, and the others assert the saturated names that context reads
+for them.  Each cut asked about here is compared with a context over the ABox
+that the reference prune (``reference_prune``) copies, from the saturated
+query, for the same question: the individuals, every kept individual's facts
+and names, its successors, edge roles and witnesses, satisfiability, and
+anchored matches of random tree queries.  The same comparison is made under a
+second ontology, as an oracle's may differ from the learner's, where the cut
+is read as its ABox and may be unsatisfiable.  The queries are random trees;
+the ontologies have functional roles, travelling fillers, concept
+disjointness and role disjointness.  The oracle accepts pseudo-randomly, so
+the cuts remove random subtrees.
 """
 
 import random
 
 from eliq.engine import ABoxContext, engine_for
 from eliq.gen import random_eliq, random_ontology
+from eliq.learn import minimize_cq
 from eliq.model import matches
 from eliq.parser import serialize_ontology
-from eliq.syntax import CQ, Dialect, QueryIndex, dialect_of, prune_role_atoms
+from eliq.reasoner import query_satisfiable, saturate
+from eliq.syntax import CQ, Dialect, TreeCut, dialect_of
 from reference_prune import ref_prune_role_atoms
 
 NAMES = ["A", "B"]
 ROLES = ["r", "s"]
 
 
-def _doubled(p: CQ, rng: random.Random) -> CQ:
-    """``p`` with one role atom doubled across a renamed copy, as
-    ``learn.treeify`` doubles a cycle: the copy's atoms, and the atom
-    replaced by two that cross between ``p`` and the copy."""
-    atom = rng.choice(sorted(p.role_atoms))
-    r, x, y = atom
-    rename = {v: v + "'" for v in p.variables()}
-    base = p.role_atoms - {atom}
-    return CQ(
-        p.answer_var,
-        p.concept_atoms | {(a, rename[v]) for a, v in p.concept_atoms},
-        base | {(rn, rename[u], rename[v]) for rn, u, v in base} | {(r, x, rename[y]), (r, rename[x], y)},
-    )
-
-
-def _query(rng: random.Random, shape: str) -> CQ:
-    q = random_eliq(rng, NAMES, ROLES, rng.randint(2, 9))
-    if shape == "trees" or not q.role_atoms:
-        return q
-    vs = sorted(q.variables())
-    cyclic = CQ(q.answer_var, q.concept_atoms,
-                q.role_atoms | {(rng.choice(ROLES), rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(1, 2))})
-    return _doubled(cyclic, rng)
-
-
 def _ontology(rng: random.Random):
     while True:
         o = random_ontology(rng, NAMES, ROLES, rng.randint(1, 5), dialect=rng.choice(["core", "r", "f", "f"]),
-                            normal_form=True, disjointness=rng.random() < 0.5,
+                            normal_form=rng.random() < 0.5, disjointness=rng.random() < 0.5,
                             role_disjointness=rng.random() < 0.5)
         if dialect_of(o) is not Dialect.RF:
             return o
 
 
-def _cuts_and_copies(q: CQ, salt: float) -> list:
-    """(cut ABox, copied ABox) of every question the two prunes ask, with
-    one pseudo-random answer per question."""
-    asked = ([], [])
+class _Coin:
+    """An oracle that records each question and answers it pseudo-randomly,
+    by its number, so two prunes asked the same questions get the same
+    answers."""
 
-    def keeps(i):
-        def answer(smaller, current):
-            asked[i].append(smaller)
-            return random.Random(f"{salt}{len(asked[i])}").random() < 0.5
-        return answer
+    def __init__(self, salt: float):
+        self.salt, self.asked, self.query_count = salt, [], 0
 
-    assert prune_role_atoms(QueryIndex(q), keeps(0)) == ref_prune_role_atoms(q, keeps(1))
-    return list(zip(*asked))
+    def answer(self, abox, ind) -> bool:
+        self.asked.append(abox)
+        return random.Random(f"{self.salt}{len(self.asked)}").random() < 0.5
 
 
-def _agree(engine, cut_abox, copy, q: CQ, rng: random.Random, kinds: dict) -> None:
-    ctx, ref = ABoxContext(engine, cut_abox.cut), ABoxContext(engine, copy)
+def _cuts_and_copies(o, q: CQ, salt: float) -> list:
+    """(cut ABox, copied ABox) of every question the two prunes ask."""
+    fast, slow = _Coin(salt), _Coin(salt)
+    got = minimize_cq(o, fast, q)
+    assert got == ref_prune_role_atoms(saturate(o, q), lambda smaller, current: slow.answer(smaller, None))
+    return list(zip(fast.asked, slow.asked))
+
+
+def _agree(engine, cut, copy, q: CQ, rng: random.Random) -> bool:
+    """The contexts of ``cut`` and ``copy`` under ``engine`` agree; whether
+    they are satisfiable."""
+    ctx, ref = ABoxContext(engine, cut), ABoxContext(engine, copy)
     kept = sorted(copy.ind())
     for v in sorted(q.variables()) + ["nobody"]:
         assert ctx.has_individual(v) == ref.has_individual(v) == (v in kept), v
@@ -93,34 +81,34 @@ def _agree(engine, cut_abox, copy, q: CQ, rng: random.Random, kinds: dict) -> No
     for _ in range(3):
         t = random_eliq(rng, NAMES, ROLES, rng.randint(1, 4))
         anchor = rng.choice(kept)
-        fresh_ctx, fresh_ref = ABoxContext(engine, cut_abox.cut), ABoxContext(engine, copy)
-        assert matches(fresh_ctx, t, anchor) == matches(fresh_ref, t, anchor)
-    whole = ABoxContext(engine, cut_abox.cut.index.cut())
-    kinds["cuts"] += 1
-    if not sat:
-        kinds["unsatisfiable, functionality" if not engine.disjoint else "unsatisfiable, disjointness"] += 1
-    elif not engine.disjoint and not whole.satisfiable():
-        kinds["a fork the cut removes"] += 1
-    if engine.o.role_disjointness and not sat:
-        kinds["unsatisfiable, role disjointness"] += 1
-    if engine.fillers_travel:
-        kinds["fillers travel"] += 1
-    if cut_abox.cut.dropped:
-        kinds["an atom dropped between kept individuals"] += 1
+        assert matches(ABoxContext(engine, cut), t, anchor) == matches(ABoxContext(engine, copy), t, anchor)
+    return sat
 
 
 def test_a_cut_context_agrees_with_the_context_of_the_copy():
     rng = random.Random(31)
     kinds = dict.fromkeys([
-        "cuts", "unsatisfiable, functionality", "unsatisfiable, disjointness", "a fork the cut removes",
-        "unsatisfiable, role disjointness", "fillers travel", "an atom dropped between kept individuals",
+        "cuts", "fillers travel", "functional roles", "concept disjointness", "role disjointness",
+        "another ontology", "unsatisfiable under another ontology",
     ], 0)
-    for i in range(160):
-        o = _ontology(rng)
+    for _ in range(160):
+        o, other = _ontology(rng), _ontology(rng)
         engine = engine_for(o)
-        q = _query(rng, "trees" if i % 2 else "cycles")
-        for cut_abox, copy in _cuts_and_copies(q, rng.random()):
-            _agree(engine, cut_abox, copy, q, rng, kinds)
+        q = random_eliq(rng, NAMES, ROLES, rng.randint(2, 9))
+        if not query_satisfiable(o, q):
+            continue
+        for cut_abox, copy in _cuts_and_copies(o, q, rng.random()):
+            assert type(cut_abox.cut) is TreeCut
+            assert _agree(engine, cut_abox.cut, copy, q, rng)  # a cut of a satisfiable tree
+            kinds["cuts"] += 1
+            kinds["fillers travel"] += engine.fillers_travel
+            kinds["functional roles"] += bool(o.functional)
+            kinds["concept disjointness"] += bool(o.concept_disjointness)
+            kinds["role disjointness"] += bool(o.role_disjointness)
+            if engine_for(other) is not engine:
+                kinds["another ontology"] += 1
+                kinds["unsatisfiable under another ontology"] += not _agree(
+                    engine_for(other), cut_abox.cut, copy, q, rng)
     assert all(kinds.values()), kinds
 
 
@@ -128,11 +116,18 @@ def test_the_whole_cut_is_the_query():
     rng = random.Random(7)
     for i in range(40):
         o = _ontology(rng)
-        q = _query(rng, "trees" if i % 2 else "cycles")
-        cut = QueryIndex(q).cut()
-        assert cut.to_abox() == q.to_abox()
+        q = random_eliq(rng, NAMES, ROLES, rng.randint(2, 9))
+        if not query_satisfiable(o, q):
+            continue
+        asked = _Coin(rng.random())
+        minimize_cq(o, asked, q)
+        if not asked.asked:
+            continue
+        cut = asked.asked[0].cut
+        whole = TreeCut(cut.tree, cut.whole, 0, None)
+        assert whole.to_abox() == saturate(o, q).to_abox()
         engine = engine_for(o)
-        ctx, ref = ABoxContext(engine, cut), ABoxContext(engine, q.to_abox())
+        ctx, ref = ABoxContext(engine, whole), ABoxContext(engine, q.to_abox())
         assert ctx.facts == ref.facts and ctx.satisfiable() == ref.satisfiable()
 
 

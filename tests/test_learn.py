@@ -29,7 +29,7 @@ from eliq.frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees, prepar
 from eliq.learn import probe_order
 from eliq.parser import serialize_cq, serialize_ontology
 from eliq.reasoner import minimize_eliq
-from eliq.syntax import CutTree, QueryIndex, prune_role_atoms
+from eliq.syntax import CutTree, TreeCut
 from eliq.errors import NotAnEliqError, SeedRequiredError, UnsatisfiableError, UnsupportedDialectError
 from eliq.gen import random_ontology, random_satisfiable_eliq
 from eliq.normalform import FRESH_PREFIX, normalize
@@ -386,8 +386,8 @@ def test_a_learner_names_only_the_tied_members_and_each_hypothesis_once(monkeypa
     monkeypatch.setattr(Trees, "query", counting_query)
     real_cut_tree, real_naming = Trees.cut_tree, CutTree.query
 
-    def recording_cut_tree(self, n):
-        cut_trees.append(real_cut_tree(self, n))
+    def recording_cut_tree(self, n, visible):
+        cut_trees.append(real_cut_tree(self, n, visible))
         return cut_trees[-1]
 
     def counting_naming(self, cut):
@@ -438,15 +438,26 @@ def test_a_reused_oracle_counts_each_run_alone():
 
 def test_a_pickled_cut_abox_is_a_plain_abox():
     q = parse_cq("q(x) :- A(x), r(x,y), B(y), s(y,z), r(x,w)")
+    cyclic = parse_cq("q(x) :- A(x), r(x,y), r(y,x), s(y,z)")
     asked = []
-    prune_role_atoms(QueryIndex(q), lambda smaller, current: asked.append(smaller) or False)
-    assert asked and all(smaller.cut is not None for smaller in asked)
+
+    class Refusing:
+        query_count = 0
+
+        def answer(self, abox, ind):
+            asked.append(abox)
+            return False
+
+    assert minimize_cq(Ontology(), Refusing(), q) == q
+    assert minimize_cq(Ontology(), Refusing(), cyclic) == cyclic
+    assert len(asked) == 6 and all(smaller.cut is not None for smaller in asked)
     for smaller in asked:
         plain = ABox(smaller.concept_assertions, smaller.role_assertions)
         copy = pickle.loads(pickle.dumps(smaller))
         assert type(copy) is ABox and copy.cut is None and copy == plain
         assert pickle.dumps(smaller) == pickle.dumps(plain)
-    assert pickle.loads(pickle.dumps(asked[0].cut.index.cut().to_abox())) == q.to_abox()
+    cut = asked[0].cut
+    assert pickle.loads(pickle.dumps(TreeCut(cut.tree, cut.whole, 0, None).to_abox())) == q.to_abox()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from eliq.gen import random_eliq, random_ontology, random_satisfiable_eliq
 from eliq.learn import minimize_cq
 from eliq.model import intern_cq
 from eliq.reasoner import equivalent, minimize_eliq, saturate
-from eliq.syntax import Dialect, Ontology, TreeCut, dialect_of, tree_children, tree_order
+from eliq.syntax import CutTree, Dialect, Ontology, TreeCut, dialect_of, tree_children, tree_order
 from paper_fixtures import subtree_vars
 from reference_prune import ref_prune_role_atoms, restrict
 from reference_translate import QB, attach_concept_tree, on_table, round_trip, translate_member
@@ -271,6 +271,12 @@ def test_minimizing_a_query_again_asks_no_check(monkeypatch):
     assert equivalent(empty, again, at_y) and len(again.variables()) == 2
 
 
+def _named(tree: CutTree) -> CQ:
+    """The query a cut tree stands for, as its labels give it."""
+    plain = CutTree(tree.names, tree.labels, tree.up)
+    return plain.query(TreeCut(plain, None, 0, None))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_learning_agrees_with_restart(seed, monkeypatch):
     for rng, o in ontologies(200 + seed, 6):
@@ -281,7 +287,7 @@ def test_learning_agrees_with_restart(seed, monkeypatch):
         with monkeypatch.context() as m:
             # the learner hands over the accepted member as a tree to cut
             m.setattr(learn_mod, "minimize_cq", lambda o, oracle, q: ref_minimize_cq(
-                o, oracle, q if isinstance(q, CQ) else q.query(TreeCut(q, 0, None))))
+                o, oracle, q if isinstance(q, CQ) else _named(q)))
             slow = learn_with_normal_form(o, SimulatedOracle(o, target), seed_q, budget)
         fast_d, slow_d = fast.to_dict(), slow.to_dict()
         assert fast_d.pop("membership_queries") <= slow_d.pop("membership_queries")

@@ -19,13 +19,14 @@ from eliq.errors import InvalidArgumentError, NotAnEliqError
 from eliq.frontier_base import ontology_size
 from eliq.syntax import (
     CONCEPT_TOP,
+    CutTree,
     ELIConcept,
-    QueryIndex,
     atom,
     conj,
     exists,
     exists_roles,
     prune_role_atoms,
+    prune_tree,
     subconcepts,
 )
 from reference_prune import ref_prune_role_atoms
@@ -95,11 +96,13 @@ def test_eliq_to_concept_rejects_cycles():
 
 @pytest.mark.parametrize("shape", ["trees", "cycles"])
 def test_prune_role_atoms_agrees_with_a_search_per_atom(shape):
-    # Same ABoxes asked about in the same order, with the same current
-    # queries, and the same result, whatever ``keeps`` answers: here a fixed
-    # pseudo-random choice per ABox.  ``prune_role_atoms`` asks about cuts,
-    # whose assertion sets materialize when the answer or the comparison
-    # reads them.
+    # Same ABoxes asked about in the same order, and the same result,
+    # whatever ``keeps`` answers: here a fixed pseudo-random choice per ABox.
+    # A tree is pruned as cuts of it (``prune_tree``), whose assertion sets
+    # materialize when the answer or the comparison reads them; a query with
+    # cycles by copies (``prune_role_atoms``), each read in a one-shot
+    # context like a cut.
+    from eliq.engine import ABoxContext, engine_for
     from eliq.gen import random_eliq
 
     rng = random.Random(f"prune:{shape}")
@@ -113,14 +116,19 @@ def test_prune_role_atoms_agrees_with_a_search_per_atom(shape):
         asked = ([], [])
 
         def keeps(i):
-            def answer(smaller, current):
-                asked[i].append((smaller, current))
+            def answer(smaller, _):
+                asked[i].append(smaller)
                 return random.Random(f"{salt}{sorted(smaller.role_assertions)}").random() < 0.6
             return answer
 
-        assert prune_role_atoms(QueryIndex(q), keeps(0)) == ref_prune_role_atoms(q, keeps(1))
+        want = ref_prune_role_atoms(q, keeps(1))
+        if shape == "trees":
+            tree = CutTree.of_query(q)
+            assert tree.query(prune_tree(tree, ABoxContext(engine_for(Ontology()), q.to_abox()), keeps(0))) == want
+        else:
+            assert prune_role_atoms(q, keeps(0)) == want
         assert asked[0] == asked[1]
-        assert all(smaller.cut is not None for smaller, _ in asked[0])
+        assert all(smaller.cut is not None for smaller in asked[0])
 
 
 def test_concept_round_trip_random():

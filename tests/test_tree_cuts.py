@@ -76,9 +76,9 @@ def test_the_accepted_members_are_cut_as_the_copying_prune_copies(answer, monkey
     cut = []
     real = Trees.cut_tree
 
-    def recording(self, n):
-        cut.append((self, n))
-        return real(self, n)
+    def recording(self, n, visible):
+        cut.append((self, n, visible))
+        return real(self, n, visible)
 
     monkeypatch.setattr(Trees, "cut_tree", recording)
     asked = skipped = 0
@@ -87,11 +87,11 @@ def test_the_accepted_members_are_cut_as_the_copying_prune_copies(answer, monkey
         seed = _renamed(seed_query(o, combined_signature(o, target)), "x0", answer)
         trace = learn(o, SimulatedOracle(o, target), seed, default_budget(len(target.variables()), o))
         assert trace.outcome == "success"
-        for trees, n in cut:
+        for trees, n, visible in cut:
             member = trees.member(n, trees.intern([n])[0])
             skipped += "x~2" in member.variables()  # the namer skips "x~1"
-            asked += _agree(o, real(trees, n), member, lambda: SimulatedOracle(o, target).answer)
-            asked += _agree(o, real(trees, n), member, lambda: _coin(i))
+            asked += _agree(o, real(trees, n, visible), member, lambda: SimulatedOracle(o, target).answer)
+            asked += _agree(o, real(trees, n, visible), member, lambda: _coin(i))
     assert asked > 500 and (answer == "x0" or skipped)
 
 
@@ -182,6 +182,22 @@ def test_a_filler_that_travelled_from_a_dropped_subtree_is_not_kept():
     assert engine_for(o).fillers_travel and certain_answer(o, q.to_abox(), target, "x")
     assert _agree(o, q, q, lambda: SimulatedOracle(o, target).answer) == 2
     assert serialize_cq(minimize_cq(o, SimulatedOracle(o, target), q)) == "q(x) :- A(y), B(x), r(y,x)"
+
+
+def test_an_oracle_under_another_ontology_reads_each_cut_under_its_own():
+    # The learner's ontology is empty.  Under the oracle's, A entails C, or
+    # A and C are disjoint: a cut is read from the context of the whole
+    # tree only under that context's ontology, so the oracle sees C at y in
+    # the first case and a clash in the second, and both drops of s(x,z)
+    # are accepted.
+    q = parse_cq("q(x) :- r(x,y), A(y), s(x,z)")
+    entails, target = parse_ontology("A sub C\n"), parse_cq("q(x) :- r(x,y), C(y)")
+    assert _agree(Ontology(), q, q, lambda: SimulatedOracle(entails, target).answer) == 2
+    assert serialize_cq(minimize_cq(Ontology(), SimulatedOracle(entails, target), q)) == "q(x) :- A(y), r(x,y)"
+    q = parse_cq("q(x) :- r(x,y), A(y), C(y), s(x,z)")
+    clash, never = parse_ontology("disj A C\n"), parse_cq("q(x) :- t(x,w)")
+    assert _agree(Ontology(), q, q, lambda: SimulatedOracle(clash, never).answer) == 2
+    assert serialize_cq(minimize_cq(Ontology(), SimulatedOracle(clash, never), q)) == "q(x) :- A(y), C(y), r(x,y)"
 
 
 def test_no_minimization_adds_a_context_to_the_table():

@@ -30,10 +30,11 @@ one-shot context of its pooled tree only when it fits every example and
 inherits no verdict, to decide ``cand ⊑ q``, or, under disjointness, to
 test its satisfiability.  Both verdicts, inherited or decided, are memoized on
 ``q``'s context, per answer variable and tree id, and are dropped with that
-context when the context cache evicts it.  So ``verify_unique`` on
-``characterize``'s examples after ``bruteforce_frontier_check`` of the same
-query, in one process, builds no candidate context.  A candidate becomes a
-query only when it is returned.  Like every kernel
+context when the context cache evicts it.  So after
+``bruteforce_frontier_check`` of a query's frontier, ``characterize`` of the
+query reuses the frontier kept on that context, and ``verify_unique`` on
+its examples builds no candidate context.  A candidate becomes a query
+only when it is returned.  Like every kernel
 computation, both oracles refuse the combined dialect (role inclusions with
 functionality) when they build ``q``'s context, before searching.
 """

@@ -48,6 +48,8 @@ def characterize(o: Ontology, q: CQ) -> ExampleSet:
     Positive: the query's own ABox, anchored at the answer variable.
     Negative: one example per frontier member (its ABox, anchored at the
     member's answer variable; member variables double as individual names).
+    The members are the frontier kept on ``q``'s table context, so one that
+    ``frontier_r`` or ``frontier_f`` built before is not built again.
     """
     reject_unsupported(o, SUPPORTED_DIALECTS, "characterize")
     if not query_satisfiable(o, q):

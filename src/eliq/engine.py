@@ -88,7 +88,9 @@ the query and of the frontier members out of the table, and no check hashes
 its ABox.  What a candidate's context decides is kept instead on the context
 of the query's ABox, as ints and bools (``trees_contained``,
 ``trees_satisfiable``), so a second search over one query builds no candidate
-context, and the verdicts leave the table with it.
+context, and the verdicts leave the table with it.  So does each frontier
+that ``frontier_base.build_frontier`` names, kept there by answer variable
+and ontology, so a query's frontiers and characterization share one build.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ import functools
 
 from .errors import UnsupportedDialectError
 from .normalform import normalize
-from .syntax import ABox, CQ, Dialect, ELIConcept, Ontology, Role, TreeCut, dialect_of
+from .syntax import ABox, Dialect, ELIConcept, Ontology, Role, TreeCut, dialect_of
 
 TOPK = ("top",)
 
@@ -466,9 +468,9 @@ class ABoxContext:
         # query answering there, and tree id -> the tree is satisfiable.
         self.trees_contained: dict[tuple[str, int], bool] = {}
         self.trees_satisfiable: dict[int, bool] = {}
-        # reasoner.minimize_eliq's result on a query whose ABox this is, by
-        # (its answer variable, the concept names its saturation may add).
-        self.minimized: dict[tuple[str, frozenset], CQ] = {}
+        # frontier_base.build_frontier's Frontier of a query whose ABox this
+        # is, by (its answer variable, the ontology it was built under).
+        self.frontiers: dict[tuple[str, Ontology], object] = {}
 
     def _index_abox(self, abox: ABox) -> None:
         index = self._index

@@ -68,7 +68,7 @@ from .engine import ABoxContext, context_for, normal_form
 from .errors import InvalidArgumentError, UnsatisfiableError, UnsupportedDialectError
 from .model import anchored, intern_tree, mark_interned, matches
 from .normalform import is_normal_form
-from .reasoner import contained, minimize_eliq, query_satisfiable
+from .reasoner import contained, minimize_eliq
 from .syntax import (
     CQ,
     CutTree,
@@ -145,8 +145,8 @@ class Prepared:
         self.children = tree_children(self.query)
 
 
-def prepare(o: Ontology, q: CQ, op: str) -> Prepared:
-    if not query_satisfiable(o, q):
+def prepare(o: Ontology, q: CQ, op: str, q_ctx: ABoxContext) -> Prepared:
+    if not q_ctx.satisfiable():
         raise UnsatisfiableError(f"{op}: query is unsatisfiable w.r.t. the ontology")
     on, fmap = normal_form(o)
     qmin = minimize_eliq(on, q)
@@ -841,7 +841,11 @@ def frontier_trees(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) ->
     checks Conditions 1 and 2 on each.  Returns the table and the members as
     (node, pool id) pairs, in construction order."""
     reject_unsupported(o, dialects, op)
-    prep = prepare(o, q, op)
+    return _checked_trees(o, q, op, context_for(o, q.to_abox()))
+
+
+def _checked_trees(o: Ontology, q: CQ, op: str, q_ctx: ABoxContext) -> tuple[Trees, list[tuple[int, int]]]:
+    prep = prepare(o, q, op, q_ctx)
     trees = Trees(prep)
     roots = compensate(prep, trees, [n for n, _ in _f0(prep, trees, prep.query.answer_var)])
     if not size_ceiling_ok(prep.query, prep.ontology, sum(trees.size(n) for n in roots)):
@@ -858,10 +862,16 @@ def frontier_trees(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) ->
 
 def build_frontier(o: Ontology, q: CQ, op: str, dialects: frozenset[Dialect]) -> Frontier:
     """The frontier of ``frontier_r`` and ``frontier_f``: the driver's
-    members (``frontier_trees``), named (``Trees.member``) and sorted."""
-    trees, kept = frontier_trees(o, q, op, dialects)
-    members = [trees.member(n, tid) for n, tid in kept]
-    return Frontier(_sorted_members(members, [trees.size(n) for n, _ in kept]), q, o)
+    members (``frontier_trees``), named (``Trees.member``) and sorted.  It is
+    kept on the table context of ``q``'s ABox, by answer variable and
+    ontology; an unsatisfiable query's context keeps none."""
+    reject_unsupported(o, dialects, op)
+    q_ctx, key = context_for(o, q.to_abox()), (q.answer_var, o)  # the ABox has no answer variable
+    if key not in q_ctx.frontiers:
+        trees, kept = _checked_trees(o, q, op, q_ctx)
+        members = [trees.member(n, tid) for n, tid in kept]
+        q_ctx.frontiers[key] = Frontier(_sorted_members(members, [trees.size(n) for n, _ in kept]), q, o)
+    return q_ctx.frontiers[key]
 
 
 def _sorted_members(members: list[CQ], sizes: list[int]) -> tuple[CQ, ...]:

@@ -254,7 +254,9 @@ def probe_order(trees: Trees, members: list[tuple[int, int]]) -> list[tuple[int,
     """The frontier ``members``, (node, pool id) pairs of ``trees``, sorted as
     their named queries ``m`` sort by ``(len(serialize_cq(m)), serialize_cq(m))``:
     lengths come from the table (``Trees.text_length``), and only tied
-    members are named and serialized."""
+    members are named and serialized.  A single member is returned unmeasured."""
+    if len(members) < 2:
+        return members
     length = {m: trees.text_length(m[0]) for m in members}
     tied = Counter(length.values())
     text = {m: serialize_cq(trees.member(*m)) for m in members if tied[length[m]] > 1}

@@ -162,17 +162,11 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
     all its children from that table context, so no check copies, hashes or
     indexes the query.  The query as pruned so far is interned when a check
     first reads it, and then each accepted drop is carried up from its
-    parent (``model.drop_subtree``).  The result is kept on the table's
-    context of the query, by answer variable, so asking again about the
-    same query, as a second frontier of it does, asks no check again.
+    parent (``model.drop_subtree``).  The result is not kept: a second
+    frontier of the query reuses the first (``frontier_base.build_frontier``),
+    so it minimizes nothing.
     """
     whole = context_for(o, q.to_abox())
-    # The ABox leaves out an answer variable with atoms: queries differing
-    # only in it share the context, so it is part of the key.
-    key = (q.answer_var, o.signature()[0])
-    done = whole.minimized.get(key)
-    if done is not None:
-        return done
     saturated = saturate(o, q)
     tree = CutTree.of_query(saturated)  # raises NotAnEliqError unless a tree
     tids: list[int] = []  # each position's subtree id in the query as pruned so far
@@ -191,8 +185,7 @@ def minimize_eliq(o: Ontology, q: CQ) -> CQ:
         return anchored(ABoxContext(whole.engine, smaller.cut), tids[0], ind)
 
     cut = prune_tree(tree, whole, keeps)
-    done = whole.minimized[key] = tree.query(cut) if tree.dropped else saturated
-    return done
+    return tree.query(cut) if tree.dropped else saturated
 
 
 def enumerate_eliqs(

@@ -1,6 +1,14 @@
 import pytest
 
+import eliq.engine as engine
 from eliq import parse_cq, parse_ontology
+
+
+@pytest.fixture(autouse=True)
+def empty_context_table():
+    """Every test starts from an empty context table, so none reads a
+    frontier that an earlier test left on a context (``build_frontier``)."""
+    engine._contexts.cache_clear()
 
 
 @pytest.fixture
@@ -85,3 +93,4 @@ def reversed_root_candidates(monkeypatch):
         return out[::-1] if x == prep.query.answer_var else out
 
     monkeypatch.setattr(fb, "_f0", reversed_at_root)
+    engine._contexts.cache_clear()  # a frontier built before is not read back

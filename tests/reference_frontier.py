@@ -291,7 +291,7 @@ def reference_frontier(o, q, dialect, paper=False):
     compensate = compensate_r if paper and dialect == "r" else compensate_f
     op = "frontier_r" if dialect == "r" else "frontier_f"
     reject_unsupported(o, dialects, op)
-    prep = prepare(o, q, op)
+    prep = prepare(o, q, op, context_for(o, q.to_abox()))
     namer = Namer(prep.query.variables())
     raw = [compensate(prep, namer, c) for c in f0(prep, namer, prep.query.answer_var)]
     members = translate_members(raw, prep.fresh_map, prep.ctx.engine.functional)

@@ -321,25 +321,44 @@ EXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("example", sorted(EXAMPLES))
-def test_output_does_not_depend_on_the_hash_seed(files, example):
+# Runs each command of the JSON list in argv[1] through ``cli.main`` and
+# prints the exit codes and outputs as JSON.
+RUN_ALL = """
+import contextlib, io, json, sys
+from eliq.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(files):
     # String hashing is randomized per process; set and dict orders that
     # leak into the output would show up as a difference between seeds.
+    # One child per seed runs every command, in the same order.
     write, _ = files
-    o, q = write("o.dlo", EXAMPLES[example][0]), write("q.cq", EXAMPLES[example][1])
+    commands = []
+    for example in sorted(EXAMPLES):
+        o, q = write(f"{example}.dlo", EXAMPLES[example][0]), write(f"{example}.cq", EXAMPLES[example][1])
+        commands += [
+            ["frontier", "-o", o, "-q", q],
+            ["learn", "--ontology", o, "--target", q],
+            ["verify", "frontier", "-o", o, "-q", q],
+        ]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    commands = [
-        ["frontier", "-o", o, "-q", q],
-        ["learn", "--ontology", o, "--target", q],
-        ["verify", "frontier", "-o", o, "-q", q],
-    ]
-    for argv in commands:
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            run = subprocess.run(
-                [sys.executable, "-m", "eliq.cli", *argv], env=env, capture_output=True, text=True, timeout=120
-            )
-            assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout)
-        assert outputs[0] == outputs[1], argv
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", RUN_ALL, json.dumps(commands)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        results = json.loads(run.stdout)
+        assert [code for code, _ in results] == [0] * len(commands), run.stderr
+        outputs.append([out for _, out in results])
+    for argv, out0, out1 in zip(commands, *outputs):
+        assert out0 == out1, argv

@@ -25,6 +25,7 @@ from eliq import (
     seed_query,
     treeify,
 )
+from eliq.engine import context_for
 from eliq.frontier_base import SUPPORTED_DIALECTS, Trees, frontier_trees, prepare
 from eliq.learn import probe_order
 from eliq.parser import serialize_cq, serialize_ontology
@@ -370,6 +371,20 @@ def test_the_probe_order_is_the_order_of_the_serializations(monkeypatch):
     assert checked > 100 and ties
 
 
+def test_the_probe_order_measures_no_single_member(monkeypatch):
+    # One member has nothing to be ordered against: it is neither measured
+    # nor named.
+    trees, members = frontier_trees(Ontology(), parse_cq("q(x) :- A(x)"), "frontier_r", SUPPORTED_DIALECTS)
+    assert len(members) == 1
+    calls = Counter()
+    for name in ("text_length", "member"):
+        def counted(*args, _inner=getattr(Trees, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(Trees, name, counted)
+    assert probe_order(trees, members) == members and not calls
+
+
 def test_a_learner_names_only_the_tied_members_and_each_hypothesis_once(monkeypatch):
     # Members are probed as trees, and the accepted one is minimized as cuts
     # of its tree: a member is named only when it ties in serialized length
@@ -569,4 +584,5 @@ def test_preparing_a_hypothesis_minimizes_it_again_under_the_normal_form():
     on = normalize(o)[0]
     assert serialize_ontology(on) == "some r sub _X1\n_X1 sub some r . B\n"
     assert serialize_cq(minimize_eliq(on, trace.final)) == "q(x0) :- _X1(x0)"
-    assert serialize_cq(prepare(o, trace.final, "learn").query) == "q(x0) :- _X1(x0)"
+    prepared = prepare(o, trace.final, "learn", context_for(o, trace.final.to_abox()))
+    assert serialize_cq(prepared.query) == "q(x0) :- _X1(x0)"

@@ -37,6 +37,7 @@ from eliq import (
     parse_ontology,
     serialize_cq,
 )
+import eliq.engine as engine
 from eliq.engine import context_for
 from eliq.frontier_base import Prepared, Trees
 from eliq.gen import random_ontology, random_satisfiable_eliq
@@ -50,10 +51,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def unreduced(build, o, q):
-    """The members ``build`` gives with ``Trees.reduce`` left out."""
+    """The members ``build`` gives with ``Trees.reduce`` left out, built
+    afresh and not kept: the context table is emptied before and after."""
+    engine._contexts.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Trees, "reduce", lambda self, roots: roots)
-        return build(o, q).members
+        members = build(o, q).members
+    engine._contexts.cache_clear()
+    return members
 
 
 def by_pool_id(members) -> dict[int, CQ]:

@@ -336,19 +336,18 @@ print(json.dumps(results))
 """
 
 
-def test_output_does_not_depend_on_the_hash_seed(files):
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_output_does_not_depend_on_the_hash_seed(files, example):
     # String hashing is randomized per process; set and dict orders that
     # leak into the output would show up as a difference between seeds.
-    # One child per seed runs every command, in the same order.
+    # One child per seed runs the example's commands, in the same order.
     write, _ = files
-    commands = []
-    for example in sorted(EXAMPLES):
-        o, q = write(f"{example}.dlo", EXAMPLES[example][0]), write(f"{example}.cq", EXAMPLES[example][1])
-        commands += [
-            ["frontier", "-o", o, "-q", q],
-            ["learn", "--ontology", o, "--target", q],
-            ["verify", "frontier", "-o", o, "-q", q],
-        ]
+    o, q = write("o.dlo", EXAMPLES[example][0]), write("q.cq", EXAMPLES[example][1])
+    commands = [
+        ["frontier", "-o", o, "-q", q],
+        ["learn", "--ontology", o, "--target", q],
+        ["verify", "frontier", "-o", o, "-q", q],
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for seed in ("0", "1"):
